@@ -15,7 +15,7 @@ from .lorentz import (  # noqa: F401
     stereographic,
 )
 from .jets import Jet1, Jet2, VectorFieldJet, apply_vector_field, iterated_field_derivative  # noqa: F401
-from .quadrature import Integrand, Primitive, integrate, primitive_jet  # noqa: F401
+from .quadrature import Integrand, Primitive, integrate  # noqa: F401
 from .surfaces import (  # noqa: F401
     FundamentalForms,
     Surface,

@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -37,21 +35,6 @@ FAMILIES = {
 
 class InputError(ValueError):
     pass
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("CMC_LAB_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _pmap(fn, items):
-    n = _threads()
-    if n <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as ex:
-        return list(ex.map(fn, items))
 
 
 def build_surface(family: str, k=None, H=0.5, variant=None, of=None, r_cap=None):
@@ -84,6 +67,13 @@ def _need(value, flag):
         raise InputError(f"{flag} is required for this family")
 
 
+def _at_least(minimum, **flags):
+    """Reject a count below `minimum`; each keyword names its flag (nr for --nr)."""
+    for name, value in flags.items():
+        if value < minimum:
+            raise InputError(f"--{name} must be at least {minimum}, got {value}")
+
+
 def envelope(config: dict, results, t_start: float) -> dict:
     return {
         "tool": "cmc-lab",
@@ -105,6 +95,7 @@ def write_json(path, payload):
 
 def cmd_generate(args) -> int:
     t0 = time.time()
+    _at_least(2, nr=args.nr, nt=args.nt)
     S = build_surface(args.family, args.k, args.H, args.variant, args.of, args.r_cap)
     u_range = tuple(args.r_range) if args.r_range else None
     v_range = tuple(args.t_range) if args.t_range else None
@@ -145,6 +136,7 @@ def classify_payload(S, args) -> dict:
 
 def cmd_classify(args) -> int:
     t0 = time.time()
+    _at_least(2, grid=args.grid)
     S = build_surface(args.family, args.k, args.H, args.variant, args.of, args.r_cap)
     report = classify_payload(S, args)
     payload = envelope(_config_dict(args), report, t0)
@@ -157,8 +149,7 @@ def cmd_classify(args) -> int:
 # -- sweep ---------------------------------------------------------------------
 
 
-def sweep_row(case) -> dict:
-    k, H, args = case
+def sweep_row(k, H, args) -> dict:
     row = {
         "k": k,
         "H": H,
@@ -198,8 +189,8 @@ def cmd_sweep(args) -> int:
     Hs = [float(x) for x in args.H.split(",") if x.strip() != ""]
     if not ks or not Hs:
         raise InputError("sweep needs nonempty --k and --H lists")
-    cases = [(k, H, args) for H in Hs for k in ks]
-    rows = _pmap(sweep_row, cases)
+    _at_least(2, grid=args.grid)
+    rows = [sweep_row(k, H, args) for H in Hs for k in ks]
     with open(args.out, "w", newline="") as fh:
         sg.sweep_rows_to_csv(rows, fh)
     meta = {
@@ -260,8 +251,7 @@ def _suite_fields(trials, rng, failures):
 
 
 def _suite_diffeo(trials, rng, failures):
-    """Random parameters are drawn up front (one deterministic stream); the
-    trials themselves are pure and may run on the thread pool."""
+    """Random parameters are drawn up front (one deterministic stream)."""
     cases = []
     for name in ("cusp25", "fold", "cuspidal_edge"):
         S = sf.standard_model(name)
@@ -280,22 +270,17 @@ def _suite_diffeo(trials, rng, failures):
             Cc = rng.uniform(-0.05, 0.05, (3, 3, 3, 3))
             jobs.append((name, S, verdict0, fold0, A, Q, Cc))
 
-    def run(job):
-        name, S, verdict0, fold0, A, Q, Cc = job
+    ok = 0
+    for name, S, verdict0, fold0, A, Q, Cc in jobs:
         P = sg.diffeo_push(S, A, Q, Cc)
         recs = sg.trace_singular_curve(P, box=(-0.4, 0.4, -0.4, 0.4), n_grid=5)
         rep = sg.criterion_25(P, recs)
         ft = sg.fold_symmetry_test(P, recs[len(recs) // 2])
         good = rep.verdict == verdict0 and ft.verdict == fold0
-        fail = None if good else {"suite": "diffeo", "model": name, "verdict": rep.verdict,
-                                  "expected": verdict0, "fold": ft.verdict, "A": A.tolist()}
-        return good, fail
-
-    ok = 0
-    for good, fail in _pmap(run, jobs):
         ok += good
-        if fail:
-            failures.append(fail)
+        if not good:
+            failures.append({"suite": "diffeo", "model": name, "verdict": rep.verdict,
+                             "expected": verdict0, "fold": ft.verdict, "A": A.tolist()})
     return ok, len(jobs)
 
 
@@ -313,18 +298,14 @@ def _suite_laplacian(trials, rng, failures):
         for _ in range(per)
     ]
 
-    def run(job):
-        S, r, t = job
-        res = rp.laplacian_identity_residual(S, (r, t))
-        fail = None if res < 1e-5 else {"suite": "laplacian", "surface": S.family,
-                                        "point": [r, t], "residual": res}
-        return res < 1e-5, fail
-
     ok = 0
-    for good, fail in _pmap(run, jobs):
+    for S, r, t in jobs:
+        res = rp.laplacian_identity_residual(S, (r, t))
+        good = res < 1e-5
         ok += good
-        if fail:
-            failures.append(fail)
+        if not good:
+            failures.append({"suite": "laplacian", "surface": S.family, "point": [r, t],
+                             "residual": res})
     return ok, len(jobs)
 
 
@@ -391,6 +372,7 @@ SUITES = {
 
 def cmd_verify(args) -> int:
     t0 = time.time()
+    _at_least(1, trials=args.trials)
     rng = np.random.default_rng(args.seed)
     names = list(SUITES) if args.suite == "all" else [args.suite]
     if any(n not in SUITES for n in names):
@@ -423,6 +405,7 @@ def cmd_verify(args) -> int:
 def cmd_rep(args) -> int:
     t0 = time.time()
     if args.export_from:
+        _at_least(2, ns=args.ns, nt=args.nt)
         S = build_surface(args.export_from, args.k, args.H, args.variant, None, args.r_cap)
         r0, r1 = 0.15 * S.u_range[1], 0.65 * S.u_range[1]
         prof = rp.conformal_profile_chart(S, r0, r1)
@@ -467,16 +450,9 @@ def cmd_rep(args) -> int:
             file=sys.stderr,
         )
         return 1
-    X = rec["X"]
-    verts = X.reshape(-1, 3)
-    faces = []
-    for i in range(gd.nu - 1):
-        for j in range(gd.nv - 1):
-            a = i * gd.nv + j
-            faces.append((a, a + gd.nv, a + gd.nv + 1))
-            faces.append((a, a + gd.nv + 1, a + 1))
-    mesh = sf.Mesh(verts, np.array(faces, dtype=int), {"source": "representation",
-                                                       "H": gd.H, "config": _config_dict(args)})
+    verts = rec["X"].reshape(-1, 3)
+    mesh = sf.Mesh(verts, sf.grid_faces(gd.nu, gd.nv), {"source": "representation",
+                                                        "H": gd.H, "config": _config_dict(args)})
     mesh.write_obj(args.out)
     print(f"wrote reconstruction {args.out}; harmonic max {hmax:.3e}, loop {rec['loop_max_rel']:.3e}")
     return 0

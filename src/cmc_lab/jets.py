@@ -392,7 +392,7 @@ class Jet1:
         for n in range(2, D + 1):
             # coefficient of (y - y0)^n in self(inv(y)); must equal 0
             partial = Jet1(y0, D, np.concatenate([inv[:n], np.zeros(D + 1 - n)]))
-            comp = _compose_poly(self, partial)
+            comp = _compose(partial, self.c, self.base)
             inv[n] = -comp.c[n] / self.c[1]
         return Jet1(y0, D, inv)
 
@@ -405,8 +405,15 @@ class Jet1:
         return f"Jet1(base={self.base}, degree={self.degree}, value={self.value})"
 
 
-def _compose(jet, series):
-    """Horner evaluation of sum_n series[n] * (jet - value)^n in the jet algebra."""
+def _compose(jet, series, base=None):
+    """Horner evaluation of sum_n series[n] * (jet - value)^n in the jet algebra.
+
+    With `base`, series holds the Taylor coefficients of an outer function at
+    `base` (a univariate jet's c), and the result is outer(jet); jet.value
+    must then equal base.
+    """
+    if base is not None and not np.isclose(jet.value, base, rtol=0, atol=1e-12):
+        raise JetError("composition base mismatch")
     hat = jet._nilpotent()
     out = hat * 0 + series[-1]
     for n in range(len(series) - 2, -1, -1):
@@ -414,49 +421,22 @@ def _compose(jet, series):
     return out
 
 
-def _compose_poly(outer: Jet1, inner: Jet1) -> Jet1:
-    """outer(inner(y)) where inner.value must equal outer.base."""
-    if not np.isclose(inner.value, outer.base, rtol=0, atol=1e-12):
-        raise JetError("composition base mismatch")
-    hat = inner._nilpotent()
-    out = hat * 0 + outer.c[-1]
-    for n in range(outer.degree - 1, -1, -1):
-        out = out * hat + outer.c[n]
-    return out
+def compose2(F: Jet2, U, V):
+    """F(U, V) for jets U, V based at the new point, with values at F.base.
 
-
-compose1 = _compose_poly
-
-
-def compose2(F: Jet2, U: Jet2, V: Jet2) -> Jet2:
-    """F(U, V) for bivariate jets U, V based at the new point, with values at F.base."""
+    U and V are both bivariate (a change of chart) or both univariate (the
+    restriction of F to the curve (U(s), V(s))).
+    """
     du = U - F.base[0]
     dv = V - F.base[1]
     D = min(U.degree, V.degree)
-    pu = [Jet2.constant(1.0, U.base, D)]
-    pv = [Jet2.constant(1.0, U.base, D)]
+    jet = type(U)
+    pu = [jet.constant(1.0, U.base, D)]
+    pv = [jet.constant(1.0, U.base, D)]
     for _ in range(F.degree):
         pu.append(pu[-1] * du)
         pv.append(pv[-1] * dv)
-    out = Jet2.constant(0.0, U.base, D)
-    for a in range(F.degree + 1):
-        for b in range(F.degree + 1 - a):
-            if F.c[a, b] != 0:
-                out = out + F.c[a, b] * (pu[a] * pv[b])
-    return out
-
-
-def compose_curve(F: Jet2, cu: Jet1, cv: Jet1) -> Jet1:
-    """Restrict a bivariate jet to a parametrized curve (cu(s), cv(s))."""
-    du = cu - F.base[0]
-    dv = cv - F.base[1]
-    D = min(cu.degree, cv.degree)
-    pu = [Jet1.constant(1.0, cu.base, D)]
-    pv = [Jet1.constant(1.0, cu.base, D)]
-    for _ in range(F.degree):
-        pu.append(pu[-1] * du)
-        pv.append(pv[-1] * dv)
-    out = Jet1.constant(0.0, cu.base, D)
+    out = jet.constant(0.0, U.base, D)
     for a in range(F.degree + 1):
         for b in range(F.degree + 1 - a):
             if F.c[a, b] != 0:
@@ -589,43 +569,6 @@ def power(x, p):
     return _compose(x, series)
 
 
-_ELEM = {
-    "sqrt": sqrt,
-    "sin": sin,
-    "cos": cos,
-    "sinh": sinh,
-    "cosh": cosh,
-    "arctan": arctan,
-    "artanh": artanh,
-    "exp": exp,
-    "log": log,
-    "power": power,
-}
-
-_ARITH = {
-    "+": lambda f, g: f + g,
-    "-": lambda f, g: f - g,
-    "*": lambda f, g: f * g,
-    "/": lambda f, g: f / g,
-}
-
-
-def jet_const(value, base=(0.0, 0.0), degree=MAX_DEGREE) -> Jet2:
-    return Jet2.constant(value, base, degree)
-
-
-def jet_coordinate(base, degree=MAX_DEGREE, axis=0) -> Jet2:
-    return Jet2.coordinate(base, degree, axis)
-
-
-def jet_arith(op: str, f, g):
-    return _ARITH[op](f, g)
-
-
-def jet_elem(fn: str, f, *args):
-    return _ELEM[fn](f, *args)
-
-
 # -- vector fields -----------------------------------------------------------
 
 
@@ -659,6 +602,12 @@ def apply_vector_field(field: VectorFieldJet, f: Jet2) -> Jet2:
     return field.e1.truncated(min(field.e1.degree, D)) * f.du() + field.e2.truncated(
         min(field.e2.degree, D)
     ) * f.dv()
+
+
+def partial_values(X, a: int, b: int) -> np.ndarray:
+    """The partial derivative d^{a+b}/du^a dv^b at the base point of each jet
+    of the triple X, as an array (a = 1, b = 0 gives the value of X_u)."""
+    return np.array([comp.partial(a, b) for comp in X])
 
 
 def iterated_field_derivative(X, field: VectorFieldJet, k: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Lorentz-Minkowski linear algebra, the two-sheeted hyperboloid, and
-stereographic projection.
+stereographic projection, and the frame of a surface: its first fundamental
+form and its oriented Lorentz unit normal.
 
 The ambient space is R^3 = {(x0, x1, x2)} with the indefinite pairing
 <x, y> = -x0*y0 + x1*y1 + x2*y2; x0 is the timelike coordinate.  The unit
@@ -15,11 +16,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import jets as jt
+
 H2_TOL = 1e-12
 
 
 class IdealBoundaryError(ValueError):
     """Raised for inverse projection of a unit-circle point ("ideal boundary point")."""
+
+
+class NotSpacelikeError(ValueError):
+    """Raised off the spacelike regular set ("not a spacelike regular point")."""
 
 
 @dataclass(frozen=True)
@@ -56,10 +63,11 @@ def _components(x):
     return x[0], x[1], x[2]
 
 
-def lorentz_inner(x, y) -> float:
+def lorentz_inner(x, y):
+    """<x, y>; the components may be numbers or jets."""
     x0, x1, x2 = _components(x)
     y0, y1, y2 = _components(y)
-    return -x0 * y0 + x1 * y1 + x2 * y2
+    return -(x0 * y0) + x1 * y1 + x2 * y2
 
 
 def euclid_inner(x, y) -> float:
@@ -68,10 +76,12 @@ def euclid_inner(x, y) -> float:
     return x0 * y0 + x1 * y1 + x2 * y2
 
 
-def euclid_cross(x, y):
+def euclid_cross(x, y) -> tuple:
+    """The Euclidean cross product x x y, component by component; the
+    components may be numbers or jets."""
     x0, x1, x2 = _components(x)
     y0, y1, y2 = _components(y)
-    return np.array([x1 * y2 - x2 * y1, x2 * y0 - x0 * y2, x0 * y1 - x1 * y0])
+    return (x1 * y2 - x2 * y1, x2 * y0 - x0 * y2, x0 * y1 - x1 * y0)
 
 
 def lorentz_cross(x, y) -> LVec3:
@@ -83,6 +93,32 @@ def lorentz_cross(x, y) -> LVec3:
     """
     e = euclid_cross(x, y)
     return LVec3(-e[0], e[1], e[2])
+
+
+def first_fundamental_form(Xu, Xv) -> tuple:
+    """(E, F, G) = (<X_u, X_u>, <X_u, X_v>, <X_v, X_v>) of a surface frame,
+    as numbers or as jets (whichever X_u and X_v are)."""
+    return lorentz_inner(Xu, Xu), lorentz_inner(Xu, Xv), lorentz_inner(Xv, Xv)
+
+
+def lorentz_normal(Xu, Xv, sign=1) -> tuple:
+    """The oriented Lorentz unit normal nu = sign * w / sqrt(-<w, w>) of a
+    surface frame, w = lorentz_cross(X_u, X_v), so that <nu, nu> = -1.
+
+    `sign` is the surface's orientation (times any chart sign), making the
+    mean curvature +H.  X_u and X_v may be numbers (the normal is computed
+    in floating point) or jets (the normal's jet, one division by the jet of
+    the norm).  Off the spacelike regular set <w, w> >= 0, and
+    NotSpacelikeError is raised.  Every Lorentz normal in the library is
+    built here.
+    """
+    e = euclid_cross(Xu, Xv)
+    w = (-e[0], e[1], e[2])
+    q = lorentz_inner(w, w)
+    if not (q.value if isinstance(q, (jt.Jet1, jt.Jet2)) else q) < 0:
+        raise NotSpacelikeError("not a spacelike regular point")
+    norm = jt.sqrt(-q)
+    return tuple((sign * wi) / norm for wi in w)
 
 
 def det3(x, y, z) -> float:

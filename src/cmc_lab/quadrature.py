@@ -203,7 +203,3 @@ class Primitive:
             for j in range(1, degree + 1):
                 coeffs[j] = fj.c[j - 1] / j
         return Jet1(float(r0), degree, coeffs)
-
-
-def primitive_jet(P: Primitive, r0: float, degree: int = MAX_DEGREE) -> Jet1:
-    return P.jet(r0, degree)

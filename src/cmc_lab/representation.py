@@ -22,10 +22,16 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import jets as jt
-from .jets import Jet1, Jet2, MAX_DEGREE
-from .lorentz import ExtComplex
+from .jets import Jet1, Jet2, MAX_DEGREE, partial_values
+from .lorentz import (
+    ExtComplex,
+    NotSpacelikeError,
+    first_fundamental_form,
+    lorentz_inner,
+    lorentz_normal,
+)
 from .quadrature import Primitive
-from .surfaces import NotSpacelikeError, Surface
+from .surfaces import Surface, _promote_r
 
 UNIT_CIRCLE_TOL = 1e-8
 
@@ -47,33 +53,23 @@ def representation_constant(H: float) -> float:
     return -1.0 / H
 
 
-# -- normals and Gauss maps as jets -------------------------------------------
+# -- Gauss maps as jets ---------------------------------------------------------
 
 
-def _nu_jets(S: Surface, p, degree):
-    """Jets of the oriented Lorentzian unit normal (degree <= 4)."""
-    X = S.jet(p[0], p[1], min(degree + 1, MAX_DEGREE))
-    Xu = [c.du() for c in X]
-    Xv = [c.dv() for c in X]
-    e0 = Xu[1] * Xv[2] - Xu[2] * Xv[1]
-    e1 = Xu[2] * Xv[0] - Xu[0] * Xv[2]
-    e2 = Xu[0] * Xv[1] - Xu[1] * Xv[0]
-    w = (-1.0 * e0, e1, e2)  # lorentz cross: timelike component flipped
-    q = -(w[0] * w[0]) + w[1] * w[1] + w[2] * w[2]
-    if not q.value < 0:
-        raise NotSpacelikeError("not a spacelike regular point")
-    norm = jt.sqrt(-1.0 * q)
-    return tuple((S.orientation * wi) / norm for wi in w)
-
-
-def gauss_jet(S: Surface, p, degree=3) -> Jet2:
-    """Complex jet of g = (nu1 + i nu2)/(1 - nu0) in the surface parameters."""
-    nu = _nu_jets(S, p, degree)
+def _gauss_of_frame(X, sign) -> Jet2:
+    """Complex jet of g = (nu1 + i nu2)/(1 - nu0), nu the normal of the X jets
+    oriented by `sign`; one degree below X."""
+    nu = lorentz_normal([c.du() for c in X], [c.dv() for c in X], sign)
     num = nu[1] + 1j * nu[2]
     den = 1.0 - nu[0]
     if abs(den.value) < 1e-14:
         raise ZeroDivisionError("Gauss map at infinity (nu0 = 1)")
     return num / den
+
+
+def gauss_jet(S: Surface, p, degree=3) -> Jet2:
+    """Complex jet of g = (nu1 + i nu2)/(1 - nu0) in the surface parameters."""
+    return _gauss_of_frame(S.jet(p[0], p[1], min(degree + 1, MAX_DEGREE)), S.orientation)
 
 
 def gauss_map_of(S: Surface, p) -> ExtComplex:
@@ -111,23 +107,20 @@ class _ProfileIntegrand:
         self.S = S
         self.t0 = t0
 
-    def _EG(self, r, degree):
+    def metric(self, r, degree):
+        """(E, G) along t = t0 as univariate jets in r (the integrand needs no F)."""
         degree = min(degree, MAX_DEGREE - 1)  # metric jets sit one below X jets
         X = self.S.jet(r, self.t0, degree + 1)
-        Xu = [c.du() for c in X]
-        Xv = [c.dv() for c in X]
-        E = -(Xu[0] * Xu[0]) + Xu[1] * Xu[1] + Xu[2] * Xu[2]
-        G = -(Xv[0] * Xv[0]) + Xv[1] * Xv[1] + Xv[2] * Xv[2]
-        F = -(Xu[0] * Xv[0]) + Xu[1] * Xv[1] + Xu[2] * Xv[2]
-        to1 = lambda j: Jet1(r, degree, j.c[: degree + 1, 0].copy())
-        return to1(E), to1(G), to1(F)
+        Xu, Xv = [c.du() for c in X], [c.dv() for c in X]
+        return tuple(Jet1(r, degree, m.c[: degree + 1, 0].copy())
+                     for m in (lorentz_inner(Xu, Xu), lorentz_inner(Xv, Xv)))
 
     def __call__(self, r: float) -> float:
-        E, G, _ = self._EG(float(r), 0)
+        E, G = self.metric(float(r), 0)
         return math.sqrt(E.value / G.value)
 
     def jet(self, r0: float, degree: int = MAX_DEGREE) -> Jet1:
-        E, G, _ = self._EG(float(r0), degree)
+        E, G = self.metric(float(r0), degree)
         return jt.sqrt(E / G)
 
 
@@ -163,37 +156,26 @@ class ConformalProfile:
 
     def surface_jets(self, s: float, t: float, degree=MAX_DEGREE):
         """Jets of X in the oriented chart (s, t); the surface sees t flipped."""
-        rj = self.r_jet_of_s(s, degree)
-        X = self.surface.jet(rj.value, CHART_T_SIGN * t, degree)
-        R = _promote_jet1_u(rj, t, degree, base_s=s)
-        T = CHART_T_SIGN * Jet2.coordinate((s, t), degree, 1)
-        return tuple(jt.compose2(c, R, T) for c in X)
+        return _chart_jets(self.surface, self.r_jet_of_s(s, degree), s, t, degree)
 
     def sigma_jet(self, s: float, degree=3) -> Jet1:
         """sigma(s) = 0.5 log G(r(s)) (the conformal factor exponent)."""
         rj = self.r_jet_of_s(s, degree)
-        integrand = _ProfileIntegrand(self.surface, self.t0)
-        _, G, _ = integrand._EG(rj.value, degree)
-        Gs = jt.compose1(G, rj)
-        return jt.log(Gs) * 0.5
+        _, G = _ProfileIntegrand(self.surface, self.t0).metric(rj.value, degree)
+        return jt.log(jt._compose(rj, G.c, G.base)) * 0.5
 
     def conformality_residual(self, s: float, t: float) -> float:
         X = self.surface_jets(s, t, 2)
-        Xu = np.array([c.du().value for c in X])
-        Xv = np.array([c.dv().value for c in X])
-        from .lorentz import lorentz_inner
-
-        E = lorentz_inner(Xu, Xu)
-        G = lorentz_inner(Xv, Xv)
-        F = lorentz_inner(Xu, Xv)
+        E, F, G = first_fundamental_form(partial_values(X, 1, 0), partial_values(X, 0, 1))
         return (abs(E - G) + abs(F)) / abs(E)
 
 
-def _promote_jet1_u(j1: Jet1, t0: float, degree: int, base_s: float) -> Jet2:
-    c = np.zeros((degree + 1, degree + 1), dtype=j1.c.dtype)
-    n = min(degree, j1.degree) + 1
-    c[:n, 0] = j1.c[:n]
-    return Jet2((base_s, t0), degree, c)
+def _chart_jets(S: Surface, rj: Jet1, s: float, t: float, degree: int):
+    """Jets of X in the oriented chart (s, t), given the jet of r(s) at s."""
+    X = S.jet(rj.value, CHART_T_SIGN * t, degree)
+    R = _promote_r(rj, (s, t), degree)
+    T = CHART_T_SIGN * Jet2.coordinate((s, t), degree, 1)
+    return tuple(jt.compose2(c, R, T) for c in X)
 
 
 def conformal_profile_chart(
@@ -210,13 +192,13 @@ def conformal_profile_chart(
         r_min = 1e-3
     if r_anchor is None:
         r_anchor = 0.5 * (r_min + r_max)
-    integrand = _ProfileIntegrand(S, t0)
-    E, G, F = integrand._EG(r_anchor, 1)
-    if abs(F.value) > 1e-9:
-        raise ValueError(f"chart requires F = 0 in (r, t); got F = {F.value}")
-    if not (E.value > 0 and G.value > 0):
+    X = S.jet(r_anchor, t0, 1)
+    E, F, G = first_fundamental_form(partial_values(X, 1, 0), partial_values(X, 0, 1))
+    if abs(F) > 1e-9:
+        raise ValueError(f"chart requires F = 0 in (r, t); got F = {F}")
+    if not (E > 0 and G > 0):
         raise NotSpacelikeError("chart requires a spacelike rotational surface")
-    prim = Primitive(integrand, base=float(r_anchor))
+    prim = Primitive(_ProfileIntegrand(S, t0), base=float(r_anchor))
     return ConformalProfile(S, float(r_anchor), (float(r_min), float(r_max)), prim, t0, notes)
 
 
@@ -337,25 +319,11 @@ def gauss_data_from_surface(
 
 
 def _gauss_jet_in_chart(S: Surface, rj: Jet1, s: float, t: float, degree: int) -> Jet2:
-    d1 = min(degree + 1, MAX_DEGREE)
-    X = S.jet(rj.value, CHART_T_SIGN * t, d1)
-    R = _promote_jet1_u(rj, t, d1, base_s=s)
-    T = CHART_T_SIGN * Jet2.coordinate((s, t), d1, 1)
-    Xc = tuple(jt.compose2(c, R, T) for c in X)
-    Xu = [c.du() for c in Xc]
-    Xv = [c.dv() for c in Xc]
-    e0 = Xu[1] * Xv[2] - Xu[2] * Xv[1]
-    e1 = Xu[2] * Xv[0] - Xu[0] * Xv[2]
-    e2 = Xu[0] * Xv[1] - Xu[1] * Xv[0]
-    w = (-1.0 * e0, e1, e2)
-    q = -(w[0] * w[0]) + w[1] * w[1] + w[2] * w[2]
-    if not q.value < 0:
-        raise NotSpacelikeError("not a spacelike regular point")
-    norm = jt.sqrt(-1.0 * q)
+    """The Gauss map's jet in the chart (s, t), given the jet of r(s) at s."""
+    X = _chart_jets(S, rj, s, t, min(degree + 1, MAX_DEGREE))
     # the t flip reverses the chart's cross product; undo it so nu stays the
     # surface-oriented normal (the one with H_mean = +H)
-    nu = tuple((S.orientation * CHART_T_SIGN * wi) / norm for wi in w)
-    return (nu[1] + 1j * nu[2]) / (1.0 - nu[0])
+    return _gauss_of_frame(X, S.orientation * CHART_T_SIGN)
 
 
 # -- residuals -------------------------------------------------------------------
@@ -589,30 +557,19 @@ def representation_roundtrip(profile: ConformalProfile, gd: GaussData, rec=None)
             Y[i, j] = S.point(r, CHART_T_SIGN * t)
 
     Yj = profile.surface_jets(gd.u0 + i0 * gd.du, gd.v0 + j0 * gd.dv, 2)
-    Yu = np.array([c.du().value for c in Yj])
-    Yv = np.array([c.dv().value for c in Yj])
-    nuY = _frame_normal(Yu, Yv)
+    Yu, Yv = partial_values(Yj, 1, 0), partial_values(Yj, 0, 1)
+    nuY = lorentz_normal(Yu, Yv)
 
     c = representation_constant(gd.H)
     V0 = rec["integrand"][i0, j0]
     Xu = 2.0 * np.real(c * V0)
     Xv = -2.0 * np.imag(c * V0)
-    nuX = _frame_normal(Xu, Xv)
+    nuX = lorentz_normal(Xu, Xv)
 
     A = align_lorentz(np.column_stack([Yu, Yv, nuY]), np.column_stack([Xu, Xv, nuX]))
     aligned = np.einsum("ab,ijb->ija", A, X - X[i0, j0]) + Y[i0, j0]
     disc = np.linalg.norm(aligned - Y, axis=2).max()
     return {"discrepancy": float(disc), "aligned": aligned, "original": Y, "rec": rec}
-
-
-def _frame_normal(Xu, Xv):
-    from .lorentz import lorentz_cross, lorentz_inner
-
-    w = lorentz_cross(Xu, Xv).array()
-    q = lorentz_inner(w, w)
-    if not q < 0:
-        raise NotSpacelikeError("not a spacelike regular point")
-    return w / math.sqrt(-q)
 
 
 # -- compatibility equations and the Laplace identity -------------------------------
@@ -655,9 +612,7 @@ def laplacian_identity_residual(S: Surface, p) -> float:
     X = S.jet(p[0], p[1], 3)
     Xu = [c.du() for c in X]
     Xv = [c.dv() for c in X]
-    E = -(Xu[0] * Xu[0]) + Xu[1] * Xu[1] + Xu[2] * Xu[2]
-    F = -(Xu[0] * Xv[0]) + Xu[1] * Xv[1] + Xu[2] * Xv[2]
-    G = -(Xv[0] * Xv[0]) + Xv[1] * Xv[1] + Xv[2] * Xv[2]
+    E, F, G = first_fundamental_form(Xu, Xv)
     disc = E * G - F * F
     if not (disc.value > 0 and E.value > 0):
         raise NotSpacelikeError("not a spacelike regular point")
@@ -667,19 +622,10 @@ def laplacian_identity_residual(S: Surface, p) -> float:
         fu = (G * Xu[i] - F * Xv[i]) / W
         fv = (E * Xv[i] - F * Xu[i]) / W
         lap[i] = (fu.du().value + fv.dv().value) / W.value
-    nu = _nu_values(S, Xu, Xv)
+    # the normal from the frame's values, in floating point
+    nu = np.array(lorentz_normal([c.value for c in Xu], [c.value for c in Xv], S.orientation))
     res = lap + 2.0 * S.H * nu
     return float(np.linalg.norm(res))
-
-
-def _nu_values(S, Xu, Xv):
-    from .lorentz import lorentz_cross, lorentz_inner
-
-    xu = np.array([c.value for c in Xu])
-    xv = np.array([c.value for c in Xv])
-    w = lorentz_cross(xu, xv).array()
-    q = lorentz_inner(w, w)
-    return S.orientation * w / math.sqrt(-q)
 
 
 # -- locus characterization ----------------------------------------------------------

@@ -27,11 +27,11 @@ from .jets import (
     VectorFieldJet,
     apply_vector_field,
     compose2 as _compose2,
-    compose_curve as _compose_on_curve,
     iterated_field_derivative,
+    partial_values,
 )
-from .lorentz import euclid_cross
-from .surfaces import NotSpacelikeError, Surface, custom_surface
+from .lorentz import NotSpacelikeError, euclid_cross
+from .surfaces import Surface, custom_surface
 
 DET_TOL = 1e-8        # relative determinant zero threshold
 ANGLE_TOL = 1e-6      # first-kind transversality threshold
@@ -84,17 +84,6 @@ def _surface_jets(S: Surface, p, degree=MAX_DEGREE):
     return S.jet(p[0], p[1], degree)
 
 
-def _cross_jets(X):
-    """Euclidean X_u x X_v as a jet triple (one degree below X)."""
-    Xu = [c.du() for c in X]
-    Xv = [c.dv() for c in X]
-    return (
-        Xu[1] * Xv[2] - Xu[2] * Xv[1],
-        Xu[2] * Xv[0] - Xu[0] * Xv[2],
-        Xu[0] * Xv[1] - Xu[1] * Xv[0],
-    )
-
-
 def _det_jet(A, B, C):
     """det of three jet-triple columns, as a jet."""
     return (
@@ -118,7 +107,7 @@ def _rank1_normal_and_grad(S: Surface, p):
     is n dlambda^T: rank one, column space spanned by the normal.
     """
     X = _surface_jets(S, p, 3)
-    W = _cross_jets(X)
+    W = euclid_cross([c.du() for c in X], [c.dv() for c in X])
     J = np.array([[w.partial(1, 0), w.partial(0, 1)] for w in W])
     U, sv, Vt = np.linalg.svd(J)
     scale = max(np.max(np.abs(J)), 1e-300)
@@ -145,10 +134,9 @@ def euclidean_normal(S: Surface, p) -> np.ndarray:
         n = np.array([c.value for c in S.analytic_normal_jet(p[0], p[1], 0)])
         return n / np.linalg.norm(n)
     X = _surface_jets(S, p, 2)
-    W = _cross_jets(X)
+    W = euclid_cross([c.du() for c in X], [c.dv() for c in X])
     w = np.array([c.value for c in W])
-    Xu = np.array([c.du().value for c in X])
-    Xv = np.array([c.dv().value for c in X])
+    Xu, Xv = _dX(S, p).T
     scale = max(np.linalg.norm(Xu) * np.linalg.norm(Xv), 1e-300)
     if np.linalg.norm(w) > 1e-9 * scale:
         return w / np.linalg.norm(w)
@@ -163,9 +151,7 @@ def signed_area_density(S: Surface, p) -> float:
     pointwise normal makes it |X_u x X_v| at regular points (positive, the
     orientation sign), and the curve tracer anchors the sign locally instead.
     """
-    X = _surface_jets(S, p, 1)
-    Xu = np.array([c.du().value for c in X])
-    Xv = np.array([c.dv().value for c in X])
+    Xu, Xv = _dX(S, p).T
     n = euclidean_normal(S, p)
     return float(np.linalg.det(np.array([Xu, Xv, n])))
 
@@ -177,9 +163,7 @@ def _lambda_and_grad(S: Surface, p):
         n = np.array([c.value for c in S.analytic_normal_jet(p[0], p[1], 0)])
         return lj.value, np.array([lj.partial(1, 0), lj.partial(0, 1)]), n
     n, dlam = _rank1_normal_and_grad(S, p)
-    X = _surface_jets(S, p, 1)
-    Xu = np.array([c.du().value for c in X])
-    Xv = np.array([c.dv().value for c in X])
+    Xu, Xv = _dX(S, p).T
     lam = float(np.linalg.det(np.array([Xu, Xv, n])))
     return lam, dlam, n
 
@@ -188,8 +172,9 @@ def _lambda_and_grad(S: Surface, p):
 
 
 def _dX(S: Surface, p):
+    """[X_u X_v] at p (3x2), from degree-1 jets."""
     X = _surface_jets(S, p, 1)
-    return np.array([[c.du().value for c in X], [c.dv().value for c in X]]).T  # 3x2
+    return np.array([partial_values(X, 1, 0), partial_values(X, 0, 1)]).T
 
 
 def _null_and_rank(S: Surface, p):
@@ -207,10 +192,8 @@ def _detector(S: Surface, anchor_normal):
         return lambda q: signed_area_density(S, q)
 
     def det_fn(q):
-        X = _surface_jets(S, q, 1)
-        Xu = np.array([c.du().value for c in X])
-        Xv = np.array([c.dv().value for c in X])
-        return float(euclid_cross(Xu, Xv) @ anchor_normal)
+        Xu, Xv = _dX(S, q).T
+        return float(np.array(euclid_cross(Xu, Xv)) @ anchor_normal)
 
     return det_fn
 
@@ -248,10 +231,7 @@ def trace_singular_curve(
         if S.has_analytic_normal:
             f = _detector(S, None)
         else:
-            X = _surface_jets(S, q1, 1)
-            Xu = np.array([c.du().value for c in X])
-            Xv = np.array([c.dv().value for c in X])
-            w = euclid_cross(Xu, Xv)
+            w = np.array(euclid_cross(*_dX(S, q1).T))
             nw = np.linalg.norm(w)
             if nw == 0.0:
                 add_root(q1)
@@ -360,10 +340,13 @@ def _walk_curve(S: Surface, record, n_side=3, step=None):
         step = 0.02 * min(S.u_range[1] - S.u_range[0], S.v_range[1] - S.v_range[0])
     f = _detector(S, np.asarray(record.normal) if record.normal is not None else None)
     pts = [tuple(p)]
+    lo, hi = S.u_range
     for side in (1.0, -1.0):
         q = p.copy()
         for _ in range(n_side):
             q = q + side * step * tang
+            if not lo <= q[0] <= hi:
+                break  # the curve leaves the domain on this side
             for _ in range(3):  # transverse Newton on the scalar density
                 val = f(tuple(q))
                 h = 1e-6
@@ -406,15 +389,14 @@ class StraightChart:
         tang = _curve_direction(dlam)
 
         deg = MAX_DEGREE - 1  # the scalar density jet has one degree less than X
+        X = _surface_jets(S, tuple(p), MAX_DEGREE)
         if S.has_analytic_normal:
             g = _lambda_jet(S, tuple(p), MAX_DEGREE)
-            gT = float(np.array([g.partial(1, 0), g.partial(0, 1)]) @ T)
         else:
             n, _ = _rank1_normal_and_grad(S, tuple(p))
-            X = _surface_jets(S, tuple(p), MAX_DEGREE)
-            W = _cross_jets(X)
+            W = euclid_cross([c.du() for c in X], [c.dv() for c in X])
             g = W[0] * n[0] + W[1] * n[1] + W[2] * n[2]
-            gT = float(np.array([g.partial(1, 0), g.partial(0, 1)]) @ T)
+        gT = float(np.array([g.partial(1, 0), g.partial(0, 1)]) @ T)
         if abs(gT) <= 1e-12:
             raise DegenerateZeroSetError("degenerate zero set: no transverse slope")
 
@@ -429,20 +411,19 @@ class StraightChart:
         phi = np.zeros(deg + 1)
         for m in range(2, deg + 1):
             cu, cv = curve_coeffs(phi)
-            G = _compose_on_curve(g, cu, cv)
+            G = _compose2(g, cu, cv)
             phi[m] -= G.c[m] / gT
         self.curve_u, self.curve_v = curve_coeffs(phi)
 
         # null direction along the curve: kernel of dX via the image tangent
-        X = _surface_jets(S, tuple(p), MAX_DEGREE)
         M = _dX(S, tuple(p))
         e = M @ tang
         ne = np.linalg.norm(e)
         if ne <= 1e-12:
             raise SingularTangentError("singular tangent degenerate")
         e = e / ne
-        Xu_c = [_compose_on_curve(c.du(), self.curve_u, self.curve_v) for c in X]
-        Xv_c = [_compose_on_curve(c.dv(), self.curve_u, self.curve_v) for c in X]
+        Xu_c = [_compose2(c.du(), self.curve_u, self.curve_v) for c in X]
+        Xv_c = [_compose2(c.dv(), self.curve_u, self.curve_v) for c in X]
         eta_u = -(Xv_c[0] * e[0] + Xv_c[1] * e[1] + Xv_c[2] * e[2])
         eta_v = Xu_c[0] * e[0] + Xu_c[1] * e[1] + Xu_c[2] * e[2]
         e0 = np.array([eta_u.value, eta_v.value])
@@ -485,10 +466,6 @@ def _lift_chart(curve: Jet1, eta: Jet1, degree: int) -> Jet2:
 # -- criterion machinery ---------------------------------------------------------
 
 
-def _vals(X, a, b):
-    return np.array([c.partial(a, b) for c in X])
-
-
 def _rel_det(c1, c2, c3):
     d = float(np.linalg.det(np.array([c1, c2, c3])))
     scale = np.linalg.norm(c1) * np.linalg.norm(c2) * np.linalg.norm(c3)
@@ -515,10 +492,10 @@ def lemma_special_coefficients(Y):
     a = -(X_v . X_uu)/(X_v . X_v), b = -(X_v . (X_uuu + 3a X_uv))/(2 X_v . X_v),
     evaluated at the origin of the straightened chart.
     """
-    Xv = _vals(Y, 0, 1)
-    Xuu = _vals(Y, 2, 0)
-    Xuuu = _vals(Y, 3, 0)
-    Xuv = _vals(Y, 1, 1)
+    Xv = partial_values(Y, 0, 1)
+    Xuu = partial_values(Y, 2, 0)
+    Xuuu = partial_values(Y, 3, 0)
+    Xuv = partial_values(Y, 1, 1)
     vv = float(Xv @ Xv)
     if vv <= 1e-300:
         raise SingularTangentError("singular tangent degenerate")
@@ -538,11 +515,14 @@ def special_null_field(S: Surface, record: SingularPointRecord):
     Returns ((a, b), eta~ as a VectorFieldJet in the straightened chart, and
     the residuals of the defining orthogonality conditions).
     """
-    chart = StraightChart(S, record)
-    Y = chart.jets()
+    return _special_null_field_of(StraightChart(S, record).jets())
+
+
+def _special_null_field_of(Y):
+    """special_null_field from the jets Y of X in the straightened chart."""
     a, b = lemma_special_coefficients(Y)
     eta = special_field(a, b)
-    xiX = _vals(Y, 0, 1)
+    xiX = partial_values(Y, 0, 1)
     e2 = iterated_field_derivative(Y, eta, 2)
     e3 = iterated_field_derivative(Y, eta, 3)
     scale = np.linalg.norm(xiX) * max(np.linalg.norm(e2), np.linalg.norm(e3), 1e-300)
@@ -661,13 +641,7 @@ def criterion_25(
         chart = StraightChart(S, rec)
         Y = chart.jets()
         d3, r3 = condition3_det(Y)
-        a, b = lemma_special_coefficients(Y)
-        eta = special_field(a, b)
-        xiX = _vals(Y, 0, 1)
-        e2 = iterated_field_derivative(Y, eta, 2)
-        e3 = iterated_field_derivative(Y, eta, 3)
-        sc = np.linalg.norm(xiX) * max(np.linalg.norm(e2), np.linalg.norm(e3), 1e-300)
-        sres = (abs(float(xiX @ e2)) / sc, abs(float(xiX @ e3)) / sc)
+        (a, b), eta, sres = _special_null_field_of(Y)
         C, collin = constant_C(Y, eta)
         d4, r4 = condition4_det(Y, eta, C)
         samples.append(SampleCriterion(rec.location, d3, r3, a, b, C, collin, sres, d4, r4))
@@ -717,8 +691,8 @@ def fold_symmetry_test(S: Surface, record: SingularPointRecord) -> FoldReport:
     Y = chart.jets()
     # swap axes: lemma chart has the null direction first, the fold chart last
     Ysw = tuple(Jet2(c.base, c.degree, c.c.T.copy()) for c in Y)
-    xiX = _vals(Ysw, 1, 0)
-    e2 = _vals(Ysw, 0, 2)
+    xiX = partial_values(Ysw, 1, 0)
+    e2 = partial_values(Ysw, 0, 2)
     if np.linalg.norm(e2) <= 1e-12 * max(1.0, np.linalg.norm(xiX)):
         return FoldReport("rejected", math.inf, "eta^2 X vanishes (image-plane test failed)")
     B = np.array([xiX, e2]).T  # 3x2 span of the image plane

@@ -20,8 +20,8 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import jets as jt
-from .jets import Jet1, Jet2, MAX_DEGREE
-from .lorentz import H2Point, lorentz_cross, lorentz_inner
+from .jets import Jet1, Jet2, MAX_DEGREE, partial_values
+from .lorentz import H2Point, NotSpacelikeError, first_fundamental_form, lorentz_inner, lorentz_normal
 from .quadrature import Integrand, Primitive
 
 DOMAIN_TOL = 1e-8  # admissible interval: where the guarded quantities exceed this
@@ -36,20 +36,17 @@ class SurfaceDomainError(ValueError):
     pass
 
 
-class NotSpacelikeError(ValueError):
-    """Raised by fundamental_forms off the spacelike regular set."""
-
-
 class MeshEvaluationError(RuntimeError):
     """Surface evaluation failed while building a mesh; carries the grid index."""
 
 
-def _promote_r(j1: Jet1, t0: float, degree: int) -> Jet2:
-    """Lift a univariate jet in r at r0 to a bivariate jet at (r0, t0)."""
+def _promote_r(j1: Jet1, base, degree: int) -> Jet2:
+    """Lift a univariate jet in the first variable to a bivariate jet at `base`,
+    constant in the second variable."""
     c = np.zeros((degree + 1, degree + 1), dtype=j1.c.dtype)
     n = min(degree, j1.degree) + 1
     c[:n, 0] = j1.c[:n]
-    return Jet2((j1.base, t0), degree, c)
+    return Jet2(base, degree, c)
 
 
 def _positive_root(fn, hi=60.0):
@@ -133,40 +130,22 @@ class FundamentalForms:
     q: Optional[complex] = None  # Hopf coefficient, filled only in a conformal chart
 
 
-def _frame_values(S: Surface, u, v, degree=2):
-    X = S.jet(u, v, degree)
-    Xu = np.array([c.du().value for c in X])
-    Xv = np.array([c.dv().value for c in X])
-    Xuu = np.array([c.partial(2, 0) for c in X])
-    Xuv = np.array([c.partial(1, 1) for c in X])
-    Xvv = np.array([c.partial(0, 2) for c in X])
-    return Xu, Xv, Xuu, Xuv, Xvv
-
-
-def _oriented_normal(S: Surface, Xu, Xv):
-    w = lorentz_cross(Xu, Xv).array()
-    q = lorentz_inner(w, w)
-    if not q < 0:
-        raise NotSpacelikeError("not a spacelike regular point")
-    return S.orientation * w / math.sqrt(-q)
-
-
 def fundamental_forms(S: Surface, p, conformal_q: bool = True) -> FundamentalForms:
     """First and second fundamental forms, unit normal, and mean curvature.
 
-    The normal is lorentz_cross(X_u, X_v), normalized to <nu,nu> = -1 and
-    oriented (a fixed per-surface sign) so that H_mean matches the surface's
-    constructed mean curvature.  Raising off the spacelike regular set keeps
-    every downstream consumer honest about where the metric degenerates.
+    The normal is lorentz_normal(X_u, X_v, S.orientation): oriented by a
+    fixed per-surface sign so that H_mean matches the surface's constructed
+    mean curvature.  Raising off the spacelike regular set keeps every
+    downstream consumer honest about where the metric degenerates.
     """
-    u, v = p
-    Xu, Xv, Xuu, Xuv, Xvv = _frame_values(S, u, v)
-    E = lorentz_inner(Xu, Xu)
-    F = lorentz_inner(Xu, Xv)
-    G = lorentz_inner(Xv, Xv)
+    X = S.jet(p[0], p[1], 2)
+    Xu, Xv, Xuu, Xuv, Xvv = (
+        partial_values(X, a, b) for a, b in ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+    )
+    E, F, G = first_fundamental_form(Xu, Xv)
     if E * G - F * F <= 0 or E <= 0:
         raise NotSpacelikeError("not a spacelike regular point")
-    nu = _oriented_normal(S, Xu, Xv)
+    nu = np.array(lorentz_normal(Xu, Xv, S.orientation))
     L = lorentz_inner(nu, Xuu)
     M = lorentz_inner(nu, Xuv)
     N = lorentz_inner(nu, Xvv)
@@ -222,7 +201,7 @@ def delaunay_timelike(k: float, H: float, r_cap: float = R_CAP) -> Surface:
     r_hi = min(r_cap, root * (1 - 1e-9)) if root else r_cap
 
     def builder(r0, t0, degree):
-        Fj = _promote_r(prof.jet(r0, degree), t0, degree)
+        Fj = _promote_r(prof.jet(r0, degree), (r0, t0), degree)
         rj = Jet2.coordinate((r0, t0), degree, 0)
         tj = Jet2.coordinate((r0, t0), degree, 1)
         c, s = jt.cos(2 * H * tj), jt.sin(2 * H * tj)
@@ -259,7 +238,7 @@ def delaunay_spacelike(k: float, H: float, r_cap: float = R_CAP) -> Surface:
     r_hi = min(r_cap, root * (1 - 1e-9)) if root else r_cap
 
     def builder(r0, t0, degree):
-        Gj = _promote_r(prof.jet(r0, degree), t0, degree)
+        Gj = _promote_r(prof.jet(r0, degree), (r0, t0), degree)
         rj = Jet2.coordinate((r0, t0), degree, 0)
         tj = Jet2.coordinate((r0, t0), degree, 1)
         ch, sh = jt.cosh(2 * H * tj), jt.sinh(2 * H * tj)
@@ -321,43 +300,36 @@ def delaunay_lightlike(variant: str, H: float, r_cap: float = R_CAP) -> Surface:
 # -- conjugates ----------------------------------------------------------------
 
 
-def _template_T(lam_jet, rho_jet, Phi_jet, phi_t, h):
+def _conjugate_builder(template, lam_jet, rho_jet, Phi_jet, phi_t, h):
+    """Jets of X from the profile jets lambda(r), rho(r) and phi = Phi(r) + phi_t t."""
+
     def builder(r0, t0, degree):
-        lam = _promote_r(lam_jet(r0, degree), t0, degree)
-        rho = _promote_r(rho_jet(r0, degree), t0, degree)
-        tj = Jet2.coordinate((r0, t0), degree, 1)
-        phi = _promote_r(Phi_jet(r0, degree), t0, degree) + phi_t * tj
-        return (lam + h * phi, rho * jt.cos(phi), rho * jt.sin(phi))
+        base = (r0, t0)
+        lam = _promote_r(lam_jet(r0, degree), base, degree)
+        rho = _promote_r(rho_jet(r0, degree), base, degree)
+        tj = Jet2.coordinate(base, degree, 1)
+        phi = _promote_r(Phi_jet(r0, degree), base, degree) + phi_t * tj
+        return template(lam, rho, phi, h)
 
     return builder
 
 
-def _template_S(lam_jet, rho_jet, Phi_jet, phi_t, h):
-    def builder(r0, t0, degree):
-        lam = _promote_r(lam_jet(r0, degree), t0, degree)
-        rho = _promote_r(rho_jet(r0, degree), t0, degree)
-        tj = Jet2.coordinate((r0, t0), degree, 1)
-        phi = _promote_r(Phi_jet(r0, degree), t0, degree) + phi_t * tj
-        return (rho * jt.sinh(phi), rho * jt.cosh(phi), lam + h * phi)
-
-    return builder
+def _template_T(lam, rho, phi, h):
+    return (lam + h * phi, rho * jt.cos(phi), rho * jt.sin(phi))
 
 
-def _template_L(lam_jet, rho_jet, Phi_jet, phi_t, h):
-    def builder(r0, t0, degree):
-        lam = _promote_r(lam_jet(r0, degree), t0, degree)
-        rho = _promote_r(rho_jet(r0, degree), t0, degree)
-        tj = Jet2.coordinate((r0, t0), degree, 1)
-        phi = _promote_r(Phi_jet(r0, degree), t0, degree) + phi_t * tj
-        p2 = phi * phi
-        p3 = p2 * phi
-        return (
-            lam - rho - rho * p2 + h * (p3 / 3.0 + phi),
-            -2.0 * rho * phi + h * p2,
-            lam + rho - rho * p2 + h * (p3 / 3.0 - phi),
-        )
+def _template_S(lam, rho, phi, h):
+    return (rho * jt.sinh(phi), rho * jt.cosh(phi), lam + h * phi)
 
-    return builder
+
+def _template_L(lam, rho, phi, h):
+    p2 = phi * phi
+    p3 = p2 * phi
+    return (
+        lam - rho - rho * p2 + h * (p3 / 3.0 + phi),
+        -2.0 * rho * phi + h * p2,
+        lam + rho - rho * p2 + h * (p3 / 3.0 - phi),
+    )
 
 
 _TEMPLATES = {"T": _template_T, "S": _template_S, "L": _template_L}
@@ -470,7 +442,7 @@ def conjugate_of(
     else:
         raise SurfaceParameterError(f"no conjugate template for family {family!r}")
 
-    builder = _TEMPLATES[template](lam_jet, rho_jet, Phi_jet, phi_t, h)
+    builder = _conjugate_builder(_TEMPLATES[template], lam_jet, rho_jet, Phi_jet, phi_t, h)
     period = 2 * math.pi / abs(phi_t) if template == "T" else 3.0
     S = Surface(
         family=f"conjugate_of_{family}",
@@ -500,12 +472,13 @@ def _conj_Ii_normal(k, H, delta, Delta, Phi_jet, phi_t):
         rj1 = Jet1.coordinate(r0, degree)
         d = delta(rj1) + Jet1.constant(0.0, r0, degree)
         D = Delta(rj1) + Jet1.constant(0.0, r0, degree)
-        sd = _promote_r(jt.sqrt(d), t0, degree)
-        sD = _promote_r(jt.sqrt(D), t0, degree)
-        core = _promote_r(jt.sqrt(d - (k + 1) * rj1 * rj1), t0, degree)
-        rj = Jet2.coordinate((r0, t0), degree, 0)
-        tj = Jet2.coordinate((r0, t0), degree, 1)
-        phi = _promote_r(Phi_jet(r0, degree), t0, degree) + phi_t * tj
+        base = (r0, t0)
+        sd = _promote_r(jt.sqrt(d), base, degree)
+        sD = _promote_r(jt.sqrt(D), base, degree)
+        core = _promote_r(jt.sqrt(d - (k + 1) * rj1 * rj1), base, degree)
+        rj = Jet2.coordinate(base, degree, 0)
+        tj = Jet2.coordinate(base, degree, 1)
+        phi = _promote_r(Phi_jet(r0, degree), base, degree) + phi_t * tj
         cphi, sphi = jt.cos(phi), jt.sin(phi)
         pref = -1.0 / (math.sqrt(2) * sD * core)
         r3 = rj * rj * rj
@@ -621,15 +594,6 @@ def mesh_export(S: Surface, nu: int, nv: int, u_range=None, v_range=None) -> Mes
                 raise MeshEvaluationError(
                     f"evaluation failed at grid index ({i},{j}), (u,v)=({u},{v}): {e}"
                 ) from e
-    faces = []
-    for i in range(nu - 1):
-        for j in range(nv - 1):
-            a = i * nv + j
-            b = (i + 1) * nv + j
-            c = (i + 1) * nv + j + 1
-            d = i * nv + j + 1
-            faces.append((a, b, c))
-            faces.append((a, c, d))
     sidecar = {
         "family": S.family,
         "H": S.H,
@@ -638,4 +602,12 @@ def mesh_export(S: Surface, nu: int, nv: int, u_range=None, v_range=None) -> Mes
         "grid": {"nu": nu, "nv": nv},
         "domain": {"u": list(map(float, u_range)), "v": list(map(float, v_range))},
     }
-    return Mesh(verts, np.array(faces, dtype=int), sidecar)
+    return Mesh(verts, grid_faces(nu, nv), sidecar)
+
+
+def grid_faces(nu: int, nv: int) -> np.ndarray:
+    """Two consistently oriented triangles per cell of an nu x nv vertex grid
+    stored row-major (vertex i * nv + j), cell by cell in row-major order."""
+    a = (np.arange(nu - 1)[:, None] * nv + np.arange(nv - 1)).reshape(-1, 1)
+    tris = np.hstack([a, a + nv, a + nv + 1, a, a + nv + 1, a + 1])
+    return tris.reshape(-1, 3)

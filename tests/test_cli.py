@@ -2,6 +2,7 @@ import json
 import os
 
 import numpy as np
+import pytest
 
 from cmc_lab.cli import main
 
@@ -91,6 +92,27 @@ def test_classify_delaunay_conelike_with_certificates(tmp_path):
     assert res["certificates"]
     assert all(c["conclusion"] == "fold impossible" for c in res["certificates"])
     assert all(f["verdict"] == "rejected" for f in res["fold_symmetry"])
+
+
+def test_classify_model_cone_stays_in_the_domain(tmp_path):
+    assert run(tmp_path, "classify", "--family", "model-cone", "-o", "cone.json") == 0
+    res = json.loads((tmp_path / "cone.json").read_text())["results"]
+    assert res["samples"] and all(s["kind"] == "conelike" for s in res["samples"])
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("generate", "--family", "model-fold", "--nr", "1"), "--nr"),
+    (("generate", "--family", "model-fold", "--nt", "1"), "--nt"),
+    (("classify", "--family", "model-25", "--grid", "1"), "--grid"),
+    (("classify", "--family", "model-25", "--grid", "0"), "--grid"),
+    (("sweep", "--k", "2", "--grid", "1"), "--grid"),
+    (("rep", "--export-from", "delaunay-t", "--k", "2", "--ns", "1"), "--ns"),
+    (("rep", "--export-from", "delaunay-t", "--k", "2", "--nt", "1"), "--nt"),
+    (("verify", "--suite", "fields", "--trials", "-3"), "--trials"),
+])
+def test_bad_counts_exit2_naming_the_flag(tmp_path, capsys, argv, flag):
+    assert run(tmp_path, *argv, "-o", "out") == 2
+    assert flag in capsys.readouterr().err
 
 
 def test_classify_fold_model(tmp_path):

@@ -12,51 +12,47 @@ from cmc_lab.jets import (
     VectorFieldJet,
     apply_vector_field,
     iterated_field_derivative,
-    jet_arith,
-    jet_const,
-    jet_coordinate,
-    jet_elem,
 )
 
 BASE = (0.0, 0.0)
 
 
 def test_coordinate_and_constant_jets():
-    u = jet_coordinate(BASE, 2, 0)
+    u = Jet2.coordinate(BASE, 2, 0)
     assert u.value == 0 and u.c[1, 0] == 1 and np.count_nonzero(u.c) == 1
-    c = jet_const(3.0, BASE, 2)
+    c = Jet2.constant(3.0, BASE, 2)
     assert c.value == 3 and np.count_nonzero(c.c) == 1
-    v = jet_coordinate((1.0, 2.0), 2, 1)
+    v = Jet2.coordinate((1.0, 2.0), 2, 1)
     assert v.value == 2.0 and v.c[0, 1] == 1.0
 
 
 def test_sin_maclaurin_degree5():
-    u = jet_coordinate(BASE, 5, 0)
-    s = jet_elem("sin", u)
+    u = Jet2.coordinate(BASE, 5, 0)
+    s = jt.sin(u)
     assert np.allclose(s.c[:, 0], [0, 1, 0, -1 / 6, 0, 1 / 120])
     assert np.count_nonzero(s.c[:, 1:]) == 0
 
 
 def test_rational_division_example():
-    u = jet_coordinate(BASE, 2, 0)
-    q = jet_arith("/", 1 + u, 1 - u)
+    u = Jet2.coordinate(BASE, 2, 0)
+    q = (1 + u) / (1 - u)
     assert np.allclose(q.c[:, 0], [1, 2, 2])
 
 
 def test_sqrt_perfect_square():
-    u = jet_coordinate(BASE, 3, 0)
-    r = jet_elem("sqrt", 1 + 2 * u + u * u)
+    u = Jet2.coordinate(BASE, 3, 0)
+    r = jt.sqrt(1 + 2 * u + u * u)
     assert np.allclose(r.c[:, 0], [1, 1, 0, 0], atol=1e-14)
 
 
 def test_division_by_zero_value_jet():
-    u = jet_coordinate(BASE, 3, 0)
+    u = Jet2.coordinate(BASE, 3, 0)
     with pytest.raises(JetDivisionError, match="jet division singular"):
         (1 + u) / u
 
 
 def test_elementary_domain_errors():
-    u = jet_coordinate(BASE, 3, 0)
+    u = Jet2.coordinate(BASE, 3, 0)
     with pytest.raises(JetDomainError):
         jt.sqrt(u - 1.0)
     with pytest.raises(JetDomainError):
@@ -67,31 +63,31 @@ def test_elementary_domain_errors():
 
 def test_apply_vector_field_examples():
     # field d_u + u d_v on f = v: once -> u, twice -> 1
-    f = jet_coordinate(BASE, 2, 1)
-    field = VectorFieldJet(jet_const(1.0, BASE), jet_coordinate(BASE, 5, 0))
+    f = Jet2.coordinate(BASE, 2, 1)
+    field = VectorFieldJet(Jet2.constant(1.0, BASE), Jet2.coordinate(BASE, 5, 0))
     g1 = apply_vector_field(field, f)
     assert g1.degree == 1 and g1.c[1, 0] == 1.0 and g1.value == 0.0
     assert apply_vector_field(field, g1).value == 1.0
 
     # d_v twice on v^2 -> 2
-    v = jet_coordinate(BASE, 5, 1)
+    v = Jet2.coordinate(BASE, 5, 1)
     dv = VectorFieldJet.constant(0.0, 1.0, BASE)
     assert apply_vector_field(dv, apply_vector_field(dv, v * v)).value == 2.0
 
     # d_u on a constant -> 0
     du = VectorFieldJet.constant(1.0, 0.0, BASE)
-    assert apply_vector_field(du, jet_const(7.0, BASE)).value == 0.0
+    assert apply_vector_field(du, Jet2.constant(7.0, BASE)).value == 0.0
 
 
 def test_apply_vector_field_degree_exhausted():
     dv = VectorFieldJet.constant(0.0, 1.0, BASE, degree=0)
     with pytest.raises(JetOrderError, match="jet order exhausted"):
-        apply_vector_field(dv, jet_const(1.0, BASE, 0))
+        apply_vector_field(dv, Jet2.constant(1.0, BASE, 0))
 
 
 def test_iterated_field_derivative_models():
-    u = jet_coordinate(BASE, 5, 0)
-    v = jet_coordinate(BASE, 5, 1)
+    u = Jet2.coordinate(BASE, 5, 0)
+    v = Jet2.coordinate(BASE, 5, 1)
     dv = VectorFieldJet.constant(0.0, 1.0, BASE)
     X25 = (u, v * v, v**5)
     assert np.allclose(iterated_field_derivative(X25, dv, 2), [0, 2, 0])
@@ -106,8 +102,8 @@ SMALL_INT = st.integers(min_value=-4, max_value=4)
 @given(st.lists(SMALL_INT, min_size=6, max_size=6), st.integers(0, 1), st.integers(1, 3))
 def test_polynomial_iterated_derivatives_exact(coeffs, axis, k):
     """Constant-coefficient fields on integer polynomials are bit-exact."""
-    u = jet_coordinate(BASE, 5, 0)
-    v = jet_coordinate(BASE, 5, 1)
+    u = Jet2.coordinate(BASE, 5, 0)
+    v = Jet2.coordinate(BASE, 5, 1)
     f = (
         coeffs[0]
         + coeffs[1] * u
@@ -159,8 +155,8 @@ JCOEF = st.floats(min_value=-2, max_value=2, allow_nan=False)
 @given(st.lists(JCOEF, min_size=6, max_size=6), st.lists(JCOEF, min_size=6, max_size=6))
 @settings(max_examples=60)
 def test_leibniz_property(cf, cg):
-    u = jet_coordinate(BASE, 5, 0)
-    v = jet_coordinate(BASE, 5, 1)
+    u = Jet2.coordinate(BASE, 5, 0)
+    v = Jet2.coordinate(BASE, 5, 1)
     f = cf[0] + cf[1] * u + cf[2] * v + cf[3] * u * v + cf[4] * u * u + cf[5] * v * v
     g = cg[0] + cg[1] * u + cg[2] * v + cg[3] * u * v + cg[4] * u * u + cg[5] * v * v
     field = VectorFieldJet(1.0 + u * 0.5, v * v - u, )
@@ -188,8 +184,8 @@ def test_compose2_against_direct():
 
 
 def test_partial_extraction_and_orders():
-    u = jet_coordinate(BASE, 5, 0)
-    v = jet_coordinate(BASE, 5, 1)
+    u = Jet2.coordinate(BASE, 5, 0)
+    v = Jet2.coordinate(BASE, 5, 1)
     f = u * u * v * 3.0
     assert f.partial(2, 1) == 6.0
     with pytest.raises(JetOrderError):
@@ -197,14 +193,14 @@ def test_partial_extraction_and_orders():
 
 
 def test_power_integer_vs_generic():
-    x = 2.0 + jet_coordinate(BASE, 4, 0)
+    x = 2.0 + Jet2.coordinate(BASE, 4, 0)
     assert np.allclose((x**3).c, jt.power(x, 3).c)
     y = jt.power(x, 0.5)
     assert np.allclose(y.c, jt.sqrt(x).c)
 
 
 def test_base_point_mismatch_rejected():
-    a = jet_coordinate((0.0, 0.0), 3, 0)
-    b = jet_coordinate((1.0, 0.0), 3, 0)
+    a = Jet2.coordinate((0.0, 0.0), 3, 0)
+    b = Jet2.coordinate((1.0, 0.0), 3, 0)
     with pytest.raises(jt.JetError):
         a + b

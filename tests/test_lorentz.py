@@ -14,8 +14,10 @@ from cmc_lab.lorentz import (
     inverse_stereographic,
     lorentz_cross,
     lorentz_inner,
+    lorentz_normal,
     stereographic,
 )
+from cmc_lab.surfaces import fundamental_forms
 
 COORD = st.floats(min_value=-10, max_value=10, allow_nan=False)
 
@@ -124,3 +126,19 @@ def test_ext_complex_tags():
     assert ExtComplex.of(complex(1, 0)).on_unit_circle()
     with pytest.raises(ValueError):
         complex(inf)
+
+
+@pytest.mark.parametrize("surface", ["delaunay_t_k2", "delaunay_s_km1", "lightlike_i", "conj_k2"])
+def test_lorentz_normal_jets_are_unit_and_normal(surface, request):
+    """At regular points every coefficient of the degree-4 jets of <nu,nu> + 1,
+    <nu,X_u> and <nu,X_v> vanishes, and the jet's value is the float normal."""
+    S = request.getfixturevalue(surface)
+    for p in ((0.5 * S.u_range[1], 0.3), (0.8 * S.u_range[1], 0.7), (-0.3 * S.u_range[1], 0.1)):
+        X = S.jet(p[0], p[1], 5)
+        Xu, Xv = [c.du() for c in X], [c.dv() for c in X]
+        nu = lorentz_normal(Xu, Xv, S.orientation)
+        assert nu[0].degree == 4
+        for residual in (lorentz_inner(nu, nu) + 1.0, lorentz_inner(nu, Xu), lorentz_inner(nu, Xv)):
+            assert np.abs(residual.c).max() <= 1e-12
+        assert np.allclose([c.value for c in nu], fundamental_forms(S, p).nu.point.array(),
+                           rtol=0, atol=1e-13)

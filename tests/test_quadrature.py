@@ -12,7 +12,6 @@ from cmc_lab.quadrature import (
     Primitive,
     ToleranceNotMetError,
     integrate,
-    primitive_jet,
     simpson_oracle,
 )
 
@@ -88,20 +87,20 @@ def _cos_integrand():
 
 def test_primitive_jet_of_cosine():
     P = Primitive(_cos_integrand())
-    j = primitive_jet(P, 0.0, 3)
+    j = P.jet(0.0, 3)
     assert np.allclose(j.c, [0, 1, 0, -1 / 6])  # sin r
 
 
 def test_primitive_jet_of_square():
     P = Primitive(Integrand(lambda t: t * t))
-    j = primitive_jet(P, 1.0, 2)
+    j = P.jet(1.0, 2)
     assert abs(j.c[0] - 1 / 3) < 1e-11
     assert j.c[1] == 1.0 and j.c[2] == 1.0  # F'' = 2r -> coefficient 2/2!
 
 
 def test_primitive_vanishes_at_base():
     P = Primitive(_cos_integrand())
-    assert primitive_jet(P, 0.0, 4).value == 0.0
+    assert P.jet(0.0, 4).value == 0.0
 
 
 def test_primitive_value_matches_integrate():
@@ -114,7 +113,7 @@ def test_primitive_derivative_consistency():
     f = lambda t: (t * t + 1) / jt.sqrt((t * t + 3) ** 2 - 8)
     P = Primitive(Integrand(f))
     for r0 in (0.2, 0.7, 1.1):
-        j = primitive_jet(P, r0, 3)
+        j = P.jet(r0, 3)
         assert abs(j.c[1] - float(f(r0))) < 1e-12
 
 
