@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -74,6 +75,22 @@ def _at_least(minimum, **flags):
             raise InputError(f"--{name} must be at least {minimum}, got {value}")
 
 
+def finite_float(text: str) -> float:
+    """argparse type of every float flag: NaN and +-inf are bad input."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
+def _float_list(text: str, flag: str) -> list:
+    """A comma-separated list of finite floats (sweep's --k and --H)."""
+    try:
+        return [finite_float(x) for x in text.split(",") if x.strip() != ""]
+    except (ValueError, argparse.ArgumentTypeError) as e:
+        raise InputError(f"{flag}: {e}") from e
+
+
 def envelope(config: dict, results, t_start: float) -> dict:
     return {
         "tool": "cmc-lab",
@@ -97,6 +114,11 @@ def cmd_generate(args) -> int:
     t0 = time.time()
     _at_least(2, nr=args.nr, nt=args.nt)
     S = build_surface(args.family, args.k, args.H, args.variant, args.of, args.r_cap)
+    for flag, span, (lo, hi) in (("--r-range", args.r_range, S.u_range),
+                                 ("--t-range", args.t_range, S.v_range)):
+        if span and not lo <= span[0] < span[1] <= hi:
+            raise InputError(f"{flag} must be an increasing pair inside the admissible "
+                             f"interval [{lo}, {hi}] of {S.family}, got {span[0]} {span[1]}")
     u_range = tuple(args.r_range) if args.r_range else None
     v_range = tuple(args.t_range) if args.t_range else None
     mesh = sf.mesh_export(S, args.nr, args.nt, u_range=u_range, v_range=v_range)
@@ -137,6 +159,7 @@ def classify_payload(S, args) -> dict:
 def cmd_classify(args) -> int:
     t0 = time.time()
     _at_least(2, grid=args.grid)
+    _at_least(0, samples=args.samples)
     S = build_surface(args.family, args.k, args.H, args.variant, args.of, args.r_cap)
     report = classify_payload(S, args)
     payload = envelope(_config_dict(args), report, t0)
@@ -185,8 +208,8 @@ def sweep_row(k, H, args) -> dict:
 
 def cmd_sweep(args) -> int:
     t0 = time.time()
-    ks = [float(x) for x in args.k.split(",") if x.strip() != ""]
-    Hs = [float(x) for x in args.H.split(",") if x.strip() != ""]
+    ks = _float_list(args.k, "--k")
+    Hs = _float_list(args.H, "--H")
     if not ks or not Hs:
         raise InputError("sweep needs nonempty --k and --H lists")
     _at_least(2, grid=args.grid)
@@ -476,10 +499,10 @@ def make_parser() -> argparse.ArgumentParser:
                        help="delaunay-t | delaunay-s | delaunay-l-i | delaunay-l-ii | "
                             "conjugate (--of base) | model-fold | model-cuspidal-edge | model-25 | model-cone")
         p.add_argument("--of", help="base family for --family conjugate")
-        p.add_argument("--k", type=float)
-        p.add_argument("--H", type=float, default=0.5)
+        p.add_argument("--k", type=finite_float)
+        p.add_argument("--H", type=finite_float, default=0.5)
         p.add_argument("--variant", choices=["i", "ii"])
-        p.add_argument("--r-cap", type=float, default=None)
+        p.add_argument("--r-cap", type=finite_float, default=None)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("-o", "--out", default=out_default)
 
@@ -487,8 +510,8 @@ def make_parser() -> argparse.ArgumentParser:
     common(g, "surface.obj")
     g.add_argument("--nr", type=int, default=101)
     g.add_argument("--nt", type=int, default=101)
-    g.add_argument("--r-range", type=float, nargs=2)
-    g.add_argument("--t-range", type=float, nargs=2)
+    g.add_argument("--r-range", type=finite_float, nargs=2)
+    g.add_argument("--t-range", type=finite_float, nargs=2)
     g.add_argument("--singular-curve", action="store_true")
     g.set_defaults(func=cmd_generate)
 
@@ -496,18 +519,18 @@ def make_parser() -> argparse.ArgumentParser:
     common(c, "classify.json")
     c.add_argument("--grid", type=int, default=21)
     c.add_argument("--samples", type=int, default=8)
-    c.add_argument("--tol3", type=float, default=sg.DET_TOL)
-    c.add_argument("--tol4", type=float, default=sg.DET_TOL)
-    c.add_argument("--tol-C", dest="tol_C", type=float, default=sg.DET_TOL)
+    c.add_argument("--tol3", type=finite_float, default=sg.DET_TOL)
+    c.add_argument("--tol4", type=finite_float, default=sg.DET_TOL)
+    c.add_argument("--tol-C", dest="tol_C", type=finite_float, default=sg.DET_TOL)
     c.set_defaults(func=cmd_classify)
 
     s = sub.add_parser("sweep", help="criterion sweep over k (and H) lists; CSV out")
     s.add_argument("--k", required=True, help="comma-separated k list")
     s.add_argument("--H", default="0.5", help="comma-separated H list")
     s.add_argument("--grid", type=int, default=9)
-    s.add_argument("--tol3", type=float, default=sg.DET_TOL)
-    s.add_argument("--tol4", type=float, default=sg.DET_TOL)
-    s.add_argument("--tol-C", dest="tol_C", type=float, default=sg.DET_TOL)
+    s.add_argument("--tol3", type=finite_float, default=sg.DET_TOL)
+    s.add_argument("--tol4", type=finite_float, default=sg.DET_TOL)
+    s.add_argument("--tol-C", dest="tol_C", type=finite_float, default=sg.DET_TOL)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("-o", "--out", default="sweep.csv")
     s.set_defaults(func=cmd_sweep)
@@ -522,13 +545,13 @@ def make_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("rep", help="representation-formula tools (export / reconstruct)")
     r.add_argument("--gauss-data", help="GaussData JSON to reconstruct from")
     r.add_argument("--export-from", help="family to export Gauss data from")
-    r.add_argument("--k", type=float)
-    r.add_argument("--H", type=float, default=0.5)
+    r.add_argument("--k", type=finite_float)
+    r.add_argument("--H", type=finite_float, default=0.5)
     r.add_argument("--variant", choices=["i", "ii"])
-    r.add_argument("--r-cap", type=float, default=None)
+    r.add_argument("--r-cap", type=finite_float, default=None)
     r.add_argument("--ns", type=int, default=25)
     r.add_argument("--nt", type=int, default=13)
-    r.add_argument("--loop-tol", type=float, default=1e-8)
+    r.add_argument("--loop-tol", type=finite_float, default=1e-8)
     r.add_argument("--report", default=None)
     r.add_argument("--seed", type=int, default=0)
     r.add_argument("-o", "--out", default="reconstruction.obj")

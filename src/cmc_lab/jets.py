@@ -8,6 +8,18 @@ to total degree <= D, and elementary functions are composed through their
 Taylor series, which is exact through degree D because the non-constant part
 of a jet is nilpotent in the truncated algebra.
 
+A product is computed from a pair table built once per degree at import: the
+flat indices (ia, ib, io) of every term A[ia] * B[ib] that lands on an output
+coefficient io of total degree <= D.  The terms are multiplied in one array
+operation and summed per output coefficient by np.bincount (the real and
+imaginary parts separately for complex jets).  The table lists the terms in
+lexicographic order of the left factor's monomial, and bincount adds them in
+table order starting from 0.0, so each output coefficient is the same sequence
+of rounded additions as the schoolbook loop "for each (a, b): out[a:, b:] +=
+A[a, b] * B[...]": for finite coefficients the result is bit-identical to it.
+(That loop skipped zero A[a, b]; adding the exact zero terms changes no bit of
+a sum that starts from +0.0.)
+
 Degree is capped at 5: the fifth-order directional derivatives consumed by the
 cuspidal-edge criterion are the deepest anything here needs, and a fixed cap
 keeps every coefficient array the same small shape.
@@ -15,6 +27,7 @@ keeps every coefficient array the same small shape.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -39,19 +52,143 @@ class JetOrderError(JetError):
     """Differentiation requested on a degree-0 jet ("jet order exhausted")."""
 
 
-def _tri_mask(degree: int) -> np.ndarray:
-    a = np.arange(degree + 1)
-    return (a[:, None] + a[None, :]) <= degree
+def _pair_table(degree: int, nvars: int):
+    """Flat indices (ia, ib, io) of the truncated product of two coefficient
+    arrays of shape (degree + 1,) * nvars, left monomials in lexicographic order."""
+    shape = (degree + 1,) * nvars
+    monomials = [m for m in itertools.product(range(degree + 1), repeat=nvars)
+                 if sum(m) <= degree]
+    terms = [(x, y, tuple(p + q for p, q in zip(x, y)))
+             for x in monomials for y in monomials if sum(x) + sum(y) <= degree]
+    return tuple(np.ravel_multi_index(tuple(np.array(idx).T), shape)
+                 for idx in zip(*terms))
 
 
-class Jet2:
+def _convolve(A, B, table):
+    """Truncated product of two coefficient arrays of one shape, by `table`."""
+    ia, ib, io = table
+    w = A.ravel()[ia] * B.ravel()[ib]
+    if w.dtype.kind == "c":
+        out = np.empty(A.size, w.dtype)
+        out.real = np.bincount(io, w.real, A.size)
+        out.imag = np.bincount(io, w.imag, A.size)
+    else:
+        out = np.bincount(io, w, A.size)
+    out.shape = A.shape
+    return out
+
+
+class _Jet:
+    """Arithmetic shared by Jet1 and Jet2.
+
+    The traced operators (*, / and the reflected /) are defined in each
+    class's own body, so profilers report Jet1 and Jet2 products apart.
+    """
+
+    __slots__ = ("base", "degree", "c")
+
+    def _like(self, degree, c):
+        """A jet of this class and base point; `c` is trusted, not validated."""
+        jet = object.__new__(type(self))
+        jet.base = self.base
+        jet.degree = degree
+        jet.c = c
+        return jet
+
+    def _coeffs(self, degree):
+        """The coefficients of degree <= `degree` in each variable (a view)."""
+        if degree == self.degree:
+            return self.c
+        return self.c[(slice(degree + 1),) * self.c.ndim]
+
+    def _coerce(self, other):
+        if isinstance(other, _Jet):
+            if type(other) is not type(self):
+                raise JetError("cannot mix univariate and bivariate jets")
+            if other.base != self.base:
+                raise JetError("jets have different base points")
+            return other
+        return None  # scalar
+
+    def truncated(self, degree: int):
+        if degree > self.degree:
+            raise JetError("cannot raise jet degree")
+        if degree == self.degree:
+            return self
+        return self._like(degree, self._coeffs(degree).copy())
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            c = self.c.astype(np.result_type(self.c, other))
+            c.flat[0] += other
+            return self._like(self.degree, c)
+        D = min(self.degree, o.degree)
+        return self._like(D, self._coeffs(D) + o._coeffs(D))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._like(self.degree, -self.c)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def _product(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return self._like(self.degree, self.c * other)
+        D = min(self.degree, o.degree)
+        return self._like(D, _convolve(self._coeffs(D), o._coeffs(D), self._PAIRS[D]))
+
+    def _reciprocal(self):
+        g0 = self.value
+        if g0 == 0:
+            raise JetDivisionError("jet division singular")
+        series = [(-1.0) ** n / g0 ** (n + 1) for n in range(self.degree + 1)]
+        return _compose(self, series)
+
+    def __pow__(self, p):
+        if isinstance(p, int):
+            if p < 0:
+                return self._reciprocal() ** (-p)
+            out = type(self).constant(1.0, self.base, self.degree)
+            b = self
+            n = p
+            while n:
+                if n & 1:
+                    out = out * b
+                b = b * b
+                n >>= 1
+            return out
+        return power(self, p)
+
+    def _nilpotent(self):
+        c = self.c.copy()
+        c.flat[0] = 0
+        return self._like(self.degree, c)
+
+    def allclose(self, other, atol=1e-12, rtol=1e-12):
+        return self.base == other.base and np.allclose(
+            self.c, other._coeffs(self.degree), atol=atol, rtol=rtol
+        )
+
+    def __repr__(self):
+        return f"{type(self).__name__}(base={self.base}, degree={self.degree}, value={self.value})"
+
+
+class Jet2(_Jet):
     """Bivariate truncated Taylor polynomial at a base point.
 
     coeffs[a, b] is the Taylor coefficient of (u - u0)^a (v - v0)^b, i.e.
     d^{a+b} f / du^a dv^b / (a! b!).
     """
 
-    __slots__ = ("base", "degree", "c")
+    __slots__ = ()
+    _PAIRS = [_pair_table(d, 2) for d in range(MAX_DEGREE + 1)]  # product tables by degree
 
     def __init__(self, base, degree, coeffs):
         if not (0 <= degree <= MAX_DEGREE):
@@ -109,36 +246,27 @@ class Jet2:
             raise JetOrderError("jet order exhausted")
         return np.array([self.c[1, 0], self.c[0, 1]])
 
-    def truncated(self, degree: int) -> "Jet2":
-        if degree > self.degree:
-            raise JetError("cannot raise jet degree")
-        if degree == self.degree:
-            return self
-        return Jet2(self.base, degree, self.c[: degree + 1, : degree + 1].copy())
-
     def conjugate(self) -> "Jet2":
-        return Jet2(self.base, self.degree, np.conj(self.c))
+        return self._like(self.degree, np.conj(self.c))
 
     def real_part(self) -> "Jet2":
-        return Jet2(self.base, self.degree, np.real(self.c).copy())
+        return self._like(self.degree, np.real(self.c).copy())
 
     def imag_part(self) -> "Jet2":
-        return Jet2(self.base, self.degree, np.imag(self.c).copy())
+        return self._like(self.degree, np.imag(self.c).copy())
 
     def du(self) -> "Jet2":
         """Jet of df/du; one degree lower (truncation loses the top order)."""
         if self.degree < 1:
             raise JetOrderError("jet order exhausted")
         D = self.degree - 1
-        mult = np.arange(1, self.degree + 1)[:, None]
-        return Jet2(self.base, D, (self.c[1:, : D + 1] * mult).copy())
+        return self._like(D, self.c[1:, : D + 1] * np.arange(1, self.degree + 1)[:, None])
 
     def dv(self) -> "Jet2":
         if self.degree < 1:
             raise JetOrderError("jet order exhausted")
         D = self.degree - 1
-        mult = np.arange(1, self.degree + 1)[None, :]
-        return Jet2(self.base, D, (self.c[: D + 1, 1:] * mult).copy())
+        return self._like(D, self.c[: D + 1, 1:] * np.arange(1, self.degree + 1)[None, :])
 
     def __call__(self, u, v):
         """Evaluate the truncated polynomial at (u, v)."""
@@ -147,53 +275,10 @@ class Jet2:
         pv = dv ** np.arange(self.degree + 1)
         return pu @ self.c @ pv
 
-    # -- arithmetic ----------------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, Jet2):
-            if other.base != self.base:
-                raise JetError("jets have different base points")
-            return other
-        if isinstance(other, Jet1):
-            raise JetError("cannot mix univariate and bivariate jets")
-        return None  # scalar
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            c = self.c.copy().astype(np.result_type(self.c, other))
-            c[0, 0] += other
-            return Jet2(self.base, self.degree, c)
-        D = min(self.degree, o.degree)
-        return Jet2(self.base, D, self.c[: D + 1, : D + 1] + o.c[: D + 1, : D + 1])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Jet2(self.base, self.degree, -self.c)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
+    # -- traced operators ----------------------------------------------------
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return Jet2(self.base, self.degree, self.c * other)
-        D = min(self.degree, o.degree)
-        A = self.c[: D + 1, : D + 1]
-        B = o.c[: D + 1, : D + 1]
-        out = np.zeros((D + 1, D + 1), dtype=np.result_type(A, B))
-        for a in range(D + 1):
-            for b in range(D + 1 - a):
-                x = A[a, b]
-                if x == 0:
-                    continue
-                out[a:, b:] += x * B[: D + 1 - a, : D + 1 - b]
-        out[~_tri_mask(D)] = 0
-        return Jet2(self.base, D, out)
+        return self._product(other)
 
     __rmul__ = __mul__
 
@@ -206,46 +291,12 @@ class Jet2:
     def __rtruediv__(self, other):
         return self._reciprocal() * other
 
-    def _reciprocal(self):
-        g0 = self.value
-        if g0 == 0:
-            raise JetDivisionError("jet division singular")
-        series = [(-1.0) ** n / g0 ** (n + 1) for n in range(self.degree + 1)]
-        return _compose(self, series)
 
-    def __pow__(self, p):
-        if isinstance(p, int):
-            if p < 0:
-                return self._reciprocal() ** (-p)
-            out = Jet2.constant(1.0, self.base, self.degree)
-            b = self
-            n = p
-            while n:
-                if n & 1:
-                    out = out * b
-                b = b * b
-                n >>= 1
-            return out
-        return power(self, p)
-
-    def _nilpotent(self):
-        c = self.c.copy()
-        c[0, 0] = 0
-        return Jet2(self.base, self.degree, c)
-
-    def allclose(self, other, atol=1e-12, rtol=1e-12):
-        return self.base == other.base and np.allclose(
-            self.c, other.c[: self.degree + 1, : self.degree + 1], atol=atol, rtol=rtol
-        )
-
-    def __repr__(self):
-        return f"Jet2(base={self.base}, degree={self.degree}, value={self.value})"
-
-
-class Jet1:
+class Jet1(_Jet):
     """Univariate truncated Taylor polynomial; coeffs[a] multiplies (x - x0)^a."""
 
-    __slots__ = ("base", "degree", "c")
+    __slots__ = ()
+    _PAIRS = [_pair_table(d, 1) for d in range(MAX_DEGREE + 1)]  # product tables by degree
 
     def __init__(self, base, degree, coeffs):
         if not (0 <= degree <= MAX_DEGREE):
@@ -280,63 +331,16 @@ class Jet1:
             raise JetOrderError("jet order exhausted")
         return self.c[n] * math.factorial(n)
 
-    def truncated(self, degree: int) -> "Jet1":
-        if degree > self.degree:
-            raise JetError("cannot raise jet degree")
-        if degree == self.degree:
-            return self
-        return Jet1(self.base, degree, self.c[: degree + 1].copy())
-
     def dx(self) -> "Jet1":
         if self.degree < 1:
             raise JetOrderError("jet order exhausted")
-        D = self.degree - 1
-        return Jet1(self.base, D, (self.c[1:] * np.arange(1, self.degree + 1)).copy())
+        return self._like(self.degree - 1, self.c[1:] * np.arange(1, self.degree + 1))
 
     def __call__(self, x):
         return np.polyval(self.c[::-1], x - self.base)
 
-    def _coerce(self, other):
-        if isinstance(other, Jet1):
-            if other.base != self.base:
-                raise JetError("jets have different base points")
-            return other
-        if isinstance(other, Jet2):
-            raise JetError("cannot mix univariate and bivariate jets")
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            c = self.c.copy().astype(np.result_type(self.c, other))
-            c[0] += other
-            return Jet1(self.base, self.degree, c)
-        D = min(self.degree, o.degree)
-        return Jet1(self.base, D, self.c[: D + 1] + o.c[: D + 1])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Jet1(self.base, self.degree, -self.c)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return Jet1(self.base, self.degree, self.c * other)
-        D = min(self.degree, o.degree)
-        out = np.zeros(D + 1, dtype=np.result_type(self.c, o.c))
-        for a in range(D + 1):
-            x = self.c[a]
-            if x == 0:
-                continue
-            out[a:] += x * o.c[: D + 1 - a]
-        return Jet1(self.base, D, out)
+        return self._product(other)
 
     __rmul__ = __mul__
 
@@ -348,33 +352,6 @@ class Jet1:
 
     def __rtruediv__(self, other):
         return self._reciprocal() * other
-
-    def _reciprocal(self):
-        g0 = self.value
-        if g0 == 0:
-            raise JetDivisionError("jet division singular")
-        series = [(-1.0) ** n / g0 ** (n + 1) for n in range(self.degree + 1)]
-        return _compose(self, series)
-
-    def __pow__(self, p):
-        if isinstance(p, int):
-            if p < 0:
-                return self._reciprocal() ** (-p)
-            out = Jet1.constant(1.0, self.base, self.degree)
-            b = self
-            n = p
-            while n:
-                if n & 1:
-                    out = out * b
-                b = b * b
-                n >>= 1
-            return out
-        return power(self, p)
-
-    def _nilpotent(self):
-        c = self.c.copy()
-        c[0] = 0
-        return Jet1(self.base, self.degree, c)
 
     def compose_inverse(self) -> "Jet1":
         """Jet of the inverse function x(y) at y0 = self.value.
@@ -395,14 +372,6 @@ class Jet1:
             comp = _compose(partial, self.c, self.base)
             inv[n] = -comp.c[n] / self.c[1]
         return Jet1(y0, D, inv)
-
-    def allclose(self, other, atol=1e-12, rtol=1e-12):
-        return self.base == other.base and np.allclose(
-            self.c, other.c[: self.degree + 1], atol=atol, rtol=rtol
-        )
-
-    def __repr__(self):
-        return f"Jet1(base={self.base}, degree={self.degree}, value={self.value})"
 
 
 def _compose(jet, series, base=None):

@@ -832,6 +832,11 @@ def diffeo_push(S: Surface, linear, quadratic=None, cubic=None) -> Surface:
 
     def builder(u, v, degree):
         X = S.jet(u, v, degree)
+        # each monomial once per call: XX[j][k] = X_j X_k, XXX[j][k][l] = X_j (X_k X_l)
+        if Q is not None or Cc is not None:
+            XX = [[X[j] * X[k] for k in range(3)] for j in range(3)]
+        if Cc is not None:
+            XXX = [[[X[j] * XX[k][l] for l in range(3)] for k in range(3)] for j in range(3)]
         out = []
         for i in range(3):
             acc = A[i, 0] * X[0] + A[i, 1] * X[1] + A[i, 2] * X[2]
@@ -839,13 +844,13 @@ def diffeo_push(S: Surface, linear, quadratic=None, cubic=None) -> Surface:
                 for j in range(3):
                     for k in range(3):
                         if Q[i, j, k] != 0:
-                            acc = acc + Q[i, j, k] * (X[j] * X[k])
+                            acc = acc + Q[i, j, k] * XX[j][k]
             if Cc is not None:
                 for j in range(3):
                     for k in range(3):
                         for l in range(3):
                             if Cc[i, j, k, l] != 0:
-                                acc = acc + Cc[i, j, k, l] * (X[j] * (X[k] * X[l]))
+                                acc = acc + Cc[i, j, k, l] * XXX[j][k][l]
             out.append(acc)
         return tuple(out)
 

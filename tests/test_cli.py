@@ -115,6 +115,41 @@ def test_bad_counts_exit2_naming_the_flag(tmp_path, capsys, argv, flag):
     assert flag in capsys.readouterr().err
 
 
+def exit_code(tmp_path, *argv):
+    try:
+        return run(tmp_path, *argv)
+    except SystemExit as e:  # argparse rejected a flag's value
+        return e.code
+
+
+DT = ("--family", "delaunay-t", "--k", "2", "--nr", "5", "--nt", "5")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("classify", "--family", "model-25", "--grid", "5", "--samples", "-1"), "--samples"),
+    (("generate", "--family", "delaunay-t", "--k", "nan", "--nr", "5", "--nt", "5"), "--k"),
+    (("generate", *DT, "--H", "nan"), "--H"),
+    (("generate", *DT, "--H", "-inf"), "--H"),
+    (("generate", *DT, "--r-cap", "inf"), "--r-cap"),
+    (("generate", *DT, "--r-range", "nan", "0.5"), "--r-range"),
+    (("generate", *DT, "--t-range", "0", "inf"), "--t-range"),
+    (("classify", "--family", "model-25", "--tol3", "nan"), "--tol3"),
+    (("classify", "--family", "model-25", "--tol4", "inf"), "--tol4"),
+    (("classify", "--family", "model-25", "--tol-C", "nan"), "--tol-C"),
+    (("sweep", "--k", "2,nan"), "--k"),
+    (("sweep", "--k", "2", "--H", "inf"), "--H"),
+    (("rep", "--export-from", "delaunay-t", "--k", "inf"), "--k"),
+    (("rep", "--gauss-data", "gd.json", "--loop-tol", "nan"), "--loop-tol"),
+    (("generate", *DT, "--r-range", "0", "9"), "--r-range"),
+    (("generate", *DT, "--r-range", "0.5", "-0.5"), "--r-range"),
+    (("generate", *DT, "--r-range", "0.5", "0.5"), "--r-range"),
+    (("generate", *DT, "--t-range", "-1", "1"), "--t-range"),
+])
+def test_bad_numbers_exit2_naming_the_flag(tmp_path, capsys, argv, flag):
+    assert exit_code(tmp_path, *argv, "-o", "out") == 2
+    assert flag in capsys.readouterr().err
+
+
 def test_classify_fold_model(tmp_path):
     assert run(
         tmp_path, "classify", "--family", "model-fold", "--grid", "9", "--samples", "1", "-o", "f.json",

@@ -204,3 +204,70 @@ def test_base_point_mismatch_rejected():
     b = Jet2.coordinate((1.0, 0.0), 3, 0)
     with pytest.raises(jt.JetError):
         a + b
+
+
+def test_mixing_univariate_and_bivariate_rejected():
+    with pytest.raises(jt.JetError, match="cannot mix"):
+        Jet2.coordinate(BASE, 3, 0) * Jet1.coordinate(0.0, 3)
+    with pytest.raises(jt.JetError, match="cannot mix"):
+        Jet1.coordinate(0.0, 3) + Jet2.coordinate(BASE, 3, 0)
+
+
+# -- the table-driven product against the schoolbook loop it replaced ---------
+
+
+def schoolbook_product2(A, B):
+    D = min(A.shape[0], B.shape[0]) - 1
+    A, B = A[: D + 1, : D + 1], B[: D + 1, : D + 1]
+    out = np.zeros((D + 1, D + 1), dtype=np.result_type(A, B))
+    for a in range(D + 1):
+        for b in range(D + 1 - a):
+            x = A[a, b]
+            if x == 0:
+                continue
+            out[a:, b:] += x * B[: D + 1 - a, : D + 1 - b]
+    n = np.arange(D + 1)
+    out[n[:, None] + n[None, :] > D] = 0
+    return out
+
+
+def schoolbook_product1(A, B):
+    D = min(A.shape[0], B.shape[0]) - 1
+    out = np.zeros(D + 1, dtype=np.result_type(A, B))
+    for a in range(D + 1):
+        x = A[a]
+        if x == 0:
+            continue
+        out[a:] += x * B[: D + 1 - a]
+    return out
+
+
+def _real_coefficient():
+    """Exactly zero about 30% of the time, else +-10^e with e in [-8, 8]."""
+    nonzero = st.builds(lambda e, s: s * 10.0**e, st.floats(-8, 8), st.sampled_from([-1.0, 1.0]))
+    return st.integers(0, 9).flatmap(lambda i: st.just(0.0) if i < 3 else nonzero)
+
+
+@st.composite
+def coefficient_arrays(draw, nvars):
+    degree = draw(st.integers(0, 5))
+    shape = (degree + 1,) * nvars
+    n = int(np.prod(shape))
+    re = draw(st.lists(_real_coefficient(), min_size=n, max_size=n))
+    if not draw(st.booleans()):
+        return degree, np.array(re).reshape(shape)
+    im = draw(st.lists(_real_coefficient(), min_size=n, max_size=n))
+    return degree, (np.array(re) + 1j * np.array(im)).reshape(shape)
+
+
+@given(coefficient_arrays(2), coefficient_arrays(2), coefficient_arrays(1), coefficient_arrays(1))
+@settings(max_examples=300, deadline=None)
+def test_products_bit_identical_to_schoolbook_loop(a2, b2, a1, b1):
+    for jet, base, (da, A), (db, B), reference in (
+        (Jet2, BASE, a2, b2, schoolbook_product2),
+        (Jet1, 0.0, a1, b1, schoolbook_product1),
+    ):
+        got = (jet(base, da, A) * jet(base, db, B)).c
+        want = reference(A, B)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
