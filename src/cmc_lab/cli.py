@@ -39,6 +39,8 @@ class InputError(ValueError):
 
 
 def build_surface(family: str, k=None, H=0.5, variant=None, of=None, r_cap=None):
+    """The surface named by the CLI flags.  `variant` is ignored (a lightlike
+    variant is part of the family name); it stays for positional callers."""
     kw = {} if r_cap is None else {"r_cap": r_cap}
     if family == "conjugate":
         if of is None:
@@ -83,6 +85,14 @@ def finite_float(text: str) -> float:
     return value
 
 
+def positive_float(text: str) -> float:
+    """argparse type of --r-cap: a finite number above zero."""
+    value = finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
 def _float_list(text: str, flag: str) -> list:
     """A comma-separated list of finite floats (sweep's --k and --H)."""
     try:
@@ -101,9 +111,22 @@ def envelope(config: dict, results, t_start: float) -> dict:
     }
 
 
+def _finite_or_null(obj):
+    """The payload with every non-finite float replaced by None (JSON null);
+    the reports carry a reason next to each such value."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
+
+
 def write_json(path, payload):
+    """Strict JSON (RFC 8259): undefined numbers are written as null."""
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_finite_or_null(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -113,7 +136,7 @@ def write_json(path, payload):
 def cmd_generate(args) -> int:
     t0 = time.time()
     _at_least(2, nr=args.nr, nt=args.nt)
-    S = build_surface(args.family, args.k, args.H, args.variant, args.of, args.r_cap)
+    S = build_surface(args.family, args.k, args.H, of=args.of, r_cap=args.r_cap)
     for flag, span, (lo, hi) in (("--r-range", args.r_range, S.u_range),
                                  ("--t-range", args.t_range, S.v_range)):
         if span and not lo <= span[0] < span[1] <= hi:
@@ -160,7 +183,7 @@ def cmd_classify(args) -> int:
     t0 = time.time()
     _at_least(2, grid=args.grid)
     _at_least(0, samples=args.samples)
-    S = build_surface(args.family, args.k, args.H, args.variant, args.of, args.r_cap)
+    S = build_surface(args.family, args.k, args.H, of=args.of, r_cap=args.r_cap)
     report = classify_payload(S, args)
     payload = envelope(_config_dict(args), report, t0)
     write_json(args.out, payload)
@@ -428,8 +451,11 @@ def cmd_verify(args) -> int:
 def cmd_rep(args) -> int:
     t0 = time.time()
     if args.export_from:
+        if not FAMILIES.get(args.export_from, args.export_from).startswith("delaunay"):
+            raise InputError("--export-from must be a Delaunay family (delaunay-t, delaunay-s, "
+                             f"delaunay-l-i or delaunay-l-ii), got {args.export_from!r}")
         _at_least(2, ns=args.ns, nt=args.nt)
-        S = build_surface(args.export_from, args.k, args.H, args.variant, None, args.r_cap)
+        S = build_surface(args.export_from, args.k, args.H, r_cap=args.r_cap)
         r0, r1 = 0.15 * S.u_range[1], 0.65 * S.u_range[1]
         prof = rp.conformal_profile_chart(S, r0, r1)
         s0, s1 = prof.s_of_r(r0 * 1.02), prof.s_of_r(r1 * 0.98)
@@ -501,8 +527,7 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--of", help="base family for --family conjugate")
         p.add_argument("--k", type=finite_float)
         p.add_argument("--H", type=finite_float, default=0.5)
-        p.add_argument("--variant", choices=["i", "ii"])
-        p.add_argument("--r-cap", type=finite_float, default=None)
+        p.add_argument("--r-cap", type=positive_float, default=None)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("-o", "--out", default=out_default)
 
@@ -547,8 +572,7 @@ def make_parser() -> argparse.ArgumentParser:
     r.add_argument("--export-from", help="family to export Gauss data from")
     r.add_argument("--k", type=finite_float)
     r.add_argument("--H", type=finite_float, default=0.5)
-    r.add_argument("--variant", choices=["i", "ii"])
-    r.add_argument("--r-cap", type=finite_float, default=None)
+    r.add_argument("--r-cap", type=positive_float, default=None)
     r.add_argument("--ns", type=int, default=25)
     r.add_argument("--nt", type=int, default=13)
     r.add_argument("--loop-tol", type=finite_float, default=1e-8)

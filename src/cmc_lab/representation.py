@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import jets as jt
 from .jets import Jet1, Jet2, MAX_DEGREE, partial_values
@@ -143,6 +142,8 @@ class ConformalProfile:
         return self.s_primitive.jet(r, degree)
 
     def r_of_s(self, s: float) -> float:
+        from scipy.optimize import brentq  # lazy: scipy.optimize is most of the CLI's import time
+
         lo, hi = self.r_range
         return brentq(lambda r: self.s_of_r(r) - s, lo, hi, xtol=1e-15, rtol=8.9e-16)
 

@@ -80,24 +80,20 @@ class SingularPointRecord:
 # -- normals and the signed area density --------------------------------------
 
 
-def _surface_jets(S: Surface, p, degree=MAX_DEGREE):
-    return S.jet(p[0], p[1], degree)
+def _lambda_jet(S: Surface, p, degree=MAX_DEGREE, normal=None, X=None):
+    """Jet of lambda = (X_u x X_v) . N at p, one degree below the jets of X.
 
-
-def _det_jet(A, B, C):
-    """det of three jet-triple columns, as a jet."""
-    return (
-        A[0] * (B[1] * C[2] - B[2] * C[1])
-        - A[1] * (B[0] * C[2] - B[2] * C[0])
-        + A[2] * (B[0] * C[1] - B[1] * C[0])
-    )
-
-
-def _lambda_jet(S: Surface, p, degree=MAX_DEGREE):
-    """Jet of lambda = det(X_u, X_v, n) for surfaces with an analytic normal."""
-    X = _surface_jets(S, p, degree)
-    n = S.analytic_normal_jet(p[0], p[1], degree)
-    return _det_jet([c.du() for c in X], [c.dv() for c in X], n)
+    N is the analytic normal jet when S carries one; otherwise the fixed unit
+    vector `normal` (the anchored or frontal normal at a nearby point).  `X`
+    passes the degree-`degree` jets of the surface at p when already at hand.
+    The curve scan, the records' dlambda, the curve walk and the straightened
+    chart all read lambda from here.
+    """
+    if X is None:
+        X = S.jet(p[0], p[1], degree)
+    W = euclid_cross([c.du() for c in X], [c.dv() for c in X])
+    N = S.analytic_normal_jet(p[0], p[1], degree - 1) if S.has_analytic_normal else normal
+    return W[0] * N[0] + W[1] * N[1] + W[2] * N[2]
 
 
 def _rank1_normal_and_grad(S: Surface, p):
@@ -106,9 +102,9 @@ def _rank1_normal_and_grad(S: Surface, p):
     Near a non-degenerate singular point W = lambda * n, so the Jacobian of W
     is n dlambda^T: rank one, column space spanned by the normal.
     """
-    X = _surface_jets(S, p, 3)
+    X = S.jet(p[0], p[1], 2)
     W = euclid_cross([c.du() for c in X], [c.dv() for c in X])
-    J = np.array([[w.partial(1, 0), w.partial(0, 1)] for w in W])
+    J = np.array([w.gradient() for w in W])
     U, sv, Vt = np.linalg.svd(J)
     scale = max(np.max(np.abs(J)), 1e-300)
     if sv[0] <= 1e-10 * max(1.0, scale):
@@ -133,10 +129,8 @@ def euclidean_normal(S: Surface, p) -> np.ndarray:
     if S.has_analytic_normal:
         n = np.array([c.value for c in S.analytic_normal_jet(p[0], p[1], 0)])
         return n / np.linalg.norm(n)
-    X = _surface_jets(S, p, 2)
-    W = euclid_cross([c.du() for c in X], [c.dv() for c in X])
-    w = np.array([c.value for c in W])
     Xu, Xv = _dX(S, p).T
+    w = np.array(euclid_cross(Xu, Xv))
     scale = max(np.linalg.norm(Xu) * np.linalg.norm(Xv), 1e-300)
     if np.linalg.norm(w) > 1e-9 * scale:
         return w / np.linalg.norm(w)
@@ -157,15 +151,13 @@ def signed_area_density(S: Surface, p) -> float:
 
 
 def _lambda_and_grad(S: Surface, p):
-    """(lambda, dlambda, n) at a singular point, exact from jets."""
+    """(lambda, dlambda, n) at a singular point, exact from the jet of lambda."""
     if S.has_analytic_normal:
-        lj = _lambda_jet(S, p, 2)
         n = np.array([c.value for c in S.analytic_normal_jet(p[0], p[1], 0)])
-        return lj.value, np.array([lj.partial(1, 0), lj.partial(0, 1)]), n
-    n, dlam = _rank1_normal_and_grad(S, p)
-    Xu, Xv = _dX(S, p).T
-    lam = float(np.linalg.det(np.array([Xu, Xv, n])))
-    return lam, dlam, n
+    else:
+        n, _ = _rank1_normal_and_grad(S, p)
+    lj = _lambda_jet(S, p, 2, normal=n)
+    return lj.value, lj.gradient(), n
 
 
 # -- singular curve tracing ----------------------------------------------------
@@ -173,7 +165,7 @@ def _lambda_and_grad(S: Surface, p):
 
 def _dX(S: Surface, p):
     """[X_u X_v] at p (3x2), from degree-1 jets."""
-    X = _surface_jets(S, p, 1)
+    X = S.jet(p[0], p[1], 1)
     return np.array([partial_values(X, 1, 0), partial_values(X, 0, 1)]).T
 
 
@@ -187,17 +179,6 @@ def _null_and_rank(S: Surface, p):
     return Vt[1], 1
 
 
-def _detector(S: Surface, anchor_normal):
-    if S.has_analytic_normal:
-        return lambda q: signed_area_density(S, q)
-
-    def det_fn(q):
-        Xu, Xv = _dX(S, q).T
-        return float(np.array(euclid_cross(Xu, Xv)) @ anchor_normal)
-
-    return det_fn
-
-
 def trace_singular_curve(
     S: Surface,
     box=None,
@@ -206,9 +187,10 @@ def trace_singular_curve(
 ) -> list:
     """Sign-change scan on a grid, then bisection transverse to the zero set.
 
-    Surfaces without an analytic normal are scanned edgewise against the
-    normal anchored at the edge start: the frontal normal is smooth across the
-    curve while the raw cross product flips, so the anchored dot product is a
+    Each grid node is evaluated once.  Surfaces without an analytic normal
+    store W = X_u x X_v there and are scanned edgewise against the normal
+    anchored at the edge start: the frontal normal is smooth across the curve
+    while the raw cross product flips, so the anchored dot product is a
     locally signed density.
     """
     if box is None:
@@ -216,8 +198,11 @@ def trace_singular_curve(
         s = 1e-6 * (uhi - ulo)
         box = (ulo + s, uhi - s, vlo, vhi)
     ulo, uhi, vlo, vhi = box
-    us = np.linspace(ulo, uhi, n_grid)
-    vs = np.linspace(vlo, vhi, n_grid)
+    nodes = [[(u, v) for v in np.linspace(vlo, vhi, n_grid)] for u in np.linspace(ulo, uhi, n_grid)]
+    if S.has_analytic_normal:
+        lam = [[_lambda_jet(S, q, 1).value for q in row] for row in nodes]
+    else:
+        W = [[np.array(euclid_cross(*_dX(S, q).T)) for q in row] for row in nodes]
 
     records = {}
 
@@ -227,45 +212,39 @@ def trace_singular_curve(
             return
         records[key] = _assemble_record(S, q)
 
-    def scan_edge(q1, q2):
-        if S.has_analytic_normal:
-            f = _detector(S, None)
-        else:
-            w = np.array(euclid_cross(*_dX(S, q1).T))
-            nw = np.linalg.norm(w)
-            if nw == 0.0:
-                add_root(q1)
-                return
-            f = _detector(S, w / nw)
-        f1, f2 = f(q1), f(q2)
-        scale = max(abs(f1), abs(f2), 1e-300)
-        if abs(f1) <= 1e-14 * scale and abs(f1) < 1e-13:
-            add_root(q1)
-            return
-        if f1 * f2 >= 0:
-            return
-        a, b = np.asarray(q1, float), np.asarray(q2, float)
-        fa = f1
-        while np.linalg.norm(b - a) > ROOT_TOL:
-            m = 0.5 * (a + b)
-            fm = f(tuple(m))
-            if fa * fm <= 0:
-                b = m
-            else:
-                a, fa = m, fm
-        root = tuple(0.5 * (a + b))
-        add_root(root)
-
     for i in range(n_grid):
         for j in range(n_grid):
-            q = (us[i], vs[j])
-            if i + 1 < n_grid:
-                scan_edge(q, (us[i + 1], vs[j]))
-            if j + 1 < n_grid:
-                scan_edge(q, (us[i], vs[j + 1]))
-    # the endpoint column/row nodes are only roots if exactly on the curve
-    out = [records[k] for k in sorted(records)]
-    return out
+            q1 = nodes[i][j]
+            for i2, j2 in ((i + 1, j), (i, j + 1)):
+                if i2 == n_grid or j2 == n_grid:
+                    continue
+                anchor = None
+                if S.has_analytic_normal:
+                    f1, f2 = lam[i][j], lam[i2][j2]
+                else:
+                    nw = np.linalg.norm(W[i][j])
+                    if nw == 0.0:
+                        add_root(q1)
+                        continue
+                    anchor = W[i][j] / nw
+                    f1, f2 = float(W[i][j] @ anchor), float(W[i2][j2] @ anchor)
+                scale = max(abs(f1), abs(f2), 1e-300)
+                if abs(f1) <= 1e-14 * scale and abs(f1) < 1e-13:
+                    add_root(q1)
+                    continue
+                if f1 * f2 >= 0:
+                    continue
+                a, b = np.asarray(q1, float), np.asarray(nodes[i2][j2], float)
+                fa = f1
+                while np.linalg.norm(b - a) > ROOT_TOL:
+                    m = 0.5 * (a + b)
+                    fm = _lambda_jet(S, m, 1, normal=anchor).value
+                    if fa * fm <= 0:
+                        b = m
+                    else:
+                        a, fa = m, fm
+                add_root(tuple(0.5 * (a + b)))
+    return [records[k] for k in sorted(records)]
 
 
 def _assemble_record(S: Surface, q) -> SingularPointRecord:
@@ -331,14 +310,13 @@ def _tangent_at(S, q, record):
 
 def _walk_curve(S: Surface, record, n_side=3, step=None):
     """A few curve points on both sides of the record, by tangent stepping plus
-    transverse Newton correction on the anchored density."""
+    transverse Newton correction on the density anchored at the record."""
     p = np.asarray(record.location, float)
     dlam = np.asarray(record.dlam)
     T = dlam / np.linalg.norm(dlam)
     tang = _curve_direction(dlam)
     if step is None:
         step = 0.02 * min(S.u_range[1] - S.u_range[0], S.v_range[1] - S.v_range[0])
-    f = _detector(S, np.asarray(record.normal) if record.normal is not None else None)
     pts = [tuple(p)]
     lo, hi = S.u_range
     for side in (1.0, -1.0):
@@ -347,13 +325,12 @@ def _walk_curve(S: Surface, record, n_side=3, step=None):
             q = q + side * step * tang
             if not lo <= q[0] <= hi:
                 break  # the curve leaves the domain on this side
-            for _ in range(3):  # transverse Newton on the scalar density
-                val = f(tuple(q))
-                h = 1e-6
-                d = (f(tuple(q + h * T)) - f(tuple(q - h * T))) / (2 * h)
+            for _ in range(3):  # transverse Newton on lambda, slope from its jet
+                lj = _lambda_jet(S, q, 2, normal=record.normal)
+                d = float(lj.gradient() @ T)
                 if abs(d) < 1e-300:
                     break
-                q = q - (val / d) * T
+                q = q - (lj.value / d) * T
             pts.append(tuple(q))
     return pts
 
@@ -389,14 +366,10 @@ class StraightChart:
         tang = _curve_direction(dlam)
 
         deg = MAX_DEGREE - 1  # the scalar density jet has one degree less than X
-        X = _surface_jets(S, tuple(p), MAX_DEGREE)
-        if S.has_analytic_normal:
-            g = _lambda_jet(S, tuple(p), MAX_DEGREE)
-        else:
-            n, _ = _rank1_normal_and_grad(S, tuple(p))
-            W = euclid_cross([c.du() for c in X], [c.dv() for c in X])
-            g = W[0] * n[0] + W[1] * n[1] + W[2] * n[2]
-        gT = float(np.array([g.partial(1, 0), g.partial(0, 1)]) @ T)
+        X = S.jet(p[0], p[1], MAX_DEGREE)
+        n = None if S.has_analytic_normal else _rank1_normal_and_grad(S, p)[0]
+        g = _lambda_jet(S, p, MAX_DEGREE, normal=n, X=X)
+        gT = float(g.gradient() @ T)
         if abs(gT) <= 1e-12:
             raise DegenerateZeroSetError("degenerate zero set: no transverse slope")
 
@@ -436,14 +409,10 @@ class StraightChart:
 
     def jets(self, degree: int = MAX_DEGREE):
         """Degree-`degree` jets of X o Psi at the chart origin."""
-        S = self.surface
         p = self.record.location
-        base = (0.0, 0.0)
-        D = degree
-        psi_u = _lift_chart(self.curve_u, self.eta_u, D)
-        psi_v = _lift_chart(self.curve_v, self.eta_v, D)
-        X = _surface_jets(S, p, D)
-        return tuple(_compose2(c, psi_u, psi_v) for c in X)
+        psi_u = _lift_chart(self.curve_u, self.eta_u, degree)
+        psi_v = _lift_chart(self.curve_v, self.eta_v, degree)
+        return tuple(_compose2(c, psi_u, psi_v) for c in self.surface.jet(p[0], p[1], degree))
 
 
 def _lin(deg):

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import jets as jt
 from .jets import Jet1, Jet2, MAX_DEGREE, partial_values
@@ -51,6 +50,8 @@ def _promote_r(j1: Jet1, base, degree: int) -> Jet2:
 
 def _positive_root(fn, hi=60.0):
     """Smallest positive root of fn, or None; fn(0) must be positive."""
+    from scipy.optimize import brentq  # lazy: scipy.optimize is most of the CLI's import time
+
     lo = 0.0
     step = 1e-3
     x = step
@@ -569,7 +570,7 @@ class Mesh:
         if sidecar_path is None:
             sidecar_path = str(path) + ".json"
         with open(sidecar_path, "w") as fh:
-            json.dump(self.sidecar, fh, indent=2, sort_keys=True)
+            json.dump(self.sidecar, fh, indent=2, sort_keys=True, allow_nan=False)
         return sidecar_path
 
 

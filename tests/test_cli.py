@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -81,17 +83,35 @@ def test_classify_conjugate(tmp_path):
     assert "timing" in doc
 
 
+def strict_json(path):
+    """Parse a file as strict JSON: NaN and Infinity tokens are errors."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
 def test_classify_delaunay_conelike_with_certificates(tmp_path):
     assert run(
         tmp_path, "classify", "--family", "delaunay-t", "--k", "2", "--H", "0.5",
         "--grid", "9", "--samples", "2", "-o", "d.json",
     ) == 0
-    res = json.loads((tmp_path / "d.json").read_text())["results"]
+    res = strict_json(tmp_path / "d.json")["results"]
     assert all(s["kind"] == "conelike" for s in res["samples"])
     assert res["criterion"]["verdict"] == "not_applicable"
+    assert res["criterion"]["C"] is None and res["criterion"]["reason"]
     assert res["certificates"]
     assert all(c["conclusion"] == "fold impossible" for c in res["certificates"])
     assert all(f["verdict"] == "rejected" for f in res["fold_symmetry"])
+    assert all(f["residual"] is None and f["reason"] for f in res["fold_symmetry"])
+    # near k = 1 the conjugate's samples are not of the first kind either
+    assert run(
+        tmp_path, "classify", "--family", "conjugate", "--of", "delaunay-t",
+        "--k", "1.0000001", "-o", "k1.json",
+    ) == 0
+    res = strict_json(tmp_path / "k1.json")["results"]
+    assert res["criterion"]["verdict"] == "not_applicable"
+    assert res["criterion"]["C"] is None
+    assert res["criterion"]["condition3_max_abs_det"] is None
 
 
 def test_classify_model_cone_stays_in_the_domain(tmp_path):
@@ -144,10 +164,33 @@ DT = ("--family", "delaunay-t", "--k", "2", "--nr", "5", "--nt", "5")
     (("generate", *DT, "--r-range", "0.5", "-0.5"), "--r-range"),
     (("generate", *DT, "--r-range", "0.5", "0.5"), "--r-range"),
     (("generate", *DT, "--t-range", "-1", "1"), "--t-range"),
+    (("generate", *DT, "--r-cap", "0"), "--r-cap"),
+    (("rep", "--export-from", "delaunay-t", "--k", "2", "--r-cap", "-1"), "--r-cap"),
+    (("rep", "--export-from", "model-fold"), "--export-from"),
+    (("rep", "--export-from", "conjugate", "--k", "2"), "--export-from"),
 ])
 def test_bad_numbers_exit2_naming_the_flag(tmp_path, capsys, argv, flag):
     assert exit_code(tmp_path, *argv, "-o", "out") == 2
     assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("generate", "--family", "delaunay-l-i", "--nr", "5", "--nt", "5"),
+    ("classify", "--family", "delaunay-l-i", "--grid", "5"),
+    ("rep", "--export-from", "delaunay-l-i", "--ns", "5", "--nt", "5"),
+])
+def test_variant_flag_rejected(tmp_path, capsys, argv):
+    # the family name carries the lightlike variant; the flag was never read
+    assert exit_code(tmp_path, *argv, "--variant", "ii", "-o", "out") == 2
+    assert "--variant" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_out():
+    code = "import sys, cmc_lab.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_classify_fold_model(tmp_path):

@@ -123,6 +123,30 @@ def test_trace_immersion_is_empty():
     assert trace_singular_curve(plane, box=(-1, 1, -1, 1), n_grid=7) == []
 
 
+@pytest.mark.parametrize("make, box, bound", [
+    (lambda: sf.conjugate_of("delaunay_timelike", k=2.0, H=0.5), None, 2 * 21 * 21),
+    (lambda: sf.standard_model("cuspidal_edge"), (-0.5, 0.5, -0.5, 0.5), 21 * 21),
+    (lambda: sf.delaunay_timelike(2.0, 0.5), None, 21 * 21),
+], ids=["conjugate_k2", "cuspidal_edge", "delaunay_t_k2"])
+def test_scan_evaluates_each_grid_node_once(monkeypatch, make, box, bound):
+    """One surface jet per node, plus one normal jet with an analytic normal;
+    these curves need no bisection at this grid, and max_records=0 leaves out
+    the record assembly."""
+    S = make()
+    calls = []
+
+    def counting(method):
+        def wrapper(self, *args, **kw):
+            calls.append(method.__name__)
+            return method(self, *args, **kw)
+        return wrapper
+
+    for name in ("jet", "analytic_normal_jet"):
+        monkeypatch.setattr(sf.Surface, name, counting(getattr(sf.Surface, name)))
+    assert trace_singular_curve(S, box=box, n_grid=21, max_records=0) == []
+    assert len(calls) <= bound
+
+
 def test_classify_conelike_on_timelike_delaunay(delaunay_t_records):
     assert delaunay_t_records
     assert all(r.kind == "conelike" for r in delaunay_t_records)
