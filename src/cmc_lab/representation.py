@@ -29,7 +29,7 @@ from .lorentz import (
     lorentz_inner,
     lorentz_normal,
 )
-from .quadrature import Primitive
+from .quadrature import TabulatedPrimitive, primitive_jet
 from .surfaces import Surface, _promote_r
 
 UNIT_CIRCLE_TOL = 1e-8
@@ -126,26 +126,28 @@ class _ProfileIntegrand:
 @dataclass
 class ConformalProfile:
     """Reparametrization s(r) making (s, t) a conformal chart of a rotational
-    surface; carries sigma with e^(2 sigma) = G(r(s))."""
+    surface; carries sigma with e^(2 sigma) = G(r(s)).
+
+    s(r) is integrated once over the chart's r-range and read from the stored
+    panels (see TabulatedPrimitive); r(s) inverts it there by safeguarded
+    Newton on one panel's interpolant."""
 
     surface: Surface
     r_anchor: float
     r_range: tuple
-    s_primitive: Primitive
+    s_table: TabulatedPrimitive
     t0: float = 0.0
     notes: list = field(default_factory=list)
 
     def s_of_r(self, r: float) -> float:
-        return self.s_primitive.value(r)
+        return self.s_table.value(r)
 
     def s_jet(self, r: float, degree=MAX_DEGREE) -> Jet1:
-        return self.s_primitive.jet(r, degree)
+        return primitive_jet(self.s_table.integrand, r, self.s_of_r(r), degree)
 
     def r_of_s(self, s: float) -> float:
-        from scipy.optimize import brentq  # lazy: scipy.optimize is most of the CLI's import time
-
-        lo, hi = self.r_range
-        return brentq(lambda r: self.s_of_r(r) - s, lo, hi, xtol=1e-15, rtol=8.9e-16)
+        """ValueError when s is outside s_range."""
+        return self.s_table.solve(s)
 
     def r_jet_of_s(self, s: float, degree=MAX_DEGREE) -> Jet1:
         r = self.r_of_s(s)
@@ -162,7 +164,7 @@ class ConformalProfile:
     def sigma_jet(self, s: float, degree=3) -> Jet1:
         """sigma(s) = 0.5 log G(r(s)) (the conformal factor exponent)."""
         rj = self.r_jet_of_s(s, degree)
-        _, G = _ProfileIntegrand(self.surface, self.t0).metric(rj.value, degree)
+        _, G = self.s_table.integrand.metric(rj.value, degree)
         return jt.log(jt._compose(rj, G.c, G.base)) * 0.5
 
     def conformality_residual(self, s: float, t: float) -> float:
@@ -199,8 +201,9 @@ def conformal_profile_chart(
         raise ValueError(f"chart requires F = 0 in (r, t); got F = {F}")
     if not (E > 0 and G > 0):
         raise NotSpacelikeError("chart requires a spacelike rotational surface")
-    prim = Primitive(_ProfileIntegrand(S, t0), base=float(r_anchor))
-    return ConformalProfile(S, float(r_anchor), (float(r_min), float(r_max)), prim, t0, notes)
+    r_min, r_anchor, r_max = float(r_min), float(r_anchor), float(r_max)
+    table = TabulatedPrimitive(_ProfileIntegrand(S, t0), r_min, r_anchor, r_max)
+    return ConformalProfile(S, r_anchor, (r_min, r_max), table, t0, notes)
 
 
 # -- Gauss data on a grid --------------------------------------------------------
@@ -253,8 +256,10 @@ class GaussData:
         return problems
 
     def to_json(self) -> str:
+        """Strict JSON (RFC 8259): a non-finite component is written as null."""
+
         def cj(z):
-            return [float(np.real(z)), float(np.imag(z))]
+            return [x if math.isfinite(x) else None for x in (float(np.real(z)), float(np.imag(z)))]
 
         payload = {
             "grid": {"u0": self.u0, "v0": self.v0, "du": self.du, "dv": self.dv,
@@ -273,10 +278,15 @@ class GaussData:
                 for row in self.nodes
             ],
         }
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps(payload, sort_keys=True, allow_nan=False)
 
     @classmethod
     def from_json(cls, text: str) -> "GaussData":
+        """Reads what to_json writes; a null component reads back as nan."""
+
+        def cj(pair):
+            return complex(*(math.nan if x is None else x for x in pair))
+
         data = json.loads(text)
         grid = data["grid"]
         deg = int(data["degree"])
@@ -285,14 +295,8 @@ class GaussData:
             out = []
             for j, nd in enumerate(row):
                 base = (grid["u0"] + i * grid["du"], grid["v0"] + j * grid["dv"])
-                c = np.array([complex(re, im) for re, im in nd["g_jet"]]).reshape(deg + 1, deg + 1)
-                out.append(
-                    GaussNode(
-                        complex(*nd["g"]),
-                        Jet2(base, deg, c),
-                        complex(*nd["omega_hat"]),
-                    )
-                )
+                c = np.array([cj(z) for z in nd["g_jet"]]).reshape(deg + 1, deg + 1)
+                out.append(GaussNode(cj(nd["g"]), Jet2(base, deg, c), cj(nd["omega_hat"])))
             nodes.append(out)
         return cls(grid["u0"], grid["v0"], grid["du"], grid["dv"],
                    grid["nu"], grid["nv"], data["H"], nodes)

@@ -48,20 +48,30 @@ def _promote_r(j1: Jet1, base, degree: int) -> Jet2:
     return Jet2(base, degree, c)
 
 
-def _positive_root(fn, hi=60.0):
-    """Smallest positive root of fn, or None; fn(0) must be positive."""
-    from scipy.optimize import brentq  # lazy: scipy.optimize is most of the CLI's import time
+def _positive_root(a, b, c):
+    """Smallest positive x at which a x^4 + b x^2 + c falls to DOMAIN_TOL, or None.
 
-    lo = 0.0
-    step = 1e-3
-    x = step
-    prev = lo
-    while x <= hi:
-        if fn(x) <= 0:
-            return brentq(fn, prev, x, xtol=1e-14, rtol=1e-15)
-        prev = x
-        x = x * 1.35 + 1e-3
-    return None
+    Every guarded radicand is a polynomial of degree <= 2 in y = x^2, so its
+    roots come in closed form (the quadratic's in the form without
+    cancellation); a root where the radicand rises through DOMAIN_TOL does not
+    end the domain.  A radicand that starts at or below DOMAIN_TOL and does not
+    rise leaves no admissible radius.
+    """
+    if c <= DOMAIN_TOL and b <= 0:
+        raise SurfaceParameterError(
+            f"no admissible radius: a radicand of the profile is <= {DOMAIN_TOL} at r = 0 "
+            "(k too close to 1)")
+    c -= DOMAIN_TOL
+    if a == 0:
+        ys = [-c / b] if b != 0 else []
+    else:
+        disc = b * b - 4 * a * c
+        if disc < 0:
+            return None
+        q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+        ys = [q / a, c / q] if q != 0 else []
+    ys = [y for y in ys if y > 0 and 2 * a * y + b < 0]
+    return math.sqrt(min(ys)) if ys else None
 
 
 @dataclass
@@ -198,7 +208,7 @@ def delaunay_timelike(k: float, H: float, r_cap: float = R_CAP) -> Surface:
         return (x * x + k + 1) ** 2 - 4 * k
 
     prof = Primitive(Integrand(lambda x: (x * x + k - 1) / jt.sqrt(delta(x))))
-    root = _positive_root(lambda x: delta(x) - DOMAIN_TOL)
+    root = _positive_root(1.0, 2 * (k + 1), (k - 1) ** 2)  # delta in powers of x^2
     r_hi = min(r_cap, root * (1 - 1e-9)) if root else r_cap
 
     def builder(r0, t0, degree):
@@ -235,7 +245,7 @@ def delaunay_spacelike(k: float, H: float, r_cap: float = R_CAP) -> Surface:
         return (x * x - k - 1) ** 2 - 4 * k
 
     prof = Primitive(Integrand(lambda x: (x * x - k + 1) / jt.sqrt(delta(x))))
-    root = _positive_root(lambda x: delta(x) - DOMAIN_TOL)
+    root = _positive_root(1.0, -2 * (k + 1), (k - 1) ** 2)  # delta in powers of x^2
     r_hi = min(r_cap, root * (1 - 1e-9)) if root else r_cap
 
     def builder(r0, t0, degree):
@@ -362,12 +372,15 @@ def conjugate_of(
         timelike = family == "delaunay_timelike"
         sgn = 1.0 if k + 1 > 0 else -1.0
         absK = abs(k + 1)
+        # delta and Delta, and their coefficients in powers of x^2
         if timelike:
             delta = lambda x: (x * x + k + 1) ** 2 - 4 * k
             Delta = lambda x: 2 * (k + 1) * x * x + (1 - k) ** 2
+            radicands = ((1.0, 2 * (k + 1), (k - 1) ** 2), (0.0, 2 * (k + 1), (1 - k) ** 2))
         else:
             delta = lambda x: (x * x - k - 1) ** 2 - 4 * k
             Delta = lambda x: -2 * (k + 1) * x * x + (1 - k) ** 2
+            radicands = ((1.0, -2 * (k + 1), (k - 1) ** 2), (0.0, -2 * (k + 1), (1 - k) ** 2))
 
         if k == -1.0:
             # lightlike template with the quartic profile integrals
@@ -400,10 +413,7 @@ def conjugate_of(
             phi_t = -math.sqrt(absK / 2) * (1.0 if timelike else sgn)
             template = ("T" if k > -1 else "S") if timelike else ("S" if k > -1 else "T")
             branch = "I-i" if timelike else "II-i"
-            roots = [r for r in (
-                _positive_root(lambda x: delta(x) - DOMAIN_TOL),
-                _positive_root(lambda x: Delta(x) - DOMAIN_TOL),
-            ) if r is not None]
+            roots = [r for r in (_positive_root(*q) for q in radicands) if r is not None]
             r_hi = min([r_cap] + [r * (1 - 1e-9) for r in roots])
 
             if timelike and k > -1:

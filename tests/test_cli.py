@@ -193,6 +193,42 @@ def test_cli_import_leaves_scipy_out():
     assert out.strip() == "False"
 
 
+def test_cli_runs_leave_scipy_out(tmp_path):
+    code = (
+        "import sys\n"
+        "from cmc_lab.cli import main\n"
+        "codes = [main(argv.split()) for argv in (\n"
+        "    'generate --family delaunay-t --k 2 --nr 9 --nt 5 -o g.obj',\n"
+        "    'classify --family conjugate --of delaunay-t --k 2 --grid 5 --samples 1 -o c.json',\n"
+        "    'rep --export-from delaunay-t --k 2 --ns 9 --nt 5 -o gd.json',\n"
+        "    'rep --gauss-data gd.json -o rec.obj')]\n"
+        "print(codes, any(m.split('.')[0] == 'scipy' for m in sys.modules))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip().splitlines()[-1] == "[0, 0, 0, 0] False"
+
+
+@pytest.mark.parametrize("k", ["0", "0.005", "0.01", "0.02"])
+def test_delaunay_s_near_k0_clips_the_domain(tmp_path, k):
+    # delta < 0 on (1 - sqrt(k), 1 + sqrt(k)): the domain must end below it
+    DS = ("--family", "delaunay-s", "--k", k)
+    assert run(tmp_path, "generate", *DS, "--nr", "9", "--nt", "5", "-o", "g.obj") == 0
+    r_hi = json.loads((tmp_path / "g.obj.json").read_text())["domain"]["u"][1]
+    assert 0.8 < r_hi < 1 - float(k) ** 0.5
+    assert run(tmp_path, "classify", *DS, "--grid", "5", "--samples", "1", "-o", "c.json") == 0
+    assert run(tmp_path, "rep", "--export-from", "delaunay-s", "--k", k,
+               "--ns", "9", "--nt", "5", "-o", "gd.json") == 0
+
+
+@pytest.mark.parametrize("k", ["1.00001", "0.99999"])
+def test_delaunay_s_k_near_1_exit2(tmp_path, capsys, k):
+    # delta(0) = (k - 1)^2 is below the domain guard and delta falls from there
+    assert run(tmp_path, "generate", "--family", "delaunay-s", "--k", k, "-o", "g.obj") == 2
+    assert "k too close to 1" in capsys.readouterr().err
+
+
 def test_classify_fold_model(tmp_path):
     assert run(
         tmp_path, "classify", "--family", "model-fold", "--grid", "9", "--samples", "1", "-o", "f.json",

@@ -9,7 +9,9 @@ from cmc_lab.jets import Jet1
 from cmc_lab.quadrature import (
     Integrand,
     IntegrandSingularError,
+    PRIMITIVE_TOL,
     Primitive,
+    TabulatedPrimitive,
     ToleranceNotMetError,
     integrate,
     simpson_oracle,
@@ -121,3 +123,31 @@ def test_integrand_jet_value_agrees_with_point():
     f = Integrand(lambda t: (t * t + 1) / jt.sqrt((t * t + 3) ** 2 - 8))
     for r in (0.0, 0.5, 1.3):
         assert abs(f.jet(r, 3).value - f(r)) < 1e-14
+
+
+def test_tabulated_primitive_values_inverse_and_edges():
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return 1.0 / (1.0 + t * t)
+
+    T = TabulatedPrimitive(f, 0.1, 0.5, 1.7)
+    assert T.error <= PRIMITIVE_TOL
+    built = len(calls)
+    xs = np.linspace(0.1, 1.7, 33)
+    for x in xs:
+        y = T.value(x)
+        assert abs(y - (math.atan(x) - math.atan(0.5))) < PRIMITIVE_TOL
+        assert abs(T.solve(y) - x) <= 1e-15
+    assert len(calls) == built  # read from the stored panels only
+    assert T.value(0.5) == 0.0
+    assert T.solve(T.value(0.1)) == 0.1 and T.solve(T.value(1.7)) == 1.7
+    # outside [a, b]: the edge value plus a fresh integral from that edge
+    for x in (0.02, 2.5):
+        assert abs(T.value(x) - (math.atan(x) - math.atan(0.5))) < 2 * PRIMITIVE_TOL
+    for y in (math.nextafter(T.value(0.1), -1), math.nextafter(T.value(1.7), 2)):
+        with pytest.raises(ValueError):
+            T.solve(y)
+    with pytest.raises(ValueError):
+        TabulatedPrimitive(f, 0.5, 0.5, 1.7)

@@ -7,6 +7,7 @@ import pytest
 from cmc_lab import representation as rp
 from cmc_lab import surfaces as sf
 from cmc_lab.jets import Jet2
+from cmc_lab.quadrature import PRIMITIVE_TOL, integrate
 from cmc_lab.representation import (
     GaussData,
     compatibility_residuals,
@@ -73,6 +74,50 @@ def test_profile_chart_clips_axis():
     prof = conformal_profile_chart(S, -0.5, 1.0)
     assert prof.r_range[0] > 0
     assert prof.notes
+
+
+# the charts `rep --export-from` builds: r from 0.15 to 0.65 of the domain end
+EXPORT_CHARTS = {
+    "delaunay-t k=2": lambda: sf.delaunay_timelike(2.0, 0.5),
+    "delaunay-t k=-0.5": lambda: sf.delaunay_timelike(-0.5, 0.7),
+    "delaunay-s k=2": lambda: sf.delaunay_spacelike(2.0, 0.5),
+    "delaunay-l-i": lambda: sf.delaunay_lightlike("i", 0.5),
+}
+
+
+def _export_chart(name):
+    S = EXPORT_CHARTS[name]()
+    r_hi = S.u_range[1]
+    return S, conformal_profile_chart(S, 0.15 * r_hi, 0.65 * r_hi)
+
+
+@pytest.mark.parametrize("name", EXPORT_CHARTS)
+def test_export_path_integrand_evaluations(monkeypatch, name):
+    # s(r) is integrated once; re-integrating it per root-finder step made 834-984
+    calls = []
+    metric = rp._ProfileIntegrand.metric
+    monkeypatch.setattr(rp._ProfileIntegrand, "metric",
+                        lambda self, r, degree: calls.append(r) or metric(self, r, degree))
+    S, prof = _export_chart(name)
+    r0, r1 = prof.r_range
+    s0, s1 = prof.s_of_r(r0 * 1.02), prof.s_of_r(r1 * 0.98)
+    rp.gauss_data_from_surface(prof, s0, s1, 0.0, 1.0, 9, 5)
+    assert len(calls) <= 400
+
+
+@pytest.mark.parametrize("name", EXPORT_CHARTS)
+def test_chart_values_and_inverse(name):
+    S, prof = _export_chart(name)
+    r0, r1 = prof.r_range
+    for r in np.linspace(r0, r1, 41):
+        ref, _ = integrate(rp._ProfileIntegrand(S, 0.0), prof.r_anchor, r, PRIMITIVE_TOL)
+        s = prof.s_of_r(r)
+        assert abs(s - ref) <= 2e-11
+        assert abs(prof.r_of_s(s) - r) <= 1e-13
+    s_lo, s_hi = prof.s_range
+    for s in (math.nextafter(s_lo, -math.inf), math.nextafter(s_hi, math.inf)):
+        with pytest.raises(ValueError):
+            prof.r_of_s(s)
 
 
 # -- Gauss data and residuals ------------------------------------------------------
@@ -148,6 +193,21 @@ def test_gauss_data_json_roundtrip(gauss_data_t_k2):
     gd2 = GaussData.from_json(text)
     assert gd2.to_json() == text
     assert gd2.validate() == []
+
+
+def test_gauss_data_json_strict_with_infinite_omega_hat():
+    gj = Jet2.constant(0.25 + 0.1j, (0.0, 0.0), 2)
+    node = rp.GaussNode(0.25 + 0.1j, gj, complex(math.inf, 0.0))
+    gd = GaussData(0.0, 0.0, 0.1, 0.1, 1, 1, 0.5, [[node]])
+    text = gd.to_json()
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    json.loads(text, parse_constant=reject)
+    gd2 = GaussData.from_json(text)
+    assert gd2.to_json() == text
+    assert gd.validate() == gd2.validate() == [(0, 0, "omega_hat not finite")]
 
 
 def test_eq_barz_limit_toward_curve(delaunay_t_k2, profile_t_k2):

@@ -250,3 +250,25 @@ def test_obj_writer_format(tmp_path, fold_model):
 
 def test_surface_repr(conj_k2):
     assert "conjugate_of_delaunay_timelike" in repr(conj_k2)
+
+
+@pytest.mark.parametrize("build,radicand", [
+    (lambda k: sf.delaunay_timelike(k, 0.5, r_cap=50.0), lambda k, x: (x * x + k + 1) ** 2 - 4 * k),
+    (lambda k: sf.delaunay_spacelike(k, 0.5, r_cap=50.0), lambda k, x: (x * x - k - 1) ** 2 - 4 * k),
+    (lambda k: sf.conjugate_of("delaunay_timelike", k, 0.5, r_cap=50.0),
+     lambda k, x: 2 * (k + 1) * x * x + (1 - k) ** 2),
+    (lambda k: sf.conjugate_of("delaunay_spacelike", k, 0.5, r_cap=50.0),
+     lambda k, x: min(-2 * (k + 1) * x * x + (1 - k) ** 2, (x * x - k - 1) ** 2 - 4 * k)),
+])
+@pytest.mark.parametrize("k", [0.0, 0.01, 0.5, 2.0, -0.5, -3.0])
+def test_domain_ends_at_the_first_root_of_the_radicand(build, radicand, k):
+    # the domain ends (1 - 1e-9) short of the smallest positive x where the
+    # radicand falls to DOMAIN_TOL, and the radicand stays above it before
+    r_hi = build(k).u_range[1]
+    if r_hi == 50.0:
+        xs = np.linspace(0.0, 50.0, 20001)
+    else:
+        root = r_hi / (1 - 1e-9)
+        assert abs(radicand(k, root) - sf.DOMAIN_TOL) < 1e-12 * max(1.0, root**4)
+        xs = np.linspace(0.0, r_hi, 20001)
+    assert min(radicand(k, x) for x in xs) > sf.DOMAIN_TOL
