@@ -217,13 +217,14 @@ def sweep_row(k, H, args) -> dict:
         row["rho0"] = repr(S.meta["rho0"])
         recs = sg.trace_singular_curve(S, box=(-0.3, 0.3, 0.1, 1.3), n_grid=args.grid)
         rep = sg.criterion_25(S, recs, tol3=args.tol3, tol4=args.tol4, tol_C=args.tol_C)
-        row["cond4_det"] = repr(rep.condition4_det)
         row["verdict"] = rep.verdict
-        if k != -1.0:
-            # the closed-form constant of the timelike-axis branch
-            pred = -72.0 / (H * H * abs(k - 1) ** 3)
-            row["predicted_case_I"] = repr(pred)
-            row["rel_diff"] = repr(abs(rep.condition4_det - pred) / abs(pred))
+        if rep.condition4_det is not None:  # None: not computed, nothing to compare
+            row["cond4_det"] = repr(rep.condition4_det)
+            if k != -1.0:
+                # the closed-form constant of the timelike-axis branch
+                pred = -72.0 / (H * H * abs(k - 1) ** 3)
+                row["predicted_case_I"] = repr(pred)
+                row["rel_diff"] = repr(abs(rep.condition4_det - pred) / abs(pred))
     except Exception as e:  # per-row failures recorded, sweep continues
         row["error"] = f"{type(e).__name__}: {e}"
     return row

@@ -23,6 +23,28 @@ a sum that starts from +0.0.)
 Degree is capped at 5: the fifth-order directional derivatives consumed by the
 cuspidal-edge criterion are the deepest anything here needs, and a fixed cap
 keeps every coefficient array the same small shape.
+
+Batch axis (vector mode).  A jet may carry a leading batch axis: one jet per
+point of a batch of B base points, evaluated by one array operation instead
+of B Python calls.  A batched Jet2 has base (u0, v0), a pair of (B,) arrays,
+and c of shape (B, D+1, D+1); a batched Jet1 has a (B,) array base and c of
+shape (B, D+1).  A jet without a batch axis is the scalar jet as before, and
+the two never mix (their bases differ).  Batches are built by passing arrays
+of base points to `constant` and `coordinate`; then arithmetic (+, -, *, /,
+integer powers), `value`, `truncated`, `partial`, `du`/`dv`/`dx`, the
+composition helper and the elementary functions all keep the batch axis.
+`value` is then a (B,) array, and a (B,) array may be added to or multiplied
+into a batched jet as a per-element constant.  `gradient`, `__call__`,
+`compose_inverse`, `compose2` and the vector-field helpers take scalar jets
+only.
+
+Sums, products, reciprocals, quotients and integer powers of a batch are
+bit-identical to the scalar kernel applied element by element: the batched
+bincount adds each element's terms in table order starting from 0.0, and the
+reciprocal series is built from 1/g0 by multiplication only.  The elementary
+functions agree with the scalar ones to 1e-13 relative: NumPy may evaluate a
+transcendental function or a non-integer power of an array with another
+kernel than of a single value, so their series may differ in the last bits.
 """
 
 from __future__ import annotations
@@ -52,22 +74,49 @@ class JetOrderError(JetError):
     """Differentiation requested on a degree-0 jet ("jet order exhausted")."""
 
 
+def _batch_shape(base):
+    """() for one base point, (B,) for a (B,) array of base coordinates."""
+    return base.shape if isinstance(base, np.ndarray) else ()
+
+
+def _by_coefficient(c, nvars):
+    """A view of coefficients `c` indexed by coefficient first: [a, b] is
+    coefficient (a, b) of every batch element (c itself without a batch axis)."""
+    return c if c.ndim == nvars else np.moveaxis(c, 0, -1)
+
+
+def _all(mask):
+    """`mask` is true everywhere (one flag, or one per batch element)."""
+    return mask.all() if isinstance(mask, np.ndarray) else bool(mask)
+
+
 def _pair_table(degree: int, nvars: int):
     """Flat indices (ia, ib, io) of the truncated product of two coefficient
-    arrays of shape (degree + 1,) * nvars, left monomials in lexicographic order."""
+    arrays of shape (degree + 1,) * nvars, left monomials in lexicographic order,
+    and nvars (an array with more axes has a leading batch axis)."""
     shape = (degree + 1,) * nvars
     monomials = [m for m in itertools.product(range(degree + 1), repeat=nvars)
                  if sum(m) <= degree]
     terms = [(x, y, tuple(p + q for p, q in zip(x, y)))
              for x in monomials for y in monomials if sum(x) + sum(y) <= degree]
-    return tuple(np.ravel_multi_index(tuple(np.array(idx).T), shape)
-                 for idx in zip(*terms))
+    ia, ib, io = (np.ravel_multi_index(tuple(np.array(idx).T), shape) for idx in zip(*terms))
+    return ia, ib, io, nvars
 
 
 def _convolve(A, B, table):
-    """Truncated product of two coefficient arrays of one shape, by `table`."""
-    ia, ib, io = table
-    w = A.ravel()[ia] * B.ravel()[ib]
+    """Truncated product of two coefficient arrays of one shape, by `table`.
+
+    With a batch axis the terms of every element are gathered at once and
+    binned into slot (element, output): each slot still receives its terms in
+    table order."""
+    ia, ib, io, nvars = table
+    if A.ndim > nvars:
+        n = A.shape[0]
+        m = A.size // n
+        w = (A.reshape(n, m)[:, ia] * B.reshape(n, m)[:, ib]).ravel()
+        io = (np.arange(0, n * m, m)[:, None] + io).ravel()
+    else:
+        w = A.ravel()[ia] * B.ravel()[ib]
     if w.dtype.kind == "c":
         out = np.empty(A.size, w.dtype)
         out.real = np.bincount(io, w.real, A.size)
@@ -97,18 +146,26 @@ class _Jet:
 
     def _coeffs(self, degree):
         """The coefficients of degree <= `degree` in each variable (a view)."""
+        c = self.c
         if degree == self.degree:
-            return self.c
-        return self.c[(slice(degree + 1),) * self.c.ndim]
+            return c
+        if c.ndim == self._NVARS:
+            return c[self._TRUNCATE[degree]]
+        return c[(slice(None),) + self._TRUNCATE[degree]]
 
     def _coerce(self, other):
         if isinstance(other, _Jet):
             if type(other) is not type(self):
                 raise JetError("cannot mix univariate and bivariate jets")
-            if other.base != self.base:
-                raise JetError("jets have different base points")
+            if other.base is not self.base:
+                try:
+                    if other.base != self.base:
+                        raise JetError("jets have different base points")
+                except ValueError:  # batches of more than one point compare elementwise
+                    if not np.array_equal(other.base, self.base):
+                        raise JetError("jets have different base points") from None
             return other
-        return None  # scalar
+        return None  # a number, or a (B,) array of one number per batch element
 
     def truncated(self, degree: int):
         if degree > self.degree:
@@ -120,8 +177,14 @@ class _Jet:
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
-            c = self.c.astype(np.result_type(self.c, other))
-            c.flat[0] += other
+            if isinstance(other, float) and self.c.dtype.kind in "fc":
+                c = self.c.copy()  # no type promotion (np.result_type costs more than the sum)
+            else:
+                c = self.c.astype(np.result_type(self.c, other))
+            if c.ndim > self._NVARS:
+                c[self._VALUES] += other
+            else:
+                c.flat[0] += other
             return self._like(self.degree, c)
         D = min(self.degree, o.degree)
         return self._like(D, self._coeffs(D) + o._coeffs(D))
@@ -140,15 +203,20 @@ class _Jet:
     def _product(self, other):
         o = self._coerce(other)
         if o is None:
+            if isinstance(other, np.ndarray) and other.ndim:  # one factor per element
+                other = other.reshape(other.shape + (1,) * self._NVARS)
             return self._like(self.degree, self.c * other)
         D = min(self.degree, o.degree)
         return self._like(D, _convolve(self._coeffs(D), o._coeffs(D), self._PAIRS[D]))
 
     def _reciprocal(self):
         g0 = self.value
-        if g0 == 0:
+        if not _all(g0 != 0):
             raise JetDivisionError("jet division singular")
-        series = [(-1.0) ** n / g0 ** (n + 1) for n in range(self.degree + 1)]
+        # (-1)^n / g0^(n+1) by multiplication only, the same in a batch
+        series = [1.0 / g0]
+        for _ in range(self.degree):
+            series.append(-series[-1] * series[0])
         return _compose(self, series)
 
     def __pow__(self, p):
@@ -168,11 +236,14 @@ class _Jet:
 
     def _nilpotent(self):
         c = self.c.copy()
-        c.flat[0] = 0
+        if c.ndim > self._NVARS:
+            c[self._VALUES] = 0
+        else:
+            c.flat[0] = 0
         return self._like(self.degree, c)
 
     def allclose(self, other, atol=1e-12, rtol=1e-12):
-        return self.base == other.base and np.allclose(
+        return np.array_equal(self.base, other.base) and np.allclose(
             self.c, other._coeffs(self.degree), atol=atol, rtol=rtol
         )
 
@@ -188,16 +259,28 @@ class Jet2(_Jet):
     """
 
     __slots__ = ()
+    _NVARS = 2
+    _VALUES = (slice(None), 0, 0)  # the value coefficients of a batch
     _PAIRS = [_pair_table(d, 2) for d in range(MAX_DEGREE + 1)]  # product tables by degree
+    _TRUNCATE = [(slice(d + 1),) * 2 for d in range(MAX_DEGREE + 1)]  # index of degree <= d
 
     def __init__(self, base, degree, coeffs):
         if not (0 <= degree <= MAX_DEGREE):
             raise JetError(f"degree must be in [0, {MAX_DEGREE}], got {degree}")
-        self.base = (float(base[0]), float(base[1]))
+        u0, v0 = base
+        batch = u0.shape if isinstance(u0, np.ndarray) else ()
+        if batch:
+            u0, v0 = np.asarray(u0, float), np.asarray(v0, float)
+            if u0.ndim != 1 or v0.shape != batch:
+                raise JetError(f"a batch of base points must be two (B,) arrays, "
+                               f"got shapes {u0.shape} and {v0.shape}")
+            self.base = (u0, v0)
+        else:
+            self.base = (float(u0), float(v0))
         self.degree = int(degree)
         c = np.asarray(coeffs)
-        if c.shape != (degree + 1, degree + 1):
-            raise JetError(f"coefficient array must be {(degree+1, degree+1)}, got {c.shape}")
+        if c.shape != batch + (degree + 1, degree + 1):
+            raise JetError(f"coefficient array must be {batch + (degree+1, degree+1)}, got {c.shape}")
         self.c = c
 
     # -- constructors -------------------------------------------------------
@@ -205,8 +288,8 @@ class Jet2(_Jet):
     @classmethod
     def constant(cls, value, base=(0.0, 0.0), degree=MAX_DEGREE):
         dtype = complex if isinstance(value, complex) else float
-        c = np.zeros((degree + 1, degree + 1), dtype=dtype)
-        c[0, 0] = value
+        c = np.zeros(_batch_shape(base[0]) + (degree + 1, degree + 1), dtype=dtype)
+        _by_coefficient(c, 2)[0, 0] = value
         return cls(base, degree, c)
 
     @classmethod
@@ -216,13 +299,11 @@ class Jet2(_Jet):
         The value coefficient is the base coordinate itself; the linear
         coefficient in the corresponding variable is 1.
         """
-        c = np.zeros((degree + 1, degree + 1))
-        c[0, 0] = base[axis]
+        c = np.zeros(_batch_shape(base[0]) + (degree + 1, degree + 1))
+        at = _by_coefficient(c, 2)
+        at[0, 0] = base[axis]
         if degree >= 1:
-            if axis == 0:
-                c[1, 0] = 1.0
-            else:
-                c[0, 1] = 1.0
+            at[(1, 0) if axis == 0 else (0, 1)] = 1.0
         return cls(base, degree, c)
 
     @classmethod
@@ -233,13 +314,14 @@ class Jet2(_Jet):
 
     @property
     def value(self):
-        return self.c[0, 0]
+        c = self.c
+        return c[0, 0] if c.ndim == 2 else c[:, 0, 0]
 
     def partial(self, a: int, b: int):
         """The mixed partial derivative d^{a+b} f / du^a dv^b at the base point."""
         if a + b > self.degree:
             raise JetOrderError("jet order exhausted")
-        return self.c[a, b] * math.factorial(a) * math.factorial(b)
+        return _by_coefficient(self.c, 2)[a, b] * math.factorial(a) * math.factorial(b)
 
     def gradient(self):
         if self.degree < 1:
@@ -260,13 +342,13 @@ class Jet2(_Jet):
         if self.degree < 1:
             raise JetOrderError("jet order exhausted")
         D = self.degree - 1
-        return self._like(D, self.c[1:, : D + 1] * np.arange(1, self.degree + 1)[:, None])
+        return self._like(D, self.c[..., 1:, : D + 1] * np.arange(1, self.degree + 1)[:, None])
 
     def dv(self) -> "Jet2":
         if self.degree < 1:
             raise JetOrderError("jet order exhausted")
         D = self.degree - 1
-        return self._like(D, self.c[: D + 1, 1:] * np.arange(1, self.degree + 1)[None, :])
+        return self._like(D, self.c[..., : D + 1, 1:] * np.arange(1, self.degree + 1)[None, :])
 
     def __call__(self, u, v):
         """Evaluate the truncated polynomial at (u, v)."""
@@ -296,45 +378,58 @@ class Jet1(_Jet):
     """Univariate truncated Taylor polynomial; coeffs[a] multiplies (x - x0)^a."""
 
     __slots__ = ()
+    _NVARS = 1
+    _VALUES = (slice(None), 0)  # the value coefficients of a batch
     _PAIRS = [_pair_table(d, 1) for d in range(MAX_DEGREE + 1)]  # product tables by degree
+    _TRUNCATE = [(slice(d + 1),) for d in range(MAX_DEGREE + 1)]  # index of degree <= d
 
     def __init__(self, base, degree, coeffs):
         if not (0 <= degree <= MAX_DEGREE):
             raise JetError(f"degree must be in [0, {MAX_DEGREE}], got {degree}")
-        self.base = float(base)
+        batch = base.shape if isinstance(base, np.ndarray) else ()
+        if batch:
+            base = np.asarray(base, float)
+            if base.ndim != 1:
+                raise JetError(f"a batch of base points must be a (B,) array, got shape {batch}")
+            self.base = base
+        else:
+            self.base = float(base)
         self.degree = int(degree)
         c = np.asarray(coeffs)
-        if c.shape != (degree + 1,):
-            raise JetError(f"coefficient array must be {(degree + 1,)}, got {c.shape}")
+        if c.shape != batch + (degree + 1,):
+            raise JetError(f"coefficient array must be {batch + (degree + 1,)}, got {c.shape}")
         self.c = c
 
     @classmethod
     def constant(cls, value, base=0.0, degree=MAX_DEGREE):
-        c = np.zeros(degree + 1, dtype=complex if isinstance(value, complex) else float)
-        c[0] = value
+        c = np.zeros(_batch_shape(base) + (degree + 1,),
+                     dtype=complex if isinstance(value, complex) else float)
+        _by_coefficient(c, 1)[0] = value
         return cls(base, degree, c)
 
     @classmethod
     def coordinate(cls, base, degree=MAX_DEGREE):
-        c = np.zeros(degree + 1)
-        c[0] = base
+        c = np.zeros(_batch_shape(base) + (degree + 1,))
+        at = _by_coefficient(c, 1)
+        at[0] = base
         if degree >= 1:
-            c[1] = 1.0
+            at[1] = 1.0
         return cls(base, degree, c)
 
     @property
     def value(self):
-        return self.c[0]
+        c = self.c
+        return c[0] if c.ndim == 1 else c[:, 0]
 
     def derivative_value(self, n: int):
         if n > self.degree:
             raise JetOrderError("jet order exhausted")
-        return self.c[n] * math.factorial(n)
+        return _by_coefficient(self.c, 1)[n] * math.factorial(n)
 
     def dx(self) -> "Jet1":
         if self.degree < 1:
             raise JetOrderError("jet order exhausted")
-        return self._like(self.degree - 1, self.c[1:] * np.arange(1, self.degree + 1))
+        return self._like(self.degree - 1, self.c[..., 1:] * np.arange(1, self.degree + 1))
 
     def __call__(self, x):
         return np.polyval(self.c[::-1], x - self.base)
@@ -381,7 +476,7 @@ def _compose(jet, series, base=None):
     `base` (a univariate jet's c), and the result is outer(jet); jet.value
     must then equal base.
     """
-    if base is not None and not np.isclose(jet.value, base, rtol=0, atol=1e-12):
+    if base is not None and not _all(np.isclose(jet.value, base, rtol=0, atol=1e-12)):
         raise JetError("composition base mismatch")
     hat = jet._nilpotent()
     out = hat * 0 + series[-1]
@@ -432,16 +527,16 @@ def _series_from_derivative(jet, deriv_builder, value_fn):
         return [value_fn(v0)]
     x = Jet1.coordinate(v0, D - 1)
     u = deriv_builder(x)
-    return [value_fn(v0)] + [u.c[n] / (n + 1) for n in range(D)]
+    return [value_fn(v0)] + [u.c[..., n] / (n + 1) for n in range(D)]
 
 
 def sqrt(x):
     if not _is_jet(x):
         return math.sqrt(x)
     v0 = x.value
-    if not (v0 > 0):
+    if not _all(v0 > 0):
         raise JetDomainError("jet domain error: sqrt requires positive value coefficient")
-    s = math.sqrt(v0)
+    s = np.sqrt(v0)
     series = [s]
     for n in range(1, x.degree + 1):
         # binomial(1/2, n) * v0^(1/2 - n)
@@ -464,9 +559,9 @@ def log(x):
     if not _is_jet(x):
         return math.log(x)
     v0 = x.value
-    if not (np.real(v0) > 0 and np.imag(v0) == 0):
+    if not _all((np.real(v0) > 0) & (np.imag(v0) == 0)):
         raise JetDomainError("jet domain error: log requires positive value coefficient")
-    series = [math.log(v0)] + [
+    series = [np.log(np.real(v0))] + [
         (-1.0) ** (n + 1) / (n * v0**n) for n in range(1, x.degree + 1)
     ]
     return _compose(x, series)
@@ -509,16 +604,16 @@ def cosh(x):
 def arctan(x):
     if not _is_jet(x):
         return math.atan(x)
-    series = _series_from_derivative(x, lambda t: 1.0 / (1.0 + t * t), math.atan)
+    series = _series_from_derivative(x, lambda t: 1.0 / (1.0 + t * t), np.arctan)
     return _compose(x, series)
 
 
 def artanh(x):
     if not _is_jet(x):
         return math.atanh(x)
-    if not abs(x.value) < 1:
+    if not _all(abs(x.value) < 1):
         raise JetDomainError("jet domain error: artanh requires |value| < 1")
-    series = _series_from_derivative(x, lambda t: 1.0 / (1.0 - t * t), math.atanh)
+    series = _series_from_derivative(x, lambda t: 1.0 / (1.0 - t * t), np.arctanh)
     return _compose(x, series)
 
 
@@ -528,7 +623,7 @@ def power(x, p):
     if isinstance(p, int):
         return x**p
     v0 = x.value
-    if not (v0 > 0):
+    if not _all(v0 > 0):
         raise JetDomainError("jet domain error: non-integer power requires positive value")
     series = [v0**p]
     b = 1.0

@@ -209,18 +209,19 @@ class Integrand:
     def __call__(self, x: float) -> float:
         return float(self.expr(x))
 
-    def jet(self, x0: float, degree: int = MAX_DEGREE) -> Jet1:
-        return self.expr(Jet1.coordinate(float(x0), degree))
+    def jet(self, x0, degree: int = MAX_DEGREE) -> Jet1:
+        """The jet at x0, a number or a (B,) array (a batched jet)."""
+        return self.expr(Jet1.coordinate(x0, degree))
 
 
-def primitive_jet(integrand, r0: float, value: float, degree: int = MAX_DEGREE) -> Jet1:
+def primitive_jet(integrand, r0, value, degree: int = MAX_DEGREE) -> Jet1:
     """The jet at r0 of a primitive F of `integrand` with F(r0) = value: the
-    coefficient of x^j (j >= 1) is f^(j-1)(r0)/j!, from F' = f."""
-    coeffs = np.zeros(degree + 1)
-    coeffs[0] = value
+    coefficient of x^j (j >= 1) is f^(j-1)(r0)/j!, from F' = f.  With a (B,)
+    array r0 (and value) the jet is batched."""
+    F = Jet1.constant(value, r0, degree)
     if degree >= 1:
-        coeffs[1:] = integrand.jet(r0, degree - 1).c[:degree] / np.arange(1, degree + 1)
-    return Jet1(float(r0), degree, coeffs)
+        F.c[..., 1:] = integrand.jet(r0, degree - 1).c[..., :degree] / np.arange(1, degree + 1)
+    return F
 
 
 @dataclass
@@ -252,9 +253,17 @@ class Primitive:
 
     __call__ = value
 
-    def jet(self, r0: float, degree: int = MAX_DEGREE) -> Jet1:
-        """Value coefficient from quadrature, the others from the integrand's jet."""
-        return primitive_jet(self.integrand, r0, self.value(r0), degree)
+    def jet(self, r0, degree: int = MAX_DEGREE) -> Jet1:
+        """Value coefficient from quadrature, the others from the integrand's jet.
+
+        r0 may be a (B,) array: the values are read per distinct r from the
+        cache, and coefficients 1..degree come from one batched integrand jet."""
+        if isinstance(r0, np.ndarray) and r0.ndim:
+            rs, at = np.unique(r0, return_inverse=True)
+            value = np.array([self.value(r) for r in rs])[at]
+        else:
+            value = self.value(r0)
+        return primitive_jet(self.integrand, r0, value, degree)
 
 
 def _partial_bound(t0):

@@ -474,7 +474,8 @@ def reconstruction_surface(gd: GaussData, rec=None):
     Positions come from the path integral; all derivatives come from the
     integrand jets through X_u = 2 Re(c V), X_v = -2 Im(c V).  Off-node
     requests snap to the nearest node (the data is a grid, not a germ), which
-    is enough for fundamental_forms on the reconstruction.
+    is enough for fundamental_forms on the reconstruction.  A batch of points
+    (from mesh_export) is served node by node.
     """
     from .surfaces import custom_surface, _probe_orientation
 
@@ -483,7 +484,7 @@ def reconstruction_surface(gd: GaussData, rec=None):
     X = rec["X"]
     c = representation_constant(gd.H)
 
-    def builder(u, v, degree):
+    def node_jets(u, v, degree):
         i = int(round((u - gd.u0) / gd.du))
         j = int(round((v - gd.v0) / gd.dv))
         i = min(max(i, 0), gd.nu - 1)
@@ -507,6 +508,16 @@ def reconstruction_surface(gd: GaussData, rec=None):
                     arr[0, b + 1] = -2.0 * cv[0, b].imag / (b + 1)
             out.append(Jet2(base, D, arr))
         return tuple(out)
+
+    def builder(u, v, degree):
+        if not isinstance(u, np.ndarray):
+            return node_jets(u, v, degree)
+        # a batch of points: each snaps to its own node, based there
+        per_point = [node_jets(a, b, degree) for a, b in zip(u.tolist(), v.tolist())]
+        return tuple(
+            Jet2(tuple(np.array([p[comp].base[axis] for p in per_point]) for axis in (0, 1)),
+                 per_point[0][comp].degree, np.stack([p[comp].c for p in per_point]))
+            for comp in range(3))
 
     S = custom_surface(
         builder,

@@ -552,7 +552,7 @@ class CriterionReport:
     special_field: tuple  # (a, b) at the representative sample
     C: float
     collinearity_residual: float
-    condition4_det: float  # raw determinant at the representative sample
+    condition4_det: Optional[float]  # raw determinant at the representative sample; None if not computed
     verdict: str  # cusp25 | rejected_cond3 | rejected_cond4 | not_applicable
     samples: list
     tolerances: dict
@@ -565,7 +565,7 @@ class CriterionReport:
             "special_field": list(map(float, self.special_field)),
             "C": float(self.C),
             "collinearity_residual": float(self.collinearity_residual),
-            "condition4_det": float(self.condition4_det),
+            "condition4_det": None if self.condition4_det is None else float(self.condition4_det),
             "verdict": self.verdict,
             "reason": self.reason,
             "tolerances": self.tolerances,
@@ -600,7 +600,7 @@ def criterion_25(
     tolerances = {"tol3": tol3, "tol4": tol4, "tol_C": tol_C}
     if bad:
         return CriterionReport(
-            math.inf, (math.nan, math.nan), math.nan, math.inf, 0.0,
+            math.inf, (math.nan, math.nan), math.nan, math.inf, None,
             "not_applicable", [], tolerances, interval,
             reason=f"{len(bad)} sample(s) not of the first kind (e.g. {bad[0].kind})",
         )

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -251,6 +252,26 @@ def test_sweep_rows_and_predictions(tmp_path):
     assert preds["-1.0"] == ""
     assert all(r["verdict"] == "cusp25" for r in rows)
     assert all(float(r["rel_diff"]) < 1e-6 for r in rows if r["rel_diff"])
+
+
+def test_uncomputed_condition4_det_is_null(tmp_path):
+    # samples not of the first kind: the determinant is never computed
+    assert run(tmp_path, "classify", "--family", "delaunay-t", "--k", "2", "-o", "c.json") == 0
+    crit = strict_json(tmp_path / "c.json")["results"]["criterion"]
+    assert crit["verdict"] == "not_applicable" and "not of the first kind" in crit["reason"]
+    assert crit["condition4_det"] is None
+    assert run(tmp_path, "sweep", "--k", "-1", "--H", "0.3", "-o", "s.csv") == 0
+    with open(tmp_path / "s.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["verdict"] == "not_applicable"
+    assert row["cond4_det"] == row["predicted_case_I"] == row["rel_diff"] == ""
+    # a collinearity residual above tolerance comes after the determinant: it stays
+    assert run(tmp_path, "sweep", "--k", "2", "--H", "0.5", "--tol-C", "0", "-o", "c.csv") == 0
+    with open(tmp_path / "c.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["verdict"] == "not_applicable"
+    assert abs(float(row["cond4_det"]) + 288.0) < 1e-5 * 288
+    assert float(row["rel_diff"]) < 1e-6
 
 
 def test_sweep_empty_list_exit2(tmp_path):

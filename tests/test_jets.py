@@ -271,3 +271,102 @@ def test_products_bit_identical_to_schoolbook_loop(a2, b2, a1, b1):
         want = reference(A, B)
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
+
+
+# -- the batch axis against the scalar kernel, element by element -------------
+
+
+@st.composite
+def batched_pairs(draw, nvars):
+    """Two coefficient batches of B elements (degrees in 0..5) whose value
+    coefficients are nonzero, so that either can divide."""
+    size = draw(st.integers(1, 4))
+    arrays = []
+    for _ in range(2):
+        degree = draw(st.integers(0, 5))
+        shape = (size,) + (degree + 1,) * nvars
+        n = int(np.prod(shape))
+        c = np.array(draw(st.lists(_real_coefficient(), min_size=n, max_size=n))).reshape(shape)
+        value = c[(slice(None),) + (0,) * nvars]
+        value[value == 0] = 1.5
+        arrays.append((degree, c))
+    return size, arrays
+
+
+def _batch_and_elements(jet, size, degree, c):
+    """A batched jet of `jet`'s class and the scalar jets of its elements."""
+    us = np.linspace(-1.0, 2.0, size)
+    if jet is Jet2:
+        vs = np.linspace(0.5, -0.5, size)
+        return jet((us, vs), degree, c), [jet((us[i], vs[i]), degree, c[i]) for i in range(size)]
+    return jet(us, degree, c), [jet(us[i], degree, c[i]) for i in range(size)]
+
+
+ARITHMETIC = {
+    "product": lambda a, b, k: a * b,
+    "sum": lambda a, b, k: a + b,
+    "difference": lambda a, b, k: a - b,
+    "quotient": lambda a, b, k: a / b,
+    "reciprocal": lambda a, b, k: 1.0 / a,
+    "cube": lambda a, b, k: a**3,
+    "plus per-element constant": lambda a, b, k: a + k,
+    "times per-element constant": lambda a, b, k: a * k,
+}
+
+
+@given(batched_pairs(2), batched_pairs(1))
+@settings(max_examples=100, deadline=None)
+def test_batched_arithmetic_bit_identical_to_scalar(pairs2, pairs1):
+    for jet, (size, ((da, A), (db, B))) in ((Jet2, pairs2), (Jet1, pairs1)):
+        a, a_i = _batch_and_elements(jet, size, da, A)
+        b, b_i = _batch_and_elements(jet, size, db, B)
+        k = np.linspace(-2.0, 3.0, size)
+        for name, op in ARITHMETIC.items():
+            got = op(a, b, k).c
+            for i in range(size):
+                want = op(a_i[i], b_i[i], k[i]).c
+                assert got[i].tobytes() == want.tobytes(), (name, i)
+
+
+ELEMENTARY = {
+    "sqrt": (jt.sqrt, (0.1, 10.0)),
+    "exp": (jt.exp, (-3.0, 3.0)),
+    "log": (jt.log, (0.1, 10.0)),
+    "sin": (jt.sin, (-3.0, 3.0)),
+    "cos": (jt.cos, (-3.0, 3.0)),
+    "sinh": (jt.sinh, (-3.0, 3.0)),
+    "cosh": (jt.cosh, (-3.0, 3.0)),
+    "arctan": (jt.arctan, (-3.0, 3.0)),
+    "artanh": (jt.artanh, (-0.9, 0.9)),
+    "power": (lambda x: jt.power(x, 1.7), (0.1, 10.0)),
+}
+
+
+@given(st.sampled_from(sorted(ELEMENTARY)), st.sampled_from([Jet1, Jet2]), st.integers(0, 5),
+       st.data())
+@settings(max_examples=150, deadline=None)
+def test_batched_elementary_functions_match_scalar(name, jet, degree, data):
+    fn, (lo, hi) = ELEMENTARY[name]
+    size = data.draw(st.integers(1, 4))
+    shape = (size,) + (degree + 1,) * jet._NVARS
+    c = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=int(np.prod(shape)),
+                                    max_size=int(np.prod(shape))))).reshape(shape)
+    c[(slice(None),) + (0,) * jet._NVARS] = data.draw(
+        st.lists(st.floats(lo, hi), min_size=size, max_size=size))
+    x, x_i = _batch_and_elements(jet, size, degree, c)
+    got = fn(x).c
+    for i in range(size):
+        want = fn(x_i[i]).c
+        assert np.all(np.abs(got[i] - want) <= 1e-13 * np.maximum(np.abs(want), np.abs(want).max()))
+
+
+def test_batch_domain_errors_and_base_mismatch():
+    u = Jet2.coordinate((np.array([0.5, 1.5]), np.zeros(2)), 2, 0)
+    with pytest.raises(JetDomainError):
+        jt.sqrt(1 - u)
+    with pytest.raises(JetDivisionError):
+        1.0 / (u - 0.5)
+    with pytest.raises(jt.JetError, match="different base points"):
+        u + Jet2.coordinate((np.array([0.5, 1.0]), np.zeros(2)), 2, 0)
+    with pytest.raises(jt.JetError, match="different base points"):
+        u * Jet2.coordinate((0.5, 0.0), 2, 0)

@@ -270,6 +270,17 @@ def test_reconstructed_mean_curvature(gauss_data_t_k2):
     assert worst < 1e-4
 
 
+def test_reconstruction_meshes_at_its_nodes(gauss_data_t_k2):
+    gd = gauss_data_t_k2
+    S = rp.reconstruction_surface(gd)
+    mesh = sf.mesh_export(S, gd.nu, gd.nv)
+    X = rp.integrate_representation(gd)["X"]
+    assert np.array_equal(mesh.vertices, X.reshape(-1, 3))
+    us = np.linspace(*S.u_range, gd.nu)
+    vs = np.linspace(*S.v_range, gd.nv)
+    assert np.array_equal(mesh.vertices, [S.point(u, v) for u in us for v in vs])
+
+
 # -- compatibility equations and the Laplace identity --------------------------------
 
 

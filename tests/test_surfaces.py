@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from cmc_lab import jets as jt
 from cmc_lab import surfaces as sf
+from cmc_lab.jets import Jet2, JetDomainError
 from cmc_lab.lorentz import lorentz_inner
 from cmc_lab.surfaces import (
     MeshEvaluationError,
@@ -229,8 +232,76 @@ def test_mesh_grid_must_be_2d(delaunay_t_k2):
 
 
 def test_mesh_error_carries_grid_index(lightlike_ii):
-    with pytest.raises(MeshEvaluationError, match="grid index"):
+    # the first failing grid point in row-major order, outside the domain ...
+    with pytest.raises(MeshEvaluationError) as err:
         mesh_export(lightlike_ii, 3, 3, u_range=(0.0, 1.5))
+    assert str(err.value) == (
+        "evaluation failed at grid index (2,0), (u,v)=(1.5,-2.0): u = 1.5 outside "
+        "admissible interval (-0.999999, 0.999999) for delaunay_lightlike_ii")
+
+    # ... and inside it, where the builder leaves the domain of sqrt for u > 1
+    def builder(u0, v0, degree):
+        uj, vj = Jet2.variables((u0, v0), degree)
+        return (uj, vj, jt.sqrt(1 - uj))
+
+    S = sf.custom_surface(builder, u_range=(0.0, 2.0), v_range=(-1.0, 1.0))
+    with pytest.raises(MeshEvaluationError) as err:
+        mesh_export(S, 4, 3)
+    assert str(err.value) == (
+        "evaluation failed at grid index (2,0), (u,v)=(1.3333333333333333,-1.0): "
+        "jet domain error: sqrt requires positive value coefficient")
+    assert isinstance(err.value.__cause__, JetDomainError)
+
+
+# k ranges on which `generate` succeeds over the full default domain (the
+# conjugate of delaunay-s fails for k > -1), kept 0.25 away from k = 0 and 1
+# and 1e-9 away from the branch point k = -1 (the k = -1 branch is its own
+# entry; one ulp from it the conjugates cannot be oriented)
+MESH_FAMILIES = {
+    "delaunay-t": (lambda k, H: delaunay_timelike(k, H), (-3.0, 4.0)),
+    "delaunay-s": (lambda k, H: delaunay_spacelike(k, H), (-3.0, 4.0)),
+    "delaunay-l-i": (lambda k, H: delaunay_lightlike("i", H), None),
+    "delaunay-l-ii": (lambda k, H: delaunay_lightlike("ii", H), None),
+    "conjugate-of-delaunay-t": (lambda k, H: conjugate_of("delaunay_timelike", k, H), (-2.5, 4.0)),
+    "conjugate-of-delaunay-s": (lambda k, H: conjugate_of("delaunay_spacelike", k, H), (-3.0, -1.0)),
+    "conjugate-k=-1": (lambda k, H: conjugate_of("delaunay_timelike", -1.0, H), None),
+}
+
+
+@given(st.sampled_from(sorted(MESH_FAMILIES)), st.floats(0.0, 1.0), st.floats(0.3, 1.0),
+       st.integers(2, 9), st.integers(2, 9))
+@settings(max_examples=40, deadline=None)
+def test_batched_mesh_matches_point_evaluation(family, t, H, nu, nv):
+    build, ks = MESH_FAMILIES[family]
+    k = None
+    if ks:
+        k = ks[0] + t * (ks[1] - ks[0])
+        assume(abs(k - 1) >= 0.25 and abs(k) >= 0.25 and abs(k + 1) >= 1e-9)
+    S = build(k, H)
+    mesh = mesh_export(S, nu, nv)
+    us = np.linspace(*S.u_range, nu)
+    vs = np.linspace(*S.v_range, nv)
+    pointwise = np.array([S.point(u, v) for u in us for v in vs])
+    assert mesh.vertices.shape == pointwise.shape
+    assert np.all(np.abs(mesh.vertices - pointwise) <= 1e-13 * (1 + np.abs(pointwise)))
+
+
+def _write_obj_per_line(mesh, path):
+    """The OBJ writer as it was: one write per line."""
+    with open(path, "w") as fh:
+        fh.write("# cmc-lab surface mesh; vertex order (x1, x2, x0)\n")
+        for x0, x1, x2 in mesh.vertices:
+            fh.write(f"v {float(x1)!r} {float(x2)!r} {float(x0)!r}\n")
+        for a, b, c in mesh.faces:
+            fh.write(f"f {a + 1} {b + 1} {c + 1}\n")
+
+
+def test_obj_writer_matches_per_line_writer(tmp_path, conj_k2):
+    for S, nu, nv in ((conj_k2, 13, 11), (standard_model("fold"), 2, 3)):
+        mesh = mesh_export(S, nu, nv)
+        mesh.write_obj(tmp_path / "a.obj")
+        _write_obj_per_line(mesh, tmp_path / "b.obj")
+        assert (tmp_path / "a.obj").read_bytes() == (tmp_path / "b.obj").read_bytes()
 
 
 def test_obj_writer_format(tmp_path, fold_model):
