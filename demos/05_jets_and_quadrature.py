@@ -38,7 +38,7 @@ print(f"\nd/du of a sin/sqrt composite: jet {f.c[1, 0]:.12f}, finite differences
 
 # quadrature: the k = 2 profile integrand, adaptive GK vs composite Simpson
 g = lambda x: (x * x + 1) / np.sqrt((x * x + 3) ** 2 - 8)
-val, err = integrate(lambda x: float(g(x)), 0.0, 1.0, 1e-12)
+val, err = integrate(g, 0.0, 1.0, 1e-12)
 oracle = simpson_oracle(g, 0.0, 1.0, panels=1_000_000)
 print(f"\nprofile integral on [0,1]: adaptive {val:.15f} (est err {err:.1e})")
 print(f"                           Simpson  {oracle:.15f} (1e6 panels)")

@@ -590,7 +590,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (InputError, sf.SurfaceParameterError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        flag = getattr(e, "param", None)  # a surface parameter is set by the flag of its name
+        print(f"error: {'--' + flag + ': ' if flag else ''}{e}", file=sys.stderr)
         return 2
     except OSError as e:
         print(f"I/O error: {e}", file=sys.stderr)

@@ -32,17 +32,26 @@ shape (B, D+1).  A jet without a batch axis is the scalar jet as before, and
 the two never mix (their bases differ).  Batches are built by passing arrays
 of base points to `constant` and `coordinate`; then arithmetic (+, -, *, /,
 integer powers), `value`, `truncated`, `partial`, `du`/`dv`/`dx`, the
-composition helper and the elementary functions all keep the batch axis.
-`value` is then a (B,) array, and a (B,) array may be added to or multiplied
-into a batched jet as a per-element constant.  `gradient`, `__call__`,
-`compose_inverse`, `compose2` and the vector-field helpers take scalar jets
-only.
+composition helpers (`compose2` too) and the elementary functions all keep
+the batch axis.  `value` is then a (B,) array, a (B,) array may be added to or
+multiplied into a batched jet as a per-element constant, and `element(i)` is
+the scalar jet of element i.  `gradient`, `__call__`, `compose_inverse` and
+the vector-field helpers take scalar jets only.
 
-Sums, products, reciprocals, quotients and integer powers of a batch are
-bit-identical to the scalar kernel applied element by element: the batched
-bincount adds each element's terms in table order starting from 0.0, and the
-reciprocal series is built from 1/g0 by multiplication only.  The elementary
-functions agree with the scalar ones to 1e-13 relative: NumPy may evaluate a
+Array contract.  The elementary functions (sqrt, exp, log, sin, cos, sinh,
+cosh, arctan, artanh, power) take a jet, a float or an array of floats: a
+non-jet argument goes to the NumPy ufunc, so one expression written with them
+serves a jet, a single point and an array of points alike (the quadrature
+integrands are such expressions).  Outside its domain a ufunc returns NaN
+rather than raising; the jet branch raises JetDomainError.
+
+Sums, products, reciprocals, quotients, integer powers and square roots of a
+batch are bit-identical to the scalar kernel applied element by element: the
+batched bincount adds each element's terms in table order starting from 0.0,
+and the reciprocal and square-root series are built from 1/g0 and sqrt(g0) by
+multiplication only.  So is `compose2` (and with it the Lorentz normal, which
+takes products, a square root and a quotient).  The other elementary functions
+agree with the scalar ones to 1e-13 relative: NumPy may evaluate a
 transcendental function or a non-integer power of an array with another
 kernel than of a single value, so their series may differ in the last bits.
 """
@@ -56,6 +65,9 @@ from dataclasses import dataclass
 import numpy as np
 
 MAX_DEGREE = 5
+
+# the coefficients (a, b) with a + b <= d of a bivariate jet of degree d
+_TRIANGLE = [np.add.outer(np.arange(d + 1), np.arange(d + 1)) <= d for d in range(MAX_DEGREE + 1)]
 
 
 class JetError(Exception):
@@ -166,6 +178,11 @@ class _Jet:
                         raise JetError("jets have different base points") from None
             return other
         return None  # a number, or a (B,) array of one number per batch element
+
+    def element(self, i: int):
+        """The scalar jet of element i of a batched jet (a copy)."""
+        base = tuple(float(x[i]) for x in self.base) if self._NVARS == 2 else float(self.base[i])
+        return type(self)(base, self.degree, self.c[i].copy())
 
     def truncated(self, degree: int):
         if degree > self.degree:
@@ -489,7 +506,10 @@ def compose2(F: Jet2, U, V):
     """F(U, V) for jets U, V based at the new point, with values at F.base.
 
     U and V are both bivariate (a change of chart) or both univariate (the
-    restriction of F to the curve (U(s), V(s))).
+    restriction of F to the curve (U(s), V(s))).  F, U and V may be batched
+    alike: then a term is skipped only where it vanishes in every element,
+    and each element is the same sequence of roundings as its scalar
+    composition.
     """
     du = U - F.base[0]
     dv = V - F.base[1]
@@ -500,11 +520,13 @@ def compose2(F: Jet2, U, V):
     for _ in range(F.degree):
         pu.append(pu[-1] * du)
         pv.append(pv[-1] * dv)
+    coeffs = _by_coefficient(F.c, 2)
+    nonzero = F.c != 0
+    if nonzero.ndim > 2:
+        nonzero = nonzero.any(axis=0)
     out = jet.constant(0.0, U.base, D)
-    for a in range(F.degree + 1):
-        for b in range(F.degree + 1 - a):
-            if F.c[a, b] != 0:
-                out = out + F.c[a, b] * (pu[a] * pv[b])
+    for a, b in np.argwhere(nonzero & _TRIANGLE[F.degree]).tolist():  # row-major order
+        out = out + (pu[a] * pv[b]) * coeffs[a, b]
     return out
 
 
@@ -532,24 +554,25 @@ def _series_from_derivative(jet, deriv_builder, value_fn):
 
 def sqrt(x):
     if not _is_jet(x):
-        return math.sqrt(x)
+        return np.sqrt(x)
     v0 = x.value
     if not _all(v0 > 0):
         raise JetDomainError("jet domain error: sqrt requires positive value coefficient")
     s = np.sqrt(v0)
+    inv = 1.0 / v0
     series = [s]
+    b, term = 1.0, s
     for n in range(1, x.degree + 1):
-        # binomial(1/2, n) * v0^(1/2 - n)
-        b = 1.0
-        for i in range(n):
-            b *= (0.5 - i) / (i + 1)
-        series.append(b * v0 ** (0.5 - n) )
+        # binomial(1/2, n) * v0^(1/2 - n), by multiplication only (the same in a batch)
+        b *= (0.5 - (n - 1)) / n
+        term = term * inv
+        series.append(b * term)
     return _compose(x, series)
 
 
 def exp(x):
     if not _is_jet(x):
-        return math.exp(x)
+        return np.exp(x)
     e = np.exp(x.value)
     series = [e / math.factorial(n) for n in range(x.degree + 1)]
     return _compose(x, series)
@@ -557,7 +580,7 @@ def exp(x):
 
 def log(x):
     if not _is_jet(x):
-        return math.log(x)
+        return np.log(x)
     v0 = x.value
     if not _all((np.real(v0) > 0) & (np.imag(v0) == 0)):
         raise JetDomainError("jet domain error: log requires positive value coefficient")
@@ -569,7 +592,7 @@ def log(x):
 
 def sin(x):
     if not _is_jet(x):
-        return math.sin(x)
+        return np.sin(x)
     s, c = np.sin(x.value), np.cos(x.value)
     cycle = [s, c, -s, -c]
     series = [cycle[n % 4] / math.factorial(n) for n in range(x.degree + 1)]
@@ -578,7 +601,7 @@ def sin(x):
 
 def cos(x):
     if not _is_jet(x):
-        return math.cos(x)
+        return np.cos(x)
     s, c = np.sin(x.value), np.cos(x.value)
     cycle = [c, -s, -c, s]
     series = [cycle[n % 4] / math.factorial(n) for n in range(x.degree + 1)]
@@ -587,7 +610,7 @@ def cos(x):
 
 def sinh(x):
     if not _is_jet(x):
-        return math.sinh(x)
+        return np.sinh(x)
     s, c = np.sinh(x.value), np.cosh(x.value)
     series = [(s if n % 2 == 0 else c) / math.factorial(n) for n in range(x.degree + 1)]
     return _compose(x, series)
@@ -595,7 +618,7 @@ def sinh(x):
 
 def cosh(x):
     if not _is_jet(x):
-        return math.cosh(x)
+        return np.cosh(x)
     s, c = np.sinh(x.value), np.cosh(x.value)
     series = [(c if n % 2 == 0 else s) / math.factorial(n) for n in range(x.degree + 1)]
     return _compose(x, series)
@@ -603,14 +626,14 @@ def cosh(x):
 
 def arctan(x):
     if not _is_jet(x):
-        return math.atan(x)
+        return np.arctan(x)
     series = _series_from_derivative(x, lambda t: 1.0 / (1.0 + t * t), np.arctan)
     return _compose(x, series)
 
 
 def artanh(x):
     if not _is_jet(x):
-        return math.atanh(x)
+        return np.arctanh(x)
     if not _all(abs(x.value) < 1):
         raise JetDomainError("jet domain error: artanh requires |value| < 1")
     series = _series_from_derivative(x, lambda t: 1.0 / (1.0 - t * t), np.arctanh)
@@ -619,7 +642,7 @@ def artanh(x):
 
 def power(x, p):
     if not _is_jet(x):
-        return x**p
+        return np.power(x, p)
     if isinstance(p, int):
         return x**p
     v0 = x.value

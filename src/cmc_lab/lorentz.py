@@ -110,12 +110,13 @@ def lorentz_normal(Xu, Xv, sign=1) -> tuple:
     in floating point) or jets (the normal's jet, one division by the jet of
     the norm).  Off the spacelike regular set <w, w> >= 0, and
     NotSpacelikeError is raised.  Every Lorentz normal in the library is
-    built here.
+    built here.  Batched jets (see cmc_lab.jets) give a batched normal, and
+    one element off the spacelike regular set raises for the whole batch.
     """
     e = euclid_cross(Xu, Xv)
     w = (-e[0], e[1], e[2])
     q = lorentz_inner(w, w)
-    if not (q.value if isinstance(q, (jt.Jet1, jt.Jet2)) else q) < 0:
+    if not jt._all((q.value if isinstance(q, (jt.Jet1, jt.Jet2)) else q) < 0):
         raise NotSpacelikeError("not a spacelike regular point")
     norm = jt.sqrt(-q)
     return tuple((sign * wi) / norm for wi in w)

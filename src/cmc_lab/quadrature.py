@@ -5,6 +5,13 @@ of closed-form integrands.  A Primitive pairs adaptive integration (for the
 value) with the integrand's jet (for all higher Taylor coefficients, via
 F' = f), so surfaces can serve exact degree-5 jets whose only inexactness is
 the quadrature tolerance in the value coefficient.
+
+Array contract.  An integrand is an array function: `_gk15` samples a panel's
+15 Kronrod nodes with one call f(xs) on a (15,) array and reads a (15,) array
+of values back, and `simpson_oracle` calls f once on all its nodes.  Written
+with the generic operations of cmc_lab.jets (or NumPy ufuncs), an integrand
+serves arrays and jets alike; a function of one float only (math.cos) is not
+an integrand.
 """
 
 from __future__ import annotations
@@ -94,22 +101,22 @@ _TO_P15, _TO_INTEGRAL, _TO_INTEGRAL_DIFF = _interpolant_maps()
 def _gk15(f, a, b):
     """(K15 value, |K15 - G7| estimate, the 15 node values) on [a, b].
 
-    The node values are in the order of `_GK_T`."""
+    `f` is called once, on the (15,) array of nodes in the order of `_GK_T`,
+    with NumPy's floating-point warnings silenced; the first node (in that
+    order) where a value is not finite raises IntegrandSingularError."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    xs = np.empty(15)
-    xs[0:8] = mid - half * _GK_NODES
-    xs[8:15] = mid + half * _GK_NODES[:7]
-    vals = np.empty(15)
-    for i, x in enumerate(xs):
-        v = f(x)
-        if not np.isfinite(v):
-            raise IntegrandSingularError(f"integrand singular on interval: f({x}) = {v}")
-        vals[i] = v
-    k = _K_WEIGHTS[7] * vals[7]
-    g = _G_WEIGHTS[3] * vals[7]
+    xs = mid + half * _GK_T
+    with np.errstate(all="ignore"):
+        vals = np.asarray(f(xs), dtype=float)
+    if not np.isfinite(vals).all():
+        i = int(np.argmin(np.isfinite(vals)))
+        raise IntegrandSingularError(f"integrand singular on interval: f({xs[i]}) = {vals[i]}")
+    v = vals.tolist()
+    k = _K_WEIGHTS[7] * v[7]
+    g = _G_WEIGHTS[3] * v[7]
     for i in range(7):
-        pair = vals[i] + vals[8 + i]
+        pair = v[i] + v[8 + i]
         k += _K_WEIGHTS[i] * pair
         if i % 2 == 1:  # Gauss nodes are the odd-indexed Kronrod abscissae
             g += _G_WEIGHTS[i // 2] * pair
@@ -179,35 +186,28 @@ def simpson_oracle(f, a, b, panels=1_000_000):
     """Composite Simpson with a fixed (large) panel count.
 
     Brute-force reference kept independent of the adaptive path; tests compare
-    the two routes.
+    the two routes.  `f` is called once, on the array of all nodes.
     """
     xs = np.linspace(a, b, 2 * panels + 1)
-    ys = np.array([f(x) for x in xs]) if not _vectorizable(f, xs) else f(xs)
+    ys = f(xs)
     h = (b - a) / (2 * panels)
     return h / 3 * (ys[0] + ys[-1] + 4 * ys[1:-1:2].sum() + 2 * ys[2:-2:2].sum())
 
 
-def _vectorizable(f, xs):
-    try:
-        out = f(xs[:3])
-        return isinstance(out, np.ndarray) and out.shape == (3,)
-    except Exception:
-        return False
-
-
 @dataclass
 class Integrand:
-    """A scalar function of one variable that can also be evaluated as a jet.
+    """A function of one variable that can also be evaluated as a jet.
 
     `expr` must be written in terms of the generic operations of cmc_lab.jets
-    (which dispatch on floats and jets alike), so the two evaluation modes
-    cannot drift apart.
+    (which dispatch on jets, floats and arrays alike), so the two evaluation
+    modes cannot drift apart.
     """
 
     expr: Callable
 
-    def __call__(self, x: float) -> float:
-        return float(self.expr(x))
+    def __call__(self, x):
+        """The values at x, a number or an array of points (as _gk15 passes)."""
+        return self.expr(x)
 
     def jet(self, x0, degree: int = MAX_DEGREE) -> Jet1:
         """The jet at x0, a number or a (B,) array (a batched jet)."""
@@ -235,7 +235,8 @@ class Primitive:
     integrand can blow up too fast for the adaptive loop (for the conjugate of
     the spacelike-axis Delaunay surface the whole-domain integral fails at 39
     of 62 sampled k in [-3, 4], all above -0.6), while the interior values
-    that classification reads converge.
+    that classification reads converge.  A failed integral is cached as well:
+    the same r raises the same error again without integrating.
     """
 
     integrand: Integrand
@@ -244,11 +245,17 @@ class Primitive:
     _cache: dict = field(default_factory=dict, repr=False)
 
     def value(self, r: float) -> float:
+        """F(r); a failed integral is cached too, and raises again for that r."""
         r = float(r)
         hit = self._cache.get(r)
         if hit is None:
-            hit, _ = integrate(self.integrand, self.base, r, self.tol)
+            try:
+                hit, _ = integrate(self.integrand, self.base, r, self.tol)
+            except QuadratureError as e:
+                hit = e
             self._cache[r] = hit
+        if isinstance(hit, QuadratureError):
+            raise hit.with_traceback(None)
         return hit
 
     __call__ = value

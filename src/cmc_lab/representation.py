@@ -9,6 +9,13 @@ a Lorentz motion) as X = (2/H) Re int (-2g, 1+g^2, i(1-g^2)) omega_hat dz.
 Everything here is residual-checked: harmonicity, closedness of the integrand,
 the compatibility (curvature) equations, and the Laplace identity
 Delta X = -2 H nu.
+
+Array contract.  The chart integrand sqrt(E/G) is an array function (see
+cmc_lab.quadrature): one GK15 panel is one batched surface jet at its 15
+radii.  `gauss_data_from_surface` inverts r(s) once per grid row and then
+evaluates the whole grid in one batched chart call; each node's g_jet is an
+element of that batch (within 1e-13 of a node-by-node evaluation, where the
+elementary functions of NumPy's array kernels differ in the last bits).
 """
 
 from __future__ import annotations
@@ -57,11 +64,11 @@ def representation_constant(H: float) -> float:
 
 def _gauss_of_frame(X, sign) -> Jet2:
     """Complex jet of g = (nu1 + i nu2)/(1 - nu0), nu the normal of the X jets
-    oriented by `sign`; one degree below X."""
+    oriented by `sign`; one degree below X, and batched if X is."""
     nu = lorentz_normal([c.du() for c in X], [c.dv() for c in X], sign)
     num = nu[1] + 1j * nu[2]
     den = 1.0 - nu[0]
-    if abs(den.value) < 1e-14:
+    if np.any(abs(den.value) < 1e-14):
         raise ZeroDivisionError("Gauss map at infinity (nu0 = 1)")
     return num / den
 
@@ -100,23 +107,27 @@ def omega_hat_jet(g: Jet2) -> Jet2:
 
 
 class _ProfileIntegrand:
-    """sqrt(E(r)/G(r)) along t = t0, evaluable as value or univariate jet."""
+    """sqrt(E(r)/G(r)) along t = t0, evaluable as value or univariate jet.
+
+    An array function (see cmc_lab.quadrature): the values at a (B,) array of
+    radii come from one batched surface jet."""
 
     def __init__(self, S: Surface, t0: float):
         self.S = S
         self.t0 = t0
 
     def metric(self, r, degree):
-        """(E, G) along t = t0 as univariate jets in r (the integrand needs no F)."""
+        """(E, G) along t = t0 as univariate jets in r (the integrand needs no F),
+        batched for a (B,) array r."""
         degree = min(degree, MAX_DEGREE - 1)  # metric jets sit one below X jets
-        X = self.S.jet(r, self.t0, degree + 1)
+        X = self.S.jet(r, np.full(np.shape(r), self.t0), degree + 1)
         Xu, Xv = [c.du() for c in X], [c.dv() for c in X]
-        return tuple(Jet1(r, degree, m.c[: degree + 1, 0].copy())
+        return tuple(Jet1(r, degree, m.c[..., : degree + 1, 0].copy())
                      for m in (lorentz_inner(Xu, Xu), lorentz_inner(Xv, Xv)))
 
-    def __call__(self, r: float) -> float:
-        E, G = self.metric(float(r), 0)
-        return math.sqrt(E.value / G.value)
+    def __call__(self, r):
+        E, G = self.metric(r, 0)
+        return np.sqrt(E.value / G.value)
 
     def jet(self, r0: float, degree: int = MAX_DEGREE) -> Jet1:
         E, G = self.metric(float(r0), degree)
@@ -173,8 +184,9 @@ class ConformalProfile:
         return (abs(E - G) + abs(F)) / abs(E)
 
 
-def _chart_jets(S: Surface, rj: Jet1, s: float, t: float, degree: int):
-    """Jets of X in the oriented chart (s, t), given the jet of r(s) at s."""
+def _chart_jets(S: Surface, rj: Jet1, s, t, degree: int):
+    """Jets of X in the oriented chart (s, t), given the jet of r(s) at s
+    (batched for (B,) arrays s and t)."""
     X = S.jet(rj.value, CHART_T_SIGN * t, degree)
     R = _promote_r(rj, (s, t), degree)
     T = CHART_T_SIGN * Jet2.coordinate((s, t), degree, 1)
@@ -305,26 +317,29 @@ class GaussData:
 def gauss_data_from_surface(
     profile: ConformalProfile, s0, s1, t0, t1, ns: int, nt: int, degree: int = 4
 ) -> GaussData:
-    """Sample g and omega_hat (with jets) on a conformal-chart grid."""
+    """Sample g and omega_hat (with jets) on a conformal-chart grid.
+
+    r(s) is inverted once per row; the jets of all ns * nt nodes then come
+    from one batched chart evaluation (node (i, j) is batch element i * nt + j)."""
     S = profile.surface
     du = (s1 - s0) / (ns - 1)
     dv = (t1 - t0) / (nt - 1)
-    nodes = []
-    for i in range(ns):
-        row = []
-        s = s0 + i * du
-        rj = profile.r_jet_of_s(s, min(degree + 1, MAX_DEGREE))
-        for j in range(nt):
-            t = t0 + j * dv
-            gj = _gauss_jet_in_chart(S, rj, s, t, degree)
-            om = omega_hat_jet(gj)
-            row.append(GaussNode(complex(gj.value), gj, complex(om.value)))
-        nodes.append(row)
+    ss = [s0 + i * du for i in range(ns)]
+    ts = [t0 + j * dv for j in range(nt)]
+    r_degree = min(degree + 1, MAX_DEGREE)
+    rows = np.array([profile.r_jet_of_s(s, r_degree).c for s in ss])
+    s_at = np.repeat(ss, nt)
+    rj = Jet1(s_at, r_degree, np.repeat(rows, nt, axis=0))
+    gj = _gauss_jet_in_chart(S, rj, s_at, np.tile(ts, ns), degree)
+    g, om = gj.value, omega_hat_jet(gj).value
+    nodes = [[GaussNode(complex(g[n]), gj.element(n), complex(om[n]))
+              for n in range(i * nt, (i + 1) * nt)] for i in range(ns)]
     return GaussData(s0, t0, du, dv, ns, nt, S.H, nodes)
 
 
-def _gauss_jet_in_chart(S: Surface, rj: Jet1, s: float, t: float, degree: int) -> Jet2:
-    """The Gauss map's jet in the chart (s, t), given the jet of r(s) at s."""
+def _gauss_jet_in_chart(S: Surface, rj: Jet1, s, t, degree: int) -> Jet2:
+    """The Gauss map's jet in the chart (s, t), given the jet of r(s) at s; for
+    (B,) arrays s and t (and rj batched at s) one batched jet."""
     X = _chart_jets(S, rj, s, t, min(degree + 1, MAX_DEGREE))
     # the t flip reverses the chart's cross product; undo it so nu stays the
     # surface-oriented normal (the one with H_mean = +H)

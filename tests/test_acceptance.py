@@ -336,7 +336,7 @@ def test_criterion_9_numerical_kernel_oracles():
     quad_ok = True
     worst = 0.0
     for f in integrands:
-        val, _ = integrate(lambda x: float(f(x)), 0.0, 1.5, 1e-12)
+        val, _ = integrate(f, 0.0, 1.5, 1e-12)
         oracle = simpson_oracle(f, 0.0, 1.5, panels=1_000_000)
         worst = max(worst, abs(val - oracle))
         quad_ok &= abs(val - oracle) < 1e-9

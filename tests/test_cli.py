@@ -230,6 +230,37 @@ def test_delaunay_s_k_near_1_exit2(tmp_path, capsys, k):
     assert "k too close to 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("of, k", [
+    ("delaunay-s", "-1.0000000000000002"),  # one ulp below -1
+    ("delaunay-t", "-0.9999999999999999"),  # one ulp above
+    ("delaunay-t", "-1.000000000001"),
+    ("delaunay-s", "-0.9999999995"),
+])
+def test_conjugate_k_next_to_minus_1_exit2_naming_the_flag(tmp_path, capsys, of, k):
+    # the k != -1 templates divide by |k + 1|: there they keep no correct digit
+    assert run(tmp_path, "generate", "--family", "conjugate", "--of", of, f"--k={k}",
+               "--nr", "5", "--nt", "5", "-o", "g.obj") == 2
+    err = capsys.readouterr().err
+    assert "--k" in err and "branch point k = -1" in err
+    assert run(tmp_path, "classify", "--family", "conjugate", "--of", of, f"--k={k}",
+               "--grid", "5", "-o", "c.json") == 2
+
+
+def test_failed_profile_integral_runs_once(tmp_path, capsys, monkeypatch):
+    # the batched mesh call fails in a profile integral; naming the grid index
+    # then reads the failure from the Primitive cache instead of integrating again
+    from cmc_lab import quadrature
+
+    panels = []
+    gk15 = quadrature._gk15
+    monkeypatch.setattr(quadrature, "_gk15", lambda f, a, b: panels.append(1) or gk15(f, a, b))
+    assert run(tmp_path, "generate", "--family", "conjugate", "--of", "delaunay-s", "--k", "2",
+               "--H", "0.5", "--nr", "11", "--nt", "11", "-o", "g.obj") == 1
+    assert ("evaluation failed at grid index (0,0), (u,v)=(-0.4082482880143733,-1.5): "
+            "tolerance not met: estimate") in capsys.readouterr().err
+    assert 4095 <= len(panels) < 2 * 4095  # one 2048-panel integral makes 4095 GK15 calls
+
+
 def test_classify_fold_model(tmp_path):
     assert run(
         tmp_path, "classify", "--family", "model-fold", "--grid", "9", "--samples", "1", "-o", "f.json",

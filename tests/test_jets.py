@@ -370,3 +370,35 @@ def test_batch_domain_errors_and_base_mismatch():
         u + Jet2.coordinate((np.array([0.5, 1.0]), np.zeros(2)), 2, 0)
     with pytest.raises(jt.JetError, match="different base points"):
         u * Jet2.coordinate((0.5, 0.0), 2, 0)
+
+
+@given(st.integers(1, 4), st.integers(0, 5), st.integers(0, 5), st.data())
+@settings(max_examples=100, deadline=None)
+def test_batched_compose2_bit_identical_to_scalar(size, f_degree, degree, data):
+    """F(U, V) of a batch, element by element against the scalar composition;
+    F's coefficients are often zero, in some elements and not in others."""
+    F_shape = (size, f_degree + 1, f_degree + 1)
+    F_c = np.array(data.draw(st.lists(_real_coefficient(), min_size=int(np.prod(F_shape)),
+                                      max_size=int(np.prod(F_shape))))).reshape(F_shape)
+    uv_shape = (size, degree + 1, degree + 1)
+    U_c, V_c = (np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=int(np.prod(uv_shape)),
+                                            max_size=int(np.prod(uv_shape))))).reshape(uv_shape)
+                for _ in range(2))
+    F, F_i = _batch_and_elements(Jet2, size, f_degree, F_c)
+    U_c[:, 0, 0], V_c[:, 0, 0] = F.base  # U, V take the values of F's base points
+    new_base = (np.linspace(0.3, -0.7, size), np.linspace(1.0, 2.0, size))
+    U, V = (Jet2(new_base, degree, c) for c in (U_c, V_c))
+    got = jt.compose2(F, U, V).c
+    for i in range(size):
+        want = jt.compose2(F_i[i], U.element(i), V.element(i))
+        assert want.base == (new_base[0][i], new_base[1][i])
+        assert got[i].tobytes() == want.c.tobytes(), i
+
+
+def test_element_is_the_scalar_jet():
+    u = Jet2.coordinate((np.array([0.5, 1.5]), np.array([0.0, 2.0])), 3, 0)
+    e = u.element(1)
+    assert e.base == (1.5, 2.0) and e.degree == 3
+    assert e.c.tobytes() == Jet2.coordinate((1.5, 2.0), 3, 0).c.tobytes()
+    x = Jet1.coordinate(np.array([0.5, 1.5]), 2)
+    assert x.element(0).base == 0.5 and x.element(0).c.tolist() == [0.5, 1.0, 0.0]

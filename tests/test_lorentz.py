@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cmc_lab.lorentz import (
     ExtComplex,
     H2Point,
     IdealBoundaryError,
     LVec3,
+    NotSpacelikeError,
     det3,
     euclid_inner,
     inverse_stereographic,
@@ -17,6 +18,7 @@ from cmc_lab.lorentz import (
     lorentz_normal,
     stereographic,
 )
+from cmc_lab.jets import Jet2
 from cmc_lab.surfaces import fundamental_forms
 
 COORD = st.floats(min_value=-10, max_value=10, allow_nan=False)
@@ -142,3 +144,39 @@ def test_lorentz_normal_jets_are_unit_and_normal(surface, request):
             assert np.abs(residual.c).max() <= 1e-12
         assert np.allclose([c.value for c in nu], fundamental_forms(S, p).nu.point.array(),
                            rtol=0, atol=1e-13)
+
+
+@given(st.integers(1, 4), st.integers(0, 5), st.sampled_from([1, -1]), st.data())
+@settings(max_examples=100, deadline=None)
+def test_batched_lorentz_normal_bit_identical_to_scalar(size, degree, sign, data):
+    """The normal of a batched frame, element by element against the scalar one.
+    The frame is a perturbation of X_u = e1, X_v = e2, which is spacelike."""
+    shape = (size, degree + 1, degree + 1)
+    base = (np.linspace(-1.0, 1.0, size), np.linspace(0.5, 0.0, size))
+    frames = []
+    for axis in (1, 2):
+        comps = []
+        for comp in range(3):
+            c = np.array(data.draw(st.lists(st.floats(-0.3, 0.3), min_size=int(np.prod(shape)),
+                                            max_size=int(np.prod(shape))))).reshape(shape)
+            if comp == axis:
+                c[:, 0, 0] += 1.0
+            comps.append(Jet2(base, degree, c))
+        frames.append(comps)
+    Xu, Xv = frames
+    got = lorentz_normal(Xu, Xv, sign)
+    for i in range(size):
+        want = lorentz_normal([c.element(i) for c in Xu], [c.element(i) for c in Xv], sign)
+        for g, w in zip(got, want):
+            assert g.c[i].tobytes() == w.c.tobytes(), i
+
+
+def test_batched_lorentz_normal_rejects_a_timelike_element():
+    base = (np.array([0.0, 1.0]), np.zeros(2))
+    e = [Jet2.constant(x, base, 1) for x in (0.0, 1.0)]
+    Xu = [e[0], e[1], e[0]]
+    Xv = [Jet2(base, 1, np.array([[[0.0, 0], [0, 0]], [[2.0, 0], [0, 0]]])), e[0], e[1]]
+    with pytest.raises(NotSpacelikeError):
+        lorentz_normal(Xu, Xv)  # element 1 has X_v = (2, 0, 1), timelike
+    assert all(np.isfinite(c.value).all() for c in lorentz_normal([c.element(0) for c in Xu],
+                                                                  [c.element(0) for c in Xv]))

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cmc_lab import jets as jt
-from cmc_lab.jets import Jet1
 from cmc_lab.quadrature import (
     Integrand,
     IntegrandSingularError,
@@ -25,7 +24,7 @@ def test_polynomial_integral():
 
 
 def test_cosine_integral():
-    val, _ = integrate(math.cos, 0, 1)
+    val, _ = integrate(np.cos, 0, 1)
     assert abs(val - math.sin(1)) < 1e-12
 
 
@@ -38,9 +37,9 @@ def test_timelike_profile_integrand_vs_simpson():
 
 
 def test_reversed_and_empty_intervals():
-    val, _ = integrate(math.cos, 1, 0)
+    val, _ = integrate(np.cos, 1, 0)
     assert abs(val + math.sin(1)) < 1e-12
-    assert integrate(math.cos, 0.5, 0.5) == (0.0, 0.0)
+    assert integrate(np.cos, 0.5, 0.5) == (0.0, 0.0)
 
 
 @given(
@@ -51,7 +50,7 @@ def test_reversed_and_empty_intervals():
 )
 @settings(max_examples=25, deadline=None)
 def test_additivity(a, width, frac, pick):
-    f = [math.cos, lambda t: 1.0 / (1 + t * t), lambda t: math.exp(-t * t)][pick]
+    f = [np.cos, lambda t: 1.0 / (1 + t * t), lambda t: np.exp(-t * t)][pick]
     b = a + width
     c = a + frac * width
     tol = 1e-10
@@ -79,12 +78,12 @@ def test_tolerance_not_met_carries_best_estimate():
 
 
 def test_determinism():
-    f = lambda t: math.sin(3 * t) / (1 + t * t)
+    f = lambda t: np.sin(3 * t) / (1 + t * t)
     assert integrate(f, 0, 2, 1e-11) == integrate(f, 0, 2, 1e-11)
 
 
 def _cos_integrand():
-    return Integrand(lambda t: jt.cos(t) if isinstance(t, Jet1) else math.cos(t))
+    return Integrand(jt.cos)
 
 
 def test_primitive_jet_of_cosine():
@@ -107,7 +106,7 @@ def test_primitive_vanishes_at_base():
 
 def test_primitive_value_matches_integrate():
     P = Primitive(_cos_integrand())
-    v, _ = integrate(math.cos, 0, 0.8, 1e-11)
+    v, _ = integrate(np.cos, 0, 0.8, 1e-11)
     assert abs(P.value(0.8) - v) < 1e-11
 
 
@@ -151,3 +150,160 @@ def test_tabulated_primitive_values_inverse_and_edges():
             T.solve(y)
     with pytest.raises(ValueError):
         TabulatedPrimitive(f, 0.5, 0.5, 1.7)
+
+
+# -- the array contract: one integrand call per panel ---------------------------
+
+
+def _counting_gk15():
+    """A wrapper of quadrature._gk15 and its log: the panels, the calls of the
+    integrand and the shapes it was passed."""
+    from cmc_lab import quadrature
+
+    log = {"panels": 0, "f_calls": 0, "shapes": set()}
+    gk15 = quadrature._gk15
+
+    def counted(f, a, b):
+        log["panels"] += 1
+
+        def g(xs):
+            log["f_calls"] += 1
+            log["shapes"].add(np.shape(xs))
+            return f(xs)
+
+        return gk15(g, a, b)
+
+    return log, counted
+
+
+@given(st.sampled_from(["cos", "runge", "kink", "profile"]), st.floats(-2, 2), st.floats(0.05, 2),
+       st.floats(1e-13, 1e-8))
+@settings(max_examples=40, deadline=None)
+def test_gk15_calls_f_once_per_panel(name, a, width, tol):
+    from unittest import mock
+
+    from cmc_lab import quadrature
+
+    f = {
+        "cos": np.cos,
+        "runge": lambda t: 1.0 / (1 + 25 * t * t),
+        "kink": lambda t: abs(t - math.pi / 10) ** 0.5,
+        "profile": Integrand(lambda t: (t * t + 1) / jt.sqrt((t * t + 3) ** 2 - 8)),
+    }[name]
+    log, counted = _counting_gk15()
+    with mock.patch.object(quadrature, "_gk15", counted):
+        try:
+            integrate(f, a, a + width, tol, limit=64)
+        except ToleranceNotMetError:
+            pass
+    assert log["panels"] >= 1
+    assert log["f_calls"] == log["panels"]
+    assert log["shapes"] == {(15,)}
+
+
+def test_gk15_names_the_first_singular_node_in_sampling_order():
+    # nodes 0..7 run from a towards the midpoint, 8..14 from b back towards it:
+    # both ends are singular, and node 0 (next to a = 0) is reported
+    with pytest.raises(IntegrandSingularError) as err:
+        integrate(lambda t: 1.0 / (t * (1 - t)) * np.where((t < 0.01) | (t > 0.99), np.inf, 1.0),
+                  0.0, 1.0)
+    half, mid = 0.5, 0.5
+    x0 = mid - half * 0.991455371120812639206854697526329
+    assert str(err.value) == f"integrand singular on interval: f({np.float64(x0)}) = inf"
+
+
+def test_primitive_caches_a_failed_integral():
+    from unittest import mock
+
+    from cmc_lab import quadrature
+
+    for integrand, r, error in (
+        (Integrand(lambda t: jt.sqrt(t - 0.5)), 1.0, IntegrandSingularError),
+        # a pole just past the end, as at the domain end of a conjugate profile
+        (Integrand(lambda t: 1.0 / (1.0 - t)), 1.0 - 1e-12, ToleranceNotMetError),
+    ):
+        P = Primitive(integrand)
+        with pytest.raises(error) as first:
+            P.value(r)
+        log, counted = _counting_gk15()
+        with mock.patch.object(quadrature, "_gk15", counted):
+            with pytest.raises(error) as again:
+                P.value(r)
+            with pytest.raises(error):
+                P.jet(np.array([r, r]), 2)
+        assert log["panels"] == 0
+        assert type(again.value) is type(first.value) and str(again.value) == str(first.value)
+
+
+# -- every surface profile integrand against a per-node loop ------------------------
+
+
+def _per_node(f):
+    """The integrand sampled node by node: one call per node, on a 1-element array."""
+    return lambda xs: np.concatenate([np.asarray(f(xs[i:i + 1]), float) for i in range(len(xs))])
+
+
+def _profile_integrands(family, k, H):
+    """(surface, integrands of its profile integrals, the r-interval to integrate over)."""
+    from cmc_lab import representation as rp
+    from cmc_lab import surfaces as sf
+
+    if family == "delaunay-t":
+        S = sf.delaunay_timelike(k, H)
+        return S, [S.meta["profile"].integrand]
+    if family == "delaunay-s":
+        S = sf.delaunay_spacelike(k, H)
+        return S, [S.meta["profile"].integrand]
+    if family.startswith("conjugate-of-"):
+        base = {"conjugate-of-delaunay-t": "delaunay_timelike",
+                "conjugate-of-delaunay-s": "delaunay_spacelike"}[family]
+        S = sf.conjugate_of(base, k, H)
+        return S, [p.integrand for p in S.meta["profiles"]]
+    # the conformal-chart integrand sqrt(E/G) of a rotational surface
+    S = {"chart-delaunay-t": lambda: sf.delaunay_timelike(k, H),
+         "chart-delaunay-s": lambda: sf.delaunay_spacelike(k, H),
+         "chart-delaunay-l-i": lambda: sf.delaunay_lightlike("i", H),
+         "chart-delaunay-l-ii": lambda: sf.delaunay_lightlike("ii", H)}[family]()
+    return S, [rp._ProfileIntegrand(S, 0.0)]
+
+
+PROFILE_FAMILIES = {
+    "delaunay-t": (-3.0, 4.0),
+    "delaunay-s": (-3.0, 4.0),
+    "conjugate-of-delaunay-t": (-2.5, 4.0),
+    "conjugate-of-delaunay-s": (-3.0, -1.0),
+    "chart-delaunay-t": (1.25, 4.0),
+    "chart-delaunay-s": (1.25, 4.0),
+    "chart-delaunay-l-i": None,
+    "chart-delaunay-l-ii": None,
+}
+
+
+@given(st.sampled_from(sorted(PROFILE_FAMILIES)), st.floats(0.0, 1.0), st.booleans(),
+       st.floats(0.3, 1.0), st.floats(0.0, 0.9), st.floats(0.05, 1.0))
+@settings(max_examples=40, deadline=None)
+def test_surface_profile_integrals_bit_identical_to_a_per_node_loop(family, t, at_minus_1, H,
+                                                                    lo, width):
+    ks = PROFILE_FAMILIES[family]
+    k = None
+    if ks:
+        k = -1.0 if at_minus_1 and family.startswith("conjugate") else ks[0] + t * (ks[1] - ks[0])
+        if k != -1.0 and (abs(k - 1) < 0.25 or abs(k) < 0.25 or abs(k + 1) < 1e-9):
+            k = 2.0
+    S, integrands = _profile_integrands(family, k, H)
+    r_hi = S.u_range[1]
+    if family.startswith("chart"):  # the chart's radii: 0.15 to 0.65 of the domain end
+        a = (0.15 + 0.5 * lo) * r_hi
+        b = min(a + 0.5 * width * r_hi, 0.65 * r_hi)
+    else:
+        a = (2 * lo - 1) * r_hi
+        b = min(a + 2 * width * r_hi, r_hi)
+    for f in integrands:
+        outcomes = []
+        for g in (f, _per_node(f)):
+            try:
+                outcomes.append(integrate(g, a, b, PRIMITIVE_TOL))
+            except ToleranceNotMetError as e:
+                outcomes.append((type(e), str(e), e.value, e.error_estimate))
+        got, want = outcomes
+        assert repr(got) == repr(want)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cmc_lab import representation as rp
 from cmc_lab import surfaces as sf
@@ -121,6 +122,51 @@ def test_chart_values_and_inverse(name):
 
 
 # -- Gauss data and residuals ------------------------------------------------------
+
+
+# the families `rep --export-from` takes, with the k range drawn from
+EXPORT_FAMILIES = {
+    "delaunay-t": (lambda k, H: sf.delaunay_timelike(k, H), (-3.0, 4.0)),
+    "delaunay-s": (lambda k, H: sf.delaunay_spacelike(k, H), (-3.0, 4.0)),
+    "delaunay-l-i": (lambda k, H: sf.delaunay_lightlike("i", H), None),
+    "delaunay-l-ii": (lambda k, H: sf.delaunay_lightlike("ii", H), None),
+}
+
+
+def _close(got, want):
+    """Within 1e-13 of the largest modulus in `want`."""
+    want = np.asarray(want)
+    return np.all(np.abs(np.asarray(got) - want) <= 1e-13 * np.abs(want).max())
+
+
+@given(st.sampled_from(sorted(EXPORT_FAMILIES)), st.floats(0.0, 1.0), st.floats(0.3, 1.0),
+       st.integers(2, 6), st.integers(2, 5))
+@settings(max_examples=20, deadline=None)
+def test_gauss_data_nodes_match_per_node_evaluation(family, t, H, ns, nt):
+    """The batched grid against _gauss_jet_in_chart node by node, as `rep
+    --export-from` builds it."""
+    build, ks = EXPORT_FAMILIES[family]
+    k = None
+    if ks:
+        k = ks[0] + t * (ks[1] - ks[0])
+        if abs(k - 1) < 0.25 or abs(k) < 0.25:
+            k = 2.0
+    S = build(k, H)
+    r0, r1 = 0.15 * S.u_range[1], 0.65 * S.u_range[1]
+    prof = conformal_profile_chart(S, r0, r1)
+    s0, s1 = prof.s_of_r(r0 * 1.02), prof.s_of_r(r1 * 0.98)
+    gd = rp.gauss_data_from_surface(prof, s0, s1, 0.0, 1.0, ns, nt)
+    for i in range(ns):
+        s = s0 + i * gd.du
+        rj = prof.r_jet_of_s(s, 5)
+        for j in range(nt):
+            t_ = 0.0 + j * gd.dv
+            gj = rp._gauss_jet_in_chart(S, rj, s, t_, 4)
+            nd = gd.node(i, j)
+            assert nd.g_jet.base == gj.base and nd.g_jet.degree == gj.degree == 4
+            assert _close(nd.g_jet.c, gj.c)
+            assert _close(nd.g, gj.value)
+            assert _close(nd.omega_hat, rp.omega_hat_jet(gj).value)
 
 
 def test_gauss_map_values(delaunay_t_k2):

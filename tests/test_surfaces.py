@@ -253,6 +253,17 @@ def test_mesh_error_carries_grid_index(lightlike_ii):
     assert isinstance(err.value.__cause__, JetDomainError)
 
 
+def test_conjugate_refuses_k_within_roundoff_of_minus_1():
+    for family in ("delaunay_timelike", "delaunay_spacelike"):
+        for dk in (2.0**-53, -(2.0**-52), 1e-12, -9.9e-10):  # one ulp either side, and more
+            with pytest.raises(SurfaceParameterError, match="branch point k = -1") as err:
+                conjugate_of(family, -1.0 + dk, 0.5)
+            assert err.value.param == "k"
+        for k in (-1.0, -1.0 - 1.1e-9, -1.0 + 1.1e-9):
+            S = conjugate_of(family, k, 0.5)
+            assert S.meta["branch"].endswith("ii" if k == -1.0 else "-i")
+
+
 # k ranges on which `generate` succeeds over the full default domain (the
 # conjugate of delaunay-s fails for k > -1), kept 0.25 away from k = 0 and 1
 # and 1e-9 away from the branch point k = -1 (the k = -1 branch is its own
