@@ -29,7 +29,7 @@ for r in (0.3, 0.8, 1.4):
 
 s0, s1 = profile.s_of_r(0.3), profile.s_of_r(1.3)
 gd = gauss_data_from_surface(profile, s0, s1, 0.0, 1.2, 25, 13)
-worst = max(harmonic_residual(gd, i, j) for i in range(gd.nu) for j in range(gd.nv))
+worst = harmonic_residual(gd).max()  # one residual per grid node, a (nu, nv) array
 print(f"\nGauss data on a {gd.nu}x{gd.nv} grid; worst harmonic residual {worst:.2e}")
 
 rec = integrate_representation(gd, z0=(12, 6))

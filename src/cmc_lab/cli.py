@@ -158,15 +158,17 @@ def cmd_generate(args) -> int:
 # -- classify -----------------------------------------------------------------
 
 
-def _criterion_or_none(S, recs, args):
+def _scan(S, args):
+    """The singular samples over the whole domain at --grid, and the (2,5)
+    criterion on them (None without samples); classify and sweep share it."""
+    recs = sg.trace_singular_curve(S, n_grid=args.grid)
     if not recs:
-        return None
-    return sg.criterion_25(S, recs, tol3=args.tol3, tol4=args.tol4, tol_C=args.tol_C)
+        return recs, None
+    return recs, sg.criterion_25(S, recs, tol3=args.tol3, tol4=args.tol4, tol_C=args.tol_C)
 
 
 def classify_payload(S, args) -> dict:
-    recs = sg.trace_singular_curve(S, n_grid=args.grid)
-    criterion = _criterion_or_none(S, recs, args)
+    recs, criterion = _scan(S, args)
     certificates = []
     fold_reports = []
     for rec in recs[: args.samples]:
@@ -196,35 +198,22 @@ def cmd_classify(args) -> int:
 
 
 def sweep_row(k, H, args) -> dict:
-    row = {
-        "k": k,
-        "H": H,
-        "branch": "",
-        "template": "",
-        "h": "",
-        "rho0": "",
-        "cond4_det": "",
-        "predicted_case_I": "",
-        "rel_diff": "",
-        "verdict": "",
-        "error": "",
-    }
+    row = dict.fromkeys(("k", "H", "branch", "template", "h", "rho0", "cond4_det",
+                         "predicted_case_I", "rel_diff", "verdict", "error"), "")
+    row.update(k=k, H=H)
     try:
-        S = sf.conjugate_of("delaunay_timelike", k=k, H=H)
+        S = build_surface("conjugate", k, H, of="delaunay-t")
         row["branch"] = S.meta["branch"]
         row["template"] = S.meta["template"]
         row["h"] = repr(S.meta["h"])
         row["rho0"] = repr(S.meta["rho0"])
-        recs = sg.trace_singular_curve(S, box=(-0.3, 0.3, 0.1, 1.3), n_grid=args.grid)
-        rep = sg.criterion_25(S, recs, tol3=args.tol3, tol4=args.tol4, tol_C=args.tol_C)
-        row["verdict"] = rep.verdict
-        if rep.condition4_det is not None:  # None: not computed, nothing to compare
+        _, rep = _scan(S, args)
+        row["verdict"] = rep.verdict if rep else "no-singular-points"
+        if rep and rep.condition4_det is not None:  # None: not computed, nothing to compare
             row["cond4_det"] = repr(rep.condition4_det)
-            if k != -1.0:
-                # the closed-form constant of the timelike-axis branch
-                pred = -72.0 / (H * H * abs(k - 1) ** 3)
-                row["predicted_case_I"] = repr(pred)
-                row["rel_diff"] = repr(abs(rep.condition4_det - pred) / abs(pred))
+            pred = sg.conjugate_condition4_det(k, H)
+            row["predicted_case_I"] = repr(pred)
+            row["rel_diff"] = repr(abs(rep.condition4_det - pred) / abs(pred))
     except Exception as e:  # per-row failures recorded, sweep continues
         row["error"] = f"{type(e).__name__}: {e}"
     return row
@@ -479,14 +468,12 @@ def cmd_rep(args) -> int:
 
     problems = gd.validate()
     residuals = {"validation_problems": problems}
-    hmax = 0.0
-    for i in range(gd.nu):
-        for j in range(gd.nv):
-            try:
-                hmax = max(hmax, rp.harmonic_residual(gd, i, j))
-            except ValueError:
-                hmax = max(hmax, rp.extended_harmonic_residual(gd, i, j))
-    residuals["harmonic_max"] = hmax
+    # the harmonic form off |g| = 1, the extended form on it; nan is skipped
+    on = gd.on_unit_circle()
+    if not np.isfinite(gd.omega_hat[on]).all():
+        raise ValueError("not regular extended harmonic: omega_hat not extendable")
+    h = np.where(on, rp.extended_harmonic_residual(gd), rp.harmonic_residual(gd))
+    hmax = residuals["harmonic_max"] = float(np.fmax.reduce(h, axis=None, initial=0.0))
     rec = rp.integrate_representation(gd)  # raises on holomorphic data
     residuals["loop_max_rel"] = rec["loop_max_rel"]
     payload = envelope(_config_dict(args), residuals, t0)

@@ -35,8 +35,8 @@ integer powers), `value`, `truncated`, `partial`, `du`/`dv`/`dx`, the
 composition helpers (`compose2` too) and the elementary functions all keep
 the batch axis.  `value` is then a (B,) array, a (B,) array may be added to or
 multiplied into a batched jet as a per-element constant, and `element(i)` is
-the scalar jet of element i.  `gradient`, `__call__`, `compose_inverse` and
-the vector-field helpers take scalar jets only.
+the scalar jet of element i.  `compose_inverse` inverts each element.
+`gradient`, `__call__` and the vector-field helpers take scalar jets only.
 
 Array contract.  The elementary functions (sqrt, exp, log, sin, cos, sinh,
 cosh, arctan, artanh, power) take a jet, a float or an array of floats: a
@@ -49,11 +49,12 @@ Sums, products, reciprocals, quotients, integer powers and square roots of a
 batch are bit-identical to the scalar kernel applied element by element: the
 batched bincount adds each element's terms in table order starting from 0.0,
 and the reciprocal and square-root series are built from 1/g0 and sqrt(g0) by
-multiplication only.  So is `compose2` (and with it the Lorentz normal, which
-takes products, a square root and a quotient).  The other elementary functions
-agree with the scalar ones to 1e-13 relative: NumPy may evaluate a
-transcendental function or a non-integer power of an array with another
-kernel than of a single value, so their series may differ in the last bits.
+multiplication only.  So are `compose2` (and with it the Lorentz normal, which
+takes products, a square root and a quotient) and `compose_inverse`.  The
+other elementary functions agree with the scalar ones to 1e-13 relative: NumPy
+may evaluate a transcendental function or a non-integer power of an array with
+another kernel than of a single value, so their series may differ in the last
+bits.
 """
 
 from __future__ import annotations
@@ -466,23 +467,27 @@ class Jet1(_Jet):
         return self._reciprocal() * other
 
     def compose_inverse(self) -> "Jet1":
-        """Jet of the inverse function x(y) at y0 = self.value.
+        """Jet of the inverse function x(y) at y0 = self.value (one inverse per
+        element of a batch).
 
         Requires a nonzero linear coefficient.  Solved order by order from
         (self o inverse)(y) = y.
         """
-        if self.degree < 1 or self.c[1] == 0:
+        if self.degree < 1 or not _all(self.c[..., 1] != 0):
             raise JetDomainError("jet not invertible: vanishing first derivative")
         D = self.degree
         y0 = self.value
-        inv = np.zeros(D + 1)
-        inv[0] = self.base
-        inv[1] = 1.0 / self.c[1]
+        series = _by_coefficient(self.c, 1)
+        inv = np.zeros(self.c.shape)
+        at = _by_coefficient(inv, 1)
+        at[0] = self.base
+        at[1] = 1.0 / series[1]
         for n in range(2, D + 1):
             # coefficient of (y - y0)^n in self(inv(y)); must equal 0
-            partial = Jet1(y0, D, np.concatenate([inv[:n], np.zeros(D + 1 - n)]))
-            comp = _compose(partial, self.c, self.base)
-            inv[n] = -comp.c[n] / self.c[1]
+            partial = inv.copy()
+            partial[..., n:] = 0.0
+            comp = _compose(Jet1(y0, D, partial), series, self.base)
+            at[n] = -_by_coefficient(comp.c, 1)[n] / series[1]
         return Jet1(y0, D, inv)
 
 

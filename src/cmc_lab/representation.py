@@ -12,10 +12,15 @@ Delta X = -2 H nu.
 
 Array contract.  The chart integrand sqrt(E/G) is an array function (see
 cmc_lab.quadrature): one GK15 panel is one batched surface jet at its 15
-radii.  `gauss_data_from_surface` inverts r(s) once per grid row and then
-evaluates the whole grid in one batched chart call; each node's g_jet is an
-element of that batch (within 1e-13 of a node-by-node evaluation, where the
+radii.  `gauss_data_from_surface` solves r(s) once per grid row, inverts the
+rows' jets of s(r) in one batched call, and evaluates the whole grid in one
+batched chart call (within 1e-13 of a node-by-node evaluation, where the
 elementary functions of NumPy's array kernels differ in the last bits).
+GaussData keeps that batch: g_jet is one batched jet whose element i * nv + j
+is node (i, j), and g and omega_hat are (nu, nv) arrays.  The residuals
+return (nu, nv) arrays, and `integrate_representation` takes the integrand
+jets of the whole grid at once; its edge integrals, path sums and loop check
+are the same roundings as a loop over nodes and edges, bit for bit.
 """
 
 from __future__ import annotations
@@ -87,6 +92,13 @@ def gauss_map_of(S: Surface, p) -> ExtComplex:
     return ExtComplex.of(complex(g.value))
 
 
+def _abs_g_limit(S: Surface, p, direction, h: float):
+    """|g| at p + x direction for x = h, h/2, h/4, and its limit as x -> 0
+    by Richardson extrapolation, (8 y2 - 6 y1 + y0)/3."""
+    ys = [abs(complex(gauss_map_of(S, tuple(p + x * direction)))) for x in (h, h / 2, h / 4)]
+    return ys, (8 * ys[2] - 6 * ys[1] + ys[0]) / 3.0
+
+
 def _z_derivative(g: Jet2) -> Jet2:
     return (g.du() - 1j * g.dv()) * 0.5
 
@@ -129,8 +141,8 @@ class _ProfileIntegrand:
         E, G = self.metric(r, 0)
         return np.sqrt(E.value / G.value)
 
-    def jet(self, r0: float, degree: int = MAX_DEGREE) -> Jet1:
-        E, G = self.metric(float(r0), degree)
+    def jet(self, r0, degree: int = MAX_DEGREE) -> Jet1:
+        E, G = self.metric(r0, degree)
         return jt.sqrt(E / G)
 
 
@@ -160,9 +172,13 @@ class ConformalProfile:
         """ValueError when s is outside s_range."""
         return self.s_table.solve(s)
 
-    def r_jet_of_s(self, s: float, degree=MAX_DEGREE) -> Jet1:
-        r = self.r_of_s(s)
-        return self.s_jet(r, degree).compose_inverse()
+    def r_jet_of_s(self, s, degree=MAX_DEGREE) -> Jet1:
+        """The jet of r(s) at s, the inverse of the jet of s(r) at r = r(s).
+
+        For a (B,) array s one batched jet: r(s) is solved per element, and
+        the jets of s(r) and their inversion are batched."""
+        r = np.array([self.r_of_s(x) for x in s]) if isinstance(s, np.ndarray) else self.r_of_s(s)
+        return primitive_jet(self.s_table.integrand, r, s, degree).compose_inverse()
 
     @property
     def s_range(self):
@@ -222,21 +238,12 @@ def conformal_profile_chart(
 
 
 @dataclass
-class GaussNode:
-    g: complex
-    g_jet: Jet2  # complex jet in the chart coordinates, degree >= 2
-    omega_hat: complex
-
-    def derivatives(self):
-        gj = self.g_jet
-        g_z = complex(_z_derivative(gj).value)
-        g_zbar = complex(_zbar_derivative(gj).value)
-        g_zzbar = complex((gj.partial(2, 0) + gj.partial(0, 2)) / 4.0)
-        return g_z, g_zbar, g_zzbar
-
-
-@dataclass
 class GaussData:
+    """Gauss data on a conformal-chart grid: node (i, j) sits at
+    (u0 + i du, v0 + j dv); g and omega_hat are (nu, nv) arrays, and g_jet is
+    one batched complex jet (degree >= 2) whose element i * nv + j is node
+    (i, j)."""
+
     u0: float
     v0: float
     du: float
@@ -244,74 +251,73 @@ class GaussData:
     nu: int
     nv: int
     H: float
-    nodes: list  # nested [i][j] -> GaussNode
+    g_jet: Jet2
+    g: np.ndarray
+    omega_hat: np.ndarray
     extension_notes: dict = field(default_factory=dict)
 
-    def node(self, i, j) -> GaussNode:
-        return self.nodes[i][j]
+    def on_unit_circle(self, tol=UNIT_CIRCLE_TOL) -> np.ndarray:
+        return abs(np.hypot(self.g.real, self.g.imag) - 1.0) < tol
 
-    def z(self, i, j) -> complex:
-        return complex(self.u0 + i * self.du, self.v0 + j * self.dv)
+    def derivatives(self):
+        """(g_z, g_zbar, g_zzbar) at every node, (nu, nv) arrays."""
+        gj = self.g_jet
+        g_zzbar = (gj.partial(2, 0) + gj.partial(0, 2)) / 4.0
+        return tuple(np.reshape(d, (self.nu, self.nv)) for d in (
+            _z_derivative(gj).value, _zbar_derivative(gj).value, g_zzbar))
 
     def validate(self, circle_tol=UNIT_CIRCLE_TOL, gzbar_tol=1e-6):
         """Unit-circle nodes must have g_zbar ~ 0; omega_hat must be finite."""
+        bad_omega = ~np.isfinite(self.omega_hat)
+        g_zbar = abs(self.derivatives()[1])
+        bad_zbar = self.on_unit_circle(circle_tol) & (g_zbar >= gzbar_tol)
         problems = []
-        for i in range(self.nu):
-            for j in range(self.nv):
-                nd = self.node(i, j)
-                if not np.isfinite([nd.omega_hat.real, nd.omega_hat.imag]).all():
-                    problems.append((i, j, "omega_hat not finite"))
-                if abs(abs(nd.g) - 1.0) < circle_tol:
-                    _, g_zbar, _ = nd.derivatives()
-                    if abs(g_zbar) >= gzbar_tol:
-                        problems.append((i, j, f"|g_zbar| = {abs(g_zbar):.3e} at |g| = 1"))
+        for i, j in np.argwhere(bad_omega | bad_zbar).tolist():
+            if bad_omega[i, j]:
+                problems.append((i, j, "omega_hat not finite"))
+            if bad_zbar[i, j]:
+                problems.append((i, j, f"|g_zbar| = {g_zbar[i, j]:.3e} at |g| = 1"))
         return problems
 
     def to_json(self) -> str:
         """Strict JSON (RFC 8259): a non-finite component is written as null."""
 
-        def cj(z):
-            return [x if math.isfinite(x) else None for x in (float(np.real(z)), float(np.imag(z)))]
+        def pairs(z):  # [re, im] per complex entry
+            x = np.stack([np.real(z), np.imag(z)], -1)
+            return np.where(np.isfinite(x), x, None).tolist()
 
+        nodes = zip(pairs(self.g), pairs(self.omega_hat),
+                    pairs(self.g_jet.c.reshape(self.nu, self.nv, -1)))
         payload = {
             "grid": {"u0": self.u0, "v0": self.v0, "du": self.du, "dv": self.dv,
                      "nu": self.nu, "nv": self.nv},
             "H": self.H,
-            "degree": self.nodes[0][0].g_jet.degree,
-            "nodes": [
-                [
-                    {
-                        "g": cj(nd.g),
-                        "omega_hat": cj(nd.omega_hat),
-                        "g_jet": [cj(z) for z in nd.g_jet.c.ravel()],
-                    }
-                    for nd in row
-                ]
-                for row in self.nodes
-            ],
+            "degree": self.g_jet.degree,
+            "nodes": [[{"g": g, "omega_hat": om, "g_jet": gj} for g, om, gj in zip(*row)]
+                      for row in nodes],
         }
         return json.dumps(payload, sort_keys=True, allow_nan=False)
 
     @classmethod
     def from_json(cls, text: str) -> "GaussData":
         """Reads what to_json writes; a null component reads back as nan."""
-
-        def cj(pair):
-            return complex(*(math.nan if x is None else x for x in pair))
-
         data = json.loads(text)
         grid = data["grid"]
-        deg = int(data["degree"])
-        nodes = []
-        for i, row in enumerate(data["nodes"]):
-            out = []
-            for j, nd in enumerate(row):
-                base = (grid["u0"] + i * grid["du"], grid["v0"] + j * grid["dv"])
-                c = np.array([cj(z) for z in nd["g_jet"]]).reshape(deg + 1, deg + 1)
-                out.append(GaussNode(cj(nd["g"]), Jet2(base, deg, c), cj(nd["omega_hat"])))
-            nodes.append(out)
-        return cls(grid["u0"], grid["v0"], grid["du"], grid["dv"],
-                   grid["nu"], grid["nv"], data["H"], nodes)
+        nu, nv, deg = grid["nu"], grid["nv"], int(data["degree"])
+
+        def field_of(key):  # [re, im] pairs (null -> nan) to a complex array
+            x = np.array([[nd[key] for nd in row] for row in data["nodes"]], dtype=float)
+            if x.shape[-1:] != (2,):
+                raise ValueError(f"{key}: expected [re, im] pairs")
+            return x.view(complex)[..., 0]
+
+        g, om, c = field_of("g"), field_of("omega_hat"), field_of("g_jet")
+        if g.shape != (nu, nv) or om.shape != g.shape or c.shape != g.shape + ((deg + 1) ** 2,):
+            raise ValueError(f"nodes do not form a {nu} x {nv} grid of degree-{deg} jets")
+        i, j = np.divmod(np.arange(nu * nv), nv)
+        base = (grid["u0"] + i * grid["du"], grid["v0"] + j * grid["dv"])
+        g_jet = Jet2(base, deg, c.reshape(nu * nv, deg + 1, deg + 1))
+        return cls(grid["u0"], grid["v0"], grid["du"], grid["dv"], nu, nv, data["H"], g_jet, g, om)
 
 
 def gauss_data_from_surface(
@@ -319,22 +325,20 @@ def gauss_data_from_surface(
 ) -> GaussData:
     """Sample g and omega_hat (with jets) on a conformal-chart grid.
 
-    r(s) is inverted once per row; the jets of all ns * nt nodes then come
-    from one batched chart evaluation (node (i, j) is batch element i * nt + j)."""
+    r(s) is solved once per row and its jets come from one batched inversion;
+    the jets of all ns * nt nodes then come from one batched chart evaluation
+    (node (i, j) is batch element i * nt + j)."""
     S = profile.surface
     du = (s1 - s0) / (ns - 1)
     dv = (t1 - t0) / (nt - 1)
-    ss = [s0 + i * du for i in range(ns)]
-    ts = [t0 + j * dv for j in range(nt)]
-    r_degree = min(degree + 1, MAX_DEGREE)
-    rows = np.array([profile.r_jet_of_s(s, r_degree).c for s in ss])
+    ss = s0 + np.arange(ns) * du
+    ts = t0 + np.arange(nt) * dv
+    rows = profile.r_jet_of_s(ss, min(degree + 1, MAX_DEGREE))
     s_at = np.repeat(ss, nt)
-    rj = Jet1(s_at, r_degree, np.repeat(rows, nt, axis=0))
+    rj = Jet1(s_at, rows.degree, np.repeat(rows.c, nt, axis=0))
     gj = _gauss_jet_in_chart(S, rj, s_at, np.tile(ts, ns), degree)
-    g, om = gj.value, omega_hat_jet(gj).value
-    nodes = [[GaussNode(complex(g[n]), gj.element(n), complex(om[n]))
-              for n in range(i * nt, (i + 1) * nt)] for i in range(ns)]
-    return GaussData(s0, t0, du, dv, ns, nt, S.H, nodes)
+    g, om = (x.reshape(ns, nt).copy() for x in (gj.value, omega_hat_jet(gj).value))
+    return GaussData(s0, t0, du, dv, ns, nt, S.H, gj, g, om)
 
 
 def _gauss_jet_in_chart(S: Surface, rj: Jet1, s, t, degree: int) -> Jet2:
@@ -349,38 +353,53 @@ def _gauss_jet_in_chart(S: Surface, rj: Jet1, s, t, degree: int) -> Jet2:
 # -- residuals -------------------------------------------------------------------
 
 
-def harmonic_residual(gd: GaussData, i: int, j: int) -> float:
-    """|g_zzbar + 2 conj(g) g_z g_zbar / (1 - |g|^2)| at a node with |g| != 1."""
-    nd = gd.node(i, j)
-    m = 1.0 - abs(nd.g) ** 2
-    if abs(abs(nd.g) - 1.0) < UNIT_CIRCLE_TOL:
-        raise ValueError("|g| = 1: use extended_harmonic_residual")
-    g_z, g_zbar, g_zzbar = nd.derivatives()
-    return abs(g_zzbar + 2.0 * np.conj(nd.g) * g_z * g_zbar / m)
+# The residuals are roundoff-level sums of products, so they are evaluated on
+# (re, im) pairs with the roundings of scalar complex arithmetic (and of
+# Python's x ** 2): NumPy's complex array kernels may fuse a multiply-add or
+# take |z| another way, and moving the last bit moves a residual of 1e-14.
 
 
-def extended_harmonic_residual(gd: GaussData, i: int, j: int) -> float:
-    """|g_zzbar + 2 (1 - |g|^2) conj(g) g_z conj(omega_hat)|; defined across |g| = 1."""
-    nd = gd.node(i, j)
-    if not np.isfinite([nd.omega_hat.real, nd.omega_hat.imag]).all():
-        raise ValueError("not regular extended harmonic: omega_hat not extendable")
-    m = 1.0 - abs(nd.g) ** 2
-    g_z, _, g_zzbar = nd.derivatives()
-    return abs(g_zzbar + 2.0 * m * np.conj(nd.g) * g_z * np.conj(nd.omega_hat))
+def _times(a, b):
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _one_minus_abs2(g):
+    return 1.0 - np.float_power(np.hypot(g.real, g.imag), 2.0)
+
+
+def harmonic_residual(gd: GaussData) -> np.ndarray:
+    """|g_zzbar + 2 conj(g) g_z g_zbar / (1 - |g|^2)| at every node, a (nu, nv)
+    array; nan where |g| = 1 (there use extended_harmonic_residual)."""
+    on = gd.on_unit_circle()
+    scale = 1.0 / np.where(on, 1.0, _one_minus_abs2(gd.g))
+    g_z, g_zbar, g_zzbar = gd.derivatives()
+    t = _times((2.0 * gd.g.real, -2.0 * gd.g.imag), (g_z.real, g_z.imag))
+    t = _times(t, (g_zbar.real, g_zbar.imag))
+    res = np.hypot(g_zzbar.real + t[0] * scale, g_zzbar.imag + t[1] * scale)
+    return np.where(on, np.nan, res)
+
+
+def extended_harmonic_residual(gd: GaussData) -> np.ndarray:
+    """|g_zzbar + 2 (1 - |g|^2) conj(g) g_z conj(omega_hat)| at every node, a
+    (nu, nv) array; defined across |g| = 1, nan where omega_hat is not finite."""
+    m2 = 2.0 * _one_minus_abs2(gd.g)
+    g_z, _, g_zzbar = gd.derivatives()
+    with np.errstate(invalid="ignore"):  # an infinite omega_hat gives nan, as documented
+        t = _times((m2 * gd.g.real, m2 * -gd.g.imag), (g_z.real, g_z.imag))
+        t = _times(t, (gd.omega_hat.real, -gd.omega_hat.imag))
+    res = np.hypot(g_zzbar.real + t[0], g_zzbar.imag + t[1])
+    return np.where(np.isfinite(gd.omega_hat), res, np.nan)
 
 
 def omega_hat(gd: GaussData, i: int, j: int) -> complex:
     """The representation 1-form coefficient at a node; unit-circle nodes are
     extended by a one-sided limit along the grid."""
-    nd = gd.node(i, j)
-    if abs(abs(nd.g) - 1.0) >= UNIT_CIRCLE_TOL:
-        return nd.omega_hat
+    if not gd.on_unit_circle()[i, j]:
+        return complex(gd.omega_hat[i, j])
     for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
         ii, jj = i + 3 * di, j + 3 * dj
         if 0 <= ii < gd.nu and 0 <= jj < gd.nv:
-            w1 = gd.node(i + di, j + dj).omega_hat
-            w2 = gd.node(i + 2 * di, j + 2 * dj).omega_hat
-            w3 = gd.node(i + 3 * di, j + 3 * dj).omega_hat
+            w1, w2, w3 = (gd.omega_hat[i + n * di, j + n * dj] for n in (1, 2, 3))
             if np.isfinite([w1.real, w2.real, w3.real]).all():
                 limit = 3 * w1 - 3 * w2 + w3  # quadratic one-sided extrapolation
                 gd.extension_notes[(i, j)] = "limit-extrapolated"
@@ -388,13 +407,22 @@ def omega_hat(gd: GaussData, i: int, j: int) -> complex:
     raise ValueError("not regular extended harmonic: no usable neighbors for the limit")
 
 
-def _integrand_jets(nd: GaussNode) -> tuple:
-    """V = (-2g, 1+g^2, i(1-g^2)) * omega_hat as complex jets."""
-    g = nd.g_jet
+def _integrand_jets(g: Jet2) -> tuple:
+    """V = (-2g, 1+g^2, i(1-g^2)) * omega_hat as complex jets, from the jet of
+    g (batched if g is)."""
     om = omega_hat_jet(g)
-    D = om.degree
-    gt = g.truncated(D)
+    gt = g.truncated(om.degree)
     return ((-2.0 * gt) * om, (1.0 + gt * gt) * om, (1j * (1.0 - gt * gt)) * om)
+
+
+def _walk(start, steps, k0: int, axis: int):
+    """Partial sums along `axis` out from index k0, where they equal `start`:
+    step k is added going from k to k + 1 and subtracted going back, one step
+    after the other."""
+    steps = np.moveaxis(steps, axis, 0)
+    up = np.cumsum(np.concatenate([start[None], steps[k0:]]), axis=0)
+    down = np.cumsum(np.concatenate([start[None], -steps[:k0][::-1]]), axis=0)[::-1]
+    return np.moveaxis(np.concatenate([down[:-1], up]), 0, axis)
 
 
 def integrate_representation(gd: GaussData, H: Optional[float] = None, z0=(0, 0)):
@@ -407,76 +435,57 @@ def integrate_representation(gd: GaussData, H: Optional[float] = None, z0=(0, 0)
     """
     H = gd.H if H is None else H
     nu, nv = gd.nu, gd.nv
-    V = np.empty((nu, nv, 3), dtype=complex)
-    Vu = np.empty_like(V)
-    Vv = np.empty_like(V)
-    Vu3 = np.zeros_like(V)
-    Vv3 = np.zeros_like(V)
-    om_scale = 0.0
-    for i in range(nu):
-        for j in range(nv):
-            jets = _integrand_jets(gd.node(i, j))
-            for c in range(3):
-                V[i, j, c] = jets[c].value
-                Vu[i, j, c] = jets[c].du().value
-                Vv[i, j, c] = jets[c].dv().value
-                if jets[c].degree >= 3:
-                    Vu3[i, j, c] = jets[c].partial(3, 0)
-                    Vv3[i, j, c] = jets[c].partial(0, 3)
-            om_scale = max(om_scale, abs(gd.node(i, j).omega_hat))
-    if om_scale < 1e-14:
+    jets = _integrand_jets(gd.g_jet)
+
+    def grid(f):  # a value per component of the integrand jets, as (nu, nv, 3)
+        return np.stack([f(jet) for jet in jets], -1).reshape(nu, nv, 3)
+
+    V = grid(lambda jet: jet.value)
+    Vu = grid(lambda jet: jet.du().value)
+    Vv = grid(lambda jet: jet.dv().value)
+    third = jets[0].degree >= 3
+    Vu3 = grid(lambda jet: jet.partial(3, 0)) if third else np.zeros_like(V)
+    Vv3 = grid(lambda jet: jet.partial(0, 3)) if third else np.zeros_like(V)
+    if not (abs(gd.omega_hat) >= 1e-14).any():
         raise ValueError("holomorphic Gauss map excluded (omega_hat = 0 on the grid)")
 
     du, dv = gd.du, gd.dv
-
-    # Euler-Maclaurin corrected trapezoid per edge, the derivatives from jets
-    def edge_u(i, j):  # integral of V dz from (i,j) to (i+1,j); dz = du
-        return (
-            du / 2 * (V[i, j] + V[i + 1, j])
-            - du**2 / 12 * (Vu[i + 1, j] - Vu[i, j])
-            + du**4 / 720 * (Vu3[i + 1, j] - Vu3[i, j])
-        )
-
-    def edge_v(i, j):  # from (i,j) to (i,j+1); dz = i dv
-        return 1j * (
-            dv / 2 * (V[i, j] + V[i, j + 1])
-            - dv**2 / 12 * (Vv[i, j + 1] - Vv[i, j])
-            + dv**4 / 720 * (Vv3[i, j + 1] - Vv3[i, j])
-        )
+    # Euler-Maclaurin corrected trapezoid per edge, the derivatives from jets:
+    # edge_u[i, j] is the integral of V dz from (i, j) to (i+1, j), dz = du,
+    # and edge_v[i, j] from (i, j) to (i, j+1), dz = i dv
+    edge_u = (
+        du / 2 * (V[:-1] + V[1:])
+        - du**2 / 12 * (Vu[1:] - Vu[:-1])
+        + du**4 / 720 * (Vu3[1:] - Vu3[:-1])
+    )
+    edge_v = 1j * (
+        dv / 2 * (V[:, :-1] + V[:, 1:])
+        - dv**2 / 12 * (Vv[:, 1:] - Vv[:, :-1])
+        + dv**4 / 720 * (Vv3[:, 1:] - Vv3[:, :-1])
+    )
 
     # path integral along the z0 row, then along columns
-    I = np.zeros((nu, nv, 3), dtype=complex)
     i0, j0 = z0
-    for i in range(i0 + 1, nu):
-        I[i, j0] = I[i - 1, j0] + edge_u(i - 1, j0)
-    for i in range(i0 - 1, -1, -1):
-        I[i, j0] = I[i + 1, j0] - edge_u(i, j0)
-    for i in range(nu):
-        for j in range(j0 + 1, nv):
-            I[i, j] = I[i, j - 1] + edge_v(i, j - 1)
-        for j in range(j0 - 1, -1, -1):
-            I[i, j] = I[i, j + 1] - edge_v(i, j)
-
+    row = _walk(np.zeros(3, complex), edge_u[:, j0], i0, 0)
+    I = _walk(row, edge_v, j0, 1)
     X = 2.0 * representation_constant(H) * np.real(I)
 
     # the reconstruction only uses Re int V dz, and only that part is a closed
     # form (d Re(V dz) = -2 Im(V_zbar) du dv); the loop check measures it
-    loop_max = 0.0
-    worst_cell = (0, 0)
-    for i in range(nu - 1):
-        for j in range(nv - 1):
-            loop = edge_u(i, j) + edge_v(i + 1, j) - edge_u(i, j + 1) - edge_v(i, j)
-            scale = max(
-                np.linalg.norm(V[i, j]) * (abs(du) + abs(dv)), 1e-300
-            )
-            rel = float(np.linalg.norm(np.real(loop))) / scale
-            if rel > loop_max:
-                loop_max, worst_cell = rel, (i, j)
+    # (np.vecdot rounds each norm as np.linalg.norm of one vector does: by dot products)
+    loop = np.real(edge_u[:, :-1] + edge_v[1:] - edge_u[:, 1:] - edge_v[:-1])
+    W = V[:-1, :-1]
+    scale = np.sqrt(np.vecdot(W.real, W.real) + np.vecdot(W.imag, W.imag)) * (abs(du) + abs(dv))
+    rel = np.fmax(np.sqrt(np.vecdot(loop, loop)) / np.maximum(scale, 1e-300), 0.0)  # nan: 0
+    worst, loop_max = (0, 0), 0.0
+    if rel.size:
+        k = int(np.argmax(rel))  # the first worst cell in row-major order
+        worst, loop_max = divmod(k, nv - 1), float(rel.flat[k])
 
     return {
         "X": X,
         "loop_max_rel": loop_max,
-        "worst_cell": worst_cell,
+        "worst_cell": worst,
         "integrand": V,
         "z0": (i0, j0),
         "H": H,
@@ -490,7 +499,8 @@ def reconstruction_surface(gd: GaussData, rec=None):
     integrand jets through X_u = 2 Re(c V), X_v = -2 Im(c V).  Off-node
     requests snap to the nearest node (the data is a grid, not a germ), which
     is enough for fundamental_forms on the reconstruction.  A batch of points
-    (from mesh_export) is served node by node.
+    (from mesh_export) indexes the batch of integrand jets, each point based
+    at its own node.
     """
     from .surfaces import custom_surface, _probe_orientation
 
@@ -498,41 +508,26 @@ def reconstruction_surface(gd: GaussData, rec=None):
         rec = integrate_representation(gd)
     X = rec["X"]
     c = representation_constant(gd.H)
-
-    def node_jets(u, v, degree):
-        i = int(round((u - gd.u0) / gd.du))
-        j = int(round((v - gd.v0) / gd.dv))
-        i = min(max(i, 0), gd.nu - 1)
-        j = min(max(j, 0), gd.nv - 1)
-        V = _integrand_jets(gd.node(i, j))
-        D = min(degree, V[0].degree + 1)
-        base = (gd.u0 + i * gd.du, gd.v0 + j * gd.dv)
-        out = []
-        for comp in range(3):
-            arr = np.zeros((D + 1, D + 1))
-            arr[0, 0] = X[i, j, comp]
-            cv = (c * V[comp].c).astype(complex)
-            for a in range(D):
-                for b in range(D - a):
-                    if a + b > V[comp].degree:
-                        continue
-                    # d/du X = 2 Re(cV); column b of row a integrates in u
-                    arr[a + 1, b] = 2.0 * cv[a, b].real / (a + 1)
-            for b in range(D):
-                if b <= V[comp].degree:
-                    arr[0, b + 1] = -2.0 * cv[0, b].imag / (b + 1)
-            out.append(Jet2(base, D, arr))
-        return tuple(out)
+    cV = [c * comp.c for comp in _integrand_jets(gd.g_jet)]  # element i * nv + j: node (i, j)
+    d = cV[0].shape[-1] - 1
 
     def builder(u, v, degree):
-        if not isinstance(u, np.ndarray):
-            return node_jets(u, v, degree)
-        # a batch of points: each snaps to its own node, based there
-        per_point = [node_jets(a, b, degree) for a, b in zip(u.tolist(), v.tolist())]
-        return tuple(
-            Jet2(tuple(np.array([p[comp].base[axis] for p in per_point]) for axis in (0, 1)),
-                 per_point[0][comp].degree, np.stack([p[comp].c for p in per_point]))
-            for comp in range(3))
+        i = np.clip(np.rint((np.asarray(u) - gd.u0) / gd.du).astype(int), 0, gd.nu - 1)
+        j = np.clip(np.rint((np.asarray(v) - gd.v0) / gd.dv).astype(int), 0, gd.nv - 1)
+        D = min(degree, d + 1)
+        n = np.arange(1, D + 1)
+        # d/du X = 2 Re(cV): row a of cV integrates in u to row a + 1; and
+        # d/dv X = -2 Im(cV): on u = u0 row 0 integrates in v
+        inside = np.add.outer(np.arange(D), np.arange(D)) < D  # a + 1 + b <= D
+        out = []
+        for comp in range(3):
+            cv = cV[comp][i * gd.nv + j]
+            arr = np.zeros(cv.shape[:-2] + (D + 1, D + 1))
+            arr[..., 0, 0] = X[i, j, comp]
+            arr[..., 1:, :D] = np.where(inside, 2.0 * cv[..., :D, :D].real / n[:, None], 0.0)
+            arr[..., 0, 1:] = -2.0 * cv[..., 0, :D].imag / n
+            out.append(Jet2((gd.u0 + i * gd.du, gd.v0 + j * gd.dv), D, arr))
+        return tuple(out)
 
     S = custom_surface(
         builder,
@@ -547,9 +542,8 @@ def reconstruction_surface(gd: GaussData, rec=None):
 
 def derivative_identity_residual(gd: GaussData, i: int, j: int, X_u: np.ndarray, X_v: np.ndarray) -> float:
     """|X_z - c V| / max(|c V|, tiny) with X_z = (X_u - i X_v)/2 in the chart."""
-    nd = gd.node(i, j)
     c = representation_constant(gd.H)
-    V = np.array([complex(comp.value) for comp in _integrand_jets(nd)])
+    V = np.array([complex(comp.value) for comp in _integrand_jets(gd.g_jet.element(i * gd.nv + j))])
     Xz = (X_u - 1j * X_v) / 2.0
     scale = max(float(np.linalg.norm(V)) * abs(c), 1e-300)
     return float(np.linalg.norm(Xz - c * V)) / scale
@@ -578,14 +572,11 @@ def representation_roundtrip(profile: ConformalProfile, gd: GaussData, rec=None)
     i0, j0 = rec["z0"]
     nu_, nv_ = gd.nu, gd.nv
 
-    # original vertices and base frame in the chart
-    Y = np.empty((nu_, nv_, 3))
-    for i in range(nu_):
-        s = gd.u0 + i * gd.du
-        r = profile.r_of_s(s)
-        for j in range(nv_):
-            t = gd.v0 + j * gd.dv
-            Y[i, j] = S.point(r, CHART_T_SIGN * t)
+    # original vertices (r(s) solved per row) and base frame in the chart
+    r = [profile.r_of_s(s) for s in gd.u0 + np.arange(nu_) * gd.du]
+    t = gd.v0 + np.arange(nv_) * gd.dv
+    Y = np.stack([c.value for c in S.jet(np.repeat(r, nv_), CHART_T_SIGN * np.tile(t, nu_), 0)],
+                 -1).reshape(nu_, nv_, 3)
 
     Yj = profile.surface_jets(gd.u0 + i0 * gd.du, gd.v0 + j0 * gd.dv, 2)
     Yu, Yv = partial_values(Yj, 1, 0), partial_values(Yj, 0, 1)
@@ -668,11 +659,7 @@ def singular_locus_characterization(S: Surface, box=None, n_grid: int = 41) -> d
     alongside."""
     from .singularities import trace_singular_curve
 
-    if box is None:
-        (ulo, uhi), (vlo, vhi) = S.u_range, S.v_range
-        s = 1e-6 * (uhi - ulo)
-        box = (ulo + s, uhi - s, vlo, vhi)
-    records = trace_singular_curve(S, box=box, n_grid=n_grid)
+    records = trace_singular_curve(S, box=box, n_grid=n_grid)  # box None: the scan's default
     locus = []
     g_inf = []
     omega_zero = []
@@ -682,11 +669,7 @@ def singular_locus_characterization(S: Surface, box=None, n_grid: int = 41) -> d
         T = dlam / max(np.linalg.norm(dlam), 1e-300)
         entry = {"location": list(map(float, rec.location)), "rank": rec.rank}
         try:
-            vals = []
-            for side in (1.0, -1.0):
-                ys = [abs(complex(gauss_map_of(S, tuple(p + side * h * T))))
-                      for h in (1e-3, 5e-4, 2.5e-4)]
-                vals.append((8 * ys[2] - 6 * ys[1] + ys[0]) / 3.0)
+            vals = [_abs_g_limit(S, p, side * T, 1e-3)[1] for side in (1.0, -1.0)]
             entry["abs_g_limits"] = vals
             entry["type"] = "unit_circle" if max(abs(v - 1) for v in vals) < 1e-4 else "other"
             if any(not np.isfinite(v) or v > 1e6 for v in vals):

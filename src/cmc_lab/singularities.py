@@ -574,6 +574,15 @@ class CriterionReport:
         }
 
 
+def conjugate_condition4_det(k: float, H: float) -> float:
+    """The closed-form condition-4 determinant of the conjugate of the
+    timelike-axis Delaunay surface: -36/(H |k - 1|)^3 on branch I-i, and
+    9/H^2 on branch I-ii (k = -1)."""
+    if k == -1.0:
+        return 9.0 / (H * H)
+    return -36.0 / (H * abs(k - 1.0)) ** 3
+
+
 def criterion_25(
     S: Surface,
     records: Sequence[SingularPointRecord],
@@ -693,7 +702,7 @@ def cmc_fold_obstruction(
     |g| - 1 must differ on the two sides), a nondegeneracy estimate |dg|, and
     the Laplace identity residual Delta X + 2 H nu at flanking regular points.
     """
-    from .representation import gauss_map_of, laplacian_identity_residual
+    from .representation import _abs_g_limit, gauss_map_of, laplacian_identity_residual
 
     if record.rank == 0:
         return {
@@ -710,8 +719,7 @@ def cmc_fold_obstruction(
 
     sides = {}
     for name, sgn in (("plus", 1.0), ("minus", -1.0)):
-        ys = [abs(g_at(p + sgn * h * T)) for h in (offset, offset / 2, offset / 4)]
-        limit = (8 * ys[2] - 6 * ys[1] + ys[0]) / 3.0
+        ys, limit = _abs_g_limit(S, p, sgn * T, offset)
         sides[name] = {
             "samples": ys,
             "limit_abs_g": limit,

@@ -30,7 +30,7 @@ def _report(num, name, ok, detail=""):
 
 def test_criterion_1_conjugate_classification():
     # the third case is (1/2, 3): the criterion's "(1,3)" contradicts its own
-    # expected value -36 = -72/((1/2)^2 |3-1|^3) and the H = 1/2 pin elsewhere
+    # expected value -36 = -36/((1/2) |3-1|)^3 and the H = 1/2 pin elsewhere
     cases = [(0.5, 2.0, -288.0), (0.5, 0.5, -2304.0), (0.5, 3.0, -36.0)]
     ok = True
     details = []
@@ -44,7 +44,7 @@ def test_criterion_1_conjugate_classification():
             and rep.condition3_max_abs_det < 1e-7
             and all(abs(s.cond4_det - expected) <= 1e-5 * abs(expected) for s in rep.samples)
         )
-        formula = -72.0 / (H * H * abs(k - 1) ** 3)
+        formula = sg.conjugate_condition4_det(k, H)
         details.append(
             f"(H={H},k={k}): n={len(recs)}, verdict={rep.verdict}, "
             f"cond4={rep.condition4_det:.6f} vs {formula}"
@@ -255,7 +255,7 @@ def test_criterion_7_conjugate_isometry(delaunay_t_k2, conj_k2):
 
 def test_criterion_8_representation_roundtrip(profile_t_k2, gauss_data_t_k2):
     gd = gauss_data_t_k2
-    hmax = max(rp.harmonic_residual(gd, i, j) for i in range(gd.nu) for j in range(gd.nv))
+    hmax = rp.harmonic_residual(gd).max()
     rec = rp.integrate_representation(gd, z0=(12, 6))
     rt = rp.representation_roundtrip(profile_t_k2, gd, rec)
     gc = [rp.gauss_codazzi_residual(profile_t_k2, float(s), float(t))

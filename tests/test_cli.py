@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from cmc_lab import singularities as sg
 from cmc_lab.cli import main
 
 
@@ -280,7 +281,7 @@ def test_sweep_rows_and_predictions(tmp_path):
     assert abs(float(preds["2.0"]) + 288.0) < 1e-12
     assert abs(float(preds["0.5"]) + 2304.0) < 1e-12
     assert abs(float(preds["3.0"]) + 36.0) < 1e-12
-    assert preds["-1.0"] == ""
+    assert abs(float(preds["-1.0"]) - 36.0) < 1e-12  # branch I-ii: 9/H^2
     assert all(r["verdict"] == "cusp25" for r in rows)
     assert all(float(r["rel_diff"]) < 1e-6 for r in rows if r["rel_diff"])
 
@@ -291,7 +292,8 @@ def test_uncomputed_condition4_det_is_null(tmp_path):
     crit = strict_json(tmp_path / "c.json")["results"]["criterion"]
     assert crit["verdict"] == "not_applicable" and "not of the first kind" in crit["reason"]
     assert crit["condition4_det"] is None
-    assert run(tmp_path, "sweep", "--k", "-1", "--H", "0.3", "-o", "s.csv") == 0
+    # a finer grid flips this verdict (the scan's records are not all roots)
+    assert run(tmp_path, "sweep", "--k", "-1", "--H", "0.3", "--grid", "33", "-o", "s.csv") == 0
     with open(tmp_path / "s.csv", newline="") as fh:
         (row,) = csv.DictReader(fh)
     assert row["verdict"] == "not_applicable"
@@ -303,6 +305,31 @@ def test_uncomputed_condition4_det_is_null(tmp_path):
     assert row["verdict"] == "not_applicable"
     assert abs(float(row["cond4_det"]) + 288.0) < 1e-5 * 288
     assert float(row["rel_diff"]) < 1e-6
+
+
+@pytest.mark.parametrize("k, H, grid", [(2.0, 1.0, "9"), (0.5, 0.7, "5"), (-2.0, 0.5, "9"),
+                                        (-1.0, 0.3, "9"), (-1.0, 0.8, "5")])
+def test_sweep_matches_classify(tmp_path, k, H, grid):
+    """Sweep scans the domain classify scans, on branch I-i and I-ii alike, and
+    its prediction is the library's closed form."""
+    assert run(tmp_path, "sweep", f"--k={k}", f"--H={H}", "--grid", grid, "-o", "s.csv") == 0
+    assert run(tmp_path, "classify", "--family", "conjugate", "--of", "delaunay-t", f"--k={k}",
+               f"--H={H}", "--grid", grid, "--samples", "0", "-o", "c.json") == 0
+    with open(tmp_path / "s.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    crit = strict_json(tmp_path / "c.json")["results"]["criterion"]
+    assert row["branch"] == ("I-ii" if k == -1.0 else "I-i")
+    assert row["verdict"] == crit["verdict"] == "cusp25"
+    assert float(row["cond4_det"]) == crit["condition4_det"]
+    pred = sg.conjugate_condition4_det(k, H)
+    assert float(row["predicted_case_I"]) == pred
+    assert abs(crit["condition4_det"] - pred) <= 1e-9 * abs(pred)
+
+
+def test_conjugate_condition4_closed_form():
+    assert sg.conjugate_condition4_det(2.0, 0.5) == -288.0
+    assert sg.conjugate_condition4_det(3.0, 1.0) == -4.5
+    assert sg.conjugate_condition4_det(-1.0, 0.3) == 9.0 / 0.09
 
 
 def test_sweep_empty_list_exit2(tmp_path):

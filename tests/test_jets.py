@@ -395,6 +395,30 @@ def test_batched_compose2_bit_identical_to_scalar(size, f_degree, degree, data):
         assert got[i].tobytes() == want.c.tobytes(), i
 
 
+@given(st.integers(1, 4), st.integers(1, 5), st.data())
+@settings(max_examples=100, deadline=None)
+def test_batched_compose_inverse_bit_identical_to_scalar(size, degree, data):
+    """The inverse of each element of a batch against the scalar inverse; the
+    higher coefficients are often zero, in some elements and not in others."""
+    shape = (size, degree + 1)
+    c = np.array(data.draw(st.lists(_real_coefficient(), min_size=size * (degree + 1),
+                                    max_size=size * (degree + 1)))).reshape(shape)
+    c[:, 1] = data.draw(st.lists(st.floats(0.1, 10.0), min_size=size, max_size=size))
+    c[:, 1] *= data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=size, max_size=size))
+    x, x_i = _batch_and_elements(Jet1, size, degree, c)
+    inv = x.compose_inverse()
+    for i in range(size):
+        want = x_i[i].compose_inverse()
+        assert inv.base[i] == want.base and inv.degree == want.degree
+        assert inv.c[i].tobytes() == want.c.tobytes(), i
+
+
+def test_batched_compose_inverse_rejects_a_vanishing_slope():
+    x = Jet1(np.array([0.0, 1.0]), 2, np.array([[0.0, 1.0, 0.5], [1.0, 0.0, 2.0]]))
+    with pytest.raises(JetDomainError, match="not invertible"):
+        x.compose_inverse()
+
+
 def test_element_is_the_scalar_jet():
     u = Jet2.coordinate((np.array([0.5, 1.5]), np.array([0.0, 2.0])), 3, 0)
     e = u.element(1)

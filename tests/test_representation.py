@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cmc_lab import representation as rp
 from cmc_lab import surfaces as sf
@@ -162,11 +162,20 @@ def test_gauss_data_nodes_match_per_node_evaluation(family, t, H, ns, nt):
         for j in range(nt):
             t_ = 0.0 + j * gd.dv
             gj = rp._gauss_jet_in_chart(S, rj, s, t_, 4)
-            nd = gd.node(i, j)
-            assert nd.g_jet.base == gj.base and nd.g_jet.degree == gj.degree == 4
-            assert _close(nd.g_jet.c, gj.c)
-            assert _close(nd.g, gj.value)
-            assert _close(nd.omega_hat, rp.omega_hat_jet(gj).value)
+            node = gd.g_jet.element(i * nt + j)
+            assert node.base == gj.base and node.degree == gj.degree == 4
+            assert _close(node.c, gj.c)
+            assert _close(gd.g[i, j], gj.value)
+            assert _close(gd.omega_hat[i, j], rp.omega_hat_jet(gj).value)
+
+
+def _grid_of(gj, g, omega_hat, nu=1, nv=1):
+    """GaussData of nu x nv copies of one node: the scalar jet gj, g and omega_hat."""
+    i, j = np.divmod(np.arange(nu * nv), nv)
+    base = (gj.base[0] + 0.1 * i, gj.base[1] + 0.1 * j)
+    batch = Jet2(base, gj.degree, np.repeat(gj.c[None], nu * nv, axis=0))
+    return GaussData(*gj.base, 0.1, 0.1, nu, nv, 0.5, batch,
+                     np.full((nu, nv), g, complex), np.full((nu, nv), omega_hat, complex))
 
 
 def test_gauss_map_values(delaunay_t_k2):
@@ -183,17 +192,26 @@ def test_gauss_map_abs_straddles_unity(delaunay_t_k2):
 
 def test_harmonic_residual_small_on_delaunay(gauss_data_t_k2):
     gd = gauss_data_t_k2
-    worst = max(harmonic_residual(gd, i, j) for i in range(gd.nu) for j in range(gd.nv))
-    assert worst < 1e-6
+    assert harmonic_residual(gd).shape == (gd.nu, gd.nv)
+    assert harmonic_residual(gd).max() < 1e-6
 
 
 def test_extended_equals_harmonic_off_circle(gauss_data_t_k2):
     gd = gauss_data_t_k2
-    for i in (0, 7, 20):
-        for j in (0, 6, 12):
-            d = abs(harmonic_residual(gd, i, j) - extended_harmonic_residual(gd, i, j))
-            scale = max(abs(gd.node(i, j).g), 1.0)
-            assert d < 1e-9 * scale
+    d = abs(harmonic_residual(gd) - extended_harmonic_residual(gd))
+    assert (d < 1e-9 * np.maximum(abs(gd.g), 1.0)).all()
+
+
+def test_residuals_on_the_unit_circle_and_without_omega_hat(gauss_data_t_k2):
+    import copy
+
+    gd = copy.deepcopy(gauss_data_t_k2)
+    gd.g[0, 0] = 1.0
+    gd.omega_hat[1, 2] = complex(math.inf, 0.0)
+    h, e = harmonic_residual(gd), extended_harmonic_residual(gd)
+    assert np.isnan(h[0, 0]) and np.isfinite(e[0, 0])
+    assert np.isnan(e[1, 2]) and np.isfinite(h[1, 2])
+    assert np.isfinite(np.delete(h.ravel(), 0)).all()
 
 
 def test_holomorphic_gauss_map_residuals_vanish():
@@ -203,10 +221,9 @@ def test_holomorphic_gauss_map_residuals_vanish():
     gj = z * z + 0.5
     om = rp.omega_hat_jet(gj)
     assert abs(om.value) < 1e-15
-    node = rp.GaussNode(complex(gj.value), gj, complex(om.value))
-    gd = GaussData(0.3, 0.2, 0.1, 0.1, 1, 1, 0.5, [[node]])
-    assert harmonic_residual(gd, 0, 0) < 1e-14
-    assert extended_harmonic_residual(gd, 0, 0) < 1e-14
+    gd = _grid_of(gj, gj.value, om.value)
+    assert harmonic_residual(gd)[0, 0] < 1e-14
+    assert extended_harmonic_residual(gd)[0, 0] < 1e-14
 
 
 def test_antiholomorphic_example_residual_and_omega():
@@ -215,20 +232,18 @@ def test_antiholomorphic_example_residual_and_omega():
     gj = (Jet2.coordinate(base, 3, 0) - 1j * Jet2.coordinate(base, 3, 1)) * 0.5
     om = rp.omega_hat_jet(gj)
     assert abs(complex(om.value) - 0.5) < 1e-15
-    node = rp.GaussNode(complex(gj.value), gj, complex(om.value))
-    gd = GaussData(0.0, 0.0, 0.1, 0.1, 1, 1, 0.5, [[node]])
-    assert harmonic_residual(gd, 0, 0) == 0.0
+    gd = _grid_of(gj, gj.value, om.value)
+    assert harmonic_residual(gd)[0, 0] == 0.0
 
 
 def test_omega_hat_direct_and_limit(gauss_data_t_k2):
     gd = gauss_data_t_k2
-    assert omega_hat(gd, 3, 3) == gd.node(3, 3).omega_hat
+    assert omega_hat(gd, 3, 3) == gd.omega_hat[3, 3]
     # synthetic unit-circle node: extension by one-sided limit along the grid
     import copy
 
     gd2 = copy.deepcopy(gd)
-    nd = gd2.node(0, 0)
-    gd2.nodes[0][0] = rp.GaussNode(complex(1.0, 0.0), nd.g_jet, nd.omega_hat)
+    gd2.g[0, 0] = 1.0
     w = omega_hat(gd2, 0, 0)
     assert np.isfinite([w.real, w.imag]).all()
     assert gd2.extension_notes[(0, 0)] == "limit-extrapolated"
@@ -243,8 +258,7 @@ def test_gauss_data_json_roundtrip(gauss_data_t_k2):
 
 def test_gauss_data_json_strict_with_infinite_omega_hat():
     gj = Jet2.constant(0.25 + 0.1j, (0.0, 0.0), 2)
-    node = rp.GaussNode(0.25 + 0.1j, gj, complex(math.inf, 0.0))
-    gd = GaussData(0.0, 0.0, 0.1, 0.1, 1, 1, 0.5, [[node]])
+    gd = _grid_of(gj, 0.25 + 0.1j, complex(math.inf, 0.0))
     text = gd.to_json()
 
     def reject(name):
@@ -276,6 +290,80 @@ def test_loop_closedness(gauss_data_t_k2):
     assert rec["loop_max_rel"] < 1e-8
 
 
+def _integrate_per_node(gd, z0):
+    """integrate_representation node by node and edge by edge: the reference
+    the array version must match bit for bit."""
+    nu, nv, du, dv = gd.nu, gd.nv, gd.du, gd.dv
+    V, Vu, Vv, Vu3, Vv3 = (np.zeros((nu, nv, 3), dtype=complex) for _ in range(5))
+    for i in range(nu):
+        for j in range(nv):
+            jets = rp._integrand_jets(gd.g_jet.element(i * nv + j))
+            for c in range(3):
+                V[i, j, c] = jets[c].value
+                Vu[i, j, c] = jets[c].du().value
+                Vv[i, j, c] = jets[c].dv().value
+                if jets[c].degree >= 3:
+                    Vu3[i, j, c] = jets[c].partial(3, 0)
+                    Vv3[i, j, c] = jets[c].partial(0, 3)
+
+    def edge_u(i, j):
+        return (du / 2 * (V[i, j] + V[i + 1, j]) - du**2 / 12 * (Vu[i + 1, j] - Vu[i, j])
+                + du**4 / 720 * (Vu3[i + 1, j] - Vu3[i, j]))
+
+    def edge_v(i, j):
+        return 1j * (dv / 2 * (V[i, j] + V[i, j + 1]) - dv**2 / 12 * (Vv[i, j + 1] - Vv[i, j])
+                     + dv**4 / 720 * (Vv3[i, j + 1] - Vv3[i, j]))
+
+    I = np.zeros((nu, nv, 3), dtype=complex)
+    i0, j0 = z0
+    for i in range(i0 + 1, nu):
+        I[i, j0] = I[i - 1, j0] + edge_u(i - 1, j0)
+    for i in range(i0 - 1, -1, -1):
+        I[i, j0] = I[i + 1, j0] - edge_u(i, j0)
+    for i in range(nu):
+        for j in range(j0 + 1, nv):
+            I[i, j] = I[i, j - 1] + edge_v(i, j - 1)
+        for j in range(j0 - 1, -1, -1):
+            I[i, j] = I[i, j + 1] - edge_v(i, j)
+    loop_max, worst = 0.0, (0, 0)
+    for i in range(nu - 1):
+        for j in range(nv - 1):
+            loop = edge_u(i, j) + edge_v(i + 1, j) - edge_u(i, j + 1) - edge_v(i, j)
+            scale = max(np.linalg.norm(V[i, j]) * (abs(du) + abs(dv)), 1e-300)
+            rel = float(np.linalg.norm(np.real(loop))) / scale
+            if rel > loop_max:
+                loop_max, worst = rel, (i, j)
+    return 2.0 * representation_constant(gd.H) * np.real(I), V, loop_max, worst
+
+
+@pytest.mark.parametrize("z0", [(0, 0), (12, 6), (24, 12)])
+def test_integrate_representation_bit_identical_to_a_per_node_loop(gauss_data_t_k2, z0):
+    X, V, loop_max, worst = _integrate_per_node(gauss_data_t_k2, z0)
+    rec = integrate_representation(gauss_data_t_k2, z0=z0)
+    assert rec["X"].tobytes() == X.tobytes() and rec["integrand"].tobytes() == V.tobytes()
+    assert rec["loop_max_rel"] == loop_max and rec["worst_cell"] == worst
+
+
+@given(st.integers(2, 4), st.integers(2, 4), st.integers(3, 5), st.data())
+@settings(max_examples=60, deadline=None)
+def test_integrate_representation_bit_identical_on_random_grids(nu, nv, degree, data):
+    """Random complex g jets with |g| < 1 (degree 5 reaches the third-derivative
+    edge terms); a small grid makes each cell's loop the worst in some example."""
+    n = nu * nv * (degree + 1) ** 2
+    c = 0.5 * np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * n, max_size=2 * n)))
+    i, j = np.divmod(np.arange(nu * nv), nv)
+    gj = Jet2((0.1 * i, 0.2 * j), degree, c.view(complex).reshape(nu * nv, degree + 1, degree + 1))
+    om = rp.omega_hat_jet(gj).value
+    assume((abs(om) >= 1e-14).any())
+    gd = GaussData(0.0, 0.0, 0.1, 0.2, nu, nv, 0.5, gj, gj.value.reshape(nu, nv), om.reshape(nu, nv))
+    z0 = (data.draw(st.integers(0, nu - 1)), data.draw(st.integers(0, nv - 1)))
+    X, V, loop_max, worst = _integrate_per_node(gd, z0)
+    rec = integrate_representation(gd, z0=z0)
+    assert rec["X"].tobytes() == X.tobytes() and rec["integrand"].tobytes() == V.tobytes()
+    assert rec["loop_max_rel"] == loop_max and rec["worst_cell"] == worst
+    assert type(rec["worst_cell"][0]) is int
+
+
 def test_roundtrip_reconstruction(profile_t_k2, gauss_data_t_k2):
     rt = representation_roundtrip(profile_t_k2, gauss_data_t_k2)
     assert rt["discrepancy"] < 1e-5
@@ -298,9 +386,7 @@ def test_representation_constant_is_single_sourced():
 def test_constant_gauss_map_rejected():
     base = (0.0, 0.0)
     gj = Jet2.constant(0.25 + 0.1j, base, 3)
-    node = rp.GaussNode(complex(gj.value), gj, 0j)
-    nodes = [[node, node], [node, node]]
-    gd = GaussData(0.0, 0.0, 0.1, 0.1, 2, 2, 0.5, nodes)
+    gd = _grid_of(gj, gj.value, 0j, 2, 2)
     with pytest.raises(ValueError, match="holomorphic Gauss map excluded"):
         integrate_representation(gd)
 

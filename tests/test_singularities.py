@@ -281,16 +281,16 @@ def test_criterion_not_applicable_on_conelike(delaunay_t_k2, delaunay_t_records)
 )
 def test_criterion_on_every_conjugate_branch(family, k, variant):
     """All conjugate branches carry (2,5)-cuspidal edges, and the order-5
-    determinant magnitude follows the same closed form 72/(H^2 |k-1|^3) on the
-    branches that have a k."""
+    determinant magnitude follows the closed form of the timelike-axis
+    conjugate on the branches that have a k."""
     S = sf.conjugate_of(family, k=k, H=0.5, variant=variant)
     hw = min(0.35, 0.8 * S.u_range[1])
     recs = trace_singular_curve(S, box=(-hw, hw, 0.1, 1.2), n_grid=7)
     rep = criterion_25(S, recs)
     assert rep.verdict == "cusp25", (family, k, rep.reason)
     assert all(r.kind == "first_kind" for r in recs)
-    if k is not None and k != -1.0:
-        expect = 72.0 / (0.25 * abs(k - 1) ** 3)
+    if k is not None:
+        expect = abs(sg.conjugate_condition4_det(k, 0.5))
         assert abs(abs(rep.condition4_det) - expect) < 1e-5 * expect
 
 
