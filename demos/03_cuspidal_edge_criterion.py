@@ -28,7 +28,7 @@ for k in (2.0, 0.5, 3.0):
     S = conjugate_of("delaunay_timelike", k=k, H=H)
     recs = trace_singular_curve(S, box=(-0.3, 0.3, 0.1, 1.5), n_grid=13)
     rep = criterion_25(S, recs)
-    pred = conjugate_condition4_det(k, H)
+    pred = conjugate_condition4_det(S.meta["branch"], k, H)
     a, b = rep.special_field
     print(f"  {k:5.2f} ({a:8.1e}, {b:6.3f}) {rep.C:10.2e} {rep.condition4_det:14.6f} "
           f"{pred:18.1f} {rep.verdict}")
@@ -37,5 +37,5 @@ print("\nthe k = -1 branch (lightlike template) gets the same verdict:")
 S = conjugate_of("delaunay_timelike", k=-1.0, H=H)
 recs = trace_singular_curve(S, box=(-0.3, 0.3, 0.1, 1.3), n_grid=9)
 rep = criterion_25(S, recs)
-print(f"  k=-1.00 cond4 = {rep.condition4_det:.6f} (9/H^2 = {conjugate_condition4_det(-1.0, H):.1f})"
+print(f"  k=-1.00 cond4 = {rep.condition4_det:.6f} (9/H^2 = {conjugate_condition4_det('I-ii', -1.0, H):.1f})"
       f" -> {rep.verdict}")

@@ -176,6 +176,7 @@ def classify_payload(S, args) -> dict:
         if S.family.startswith("delaunay") and rec.rank == 1:
             certificates.append(sg.cmc_fold_obstruction(S, rec))
     report = sg.classification_report(S, recs, criterion, certificates)
+    report["unconfirmed_roots"] = recs.unconfirmed_roots
     report["fold_symmetry"] = fold_reports
     report["tolerances"] = {"tol3": args.tol3, "tol4": args.tol4, "tol_C": args.tol_C}
     return report
@@ -211,7 +212,7 @@ def sweep_row(k, H, args) -> dict:
         row["verdict"] = rep.verdict if rep else "no-singular-points"
         if rep and rep.condition4_det is not None:  # None: not computed, nothing to compare
             row["cond4_det"] = repr(rep.condition4_det)
-            pred = sg.conjugate_condition4_det(k, H)
+            pred = sg.conjugate_condition4_det(S.meta["branch"], k, H)
             row["predicted_case_I"] = repr(pred)
             row["rel_diff"] = repr(abs(rep.condition4_det - pred) / abs(pred))
     except Exception as e:  # per-row failures recorded, sweep continues

@@ -35,8 +35,9 @@ integer powers), `value`, `truncated`, `partial`, `du`/`dv`/`dx`, the
 composition helpers (`compose2` too) and the elementary functions all keep
 the batch axis.  `value` is then a (B,) array, a (B,) array may be added to or
 multiplied into a batched jet as a per-element constant, and `element(i)` is
-the scalar jet of element i.  `compose_inverse` inverts each element.
-`gradient`, `__call__` and the vector-field helpers take scalar jets only.
+the scalar jet of element i.  `compose_inverse` inverts each element, and
+`gradient` gives one row per element.  `__call__` and the vector-field
+helpers take scalar jets only.
 
 Array contract.  The elementary functions (sqrt, exp, log, sin, cos, sinh,
 cosh, arctan, artanh, power) take a jet, a float or an array of floats: a
@@ -342,9 +343,10 @@ class Jet2(_Jet):
         return _by_coefficient(self.c, 2)[a, b] * math.factorial(a) * math.factorial(b)
 
     def gradient(self):
+        """(df/du, df/dv) at the base point: shape (2,), or (B, 2) for a batch."""
         if self.degree < 1:
             raise JetOrderError("jet order exhausted")
-        return np.array([self.c[1, 0], self.c[0, 1]])
+        return np.stack([self.c[..., 1, 0], self.c[..., 0, 1]], axis=-1)
 
     def conjugate(self) -> "Jet2":
         return self._like(self.degree, np.conj(self.c))

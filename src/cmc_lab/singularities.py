@@ -38,6 +38,7 @@ ANGLE_TOL = 1e-6      # first-kind transversality threshold
 IMG_TOL = 1e-9        # conelike image-diameter threshold
 RANK_TOL = 1e-7       # rank-1 vs rank-0 of dX
 ROOT_TOL = 1e-12      # bisection tolerance for curve roots
+ROOT_GATE = 1e3       # a scan root needs |lambda| <= ROOT_GATE * ROOT_TOL * max(|dlambda|, 1)
 
 
 class NormalUndefinedError(ValueError):
@@ -80,42 +81,82 @@ class SingularPointRecord:
 # -- normals and the signed area density --------------------------------------
 
 
+def _norm(x):
+    """Euclidean norm over the last axis (np.linalg.norm of each row, to the bit)."""
+    return np.sqrt(np.vecdot(x, x))
+
+
+def _cross_jets(X):
+    """Jets of W = X_u x X_v, one degree below the jets X."""
+    return euclid_cross([c.du() for c in X], [c.dv() for c in X])
+
+
+def _density(W, N):
+    """W . N for the jets W and a normal N: three jets, or three numbers (or
+    (B,) arrays, one number per batch element)."""
+    return W[0] * N[0] + W[1] * N[1] + W[2] * N[2]
+
+
 def _lambda_jet(S: Surface, p, degree=MAX_DEGREE, normal=None, X=None):
     """Jet of lambda = (X_u x X_v) . N at p, one degree below the jets of X.
 
     N is the analytic normal jet when S carries one; otherwise the fixed unit
     vector `normal` (the anchored or frontal normal at a nearby point).  `X`
     passes the degree-`degree` jets of the surface at p when already at hand.
-    The curve scan, the records' dlambda, the curve walk and the straightened
-    chart all read lambda from here.
+    p may be a pair of (B,) arrays, with one normal per point in a (B, 3)
+    `normal`.  The curve scan, the records' dlambda, the curve walk and the
+    straightened chart all read lambda from here.
     """
     if X is None:
         X = S.jet(p[0], p[1], degree)
-    W = euclid_cross([c.du() for c in X], [c.dv() for c in X])
-    N = S.analytic_normal_jet(p[0], p[1], degree - 1) if S.has_analytic_normal else normal
-    return W[0] * N[0] + W[1] * N[1] + W[2] * N[2]
+    if S.has_analytic_normal:
+        N = S.analytic_normal_jet(p[0], p[1], degree - 1)
+    else:
+        N = np.asarray(normal, float).T
+    return _density(_cross_jets(X), N)
 
 
-def _rank1_normal_and_grad(S: Surface, p):
-    """Frontal normal and dlambda at a singular point from the cross-product jet.
+def _frontal_normal(W):
+    """The frontal normal from the cross-product jets W (degree >= 1) at a
+    singular point, and whether it is defined there.
 
     Near a non-degenerate singular point W = lambda * n, so the Jacobian of W
-    is n dlambda^T: rank one, column space spanned by the normal.
+    is n dlambda^T: rank one, column space spanned by the normal.  The sign
+    makes the largest component of dlambda positive.  The normal is undefined
+    (rank 0 or non-frontal) where the Jacobian's largest singular value is at
+    most 1e-10 * max(1, its largest entry).  Batched jets give a (B, 3) array
+    of normals and a (B,) mask.
     """
-    X = S.jet(p[0], p[1], 2)
-    W = euclid_cross([c.du() for c in X], [c.dv() for c in X])
-    J = np.array([w.gradient() for w in W])
-    U, sv, Vt = np.linalg.svd(J)
-    scale = max(np.max(np.abs(J)), 1e-300)
-    if sv[0] <= 1e-10 * max(1.0, scale):
-        raise NormalUndefinedError("normal undefined (rank 0 or non-frontal)")
-    n = U[:, 0]
-    dlam = J.T @ n
-    # deterministic sign: largest component of dlambda positive
-    i = int(np.argmax(np.abs(dlam)))
-    if dlam[i] < 0:
-        n, dlam = -n, -dlam
-    return n, dlam
+    J = np.stack([w.gradient() for w in W], axis=-2)
+    U, sv, _ = np.linalg.svd(J)
+    scale = np.maximum(np.abs(J).max(axis=(-2, -1)), 1e-300)
+    defined = sv[..., 0] > 1e-10 * np.maximum(1.0, scale)
+    n = U[..., :, 0]
+    dlam = np.vecdot(J, n[..., None], axis=-2)
+    i = np.argmax(np.abs(dlam), axis=-1)[..., None]
+    flip = np.take_along_axis(dlam, i, axis=-1) < 0
+    return np.where(flip, -n, n), defined
+
+
+def _frontal_at(S: Surface, u, v):
+    """One batched degree-2 evaluation at the (B,) points (u, v).
+
+    Returns the jets X, the normal n (B, 3), a (B,) mask of the points where n
+    is defined, and lambda (B,) and dlambda (B, 2) of the density on n.  The
+    normal is the analytic one when S carries one, otherwise the frontal
+    normal of the cross product's jet.
+    """
+    X = S.jet(u, v, 2)
+    W = _cross_jets(X)
+    if S.has_analytic_normal:
+        N = S.analytic_normal_jet(u, v, 1)
+        n = np.stack([c.value for c in N], axis=-1)
+        defined = np.ones(np.shape(u), bool)
+    else:
+        n, defined = _frontal_normal(W)
+        N = n.T
+    lam = _density(W, N)
+    return X, n, defined, lam.value, lam.gradient()
 
 
 def euclidean_normal(S: Surface, p) -> np.ndarray:
@@ -129,12 +170,15 @@ def euclidean_normal(S: Surface, p) -> np.ndarray:
     if S.has_analytic_normal:
         n = np.array([c.value for c in S.analytic_normal_jet(p[0], p[1], 0)])
         return n / np.linalg.norm(n)
-    Xu, Xv = _dX(S, p).T
+    X = S.jet(p[0], p[1], 2)
+    Xu, Xv = _dX_of(X).T
     w = np.array(euclid_cross(Xu, Xv))
     scale = max(np.linalg.norm(Xu) * np.linalg.norm(Xv), 1e-300)
     if np.linalg.norm(w) > 1e-9 * scale:
         return w / np.linalg.norm(w)
-    n, _ = _rank1_normal_and_grad(S, p)
+    n, defined = _frontal_normal(_cross_jets(X))
+    if not defined:
+        raise NormalUndefinedError("normal undefined (rank 0 or non-frontal)")
     return n
 
 
@@ -150,33 +194,27 @@ def signed_area_density(S: Surface, p) -> float:
     return float(np.linalg.det(np.array([Xu, Xv, n])))
 
 
-def _lambda_and_grad(S: Surface, p):
-    """(lambda, dlambda, n) at a singular point, exact from the jet of lambda."""
-    if S.has_analytic_normal:
-        n = np.array([c.value for c in S.analytic_normal_jet(p[0], p[1], 0)])
-    else:
-        n, _ = _rank1_normal_and_grad(S, p)
-    lj = _lambda_jet(S, p, 2, normal=n)
-    return lj.value, lj.gradient(), n
-
-
 # -- singular curve tracing ----------------------------------------------------
 
 
 def _dX(S: Surface, p):
     """[X_u X_v] at p (3x2), from degree-1 jets."""
-    X = S.jet(p[0], p[1], 1)
-    return np.array([partial_values(X, 1, 0), partial_values(X, 0, 1)]).T
+    return _dX_of(S.jet(p[0], p[1], 1))
 
 
-def _null_and_rank(S: Surface, p):
-    M = _dX(S, p)
-    U, sv, Vt = np.linalg.svd(M)
-    if sv[0] <= 1e-13:
-        return None, 0
-    if sv[1] > RANK_TOL * sv[0]:
-        return None, 2
-    return Vt[1], 1
+def _dX_of(X):
+    """[X_u X_v] from the jets X: (3, 2), or (B, 3, 2) for batched jets."""
+    M = np.array([[c.partial(1, 0), c.partial(0, 1)] for c in X])
+    return M if M.ndim == 2 else np.moveaxis(M, -1, 0)
+
+
+class ScanRecords(list):
+    """The records of a scan, in key order, and `unconfirmed_roots`: how many
+    of the scan's roots the root gate dropped."""
+
+    def __init__(self, records=(), unconfirmed_roots=0):
+        super().__init__(records)
+        self.unconfirmed_roots = unconfirmed_roots
 
 
 def trace_singular_curve(
@@ -184,84 +222,117 @@ def trace_singular_curve(
     box=None,
     n_grid: int = 33,
     max_records: int = 2000,
-) -> list:
+) -> ScanRecords:
     """Sign-change scan on a grid, then bisection transverse to the zero set.
 
-    Each grid node is evaluated once.  Surfaces without an analytic normal
-    store W = X_u x X_v there and are scanned edgewise against the normal
-    anchored at the edge start: the frontal normal is smooth across the curve
-    while the raw cross product flips, so the anchored dot product is a
-    locally signed density.
+    The grid nodes are evaluated in one batched degree-1 call.  Surfaces
+    without an analytic normal store W = X_u x X_v there and are scanned
+    edgewise against the normal anchored at the edge start: the frontal
+    normal is smooth across the curve while the raw cross product flips, so
+    the anchored dot product is a locally signed density.  A node where the
+    density vanishes (relative to the edge) is a root itself.  Every
+    sign-change edge is then bisected in lockstep, one batched degree-1 call
+    per step over the edges still longer than ROOT_TOL, each on its own
+    midpoint sequence.
+
+    The roots are deduplicated on their coordinates rounded to 9 digits, in
+    scan order, and assembled from one batched degree-2 call.  The root gate
+    drops a root where |lambda| > ROOT_GATE * ROOT_TOL * max(|dlambda|, 1)
+    (lambda on the frontal normal): a sign change of the anchored density
+    that is not a zero of lambda.  The first `max_records` roots that pass
+    the gate become records; the dropped ones are counted in
+    `unconfirmed_roots`.
     """
     if box is None:
         (ulo, uhi), (vlo, vhi) = S.u_range, S.v_range
         s = 1e-6 * (uhi - ulo)
         box = (ulo + s, uhi - s, vlo, vhi)
     ulo, uhi, vlo, vhi = box
-    nodes = [[(u, v) for v in np.linspace(vlo, vhi, n_grid)] for u in np.linspace(ulo, uhi, n_grid)]
+    us, vs = np.linspace(ulo, uhi, n_grid), np.linspace(vlo, vhi, n_grid)
+    u, v = (a.ravel() for a in np.meshgrid(us, vs, indexing="ij"))  # node (i, j) at (us[i], vs[j])
+    # the edges in scan order: from node (i, j) to (i + 1, j), then to (i, j + 1)
+    i, j, down = (a.ravel() for a in np.meshgrid(
+        np.arange(n_grid), np.arange(n_grid), [True, False], indexing="ij"))
+    i2, j2 = i + down, j + ~down
+    inside = (i2 < n_grid) & (j2 < n_grid)
+    i, j, i2, j2 = i[inside], j[inside], i2[inside], j2[inside]
+
+    anchor = None
     if S.has_analytic_normal:
-        lam = [[_lambda_jet(S, q, 1).value for q in row] for row in nodes]
+        lam = _lambda_jet(S, (u, v), 1).value.reshape(n_grid, n_grid)
+        f1, f2 = lam[i, j], lam[i2, j2]
     else:
-        W = [[np.array(euclid_cross(*_dX(S, q).T)) for q in row] for row in nodes]
+        W = np.stack([w.value for w in _cross_jets(S.jet(u, v, 1))], axis=-1)
+        W = W.reshape(n_grid, n_grid, 3)
+        nw = _norm(W[i, j])
+        anchor = W[i, j] / np.where(nw == 0.0, 1.0, nw)[:, None]  # W = 0: f1 = 0, a root
+        f1, f2 = np.vecdot(W[i, j], anchor), np.vecdot(W[i2, j2], anchor)
+    scale = np.maximum(np.maximum(np.abs(f1), np.abs(f2)), 1e-300)
+    at_node = (np.abs(f1) <= 1e-14 * scale) & (np.abs(f1) < 1e-13)
+    crossing = ~at_node & (f1 * f2 < 0)
 
-    records = {}
-
-    def add_root(q):
-        key = (round(q[0], 9), round(q[1], 9))
-        if key in records or len(records) >= max_records:
-            return
-        records[key] = _assemble_record(S, q)
-
-    for i in range(n_grid):
-        for j in range(n_grid):
-            q1 = nodes[i][j]
-            for i2, j2 in ((i + 1, j), (i, j + 1)):
-                if i2 == n_grid or j2 == n_grid:
-                    continue
-                anchor = None
-                if S.has_analytic_normal:
-                    f1, f2 = lam[i][j], lam[i2][j2]
-                else:
-                    nw = np.linalg.norm(W[i][j])
-                    if nw == 0.0:
-                        add_root(q1)
-                        continue
-                    anchor = W[i][j] / nw
-                    f1, f2 = float(W[i][j] @ anchor), float(W[i2][j2] @ anchor)
-                scale = max(abs(f1), abs(f2), 1e-300)
-                if abs(f1) <= 1e-14 * scale and abs(f1) < 1e-13:
-                    add_root(q1)
-                    continue
-                if f1 * f2 >= 0:
-                    continue
-                a, b = np.asarray(q1, float), np.asarray(nodes[i2][j2], float)
-                fa = f1
-                while np.linalg.norm(b - a) > ROOT_TOL:
-                    m = 0.5 * (a + b)
-                    fm = _lambda_jet(S, m, 1, normal=anchor).value
-                    if fa * fm <= 0:
-                        b = m
-                    else:
-                        a, fa = m, fm
-                add_root(tuple(0.5 * (a + b)))
-    return [records[k] for k in sorted(records)]
+    roots = np.stack([us[i], vs[j]], axis=-1)
+    roots[crossing] = _bisect(
+        S, roots[crossing], np.stack([us[i2], vs[j2]], axis=-1)[crossing], f1[crossing],
+        None if anchor is None else anchor[crossing])
+    roots = roots[at_node | crossing]
+    first = {}
+    for n, key in enumerate(map(tuple, np.round(roots, 9).tolist())):
+        first.setdefault(key, n)
+    if not first or max_records <= 0:
+        return ScanRecords()
+    records = _assemble_records(S, roots[list(first.values())])
+    kept = [(key, rec) for key, rec in zip(first, records) if rec is not None][:max_records]
+    rank1 = [rec for _, rec in kept if rec.rank == 1 and rec.null_vector is not None]
+    for rec, kind in zip(rank1, _kinds(S, rank1)):
+        rec.kind = kind
+    return ScanRecords((rec for _, rec in sorted(kept, key=lambda kr: kr[0])),
+                       unconfirmed_roots=records.count(None))
 
 
-def _assemble_record(S: Surface, q) -> SingularPointRecord:
-    null_vec, rank = _null_and_rank(S, q)
-    if rank == 0:
-        return SingularPointRecord(q, 0.0, (0.0, 0.0), None, "degenerate_rank0", 0)
-    try:
-        lam, dlam, n = _lambda_and_grad(S, q)
-    except NormalUndefinedError:
-        return SingularPointRecord(q, 0.0, (0.0, 0.0), None, "degenerate_rank0", 0)
-    rec = SingularPointRecord(
-        q, lam, tuple(dlam), None if null_vec is None else tuple(null_vec), "other", min(rank, 1),
-        normal=tuple(n),
-    )
-    if rank == 1:
-        rec.kind = classify_kind(S, rec)
-    return rec
+def _bisect(S: Surface, a, b, fa, anchor):
+    """Bisect the edges [a, b] (rows of (E, 2) arrays) in lockstep; fa holds
+    the density at a, `anchor` the (E, 3) anchored normals (None with an
+    analytic normal).  Returns the final midpoints."""
+    a, b, fa = a.copy(), b.copy(), fa.copy()
+    while True:
+        live = np.flatnonzero(_norm(b - a) > ROOT_TOL)
+        if not live.size:
+            return 0.5 * (a + b)
+        m = 0.5 * (a[live] + b[live])
+        fm = _lambda_jet(S, (m[:, 0], m[:, 1]), 1,
+                         normal=None if anchor is None else anchor[live]).value
+        left = fa[live] * fm <= 0
+        b[live[left]] = m[left]
+        a[live[~left]] = m[~left]
+        fa[live[~left]] = fm[~left]
+
+
+def _assemble_records(S: Surface, q) -> list:
+    """Records at the (R, 2) roots q, kinds not yet set, from one batched
+    degree-2 evaluation; None where the root gate drops the root.
+
+    The rank and null vector come from the singular values of dX, the normal
+    and lambda, dlambda from `_frontal_at`.  Rank 0, or an undefined frontal
+    normal, gives a degenerate_rank0 record.
+    """
+    X, n, defined, lam, dlam = _frontal_at(S, q[:, 0], q[:, 1])
+    _, sv, Vt = np.linalg.svd(_dX_of(X))
+    rank = np.where(sv[:, 0] <= 1e-13, 0, np.where(sv[:, 1] > RANK_TOL * sv[:, 0], 2, 1))
+    degenerate = (rank == 0) | ~defined
+    confirmed = np.abs(lam) <= ROOT_GATE * ROOT_TOL * np.maximum(_norm(dlam), 1.0)
+    records = []
+    for b, loc in enumerate(map(tuple, q.tolist())):
+        if degenerate[b]:
+            records.append(SingularPointRecord(loc, 0.0, (0.0, 0.0), None, "degenerate_rank0", 0))
+        elif not confirmed[b]:
+            records.append(None)
+        else:
+            records.append(SingularPointRecord(
+                loc, float(lam[b]), tuple(dlam[b].tolist()),
+                tuple(Vt[b, 1].tolist()) if rank[b] == 1 else None, "other", 1,
+                normal=tuple(n[b].tolist())))
+    return records
 
 
 def classify_kind(S: Surface, record: SingularPointRecord) -> str:
@@ -273,66 +344,97 @@ def classify_kind(S: Surface, record: SingularPointRecord) -> str:
     """
     if record.rank == 0 or record.null_vector is None:
         return "degenerate_rank0"
-    dlam = np.asarray(record.dlam)
-    if np.linalg.norm(dlam) <= 1e-10:
-        return "other"
-    tangent = _curve_direction(dlam)
-    eta = np.asarray(record.null_vector)
-    eta = eta / np.linalg.norm(eta)
-    if abs(tangent[0] * eta[1] - tangent[1] * eta[0]) > ANGLE_TOL:
-        return "first_kind"
-    # null direction tangent: test the conelike alternative along the curve
-    pts = _walk_curve(S, record, n_side=3, step=None)
-    imgs = np.array([S.point(*q) for q in pts])
-    spread = np.max(np.linalg.norm(imgs - imgs[0], axis=1)) if len(imgs) else np.inf
-    dtang = max(
-        np.linalg.norm(_dX(S, q) @ _tangent_at(S, q, record)) for q in pts
-    )
-    scale = max(np.linalg.norm(_dX(S, record.location)), 1e-300)
-    if spread < IMG_TOL * max(1.0, np.max(np.linalg.norm(imgs, axis=1))) + IMG_TOL and dtang < 1e-7 * scale:
-        return "conelike"
-    return "other"
+    return _kinds(S, [record])[0]
+
+
+def _kinds(S: Surface, records) -> list:
+    """classify_kind of rank-1 records with a null vector: first_kind where
+    the null direction is transverse to the curve; where it is tangent,
+    conelike or other by walks along the curve, run in lockstep."""
+    kinds = []
+    for rec in records:
+        dlam = np.asarray(rec.dlam, float)
+        if np.linalg.norm(dlam) <= 1e-10:
+            kinds.append("other")
+            continue
+        t = _curve_direction(dlam)
+        eta = np.asarray(rec.null_vector, float)
+        eta = eta / np.linalg.norm(eta)
+        kinds.append("first_kind" if abs(t[0] * eta[1] - t[1] * eta[0]) > ANGLE_TOL else None)
+    tangent = [n for n, kind in enumerate(kinds) if kind is None]
+    if tangent:
+        for n, cone in zip(tangent, _conelike(S, [records[n] for n in tangent])):
+            kinds[n] = "conelike" if cone else "other"
+    return kinds
 
 
 def _curve_direction(dlam):
-    """Unit curve direction: +dlambda rotated -90 deg (right-handed pair)."""
-    T = np.asarray(dlam) / np.linalg.norm(dlam)
-    return np.array([T[1], -T[0]])
+    """Unit curve direction: +dlambda rotated -90 deg (right-handed pair);
+    row by row for a (B, 2) array."""
+    T = np.asarray(dlam, float)
+    T = T / _norm(T)[..., None]
+    return np.stack([T[..., 1], -T[..., 0]], axis=-1)
 
 
-def _tangent_at(S, q, record):
-    try:
-        _, dlam, _ = _lambda_and_grad(S, q)
-        return _curve_direction(dlam)
-    except NormalUndefinedError:
-        return _curve_direction(np.asarray(record.dlam))
+def _conelike(S: Surface, records, n_side=3) -> np.ndarray:
+    """Whether each record's curve is conelike near it: the images of a few
+    curve points on both sides lie within IMG_TOL of the record's image, and
+    dX kills the curve tangent at each of them.
 
-
-def _walk_curve(S: Surface, record, n_side=3, step=None):
-    """A few curve points on both sides of the record, by tangent stepping plus
-    transverse Newton correction on the density anchored at the record."""
-    p = np.asarray(record.location, float)
-    dlam = np.asarray(record.dlam)
-    T = dlam / np.linalg.norm(dlam)
-    tang = _curve_direction(dlam)
-    if step is None:
-        step = 0.02 * min(S.u_range[1] - S.u_range[0], S.v_range[1] - S.v_range[0])
-    pts = [tuple(p)]
+    The curve points come from tangent steps with a transverse Newton
+    correction on the density (the record's normal, or the analytic one).
+    All records walk both sides in lockstep: each Newton iteration is one
+    batched degree-2 call over the points still inside u_range, and one
+    batched call at every walk point then gives the images and the tangents.
+    A point where the frontal normal is undefined takes the record's tangent.
+    """
+    R = len(records)
+    p = np.array([r.location for r in records], float)
+    dlam = np.array([r.dlam for r in records], float)
+    T = dlam / _norm(dlam)[:, None]
+    step = 0.02 * min(S.u_range[1] - S.u_range[0], S.v_range[1] - S.v_range[0])
+    normal = None if S.has_analytic_normal else np.tile([r.normal for r in records], (2, 1))
+    # both sides at once: rows 0..R-1 walk along +tangent, rows R..2R-1 along -tangent
+    T2 = np.tile(T, (2, 1))
+    move = np.repeat([step, -step], R)[:, None] * np.tile(_curve_direction(dlam), (2, 1))
     lo, hi = S.u_range
-    for side in (1.0, -1.0):
-        q = p.copy()
-        for _ in range(n_side):
-            q = q + side * step * tang
-            if not lo <= q[0] <= hi:
-                break  # the curve leaves the domain on this side
-            for _ in range(3):  # transverse Newton on lambda, slope from its jet
-                lj = _lambda_jet(S, q, 2, normal=record.normal)
-                d = float(lj.gradient() @ T)
-                if abs(d) < 1e-300:
-                    break
-                q = q - (lj.value / d) * T
-            pts.append(tuple(q))
-    return pts
+    q = np.tile(p, (2, 1))
+    inside = np.ones(2 * R, bool)
+    points, owner = [p], [np.arange(R)]  # the records come first
+    for _ in range(n_side):
+        q = q + move
+        inside &= (lo <= q[:, 0]) & (q[:, 0] <= hi)  # the curve leaves the domain on this side
+        newton = inside.copy()
+        for _ in range(3):  # transverse Newton on lambda, slope from its jet
+            at = np.flatnonzero(newton)
+            if not at.size:
+                break
+            lj = _lambda_jet(S, (q[at, 0], q[at, 1]), 2,
+                             normal=None if normal is None else normal[at])
+            d = np.vecdot(lj.gradient(), T2[at])
+            flat = np.abs(d) < 1e-300
+            newton[at[flat]] = False
+            at, d = at[~flat], d[~flat]
+            q[at] = q[at] - (lj.value[~flat] / d)[:, None] * T2[at]
+        points.append(q[inside])
+        owner.append(np.flatnonzero(inside) % R)
+    points, owner = np.concatenate(points), np.concatenate(owner)
+    X, _, defined, _, dl = _frontal_at(S, points[:, 0], points[:, 1])
+    tangent = _curve_direction(np.where(defined[:, None], dl, dlam[owner]))
+    M = _dX_of(X)
+    img = np.stack([c.value for c in X], axis=-1)
+
+    def largest(values):
+        """The largest of `values` over each record's points."""
+        out = np.zeros(R)
+        np.maximum.at(out, owner, values)
+        return out
+
+    spread = largest(_norm(img - img[owner]))
+    dtang = largest(_norm(np.vecdot(M, tangent[:, None, :])))
+    scale = np.maximum(_norm(M[:R].reshape(R, 6)), 1e-300)
+    return ((spread < IMG_TOL * np.maximum(1.0, largest(_norm(img))) + IMG_TOL)
+            & (dtang < 1e-7 * scale))
 
 
 # -- straightened charts --------------------------------------------------------
@@ -354,6 +456,7 @@ class StraightChart:
     curve_v: Jet1 = field(init=False)
     eta_u: Jet1 = field(init=False)
     eta_v: Jet1 = field(init=False)
+    X: tuple = field(init=False, repr=False)  # the degree-5 jets of X at the record
 
     def __post_init__(self):
         S, rec = self.surface, self.record
@@ -366,8 +469,12 @@ class StraightChart:
         tang = _curve_direction(dlam)
 
         deg = MAX_DEGREE - 1  # the scalar density jet has one degree less than X
-        X = S.jet(p[0], p[1], MAX_DEGREE)
-        n = None if S.has_analytic_normal else _rank1_normal_and_grad(S, p)[0]
+        X = self.X = S.jet(p[0], p[1], MAX_DEGREE)
+        n = None
+        if not S.has_analytic_normal:
+            n, defined = _frontal_normal(_cross_jets(X))
+            if not defined:
+                raise NormalUndefinedError("normal undefined (rank 0 or non-frontal)")
         g = _lambda_jet(S, p, MAX_DEGREE, normal=n, X=X)
         gT = float(g.gradient() @ T)
         if abs(gT) <= 1e-12:
@@ -389,8 +496,7 @@ class StraightChart:
         self.curve_u, self.curve_v = curve_coeffs(phi)
 
         # null direction along the curve: kernel of dX via the image tangent
-        M = _dX(S, tuple(p))
-        e = M @ tang
+        e = _dX_of(X) @ tang
         ne = np.linalg.norm(e)
         if ne <= 1e-12:
             raise SingularTangentError("singular tangent degenerate")
@@ -409,10 +515,9 @@ class StraightChart:
 
     def jets(self, degree: int = MAX_DEGREE):
         """Degree-`degree` jets of X o Psi at the chart origin."""
-        p = self.record.location
         psi_u = _lift_chart(self.curve_u, self.eta_u, degree)
         psi_v = _lift_chart(self.curve_v, self.eta_v, degree)
-        return tuple(_compose2(c, psi_u, psi_v) for c in self.surface.jet(p[0], p[1], degree))
+        return tuple(_compose2(c.truncated(degree), psi_u, psi_v) for c in self.X)
 
 
 def _lin(deg):
@@ -574,13 +679,22 @@ class CriterionReport:
         }
 
 
-def conjugate_condition4_det(k: float, H: float) -> float:
-    """The closed-form condition-4 determinant of the conjugate of the
-    timelike-axis Delaunay surface: -36/(H |k - 1|)^3 on branch I-i, and
-    9/H^2 on branch I-ii (k = -1)."""
-    if k == -1.0:
-        return 9.0 / (H * H)
-    return -36.0 / (H * abs(k - 1.0)) ** 3
+# the closed-form condition-4 determinant of the conjugate Delaunay surfaces, by
+# branch (Surface.meta["branch"]); k is None on the lightlike-axis branches III
+CONDITION4_CLOSED_FORMS = {
+    "I-i": lambda k, H: -36.0 / (H * abs(k - 1.0)) ** 3,
+    "II-i": lambda k, H: 36.0 / (H * abs(k - 1.0)) ** 3,
+    "I-ii": lambda k, H: 9.0 / (H * H),
+    "II-ii": lambda k, H: 9.0 / (H * H),
+    "III-i": lambda k, H: -72.0 / (H * H),
+    "III-ii": lambda k, H: 72.0 / (H * H),
+}
+
+
+def conjugate_condition4_det(branch: str, k: Optional[float], H: float) -> float:
+    """The closed-form condition-4 determinant of the conjugate on `branch`
+    with parameters k and H (CONDITION4_CLOSED_FORMS)."""
+    return CONDITION4_CLOSED_FORMS[branch](k, H)
 
 
 def criterion_25(

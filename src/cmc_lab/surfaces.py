@@ -10,7 +10,8 @@ coefficients are exact up to the quadrature tolerance in the value slot.
 
 Batches.  `Surface.jet` (and `analytic_normal_jet`) also take (B,) arrays u
 and v: every builder then returns three jets with a batch axis (see
-cmc_lab.jets), and `mesh_export` evaluates its whole grid in one such call.
+cmc_lab.jets): `mesh_export` evaluates its whole grid in one such call, and the
+singular-curve scan its grid, its bisection steps and its records.
 Profile values are read per distinct r from the Primitive cache, so they are
 the very numbers a point-by-point evaluation reads.  The batched coefficients
 agree with point-by-point ones to 1e-13 relative; they are bit-identical
@@ -609,8 +610,11 @@ def standard_model(name: str) -> Surface:
 def custom_surface(builder, u_range=(-2.0, 2.0), v_range=(-2.0, 2.0), **kw) -> Surface:
     """A Surface from a builder(u0, v0, degree) returning three Jet2.
 
-    `mesh_export` calls the builder once with (B,) arrays u0 and v0, so a
-    builder written only for floats serves every caller except the mesh."""
+    The builder must take (B,) arrays u0 and v0 as well as floats: the
+    singular-curve scan calls it only with arrays (one call per grid, per
+    bisection step and per set of records), and `mesh_export` with its whole
+    grid.  A builder written with `Jet2.coordinate`, `Jet2.constant`, jet
+    arithmetic and the `cmc_lab.jets` functions takes both."""
     return Surface("custom", builder, u_range, v_range, **kw)
 
 

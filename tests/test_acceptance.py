@@ -44,7 +44,7 @@ def test_criterion_1_conjugate_classification():
             and rep.condition3_max_abs_det < 1e-7
             and all(abs(s.cond4_det - expected) <= 1e-5 * abs(expected) for s in rep.samples)
         )
-        formula = sg.conjugate_condition4_det(k, H)
+        formula = sg.conjugate_condition4_det(S.meta["branch"], k, H)
         details.append(
             f"(H={H},k={k}): n={len(recs)}, verdict={rep.verdict}, "
             f"cond4={rep.condition4_det:.6f} vs {formula}"

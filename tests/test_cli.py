@@ -292,12 +292,18 @@ def test_uncomputed_condition4_det_is_null(tmp_path):
     crit = strict_json(tmp_path / "c.json")["results"]["criterion"]
     assert crit["verdict"] == "not_applicable" and "not of the first kind" in crit["reason"]
     assert crit["condition4_det"] is None
-    # a finer grid flips this verdict (the scan's records are not all roots)
-    assert run(tmp_path, "sweep", "--k", "-1", "--H", "0.3", "--grid", "33", "-o", "s.csv") == 0
+    # next to k = 1 (rho0 = 8e-5) the grid-4 records read as rank 2: nothing to compare
+    assert run(tmp_path, "sweep", "--k", "1.0001", "--H", "0.3", "--grid", "4", "-o", "s.csv") == 0
     with open(tmp_path / "s.csv", newline="") as fh:
         (row,) = csv.DictReader(fh)
     assert row["verdict"] == "not_applicable"
     assert row["cond4_det"] == row["predicted_case_I"] == row["rel_diff"] == ""
+    # the root gate keeps the finer grid's records on the curve: the determinant is computed
+    assert run(tmp_path, "sweep", "--k", "-1", "--H", "0.3", "--grid", "33", "-o", "s.csv") == 0
+    with open(tmp_path / "s.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["verdict"] == "cusp25"
+    assert abs(float(row["cond4_det"]) - 100.0) <= 1e-9 * 100.0
     # a collinearity residual above tolerance comes after the determinant: it stays
     assert run(tmp_path, "sweep", "--k", "2", "--H", "0.5", "--tol-C", "0", "-o", "c.csv") == 0
     with open(tmp_path / "c.csv", newline="") as fh:
@@ -321,15 +327,30 @@ def test_sweep_matches_classify(tmp_path, k, H, grid):
     assert row["branch"] == ("I-ii" if k == -1.0 else "I-i")
     assert row["verdict"] == crit["verdict"] == "cusp25"
     assert float(row["cond4_det"]) == crit["condition4_det"]
-    pred = sg.conjugate_condition4_det(k, H)
+    pred = sg.conjugate_condition4_det(row["branch"], k, H)
     assert float(row["predicted_case_I"]) == pred
     assert abs(crit["condition4_det"] - pred) <= 1e-9 * abs(pred)
 
 
+def test_classify_drops_unconfirmed_roots(tmp_path):
+    """At grid 33 the k = -1 scan finds three sign changes of the anchored
+    density off the curve; the root gate drops and counts them."""
+    assert run(tmp_path, "classify", "--family", "conjugate", "--of", "delaunay-t", "--k", "-1",
+               "--H", "0.3", "--grid", "33", "--samples", "0", "-o", "c.json") == 0
+    res = strict_json(tmp_path / "c.json")["results"]
+    assert res["unconfirmed_roots"] == 3
+    assert {s["kind"] for s in res["samples"]} == {"first_kind"}
+    assert res["criterion"]["verdict"] == "cusp25"
+    assert abs(res["criterion"]["condition4_det"] - 100.0) <= 1e-9 * 100.0
+    assert run(tmp_path, "classify", "--family", "conjugate", "--of", "delaunay-t", "--k", "2",
+               "--samples", "0", "-o", "c.json") == 0
+    assert strict_json(tmp_path / "c.json")["results"]["unconfirmed_roots"] == 0
+
+
 def test_conjugate_condition4_closed_form():
-    assert sg.conjugate_condition4_det(2.0, 0.5) == -288.0
-    assert sg.conjugate_condition4_det(3.0, 1.0) == -4.5
-    assert sg.conjugate_condition4_det(-1.0, 0.3) == 9.0 / 0.09
+    assert sg.conjugate_condition4_det("I-i", 2.0, 0.5) == -288.0
+    assert sg.conjugate_condition4_det("I-i", 3.0, 1.0) == -4.5
+    assert sg.conjugate_condition4_det("I-ii", -1.0, 0.3) == 9.0 / 0.09
 
 
 def test_sweep_empty_list_exit2(tmp_path):

@@ -276,6 +276,29 @@ def test_products_bit_identical_to_schoolbook_loop(a2, b2, a1, b1):
 # -- the batch axis against the scalar kernel, element by element -------------
 
 
+def test_gradient_of_a_batch_is_one_row_per_element():
+    us, vs = np.array([0.5, -1.0, 2.0]), np.array([1.5, 0.25, -3.0])
+    x, y = Jet2.variables((us, vs), 3)
+    g = (x * x * y).gradient()
+    assert g.shape == (3, 2)
+    np.testing.assert_allclose(g, np.stack([2 * us * vs, us * us], axis=-1), rtol=1e-15)
+    assert (x * y).element(1).gradient().shape == (2,)
+
+
+@given(st.integers(1, 4), st.integers(1, 5), st.data())
+@settings(max_examples=60, deadline=None)
+def test_batched_gradient_matches_partials(size, degree, data):
+    n = size * (degree + 1) ** 2
+    c = np.array(data.draw(st.lists(_real_coefficient(), min_size=n, max_size=n)))
+    jet, elements = _batch_and_elements(Jet2, size, degree, c.reshape(size, degree + 1, degree + 1))
+    g = jet.gradient()
+    assert g.shape == (size, 2)
+    for i, e in enumerate(elements):
+        assert g[i].tolist() == [e.partial(1, 0), e.partial(0, 1)]
+        assert g[i].tolist() == e.gradient().tolist()
+
+
+
 @st.composite
 def batched_pairs(draw, nvars):
     """Two coefficient batches of B elements (degrees in 0..5) whose value

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from cmc_lab import jets as jt
 from cmc_lab import singularities as sg
 from cmc_lab import surfaces as sf
 from cmc_lab.jets import Jet2, VectorFieldJet
@@ -145,6 +147,152 @@ def test_scan_evaluates_each_grid_node_once(monkeypatch, make, box, bound):
         monkeypatch.setattr(sf.Surface, name, counting(getattr(sf.Surface, name)))
     assert trace_singular_curve(S, box=box, n_grid=21, max_records=0) == []
     assert len(calls) <= bound
+
+
+def _pushed_cusp25():
+    rng = np.random.default_rng(5)
+    A = np.eye(3) + rng.uniform(-0.3, 0.3, (3, 3))
+    return diffeo_push(sf.standard_model("cusp25"), A, rng.uniform(-0.1, 0.1, (3, 3, 3)))
+
+
+def _two_cones():
+    """(f cos u, f sin u, v) with f = v (v - 1): cone points on v = 0 and v = 1,
+    with two different images."""
+
+    def builder(u0, v0, degree):
+        uj, vj = Jet2.variables((u0, v0), degree)
+        f = vj * vj - vj
+        return (f * jt.cos(uj), f * jt.sin(uj), vj)
+
+    return sf.custom_surface(builder)
+
+
+# seeded surfaces of every kind the scan serves, (make, box, n_grid): analytic
+# normals and none, conelike and cuspidal curves, a pushed and a custom surface
+SCAN_CASES = {
+    "conjugate_k2": (lambda: sf.conjugate_of("delaunay_timelike", k=2.0, H=0.5),
+                     (-0.37, 0.41, 0.1, 2.0), 13),
+    "conjugate_k-1": (lambda: sf.conjugate_of("delaunay_timelike", k=-1.0, H=0.3), None, 33),
+    "delaunay_t": (lambda: sf.delaunay_timelike(2.0, 0.5), (-0.8, 0.75, 0.1, 2.0), 11),
+    "cuspidal_edge": (lambda: sf.standard_model("cuspidal_edge"), (-1.0, 0.9, -0.8, 1.0), 9),
+    "pushed_cusp25": (_pushed_cusp25, (-0.4, 0.4, -0.35, 0.45), 9),
+    "custom_fold": (_custom_fold, (-1.0, 0.9, -0.7, 1.0), 9),
+    "two_cones": (_two_cones, (-1.0, 0.9, -0.45, 1.4), 9),
+}
+
+
+def _point_by_point(S, q):
+    """rank, null vector, normal, lambda and dlambda at q from scalar jets."""
+    _, sv, Vt = np.linalg.svd(sg._dX(S, q))
+    rank = 0 if sv[0] <= 1e-13 else 2 if sv[1] > sg.RANK_TOL * sv[0] else 1
+    if S.has_analytic_normal:
+        n = np.array([c.value for c in S.analytic_normal_jet(q[0], q[1], 0)])
+    else:  # the frontal normal of the cross product's scalar jet
+        n, defined = sg._frontal_normal(sg._cross_jets(S.jet(q[0], q[1], 2)))
+        assert defined
+    lj = sg._lambda_jet(S, q, 2, normal=n)
+    return rank, (Vt[1] if rank == 1 else None), n, lj.value, lj.gradient()
+
+
+@pytest.mark.parametrize("name", list(SCAN_CASES))
+def test_batched_records_match_point_by_point(name):
+    """Every field of every record equals a scalar recomputation at its
+    location to 1e-13 relative, and its kind equals the kind the record gets
+    on its own."""
+    make, box, n_grid = SCAN_CASES[name]
+    S = make()
+    recs = trace_singular_curve(S, box=box, n_grid=n_grid)
+    assert recs
+
+    def close(a, b):
+        a, b = np.asarray(a, float), np.asarray(b, float)
+        return np.linalg.norm(a - b) <= 1e-13 * max(1.0, np.linalg.norm(b))
+
+    for rec in recs:
+        rank, null, n, lam, dlam = _point_by_point(S, rec.location)
+        assert rec.rank == min(rank, 1) and rec.kind != "degenerate_rank0"
+        assert (rec.null_vector is None) == (null is None)
+        if null is not None:
+            assert close(rec.null_vector, null)
+        assert close(rec.normal, n)
+        assert abs(rec.lam - lam) <= 1e-13 * max(1.0, np.linalg.norm(dlam))
+        assert close(rec.dlam, dlam)
+        assert classify_kind(S, rec) == rec.kind
+
+
+@pytest.mark.parametrize("name", ["conjugate_k2", "conjugate_k-1", "delaunay_t", "custom_fold"])
+def test_scan_calls_builders_with_arrays_only(name):
+    """The scan hands every builder call a batch of points, and a finer grid
+    makes no more calls (its bisections are shorter)."""
+    make, box, _ = SCAN_CASES[name]
+    S = make()
+    calls = []
+
+    def batched_only(builder):
+        def wrapper(u0, v0, degree):
+            calls.append(np.ndim(u0))
+            return builder(u0, v0, degree)
+        return wrapper
+
+    S.builder = batched_only(S.builder)
+    if S.has_analytic_normal:
+        S.normal_builder = batched_only(S.normal_builder)
+    counts = []
+    for n_grid in (9, 33):
+        calls.clear()
+        assert trace_singular_curve(S, box=box, n_grid=n_grid)
+        assert calls and set(calls) == {1}
+        counts.append(len(calls))
+    assert counts[1] <= counts[0]
+
+
+@given(st.sampled_from(["delaunay_timelike", "delaunay_spacelike"]),
+       st.sampled_from([0.2, 0.3, 0.45, 0.6, 0.8, 1.0, 1.2, 1.5]),
+       st.sampled_from([5, 9, 13, 21, 33, 41]))
+@settings(max_examples=12, deadline=None)
+@example("delaunay_timelike", 0.3, 33)
+@example("delaunay_timelike", 0.6, 33)
+@example("delaunay_timelike", 1.2, 33)
+@example("delaunay_spacelike", 0.3, 33)
+@example("delaunay_spacelike", 0.6, 33)
+@example("delaunay_spacelike", 1.2, 33)
+def test_k_minus_1_scan_records_are_roots(axis, H, n_grid):
+    """On the k = -1 branches (no analytic normal) every record of the full
+    domain scan is a first-kind root, and the verdict is cusp25 with the
+    closed-form determinant.  The examples flipped to not_applicable before
+    the root gate: a sign change of the anchored density away from the curve."""
+    S = sf.conjugate_of(axis, k=-1.0, H=H)
+    recs = trace_singular_curve(S, n_grid=n_grid)
+    assert recs
+    for rec in recs:
+        assert abs(rec.lam) <= 1e-10 and rec.rank == 1 and rec.kind == "first_kind"
+    rep = criterion_25(S, recs)
+    assert rep.verdict == "cusp25", rep.reason
+    expect = sg.conjugate_condition4_det(S.meta["branch"], -1.0, H)
+    assert abs(rep.condition4_det - expect) <= 1e-9 * abs(expect)
+
+
+@pytest.mark.parametrize("H", [0.3, 0.5, 0.8, 1.3])
+@pytest.mark.parametrize("family, k, variant", [
+    ("delaunay_timelike", 2.0, None),     # I-i, template T
+    ("delaunay_timelike", 0.5, None),
+    ("delaunay_timelike", -0.5, None),
+    ("delaunay_timelike", -2.0, None),    # I-i, template S
+    ("delaunay_timelike", -1.0, None),    # I-ii
+    ("delaunay_spacelike", 2.0, None),    # II-i, template S
+    ("delaunay_spacelike", -0.5, None),
+    ("delaunay_spacelike", -2.0, None),   # II-i, template T
+    ("delaunay_spacelike", -1.0, None),   # II-ii
+    ("delaunay_lightlike_i", None, "i"),  # III-i
+    ("delaunay_lightlike_ii", None, "ii"),  # III-ii
+])
+def test_condition4_closed_form_on_every_branch(family, k, variant, H):
+    S = sf.conjugate_of(family, k=k, H=H, variant=variant)
+    hw = min(0.35, 0.8 * S.u_range[1])
+    rep = criterion_25(S, trace_singular_curve(S, box=(-hw, hw, 0.1, 1.2), n_grid=7))
+    assert rep.verdict == "cusp25", rep.reason
+    expect = sg.conjugate_condition4_det(S.meta["branch"], k, H)
+    assert abs(rep.condition4_det - expect) <= 1e-9 * abs(expect), (S.meta["branch"], expect)
 
 
 def test_classify_conelike_on_timelike_delaunay(delaunay_t_records):
@@ -290,7 +438,7 @@ def test_criterion_on_every_conjugate_branch(family, k, variant):
     assert rep.verdict == "cusp25", (family, k, rep.reason)
     assert all(r.kind == "first_kind" for r in recs)
     if k is not None:
-        expect = abs(sg.conjugate_condition4_det(k, 0.5))
+        expect = abs(sg.conjugate_condition4_det(S.meta["branch"], k, 0.5))
         assert abs(abs(rep.condition4_det) - expect) < 1e-5 * expect
 
 
