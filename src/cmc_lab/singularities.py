@@ -37,7 +37,7 @@ DET_TOL = 1e-8        # relative determinant zero threshold
 ANGLE_TOL = 1e-6      # first-kind transversality threshold
 IMG_TOL = 1e-9        # conelike image-diameter threshold
 RANK_TOL = 1e-7       # rank-1 vs rank-0 of dX
-ROOT_TOL = 1e-12      # bisection tolerance for curve roots
+ROOT_TOL = 1e-12      # bracket width for curve roots
 ROOT_GATE = 1e3       # a scan root needs |lambda| <= ROOT_GATE * ROOT_TOL * max(|dlambda|, 1)
 
 
@@ -223,17 +223,20 @@ def trace_singular_curve(
     n_grid: int = 33,
     max_records: int = 2000,
 ) -> ScanRecords:
-    """Sign-change scan on a grid, then bisection transverse to the zero set.
+    """Sign-change scan on a grid, then root bracketing along the edges.
 
     The grid nodes are evaluated in one batched degree-1 call.  Surfaces
     without an analytic normal store W = X_u x X_v there and are scanned
     edgewise against the normal anchored at the edge start: the frontal
     normal is smooth across the curve while the raw cross product flips, so
     the anchored dot product is a locally signed density.  A node where the
-    density vanishes (relative to the edge) is a root itself.  Every
-    sign-change edge is then bisected in lockstep, one batched degree-1 call
-    per step over the edges still longer than ROOT_TOL, each on its own
-    midpoint sequence.
+    density vanishes is a root itself: |density| <= 1e-14 times the larger
+    of its values at the edge's two ends and |dX|^2 at the node (and below
+    1e-13).  The |dX|^2 scale keeps a node on the curve a root when its
+    anchor is roundoff and the anchored density at the edge's far end is
+    small too.  The other sign-change edges are shrunk in lockstep by
+    `_bracketed_roots`, one batched degree-1 call per step over the edges
+    still longer than ROOT_TOL.
 
     The roots are deduplicated on their coordinates rounded to 9 digits, in
     scan order, and assembled from one batched degree-2 call.  The root gate
@@ -258,23 +261,26 @@ def trace_singular_curve(
     i, j, i2, j2 = i[inside], j[inside], i2[inside], j2[inside]
 
     anchor = None
+    X = S.jet(u, v, 1)
+    dX = _dX_of(X)
+    dx2 = np.sum(dX * dX, axis=(-2, -1)).reshape(n_grid, n_grid)[i, j]  # |dX|^2 at the edge start
     if S.has_analytic_normal:
-        lam = _lambda_jet(S, (u, v), 1).value.reshape(n_grid, n_grid)
+        lam = _lambda_jet(S, (u, v), 1, X=X).value.reshape(n_grid, n_grid)
         f1, f2 = lam[i, j], lam[i2, j2]
     else:
-        W = np.stack([w.value for w in _cross_jets(S.jet(u, v, 1))], axis=-1)
+        W = np.stack([w.value for w in _cross_jets(X)], axis=-1)
         W = W.reshape(n_grid, n_grid, 3)
         nw = _norm(W[i, j])
         anchor = W[i, j] / np.where(nw == 0.0, 1.0, nw)[:, None]  # W = 0: f1 = 0, a root
         f1, f2 = np.vecdot(W[i, j], anchor), np.vecdot(W[i2, j2], anchor)
-    scale = np.maximum(np.maximum(np.abs(f1), np.abs(f2)), 1e-300)
+    scale = np.maximum(np.maximum(np.abs(f1), np.abs(f2)), np.maximum(dx2, 1e-300))
     at_node = (np.abs(f1) <= 1e-14 * scale) & (np.abs(f1) < 1e-13)
     crossing = ~at_node & (f1 * f2 < 0)
 
     roots = np.stack([us[i], vs[j]], axis=-1)
-    roots[crossing] = _bisect(
+    roots[crossing] = _bracketed_roots(
         S, roots[crossing], np.stack([us[i2], vs[j2]], axis=-1)[crossing], f1[crossing],
-        None if anchor is None else anchor[crossing])
+        f2[crossing], None if anchor is None else anchor[crossing])
     roots = roots[at_node | crossing]
     first = {}
     for n, key in enumerate(map(tuple, np.round(roots, 9).tolist())):
@@ -290,22 +296,49 @@ def trace_singular_curve(
                        unconfirmed_roots=records.count(None))
 
 
-def _bisect(S: Surface, a, b, fa, anchor):
-    """Bisect the edges [a, b] (rows of (E, 2) arrays) in lockstep; fa holds
-    the density at a, `anchor` the (E, 3) anchored normals (None with an
-    analytic normal).  Returns the final midpoints."""
-    a, b, fa = a.copy(), b.copy(), fa.copy()
+def _bracketed_roots(S: Surface, a, b, fa, fb, anchor):
+    """Shrink the sign-change edges [a, b] (rows of (E, 2) arrays) in
+    lockstep until each is at most ROOT_TOL long; fa and fb hold the density
+    at the ends, `anchor` the (E, 3) anchored normals (None with an analytic
+    normal).  Returns the final midpoints.
+
+    Each step is one batched evaluation at one point per open edge: the
+    Illinois false-position point (the secant point, with the density at an
+    end kept twice in a row halved), kept at least ROOT_TOL / 2 from both
+    ends, so that once the secant point is within ROOT_TOL / 2 of the root
+    the next step closes the bracket.  An edge that did not halve over its
+    last two steps takes the midpoint instead, so no edge needs more than
+    about three times the steps of bisection; a smooth density with a simple
+    root takes a few steps.
+    """
+    a, b, fa, fb = a.copy(), b.copy(), fa.copy(), fb.copy()
+    kept = np.zeros(len(a), np.int8)  # the end the last step kept: +1 a, -1 b
+    width2 = np.full(len(a), np.inf)  # the width two steps back
+    width1 = width2.copy()
     while True:
-        live = np.flatnonzero(_norm(b - a) > ROOT_TOL)
+        width = _norm(b - a)
+        live = np.flatnonzero(width > ROOT_TOL)
         if not live.size:
             return 0.5 * (a + b)
-        m = 0.5 * (a[live] + b[live])
+        w, fl_a, fl_b = width[live], fa[live], fb[live]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = fl_a / (fl_a - fl_b)
+        t = np.where(np.isfinite(t) & (w <= 0.5 * width2[live]), t, 0.5)
+        h = 0.5 * ROOT_TOL / w
+        t = np.clip(t, h, 1.0 - h)
+        m = a[live] + t[:, None] * (b[live] - a[live])
         fm = _lambda_jet(S, (m[:, 0], m[:, 1]), 1,
                          normal=None if anchor is None else anchor[live]).value
-        left = fa[live] * fm <= 0
-        b[live[left]] = m[left]
-        a[live[~left]] = m[~left]
-        fa[live[~left]] = fm[~left]
+        width2[live], width1[live] = width1[live], w
+        hit = fm == 0
+        left = ~hit & (fl_a * fm < 0)  # the root lies in [a, m]: keep a
+        right = ~hit & ~left
+        a[live[hit]] = b[live[hit]] = m[hit]
+        fa[live[left & (kept[live] == 1)]] *= 0.5
+        fb[live[right & (kept[live] == -1)]] *= 0.5
+        b[live[left]], fb[live[left]] = m[left], fm[left]
+        a[live[right]], fa[live[right]] = m[right], fm[right]
+        kept[live] = np.where(left, 1, np.where(right, -1, 0))
 
 
 def _assemble_records(S: Surface, q) -> list:

@@ -11,7 +11,7 @@ coefficients are exact up to the quadrature tolerance in the value slot.
 Batches.  `Surface.jet` (and `analytic_normal_jet`) also take (B,) arrays u
 and v: every builder then returns three jets with a batch axis (see
 cmc_lab.jets): `mesh_export` evaluates its whole grid in one such call, and the
-singular-curve scan its grid, its bisection steps and its records.
+singular-curve scan its grid, its root-bracketing steps and its records.
 Profile values are read per distinct r from the Primitive cache, so they are
 the very numbers a point-by-point evaluation reads.  The batched coefficients
 agree with point-by-point ones to 1e-13 relative; they are bit-identical
@@ -612,7 +612,7 @@ def custom_surface(builder, u_range=(-2.0, 2.0), v_range=(-2.0, 2.0), **kw) -> S
 
     The builder must take (B,) arrays u0 and v0 as well as floats: the
     singular-curve scan calls it only with arrays (one call per grid, per
-    bisection step and per set of records), and `mesh_export` with its whole
+    root-bracketing step and per set of records), and `mesh_export` with its whole
     grid.  A builder written with `Jet2.coordinate`, `Jet2.constant`, jet
     arithmetic and the `cmc_lab.jets` functions takes both."""
     return Surface("custom", builder, u_range, v_range, **kw)

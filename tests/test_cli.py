@@ -332,13 +332,15 @@ def test_sweep_matches_classify(tmp_path, k, H, grid):
     assert abs(crit["condition4_det"] - pred) <= 1e-9 * abs(pred)
 
 
-def test_classify_drops_unconfirmed_roots(tmp_path):
-    """At grid 33 the k = -1 scan finds three sign changes of the anchored
-    density off the curve; the root gate drops and counts them."""
+def test_classify_reports_unconfirmed_roots(tmp_path):
+    """classify writes the root gate's count.  At grid 33 the k = -1 scan takes
+    the grid nodes on the curve as roots (their anchors are roundoff), so it
+    brackets no sign change of the anchored density off the curve and drops
+    nothing."""
     assert run(tmp_path, "classify", "--family", "conjugate", "--of", "delaunay-t", "--k", "-1",
                "--H", "0.3", "--grid", "33", "--samples", "0", "-o", "c.json") == 0
     res = strict_json(tmp_path / "c.json")["results"]
-    assert res["unconfirmed_roots"] == 3
+    assert res["unconfirmed_roots"] == 0
     assert {s["kind"] for s in res["samples"]} == {"first_kind"}
     assert res["criterion"]["verdict"] == "cusp25"
     assert abs(res["criterion"]["condition4_det"] - 100.0) <= 1e-9 * 100.0

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -220,10 +221,71 @@ def test_batched_records_match_point_by_point(name):
         assert classify_kind(S, rec) == rec.kind
 
 
+# densities along an edge with a sign change at r: smooth, a triple root, a
+# steep one, a jump, and two lopsided ones on which false position alone
+# takes about six times bisection's steps
+_EDGE_DENSITIES = {
+    "linear": lambda x: x,
+    "cubic": lambda x: x**3,
+    "steep": lambda x: np.tanh(50.0 * x),
+    "jump": lambda x: np.where(x > 0, 1.0, -1.0),
+    "kink": lambda x: np.where(x > 0, 1e9 * x, x),
+    "exp": lambda x: np.expm1(40.0 * x),
+}
+
+
+def _bisect_reference(f, a, b):
+    """Point-by-point bisection of [a, b] to ROOT_TOL (the scan's root finder
+    before the bracketing steps)."""
+    fa = f(a)
+    while abs(b - a) > sg.ROOT_TOL:
+        m = 0.5 * (a + b)
+        fm = f(m)
+        if fa * fm <= 0:
+            b = m
+        else:
+            a, fa = m, fm
+    return 0.5 * (a + b)
+
+
+@given(st.sampled_from(sorted(_EDGE_DENSITIES)),
+       st.lists(st.tuples(st.floats(0.01, 2.0), st.floats(0.01, 2.0), st.booleans()),
+                min_size=1, max_size=6))
+@settings(max_examples=40, deadline=None)
+def test_bracketed_roots_match_bisection(name, edges):
+    """The lockstep bracketing lands within ROOT_TOL of a bisection of each
+    edge, and takes no more than three times bisection's steps (every three
+    steps at least halve an edge); a simple smooth root takes a few."""
+    g = _EDGE_DENSITIES[name]
+    r = np.array([0.5 * (hi - lo) for lo, hi, _ in edges])  # the root of edge k, on v = k
+    ends = np.array([(-lo, hi) if up else (hi, -lo) for lo, hi, up in edges])
+    ends += r[:, None]
+    k = np.arange(len(edges), dtype=float)
+    calls = []
+
+    def fake_lambda_jet(S, p, degree, normal=None):
+        calls.append(len(p[0]))
+        return SimpleNamespace(value=g(p[0] - r[p[1].astype(int)]))
+
+    a, b = np.stack([ends[:, 0], k], axis=-1), np.stack([ends[:, 1], k], axis=-1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sg, "_lambda_jet", fake_lambda_jet)
+        roots = sg._bracketed_roots(None, a, b, g(a[:, 0] - r), g(b[:, 0] - r), None)
+    assert np.array_equal(roots[:, 1], k)
+    for n, (lo, hi) in enumerate(ends):
+        ref = _bisect_reference(lambda x: g(x - r[n]), lo, hi)
+        assert abs(roots[n, 0] - ref) <= sg.ROOT_TOL
+        assert abs(roots[n, 0] - r[n]) <= sg.ROOT_TOL
+    steps = math.ceil(math.log2(np.abs(ends[:, 1] - ends[:, 0]).max() / sg.ROOT_TOL))
+    assert len(calls) <= 3 * (steps + 1)
+    if name == "linear":
+        assert len(calls) <= 4
+
+
 @pytest.mark.parametrize("name", ["conjugate_k2", "conjugate_k-1", "delaunay_t", "custom_fold"])
 def test_scan_calls_builders_with_arrays_only(name):
     """The scan hands every builder call a batch of points, and a finer grid
-    makes no more calls (its bisections are shorter)."""
+    makes no more calls."""
     make, box, _ = SCAN_CASES[name]
     S = make()
     calls = []
@@ -270,6 +332,21 @@ def test_k_minus_1_scan_records_are_roots(axis, H, n_grid):
     assert rep.verdict == "cusp25", rep.reason
     expect = sg.conjugate_condition4_det(S.meta["branch"], -1.0, H)
     assert abs(rep.condition4_det - expect) <= 1e-9 * abs(expect)
+
+
+def test_root_gate_drops_sign_changes_off_the_curve():
+    """(e^u cos 2u, e^u sin 2u, v) is regular, and its normal turns by two
+    radians over each grid cell: the density anchored at an edge start
+    changes sign on the edge though lambda does not vanish.  The root gate
+    drops and counts every such root."""
+
+    def builder(u0, v0, degree):
+        uj, vj = Jet2.variables((u0, v0), degree)
+        r = jt.exp(uj)
+        return (r * jt.cos(2.0 * uj), r * jt.sin(2.0 * uj), vj)
+
+    recs = trace_singular_curve(sf.custom_surface(builder), box=(-1, 1, -1, 1), n_grid=3)
+    assert recs == [] and recs.unconfirmed_roots == 6
 
 
 @pytest.mark.parametrize("H", [0.3, 0.5, 0.8, 1.3])
