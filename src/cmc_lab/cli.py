@@ -167,12 +167,19 @@ def _scan(S, args):
     return recs, sg.criterion_25(S, recs, tol3=args.tol3, tol4=args.tol4, tol_C=args.tol_C)
 
 
+def _fold_test(S, recs, criterion, n):
+    """The fold test of recs[n], on the criterion's chart of it where there is one."""
+    if criterion is not None and criterion.samples:
+        return sg._fold_symmetry_of(criterion.samples[n].jets)
+    return sg.fold_symmetry_test(S, recs[n])
+
+
 def classify_payload(S, args) -> dict:
     recs, criterion = _scan(S, args)
     certificates = []
     fold_reports = []
-    for rec in recs[: args.samples]:
-        fold_reports.append(sg.fold_symmetry_test(S, rec).as_dict())
+    for n, rec in enumerate(recs[: args.samples]):
+        fold_reports.append(_fold_test(S, recs, criterion, n).as_dict())
         if S.family.startswith("delaunay") and rec.rank == 1:
             certificates.append(sg.cmc_fold_obstruction(S, rec))
     report = sg.classification_report(S, recs, criterion, certificates)
@@ -256,14 +263,12 @@ def _suite_fields(trials, rng, failures):
     ]
     base = (0.0, 0.0)
     xi0 = VectorFieldJet.constant(0.0, 1.0, base)
-    u = Jet2.coordinate(base, 5, 0)
-    v = Jet2.coordinate(base, 5, 1)
+    eta_g = VectorFieldJet.constant(1.0, 0.0, base)
+    u, v = Jet2.variables(base, 5)
     per = max(1, trials // len(targets))
     for S, recs in targets:
-        rec = recs[len(recs) // 2]
-        chart = sg.StraightChart(S, rec)
-        Y = chart.jets()
-        (a, b), eta0, _ = sg.special_null_field(S, rec)
+        Y = sg.StraightChart(S, recs[len(recs) // 2]).jets()
+        _, eta0, _, _ = sg._special_null_field_of(Y)
         C0, _ = sg.constant_C(Y, eta0)
         d4_0, _ = sg.condition4_det(Y, eta0, C0)
         for _ in range(per):
@@ -273,7 +278,6 @@ def _suite_fields(trials, rng, failures):
             a2 = u * (c[4] + c[5] * u + c[6] * v)
             b1g = u * (c[7] + c[8] * v)
             b1s = u * u * u * (c[9] + c[10] * v)
-            eta_g = VectorFieldJet.constant(1.0, 0.0, base)
             xi_b, eta_b, _ = sg.perturb_fields(xi0, eta_g, a1, a2, b1g, b2)
             _, r3 = sg.condition3_det(Y, xi=xi_b, eta=eta_b)
             xi_s, eta_s, pred = sg.perturb_fields(xi0, eta0, a1, a2, b1s, b2, special=True)
@@ -292,10 +296,7 @@ def _suite_diffeo(trials, rng, failures):
     cases = []
     for name in ("cusp25", "fold", "cuspidal_edge"):
         S = sf.standard_model(name)
-        recs = sg.trace_singular_curve(S, box=(-0.5, 0.5, -0.5, 0.5), n_grid=5)
-        rep = sg.criterion_25(S, recs)
-        ft = sg.fold_symmetry_test(S, recs[len(recs) // 2])
-        cases.append((name, S, rep.verdict, ft.verdict))
+        cases.append((name, S, *_verdicts(S, (-0.5, 0.5, -0.5, 0.5))))
     per = max(1, trials // len(cases))
     jobs = []
     for name, S, verdict0, fold0 in cases:
@@ -309,16 +310,20 @@ def _suite_diffeo(trials, rng, failures):
 
     ok = 0
     for name, S, verdict0, fold0, A, Q, Cc in jobs:
-        P = sg.diffeo_push(S, A, Q, Cc)
-        recs = sg.trace_singular_curve(P, box=(-0.4, 0.4, -0.4, 0.4), n_grid=5)
-        rep = sg.criterion_25(P, recs)
-        ft = sg.fold_symmetry_test(P, recs[len(recs) // 2])
-        good = rep.verdict == verdict0 and ft.verdict == fold0
+        verdict, fold = _verdicts(sg.diffeo_push(S, A, Q, Cc), (-0.4, 0.4, -0.4, 0.4))
+        good = verdict == verdict0 and fold == fold0
         ok += good
         if not good:
-            failures.append({"suite": "diffeo", "model": name, "verdict": rep.verdict,
-                             "expected": verdict0, "fold": ft.verdict, "A": A.tolist()})
+            failures.append({"suite": "diffeo", "model": name, "verdict": verdict,
+                             "expected": verdict0, "fold": fold, "A": A.tolist()})
     return ok, len(jobs)
+
+
+def _verdicts(S, box):
+    """The criterion verdict and the middle record's fold verdict of a grid-5 scan of box."""
+    recs = sg.trace_singular_curve(S, box=box, n_grid=5)
+    rep = sg.criterion_25(S, recs)
+    return rep.verdict, _fold_test(S, recs, rep, len(recs) // 2).verdict
 
 
 def _suite_laplacian(trials, rng, failures):

@@ -687,15 +687,13 @@ class VectorFieldJet:
 
 
 def apply_vector_field(field: VectorFieldJet, f: Jet2) -> Jet2:
-    """Jet of e1 * df/du + e2 * df/dv; degree drops by one."""
+    """Jet of e1 * df/du + e2 * df/dv; degree drops by one (a product takes the
+    lower degree of its factors, so the field needs no truncation)."""
     if f.degree < 1:
         raise JetOrderError("jet order exhausted")
     if field.base != f.base:
         raise JetError("field and jet have different base points")
-    D = f.degree - 1
-    return field.e1.truncated(min(field.e1.degree, D)) * f.du() + field.e2.truncated(
-        min(field.e2.degree, D)
-    ) * f.dv()
+    return field.e1 * f.du() + field.e2 * f.dv()
 
 
 def partial_values(X, a: int, b: int) -> np.ndarray:
@@ -704,15 +702,17 @@ def partial_values(X, a: int, b: int) -> np.ndarray:
     return np.array([comp.partial(a, b) for comp in X])
 
 
-def iterated_field_derivative(X, field: VectorFieldJet, k: int) -> np.ndarray:
-    """Value at the base point of the k-fold field derivative applied to each
-    component of the jet triple X.  Exact: no finite differencing."""
+def field_chain(X, field: VectorFieldJet, k: int) -> np.ndarray:
+    """Values at the base point of field^n X, n = 0..k (row n), from k field
+    applications per jet of the triple X; exact, no finite differencing."""
     if k > min(j.degree for j in X):
         raise JetOrderError("jet order exhausted")
-    out = []
-    for comp in X:
-        j = comp
-        for _ in range(k):
-            j = apply_vector_field(field, j)
-        out.append(j.value)
-    return np.array(out)
+    chain = [X]
+    for _ in range(k):
+        chain.append([apply_vector_field(field, j) for j in chain[-1]])
+    return np.array([[j.value for j in row] for row in chain])
+
+
+def iterated_field_derivative(X, field: VectorFieldJet, k: int) -> np.ndarray:
+    """The k-fold field derivative of each jet of X at the base point (row k of `field_chain`)."""
+    return field_chain(X, field, k)[k]

@@ -25,9 +25,8 @@ from .jets import (
     Jet2,
     MAX_DEGREE,
     VectorFieldJet,
-    apply_vector_field,
     compose2 as _compose2,
-    iterated_field_derivative,
+    field_chain,
     partial_values,
 )
 from .lorentz import NotSpacelikeError, euclid_cross
@@ -289,7 +288,7 @@ def trace_singular_curve(
         return ScanRecords()
     records = _assemble_records(S, roots[list(first.values())])
     kept = [(key, rec) for key, rec in zip(first, records) if rec is not None][:max_records]
-    rank1 = [rec for _, rec in kept if rec.rank == 1 and rec.null_vector is not None]
+    rank1 = [rec for _, rec in kept if rec.rank == 1]
     for rec, kind in zip(rank1, _kinds(S, rank1)):
         rec.kind = kind
     return ScanRecords((rec for _, rec in sorted(kept, key=lambda kr: kr[0])),
@@ -347,7 +346,8 @@ def _assemble_records(S: Surface, q) -> list:
 
     The rank and null vector come from the singular values of dX, the normal
     and lambda, dlambda from `_frontal_at`.  Rank 0, or an undefined frontal
-    normal, gives a degenerate_rank0 record.
+    normal, gives a degenerate_rank0 record; rank 2 a record of kind other
+    with no null vector.
     """
     X, n, defined, lam, dlam = _frontal_at(S, q[:, 0], q[:, 1])
     _, sv, Vt = np.linalg.svd(_dX_of(X))
@@ -363,7 +363,7 @@ def _assemble_records(S: Surface, q) -> list:
         else:
             records.append(SingularPointRecord(
                 loc, float(lam[b]), tuple(dlam[b].tolist()),
-                tuple(Vt[b, 1].tolist()) if rank[b] == 1 else None, "other", 1,
+                tuple(Vt[b, 1].tolist()) if rank[b] == 1 else None, "other", int(rank[b]),
                 normal=tuple(n[b].tolist())))
     return records
 
@@ -373,10 +373,11 @@ def classify_kind(S: Surface, record: SingularPointRecord) -> str:
 
     Conelike is operational: the singular direction is null along the curve
     and the curve's image has diameter below IMG_TOL (the term is used in the
-    sources without a displayed definition).
+    sources without a displayed definition).  A rank-2 record (dX regular
+    there) is other.
     """
-    if record.rank == 0 or record.null_vector is None:
-        return "degenerate_rank0"
+    if record.rank != 1 or record.null_vector is None:
+        return "other" if record.rank == 2 else "degenerate_rank0"
     return _kinds(S, [record])[0]
 
 
@@ -514,9 +515,11 @@ class StraightChart:
             raise DegenerateZeroSetError("degenerate zero set: no transverse slope")
 
         # solve the curve as gamma(v) = p + v*tang + phi(v)*T with phi = O(v^2)
+        lin = np.eye(deg + 1)[1]
+
         def curve_coeffs(phi):
-            cu = tang[0] * _lin(deg) + T[0] * phi
-            cv = tang[1] * _lin(deg) + T[1] * phi
+            cu = tang[0] * lin + T[0] * phi
+            cv = tang[1] * lin + T[1] * phi
             cu[0] += p[0]
             cv[0] += p[1]
             return Jet1(0.0, deg, cu), Jet1(0.0, deg, cv)
@@ -536,8 +539,7 @@ class StraightChart:
         e = e / ne
         Xu_c = [_compose2(c.du(), self.curve_u, self.curve_v) for c in X]
         Xv_c = [_compose2(c.dv(), self.curve_u, self.curve_v) for c in X]
-        eta_u = -(Xv_c[0] * e[0] + Xv_c[1] * e[1] + Xv_c[2] * e[2])
-        eta_v = Xu_c[0] * e[0] + Xu_c[1] * e[1] + Xu_c[2] * e[2]
+        eta_u, eta_v = -_density(Xv_c, e), _density(Xu_c, e)
         e0 = np.array([eta_u.value, eta_v.value])
         n0 = np.linalg.norm(e0)
         if n0 <= 1e-12:
@@ -546,28 +548,20 @@ class StraightChart:
         self.eta_u = eta_u * (sgn / n0)
         self.eta_v = eta_v * (sgn / n0)
 
-    def jets(self, degree: int = MAX_DEGREE):
-        """Degree-`degree` jets of X o Psi at the chart origin."""
-        psi_u = _lift_chart(self.curve_u, self.eta_u, degree)
-        psi_v = _lift_chart(self.curve_v, self.eta_v, degree)
-        return tuple(_compose2(c.truncated(degree), psi_u, psi_v) for c in self.X)
+    def jets(self):
+        """Degree-5 jets of X o Psi at the chart origin."""
+        psi_u = _lift_chart(self.curve_u, self.eta_u)
+        psi_v = _lift_chart(self.curve_v, self.eta_v)
+        return tuple(_compose2(c, psi_u, psi_v) for c in self.X)
 
 
-def _lin(deg):
-    out = np.zeros(deg + 1)
-    out[1] = 1.0
-    return out
-
-
-def _lift_chart(curve: Jet1, eta: Jet1, degree: int) -> Jet2:
-    """Psi component gamma(v) + u * eta(v) as a bivariate jet at the origin."""
-    c = np.zeros((degree + 1, degree + 1))
-    n = min(degree, curve.degree) + 1
-    c[0, :n] = curve.c[:n]
-    m = min(degree - 1, eta.degree) + 1
-    if degree >= 1:
-        c[1, :m] = eta.c[:m]
-    return Jet2((0.0, 0.0), degree, c)
+def _lift_chart(curve: Jet1, eta: Jet1) -> Jet2:
+    """Psi component gamma(v) + u * eta(v) as a degree-5 jet at the origin
+    (curve and eta have degree 4)."""
+    c = np.zeros((MAX_DEGREE + 1, MAX_DEGREE + 1))
+    c[0, :MAX_DEGREE] = curve.c
+    c[1, :MAX_DEGREE] = eta.c
+    return Jet2((0.0, 0.0), MAX_DEGREE, c)
 
 
 # -- criterion machinery ---------------------------------------------------------
@@ -580,17 +574,16 @@ def _rel_det(c1, c2, c3):
     return d, rel
 
 
+def _xi_X(Y, xi):
+    """xi X at the chart origin; the partial X_v for the default xi = d_v."""
+    return partial_values(Y, 0, 1) if xi is None else field_chain(Y, xi, 1)[1]
+
+
 def condition3_det(Y, xi: VectorFieldJet = None, eta: VectorFieldJet = None):
-    """det(xi X, eta eta X, eta eta eta X) at the chart origin (raw, relative)."""
-    base = Y[0].base
-    if xi is None:
-        xi = VectorFieldJet.constant(0.0, 1.0, base)
-    if eta is None:
-        eta = VectorFieldJet.constant(1.0, 0.0, base)
-    c1 = iterated_field_derivative(Y, xi, 1)
-    c2 = iterated_field_derivative(Y, eta, 2)
-    c3 = iterated_field_derivative(Y, eta, 3)
-    return _rel_det(c1, c2, c3)
+    """det(xi X, eta eta X, eta eta eta X) at the chart origin (raw, relative);
+    xi defaults to d_v and eta to d_u."""
+    e = field_chain(Y, VectorFieldJet.constant(1.0, 0.0, Y[0].base) if eta is None else eta, 3)
+    return _rel_det(_xi_X(Y, xi), e[2], e[3])
 
 
 def lemma_special_coefficients(Y):
@@ -622,19 +615,18 @@ def special_null_field(S: Surface, record: SingularPointRecord):
     Returns ((a, b), eta~ as a VectorFieldJet in the straightened chart, and
     the residuals of the defining orthogonality conditions).
     """
-    return _special_null_field_of(StraightChart(S, record).jets())
+    return _special_null_field_of(StraightChart(S, record).jets())[:3]
 
 
-def _special_null_field_of(Y):
-    """special_null_field from the jets Y of X in the straightened chart."""
+def _special_null_field_of(Y, order=3):
+    """special_null_field from the jets Y of X in the straightened chart, and
+    the special field's chain on Y to `order`."""
     a, b = lemma_special_coefficients(Y)
     eta = special_field(a, b)
+    e = field_chain(Y, eta, order)
     xiX = partial_values(Y, 0, 1)
-    e2 = iterated_field_derivative(Y, eta, 2)
-    e3 = iterated_field_derivative(Y, eta, 3)
-    scale = np.linalg.norm(xiX) * max(np.linalg.norm(e2), np.linalg.norm(e3), 1e-300)
-    res = (abs(float(xiX @ e2)) / scale, abs(float(xiX @ e3)) / scale)
-    return (a, b), eta, res
+    scale = np.linalg.norm(xiX) * max(np.linalg.norm(e[2]), np.linalg.norm(e[3]), 1e-300)
+    return (a, b), eta, (abs(float(xiX @ e[2])) / scale, abs(float(xiX @ e[3])) / scale), e
 
 
 def constant_C(Y, eta: VectorFieldJet):
@@ -643,25 +635,28 @@ def constant_C(Y, eta: VectorFieldJet):
     The sources presuppose exact collinearity; the residual makes the
     presupposition checkable.
     """
-    e2 = iterated_field_derivative(Y, eta, 2)
-    e3 = iterated_field_derivative(Y, eta, 3)
-    n2 = float(e2 @ e2)
+    return _constant_C(field_chain(Y, eta, 3))
+
+
+def _constant_C(e):
+    """constant_C from the chain e of the field."""
+    n2 = float(e[2] @ e[2])
     if n2 <= 1e-300:
         raise HypothesisViolationError("hypothesis violated: eta~^2 X vanishes")
-    C = float(e3 @ e2) / n2
-    residual = float(np.linalg.norm(e3 - C * e2)) / math.sqrt(n2)
+    C = float(e[3] @ e[2]) / n2
+    residual = float(np.linalg.norm(e[3] - C * e[2])) / math.sqrt(n2)
     return C, residual
 
 
 def condition4_det(Y, eta: VectorFieldJet, C: float, xi: VectorFieldJet = None):
-    """det(xi X, eta~^2 X, 3 eta~^5 X - 10 C eta~^4 X) at the origin (raw, relative)."""
-    base = Y[0].base
-    if xi is None:
-        xi = VectorFieldJet.constant(0.0, 1.0, base)
-    c1 = iterated_field_derivative(Y, xi, 1)
-    c2 = iterated_field_derivative(Y, eta, 2)
-    c3 = 3 * iterated_field_derivative(Y, eta, 5) - 10 * C * iterated_field_derivative(Y, eta, 4)
-    return _rel_det(c1, c2, c3)
+    """det(xi X, eta~^2 X, 3 eta~^5 X - 10 C eta~^4 X) at the origin (raw, relative);
+    xi defaults to d_v."""
+    return _condition4(_xi_X(Y, xi), field_chain(Y, eta, 5), C)
+
+
+def _condition4(xiX, e, C):
+    """condition4_det from xi X and the chain e of eta~ to order 5."""
+    return _rel_det(xiX, e[2], 3 * e[5] - 10 * C * e[4])
 
 
 @dataclass
@@ -676,9 +671,11 @@ class SampleCriterion:
     special_residuals: tuple
     cond4_det: float
     cond4_rel: float
+    jets: tuple = field(default=None, repr=False)  # the chart jets of X; not reported
 
     def as_dict(self):
         d = dict(self.__dict__)
+        del d["jets"]
         d["location"] = list(map(float, self.location))
         d["special_residuals"] = list(map(float, self.special_residuals))
         return d
@@ -739,10 +736,11 @@ def criterion_25(
 ) -> CriterionReport:
     """The (2,5)-cuspidal-edge test on sampled points of a singular curve.
 
-    Each sample is straightened independently; the vanishing condition is
-    checked with the plain chart fields, then the special field, the constant
-    C, and the order-5 determinant are built at the same point.  All
-    determinants come from degree-5 jets: no finite differencing anywhere.
+    Each sample is straightened once, and all is read from that chart's
+    degree-5 jets Y: xi X = X_v from the partials, condition 3 from the chain
+    of eta = d_u to order 3, and the special field eta~ = d_u + (a u + b u^2) d_v
+    with its chain to order 5 (its residuals, C by least squares, condition 4).
+    No finite differencing.  Y stays in `SampleCriterion.jets` for the fold test.
     """
     records = list(records)
     if not records:
@@ -763,13 +761,12 @@ def criterion_25(
 
     samples = []
     for rec in records:
-        chart = StraightChart(S, rec)
-        Y = chart.jets()
+        Y = StraightChart(S, rec).jets()
         d3, r3 = condition3_det(Y)
-        (a, b), eta, sres = _special_null_field_of(Y)
-        C, collin = constant_C(Y, eta)
-        d4, r4 = condition4_det(Y, eta, C)
-        samples.append(SampleCriterion(rec.location, d3, r3, a, b, C, collin, sres, d4, r4))
+        (a, b), _, sres, e = _special_null_field_of(Y, 5)
+        C, collin = _constant_C(e)
+        d4, r4 = _condition4(partial_values(Y, 0, 1), e, C)
+        samples.append(SampleCriterion(rec.location, d3, r3, a, b, C, collin, sres, d4, r4, jets=Y))
 
     mid = len(samples) // 2
     rep = samples[mid]
@@ -805,29 +802,31 @@ class FoldReport:
 def fold_symmetry_test(S: Surface, record: SingularPointRecord) -> FoldReport:
     """Necessary-condition battery for a fold at a first-kind singular point.
 
-    In the chart with the curve on {v = 0} and d_v null, a fold's jet has all
-    odd-in-v coefficient vectors inside span(xi X, eta^2 X) (the image plane);
-    the residual is the largest orthogonal component over odd monomials.  A
-    refutation battery, not an A-equivalence decision.
+    In the straightened chart with its axes swapped (curve on {v = 0}, d_v
+    null), a fold's jet has all odd-in-v coefficient vectors inside span(xi X,
+    eta^2 X) (the image plane); the residual is the largest orthogonal
+    component over odd monomials.  A refutation battery, not an A-equivalence
+    decision.  `_fold_symmetry_of` runs it on the criterion's chart jets.
     """
     if record.kind != "first_kind":
         return FoldReport("rejected", math.inf, f"kind is {record.kind}, not first_kind")
-    chart = StraightChart(S, record)
-    Y = chart.jets()
-    # swap axes: lemma chart has the null direction first, the fold chart last
-    Ysw = tuple(Jet2(c.base, c.degree, c.c.T.copy()) for c in Y)
-    xiX = partial_values(Ysw, 1, 0)
-    e2 = partial_values(Ysw, 0, 2)
+    return _fold_symmetry_of(StraightChart(S, record).jets())
+
+
+def _fold_symmetry_of(Y) -> FoldReport:
+    """fold_symmetry_test from the jets Y of X in the straightened chart."""
+    xiX = partial_values(Y, 0, 1)
+    e2 = partial_values(Y, 2, 0)
     if np.linalg.norm(e2) <= 1e-12 * max(1.0, np.linalg.norm(xiX)):
         return FoldReport("rejected", math.inf, "eta^2 X vanishes (image-plane test failed)")
     B = np.array([xiX, e2]).T  # 3x2 span of the image plane
     Q, _ = np.linalg.qr(B)
-    scale = max(np.max(np.abs([c.c for c in Ysw])), 1e-300)
+    scale = max(np.max(np.abs([c.c for c in Y])), 1e-300)
     residual = 0.0
-    D = Ysw[0].degree
-    for a in range(D + 1):
-        for b in range(1, D + 1 - a, 2):
-            vec = np.array([c.c[a, b] for c in Ysw])
+    D = Y[0].degree
+    for a in range(1, D + 1, 2):  # odd in u, the fold chart's v
+        for b in range(D + 1 - a):
+            vec = np.array([c.c[a, b] for c in Y])
             perp = vec - Q @ (Q.T @ vec)
             residual = max(residual, float(np.linalg.norm(perp)))
     residual /= scale
@@ -928,13 +927,8 @@ def perturb_fields(
             raise ValueError(f"{name} must vanish on the singular set {{u = 0}}")
     if abs(a1.value) < 1e-12 or abs(b2.value) < 1e-12:
         raise ValueError("a1 and b2 must be nonvanishing on the singular set")
-    if special:
-        for k in (1, 2):
-            j = b1
-            for _ in range(k):
-                j = apply_vector_field(eta, j)
-            if abs(j.value) > 1e-10:
-                raise ValueError("special variant needs eta b1 = eta eta b1 = 0 at p")
+    if special and np.any(np.abs(field_chain((b1,), eta, 2)[1:]) > 1e-10):
+        raise ValueError("special variant needs eta b1 = eta eta b1 = 0 at p")
     xi_bar = VectorFieldJet(a1 * xi.e1 + a2 * eta.e1, a1 * xi.e2 + a2 * eta.e2)
     eta_bar = VectorFieldJet(b1 * xi.e1 + b2 * eta.e1, b1 * xi.e2 + b2 * eta.e2)
     predicted_scale = float(a1.value) * float(b2.value) ** 7

@@ -349,6 +349,19 @@ def test_classify_reports_unconfirmed_roots(tmp_path):
     assert strict_json(tmp_path / "c.json")["results"]["unconfirmed_roots"] == 0
 
 
+def test_classify_straightens_each_record_once(tmp_path, monkeypatch):
+    """The criterion's chart of a record serves the fold test too."""
+    built = []
+    post_init = sg.StraightChart.__post_init__
+    monkeypatch.setattr(sg.StraightChart, "__post_init__",
+                        lambda chart: built.append(chart.record.location) or post_init(chart))
+    assert run(tmp_path, "classify", "--family", "conjugate", "--of", "delaunay-t",
+               "--k", "2", "--H", "0.5", "-o", "c.json") == 0
+    samples = json.loads((tmp_path / "c.json").read_text())["results"]["samples"]
+    first = sorted(tuple(r["location"]) for r in samples if r["kind"] == "first_kind")
+    assert first and sorted(built) == first
+
+
 def test_conjugate_condition4_closed_form():
     assert sg.conjugate_condition4_det("I-i", 2.0, 0.5) == -288.0
     assert sg.conjugate_condition4_det("I-i", 3.0, 1.0) == -4.5

@@ -349,8 +349,25 @@ def test_root_gate_drops_sign_changes_off_the_curve():
     assert recs == [] and recs.unconfirmed_roots == 6
 
 
-@pytest.mark.parametrize("H", [0.3, 0.5, 0.8, 1.3])
-@pytest.mark.parametrize("family, k, variant", [
+def test_scan_records_report_their_rank():
+    """Without the e^u factor the cylinder's anchored density changes sign on
+    the same 6 edges at points where it vanishes (W . n = 0 on a tangent
+    "frontal normal"), so the gate keeps them; dX has rank 2 there, and the
+    records say so, with kind other."""
+
+    def builder(u0, v0, degree):
+        uj, vj = Jet2.variables((u0, v0), degree)
+        return (jt.cos(2.0 * uj), jt.sin(2.0 * uj), vj)
+
+    S = sf.custom_surface(builder)
+    recs = trace_singular_curve(S, box=(-1, 1, -1, 1), n_grid=3)
+    assert len(recs) == 6
+    assert all(r.rank == 2 and r.null_vector is None and r.kind == "other" for r in recs)
+    assert all(classify_kind(S, r) == "other" for r in recs)
+
+
+# every template of every conjugate branch
+CONJUGATES = [
     ("delaunay_timelike", 2.0, None),     # I-i, template T
     ("delaunay_timelike", 0.5, None),
     ("delaunay_timelike", -0.5, None),
@@ -362,7 +379,11 @@ def test_root_gate_drops_sign_changes_off_the_curve():
     ("delaunay_spacelike", -1.0, None),   # II-ii
     ("delaunay_lightlike_i", None, "i"),  # III-i
     ("delaunay_lightlike_ii", None, "ii"),  # III-ii
-])
+]
+
+
+@pytest.mark.parametrize("H", [0.3, 0.5, 0.8, 1.3])
+@pytest.mark.parametrize("family, k, variant", CONJUGATES)
 def test_condition4_closed_form_on_every_branch(family, k, variant, H):
     S = sf.conjugate_of(family, k=k, H=H, variant=variant)
     hw = min(0.35, 0.8 * S.u_range[1])
@@ -452,6 +473,71 @@ def test_constant_C_hypothesis_violation(fold_model):
     bad = VectorFieldJet.constant(0.0, 1.0, (0.0, 0.0))  # along-curve field: eta^2 X = 0
     with pytest.raises(HypothesisViolationError, match="eta~\\^2 X vanishes"):
         constant_C(Y, bad)
+
+
+def _reference_sample(S, rec):
+    """A sample of criterion_25 by the formulas written out, with one
+    iterated_field_derivative call per order on a chart of its own."""
+    Y = StraightChart(S, rec).jets()
+    ifd = jt.iterated_field_derivative
+
+    def rel_det(c1, c2, c3):
+        d = float(np.linalg.det(np.array([c1, c2, c3])))
+        scale = np.linalg.norm(c1) * np.linalg.norm(c2) * np.linalg.norm(c3)
+        return d, abs(d) / scale if scale > 0 else (0.0 if d == 0 else math.inf)
+
+    xiX = ifd(Y, VectorFieldJet.constant(0.0, 1.0), 1)
+    eta = VectorFieldJet.constant(1.0, 0.0)
+    d3, r3 = rel_det(xiX, ifd(Y, eta, 2), ifd(Y, eta, 3))
+    Xv, Xuu, Xuuu, Xuv = (jt.partial_values(Y, a, b) for a, b in ((0, 1), (2, 0), (3, 0), (1, 1)))
+    vv = float(Xv @ Xv)
+    a = -float(Xv @ Xuu) / vv
+    b = -float(Xv @ (Xuuu + 3 * a * Xuv)) / (2 * vv)
+    special = sg.special_field(a, b)
+    e2, e3, e4, e5 = (ifd(Y, special, n) for n in (2, 3, 4, 5))
+    scale = np.linalg.norm(Xv) * max(np.linalg.norm(e2), np.linalg.norm(e3), 1e-300)
+    n2 = float(e2 @ e2)
+    C = float(e3 @ e2) / n2
+    d4, r4 = rel_det(xiX, e2, 3 * e5 - 10 * C * e4)
+    return Y, {
+        "location": list(map(float, rec.location)), "cond3_det": d3, "cond3_rel": r3,
+        "a": a, "b": b, "C": C,
+        "collinearity_residual": float(np.linalg.norm(e3 - C * e2)) / math.sqrt(n2),
+        "special_residuals": [abs(float(Xv @ e2)) / scale, abs(float(Xv @ e3)) / scale],
+        "cond4_det": d4, "cond4_rel": r4,
+    }
+
+
+@given(st.sampled_from(CONJUGATES), st.floats(0.3, 1.5), st.integers(5, 21))
+@settings(max_examples=15, deadline=None)
+def test_criterion_samples_match_the_formulas_bit_for_bit(conjugate, H, n_grid):
+    """Every field of every criterion_25 sample, and its kept chart jets, are
+    the reference's to the bit."""
+
+    def bits(d):
+        return {key: [float(x).hex() for x in np.ravel(v)] for key, v in d.items()}
+
+    family, k, variant = conjugate
+    S = sf.conjugate_of(family, k=k, H=H, variant=variant)
+    hw = min(0.35, 0.8 * S.u_range[1])
+    recs = trace_singular_curve(S, box=(-hw, hw, 0.1, 1.2), n_grid=n_grid)
+    rep = criterion_25(S, recs)
+    assert rep.samples and len(rep.samples) == len(recs)
+    for sample, rec in zip(rep.samples, recs):
+        Y, expect = _reference_sample(S, rec)
+        assert bits(sample.as_dict()) == bits(expect)
+        assert all(np.array_equal(y.c, z.c) for y, z in zip(sample.jets, Y))
+
+
+def test_criterion_builds_one_chain_per_field(conj_k2, conj_k2_records, monkeypatch):
+    """Per sample: the plain field's chain to order 3 and the special field's
+    to order 5, three jets each (24 field applications; 84 with one
+    iterated_field_derivative call per order)."""
+    calls = []
+    apply = jt.apply_vector_field
+    monkeypatch.setattr(jt, "apply_vector_field", lambda f, j: calls.append(1) or apply(f, j))
+    rep = criterion_25(conj_k2, conj_k2_records)
+    assert rep.samples and len(calls) <= 27 * len(rep.samples)
 
 
 def test_criterion_cusp25_exact(cusp25_model):
