@@ -252,7 +252,7 @@ def cmd_sweep(args) -> int:
 
 
 def _suite_fields(trials, rng, failures):
-    from .jets import Jet2, VectorFieldJet
+    from .jets import Jet2, VectorFieldJet, field_chain, partial_values
 
     ok = 0
     M = sf.standard_model("cusp25")
@@ -268,9 +268,9 @@ def _suite_fields(trials, rng, failures):
     per = max(1, trials // len(targets))
     for S, recs in targets:
         Y = sg.StraightChart(S, recs[len(recs) // 2]).jets()
-        _, eta0, _, _ = sg._special_null_field_of(Y)
-        C0, _ = sg.constant_C(Y, eta0)
-        d4_0, _ = sg.condition4_det(Y, eta0, C0)
+        _, eta0, _, e = sg._special_null_field_of(Y, 5)
+        C0, _ = sg._constant_C(e)
+        d4_0, _ = sg._condition4(partial_values(Y, 0, 1), e, C0)
         for _ in range(per):
             c = rng.uniform(-0.8, 0.8, size=11)
             a1 = Jet2.constant(rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0]), base) + c[0] * u + c[1] * v
@@ -281,8 +281,9 @@ def _suite_fields(trials, rng, failures):
             xi_b, eta_b, _ = sg.perturb_fields(xi0, eta_g, a1, a2, b1g, b2)
             _, r3 = sg.condition3_det(Y, xi=xi_b, eta=eta_b)
             xi_s, eta_s, pred = sg.perturb_fields(xi0, eta0, a1, a2, b1s, b2, special=True)
-            Cb, _ = sg.constant_C(Y, eta_s)
-            d4_b, _ = sg.condition4_det(Y, eta_s, Cb, xi=xi_s)
+            e = field_chain(Y, eta_s, 5)  # C and condition 4 read one chain
+            Cb, _ = sg._constant_C(e)
+            d4_b, _ = sg._condition4(sg._xi_X(Y, xi_s), e, Cb)
             good = r3 < 1e-7 and abs(d4_b / d4_0 - pred) / abs(pred) < 1e-6
             ok += good
             if not good:

@@ -31,13 +31,14 @@ and c of shape (B, D+1, D+1); a batched Jet1 has a (B,) array base and c of
 shape (B, D+1).  A jet without a batch axis is the scalar jet as before, and
 the two never mix (their bases differ).  Batches are built by passing arrays
 of base points to `constant` and `coordinate`; then arithmetic (+, -, *, /,
-integer powers), `value`, `truncated`, `partial`, `du`/`dv`/`dx`, the
-composition helpers (`compose2` too) and the elementary functions all keep
-the batch axis.  `value` is then a (B,) array, a (B,) array may be added to or
+integer powers), `value`, `truncated`, `partial`, `du`/`dv`, the composition
+helpers (`compose2` too) and the elementary functions all keep the batch
+axis.  `value` is then a (B,) array, a (B,) array may be added to or
 multiplied into a batched jet as a per-element constant, and `element(i)` is
 the scalar jet of element i.  `compose_inverse` inverts each element, and
-`gradient` gives one row per element.  `__call__` and the vector-field
-helpers take scalar jets only.
+`gradient` gives one row per element.  The vector-field helpers take batched
+jets with a field on the same base points too, and `partial_values` and
+`field_chain` then put the batch axis before the three components.
 
 Array contract.  The elementary functions (sqrt, exp, log, sin, cos, sinh,
 cosh, arctan, artanh, power) take a jet, a float or an array of floats: a
@@ -96,7 +97,15 @@ def _batch_shape(base):
 def _by_coefficient(c, nvars):
     """A view of coefficients `c` indexed by coefficient first: [a, b] is
     coefficient (a, b) of every batch element (c itself without a batch axis)."""
-    return c if c.ndim == nvars else np.moveaxis(c, 0, -1)
+    return c if c.ndim == nvars else c.transpose(*range(1, c.ndim), 0)  # np.moveaxis, without its checks
+
+
+def _same_base(a, b):
+    """Whether two base points agree: identity, then equality (elementwise for batches)."""
+    try:
+        return a is b or bool(a == b)
+    except ValueError:  # batches of more than one point compare elementwise
+        return np.array_equal(a, b)
 
 
 def _all(mask):
@@ -121,10 +130,10 @@ def _convolve(A, B, table):
     """Truncated product of two coefficient arrays of one shape, by `table`.
 
     With a batch axis the terms of every element are gathered at once and
-    binned into slot (element, output): each slot still receives its terms in
-    table order."""
+    binned into slot (element, output), each slot in table order; a batch of
+    one has the flat layout of one element and takes the scalar gather."""
     ia, ib, io, nvars = table
-    if A.ndim > nvars:
+    if A.ndim > nvars and len(A) > 1:
         n = A.shape[0]
         m = A.size // n
         w = (A.reshape(n, m)[:, ia] * B.reshape(n, m)[:, ib]).ravel()
@@ -171,13 +180,8 @@ class _Jet:
         if isinstance(other, _Jet):
             if type(other) is not type(self):
                 raise JetError("cannot mix univariate and bivariate jets")
-            if other.base is not self.base:
-                try:
-                    if other.base != self.base:
-                        raise JetError("jets have different base points")
-                except ValueError:  # batches of more than one point compare elementwise
-                    if not np.array_equal(other.base, self.base):
-                        raise JetError("jets have different base points") from None
+            if other.base is not self.base and not _same_base(other.base, self.base):
+                raise JetError("jets have different base points")
             return other
         return None  # a number, or a (B,) array of one number per batch element
 
@@ -354,9 +358,6 @@ class Jet2(_Jet):
     def real_part(self) -> "Jet2":
         return self._like(self.degree, np.real(self.c).copy())
 
-    def imag_part(self) -> "Jet2":
-        return self._like(self.degree, np.imag(self.c).copy())
-
     def du(self) -> "Jet2":
         """Jet of df/du; one degree lower (truncation loses the top order)."""
         if self.degree < 1:
@@ -369,13 +370,6 @@ class Jet2(_Jet):
             raise JetOrderError("jet order exhausted")
         D = self.degree - 1
         return self._like(D, self.c[..., : D + 1, 1:] * np.arange(1, self.degree + 1)[None, :])
-
-    def __call__(self, u, v):
-        """Evaluate the truncated polynomial at (u, v)."""
-        du, dv = u - self.base[0], v - self.base[1]
-        pu = du ** np.arange(self.degree + 1)
-        pv = dv ** np.arange(self.degree + 1)
-        return pu @ self.c @ pv
 
     # -- traced operators ----------------------------------------------------
 
@@ -445,14 +439,6 @@ class Jet1(_Jet):
         if n > self.degree:
             raise JetOrderError("jet order exhausted")
         return _by_coefficient(self.c, 1)[n] * math.factorial(n)
-
-    def dx(self) -> "Jet1":
-        if self.degree < 1:
-            raise JetOrderError("jet order exhausted")
-        return self._like(self.degree - 1, self.c[..., 1:] * np.arange(1, self.degree + 1))
-
-    def __call__(self, x):
-        return np.polyval(self.c[::-1], x - self.base)
 
     def __mul__(self, other):
         return self._product(other)
@@ -674,7 +660,7 @@ class VectorFieldJet:
     e2: Jet2
 
     def __post_init__(self):
-        if self.e1.base != self.e2.base or self.e1.degree != self.e2.degree:
+        if not _same_base(self.e1.base, self.e2.base) or self.e1.degree != self.e2.degree:
             raise JetError("vector field components must share base point and degree")
 
     @classmethod
@@ -691,26 +677,26 @@ def apply_vector_field(field: VectorFieldJet, f: Jet2) -> Jet2:
     lower degree of its factors, so the field needs no truncation)."""
     if f.degree < 1:
         raise JetOrderError("jet order exhausted")
-    if field.base != f.base:
+    if not _same_base(field.base, f.base):
         raise JetError("field and jet have different base points")
     return field.e1 * f.du() + field.e2 * f.dv()
 
 
 def partial_values(X, a: int, b: int) -> np.ndarray:
-    """The partial derivative d^{a+b}/du^a dv^b at the base point of each jet
-    of the triple X, as an array (a = 1, b = 0 gives the value of X_u)."""
-    return np.array([comp.partial(a, b) for comp in X])
+    """The partial derivative d^{a+b}/du^a dv^b at the base point of each jet of
+    the triple X: (3,), or (B, 3) for batched jets (a = 1, b = 0 gives X_u)."""
+    return np.stack([comp.partial(a, b) for comp in X], axis=-1)
 
 
 def field_chain(X, field: VectorFieldJet, k: int) -> np.ndarray:
-    """Values at the base point of field^n X, n = 0..k (row n), from k field
-    applications per jet of the triple X; exact, no finite differencing."""
+    """Values at the base point of field^n X, n = 0..k (row n: (3,), or (B, 3) for
+    batched jets), from k field applications per jet of X; exact, no finite differencing."""
     if k > min(j.degree for j in X):
         raise JetOrderError("jet order exhausted")
     chain = [X]
     for _ in range(k):
         chain.append([apply_vector_field(field, j) for j in chain[-1]])
-    return np.array([[j.value for j in row] for row in chain])
+    return np.array([np.stack([j.value for j in row], axis=-1) for row in chain])
 
 
 def iterated_field_derivative(X, field: VectorFieldJet, k: int) -> np.ndarray:

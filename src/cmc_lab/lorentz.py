@@ -45,17 +45,6 @@ class LVec3:
     def array(self) -> np.ndarray:
         return np.array([self.x0, self.x1, self.x2])
 
-    def __add__(self, other: "LVec3") -> "LVec3":
-        return LVec3(self.x0 + other.x0, self.x1 + other.x1, self.x2 + other.x2)
-
-    def __sub__(self, other: "LVec3") -> "LVec3":
-        return LVec3(self.x0 - other.x0, self.x1 - other.x1, self.x2 - other.x2)
-
-    def __mul__(self, s: float) -> "LVec3":
-        return LVec3(self.x0 * s, self.x1 * s, self.x2 * s)
-
-    __rmul__ = __mul__
-
 
 def _components(x):
     if isinstance(x, LVec3):

@@ -96,23 +96,22 @@ def _density(W, N):
     return W[0] * N[0] + W[1] * N[1] + W[2] * N[2]
 
 
-def _lambda_jet(S: Surface, p, degree=MAX_DEGREE, normal=None, X=None):
+def _lambda_jet(S: Surface, p, degree=MAX_DEGREE, normal=None, W=None):
     """Jet of lambda = (X_u x X_v) . N at p, one degree below the jets of X.
 
     N is the analytic normal jet when S carries one; otherwise the fixed unit
-    vector `normal` (the anchored or frontal normal at a nearby point).  `X`
-    passes the degree-`degree` jets of the surface at p when already at hand.
-    p may be a pair of (B,) arrays, with one normal per point in a (B, 3)
-    `normal`.  The curve scan, the records' dlambda, the curve walk and the
-    straightened chart all read lambda from here.
+    vector `normal` (the anchored or frontal normal at a nearby point).  `W`
+    passes the jets of X_u x X_v when already at hand.  p may be a pair of
+    (B,) arrays, with one normal per point in a (B, 3) `normal`.  The curve
+    scan, the curve walk and the straightened chart read lambda from here.
     """
-    if X is None:
-        X = S.jet(p[0], p[1], degree)
+    if W is None:
+        W = _cross_jets(S.jet(p[0], p[1], degree))
     if S.has_analytic_normal:
         N = S.analytic_normal_jet(p[0], p[1], degree - 1)
     else:
         N = np.asarray(normal, float).T
-    return _density(_cross_jets(X), N)
+    return _density(W, N)
 
 
 def _frontal_normal(W):
@@ -264,7 +263,7 @@ def trace_singular_curve(
     dX = _dX_of(X)
     dx2 = np.sum(dX * dX, axis=(-2, -1)).reshape(n_grid, n_grid)[i, j]  # |dX|^2 at the edge start
     if S.has_analytic_normal:
-        lam = _lambda_jet(S, (u, v), 1, X=X).value.reshape(n_grid, n_grid)
+        lam = _lambda_jet(S, (u, v), 1, W=_cross_jets(X)).value.reshape(n_grid, n_grid)
         f1, f2 = lam[i, j], lam[i2, j2]
     else:
         W = np.stack([w.value for w in _cross_jets(X)], axis=-1)
@@ -476,102 +475,114 @@ def _conelike(S: Surface, records, n_side=3) -> np.ndarray:
 
 @dataclass
 class StraightChart:
-    """The chart of the null-field lemma at one singular point.
+    """The charts of the null-field lemma at singular points.
 
     Psi(u, v) = gamma(v) + u * eta(v): {u = 0} is the singular curve, d_u is
     null along it (signed along +dlambda, unit at p), and v runs along the
     curve in the +dlambda-rotated-(-90deg) direction at unit parameter speed.
-    X o Psi is served as degree-5 jets at the origin.
+    X o Psi is served as degree-5 jets at the origin.  A sequence of records
+    is one batch, each step one array operation over it, with batched jets
+    (element i for records[i]); one record is a batch of one with scalar jets.
+    A check that fails on any record raises.
     """
 
     surface: Surface
-    record: SingularPointRecord
-    curve_u: Jet1 = field(init=False)
+    records: object  # a sequence of SingularPointRecords, or one record
+    curve_u: Jet1 = field(init=False)  # the charts' curves and null fields, batched
     curve_v: Jet1 = field(init=False)
     eta_u: Jet1 = field(init=False)
     eta_v: Jet1 = field(init=False)
-    X: tuple = field(init=False, repr=False)  # the degree-5 jets of X at the record
+    X: tuple = field(init=False, repr=False)  # the degree-5 jets of X at the records
 
     def __post_init__(self):
-        S, rec = self.surface, self.record
-        p = np.asarray(rec.location, float)
-        dlam = np.asarray(rec.dlam, float)
-        nd = np.linalg.norm(dlam)
-        if nd <= 1e-12:
+        S = self.surface
+        records = [self.records] if isinstance(self.records, SingularPointRecord) else self.records
+        u, v = np.array([r.location for r in records], float).T
+        dlam = np.array([r.dlam for r in records], float)
+        nd = _norm(dlam)
+        if np.any(nd <= 1e-12):
             raise DegenerateZeroSetError("degenerate zero set: dlambda vanishes")
-        T = dlam / nd
+        T = dlam / nd[:, None]
         tang = _curve_direction(dlam)
 
         deg = MAX_DEGREE - 1  # the scalar density jet has one degree less than X
-        X = self.X = S.jet(p[0], p[1], MAX_DEGREE)
+        X = self.X = S.jet(u, v, MAX_DEGREE)
+        W = _cross_jets(X)
         n = None
         if not S.has_analytic_normal:
-            n, defined = _frontal_normal(_cross_jets(X))
-            if not defined:
+            n, defined = _frontal_normal(W)
+            if not defined.all():
                 raise NormalUndefinedError("normal undefined (rank 0 or non-frontal)")
-        g = _lambda_jet(S, p, MAX_DEGREE, normal=n, X=X)
-        gT = float(g.gradient() @ T)
-        if abs(gT) <= 1e-12:
+        g = _lambda_jet(S, (u, v), MAX_DEGREE, normal=n, W=W)
+        gT = np.vecdot(g.gradient(), T)
+        if np.any(np.abs(gT) <= 1e-12):
             raise DegenerateZeroSetError("degenerate zero set: no transverse slope")
 
-        # solve the curve as gamma(v) = p + v*tang + phi(v)*T with phi = O(v^2)
+        # solve the curves as gamma(v) = p + v*tang + phi(v)*T with phi = O(v^2)
+        origin = np.zeros(len(records))
         lin = np.eye(deg + 1)[1]
 
-        def curve_coeffs(phi):
-            cu = tang[0] * lin + T[0] * phi
-            cv = tang[1] * lin + T[1] * phi
-            cu[0] += p[0]
-            cv[0] += p[1]
-            return Jet1(0.0, deg, cu), Jet1(0.0, deg, cv)
+        def curve_coeffs(phi):  # the (u, v) components of gamma, coefficient rows
+            c = tang[..., None] * lin + T[..., None] * phi[:, None]
+            c[..., 0] += np.stack([u, v], axis=-1)
+            return Jet1(origin, deg, c[:, 0]), Jet1(origin, deg, c[:, 1])
 
-        phi = np.zeros(deg + 1)
+        phi = np.zeros((len(records), deg + 1))
         for m in range(2, deg + 1):
-            cu, cv = curve_coeffs(phi)
-            G = _compose2(g, cu, cv)
-            phi[m] -= G.c[m] / gT
+            G = _compose2(g, *curve_coeffs(phi))
+            phi[:, m] -= G.c[:, m] / gT
         self.curve_u, self.curve_v = curve_coeffs(phi)
 
         # null direction along the curve: kernel of dX via the image tangent
-        e = _dX_of(X) @ tang
-        ne = np.linalg.norm(e)
-        if ne <= 1e-12:
+        e = np.matmul(np.ascontiguousarray(_dX_of(X)), tang[:, :, None])[..., 0]
+        ne = _norm(e)
+        if np.any(ne <= 1e-12):
             raise SingularTangentError("singular tangent degenerate")
-        e = e / ne
+        e = (e / ne[:, None]).T
         Xu_c = [_compose2(c.du(), self.curve_u, self.curve_v) for c in X]
         Xv_c = [_compose2(c.dv(), self.curve_u, self.curve_v) for c in X]
         eta_u, eta_v = -_density(Xv_c, e), _density(Xu_c, e)
-        e0 = np.array([eta_u.value, eta_v.value])
-        n0 = np.linalg.norm(e0)
-        if n0 <= 1e-12:
+        e0 = np.stack([eta_u.value, eta_v.value], axis=-1)
+        n0 = _norm(e0)
+        if np.any(n0 <= 1e-12):
             raise SingularTangentError("singular tangent degenerate: null field vanishes")
-        sgn = 1.0 if float(e0 @ dlam) > 0 else -1.0
+        sgn = np.where(np.vecdot(e0, dlam) > 0, 1.0, -1.0)
         self.eta_u = eta_u * (sgn / n0)
         self.eta_v = eta_v * (sgn / n0)
 
     def jets(self):
-        """Degree-5 jets of X o Psi at the chart origin."""
+        """Degree-5 jets of X o Psi at the chart origins (scalar for one record)."""
         psi_u = _lift_chart(self.curve_u, self.eta_u)
         psi_v = _lift_chart(self.curve_v, self.eta_v)
-        return tuple(_compose2(c, psi_u, psi_v) for c in self.X)
+        Y = tuple(_compose2(c, psi_u, psi_v) for c in self.X)
+        return tuple(y.element(0) for y in Y) if isinstance(self.records, SingularPointRecord) else Y
 
 
 def _lift_chart(curve: Jet1, eta: Jet1) -> Jet2:
     """Psi component gamma(v) + u * eta(v) as a degree-5 jet at the origin
     (curve and eta have degree 4)."""
-    c = np.zeros((MAX_DEGREE + 1, MAX_DEGREE + 1))
-    c[0, :MAX_DEGREE] = curve.c
-    c[1, :MAX_DEGREE] = eta.c
-    return Jet2((0.0, 0.0), MAX_DEGREE, c)
+    c = np.zeros(curve.c.shape[:-1] + (MAX_DEGREE + 1, MAX_DEGREE + 1))
+    c[..., 0, :MAX_DEGREE] = curve.c
+    c[..., 1, :MAX_DEGREE] = eta.c
+    return Jet2((curve.base, curve.base), MAX_DEGREE, c)
 
 
 # -- criterion machinery ---------------------------------------------------------
+# Each formula below takes the vectors of one sample, (3,), or a stack of them, (B, 3).
+
+
+def _per_sample(*values):
+    """Python floats for one sample (as reported), the arrays for a stack."""
+    return tuple(float(x) if np.ndim(x) == 0 else x for x in values)
 
 
 def _rel_det(c1, c2, c3):
-    d = float(np.linalg.det(np.array([c1, c2, c3])))
-    scale = np.linalg.norm(c1) * np.linalg.norm(c2) * np.linalg.norm(c3)
-    rel = abs(d) / scale if scale > 0 else (0.0 if d == 0 else math.inf)
-    return d, rel
+    """det(c1, c2, c3) and |det| / (|c1||c2||c3|) (0 for det 0 at scale 0, else inf)."""
+    d = np.linalg.det(np.stack([c1, c2, c3], axis=-2))
+    scale = _norm(c1) * _norm(c2) * _norm(c3)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.where(scale > 0, np.abs(d) / scale, np.where(d == 0, 0.0, math.inf))
+    return _per_sample(d, rel)
 
 
 def _xi_X(Y, xi):
@@ -596,17 +607,17 @@ def lemma_special_coefficients(Y):
     Xuu = partial_values(Y, 2, 0)
     Xuuu = partial_values(Y, 3, 0)
     Xuv = partial_values(Y, 1, 1)
-    vv = float(Xv @ Xv)
-    if vv <= 1e-300:
+    vv = np.vecdot(Xv, Xv)
+    if np.any(vv <= 1e-300):
         raise SingularTangentError("singular tangent degenerate")
-    a = -float(Xv @ Xuu) / vv
-    b = -float(Xv @ (Xuuu + 3 * a * Xuv)) / (2 * vv)
-    return a, b
+    a = -np.vecdot(Xv, Xuu) / vv
+    b = -np.vecdot(Xv, Xuuu + 3 * a[..., None] * Xuv) / (2 * vv)
+    return _per_sample(a, b)
 
 
 def special_field(a, b, base=(0.0, 0.0), degree=MAX_DEGREE) -> VectorFieldJet:
     u = Jet2.coordinate(base, degree, 0) - base[0]
-    return VectorFieldJet(Jet2.constant(1.0, base, degree), a * u + b * u * u)
+    return VectorFieldJet(Jet2.constant(1.0, base, degree), u * a + u * b * u)  # jet first: a, b may be arrays
 
 
 def special_null_field(S: Surface, record: SingularPointRecord):
@@ -622,11 +633,11 @@ def _special_null_field_of(Y, order=3):
     """special_null_field from the jets Y of X in the straightened chart, and
     the special field's chain on Y to `order`."""
     a, b = lemma_special_coefficients(Y)
-    eta = special_field(a, b)
+    eta = special_field(a, b, Y[0].base)
     e = field_chain(Y, eta, order)
     xiX = partial_values(Y, 0, 1)
-    scale = np.linalg.norm(xiX) * max(np.linalg.norm(e[2]), np.linalg.norm(e[3]), 1e-300)
-    return (a, b), eta, (abs(float(xiX @ e[2])) / scale, abs(float(xiX @ e[3])) / scale), e
+    scale = _norm(xiX) * np.maximum(np.maximum(_norm(e[2]), _norm(e[3])), 1e-300)
+    return (a, b), eta, (np.abs(np.vecdot(xiX, e[2])) / scale, np.abs(np.vecdot(xiX, e[3])) / scale), e
 
 
 def constant_C(Y, eta: VectorFieldJet):
@@ -640,12 +651,12 @@ def constant_C(Y, eta: VectorFieldJet):
 
 def _constant_C(e):
     """constant_C from the chain e of the field."""
-    n2 = float(e[2] @ e[2])
-    if n2 <= 1e-300:
+    n2 = np.vecdot(e[2], e[2])
+    if np.any(n2 <= 1e-300):
         raise HypothesisViolationError("hypothesis violated: eta~^2 X vanishes")
-    C = float(e[3] @ e[2]) / n2
-    residual = float(np.linalg.norm(e[3] - C * e[2])) / math.sqrt(n2)
-    return C, residual
+    C = np.vecdot(e[3], e[2]) / n2
+    residual = _norm(e[3] - C[..., None] * e[2]) / np.sqrt(n2)
+    return _per_sample(C, residual)
 
 
 def condition4_det(Y, eta: VectorFieldJet, C: float, xi: VectorFieldJet = None):
@@ -656,7 +667,7 @@ def condition4_det(Y, eta: VectorFieldJet, C: float, xi: VectorFieldJet = None):
 
 def _condition4(xiX, e, C):
     """condition4_det from xi X and the chain e of eta~ to order 5."""
-    return _rel_det(xiX, e[2], 3 * e[5] - 10 * C * e[4])
+    return _rel_det(xiX, e[2], 3 * e[5] - 10 * np.asarray(C)[..., None] * e[4])
 
 
 @dataclass
@@ -727,6 +738,19 @@ def conjugate_condition4_det(branch: str, k: Optional[float], H: float) -> float
     return CONDITION4_CLOSED_FORMS[branch](k, H)
 
 
+def _samples(S: Surface, records) -> list:
+    """The criterion's samples at the records, from one batched chart of them."""
+    Y = StraightChart(S, records).jets()
+    d3, r3 = condition3_det(Y)
+    (a, b), _, sres, e = _special_null_field_of(Y, 5)
+    C, collin = _constant_C(e)
+    d4, r4 = _condition4(partial_values(Y, 0, 1), e, C)
+    columns = zip(d3.tolist(), r3.tolist(), a.tolist(), b.tolist(), C.tolist(), collin.tolist(),
+                  zip(*(r.tolist() for r in sres)), d4.tolist(), r4.tolist())
+    return [SampleCriterion(rec.location, *values, jets=tuple(y.element(i) for y in Y))
+            for i, (rec, values) in enumerate(zip(records, columns))]
+
+
 def criterion_25(
     S: Surface,
     records: Sequence[SingularPointRecord],
@@ -736,11 +760,13 @@ def criterion_25(
 ) -> CriterionReport:
     """The (2,5)-cuspidal-edge test on sampled points of a singular curve.
 
-    Each sample is straightened once, and all is read from that chart's
-    degree-5 jets Y: xi X = X_v from the partials, condition 3 from the chain
-    of eta = d_u to order 3, and the special field eta~ = d_u + (a u + b u^2) d_v
-    with its chain to order 5 (its residuals, C by least squares, condition 4).
-    No finite differencing.  Y stays in `SampleCriterion.jets` for the fold test.
+    The samples are straightened in one batched chart, and all is read from
+    its degree-5 jets Y, each formula once over the batch: xi X = X_v from the
+    partials, condition 3 from the chain of eta = d_u to order 3, and the
+    special field eta~ = d_u + (a u + b u^2) d_v with its chain to order 5 (its
+    residuals, C by least squares, condition 4).  No finite differencing.  Each
+    sample's chart jets stay in `SampleCriterion.jets` for the fold test.  A
+    failure raises the first failing check of the first failing record.
     """
     records = list(records)
     if not records:
@@ -759,15 +785,12 @@ def criterion_25(
             reason=f"{len(bad)} sample(s) not of the first kind (e.g. {bad[0].kind})",
         )
 
-    samples = []
-    for rec in records:
-        Y = StraightChart(S, rec).jets()
-        d3, r3 = condition3_det(Y)
-        (a, b), _, sres, e = _special_null_field_of(Y, 5)
-        C, collin = _constant_C(e)
-        d4, r4 = _condition4(partial_values(Y, 0, 1), e, C)
-        samples.append(SampleCriterion(rec.location, d3, r3, a, b, C, collin, sres, d4, r4, jets=Y))
-
+    try:
+        samples = _samples(S, records)
+    except Exception:
+        for rec in records:  # raise what a loop over the records meets first
+            _samples(S, [rec])
+        raise
     mid = len(samples) // 2
     rep = samples[mid]
     max3 = max(s.cond3_rel for s in samples)

@@ -7,6 +7,8 @@ import sys
 import numpy as np
 import pytest
 
+from cmc_lab import cli
+from cmc_lab import jets as jt
 from cmc_lab import singularities as sg
 from cmc_lab.cli import main
 
@@ -349,17 +351,34 @@ def test_classify_reports_unconfirmed_roots(tmp_path):
     assert strict_json(tmp_path / "c.json")["results"]["unconfirmed_roots"] == 0
 
 
+def test_fields_suite_builds_one_special_chain_per_trial(monkeypatch):
+    """Per trial: condition 3 (12 field applications), the special change's
+    check (2), the special field's chain to order 5 (15) and xi X (3)."""
+    calls = []
+    apply = jt.apply_vector_field
+    monkeypatch.setattr(jt, "apply_vector_field", lambda f, j: calls.append(1) or apply(f, j))
+
+    def count(trials):
+        calls.clear()
+        assert cli._suite_fields(trials, np.random.default_rng(0), []) == (trials, trials)
+        return len(calls)
+
+    assert (count(4) - count(2)) / 2 <= 32  # two more trials, one per target
+
+
 def test_classify_straightens_each_record_once(tmp_path, monkeypatch):
-    """The criterion's chart of a record serves the fold test too."""
+    """One batched chart covers exactly the first-kind records, and its jets
+    serve the fold test too."""
     built = []
     post_init = sg.StraightChart.__post_init__
     monkeypatch.setattr(sg.StraightChart, "__post_init__",
-                        lambda chart: built.append(chart.record.location) or post_init(chart))
+                        lambda chart: built.append(list(chart.records)) or post_init(chart))
     assert run(tmp_path, "classify", "--family", "conjugate", "--of", "delaunay-t",
                "--k", "2", "--H", "0.5", "-o", "c.json") == 0
     samples = json.loads((tmp_path / "c.json").read_text())["results"]["samples"]
-    first = sorted(tuple(r["location"]) for r in samples if r["kind"] == "first_kind")
-    assert first and sorted(built) == first
+    first = [tuple(r["location"]) for r in samples if r["kind"] == "first_kind"]
+    assert len(built) == 1
+    assert first and [tuple(map(float, r.location)) for r in built[0]] == first
 
 
 def test_conjugate_condition4_closed_form():

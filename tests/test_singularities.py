@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -529,15 +530,168 @@ def test_criterion_samples_match_the_formulas_bit_for_bit(conjugate, H, n_grid):
         assert all(np.array_equal(y.c, z.c) for y, z in zip(sample.jets, Y))
 
 
+class _ScalarChart:
+    """StraightChart of one record as it was built one record at a time (the
+    former __post_init__, jets and _lift_chart): the reference each element of
+    the batched chart must match bit for bit."""
+
+    def __init__(self, S, rec):
+        p = np.asarray(rec.location, float)
+        dlam = np.asarray(rec.dlam, float)
+        nd = np.linalg.norm(dlam)
+        if nd <= 1e-12:
+            raise sg.DegenerateZeroSetError("degenerate zero set: dlambda vanishes")
+        T = dlam / nd
+        tang = sg._curve_direction(dlam)
+
+        deg = jt.MAX_DEGREE - 1
+        X = self.X = S.jet(p[0], p[1], jt.MAX_DEGREE)
+        if S.has_analytic_normal:
+            N = S.analytic_normal_jet(p[0], p[1], deg)
+        else:
+            N, defined = sg._frontal_normal(sg._cross_jets(X))
+            if not defined:
+                raise NormalUndefinedError("normal undefined (rank 0 or non-frontal)")
+        g = sg._density(sg._cross_jets(X), N)
+        gT = float(g.gradient() @ T)
+        if abs(gT) <= 1e-12:
+            raise sg.DegenerateZeroSetError("degenerate zero set: no transverse slope")
+
+        lin = np.eye(deg + 1)[1]
+
+        def curve_coeffs(phi):
+            cu = tang[0] * lin + T[0] * phi
+            cv = tang[1] * lin + T[1] * phi
+            cu[0] += p[0]
+            cv[0] += p[1]
+            return jt.Jet1(0.0, deg, cu), jt.Jet1(0.0, deg, cv)
+
+        phi = np.zeros(deg + 1)
+        for m in range(2, deg + 1):
+            cu, cv = curve_coeffs(phi)
+            G = jt.compose2(g, cu, cv)
+            phi[m] -= G.c[m] / gT
+        self.curve_u, self.curve_v = curve_coeffs(phi)
+
+        e = sg._dX_of(X) @ tang
+        ne = np.linalg.norm(e)
+        if ne <= 1e-12:
+            raise sg.SingularTangentError("singular tangent degenerate")
+        e = e / ne
+        Xu_c = [jt.compose2(c.du(), self.curve_u, self.curve_v) for c in X]
+        Xv_c = [jt.compose2(c.dv(), self.curve_u, self.curve_v) for c in X]
+        eta_u, eta_v = -sg._density(Xv_c, e), sg._density(Xu_c, e)
+        e0 = np.array([eta_u.value, eta_v.value])
+        n0 = np.linalg.norm(e0)
+        if n0 <= 1e-12:
+            raise sg.SingularTangentError("singular tangent degenerate: null field vanishes")
+        sgn = 1.0 if float(e0 @ dlam) > 0 else -1.0
+        self.eta_u = eta_u * (sgn / n0)
+        self.eta_v = eta_v * (sgn / n0)
+
+    def jets(self):
+        def lift(curve, eta):
+            c = np.zeros((jt.MAX_DEGREE + 1, jt.MAX_DEGREE + 1))
+            c[0, :jt.MAX_DEGREE] = curve.c
+            c[1, :jt.MAX_DEGREE] = eta.c
+            return Jet2((0.0, 0.0), jt.MAX_DEGREE, c)
+
+        psi_u, psi_v = lift(self.curve_u, self.eta_u), lift(self.curve_v, self.eta_v)
+        return tuple(jt.compose2(c, psi_u, psi_v) for c in self.X)
+
+
+def _assert_chart_matches_the_scalar_one(S, recs):
+    """Every element of the batched chart's jets, and the chart of each record
+    alone, are the scalar chart's to the bit."""
+    assert recs
+    Y = StraightChart(S, recs).jets()
+    for i, rec in enumerate(recs):
+        ref = _ScalarChart(S, rec).jets()
+        alone = StraightChart(S, rec).jets()
+        for y, a, z in zip(Y, alone, ref):
+            assert y.element(i).c.tobytes() == z.c.tobytes()
+            assert a.c.tobytes() == z.c.tobytes() and a.base == z.base == (0.0, 0.0)
+
+
+@given(st.sampled_from(CONJUGATES), st.floats(0.3, 1.5), st.integers(5, 21))
+@example(("delaunay_timelike", 2.0, None), 0.5, 21)  # analytic normal
+@example(("delaunay_timelike", -1.0, None), 0.3, 5)  # frontal normal from the jets
+@settings(max_examples=15, deadline=None)
+def test_batched_chart_matches_the_scalar_chart_bit_for_bit(conjugate, H, n_grid):
+    family, k, variant = conjugate
+    S = sf.conjugate_of(family, k=k, H=H, variant=variant)
+    hw = min(0.35, 0.8 * S.u_range[1])
+    _assert_chart_matches_the_scalar_one(S, trace_singular_curve(S, box=(-hw, hw, 0.1, 1.2),
+                                                                 n_grid=n_grid))
+
+
+@pytest.mark.parametrize("model", ["cusp25", "fold", "cuspidal_edge"])
+def test_batched_chart_matches_the_scalar_chart_on_pushed_models(model):
+    """diffeo_push surfaces carry no analytic normal."""
+    rng = np.random.default_rng(5)
+    P = diffeo_push(sf.standard_model(model), np.eye(3) + rng.uniform(-0.3, 0.3, (3, 3)),
+                    rng.uniform(-0.1, 0.1, (3, 3, 3)), rng.uniform(-0.05, 0.05, (3, 3, 3, 3)))
+    assert not P.has_analytic_normal
+    _assert_chart_matches_the_scalar_one(P, trace_singular_curve(P, box=(-0.4, 0.4, -0.4, 0.4),
+                                                                 n_grid=7))
+
+
+def test_criterion_raises_for_the_first_failing_record(conj_k2, conj_k2_records):
+    """A failing record raises what a loop over the records meets first: the
+    first failing check of the first failing record."""
+
+    def failing(changes):
+        """The first five records with changes {index: fields}."""
+        recs = list(conj_k2_records[:5])
+        for i, fields in changes.items():
+            recs[i] = dataclasses.replace(recs[i], **fields)
+        return recs
+
+    with pytest.raises(sg.DegenerateZeroSetError, match="^degenerate zero set: dlambda vanishes$"):
+        criterion_25(conj_k2, failing({2: dict(dlam=(0.0, 0.0))}))
+    # record 1 fails a later check than record 3: record 1 raises
+    with pytest.raises(sg.DegenerateZeroSetError, match="^degenerate zero set: no transverse slope$"):
+        criterion_25(conj_k2, failing({1: dict(dlam=(0.0, 1.0)), 3: dict(dlam=(0.0, 0.0))}))
+    with pytest.raises(sf.SurfaceDomainError, match="^u = 9.0 outside"):
+        criterion_25(conj_k2, failing({1: dict(location=(9.0, 0.5)), 3: dict(dlam=(0.0, 0.0))}))
+
+
+def test_one_cross_product_per_chart(monkeypatch):
+    """Without an analytic normal the frontal normal and lambda share W = X_u x X_v."""
+    S = sf.conjugate_of("delaunay_timelike", k=-1.0, H=0.5)
+    recs = trace_singular_curve(S, box=(-0.35, 0.35, 0.1, 1.2), n_grid=9)
+    assert not S.has_analytic_normal and len(recs) > 1
+    calls = []
+    cross = sg._cross_jets
+    monkeypatch.setattr(sg, "_cross_jets", lambda X: calls.append(1) or cross(X))
+    StraightChart(S, recs)
+    assert len(calls) == 1
+    StraightChart(S, recs[0])
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("n_grid", [5, 21])
+def test_criterion_makes_one_degree5_jet_call(conj_k2, n_grid, monkeypatch):
+    recs = trace_singular_curve(conj_k2, n_grid=n_grid)
+    assert len(recs) > 1
+    degrees = []
+    jet = sf.Surface.jet
+    monkeypatch.setattr(sf.Surface, "jet",
+                        lambda S, u, v, degree=jt.MAX_DEGREE: degrees.append(degree) or jet(S, u, v, degree))
+    assert criterion_25(conj_k2, recs).verdict == "cusp25"
+    assert degrees.count(jt.MAX_DEGREE) == 1
+
+
 def test_criterion_builds_one_chain_per_field(conj_k2, conj_k2_records, monkeypatch):
-    """Per sample: the plain field's chain to order 3 and the special field's
-    to order 5, three jets each (24 field applications; 84 with one
-    iterated_field_derivative call per order)."""
+    """On the batch of all samples: the plain field's chain to order 3 and the
+    special field's to order 5, three jets each (24 field applications however
+    many samples; 84 per sample with one iterated_field_derivative call per
+    order)."""
     calls = []
     apply = jt.apply_vector_field
     monkeypatch.setattr(jt, "apply_vector_field", lambda f, j: calls.append(1) or apply(f, j))
     rep = criterion_25(conj_k2, conj_k2_records)
-    assert rep.samples and len(calls) <= 27 * len(rep.samples)
+    assert len(rep.samples) > 1 and len(calls) == 24
 
 
 def test_criterion_cusp25_exact(cusp25_model):
