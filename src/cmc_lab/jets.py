@@ -24,21 +24,17 @@ Degree is capped at 5: the fifth-order directional derivatives consumed by the
 cuspidal-edge criterion are the deepest anything here needs, and a fixed cap
 keeps every coefficient array the same small shape.
 
-Batch axis (vector mode).  A jet may carry a leading batch axis: one jet per
-point of a batch of B base points, evaluated by one array operation instead
-of B Python calls.  A batched Jet2 has base (u0, v0), a pair of (B,) arrays,
-and c of shape (B, D+1, D+1); a batched Jet1 has a (B,) array base and c of
-shape (B, D+1).  A jet without a batch axis is the scalar jet as before, and
-the two never mix (their bases differ).  Batches are built by passing arrays
-of base points to `constant` and `coordinate`; then arithmetic (+, -, *, /,
-integer powers), `value`, `truncated`, `partial`, `du`/`dv`, the composition
-helpers (`compose2` too) and the elementary functions all keep the batch
-axis.  `value` is then a (B,) array, a (B,) array may be added to or
-multiplied into a batched jet as a per-element constant, and `element(i)` is
-the scalar jet of element i.  `compose_inverse` inverts each element, and
-`gradient` gives one row per element.  The vector-field helpers take batched
-jets with a field on the same base points too, and `partial_values` and
-`field_chain` then put the batch axis before the three components.
+Batch axis.  A jet's coefficient array has shape batch + (D+1,) * nvars:
+batch is () for a jet at one base point and (B,) for a batch of B base
+points, evaluated by one array operation instead of B Python calls.  Every
+operator is written once, with c[..., idx] indexing, so a scalar jet is the
+jet with an empty batch shape.  The base of a Jet2 is (u0, v0) and that of a
+Jet1 is x0, numbers or (B,) arrays; `constant` and `coordinate` build a batch
+from arrays of base points.  `value`, `partial` and the elementary functions
+give (B,) arrays where a scalar jet gives numbers; a (B,) array adds or
+multiplies as one constant per element, and `element(i)` is the scalar jet
+of element i.  Jets combine only at the same base, batch shape included: a
+scalar jet never meets a batch of one.
 
 Array contract.  The elementary functions (sqrt, exp, log, sin, cos, sinh,
 cosh, arctan, artanh, power) take a jet, a float or an array of floats: a
@@ -89,19 +85,17 @@ class JetOrderError(JetError):
     """Differentiation requested on a degree-0 jet ("jet order exhausted")."""
 
 
-def _batch_shape(base):
-    """() for one base point, (B,) for a (B,) array of base coordinates."""
-    return base.shape if isinstance(base, np.ndarray) else ()
-
-
-def _by_coefficient(c, nvars):
-    """A view of coefficients `c` indexed by coefficient first: [a, b] is
-    coefficient (a, b) of every batch element (c itself without a batch axis)."""
-    return c if c.ndim == nvars else c.transpose(*range(1, c.ndim), 0)  # np.moveaxis, without its checks
+def _batch_shape(x):
+    """() for one base coordinate, (B,) for a (B,) array of them."""
+    return x.shape if isinstance(x, np.ndarray) else ()
 
 
 def _same_base(a, b):
-    """Whether two base points agree: identity, then equality (elementwise for batches)."""
+    """Whether two base points agree: both one point or both batches (a jet
+    stores numbers or (B,) arrays), with equal coordinates."""
+    x, y = (a[0], b[0]) if isinstance(a, tuple) else (a, b)
+    if type(x) is not type(y):  # a number and an array: never mixed
+        return False
     try:
         return a is b or bool(a == b)
     except ValueError:  # batches of more than one point compare elementwise
@@ -116,26 +110,25 @@ def _all(mask):
 def _pair_table(degree: int, nvars: int):
     """Flat indices (ia, ib, io) of the truncated product of two coefficient
     arrays of shape (degree + 1,) * nvars, left monomials in lexicographic order,
-    and nvars (an array with more axes has a leading batch axis)."""
+    and the number of coefficients of one such array."""
     shape = (degree + 1,) * nvars
     monomials = [m for m in itertools.product(range(degree + 1), repeat=nvars)
                  if sum(m) <= degree]
     terms = [(x, y, tuple(p + q for p, q in zip(x, y)))
              for x in monomials for y in monomials if sum(x) + sum(y) <= degree]
     ia, ib, io = (np.ravel_multi_index(tuple(np.array(idx).T), shape) for idx in zip(*terms))
-    return ia, ib, io, nvars
+    return ia, ib, io, math.prod(shape)
 
 
 def _convolve(A, B, table):
     """Truncated product of two coefficient arrays of one shape, by `table`.
 
-    With a batch axis the terms of every element are gathered at once and
-    binned into slot (element, output), each slot in table order; a batch of
-    one has the flat layout of one element and takes the scalar gather."""
-    ia, ib, io, nvars = table
-    if A.ndim > nvars and len(A) > 1:
-        n = A.shape[0]
-        m = A.size // n
+    The terms of every element are gathered at once and binned into slot
+    (element, output), each slot in table order.  One element (a scalar jet or a
+    batch of one), selected by size, takes the flat gather: a third of the time."""
+    ia, ib, io, m = table
+    n = A.size // m
+    if n > 1:
         w = (A.reshape(n, m)[:, ia] * B.reshape(n, m)[:, ib]).ravel()
         io = (np.arange(0, n * m, m)[:, None] + io).ravel()
     else:
@@ -151,7 +144,8 @@ def _convolve(A, B, table):
 
 
 class _Jet:
-    """Arithmetic shared by Jet1 and Jet2.
+    """A jet with coefficients c of shape batch + (degree + 1,) * _NVARS, and
+    the arithmetic shared by Jet1 and Jet2.
 
     The traced operators (*, / and the reflected /) are defined in each
     class's own body, so profilers report Jet1 and Jet2 products apart.
@@ -159,22 +153,73 @@ class _Jet:
 
     __slots__ = ("base", "degree", "c")
 
+    def __init_subclass__(cls):
+        # for any batch shape: the index of the value coefficient and of each linear one
+        zeros = (0,) * cls._NVARS
+        cls._VALUE_AT = (...,) + zeros
+        cls._LINEAR_AT = [(...,) + zeros[:k] + (1,) + zeros[k + 1:] for k in range(cls._NVARS)]
+
+    def __init__(self, base, degree, coeffs):
+        if not 0 <= degree <= MAX_DEGREE:
+            raise JetError(f"degree must be in [0, {MAX_DEGREE}], got {degree}")
+        nvars = self._NVARS
+        coords = (base,) if nvars == 1 else tuple(base)
+        batch = _batch_shape(coords[0])
+        if batch or _batch_shape(coords[-1]):  # coords[-1]: v0, or x0 itself
+            coords = tuple(np.asarray(x, float) for x in coords)
+            if len(batch) != 1 or coords[-1].shape != batch:
+                raise JetError(f"base coordinates must be numbers or (B,) arrays of one shape, "
+                               f"got shapes {', '.join(str(x.shape) for x in coords)}")
+            self.base = coords if nvars == 2 else coords[0]
+        else:
+            self.base = (float(coords[0]), float(coords[1])) if nvars == 2 else float(base)
+        self.degree = int(degree)
+        c = np.asarray(coeffs)
+        shape = batch + (degree + 1,) * nvars
+        if c.shape != shape:
+            raise JetError(f"coefficient array must be {shape}, got {c.shape}")
+        self.c = c
+
+    @classmethod
+    def constant(cls, value, base=None, degree=MAX_DEGREE):
+        """The constant `value` (a number, or a (B,) array for a batch) at
+        `base`, the origin by default."""
+        if base is None:
+            base = (0.0, 0.0) if cls._NVARS == 2 else 0.0
+        batch = _batch_shape(base if cls._NVARS == 1 else base[0])
+        c = np.zeros(batch + (degree + 1,) * cls._NVARS,
+                     dtype=complex if isinstance(value, complex) else float)
+        c[cls._VALUE_AT] = value
+        return cls(base, degree, c)
+
+    @classmethod
+    def coordinate(cls, base, degree=MAX_DEGREE, axis=0):
+        """Jet of the coordinate function along `axis` (u = 0, v = 1).
+
+        The value coefficient is the base coordinate itself; the linear
+        coefficient in that variable is 1.
+        """
+        jet = cls.constant(base if cls._NVARS == 1 else base[axis], base, degree)
+        if degree >= 1:
+            jet.c[cls._LINEAR_AT[axis]] = 1.0
+        return jet
+
+    @property
+    def value(self):
+        """The value coefficient: a number, or a (B,) array for a batch."""
+        return self.c[self._VALUE_AT][()]
+
     def _like(self, degree, c):
         """A jet of this class and base point; `c` is trusted, not validated."""
         jet = object.__new__(type(self))
-        jet.base = self.base
-        jet.degree = degree
-        jet.c = c
+        jet.base, jet.degree, jet.c = self.base, degree, c
         return jet
 
     def _coeffs(self, degree):
         """The coefficients of degree <= `degree` in each variable (a view)."""
-        c = self.c
         if degree == self.degree:
-            return c
-        if c.ndim == self._NVARS:
-            return c[self._TRUNCATE[degree]]
-        return c[(slice(None),) + self._TRUNCATE[degree]]
+            return self.c
+        return self.c[(...,) + (slice(degree + 1),) * self._NVARS]
 
     def _coerce(self, other):
         if isinstance(other, _Jet):
@@ -187,7 +232,7 @@ class _Jet:
 
     def element(self, i: int):
         """The scalar jet of element i of a batched jet (a copy)."""
-        base = tuple(float(x[i]) for x in self.base) if self._NVARS == 2 else float(self.base[i])
+        base = self.base[i] if self._NVARS == 1 else tuple(x[i] for x in self.base)
         return type(self)(base, self.degree, self.c[i].copy())
 
     def truncated(self, degree: int):
@@ -199,18 +244,18 @@ class _Jet:
 
     def __add__(self, other):
         o = self._coerce(other)
-        if o is None:
-            if isinstance(other, float) and self.c.dtype.kind in "fc":
-                c = self.c.copy()  # no type promotion (np.result_type costs more than the sum)
-            else:
-                c = self.c.astype(np.result_type(self.c, other))
-            if c.ndim > self._NVARS:
-                c[self._VALUES] += other
-            else:
-                c.flat[0] += other
-            return self._like(self.degree, c)
-        D = min(self.degree, o.degree)
-        return self._like(D, self._coeffs(D) + o._coeffs(D))
+        if o is not None:
+            D = min(self.degree, o.degree)
+            return self._like(D, self._coeffs(D) + o._coeffs(D))
+        if isinstance(other, float) and self.c.dtype.kind in "fc":
+            c = self.c.copy()  # no type promotion (np.result_type costs more than the sum)
+        else:
+            c = self.c.astype(np.result_type(self.c, other))
+        if c.size == self._PAIRS[self.degree][3] and not isinstance(other, np.ndarray):
+            c.flat[0] += other  # one element, by size: a fifth of the time of the indexed sum
+        else:
+            c[self._VALUE_AT] += other
+        return self._like(self.degree, c)
 
     __radd__ = __add__
 
@@ -247,8 +292,7 @@ class _Jet:
             if p < 0:
                 return self._reciprocal() ** (-p)
             out = type(self).constant(1.0, self.base, self.degree)
-            b = self
-            n = p
+            b, n = self, p
             while n:
                 if n & 1:
                     out = out * b
@@ -259,10 +303,7 @@ class _Jet:
 
     def _nilpotent(self):
         c = self.c.copy()
-        if c.ndim > self._NVARS:
-            c[self._VALUES] = 0
-        else:
-            c.flat[0] = 0
+        c[self._VALUE_AT] = 0
         return self._like(self.degree, c)
 
     def allclose(self, other, atol=1e-12, rtol=1e-12):
@@ -283,68 +324,17 @@ class Jet2(_Jet):
 
     __slots__ = ()
     _NVARS = 2
-    _VALUES = (slice(None), 0, 0)  # the value coefficients of a batch
     _PAIRS = [_pair_table(d, 2) for d in range(MAX_DEGREE + 1)]  # product tables by degree
-    _TRUNCATE = [(slice(d + 1),) * 2 for d in range(MAX_DEGREE + 1)]  # index of degree <= d
-
-    def __init__(self, base, degree, coeffs):
-        if not (0 <= degree <= MAX_DEGREE):
-            raise JetError(f"degree must be in [0, {MAX_DEGREE}], got {degree}")
-        u0, v0 = base
-        batch = u0.shape if isinstance(u0, np.ndarray) else ()
-        if batch:
-            u0, v0 = np.asarray(u0, float), np.asarray(v0, float)
-            if u0.ndim != 1 or v0.shape != batch:
-                raise JetError(f"a batch of base points must be two (B,) arrays, "
-                               f"got shapes {u0.shape} and {v0.shape}")
-            self.base = (u0, v0)
-        else:
-            self.base = (float(u0), float(v0))
-        self.degree = int(degree)
-        c = np.asarray(coeffs)
-        if c.shape != batch + (degree + 1, degree + 1):
-            raise JetError(f"coefficient array must be {batch + (degree+1, degree+1)}, got {c.shape}")
-        self.c = c
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def constant(cls, value, base=(0.0, 0.0), degree=MAX_DEGREE):
-        dtype = complex if isinstance(value, complex) else float
-        c = np.zeros(_batch_shape(base[0]) + (degree + 1, degree + 1), dtype=dtype)
-        _by_coefficient(c, 2)[0, 0] = value
-        return cls(base, degree, c)
-
-    @classmethod
-    def coordinate(cls, base, degree=MAX_DEGREE, axis=0):
-        """Jet of the coordinate function u (axis=0) or v (axis=1).
-
-        The value coefficient is the base coordinate itself; the linear
-        coefficient in the corresponding variable is 1.
-        """
-        c = np.zeros(_batch_shape(base[0]) + (degree + 1, degree + 1))
-        at = _by_coefficient(c, 2)
-        at[0, 0] = base[axis]
-        if degree >= 1:
-            at[(1, 0) if axis == 0 else (0, 1)] = 1.0
-        return cls(base, degree, c)
 
     @classmethod
     def variables(cls, base, degree=MAX_DEGREE):
         return (cls.coordinate(base, degree, 0), cls.coordinate(base, degree, 1))
 
-    # -- basic queries -------------------------------------------------------
-
-    @property
-    def value(self):
-        c = self.c
-        return c[0, 0] if c.ndim == 2 else c[:, 0, 0]
-
     def partial(self, a: int, b: int):
         """The mixed partial derivative d^{a+b} f / du^a dv^b at the base point."""
         if a + b > self.degree:
             raise JetOrderError("jet order exhausted")
-        return _by_coefficient(self.c, 2)[a, b] * math.factorial(a) * math.factorial(b)
+        return self.c[..., a, b] * math.factorial(a) * math.factorial(b)
 
     def gradient(self):
         """(df/du, df/dv) at the base point: shape (2,), or (B, 2) for a batch."""
@@ -393,52 +383,12 @@ class Jet1(_Jet):
 
     __slots__ = ()
     _NVARS = 1
-    _VALUES = (slice(None), 0)  # the value coefficients of a batch
     _PAIRS = [_pair_table(d, 1) for d in range(MAX_DEGREE + 1)]  # product tables by degree
-    _TRUNCATE = [(slice(d + 1),) for d in range(MAX_DEGREE + 1)]  # index of degree <= d
-
-    def __init__(self, base, degree, coeffs):
-        if not (0 <= degree <= MAX_DEGREE):
-            raise JetError(f"degree must be in [0, {MAX_DEGREE}], got {degree}")
-        batch = base.shape if isinstance(base, np.ndarray) else ()
-        if batch:
-            base = np.asarray(base, float)
-            if base.ndim != 1:
-                raise JetError(f"a batch of base points must be a (B,) array, got shape {batch}")
-            self.base = base
-        else:
-            self.base = float(base)
-        self.degree = int(degree)
-        c = np.asarray(coeffs)
-        if c.shape != batch + (degree + 1,):
-            raise JetError(f"coefficient array must be {batch + (degree + 1,)}, got {c.shape}")
-        self.c = c
-
-    @classmethod
-    def constant(cls, value, base=0.0, degree=MAX_DEGREE):
-        c = np.zeros(_batch_shape(base) + (degree + 1,),
-                     dtype=complex if isinstance(value, complex) else float)
-        _by_coefficient(c, 1)[0] = value
-        return cls(base, degree, c)
-
-    @classmethod
-    def coordinate(cls, base, degree=MAX_DEGREE):
-        c = np.zeros(_batch_shape(base) + (degree + 1,))
-        at = _by_coefficient(c, 1)
-        at[0] = base
-        if degree >= 1:
-            at[1] = 1.0
-        return cls(base, degree, c)
-
-    @property
-    def value(self):
-        c = self.c
-        return c[0] if c.ndim == 1 else c[:, 0]
 
     def derivative_value(self, n: int):
         if n > self.degree:
             raise JetOrderError("jet order exhausted")
-        return _by_coefficient(self.c, 1)[n] * math.factorial(n)
+        return self.c[..., n] * math.factorial(n)
 
     def __mul__(self, other):
         return self._product(other)
@@ -465,17 +415,16 @@ class Jet1(_Jet):
             raise JetDomainError("jet not invertible: vanishing first derivative")
         D = self.degree
         y0 = self.value
-        series = _by_coefficient(self.c, 1)
+        series = [self.c[..., n] for n in range(D + 1)]
         inv = np.zeros(self.c.shape)
-        at = _by_coefficient(inv, 1)
-        at[0] = self.base
-        at[1] = 1.0 / series[1]
+        inv[..., 0] = self.base
+        inv[..., 1] = 1.0 / series[1]
         for n in range(2, D + 1):
             # coefficient of (y - y0)^n in self(inv(y)); must equal 0
             partial = inv.copy()
             partial[..., n:] = 0.0
             comp = _compose(Jet1(y0, D, partial), series, self.base)
-            at[n] = -_by_coefficient(comp.c, 1)[n] / series[1]
+            inv[..., n] = -comp.c[..., n] / series[1]
         return Jet1(y0, D, inv)
 
 
@@ -508,18 +457,15 @@ def compose2(F: Jet2, U, V):
     dv = V - F.base[1]
     D = min(U.degree, V.degree)
     jet = type(U)
-    pu = [jet.constant(1.0, U.base, D)]
-    pv = [jet.constant(1.0, U.base, D)]
+    one = jet.constant(1.0, U.base, D)
+    pu, pv = [one], [one]
     for _ in range(F.degree):
         pu.append(pu[-1] * du)
         pv.append(pv[-1] * dv)
-    coeffs = _by_coefficient(F.c, 2)
-    nonzero = F.c != 0
-    if nonzero.ndim > 2:
-        nonzero = nonzero.any(axis=0)
+    nonzero = F.c.reshape(-1, F.degree + 1, F.degree + 1).any(axis=0)  # in any element
     out = jet.constant(0.0, U.base, D)
     for a, b in np.argwhere(nonzero & _TRIANGLE[F.degree]).tolist():  # row-major order
-        out = out + (pu[a] * pv[b]) * coeffs[a, b]
+        out = out + (pu[a] * pv[b]) * F.c[..., a, b]
     return out
 
 

@@ -202,8 +202,7 @@ def _dX(S: Surface, p):
 
 def _dX_of(X):
     """[X_u X_v] from the jets X: (3, 2), or (B, 3, 2) for batched jets."""
-    M = np.array([[c.partial(1, 0), c.partial(0, 1)] for c in X])
-    return M if M.ndim == 2 else np.moveaxis(M, -1, 0)
+    return np.stack([c.gradient() for c in X], axis=-2)
 
 
 class ScanRecords(list):
@@ -482,13 +481,13 @@ class StraightChart:
     curve in the +dlambda-rotated-(-90deg) direction at unit parameter speed.
     X o Psi is served as degree-5 jets at the origin.  A sequence of records
     is one batch, each step one array operation over it, with batched jets
-    (element i for records[i]); one record is a batch of one with scalar jets.
+    (element i for records[i]); one record runs the same steps on scalar jets.
     A check that fails on any record raises.
     """
 
     surface: Surface
     records: object  # a sequence of SingularPointRecords, or one record
-    curve_u: Jet1 = field(init=False)  # the charts' curves and null fields, batched
+    curve_u: Jet1 = field(init=False)  # the charts' curves and null fields
     curve_v: Jet1 = field(init=False)
     eta_u: Jet1 = field(init=False)
     eta_v: Jet1 = field(init=False)
@@ -496,13 +495,15 @@ class StraightChart:
 
     def __post_init__(self):
         S = self.surface
-        records = [self.records] if isinstance(self.records, SingularPointRecord) else self.records
-        u, v = np.array([r.location for r in records], float).T
-        dlam = np.array([r.dlam for r in records], float)
+        rows = [self.records] if isinstance(self.records, SingularPointRecord) else self.records
+        p, dlam = (np.array([getattr(r, k) for r in rows], float) for k in ("location", "dlam"))
+        if rows is not self.records:  # one record: (2,) vectors, and scalar jets from them
+            p, dlam = p[0], dlam[0]
+        u, v = p.T
         nd = _norm(dlam)
         if np.any(nd <= 1e-12):
             raise DegenerateZeroSetError("degenerate zero set: dlambda vanishes")
-        T = dlam / nd[:, None]
+        T = dlam / nd[..., None]
         tang = _curve_direction(dlam)
 
         deg = MAX_DEGREE - 1  # the scalar density jet has one degree less than X
@@ -519,26 +520,26 @@ class StraightChart:
             raise DegenerateZeroSetError("degenerate zero set: no transverse slope")
 
         # solve the curves as gamma(v) = p + v*tang + phi(v)*T with phi = O(v^2)
-        origin = np.zeros(len(records))
+        origin = np.zeros(np.shape(u))
         lin = np.eye(deg + 1)[1]
 
         def curve_coeffs(phi):  # the (u, v) components of gamma, coefficient rows
-            c = tang[..., None] * lin + T[..., None] * phi[:, None]
-            c[..., 0] += np.stack([u, v], axis=-1)
-            return Jet1(origin, deg, c[:, 0]), Jet1(origin, deg, c[:, 1])
+            c = tang[..., None] * lin + T[..., None] * phi[..., None, :]
+            c[..., 0] += p
+            return Jet1(origin, deg, c[..., 0, :]), Jet1(origin, deg, c[..., 1, :])
 
-        phi = np.zeros((len(records), deg + 1))
+        phi = np.zeros(np.shape(u) + (deg + 1,))
         for m in range(2, deg + 1):
             G = _compose2(g, *curve_coeffs(phi))
-            phi[:, m] -= G.c[:, m] / gT
+            phi[..., m] -= G.c[..., m] / gT
         self.curve_u, self.curve_v = curve_coeffs(phi)
 
         # null direction along the curve: kernel of dX via the image tangent
-        e = np.matmul(np.ascontiguousarray(_dX_of(X)), tang[:, :, None])[..., 0]
+        e = (_dX_of(X) @ tang[..., None])[..., 0]
         ne = _norm(e)
         if np.any(ne <= 1e-12):
             raise SingularTangentError("singular tangent degenerate")
-        e = (e / ne[:, None]).T
+        e = (e / ne[..., None]).T
         Xu_c = [_compose2(c.du(), self.curve_u, self.curve_v) for c in X]
         Xv_c = [_compose2(c.dv(), self.curve_u, self.curve_v) for c in X]
         eta_u, eta_v = -_density(Xv_c, e), _density(Xu_c, e)
@@ -554,8 +555,7 @@ class StraightChart:
         """Degree-5 jets of X o Psi at the chart origins (scalar for one record)."""
         psi_u = _lift_chart(self.curve_u, self.eta_u)
         psi_v = _lift_chart(self.curve_v, self.eta_v)
-        Y = tuple(_compose2(c, psi_u, psi_v) for c in self.X)
-        return tuple(y.element(0) for y in Y) if isinstance(self.records, SingularPointRecord) else Y
+        return tuple(_compose2(c, psi_u, psi_v) for c in self.X)
 
 
 def _lift_chart(curve: Jet1, eta: Jet1) -> Jet2:

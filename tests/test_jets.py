@@ -1,3 +1,5 @@
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -393,6 +395,50 @@ def test_batch_domain_errors_and_base_mismatch():
         u + Jet2.coordinate((np.array([0.5, 1.0]), np.zeros(2)), 2, 0)
     with pytest.raises(jt.JetError, match="different base points"):
         u * Jet2.coordinate((0.5, 0.0), 2, 0)
+    # a scalar jet and a batch of one at the same point differ in batch shape
+    scalar = Jet2.coordinate((0.5, 0.0), 2, 0)
+    one = Jet2.coordinate((np.array([0.5]), np.zeros(1)), 2, 0)
+    x, x1 = Jet1.coordinate(0.5, 2), Jet1.coordinate(np.array([0.5]), 2)
+    for a, b in ((scalar, one), (one, scalar), (x, x1), (x1, x)):
+        for op in (operator.mul, operator.add):
+            with pytest.raises(jt.JetError, match="different base points"):
+                op(a, b)
+    with pytest.raises(jt.JetError, match="share base point"):
+        VectorFieldJet(scalar, one)
+
+
+@pytest.mark.parametrize("jet, base", [(Jet1, 0.5), (Jet2, (0.5, 0.0))])
+def test_constructor_rejects_degree_base_and_coefficient_shapes(jet, base):
+    c = jet.constant(1.0, base, 2).c
+    with pytest.raises(jt.JetError, match=r"degree must be in \[0, 5\], got 6"):
+        jet(base, 6, np.zeros((7,) * jet._NVARS))
+    with pytest.raises(jt.JetError, match=r"degree must be in \[0, 5\], got -1"):
+        jet(base, -1, c)
+    square = np.zeros((2, 2))
+    with pytest.raises(jt.JetError, match=r"got shapes \(2, 2\)"):
+        jet(square if jet is Jet1 else (square, square), 2, np.zeros((2, 2) + c.shape))
+    if jet is Jet2:
+        with pytest.raises(jt.JetError, match=r"got shapes \(2,\), \(3,\)"):
+            jet((np.zeros(2), np.zeros(3)), 2, np.zeros((2,) + c.shape))
+        with pytest.raises(jt.JetError, match=r"got shapes \(2,\), \(\)"):
+            jet((np.zeros(2), 0.0), 2, np.zeros((2,) + c.shape))
+    with pytest.raises(jt.JetError, match=r"coefficient array must be \(3, 3\), got \(4, 3\)"
+                       if jet is Jet2 else r"coefficient array must be \(3,\), got \(4,\)"):
+        jet(base, 2, np.zeros((4,) + c.shape[1:]))
+    batch = jet.coordinate(np.zeros(2) if jet is Jet1 else (np.zeros(2), np.zeros(2)), 2)
+    with pytest.raises(jt.JetError, match=r"coefficient array must be \(2, 3"):
+        jet(batch.base, 2, c)
+
+
+def test_scalar_jets_give_numbers_not_0d_arrays():
+    u = Jet2.coordinate((0.5, 1.0), 3, 0) * 2.0
+    x = Jet1.coordinate(0.5, 3) * 2.0
+    for got in (u.value, u.partial(1, 0), u.partial(0, 0), x.value, x.derivative_value(0),
+                x.derivative_value(2), jt.exp(u).value):
+        assert isinstance(got, float) and not isinstance(got, np.ndarray)
+    assert u.value == 1.0 and u.partial(1, 0) == 2.0 and x.derivative_value(1) == 2.0
+    batch = Jet2.coordinate((np.array([0.5, 1.5]), np.zeros(2)), 3, 0)
+    assert batch.value.shape == batch.partial(1, 0).shape == (2,)
 
 
 @given(st.integers(1, 4), st.integers(0, 5), st.integers(0, 5), st.data())

@@ -602,7 +602,8 @@ class _ScalarChart:
 
 def _assert_chart_matches_the_scalar_one(S, recs):
     """Every element of the batched chart's jets, and the chart of each record
-    alone, are the scalar chart's to the bit."""
+    alone, are the scalar chart's to the bit; the chart of one record carries
+    no batch axis."""
     assert recs
     Y = StraightChart(S, recs).jets()
     for i, rec in enumerate(recs):
@@ -610,7 +611,8 @@ def _assert_chart_matches_the_scalar_one(S, recs):
         alone = StraightChart(S, rec).jets()
         for y, a, z in zip(Y, alone, ref):
             assert y.element(i).c.tobytes() == z.c.tobytes()
-            assert a.c.tobytes() == z.c.tobytes() and a.base == z.base == (0.0, 0.0)
+            assert a.c.shape == z.c.shape and a.c.tobytes() == z.c.tobytes()
+            assert a.base == z.base == (0.0, 0.0)
 
 
 @given(st.sampled_from(CONJUGATES), st.floats(0.3, 1.5), st.integers(5, 21))
