@@ -93,6 +93,15 @@ def positive_float(text: str) -> float:
     return value
 
 
+def _nonnegative_float(text: str) -> float:
+    """argparse type of the tolerances (--tol3, --tol4, --tol-C, --loop-tol): a
+    finite number at or above zero."""
+    value = finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {text!r}")
+    return value
+
+
 def _float_list(text: str, flag: str) -> list:
     """A comma-separated list of finite floats (sweep's --k and --H)."""
     try:
@@ -539,18 +548,18 @@ def make_parser() -> argparse.ArgumentParser:
     common(c, "classify.json")
     c.add_argument("--grid", type=int, default=21)
     c.add_argument("--samples", type=int, default=8)
-    c.add_argument("--tol3", type=finite_float, default=sg.DET_TOL)
-    c.add_argument("--tol4", type=finite_float, default=sg.DET_TOL)
-    c.add_argument("--tol-C", dest="tol_C", type=finite_float, default=sg.DET_TOL)
+    c.add_argument("--tol3", type=_nonnegative_float, default=sg.DET_TOL)
+    c.add_argument("--tol4", type=_nonnegative_float, default=sg.DET_TOL)
+    c.add_argument("--tol-C", dest="tol_C", type=_nonnegative_float, default=sg.DET_TOL)
     c.set_defaults(func=cmd_classify)
 
     s = sub.add_parser("sweep", help="criterion sweep over k (and H) lists; CSV out")
     s.add_argument("--k", required=True, help="comma-separated k list")
     s.add_argument("--H", default="0.5", help="comma-separated H list")
     s.add_argument("--grid", type=int, default=9)
-    s.add_argument("--tol3", type=finite_float, default=sg.DET_TOL)
-    s.add_argument("--tol4", type=finite_float, default=sg.DET_TOL)
-    s.add_argument("--tol-C", dest="tol_C", type=finite_float, default=sg.DET_TOL)
+    s.add_argument("--tol3", type=_nonnegative_float, default=sg.DET_TOL)
+    s.add_argument("--tol4", type=_nonnegative_float, default=sg.DET_TOL)
+    s.add_argument("--tol-C", dest="tol_C", type=_nonnegative_float, default=sg.DET_TOL)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("-o", "--out", default="sweep.csv")
     s.set_defaults(func=cmd_sweep)
@@ -570,7 +579,7 @@ def make_parser() -> argparse.ArgumentParser:
     r.add_argument("--r-cap", type=positive_float, default=None)
     r.add_argument("--ns", type=int, default=25)
     r.add_argument("--nt", type=int, default=13)
-    r.add_argument("--loop-tol", type=finite_float, default=1e-8)
+    r.add_argument("--loop-tol", type=_nonnegative_float, default=1e-8)
     r.add_argument("--report", default=None)
     r.add_argument("--seed", type=int, default=0)
     r.add_argument("-o", "--out", default="reconstruction.obj")

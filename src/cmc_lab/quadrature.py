@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import bisect
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -224,6 +226,22 @@ def primitive_jet(integrand, r0, value, degree: int = MAX_DEGREE) -> Jet1:
     return F
 
 
+_NO_VALUES = ContextVar("_NO_VALUES", default=False)
+
+
+@contextmanager
+def _without_values():
+    """A scope in which Primitive.jet neither integrates nor touches its cache
+    and leaves the value coefficient NaN, for callers that read only
+    derivatives (the conformal chart's metric): a value read after all shows
+    as NaN.  Primitive.value called directly is unchanged."""
+    token = _NO_VALUES.set(True)
+    try:
+        yield
+    finally:
+        _NO_VALUES.reset(token)
+
+
 @dataclass
 class Primitive:
     """F(r) = int_base^r f(tau) dtau with jets supplied through F' = f.
@@ -236,7 +254,9 @@ class Primitive:
     the spacelike-axis Delaunay surface the whole-domain integral fails at 39
     of 62 sampled k in [-3, 4], all above -0.6), while the interior values
     that classification reads converge.  A failed integral is cached as well:
-    the same r raises the same error again without integrating.
+    the same r raises the same error again without integrating.  Inside
+    `_without_values` a jet's value coefficient is NaN and nothing is
+    integrated: the conformal chart's metric reads only derivatives.
     """
 
     integrand: Integrand
@@ -264,8 +284,12 @@ class Primitive:
         """Value coefficient from quadrature, the others from the integrand's jet.
 
         r0 may be a (B,) array: the values are read per distinct r from the
-        cache, and coefficients 1..degree come from one batched integrand jet."""
-        if isinstance(r0, np.ndarray) and r0.ndim:
+        cache, and coefficients 1..degree come from one batched integrand jet.
+        Inside `_without_values` the value coefficient is NaN."""
+        batch = isinstance(r0, np.ndarray) and r0.ndim
+        if _NO_VALUES.get():
+            value = np.full(r0.shape, math.nan) if batch else math.nan
+        elif batch:
             rs, at = np.unique(r0, return_inverse=True)
             value = np.array([self.value(r) for r in rs])[at]
         else:

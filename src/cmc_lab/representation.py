@@ -41,7 +41,7 @@ from .lorentz import (
     lorentz_inner,
     lorentz_normal,
 )
-from .quadrature import TabulatedPrimitive, primitive_jet
+from .quadrature import TabulatedPrimitive, _without_values, primitive_jet
 from .surfaces import Surface, _promote_r
 
 UNIT_CIRCLE_TOL = 1e-8
@@ -118,6 +118,26 @@ def omega_hat_jet(g: Jet2) -> Jet2:
 # -- conformal profile chart ---------------------------------------------------
 
 
+def _tangents(S: Surface, r, t, degree: int):
+    """(X_u, X_v) at (r, t) as jets of degree - 1, from S.jet(r, t, degree).
+
+    The metric needs no profile value, so S.jet runs in `_without_values`
+    first and integrates none.  A surface whose tangents read a profile value
+    gets NaN there (or an error from it); then S.jet runs again as usual."""
+
+    def frame(X):
+        return [c.du() for c in X], [c.dv() for c in X]
+
+    try:
+        with _without_values():
+            Xu, Xv = frame(S.jet(r, t, degree))
+        if np.isfinite([c.c for c in Xu + Xv]).all():
+            return Xu, Xv
+    except (jt.JetError, ArithmeticError, ValueError):  # what a NaN value can break
+        pass
+    return frame(S.jet(r, t, degree))
+
+
 class _ProfileIntegrand:
     """sqrt(E(r)/G(r)) along t = t0, evaluable as value or univariate jet.
 
@@ -132,8 +152,7 @@ class _ProfileIntegrand:
         """(E, G) along t = t0 as univariate jets in r (the integrand needs no F),
         batched for a (B,) array r."""
         degree = min(degree, MAX_DEGREE - 1)  # metric jets sit one below X jets
-        X = self.S.jet(r, np.full(np.shape(r), self.t0), degree + 1)
-        Xu, Xv = [c.du() for c in X], [c.dv() for c in X]
+        Xu, Xv = _tangents(self.S, r, np.full(np.shape(r), self.t0), degree + 1)
         return tuple(Jet1(r, degree, m.c[..., : degree + 1, 0].copy())
                      for m in (lorentz_inner(Xu, Xu), lorentz_inner(Xv, Xv)))
 
@@ -223,8 +242,8 @@ def conformal_profile_chart(
         r_min = 1e-3
     if r_anchor is None:
         r_anchor = 0.5 * (r_min + r_max)
-    X = S.jet(r_anchor, t0, 1)
-    E, F, G = first_fundamental_form(partial_values(X, 1, 0), partial_values(X, 0, 1))
+    Xu, Xv = _tangents(S, r_anchor, t0, 1)
+    E, F, G = first_fundamental_form(partial_values(Xu, 0, 0), partial_values(Xv, 0, 0))
     if abs(F) > 1e-9:
         raise ValueError(f"chart requires F = 0 in (r, t); got F = {F}")
     if not (E > 0 and G > 0):

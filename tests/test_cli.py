@@ -164,6 +164,14 @@ DT = ("--family", "delaunay-t", "--k", "2", "--nr", "5", "--nt", "5")
     (("sweep", "--k", "2", "--H", "inf"), "--H"),
     (("rep", "--export-from", "delaunay-t", "--k", "inf"), "--k"),
     (("rep", "--gauss-data", "gd.json", "--loop-tol", "nan"), "--loop-tol"),
+    (("classify", "--family", "conjugate", "--of", "delaunay-t", "--k", "2", "--grid", "5",
+      "--tol3", "-1"), "--tol3"),
+    (("classify", "--family", "model-25", "--tol4=-1e-12"), "--tol4"),
+    (("classify", "--family", "model-25", "--tol-C", "-1"), "--tol-C"),
+    (("sweep", "--k", "2", "--tol3", "-1"), "--tol3"),
+    (("sweep", "--k", "2", "--tol4", "-1"), "--tol4"),
+    (("sweep", "--k", "2", "--tol-C", "-1"), "--tol-C"),
+    (("rep", "--gauss-data", "gd.json", "--loop-tol", "-1"), "--loop-tol"),
     (("generate", *DT, "--r-range", "0", "9"), "--r-range"),
     (("generate", *DT, "--r-range", "0.5", "-0.5"), "--r-range"),
     (("generate", *DT, "--r-range", "0.5", "0.5"), "--r-range"),

@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from cmc_lab import jets as jt
+from cmc_lab import quadrature
 from cmc_lab import representation as rp
 from cmc_lab import surfaces as sf
-from cmc_lab.jets import Jet2
-from cmc_lab.quadrature import PRIMITIVE_TOL, integrate
+from cmc_lab.jets import MAX_DEGREE, Jet1, Jet2
+from cmc_lab.lorentz import lorentz_inner
+from cmc_lab.quadrature import PRIMITIVE_TOL, Integrand, Primitive, TabulatedPrimitive, integrate
 from cmc_lab.representation import (
     GaussData,
     compatibility_residuals,
@@ -121,6 +124,97 @@ def test_chart_values_and_inverse(name):
             prof.r_of_s(s)
 
 
+class _ValueReadingIntegrand(rp._ProfileIntegrand):
+    """The chart integrand with a metric that reads profile values: one plain
+    S.jet per call, every Primitive value integrated.  The reference the chart
+    is held to, bit for bit."""
+
+    def metric(self, r, degree):
+        degree = min(degree, MAX_DEGREE - 1)
+        X = self.S.jet(r, np.full(np.shape(r), self.t0), degree + 1)
+        Xu, Xv = [c.du() for c in X], [c.dv() for c in X]
+        return tuple(Jet1(r, degree, m.c[..., : degree + 1, 0].copy())
+                     for m in (lorentz_inner(Xu, Xu), lorentz_inner(Xv, Xv)))
+
+
+def _reference_chart(S, r_min, r_max):
+    """conformal_profile_chart(S, r_min, r_max) (r_min > 0) on the reference integrand."""
+    r_anchor = 0.5 * (r_min + r_max)
+    table = TabulatedPrimitive(_ValueReadingIntegrand(S, 0.0), r_min, r_anchor, r_max)
+    return rp.ConformalProfile(S, r_anchor, (r_min, r_max), table)
+
+
+def _assert_chart_is_the_reference(prof, ref, ns=5, nt=3):
+    """The table, r(s), sigma and the exported Gauss data, bit for bit."""
+    assert prof.s_table.edges == ref.s_table.edges
+    assert prof.s_table.knots == ref.s_table.knots
+    r0, r1 = ref.r_range
+    s0, s1 = ref.s_of_r(r0 * 1.02), ref.s_of_r(r1 * 0.98)
+    ss = np.linspace(s0, s1, ns)
+    pairs = [(prof.r_jet_of_s(ss), ref.r_jet_of_s(ss))]
+    pairs += [(prof.sigma_jet(s), ref.sigma_jet(s)) for s in ss]
+    for got, want in pairs:
+        assert np.array_equal(got.base, want.base) and np.array_equal(got.c, want.c)
+    gd, gd_ref = (rp.gauss_data_from_surface(p, s0, s1, 0.0, 1.0, ns, nt) for p in (prof, ref))
+    for got, want in ((gd.g, gd_ref.g), (gd.omega_hat, gd_ref.omega_hat), (gd.g_jet.c, gd_ref.g_jet.c)):
+        assert np.array_equal(got, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("build", [lambda: sf.delaunay_timelike(2.0, 0.5),
+                                   lambda: sf.delaunay_spacelike(-2.0, 0.5)],
+                         ids=["delaunay-t k=2", "delaunay-s k=-2"])
+def test_export_chart_integrates_no_profile_value(monkeypatch, build):
+    # the chart's metric reads only X_u and X_v, so the chart runs no profile
+    # integral; the grid reads one profile value per row
+    S = build()
+    calls = []
+    plain = quadrature.integrate
+    monkeypatch.setattr(quadrature, "integrate", lambda *a, **kw: calls.append(a[1:3]) or plain(*a, **kw))
+    r0, r1 = 0.15 * S.u_range[1], 0.65 * S.u_range[1]
+    prof = conformal_profile_chart(S, r0, r1)
+    s0, s1 = prof.s_of_r(r0 * 1.02), prof.s_of_r(r1 * 0.98)
+    ns = 9
+    rp.gauss_data_from_surface(prof, s0, s1, 0.0, 1.0, ns, 5)
+    assert len(calls) <= ns + 1
+
+
+def _rotational_surface_reading_its_profile(radius):
+    """X = (F, b cos t, b sin t) with b = r radius(F(r)), F' = 1/(2 sqrt(1 + r^2))
+    and radius(F) >= 1 growing with F: spacelike (b' >= 1 > F'), F = 0 in
+    (r, t), and X_r reads the value of F."""
+    prof = Primitive(Integrand(lambda x: 0.5 / jt.sqrt(1.0 + x * x)))
+
+    def builder(r0, t0, degree):
+        F = sf._promote_r(prof.jet(r0, degree), (r0, t0), degree)
+        b = Jet2.coordinate((r0, t0), degree, 0) * radius(F)
+        t = Jet2.coordinate((r0, t0), degree, 1)
+        return (F, b * jt.cos(t), b * jt.sin(t))
+
+    return sf.custom_surface(builder, u_range=(-1.5, 1.5)), prof
+
+
+# cosh of a NaN value gives NaN coefficients; sqrt refuses it (JetDomainError)
+@pytest.mark.parametrize("radius", [jt.cosh, lambda F: jt.sqrt(1.0 + F * F)],
+                         ids=["cosh F", "sqrt(1 + F^2)"])
+def test_chart_reads_profile_values_where_the_tangents_need_them(monkeypatch, radius):
+    (S, prof), (S_ref, _) = (_rotational_surface_reading_its_profile(radius) for _ in range(2))
+    ref = _reference_chart(S_ref, 0.2, 1.0)
+    samples = []
+    gk15 = quadrature._gk15
+
+    def finite_only(f, a, b):
+        def f_checked(xs):
+            samples.append(np.asarray(f(xs)))
+            assert np.isfinite(samples[-1]).all()
+            return samples[-1]
+        return gk15(f_checked, a, b)
+
+    monkeypatch.setattr(quadrature, "_gk15", finite_only)
+    chart = conformal_profile_chart(S, 0.2, 1.0)
+    assert samples and prof._cache  # the tangents read integrated values
+    _assert_chart_is_the_reference(chart, ref)
+
+
 # -- Gauss data and residuals ------------------------------------------------------
 
 
@@ -131,6 +225,21 @@ EXPORT_FAMILIES = {
     "delaunay-l-i": (lambda k, H: sf.delaunay_lightlike("i", H), None),
     "delaunay-l-ii": (lambda k, H: sf.delaunay_lightlike("ii", H), None),
 }
+
+
+# k in each stratum of the Delaunay families: either side of the branch points -1, 0 and 1
+K_STRATA = ((-3.0, -1.25), (-1.0, -1.0), (-0.75, -0.25), (0.25, 0.75), (1.25, 4.0))
+
+
+@given(st.sampled_from(sorted(EXPORT_FAMILIES)), st.sampled_from(K_STRATA), st.floats(0.0, 1.0),
+       st.floats(0.3, 1.0))
+@settings(max_examples=25, deadline=None)
+def test_export_chart_bit_identical_to_the_value_reading_metric(family, stratum, t, H):
+    build, ks = EXPORT_FAMILIES[family]
+    k = stratum[0] + t * (stratum[1] - stratum[0]) if ks else None
+    S, S_ref = build(k, H), build(k, H)
+    r0, r1 = 0.15 * S.u_range[1], 0.65 * S.u_range[1]
+    _assert_chart_is_the_reference(conformal_profile_chart(S, r0, r1), _reference_chart(S_ref, r0, r1))
 
 
 def _close(got, want):
