@@ -10,15 +10,23 @@ of a jet is nilpotent in the truncated algebra.
 
 A product is computed from a pair table built once per degree at import: the
 flat indices (ia, ib, io) of every term A[ia] * B[ib] that lands on an output
-coefficient io of total degree <= D.  The terms are multiplied in one array
-operation and summed per output coefficient by np.bincount (the real and
-imaginary parts separately for complex jets).  The table lists the terms in
-lexicographic order of the left factor's monomial, and bincount adds them in
-table order starting from 0.0, so each output coefficient is the same sequence
-of rounded additions as the schoolbook loop "for each (a, b): out[a:, b:] +=
-A[a, b] * B[...]": for finite coefficients the result is bit-identical to it.
-(That loop skipped zero A[a, b]; adding the exact zero terms changes no bit of
-a sum that starts from +0.0.)
+coefficient io of total degree <= D.  The terms are gathered from the raveled
+coefficients by integer indexing (faster than ndarray.take here), multiplied
+in one array operation and summed per output coefficient by np.bincount (the
+real and imaginary parts separately for complex jets).  The table lists the
+terms in lexicographic order of the left factor's monomial, and bincount adds
+them in table order starting from 0.0, so each output coefficient is the same
+sequence of rounded additions as the schoolbook loop
+"for each (a, b): out[a:, b:] += A[a, b] * B[...]": for finite coefficients
+the result is bit-identical to it.  (That loop skipped zero A[a, b]; adding
+the exact zero terms changes no bit of a sum that starts from +0.0.)
+
+One element (a scalar jet or a batch of one) gathers through the table itself.
+A batch of B elements gathers through flat maps: the table offset by the start
+of each element's coefficients, so that element e's terms fill the bins of
+element e in table order.  The maps of a (variables, degree, B) are built by
+its first product and kept for later ones; at most _MAPS_HELD are kept, the
+most recently used.  An empty batch (B = 0) gives an empty batch.
 
 Degree is capped at 5: the fifth-order directional derivatives consumed by the
 cuspidal-edge criterion are the deepest anything here needs, and a fixed cap
@@ -57,6 +65,7 @@ bits.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -120,19 +129,36 @@ def _pair_table(degree: int, nvars: int):
     return ia, ib, io, math.prod(shape)
 
 
-def _convolve(A, B, table):
-    """Truncated product of two coefficient arrays of one shape, by `table`.
+# pair tables by number of variables and degree
+_PAIRS = {nvars: [_pair_table(d, nvars) for d in range(MAX_DEGREE + 1)] for nvars in (1, 2)}
 
-    The terms of every element are gathered at once and binned into slot
-    (element, output), each slot in table order.  One element (a scalar jet or a
-    batch of one), selected by size, takes the flat gather: a third of the time."""
-    ia, ib, io, m = table
-    n = A.size // m
-    if n > 1:
-        w = (A.reshape(n, m)[:, ia] * B.reshape(n, m)[:, ib]).ravel()
-        io = (np.arange(0, n * m, m)[:, None] + io).ravel()
-    else:
-        w = A.ravel()[ia] * B.ravel()[ib]
+# how many batch sizes' flat maps are kept (about 3 kB per element at degree 5
+# in two variables)
+_MAPS_HELD = 64
+
+
+@functools.lru_cache(maxsize=_MAPS_HELD)
+def _flat_maps(nvars, degree, size):
+    """The pair table of (nvars, degree) offset for each element of a batch of
+    `size` coefficients in all, as flat gather and bin indices (read-only)."""
+    ia, ib, io, m = _PAIRS[nvars][degree]
+    off = np.arange(0, size, m)[:, None]
+    maps = tuple((off + idx).ravel() for idx in (ia, ib, io))
+    for idx in maps:
+        idx.flags.writeable = False
+    return maps
+
+
+def _convolve(A, B, nvars, degree):
+    """Truncated product of two coefficient arrays of one shape, by the pair
+    table of (nvars, degree): the terms of every element are gathered at once
+    and binned into slot (element, output), each slot in table order."""
+    ia, ib, io, m = _PAIRS[nvars][degree]
+    if A.size != m:  # a batch of B != 1 elements
+        if not A.size:  # B = 0 (bincount would count nothing in int64)
+            return np.empty(A.shape, np.result_type(A, B))
+        ia, ib, io = _flat_maps(nvars, degree, A.size)
+    w = A.ravel()[ia] * B.ravel()[ib]
     if w.dtype.kind == "c":
         out = np.empty(A.size, w.dtype)
         out.real = np.bincount(io, w.real, A.size)
@@ -189,8 +215,14 @@ class _Jet:
         batch = _batch_shape(base if cls._NVARS == 1 else base[0])
         c = np.zeros(batch + (degree + 1,) * cls._NVARS,
                      dtype=complex if isinstance(value, complex) else float)
-        c[cls._VALUE_AT] = value
-        return cls(base, degree, c)
+        point = None if batch else cls._point(base)
+        if point is None or not 0 <= degree <= MAX_DEGREE:  # the constructor converts and checks
+            jet = cls(base, degree, c)
+        else:  # one base point of float coordinates: nothing to convert or check
+            jet = object.__new__(cls)
+            jet.base, jet.degree, jet.c = point, int(degree), c
+        jet.c[cls._VALUE_AT] = value
+        return jet
 
     @classmethod
     def coordinate(cls, base, degree=MAX_DEGREE, axis=0):
@@ -251,7 +283,7 @@ class _Jet:
             c = self.c.copy()  # no type promotion (np.result_type costs more than the sum)
         else:
             c = self.c.astype(np.result_type(self.c, other))
-        if c.size == self._PAIRS[self.degree][3] and not isinstance(other, np.ndarray):
+        if c.size == _PAIRS[self._NVARS][self.degree][3] and not isinstance(other, np.ndarray):
             c.flat[0] += other  # one element, by size: a fifth of the time of the indexed sum
         else:
             c[self._VALUE_AT] += other
@@ -275,7 +307,7 @@ class _Jet:
                 other = other.reshape(other.shape + (1,) * self._NVARS)
             return self._like(self.degree, self.c * other)
         D = min(self.degree, o.degree)
-        return self._like(D, _convolve(self._coeffs(D), o._coeffs(D), self._PAIRS[D]))
+        return self._like(D, _convolve(self._coeffs(D), o._coeffs(D), self._NVARS, D))
 
     def _reciprocal(self):
         g0 = self.value
@@ -324,7 +356,14 @@ class Jet2(_Jet):
 
     __slots__ = ()
     _NVARS = 2
-    _PAIRS = [_pair_table(d, 2) for d in range(MAX_DEGREE + 1)]  # product tables by degree
+
+    @staticmethod
+    def _point(base):
+        """(u0, v0) as floats when `base` is a pair of floats, else None."""
+        if type(base) is tuple and len(base) == 2 and isinstance(base[0], float) \
+                and isinstance(base[1], float):
+            return (float(base[0]), float(base[1]))
+        return None
 
     @classmethod
     def variables(cls, base, degree=MAX_DEGREE):
@@ -383,7 +422,11 @@ class Jet1(_Jet):
 
     __slots__ = ()
     _NVARS = 1
-    _PAIRS = [_pair_table(d, 1) for d in range(MAX_DEGREE + 1)]  # product tables by degree
+
+    @staticmethod
+    def _point(base):
+        """x0 as a float when `base` is a float, else None."""
+        return float(base) if isinstance(base, float) else None
 
     def derivative_value(self, n: int):
         if n > self.degree:

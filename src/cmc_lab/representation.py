@@ -67,10 +67,31 @@ def representation_constant(H: float) -> float:
 # -- Gauss maps as jets ---------------------------------------------------------
 
 
-def _gauss_of_frame(X, sign) -> Jet2:
-    """Complex jet of g = (nu1 + i nu2)/(1 - nu0), nu the normal of the X jets
-    oriented by `sign`; one degree below X, and batched if X is."""
-    nu = lorentz_normal([c.du() for c in X], [c.dv() for c in X], sign)
+def _frame(X):
+    """(X_u, X_v) of the jets X, one degree lower."""
+    return [c.du() for c in X], [c.dv() for c in X]
+
+
+def _tangents(S: Surface, r, t, degree: int):
+    """(X_u, X_v) at (r, t) as jets of degree - 1, from S.jet(r, t, degree).
+
+    The tangents need no profile value, so S.jet runs in `_without_values`
+    first and integrates none.  A surface whose tangents read a profile value
+    gets NaN there (or an error from it); then S.jet runs again as usual."""
+    try:
+        with _without_values():
+            Xu, Xv = _frame(S.jet(r, t, degree))
+        if np.isfinite([c.c for c in Xu + Xv]).all():
+            return Xu, Xv
+    except (jt.JetError, ArithmeticError, ValueError):  # what a NaN value can break
+        pass
+    return _frame(S.jet(r, t, degree))
+
+
+def _gauss_of_frame(Xu, Xv, sign) -> Jet2:
+    """Complex jet of g = (nu1 + i nu2)/(1 - nu0), nu the normal of the frame
+    (Xu, Xv) oriented by `sign`; batched if the frame is."""
+    nu = lorentz_normal(Xu, Xv, sign)
     num = nu[1] + 1j * nu[2]
     den = 1.0 - nu[0]
     if np.any(abs(den.value) < 1e-14):
@@ -79,8 +100,9 @@ def _gauss_of_frame(X, sign) -> Jet2:
 
 
 def gauss_jet(S: Surface, p, degree=3) -> Jet2:
-    """Complex jet of g = (nu1 + i nu2)/(1 - nu0) in the surface parameters."""
-    return _gauss_of_frame(S.jet(p[0], p[1], min(degree + 1, MAX_DEGREE)), S.orientation)
+    """Complex jet of g = (nu1 + i nu2)/(1 - nu0) in the surface parameters
+    (from the tangents alone: no profile value is integrated)."""
+    return _gauss_of_frame(*_tangents(S, p[0], p[1], min(degree + 1, MAX_DEGREE)), S.orientation)
 
 
 def gauss_map_of(S: Surface, p) -> ExtComplex:
@@ -116,26 +138,6 @@ def omega_hat_jet(g: Jet2) -> Jet2:
 
 
 # -- conformal profile chart ---------------------------------------------------
-
-
-def _tangents(S: Surface, r, t, degree: int):
-    """(X_u, X_v) at (r, t) as jets of degree - 1, from S.jet(r, t, degree).
-
-    The metric needs no profile value, so S.jet runs in `_without_values`
-    first and integrates none.  A surface whose tangents read a profile value
-    gets NaN there (or an error from it); then S.jet runs again as usual."""
-
-    def frame(X):
-        return [c.du() for c in X], [c.dv() for c in X]
-
-    try:
-        with _without_values():
-            Xu, Xv = frame(S.jet(r, t, degree))
-        if np.isfinite([c.c for c in Xu + Xv]).all():
-            return Xu, Xv
-    except (jt.JetError, ArithmeticError, ValueError):  # what a NaN value can break
-        pass
-    return frame(S.jet(r, t, degree))
 
 
 class _ProfileIntegrand:
@@ -207,11 +209,13 @@ class ConformalProfile:
         """Jets of X in the oriented chart (s, t); the surface sees t flipped."""
         return _chart_jets(self.surface, self.r_jet_of_s(s, degree), s, t, degree)
 
-    def sigma_jet(self, s: float, degree=3) -> Jet1:
-        """sigma(s) = 0.5 log G(r(s)) (the conformal factor exponent)."""
+    def sigma_jet(self, s, degree=3) -> Jet1:
+        """sigma(s) = 0.5 log G(r(s)) (the conformal factor exponent); one
+        batched jet for a (B,) array s."""
         rj = self.r_jet_of_s(s, degree)
         _, G = self.s_table.integrand.metric(rj.value, degree)
-        return jt.log(jt._compose(rj, G.c, G.base)) * 0.5
+        series = [G.c[..., n] for n in range(G.degree + 1)]  # (B,) arrays for a batch
+        return jt.log(jt._compose(rj, series, G.base)) * 0.5
 
     def conformality_residual(self, s: float, t: float) -> float:
         X = self.surface_jets(s, t, 2)
@@ -366,7 +370,7 @@ def _gauss_jet_in_chart(S: Surface, rj: Jet1, s, t, degree: int) -> Jet2:
     X = _chart_jets(S, rj, s, t, min(degree + 1, MAX_DEGREE))
     # the t flip reverses the chart's cross product; undo it so nu stays the
     # surface-oriented normal (the one with H_mean = +H)
-    return _gauss_of_frame(X, S.orientation * CHART_T_SIGN)
+    return _gauss_of_frame(*_frame(X), S.orientation * CHART_T_SIGN)
 
 
 # -- residuals -------------------------------------------------------------------
@@ -650,9 +654,7 @@ def laplacian_identity_residual(S: Surface, p) -> float:
     """
     if S.H is None:
         raise ValueError("surface has no assigned mean curvature H")
-    X = S.jet(p[0], p[1], 3)
-    Xu = [c.du() for c in X]
-    Xv = [c.dv() for c in X]
+    Xu, Xv = _tangents(S, p[0], p[1], 3)
     E, F, G = first_fundamental_form(Xu, Xv)
     disc = E * G - F * F
     if not (disc.value > 0 and E.value > 0):

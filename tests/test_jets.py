@@ -275,6 +275,109 @@ def test_products_bit_identical_to_schoolbook_loop(a2, b2, a1, b1):
         assert got.tobytes() == want.tobytes()
 
 
+def reference_convolve(A, B, table):
+    """The product kernel that built each batch's gather on every call: the
+    reference the cached flat maps are held to, bit for bit (it fails on an
+    empty batch)."""
+    ia, ib, io, m = table
+    n = A.size // m
+    if n > 1:
+        w = (A.reshape(n, m)[:, ia] * B.reshape(n, m)[:, ib]).ravel()
+        io = (np.arange(0, n * m, m)[:, None] + io).ravel()
+    else:
+        w = A.ravel()[ia] * B.ravel()[ib]
+    if w.dtype.kind == "c":
+        out = np.empty(A.size, w.dtype)
+        out.real = np.bincount(io, w.real, A.size)
+        out.imag = np.bincount(io, w.imag, A.size)
+    else:
+        out = np.bincount(io, w, A.size)
+    out.shape = A.shape
+    return out
+
+
+def _random_coefficients(rng, shape, is_complex):
+    """Like _real_coefficient, elementwise: zero with probability 0.3, else
+    +-10^e with e uniform in [-8, 8]; real and imaginary parts drawn apart."""
+    def part():
+        x = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-8, 8, shape)
+        x[rng.random(shape) < 0.3] = 0.0
+        return x
+    return part() + 1j * part() if is_complex else part()
+
+
+@given(st.sampled_from([Jet1, Jet2]), st.integers(0, 5), st.integers(0, 5), st.booleans(),
+       st.booleans(), st.one_of(st.none(), st.integers(0, 64)), st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_batched_products_bit_identical_to_schoolbook_and_reference(jet, da, db, ca, cb, size,
+                                                                     seed):
+    # size None: a scalar jet; 0: an empty batch
+    rng = np.random.default_rng(seed)
+    batch = () if size is None else (size,)
+    A = _random_coefficients(rng, batch + (da + 1,) * jet._NVARS, ca)
+    B = _random_coefficients(rng, batch + (db + 1,) * jet._NVARS, cb)
+    base = (0.0 if jet is Jet1 else BASE) if size is None else (
+        np.zeros(size) if jet is Jet1 else (np.zeros(size), np.zeros(size)))
+    a, b = jet(base, da, A), jet(base, db, B)
+    got = (a * b).c
+    assert (a * b).c.tobytes() == got.tobytes()  # the second product reuses the maps
+    D = min(da, db)
+    assert got.shape == batch + (D + 1,) * jet._NVARS
+    assert got.dtype == np.result_type(A, B)
+    schoolbook = schoolbook_product2 if jet is Jet2 else schoolbook_product1
+    for i in np.ndindex(batch):
+        assert got[i].tobytes() == schoolbook(A[i], B[i]).tobytes()
+    if size != 0:
+        want = reference_convolve(a._coeffs(D), b._coeffs(D), jt._PAIRS[jet._NVARS][D])
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("jet", [Jet1, Jet2])
+def test_an_empty_batch_gives_empty_batches(jet):
+    x = jet.coordinate(np.array([]) if jet is Jet1 else (np.array([]), np.array([])), 3)
+    results = (x * x, x * 2.0, 1.0 / (x + 1.0), x / (x + 2.0), jt.sqrt(x + 1.0), (x + 1.0) ** 3,
+               jt.exp(x))
+    for y in results:
+        assert y.c.shape == (0,) + (4,) * jet._NVARS and y.value.shape == (0,)
+
+
+def test_flat_maps_are_reused_and_bounded():
+    jt._flat_maps.cache_clear()
+    u = Jet2.coordinate((np.zeros(3), np.ones(3)), 5, 0)
+    u * u
+    u * u
+    info = jt._flat_maps.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert not any(idx.flags.writeable for idx in jt._flat_maps(2, 5, 3 * 36))
+    for size in range(2, 3 * jt._MAPS_HELD):
+        x = Jet1.coordinate(np.zeros(size), 5)
+        x * x
+    assert jt._flat_maps.cache_info().currsize == jt._MAPS_HELD
+
+
+@pytest.mark.parametrize("jet", [Jet1, Jet2])
+def test_scalar_constructors_store_float_bases(jet):
+    # a base of floats skips the batch normalisation; other numbers take the
+    # general path; both store Python floats
+    points = [0.5, np.float64(0.5), 1, np.int64(1)] if jet is Jet1 else \
+        [(0.5, 0.0), (np.float64(0.5), 0.0), (1, 0), [0.5, 0.0], (np.float64(0.5), np.int64(0))]
+    for point in points:
+        for made in (jet.constant(2.0, point, 3), jet.coordinate(point, 3),
+                     jet(point, 3, np.zeros((4,) * jet._NVARS))):
+            coords = made.base if jet is Jet2 else (made.base,)
+            assert all(type(x) is float for x in coords) and made.degree == 3
+        # the batch path, on a batch of one at the same point
+        one = np.array([float(point)]) if jet is Jet1 else tuple(np.array([float(x)]) for x in point)
+        for made, batch in ((jet.constant(2.0, point, 3), jet.constant(2.0, one, 3)),
+                            (jet.coordinate(point, 3), jet.coordinate(one, 3))):
+            assert made.c.tobytes() == batch.c[0].tobytes()
+    assert jet.constant(1j, points[0], 2).c.dtype == complex
+    assert jet.coordinate(points[0], 0).c.tolist() == ([0.5] if jet is Jet1 else [[0.5]])
+    for degree in (6, -1):
+        with pytest.raises(jt.JetError, match=rf"degree must be in \[0, 5\], got {degree}"):
+            jet.constant(1.0, points[0], degree)
+
+
 # -- the batch axis against the scalar kernel, element by element -------------
 
 

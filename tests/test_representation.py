@@ -160,6 +160,20 @@ def _assert_chart_is_the_reference(prof, ref, ns=5, nt=3):
         assert np.array_equal(got, want, equal_nan=True)
 
 
+@pytest.mark.parametrize("size", [2, 4, 5])
+def test_batched_sigma_jet_is_the_per_s_jets(profile_t_k2, size):
+    # the series of G(r) is composed per coefficient, not per row of the batch
+    prof = profile_t_k2
+    ss = np.linspace(prof.s_of_r(0.3), prof.s_of_r(1.3), size)
+    got = prof.sigma_jet(ss, 3)
+    assert got.c.shape == (size, 4)
+    for i, s in enumerate(ss):
+        want = prof.sigma_jet(float(s), 3)
+        assert got.base[i] == want.base
+        # log of an array may round its last bits apart from log of one value
+        assert np.all(np.abs(got.c[i] - want.c) <= 1e-13 * np.abs(want.c).max())
+
+
 @pytest.mark.parametrize("build", [lambda: sf.delaunay_timelike(2.0, 0.5),
                                    lambda: sf.delaunay_spacelike(-2.0, 0.5)],
                          ids=["delaunay-t k=2", "delaunay-s k=-2"])

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cmc_lab import jets as jt
+from cmc_lab import quadrature
+from cmc_lab import representation as rp
 from cmc_lab import singularities as sg
 from cmc_lab import surfaces as sf
 from cmc_lab.jets import Jet2, VectorFieldJet
@@ -790,6 +792,39 @@ def test_fold_obstruction_certificate(delaunay_t_k2, delaunay_t_records):
     assert cert["sides"]["minus"]["abs_g_minus_1"] < 1e-8
     assert cert["dg_estimate"] > 0.1
     assert cert["laplacian_residual_max"] < 1e-5
+
+
+CERTIFIED_FAMILIES = {"delaunay-t k=2": lambda: sf.delaunay_timelike(2.0, 0.5),
+                      "delaunay-s k=-2": lambda: sf.delaunay_spacelike(-2.0, 0.5)}
+
+
+def _certified_records(S):
+    recs = [r for r in trace_singular_curve(S, n_grid=5) if r.rank == 1]
+    assert recs
+    return recs
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFIED_FAMILIES))
+def test_fold_certificates_integrate_no_profile_value(monkeypatch, name):
+    # |g| and the Laplace identity read only X_u and X_v
+    S = CERTIFIED_FAMILIES[name]()
+    recs = _certified_records(S)
+    calls = []
+    plain = quadrature.integrate
+    monkeypatch.setattr(quadrature, "integrate", lambda *a, **kw: calls.append(a[1:3]) or plain(*a, **kw))
+    for rec in recs:
+        cmc_fold_obstruction(S, rec)
+        assert calls == []
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFIED_FAMILIES))
+def test_fold_certificates_equal_those_from_full_surface_jets(monkeypatch, name):
+    S, S_full = CERTIFIED_FAMILIES[name](), CERTIFIED_FAMILIES[name]()
+    recs = _certified_records(S)
+    certificates = [cmc_fold_obstruction(S, rec) for rec in recs]
+    # the tangents of full surface jets, every profile value integrated
+    monkeypatch.setattr(rp, "_tangents", lambda S, r, t, degree: rp._frame(S.jet(r, t, degree)))
+    assert certificates == [cmc_fold_obstruction(S_full, rec) for rec in recs]
 
 
 def test_fold_obstruction_rank0_regime():
