@@ -25,8 +25,9 @@ One element (a scalar jet or a batch of one) gathers through the table itself.
 A batch of B elements gathers through flat maps: the table offset by the start
 of each element's coefficients, so that element e's terms fill the bins of
 element e in table order.  The maps of a (variables, degree, B) are built by
-its first product and kept for later ones; at most _MAPS_HELD are kept, the
-most recently used.  An empty batch (B = 0) gives an empty batch.
+its first product and kept while all kept maps fit in _MAPS_BYTES (least
+recently used out first); a larger batch is multiplied in chunks whose maps
+take at most a quarter of that.  An empty batch gives an empty batch.
 
 Degree is capped at 5: the fifth-order directional derivatives consumed by the
 cuspidal-edge criterion are the deepest anything here needs, and a fixed cap
@@ -65,7 +66,6 @@ bits.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -132,20 +132,27 @@ def _pair_table(degree: int, nvars: int):
 # pair tables by number of variables and degree
 _PAIRS = {nvars: [_pair_table(d, nvars) for d in range(MAX_DEGREE + 1)] for nvars in (1, 2)}
 
-# how many batch sizes' flat maps are kept (about 3 kB per element at degree 5
-# in two variables)
-_MAPS_HELD = 64
+# flat maps kept by (nvars, degree, size), least recently used first, within
+# _MAPS_BYTES in all (3 kB per element at degree 5 in two variables)
+_MAPS = {}
+_MAPS_BYTES = 1 << 20
 
 
-@functools.lru_cache(maxsize=_MAPS_HELD)
 def _flat_maps(nvars, degree, size):
-    """The pair table of (nvars, degree) offset for each element of a batch of
-    `size` coefficients in all, as flat gather and bin indices (read-only)."""
-    ia, ib, io, m = _PAIRS[nvars][degree]
-    off = np.arange(0, size, m)[:, None]
-    maps = tuple((off + idx).ravel() for idx in (ia, ib, io))
-    for idx in maps:
-        idx.flags.writeable = False
+    """The pair table of (nvars, degree) offset for each element of a batch of `size`
+    coefficients, as read-only flat gather and bin indices; None over _MAPS_BYTES / 4."""
+    maps = _MAPS.pop((nvars, degree, size), None)
+    if maps is None:
+        ia, ib, io, m = _PAIRS[nvars][degree]
+        if 12 * ia.nbytes * (size // m) > _MAPS_BYTES:
+            return None
+        off = np.arange(0, size, m)[:, None]
+        maps = tuple((off + idx).ravel() for idx in (ia, ib, io))
+        for idx in maps:
+            idx.flags.writeable = False
+        while 3 * sum(kept[0].nbytes for kept in (maps, *_MAPS.values())) > _MAPS_BYTES:
+            del _MAPS[next(iter(_MAPS))]
+    _MAPS[nvars, degree, size] = maps  # (re)inserted last: the most recently used
     return maps
 
 
@@ -157,7 +164,16 @@ def _convolve(A, B, nvars, degree):
     if A.size != m:  # a batch of B != 1 elements
         if not A.size:  # B = 0 (bincount would count nothing in int64)
             return np.empty(A.shape, np.result_type(A, B))
-        ia, ib, io = _flat_maps(nvars, degree, A.size)
+        maps = _flat_maps(nvars, degree, A.size)
+        if maps is None:  # in chunks of elements whose maps are kept, the last flush with the end
+            step = max(1, _MAPS_BYTES // (12 * ia.nbytes))
+            out = np.empty(A.shape, np.result_type(A, B))
+            a, b, o = A.reshape(-1, m), B.reshape(-1, m), out.reshape(-1, m)
+            for i in range(0, len(a), step):
+                i = min(i, len(a) - step)
+                o[i:i + step] = _convolve(a[i:i + step], b[i:i + step], nvars, degree)
+            return out
+        ia, ib, io = maps
     w = A.ravel()[ia] * B.ravel()[ib]
     if w.dtype.kind == "c":
         out = np.empty(A.size, w.dtype)

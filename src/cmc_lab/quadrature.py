@@ -6,17 +6,18 @@ value) with the integrand's jet (for all higher Taylor coefficients, via
 F' = f), so surfaces can serve exact degree-5 jets whose only inexactness is
 the quadrature tolerance in the value coefficient.
 
-Array contract.  An integrand is an array function: `_gk15` samples a panel's
-15 Kronrod nodes with one call f(xs) on a (15,) array and reads a (15,) array
-of values back, and `simpson_oracle` calls f once on all its nodes.  Written
-with the generic operations of cmc_lab.jets (or NumPy ufuncs), an integrand
-serves arrays and jets alike; a function of one float only (math.cos) is not
-an integrand.
+Array contract.  An integrand is an array function: `_gk15` samples the 15
+Kronrod nodes of the P panels of a refinement sweep with one call f(xs) on a
+(P*15,) array and reads a (P*15,) array of values back, and `simpson_oracle`
+calls f once on all its nodes.  Written with the generic operations of
+cmc_lab.jets (or NumPy ufuncs), an integrand serves arrays and jets alike; a
+function of one float only (math.cos) is not an integrand.
 """
 
 from __future__ import annotations
 
 import bisect
+import heapq
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -100,88 +101,103 @@ def _interpolant_maps():
 _TO_P15, _TO_INTEGRAL, _TO_INTEGRAL_DIFF = _interpolant_maps()
 
 
-def _gk15(f, a, b):
-    """(K15 value, |K15 - G7| estimate, the 15 node values) on [a, b].
-
-    `f` is called once, on the (15,) array of nodes in the order of `_GK_T`,
-    with NumPy's floating-point warnings silenced; the first node (in that
-    order) where a value is not finite raises IntegrandSingularError."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    xs = mid + half * _GK_T
+def _gk15(f, lo, hi):
+    """K15 values, |K15 - G7| estimates ((P,) arrays) and node values (P, 15)
+    of the panels [lo[p], hi[p]], and per panel None or the message naming its
+    first node (in the order of `_GK_T`) where a value is not finite.  `f` is
+    called once, on the (P*15,) array of all nodes, with NumPy's floating-point
+    warnings silenced."""
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (lo + hi)
+    xs = mid[:, None] + half[:, None] * _GK_T
     with np.errstate(all="ignore"):
-        vals = np.asarray(f(xs), dtype=float)
-    if not np.isfinite(vals).all():
-        i = int(np.argmin(np.isfinite(vals)))
-        raise IntegrandSingularError(f"integrand singular on interval: f({xs[i]}) = {vals[i]}")
-    v = vals.tolist()
-    k = _K_WEIGHTS[7] * v[7]
-    g = _G_WEIGHTS[3] * v[7]
-    for i in range(7):
-        pair = v[i] + v[8 + i]
-        k += _K_WEIGHTS[i] * pair
-        if i % 2 == 1:  # Gauss nodes are the odd-indexed Kronrod abscissae
-            g += _G_WEIGHTS[i // 2] * pair
-    return half * k, half * abs(k - g), vals
+        vals = np.asarray(f(xs.ravel()), dtype=float).reshape(xs.shape)
+        k = _K_WEIGHTS[7] * vals[:, 7]
+        g = _G_WEIGHTS[3] * vals[:, 7]
+        for i in range(7):
+            pair = vals[:, i] + vals[:, 8 + i]
+            k = k + _K_WEIGHTS[i] * pair
+            if i % 2 == 1:  # Gauss nodes are the odd-indexed Kronrod abscissae
+                g = g + _G_WEIGHTS[i // 2] * pair
+        k, g = half * k, half * np.abs(k - g)
+    bad = ~np.isfinite(vals)
+    singular = [f"integrand singular on interval: f({xs[p, i]}) = {vals[p, i]}"
+                if bad[p, i] else None for p, i in enumerate(bad.argmax(axis=1).tolist())]
+    return k, g, vals, singular
 
 
-def _adaptive(f, a, b, tol, limit, bound=None):
-    """The accepted panels (lo, hi, value, error, node values) of [a, b] in
-    interval order, their summed value and their summed error.
+def _adaptive(f, ends, tol, limit, bounds=None):
+    """Per interval (a, b) of `ends` (a < b): its accepted panels (lo, hi,
+    value, error, node values) in interval order, summed value and summed
+    error, or the QuadratureError it raised.  Each interval, on its own,
+    bisects its panel with the worst error (leftmost on ties) until its summed
+    error meets tol; they run in lockstep: a sweep bisects a panel of every
+    unfinished interval, and one `_gk15` call (one call of f) samples all the
+    new panels.  A panel's error is its |K15 - G7| estimate, or bounds[i](half
+    width, node values) on interval i."""
+    out = [None] * len(ends)
+    # per interval: panels, their values and errors by slot, a heap of (-error, lo, slot)
+    state = [([None], [0.0], [0.0], []) for _ in ends]
+    todo = [(i, 0, a, b) for i, (a, b) in enumerate(ends)]  # (interval, slot, lo, hi)
+    while todo:
+        who, slots, los, his = zip(*todo)
+        values, ests, vals, singular = _gk15(f, np.array(los, float), np.array(his, float))
+        for p, (i, slot, lo, hi, value, est) in enumerate(zip(who, slots, los, his, values.tolist(),
+                                                             ests.tolist())):
+            if out[i] is not None:
+                continue
+            if singular[p]:
+                out[i] = IntegrandSingularError(singular[p])
+                continue
+            err = est if bounds is None else bounds[i](0.5 * (hi - lo), vals[p])
+            panels, vs, es, heap = state[i]
+            panels[slot], vs[slot], es[slot] = (lo, hi, value, err, vals[p]), value, err
+            heapq.heappush(heap, (-err, lo, slot))
+        todo = []
+        for i in [i for i in dict.fromkeys(who) if out[i] is None]:
+            panels, vs, es, heap = state[i]
+            total, err = math.fsum(vs), math.fsum(es)
+            if err <= max(tol, 1e-15 * abs(total)):
+                out[i] = sorted(panels, key=lambda p: p[0]), total, err
+            elif len(panels) >= limit:
+                out[i] = ToleranceNotMetError(f"tolerance not met: estimate {err:.3e} > {tol:.3e} "
+                                              f"after {len(panels)} panels", total, err)
+            else:
+                slot = heapq.heappop(heap)[2]
+                lo, hi = panels[slot][:2]
+                mid = 0.5 * (lo + hi)
+                todo += [(i, slot, lo, mid), (i, len(panels), mid, hi)]
+                for column in (panels, vs, es):
+                    column.append(None)
+    return out
 
-    The panel with the worst error (leftmost on ties) is bisected until the
-    summed error meets tol.  A panel's error is its |K15 - G7| estimate, or
-    bound(half width, node values) when a bound is given.
-    """
 
-    def panel(lo, hi):
-        value, est, vals = _gk15(f, lo, hi)
-        return lo, hi, value, est if bound is None else bound(0.5 * (hi - lo), vals), vals
-
-    panels = [panel(a, b)]
-    while True:
-        panels.sort(key=lambda p: p[0])
-        total = math.fsum(p[2] for p in panels)
-        err = math.fsum(p[3] for p in panels)
-        if err <= max(tol, 1e-15 * abs(total)):
-            return panels, total, err
-        if len(panels) >= limit:
-            raise ToleranceNotMetError(
-                f"tolerance not met: estimate {err:.3e} > {tol:.3e} "
-                f"after {len(panels)} panels",
-                total,
-                err,
-            )
-        worst = max(range(len(panels)), key=lambda i: (panels[i][3], -panels[i][0]))
-        lo, hi = panels.pop(worst)[:2]
-        mid = 0.5 * (lo + hi)
-        panels.append(panel(lo, mid))
-        panels.append(panel(mid, hi))
+def _integrals(f, ends, tol, limit=2048):
+    """`integrate` over each (a, b) of `ends`, in one lockstep `_adaptive` run:
+    per interval (value, error estimate), or the QuadratureError it raised."""
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    out = [(0.0, 0.0)] * len(ends)
+    run = [i for i, (a, b) in enumerate(ends) if a != b]
+    for i, res in zip(run, _adaptive(f, [sorted(ends[i]) for i in run], tol, limit)):
+        flip = ends[i][1] < ends[i][0]
+        out[i] = res if isinstance(res, QuadratureError) else (-res[1] if flip else res[1], res[2])
+    return out
 
 
-def integrate(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: float = DEFAULT_TOL,
-    limit: int = 2048,
-):
+def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, tol: float = DEFAULT_TOL,
+              limit: int = 2048):
     """Adaptive bisection with a Gauss-Kronrod rule per panel.
 
     Returns (value, error_estimate) with |value - true| <= max(tol, estimate).
     Deterministic: the panel with the worst estimate (leftmost on ties) is
-    split until the summed estimate meets tol, and the result is accumulated
-    in interval order.
+    split until the summed estimate meets tol, and the sums are exactly
+    rounded (math.fsum), so no order of the panels changes a bit.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if a == b:
-        return 0.0, 0.0
-    if b < a:
-        value, err = integrate(f, b, a, tol, limit)
-        return -value, err
-    _, total, err = _adaptive(f, a, b, tol, limit)
-    return total, err
+    (result,) = _integrals(f, [(a, b)], tol, limit)
+    if isinstance(result, QuadratureError):
+        raise result
+    return result
 
 
 def simpson_oracle(f, a, b, panels=1_000_000):
@@ -246,17 +262,18 @@ def _without_values():
 class Primitive:
     """F(r) = int_base^r f(tau) dtau with jets supplied through F' = f.
 
-    Values are integrated per evaluation point and cached: rotational surfaces
-    re-evaluate the same profile radius for every grid row.  A surface profile
-    is not integrated once over its whole domain (as TabulatedPrimitive is):
-    its domain ends where a radicand of the integrand vanishes, and there the
-    integrand can blow up too fast for the adaptive loop (for the conjugate of
-    the spacelike-axis Delaunay surface the whole-domain integral fails at 39
-    of 62 sampled k in [-3, 4], all above -0.6), while the interior values
-    that classification reads converge.  A failed integral is cached as well:
-    the same r raises the same error again without integrating.  Inside
-    `_without_values` a jet's value coefficient is NaN and nothing is
-    integrated: the conformal chart's metric reads only derivatives.
+    Values are integrated per radius (a batch's new radii in lockstep) and
+    cached: rotational surfaces re-evaluate the same profile radius for every
+    grid row.  A surface profile is not integrated once over its whole domain
+    (as TabulatedPrimitive is): its domain ends where a radicand of the
+    integrand vanishes, and there the integrand can blow up too fast for the
+    adaptive loop (for the conjugate of the spacelike-axis Delaunay surface
+    the whole-domain integral fails at 39 of 62 sampled k in [-3, 4], all
+    above -0.6), while the interior values that classification reads converge.
+    A failed integral is cached as well: the same r raises the same error
+    again without integrating.  Inside `_without_values` a jet's value
+    coefficient is NaN and nothing is integrated: the conformal chart's
+    metric reads only derivatives.
     """
 
     integrand: Integrand
@@ -283,14 +300,19 @@ class Primitive:
     def jet(self, r0, degree: int = MAX_DEGREE) -> Jet1:
         """Value coefficient from quadrature, the others from the integrand's jet.
 
-        r0 may be a (B,) array: the values are read per distinct r from the
-        cache, and coefficients 1..degree come from one batched integrand jet.
-        Inside `_without_values` the value coefficient is NaN."""
+        r0 may be a (B,) array: its distinct r not cached are integrated in one
+        lockstep run and cached, values or failures (the smallest failing r
+        raises), and coefficients 1..degree come from one batched integrand
+        jet.  Inside `_without_values` the value coefficient is NaN."""
         batch = isinstance(r0, np.ndarray) and r0.ndim
         if _NO_VALUES.get():
             value = np.full(r0.shape, math.nan) if batch else math.nan
         elif batch:
             rs, at = np.unique(r0, return_inverse=True)
+            new = [r for r in rs.tolist() if r not in self._cache]
+            ends = [(self.base, r) for r in new]
+            for r, hit in zip(new, _integrals(self.integrand, ends, self.tol)):
+                self._cache[r] = hit if isinstance(hit, QuadratureError) else hit[0]
             value = np.array([self.value(r) for r in rs])[at]
         else:
             value = self.value(r0)
@@ -307,7 +329,7 @@ def _partial_bound(t0):
 class TabulatedPrimitive:
     """F(x) = int_base^x f on [a, b] for a positive integrand f, integrated once.
 
-    [a, base] and [base, b] each run the adaptive loop of `integrate`, with
+    [a, base] and [base, b] run in one lockstep `_adaptive` run, each with
     half of PRIMITIVE_TOL.  Every accepted panel keeps its 15 node values, as
     the Legendre coefficients of p15 (the interpolant through them) and of
     p15's antiderivative from the panel edge nearer base.  Inside [a, b], F(x)
@@ -325,10 +347,12 @@ class TabulatedPrimitive:
         if not a < base < b:
             raise ValueError(f"need a < base < b, got {a}, {base}, {b}")
         self.integrand = integrand
-        (left, _, err_left), (right, _, err_right) = (
-            _adaptive(integrand, lo, hi, 0.5 * PRIMITIVE_TOL, 2048, _partial_bound(t0))
-            for lo, hi, t0 in ((a, base, 1), (base, b, -1))
-        )
+        halves = _adaptive(integrand, [(a, base), (base, b)], 0.5 * PRIMITIVE_TOL, 2048,
+                           [_partial_bound(1), _partial_bound(-1)])
+        failed = [half for half in halves if isinstance(half, QuadratureError)]
+        if failed:
+            raise failed[0]
+        (left, _, err_left), (right, _, err_right) = halves
         self.error = err_left + err_right
         n = len(left)
         panels = left + right

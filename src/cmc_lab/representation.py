@@ -11,11 +11,11 @@ the compatibility (curvature) equations, and the Laplace identity
 Delta X = -2 H nu.
 
 Array contract.  The chart integrand sqrt(E/G) is an array function (see
-cmc_lab.quadrature): one GK15 panel is one batched surface jet at its 15
-radii.  `gauss_data_from_surface` solves r(s) once per grid row, inverts the
-rows' jets of s(r) in one batched call, and evaluates the whole grid in one
-batched chart call (within 1e-13 of a node-by-node evaluation, where the
-elementary functions of NumPy's array kernels differ in the last bits).
+cmc_lab.quadrature): a quadrature sweep is one batched surface jet at the 15
+radii of each new panel.  `gauss_data_from_surface` solves r(s) once per grid
+row, inverts the rows' jets of s(r) in one batched call, and evaluates the
+whole grid in one batched chart call (within 1e-13 of a node-by-node
+evaluation, where NumPy's elementary functions on arrays differ in the last bits).
 GaussData keeps that batch: g_jet is one batched jet whose element i * nv + j
 is node (i, j), and g and omega_hat are (nu, nv) arrays.  The residuals
 return (nu, nv) arrays, and `integrate_representation` takes the integrand

@@ -258,18 +258,44 @@ def test_conjugate_k_next_to_minus_1_exit2_naming_the_flag(tmp_path, capsys, of,
 
 
 def test_failed_profile_integral_runs_once(tmp_path, capsys, monkeypatch):
-    # the batched mesh call fails in a profile integral; naming the grid index
-    # then reads the failure from the Primitive cache instead of integrating again
+    # the batched mesh call integrates the grid's radii in one lockstep run and
+    # fails at both domain ends; naming the grid index then reads the failure
+    # from the Primitive cache instead of integrating again
+    from collections import Counter
+
     from cmc_lab import quadrature
 
-    panels = []
-    gk15 = quadrature._gk15
-    monkeypatch.setattr(quadrature, "_gk15", lambda f, a, b: panels.append(1) or gk15(f, a, b))
+    runs = []  # per kernel run: [integrand, intervals, outcomes, panels sampled]
+    gk15, adaptive = quadrature._gk15, quadrature._adaptive
+
+    def counted_gk15(f, lo, hi):
+        runs[-1][3].update(zip(lo.tolist(), hi.tolist()))
+        return gk15(f, lo, hi)
+
+    def counted_adaptive(f, ends, *args):
+        runs.append([f, list(ends), None, Counter()])
+        runs[-1][2] = adaptive(f, ends, *args)
+        return runs[-1][2]
+
+    monkeypatch.setattr(quadrature, "_gk15", counted_gk15)
+    monkeypatch.setattr(quadrature, "_adaptive", counted_adaptive)
     assert run(tmp_path, "generate", "--family", "conjugate", "--of", "delaunay-s", "--k", "2",
                "--H", "0.5", "--nr", "11", "--nt", "11", "-o", "g.obj") == 1
     assert ("evaluation failed at grid index (0,0), (u,v)=(-0.4082482880143733,-1.5): "
             "tolerance not met: estimate") in capsys.readouterr().err
-    assert 4095 <= len(panels) < 2 * 4095  # one 2048-panel integral makes 4095 GK15 calls
+    intervals = Counter((id(f), tuple(end)) for f, ends, _, _ in runs for end in ends)
+    assert max(intervals.values()) == 1  # no interval is integrated twice
+    for _, _, outcomes, panels in runs:
+        assert max(panels.values()) == 1  # no panel is sampled twice in a run
+        # an interval samples 2n - 1 panels to accept n, and 4095 to fail after 2048
+        assert sum(panels.values()) == sum(
+            4095 if isinstance(o, quadrature.ToleranceNotMetError) else 2 * len(o[0]) - 1
+            for o in outcomes)
+    failed = sorted((tuple(end), str(o)) for _, ends, outcomes, _ in runs
+                    for end, o in zip(ends, outcomes) if isinstance(o, quadrature.QuadratureError))
+    r_hi = 0.4082482880143733
+    assert [end for end, _ in failed] == [(-r_hi, 0.0), (0.0, r_hi)]
+    assert all(message.endswith("after 2048 panels") for _, message in failed)
 
 
 def test_classify_fold_model(tmp_path):

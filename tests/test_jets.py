@@ -1,4 +1,5 @@
 import operator
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -307,11 +308,13 @@ def _random_coefficients(rng, shape, is_complex):
 
 
 @given(st.sampled_from([Jet1, Jet2]), st.integers(0, 5), st.integers(0, 5), st.booleans(),
-       st.booleans(), st.one_of(st.none(), st.integers(0, 64)), st.integers(0, 2**32 - 1))
+       st.booleans(), st.one_of(st.none(), st.integers(0, 64)), st.integers(0, 2**32 - 1),
+       st.one_of(st.none(), st.integers(0, 1 << 14)))
 @settings(max_examples=300, deadline=None)
 def test_batched_products_bit_identical_to_schoolbook_and_reference(jet, da, db, ca, cb, size,
-                                                                     seed):
-    # size None: a scalar jet; 0: an empty batch
+                                                                     seed, budget):
+    # size None: a scalar jet; 0: an empty batch; a small map budget multiplies
+    # a batch in chunks (budget 0: one element at a time), None keeps the default
     rng = np.random.default_rng(seed)
     batch = () if size is None else (size,)
     A = _random_coefficients(rng, batch + (da + 1,) * jet._NVARS, ca)
@@ -319,8 +322,10 @@ def test_batched_products_bit_identical_to_schoolbook_and_reference(jet, da, db,
     base = (0.0 if jet is Jet1 else BASE) if size is None else (
         np.zeros(size) if jet is Jet1 else (np.zeros(size), np.zeros(size)))
     a, b = jet(base, da, A), jet(base, db, B)
-    got = (a * b).c
-    assert (a * b).c.tobytes() == got.tobytes()  # the second product reuses the maps
+    with mock.patch.object(jt, "_MAPS", jt._MAPS if budget is None else {}), \
+            mock.patch.object(jt, "_MAPS_BYTES", jt._MAPS_BYTES if budget is None else budget):
+        got = (a * b).c
+        assert (a * b).c.tobytes() == got.tobytes()  # the second product reuses the maps
     D = min(da, db)
     assert got.shape == batch + (D + 1,) * jet._NVARS
     assert got.dtype == np.result_type(A, B)
@@ -342,17 +347,31 @@ def test_an_empty_batch_gives_empty_batches(jet):
 
 
 def test_flat_maps_are_reused_and_bounded():
-    jt._flat_maps.cache_clear()
+    jt._MAPS.clear()
     u = Jet2.coordinate((np.zeros(3), np.ones(3)), 5, 0)
     u * u
+    maps = jt._MAPS[2, 5, 3 * 36]
     u * u
-    info = jt._flat_maps.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
-    assert not any(idx.flags.writeable for idx in jt._flat_maps(2, 5, 3 * 36))
-    for size in range(2, 3 * jt._MAPS_HELD):
+    assert list(jt._MAPS) == [(2, 5, 3 * 36)] and jt._flat_maps(2, 5, 3 * 36) is maps
+    assert not any(idx.flags.writeable for idx in maps)
+    # the kept maps never take more than _MAPS_BYTES in all; the least recently
+    # used go first, and a product that reuses maps makes them the most recent
+    for size in range(2, 400):
         x = Jet1.coordinate(np.zeros(size), 5)
         x * x
-    assert jt._flat_maps.cache_info().currsize == jt._MAPS_HELD
+        u * u
+        assert sum(idx.nbytes for kept in jt._MAPS.values() for idx in kept) <= jt._MAPS_BYTES
+    assert list(jt._MAPS)[-2:] == [(1, 5, 399 * 6), (2, 5, 3 * 36)]
+    assert (1, 5, 2 * 6) not in jt._MAPS
+    # a batch whose maps would take more than a quarter of the bound is
+    # multiplied in chunks, and only the chunks' maps are kept
+    n = jt._MAPS_BYTES // (12 * jt._PAIRS[2][5][0].nbytes)
+    v = Jet2.coordinate((np.zeros(3 * n + 2), np.ones(3 * n + 2)), 5, 0)
+    jt._MAPS.clear()
+    got = (v * v).c
+    assert all(got[i].tobytes() == schoolbook_product2(v.c[i], v.c[i]).tobytes()
+               for i in range(3 * n + 2))
+    assert list(jt._MAPS) == [(2, 5, n * 36)]
 
 
 @pytest.mark.parametrize("jet", [Jet1, Jet2])

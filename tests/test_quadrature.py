@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cmc_lab import jets as jt
+from cmc_lab import quadrature
 from cmc_lab.quadrature import (
     Integrand,
     IntegrandSingularError,
     PRIMITIVE_TOL,
     Primitive,
+    QuadratureError,
     TabulatedPrimitive,
     ToleranceNotMetError,
     integrate,
@@ -152,34 +154,35 @@ def test_tabulated_primitive_values_inverse_and_edges():
         TabulatedPrimitive(f, 0.5, 0.5, 1.7)
 
 
-# -- the array contract: one integrand call per panel ---------------------------
+# -- the array contract: one integrand call per sweep ---------------------------
 
 
 def _counting_gk15():
     """A wrapper of quadrature._gk15 and its log: the panels, the calls of the
-    integrand and the shapes it was passed."""
+    integrand and the shapes it was passed, and the panels per call."""
     from cmc_lab import quadrature
 
-    log = {"panels": 0, "f_calls": 0, "shapes": set()}
+    log = {"panels": 0, "f_calls": 0, "shapes": [], "sizes": []}
     gk15 = quadrature._gk15
 
-    def counted(f, a, b):
-        log["panels"] += 1
+    def counted(f, lo, hi):
+        log["panels"] += len(lo)
+        log["sizes"].append(len(lo))
 
         def g(xs):
             log["f_calls"] += 1
-            log["shapes"].add(np.shape(xs))
+            log["shapes"].append(np.shape(xs))
             return f(xs)
 
-        return gk15(g, a, b)
+        return gk15(g, lo, hi)
 
     return log, counted
 
 
-@given(st.sampled_from(["cos", "runge", "kink", "profile"]), st.floats(-2, 2), st.floats(0.05, 2),
-       st.floats(1e-13, 1e-8))
+@given(st.sampled_from(["cos", "runge", "kink", "profile"]), st.floats(-2, 2),
+       st.lists(st.floats(0.05, 2), min_size=1, max_size=4), st.floats(1e-13, 1e-8))
 @settings(max_examples=40, deadline=None)
-def test_gk15_calls_f_once_per_panel(name, a, width, tol):
+def test_gk15_calls_f_once_per_sweep(name, a, widths, tol):
     from unittest import mock
 
     from cmc_lab import quadrature
@@ -192,13 +195,13 @@ def test_gk15_calls_f_once_per_panel(name, a, width, tol):
     }[name]
     log, counted = _counting_gk15()
     with mock.patch.object(quadrature, "_gk15", counted):
-        try:
-            integrate(f, a, a + width, tol, limit=64)
-        except ToleranceNotMetError:
-            pass
-    assert log["panels"] >= 1
-    assert log["f_calls"] == log["panels"]
-    assert log["shapes"] == {(15,)}
+        quadrature._integrals(f, [(a, a + w) for w in widths], tol, limit=64)
+    # the first sweep samples each interval whole, later ones two halves of
+    # each unfinished interval, all in one call of f on (P*15,) nodes
+    assert log["sizes"][0] == len(widths)
+    assert all(0 < P <= 2 * len(widths) and P % 2 == 0 for P in log["sizes"][1:])
+    assert log["f_calls"] == len(log["sizes"])
+    assert log["shapes"] == [(15 * P,) for P in log["sizes"]]
 
 
 def test_gk15_names_the_first_singular_node_in_sampling_order():
@@ -307,3 +310,164 @@ def test_surface_profile_integrals_bit_identical_to_a_per_node_loop(family, t, a
                 outcomes.append((type(e), str(e), e.value, e.error_estimate))
         got, want = outcomes
         assert repr(got) == repr(want)
+
+
+# -- the lockstep kernel against the per-interval loop it replaced -----------------
+
+
+def reference_gk15(f, a, b):
+    """The one-panel rule the lockstep kernel replaced: (K15 value, |K15 - G7|
+    estimate, node values) on [a, b], with f called on that panel's 15 nodes."""
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    xs = mid + half * quadrature._GK_T
+    with np.errstate(all="ignore"):
+        vals = np.asarray(f(xs), dtype=float)
+    if not np.isfinite(vals).all():
+        i = int(np.argmin(np.isfinite(vals)))
+        raise IntegrandSingularError(f"integrand singular on interval: f({xs[i]}) = {vals[i]}")
+    v = vals.tolist()
+    K, G = quadrature._K_WEIGHTS, quadrature._G_WEIGHTS
+    k = K[7] * v[7]
+    g = G[3] * v[7]
+    for i in range(7):
+        pair = v[i] + v[8 + i]
+        k += K[i] * pair
+        if i % 2 == 1:
+            g += G[i // 2] * pair
+    return half * k, half * abs(k - g), vals
+
+
+def reference_adaptive(f, a, b, tol, limit, bound=None):
+    """The per-interval loop the lockstep kernel replaced: the panels of [a, b]
+    in interval order, their summed value and summed error."""
+    def panel(lo, hi):
+        value, est, vals = reference_gk15(f, lo, hi)
+        return lo, hi, value, est if bound is None else bound(0.5 * (hi - lo), vals), vals
+
+    panels = [panel(a, b)]
+    while True:
+        panels.sort(key=lambda p: p[0])
+        total = math.fsum(p[2] for p in panels)
+        err = math.fsum(p[3] for p in panels)
+        if err <= max(tol, 1e-15 * abs(total)):
+            return panels, total, err
+        if len(panels) >= limit:
+            raise ToleranceNotMetError(
+                f"tolerance not met: estimate {err:.3e} > {tol:.3e} after {len(panels)} panels",
+                total, err)
+        worst = max(range(len(panels)), key=lambda i: (panels[i][3], -panels[i][0]))
+        lo, hi = panels.pop(worst)[:2]
+        mid = 0.5 * (lo + hi)
+        panels.append(panel(lo, mid))
+        panels.append(panel(mid, hi))
+
+
+def reference_integrate(f, a, b, tol, limit):
+    """integrate as it was: one interval, reversed by recursion."""
+    if a == b:
+        return 0.0, 0.0
+    if b < a:
+        value, err = reference_integrate(f, b, a, tol, limit)
+        return -value, err
+    return reference_adaptive(f, a, b, tol, limit)[1:]
+
+
+def _outcome(run):
+    try:
+        return run()
+    except QuadratureError as e:
+        return e
+
+
+def _bits(x):
+    """x with every float as its hex string and every array as its bytes."""
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if isinstance(x, (tuple, list)):
+        return tuple(_bits(y) for y in x)
+    return float(x).hex()
+
+
+def _assert_same(got, want):
+    if isinstance(want, QuadratureError):
+        assert type(got) is type(want) and str(got) == str(want)
+        if isinstance(want, ToleranceNotMetError):
+            assert _bits((got.value, got.error_estimate)) == _bits((want.value, want.error_estimate))
+    else:
+        assert _bits(got) == _bits(want)
+
+
+LOCKSTEP_INTEGRANDS = {
+    "cos": np.cos,
+    "runge": lambda t: 1.0 / (1 + 25 * t * t),
+    "kink": lambda t: abs(t - math.pi / 10) ** 0.5,  # reaches the limit at small tol
+    "vee": lambda t: abs(t) ** 0.5,  # panels mirrored about 0 tie in their estimates
+    "sqrt": lambda t: np.sqrt(t - 0.3),  # NaN below 0.3: singular
+    "pole": lambda t: 1.0 / (1.0 - t),  # singular where a node lands on 1, else the limit
+    "profile": Integrand(lambda t: (t * t + 1) / jt.sqrt((t * t + 3) ** 2 - 8)),
+}
+
+_OFFSETS = st.one_of(
+    st.tuples(st.floats(-2, 2), st.floats(-2, 2)),
+    st.tuples(st.just(0.0), st.floats(-2, 2)),  # from the base, as a Primitive integrates
+    st.floats(-2, 2).map(lambda x: (x, x)),  # a == b
+    st.floats(0, 2).map(lambda x: (-x, x)),  # symmetric about the base
+)
+
+
+@given(st.sampled_from(sorted(LOCKSTEP_INTEGRANDS)), st.sampled_from([0.0, -0.5, 1.0]),
+       st.integers(0, 40).flatmap(lambda n: st.lists(_OFFSETS, min_size=n, max_size=n)),
+       st.floats(1e-13, 1e-8), st.integers(1, 40), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_lockstep_kernel_bit_identical_to_the_per_interval_loop(name, base, offsets, tol, limit,
+                                                                bounded):
+    f = LOCKSTEP_INTEGRANDS[name]
+    ends = [(base + x, base + y) for x, y in offsets]
+    # integrate's batch: ends on either side, reversed and empty intervals
+    for got, (a, b) in zip(quadrature._integrals(f, ends, tol, limit), ends):
+        _assert_same(got, _outcome(lambda: reference_integrate(f, a, b, tol, limit)))
+    # the kernel itself, with and without a panel bound (TabulatedPrimitive's)
+    turned = [(min(a, b), max(a, b)) for a, b in ends if a != b]
+    bounds = [quadrature._partial_bound(t0) for t0, _ in zip([1, -1] * len(turned), turned)]
+    bounds = bounds if bounded else None
+    for i, ((a, b), got) in enumerate(zip(turned, quadrature._adaptive(f, turned, tol, limit, bounds))):
+        _assert_same(got, _outcome(lambda: reference_adaptive(f, a, b, tol, limit,
+                                                              bounds and bounds[i])))
+
+
+@pytest.mark.parametrize("family,k", [("delaunay-t", 2.0), ("conjugate-of-delaunay-t", 3.0),
+                                      ("conjugate-of-delaunay-s", 2.0)])
+def test_primitive_jet_of_a_batch_is_the_per_radius_values(family, k):
+    # conjugate-of-delaunay-s at k = 2 fails at both domain ends
+    S, integrands = _profile_integrands(family, k, 0.5)
+    rs = np.linspace(-S.u_range[1], S.u_range[1], 9)
+    for f in integrands:
+        want = [_outcome(lambda: Primitive(f).value(r)) for r in rs]
+        P = Primitive(f)
+        got = _outcome(lambda: P.jet(np.concatenate([rs[::-1], rs]), 2))
+        failed = [w for w in want if isinstance(w, QuadratureError)]
+        if failed:  # the failure of the smallest failing radius
+            _assert_same(got, failed[0])
+        else:
+            _assert_same(got.c[:, 0].tolist(), want[::-1] + want)
+        # every radius of the batch is cached, its value or its failure
+        assert len(P._cache) == len(rs)
+        for r, w in zip(rs, want):
+            _assert_same(_outcome(lambda: P.value(r)), w)
+
+
+def test_lockstep_kernel_splits_the_leftmost_of_tied_panels():
+    # on [-1, 1] the panels next to the kink at 0 tie in pairs; where the
+    # summed estimate meets tol between two tied splits, the accepted panels
+    # are not mirror images, and which one was split shows
+    f, lopsided = LOCKSTEP_INTEGRANDS["vee"], 0
+    for tol in np.geomspace(1e-3, 1e-12, 60):
+        for limit in (3, 5, 2048):
+            (got,) = quadrature._adaptive(f, [(-1.0, 1.0)], tol, limit)
+            want = _outcome(lambda: reference_adaptive(f, -1.0, 1.0, tol, limit))
+            _assert_same(got, want)
+            if not isinstance(want, QuadratureError):
+                panels = [p[:2] for p in want[0]]
+                lopsided += panels != [(-hi, -lo) for lo, hi in reversed(panels)]
+    assert lopsided

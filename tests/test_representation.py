@@ -181,15 +181,17 @@ def test_export_chart_integrates_no_profile_value(monkeypatch, build):
     # the chart's metric reads only X_u and X_v, so the chart runs no profile
     # integral; the grid reads one profile value per row
     S = build()
-    calls = []
-    plain = quadrature.integrate
-    monkeypatch.setattr(quadrature, "integrate", lambda *a, **kw: calls.append(a[1:3]) or plain(*a, **kw))
+    calls = []  # the profile intervals entering the quadrature kernel
+    kernel = quadrature._adaptive
+    monkeypatch.setattr(quadrature, "_adaptive", lambda f, ends, *a: calls.extend(
+        ends if f is S.meta["profile"].integrand else []) or kernel(f, ends, *a))
     r0, r1 = 0.15 * S.u_range[1], 0.65 * S.u_range[1]
     prof = conformal_profile_chart(S, r0, r1)
+    assert calls == []
     s0, s1 = prof.s_of_r(r0 * 1.02), prof.s_of_r(r1 * 0.98)
     ns = 9
     rp.gauss_data_from_surface(prof, s0, s1, 0.0, 1.0, ns, 5)
-    assert len(calls) <= ns + 1
+    assert 0 < len(calls) <= ns + 1
 
 
 def _rotational_surface_reading_its_profile(radius):

@@ -809,12 +809,15 @@ def test_fold_certificates_integrate_no_profile_value(monkeypatch, name):
     # |g| and the Laplace identity read only X_u and X_v
     S = CERTIFIED_FAMILIES[name]()
     recs = _certified_records(S)
-    calls = []
-    plain = quadrature.integrate
-    monkeypatch.setattr(quadrature, "integrate", lambda *a, **kw: calls.append(a[1:3]) or plain(*a, **kw))
+    calls = []  # the intervals entering the quadrature kernel
+    kernel = quadrature._adaptive
+    monkeypatch.setattr(quadrature, "_adaptive", lambda f, ends, *a: calls.extend(ends) or kernel(f, ends, *a))
     for rec in recs:
         cmc_fold_obstruction(S, rec)
         assert calls == []
+    # a full surface jet at a radius not read before integrates its profile value
+    S.jet(0.3 * S.u_range[1], 0.0, 2)
+    assert calls
 
 
 @pytest.mark.parametrize("name", sorted(CERTIFIED_FAMILIES))
