@@ -29,9 +29,11 @@ for r in (0.1, 0.01, -0.01, -0.1):
     g = gauss_map_of(S, (r, rec.location[1]))
     print(f"  |g| at r = {r:+.2f}: {g.abs():.6f}")
 
-cert = cmc_fold_obstruction(S, rec)
-print("\ncertificate:")
-print(json.dumps(cert, indent=2, sort_keys=True, default=repr))
+# one certificate per record: all records share one Gauss-map call and one Laplace call
+certs = cmc_fold_obstruction(S, records)
+print("\ncertificate at that sample:")
+print(json.dumps(certs[len(records) // 2], indent=2, sort_keys=True, default=repr))
+print(f"fold impossible at {sum(c.get('sheet_flip', False) for c in certs)} of {len(certs)} samples")
 
-ft = fold_symmetry_test(S, rec)
+ft = fold_symmetry_test(S, records)[len(records) // 2]
 print(f"\nfold symmetry test: {ft.verdict} ({ft.reason})")

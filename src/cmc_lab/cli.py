@@ -176,24 +176,22 @@ def _scan(S, args):
     return recs, sg.criterion_25(S, recs, tol3=args.tol3, tol4=args.tol4, tol_C=args.tol_C)
 
 
-def _fold_test(S, recs, criterion, n):
-    """The fold test of recs[n], on the criterion's chart of it where there is one."""
-    if criterion is not None and criterion.samples:
-        return sg._fold_symmetry_of(criterion.samples[n].jets)
-    return sg.fold_symmetry_test(S, recs[n])
+def _fold_tests(S, recs, criterion, rows: slice):
+    """The fold tests of recs[rows], on the criterion's chart of recs where there is one."""
+    if criterion is not None and criterion.jets is not None:
+        return sg._fold_symmetry_of(criterion.jets)[rows]
+    return sg.fold_symmetry_test(S, recs[rows])
 
 
 def classify_payload(S, args) -> dict:
     recs, criterion = _scan(S, args)
+    shown = slice(args.samples)
     certificates = []
-    fold_reports = []
-    for n, rec in enumerate(recs[: args.samples]):
-        fold_reports.append(_fold_test(S, recs, criterion, n).as_dict())
-        if S.family.startswith("delaunay") and rec.rank == 1:
-            certificates.append(sg.cmc_fold_obstruction(S, rec))
+    if S.family.startswith("delaunay"):
+        certificates = sg.cmc_fold_obstruction(S, [rec for rec in recs[shown] if rec.rank == 1])
     report = sg.classification_report(S, recs, criterion, certificates)
     report["unconfirmed_roots"] = recs.unconfirmed_roots
-    report["fold_symmetry"] = fold_reports
+    report["fold_symmetry"] = [f.as_dict() for f in _fold_tests(S, recs, criterion, shown)]
     report["tolerances"] = {"tol3": args.tol3, "tol4": args.tol4, "tol_C": args.tol_C}
     return report
 
@@ -333,7 +331,8 @@ def _verdicts(S, box):
     """The criterion verdict and the middle record's fold verdict of a grid-5 scan of box."""
     recs = sg.trace_singular_curve(S, box=box, n_grid=5)
     rep = sg.criterion_25(S, recs)
-    return rep.verdict, _fold_test(S, recs, rep, len(recs) // 2).verdict
+    mid = len(recs) // 2
+    return rep.verdict, _fold_tests(S, recs, rep, slice(mid, mid + 1))[0].verdict
 
 
 def _suite_laplacian(trials, rng, failures):
@@ -377,8 +376,7 @@ def _suite_gauss_limit(trials, rng, failures):
             S, box=(-0.5 * S.u_range[1], 0.5 * S.u_range[1], *S.v_range), n_grid=n_grid
         )
         recs = [r for r in recs if r.rank == 1][:per]
-        for rec in recs:
-            cert = sg.cmc_fold_obstruction(S, rec, flank=0.45 * S.u_range[1])
+        for cert in sg.cmc_fold_obstruction(S, recs, flank=0.45 * S.u_range[1]):
             good = (
                 cert["sheet_flip"]
                 and cert["sides"]["plus"]["abs_g_minus_1"] < 1e-6

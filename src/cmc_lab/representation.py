@@ -46,10 +46,10 @@ from .surfaces import Surface, _promote_r
 
 UNIT_CIRCLE_TOL = 1e-8
 
-# chart orientation: the surface's rotation parameter enters the conformal
-# chart as t = CHART_T_SIGN * v, which orients z = u + iv so that X_z is
-# proportional to (-2g, 1+g^2, i(1-g^2)) omega_hat (in the opposite
-# orientation no scalar proportionality holds at all)
+# chart orientation: the rotation parameter of a surface of orientation +1
+# enters the conformal chart as t = CHART_T_SIGN * v, which orients z = u + iv so
+# that X_z is proportional to (-2g, 1+g^2, i(1-g^2)) omega_hat (in the opposite
+# orientation no scalar proportionality holds); see ConformalProfile.t_sign
 CHART_T_SIGN = -1.0
 
 
@@ -99,26 +99,31 @@ def _gauss_of_frame(Xu, Xv, sign) -> Jet2:
     return num / den
 
 
-def gauss_jet(S: Surface, p, degree=3) -> Jet2:
-    """Complex jet of g = (nu1 + i nu2)/(1 - nu0) in the surface parameters
-    (from the tangents alone: no profile value is integrated)."""
-    return _gauss_of_frame(*_tangents(S, p[0], p[1], min(degree + 1, MAX_DEGREE)), S.orientation)
+def _gauss_values(S: Surface, u, v):
+    """g = (nu1 + i nu2)/(1 - nu0) at the points (u, v), numbers or (B,) arrays,
+    from the tangents alone: no profile value is integrated."""
+    return _gauss_of_frame(*_tangents(S, u, v, 1), S.orientation).value
 
 
 def gauss_map_of(S: Surface, p) -> ExtComplex:
     """g = stereographic(nu) at a spacelike regular point."""
     try:
-        g = gauss_jet(S, p, degree=0)
+        return ExtComplex.of(complex(_gauss_values(S, p[0], p[1])))
     except ZeroDivisionError:
         return ExtComplex.infinity()
-    return ExtComplex.of(complex(g.value))
 
 
 def _abs_g_limit(S: Surface, p, direction, h: float):
-    """|g| at p + x direction for x = h, h/2, h/4, and its limit as x -> 0
-    by Richardson extrapolation, (8 y2 - 6 y1 + y0)/3."""
-    ys = [abs(complex(gauss_map_of(S, tuple(p + x * direction)))) for x in (h, h / 2, h / 4)]
-    return ys, (8 * ys[2] - 6 * ys[1] + ys[0]) / 3.0
+    """|g| at p + x direction for x = h, h/2, h/4, (R, 3) for the rows of the
+    (R, 2) arrays p and direction, and its (R,) limits as x -> 0."""
+    q = p[:, None] + np.array([h, h / 2, h / 4])[:, None] * direction[:, None]
+    ys = abs(_gauss_values(S, q[..., 0].ravel(), q[..., 1].ravel())).reshape(-1, 3)
+    return ys, _richardson(ys)
+
+
+def _richardson(ys):
+    """The limit as x -> 0 of values at x = h, h/2, h/4 (the last axis): (8 y2 - 6 y1 + y0)/3."""
+    return (8 * ys[..., 2] - 6 * ys[..., 1] + ys[..., 0]) / 3.0
 
 
 def _z_derivative(g: Jet2) -> Jet2:
@@ -174,7 +179,8 @@ class ConformalProfile:
 
     s(r) is integrated once over the chart's r-range and read from the stored
     panels (see TabulatedPrimitive); r(s) inverts it there by safeguarded
-    Newton on one panel's interpolant."""
+    Newton on one panel's interpolant.  The surface sees the chart's t as
+    t_sign * t, t_sign = CHART_T_SIGN * orientation: a reversed normal conjugates z."""
 
     surface: Surface
     r_anchor: float
@@ -182,6 +188,10 @@ class ConformalProfile:
     s_table: TabulatedPrimitive
     t0: float = 0.0
     notes: list = field(default_factory=list)
+
+    @property
+    def t_sign(self) -> float:
+        return CHART_T_SIGN * self.surface.orientation
 
     def s_of_r(self, r: float) -> float:
         return self.s_table.value(r)
@@ -206,8 +216,8 @@ class ConformalProfile:
         return (self.s_of_r(self.r_range[0]), self.s_of_r(self.r_range[1]))
 
     def surface_jets(self, s: float, t: float, degree=MAX_DEGREE):
-        """Jets of X in the oriented chart (s, t); the surface sees t flipped."""
-        return _chart_jets(self.surface, self.r_jet_of_s(s, degree), s, t, degree)
+        """Jets of X in the oriented chart (s, t)."""
+        return _chart_jets(self, self.r_jet_of_s(s, degree), s, t, degree)
 
     def sigma_jet(self, s, degree=3) -> Jet1:
         """sigma(s) = 0.5 log G(r(s)) (the conformal factor exponent); one
@@ -223,12 +233,12 @@ class ConformalProfile:
         return (abs(E - G) + abs(F)) / abs(E)
 
 
-def _chart_jets(S: Surface, rj: Jet1, s, t, degree: int):
-    """Jets of X in the oriented chart (s, t), given the jet of r(s) at s
-    (batched for (B,) arrays s and t)."""
-    X = S.jet(rj.value, CHART_T_SIGN * t, degree)
+def _chart_jets(profile: ConformalProfile, rj: Jet1, s, t, degree: int):
+    """Jets of X in the oriented chart (s, t) of `profile`, given the jet of
+    r(s) at s (batched for (B,) arrays s and t)."""
+    X = profile.surface.jet(rj.value, profile.t_sign * t, degree)
     R = _promote_r(rj, (s, t), degree)
-    T = CHART_T_SIGN * Jet2.coordinate((s, t), degree, 1)
+    T = profile.t_sign * Jet2.coordinate((s, t), degree, 1)
     return tuple(jt.compose2(c, R, T) for c in X)
 
 
@@ -351,7 +361,6 @@ def gauss_data_from_surface(
     r(s) is solved once per row and its jets come from one batched inversion;
     the jets of all ns * nt nodes then come from one batched chart evaluation
     (node (i, j) is batch element i * nt + j)."""
-    S = profile.surface
     du = (s1 - s0) / (ns - 1)
     dv = (t1 - t0) / (nt - 1)
     ss = s0 + np.arange(ns) * du
@@ -359,18 +368,18 @@ def gauss_data_from_surface(
     rows = profile.r_jet_of_s(ss, min(degree + 1, MAX_DEGREE))
     s_at = np.repeat(ss, nt)
     rj = Jet1(s_at, rows.degree, np.repeat(rows.c, nt, axis=0))
-    gj = _gauss_jet_in_chart(S, rj, s_at, np.tile(ts, ns), degree)
+    gj = _gauss_jet_in_chart(profile, rj, s_at, np.tile(ts, ns), degree)
     g, om = (x.reshape(ns, nt).copy() for x in (gj.value, omega_hat_jet(gj).value))
-    return GaussData(s0, t0, du, dv, ns, nt, S.H, gj, g, om)
+    return GaussData(s0, t0, du, dv, ns, nt, profile.surface.H, gj, g, om)
 
 
-def _gauss_jet_in_chart(S: Surface, rj: Jet1, s, t, degree: int) -> Jet2:
-    """The Gauss map's jet in the chart (s, t), given the jet of r(s) at s; for
-    (B,) arrays s and t (and rj batched at s) one batched jet."""
-    X = _chart_jets(S, rj, s, t, min(degree + 1, MAX_DEGREE))
-    # the t flip reverses the chart's cross product; undo it so nu stays the
+def _gauss_jet_in_chart(profile: ConformalProfile, rj: Jet1, s, t, degree: int) -> Jet2:
+    """The Gauss map's jet in the chart (s, t) of `profile`, given the jet of
+    r(s) at s; for (B,) arrays s and t (and rj batched at s) one batched jet."""
+    X = _chart_jets(profile, rj, s, t, min(degree + 1, MAX_DEGREE))
+    # a t flip reverses the chart's cross product; undo it so nu stays the
     # surface-oriented normal (the one with H_mean = +H)
-    return _gauss_of_frame(*_frame(X), S.orientation * CHART_T_SIGN)
+    return _gauss_of_frame(*_frame(X), profile.surface.orientation * profile.t_sign)
 
 
 # -- residuals -------------------------------------------------------------------
@@ -598,7 +607,7 @@ def representation_roundtrip(profile: ConformalProfile, gd: GaussData, rec=None)
     # original vertices (r(s) solved per row) and base frame in the chart
     r = [profile.r_of_s(s) for s in gd.u0 + np.arange(nu_) * gd.du]
     t = gd.v0 + np.arange(nv_) * gd.dv
-    Y = np.stack([c.value for c in S.jet(np.repeat(r, nv_), CHART_T_SIGN * np.tile(t, nu_), 0)],
+    Y = np.stack([c.value for c in S.jet(np.repeat(r, nv_), profile.t_sign * np.tile(t, nu_), 0)],
                  -1).reshape(nu_, nv_, 3)
 
     Yj = profile.surface_jets(gd.u0 + i0 * gd.du, gd.v0 + j0 * gd.dv, 2)
@@ -639,36 +648,46 @@ def gauss_codazzi_residual(profile: ConformalProfile, s: float, t: float, H=None
     H = S.H if H is None else H
     sig = profile.sigma_jet(s, 3)
     sigma_zzbar4 = sig.derivative_value(2)  # sigma is t-independent: 4 s_zzbar = s_ss
-    gj = _gauss_jet_in_chart(S, profile.r_jet_of_s(s, 4), s, t, 3)
+    gj = _gauss_jet_in_chart(profile, profile.r_jet_of_s(s, 4), s, t, 3)
     om = omega_hat_jet(gj)
     q_jet = (-2.0 * representation_constant(H)) * (om * _z_derivative(gj).truncated(om.degree))
     q_zbar = complex(_zbar_derivative(q_jet).value)
     return compatibility_residuals(sigma_zzbar4, sig.value, complex(q_jet.value), q_zbar, H)
 
 
-def laplacian_identity_residual(S: Surface, p) -> float:
-    """Euclidean norm of Delta_{ds^2} X + 2 H nu at a spacelike regular point.
+def laplacian_identity_residual(S: Surface, p):
+    """Euclidean norm of Delta_{ds^2} X + 2 H nu at a spacelike regular point:
+    a float, or a (B,) array for a pair p of (B,) arrays.
 
     The Laplacian is assembled from metric jets in the given chart:
     Delta f = ((G f_u - F f_v)/W)_u/W + ((E f_v - F f_u)/W)_v/W, W^2 = EG - F^2.
+    A point off the spacelike regular set raises NotSpacelikeError; in a
+    batch it reads NaN.
     """
     if S.H is None:
         raise ValueError("surface has no assigned mean curvature H")
     Xu, Xv = _tangents(S, p[0], p[1], 3)
     E, F, G = first_fundamental_form(Xu, Xv)
     disc = E * G - F * F
-    if not (disc.value > 0 and E.value > 0):
+    spacelike = (disc.value > 0) & (E.value > 0)
+    if np.ndim(spacelike) == 0 and not spacelike:
         raise NotSpacelikeError("not a spacelike regular point")
+    if not np.all(spacelike):  # a batch: evaluate the spacelike points only
+        norm = np.full(spacelike.shape, np.nan)
+        if spacelike.any():
+            norm[spacelike] = laplacian_identity_residual(S, (p[0][spacelike], p[1][spacelike]))
+        return norm
     W = jt.sqrt(disc)
-    lap = np.empty(3)
+    lap = []
     for i in range(3):
         fu = (G * Xu[i] - F * Xv[i]) / W
         fv = (E * Xv[i] - F * Xu[i]) / W
-        lap[i] = (fu.du().value + fv.dv().value) / W.value
+        lap.append((fu.du().value + fv.dv().value) / W.value)
     # the normal from the frame's values, in floating point
-    nu = np.array(lorentz_normal([c.value for c in Xu], [c.value for c in Xv], S.orientation))
-    res = lap + 2.0 * S.H * nu
-    return float(np.linalg.norm(res))
+    nu = lorentz_normal([c.value for c in Xu], [c.value for c in Xv], S.orientation)
+    res = np.stack(lap, -1) + 2.0 * S.H * np.stack(nu, -1)
+    norm = np.sqrt(np.vecdot(res, res))  # np.linalg.norm of each row, to the bit
+    return float(norm) if np.ndim(norm) == 0 else norm
 
 
 # -- locus characterization ----------------------------------------------------------
@@ -690,7 +709,7 @@ def singular_locus_characterization(S: Surface, box=None, n_grid: int = 41) -> d
         T = dlam / max(np.linalg.norm(dlam), 1e-300)
         entry = {"location": list(map(float, rec.location)), "rank": rec.rank}
         try:
-            vals = [_abs_g_limit(S, p, side * T, 1e-3)[1] for side in (1.0, -1.0)]
+            vals = _abs_g_limit(S, np.array([p, p]), np.array([T, -T]), 1e-3)[1].tolist()
             entry["abs_g_limits"] = vals
             entry["type"] = "unit_circle" if max(abs(v - 1) for v in vals) < 1e-4 else "other"
             if any(not np.isfinite(v) or v > 1e6 for v in vals):

@@ -29,7 +29,7 @@ from .jets import (
     field_chain,
     partial_values,
 )
-from .lorentz import NotSpacelikeError, euclid_cross
+from .lorentz import euclid_cross
 from .surfaces import Surface, custom_surface
 
 DET_TOL = 1e-8        # relative determinant zero threshold
@@ -682,11 +682,9 @@ class SampleCriterion:
     special_residuals: tuple
     cond4_det: float
     cond4_rel: float
-    jets: tuple = field(default=None, repr=False)  # the chart jets of X; not reported
 
     def as_dict(self):
         d = dict(self.__dict__)
-        del d["jets"]
         d["location"] = list(map(float, self.location))
         d["special_residuals"] = list(map(float, self.special_residuals))
         return d
@@ -704,6 +702,7 @@ class CriterionReport:
     tolerances: dict
     tested_interval: tuple
     reason: str = ""
+    jets: tuple = field(default=None, repr=False)  # the samples' batched chart jets; not reported
 
     def as_dict(self):
         return {
@@ -738,8 +737,9 @@ def conjugate_condition4_det(branch: str, k: Optional[float], H: float) -> float
     return CONDITION4_CLOSED_FORMS[branch](k, H)
 
 
-def _samples(S: Surface, records) -> list:
-    """The criterion's samples at the records, from one batched chart of them."""
+def _samples(S: Surface, records):
+    """The criterion's samples at the records, and the jets Y of the one
+    batched chart of them they are read from."""
     Y = StraightChart(S, records).jets()
     d3, r3 = condition3_det(Y)
     (a, b), _, sres, e = _special_null_field_of(Y, 5)
@@ -747,8 +747,7 @@ def _samples(S: Surface, records) -> list:
     d4, r4 = _condition4(partial_values(Y, 0, 1), e, C)
     columns = zip(d3.tolist(), r3.tolist(), a.tolist(), b.tolist(), C.tolist(), collin.tolist(),
                   zip(*(r.tolist() for r in sres)), d4.tolist(), r4.tolist())
-    return [SampleCriterion(rec.location, *values, jets=tuple(y.element(i) for y in Y))
-            for i, (rec, values) in enumerate(zip(records, columns))]
+    return [SampleCriterion(rec.location, *values) for rec, values in zip(records, columns)], Y
 
 
 def criterion_25(
@@ -764,9 +763,9 @@ def criterion_25(
     its degree-5 jets Y, each formula once over the batch: xi X = X_v from the
     partials, condition 3 from the chain of eta = d_u to order 3, and the
     special field eta~ = d_u + (a u + b u^2) d_v with its chain to order 5 (its
-    residuals, C by least squares, condition 4).  No finite differencing.  Each
-    sample's chart jets stay in `SampleCriterion.jets` for the fold test.  A
-    failure raises the first failing check of the first failing record.
+    residuals, C by least squares, condition 4).  No finite differencing.  The
+    chart jets stay in `CriterionReport.jets` for the fold tests.  A failure
+    raises the first failing check of the first failing record.
     """
     records = list(records)
     if not records:
@@ -786,7 +785,7 @@ def criterion_25(
         )
 
     try:
-        samples = _samples(S, records)
+        samples, Y = _samples(S, records)
     except Exception:
         for rec in records:  # raise what a loop over the records meets first
             _samples(S, [rec])
@@ -805,7 +804,7 @@ def criterion_25(
         verdict, reason = "cusp25", ""
     return CriterionReport(
         max3, (rep.a, rep.b), rep.C, maxcol, rep.cond4_det, verdict,
-        samples, tolerances, interval, reason,
+        samples, tolerances, interval, reason, Y,
     )
 
 
@@ -822,106 +821,110 @@ class FoldReport:
         return {"verdict": self.verdict, "residual": float(self.residual), "reason": self.reason}
 
 
-def fold_symmetry_test(S: Surface, record: SingularPointRecord) -> FoldReport:
-    """Necessary-condition battery for a fold at a first-kind singular point.
+def fold_symmetry_test(S: Surface, records: Sequence[SingularPointRecord]) -> list:
+    """Necessary-condition battery for a fold at first-kind singular points,
+    one FoldReport per record.
 
     In the straightened chart with its axes swapped (curve on {v = 0}, d_v
     null), a fold's jet has all odd-in-v coefficient vectors inside span(xi X,
     eta^2 X) (the image plane); the residual is the largest orthogonal
     component over odd monomials.  A refutation battery, not an A-equivalence
-    decision.  `_fold_symmetry_of` runs it on the criterion's chart jets.
+    decision.  The first-kind records share one batched chart;
+    `_fold_symmetry_of` runs the battery on it, or on the criterion's chart.
     """
-    if record.kind != "first_kind":
-        return FoldReport("rejected", math.inf, f"kind is {record.kind}, not first_kind")
-    return _fold_symmetry_of(StraightChart(S, record).jets())
+    reports = [FoldReport("rejected", math.inf, f"kind is {rec.kind}, not first_kind")
+               for rec in records]
+    first = [i for i, rec in enumerate(records) if rec.kind == "first_kind"]
+    if first:
+        Y = StraightChart(S, [records[i] for i in first]).jets()
+        for i, report in zip(first, _fold_symmetry_of(Y)):
+            reports[i] = report
+    return reports
 
 
-def _fold_symmetry_of(Y) -> FoldReport:
-    """fold_symmetry_test from the jets Y of X in the straightened chart."""
+def _fold_symmetry_of(Y) -> list:
+    """fold_symmetry_test from the batched jets Y of X in the straightened
+    charts, one FoldReport per batch element."""
     xiX = partial_values(Y, 0, 1)
     e2 = partial_values(Y, 2, 0)
-    if np.linalg.norm(e2) <= 1e-12 * max(1.0, np.linalg.norm(xiX)):
-        return FoldReport("rejected", math.inf, "eta^2 X vanishes (image-plane test failed)")
-    B = np.array([xiX, e2]).T  # 3x2 span of the image plane
-    Q, _ = np.linalg.qr(B)
-    scale = max(np.max(np.abs([c.c for c in Y])), 1e-300)
-    residual = 0.0
+    Q, _ = np.linalg.qr(np.stack([xiX, e2], axis=-1))  # (B, 3, 2): the image planes
+    c = np.stack([y.c for y in Y], axis=1)  # (B, 3, D + 1, D + 1)
+    scale = np.maximum(np.abs(c).max(axis=(1, 2, 3)), 1e-300)
     D = Y[0].degree
-    for a in range(1, D + 1, 2):  # odd in u, the fold chart's v
-        for b in range(D + 1 - a):
-            vec = np.array([c.c[a, b] for c in Y])
-            perp = vec - Q @ (Q.T @ vec)
-            residual = max(residual, float(np.linalg.norm(perp)))
-    residual /= scale
-    if residual < 1e-8:
-        return FoldReport("fold_candidate", residual)
-    return FoldReport("rejected", residual, "odd-in-v jet leaves the image plane")
+    a, b = np.array([(a, b) for a in range(1, D + 1, 2) for b in range(D + 1 - a)]).T
+    vec = c[:, :, a, b]  # odd in u, the fold chart's v: (B, 3, monomials)
+    perp = vec - Q @ (np.swapaxes(Q, -1, -2) @ vec)
+    residual = _norm(np.swapaxes(perp, -1, -2)).max(axis=-1) / scale
+    vanish = _norm(e2) <= 1e-12 * np.maximum(1.0, _norm(xiX))
+    reports = []
+    for v, r in zip(vanish.tolist(), residual.tolist()):
+        if v:
+            reports.append(FoldReport("rejected", math.inf, "eta^2 X vanishes (image-plane test failed)"))
+        elif r < 1e-8:
+            reports.append(FoldReport("fold_candidate", r))
+        else:
+            reports.append(FoldReport("rejected", r, "odd-in-v jet leaves the image plane"))
+    return reports
 
 
 def cmc_fold_obstruction(
     S: Surface,
-    record: SingularPointRecord,
+    records: Sequence[SingularPointRecord],
     offset: float = 1e-4,
     flank: float = 0.5,
-) -> dict:
-    """Certificate that a fold is impossible at a non-degenerate CMC singular point.
+) -> list:
+    """Certificates that a fold is impossible at non-degenerate CMC singular
+    points, one dict per record.
 
     Extracts the one-sided limits of |g| toward the curve (Richardson in the
     offset), the sheet flip of the unit normal across the curve (the sign of
     |g| - 1 must differ on the two sides), a nondegeneracy estimate |dg|, and
     the Laplace identity residual Delta X + 2 H nu at flanking regular points.
+    The records share one Gauss-map call and one Laplace call: a probe point
+    at infinity or off the spacelike set fails the whole batch, and a flank
+    point off that set is left out of the residual.
     """
-    from .representation import _abs_g_limit, gauss_map_of, laplacian_identity_residual
+    from .representation import _gauss_values, _richardson, laplacian_identity_residual
 
-    if record.rank == 0:
-        return {
-            "conclusion": "rank-0 regime (omega = 0): no certificate",
-            "regime": "omega_zero_rank0",
-        }
-    p = np.asarray(record.location, float)
-    dlam = np.asarray(record.dlam, float)
-    T = dlam / np.linalg.norm(dlam)
-
-    def g_at(q):
-        w = gauss_map_of(S, tuple(q))
-        return complex(w)
-
-    sides = {}
-    for name, sgn in (("plus", 1.0), ("minus", -1.0)):
-        ys, limit = _abs_g_limit(S, p, sgn * T, offset)
-        sides[name] = {
-            "samples": ys,
-            "limit_abs_g": limit,
-            "abs_g_minus_1": abs(limit - 1.0),
-            "sign_abs_g_minus_1": float(np.sign(ys[0] - 1.0)),
-        }
-    flip = sides["plus"]["sign_abs_g_minus_1"] * sides["minus"]["sign_abs_g_minus_1"] < 0
-
-    h = offset
-    gp = g_at(p + h * T)
-    gm = g_at(p - h * T)
+    live = [n for n, rec in enumerate(records) if rec.rank != 0]
+    p = np.array([records[n].location for n in live], float).reshape(-1, 2)
+    dlam = np.array([records[n].dlam for n in live], float).reshape(-1, 2)
+    T = dlam / _norm(dlam)[:, None]
     tang = _curve_direction(dlam)
-    gt1 = g_at(p + h * T + h * tang)
-    gt2 = g_at(p + h * T - h * tang)
-    dg = math.hypot(abs(gp - gm) / (2 * h), abs(gt1 - gt2) / (2 * h))
+    h = offset
+    x = np.array([h, h / 2, h / 4, -h, -h / 2, -h / 4])[:, None]  # probes p + x T, p + h T +- h tang
+    probes = np.concatenate([p[:, None] + x * T[:, None],
+                             (p + h * T)[:, None] + np.array([[h], [-h]]) * tang[:, None]], axis=1)
+    g = _gauss_values(S, probes[..., 0].ravel(), probes[..., 1].ravel()).reshape(-1, 8)
+    ys = np.abs(g[:, :6]).reshape(-1, 2, 3)  # (record, side, step)
+    limit = _richardson(ys)
+    sign = np.sign(ys[..., 0] - 1.0)
+    flip = sign[:, 0] * sign[:, 1] < 0
+    dg = np.hypot(abs(g[:, 0] - g[:, 3]) / (2 * h), abs(g[:, 6] - g[:, 7]) / (2 * h))
 
-    lap = []
-    for sgn in (1.0, -1.0):
-        q = p + sgn * flank * T
-        if S.u_range[0] < q[0] < S.u_range[1]:
-            try:
-                lap.append(laplacian_identity_residual(S, tuple(q)))
-            except NotSpacelikeError:
-                pass
-    return {
-        "location": list(map(float, record.location)),
-        "offset": offset,
-        "sides": sides,
-        "sheet_flip": bool(flip),
-        "dg_estimate": dg,
-        "laplacian_residual_max": max(lap) if lap else None,
-        "conclusion": "fold impossible" if flip else "no flip detected",
-    }
+    q = p + np.array([flank, -flank])[:, None, None] * T  # (side, record, 2): the flanks
+    inside = (S.u_range[0] < q[..., 0]) & (q[..., 0] < S.u_range[1])
+    lap = np.full(inside.shape, np.nan)
+    if inside.any():
+        lap[inside] = laplacian_identity_residual(S, tuple(q[inside].T))
+    lap_max = np.fmax.reduce(lap, axis=0)  # nan: no spacelike flank inside u_range
+    certs = [{"conclusion": "rank-0 regime (omega = 0): no certificate", "regime": "omega_zero_rank0"}
+             for _ in records]
+    for i, n in enumerate(live):
+        certs[n] = {
+            "location": list(map(float, records[n].location)),
+            "offset": offset,
+            "sides": {name: {"samples": ys[i, side].tolist(),
+                             "limit_abs_g": float(limit[i, side]),
+                             "abs_g_minus_1": abs(float(limit[i, side]) - 1.0),
+                             "sign_abs_g_minus_1": float(sign[i, side])}
+                      for side, name in enumerate(("plus", "minus"))},
+            "sheet_flip": bool(flip[i]),
+            "dg_estimate": float(dg[i]),
+            "laplacian_residual_max": None if math.isnan(lap_max[i]) else float(lap_max[i]),
+            "conclusion": "fold impossible" if flip[i] else "no flip detected",
+        }
+    return certs
 
 
 # -- field perturbations and ambient diffeomorphisms -------------------------------

@@ -244,34 +244,8 @@ def delaunay_timelike(k: float, H: float, r_cap: float = R_CAP) -> Surface:
     delta(r) = (r^2+k+1)^2 - 4k.
     """
     _check_kH(k, H)
-    k, H = float(k), float(H)
-
-    def delta(x):
-        return (x * x + k + 1) ** 2 - 4 * k
-
-    prof = Primitive(Integrand(lambda x: (x * x + k - 1) / jt.sqrt(delta(x))))
-    root = _positive_root(1.0, 2 * (k + 1), (k - 1) ** 2)  # delta in powers of x^2
-    r_hi = min(r_cap, root * (1 - 1e-9)) if root else r_cap
-
-    def builder(r0, t0, degree):
-        Fj = _promote_r(prof.jet(r0, degree), (r0, t0), degree)
-        rj = Jet2.coordinate((r0, t0), degree, 0)
-        tj = Jet2.coordinate((r0, t0), degree, 1)
-        c, s = jt.cos(2 * H * tj), jt.sin(2 * H * tj)
-        inv2H = 1.0 / (2 * H)
-        return (Fj * inv2H, rj * c * inv2H, rj * s * inv2H)
-
-    S = Surface(
-        family="delaunay_timelike",
-        builder=builder,
-        u_range=(-r_hi, r_hi),
-        v_range=(0.0, math.pi / abs(H)),
-        H=H,
-        k=k,
-        meta={"delta": delta, "profile": prof},
-    )
-    S.orientation = _probe_orientation(S, H)
-    return S
+    return _delaunay_axis(1.0, k, H, r_cap, _about_timelike_axis,
+                          family="delaunay_timelike", v_range=(0.0, math.pi / abs(float(H))))
 
 
 def delaunay_spacelike(k: float, H: float, r_cap: float = R_CAP) -> Surface:
@@ -281,28 +255,51 @@ def delaunay_spacelike(k: float, H: float, r_cap: float = R_CAP) -> Surface:
     delta(r) = (r^2-k-1)^2 - 4k; admissible |r| below the first zero of delta.
     """
     _check_kH(k, H)
-    k, H = float(k), float(H)
+    return _delaunay_axis(-1.0, k, H, r_cap, _about_spacelike_axis,
+                          family="delaunay_spacelike", v_range=(-1.5, 1.5))
+
+
+def _about_timelike_axis(F, r, phase):
+    return (F, r * jt.cos(phase), r * jt.sin(phase))
+
+
+def _about_spacelike_axis(F, r, phase):
+    return (r * jt.cosh(phase), r * jt.sinh(phase), F)
+
+
+def _axis_delta(sigma: float, k: float):
+    """delta(x) = (x^2 + sigma k + sigma)^2 - 4k of the Delaunay surface about
+    the timelike (sigma = 1) or the spacelike (sigma = -1) axis, and its
+    coefficients in powers of x^2."""
 
     def delta(x):
-        return (x * x - k - 1) ** 2 - 4 * k
+        return (x * x + sigma * k + sigma) ** 2 - 4 * k
 
-    prof = Primitive(Integrand(lambda x: (x * x - k + 1) / jt.sqrt(delta(x))))
-    root = _positive_root(1.0, -2 * (k + 1), (k - 1) ** 2)  # delta in powers of x^2
+    return delta, (1.0, 2 * sigma * (k + 1), (k - 1) ** 2)
+
+
+def _delaunay_axis(sigma: float, k: float, H: float, r_cap: float, coordinates, family: str,
+                   v_range: tuple) -> Surface:
+    """The Delaunay surface about the axis of sign sigma (checked k and H):
+    X = coordinates(profile, r, 2Ht) / 2H."""
+    k, H = float(k), float(H)
+    delta, radicand = _axis_delta(sigma, k)
+    prof = Primitive(Integrand(lambda x: (x * x + sigma * k - sigma) / jt.sqrt(delta(x))))
+    root = _positive_root(*radicand)
     r_hi = min(r_cap, root * (1 - 1e-9)) if root else r_cap
 
     def builder(r0, t0, degree):
-        Gj = _promote_r(prof.jet(r0, degree), (r0, t0), degree)
+        Fj = _promote_r(prof.jet(r0, degree), (r0, t0), degree)
         rj = Jet2.coordinate((r0, t0), degree, 0)
         tj = Jet2.coordinate((r0, t0), degree, 1)
-        ch, sh = jt.cosh(2 * H * tj), jt.sinh(2 * H * tj)
         inv2H = 1.0 / (2 * H)
-        return (rj * ch * inv2H, rj * sh * inv2H, Gj * inv2H)
+        return tuple(x * inv2H for x in coordinates(Fj, rj, 2 * H * tj))
 
     S = Surface(
-        family="delaunay_spacelike",
+        family=family,
         builder=builder,
         u_range=(-r_hi, r_hi),
-        v_range=(-1.5, 1.5),
+        v_range=v_range,
         H=H,
         k=k,
         meta={"delta": delta, "profile": prof},
@@ -417,17 +414,13 @@ def conjugate_of(
                 "there the k != -1 templates lose about 1e-14/|k + 1| of relative accuracy "
                 "(use k = -1 for the I-ii/II-ii branch)", param="k")
         timelike = family == "delaunay_timelike"
+        sigma = 1.0 if timelike else -1.0
         sgn = 1.0 if k + 1 > 0 else -1.0
         absK = abs(k + 1)
         # delta and Delta, and their coefficients in powers of x^2
-        if timelike:
-            delta = lambda x: (x * x + k + 1) ** 2 - 4 * k
-            Delta = lambda x: 2 * (k + 1) * x * x + (1 - k) ** 2
-            radicands = ((1.0, 2 * (k + 1), (k - 1) ** 2), (0.0, 2 * (k + 1), (1 - k) ** 2))
-        else:
-            delta = lambda x: (x * x - k - 1) ** 2 - 4 * k
-            Delta = lambda x: -2 * (k + 1) * x * x + (1 - k) ** 2
-            radicands = ((1.0, -2 * (k + 1), (k - 1) ** 2), (0.0, -2 * (k + 1), (1 - k) ** 2))
+        delta, delta_coeffs = _axis_delta(sigma, k)
+        Delta = lambda x: 2 * sigma * (k + 1) * x * x + (1 - k) ** 2
+        radicands = (delta_coeffs, (0.0, 2 * sigma * (k + 1), (1 - k) ** 2))
 
         if k == -1.0:
             # lightlike template with the quartic profile integrals

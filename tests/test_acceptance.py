@@ -118,7 +118,7 @@ def test_criterion_4_standard_model_truth_table(cusp25_model, cuspidal_edge_mode
 
     recs_f = sg.trace_singular_curve(fold_model, box=(-1, 1, -1, 1), n_grid=7)
     rep_f = sg.criterion_25(fold_model, recs_f)
-    ft = sg.fold_symmetry_test(fold_model, recs_f[0])
+    ft = sg.fold_symmetry_test(fold_model, recs_f[:1])[0]
     ok_f = ft.verdict == "fold_candidate" and ft.residual < 1e-12 and rep_f.verdict == "rejected_cond4"
 
     _report(4, "standard-model truth table", ok25 and ok_e and ok_f,
@@ -143,18 +143,16 @@ def test_criterion_5_fold_obstruction_certificates():
         recs = sg.trace_singular_curve(S, box=(-hw, hw, *S.v_range), n_grid=9)
         recs = [r for r in recs if r.rank == 1]
         assert recs, S.family
-        fam_ok = True
-        for rec in recs[:5]:
-            cert = sg.cmc_fold_obstruction(S, rec, offset=1e-4, flank=0.45 * S.u_range[1])
-            ft = sg.fold_symmetry_test(S, rec)
-            fam_ok &= (
-                cert["sides"]["plus"]["abs_g_minus_1"] < 1e-6
-                and cert["sides"]["minus"]["abs_g_minus_1"] < 1e-6
-                and cert["sheet_flip"]
-                and cert["laplacian_residual_max"] is not None
-                and cert["laplacian_residual_max"] < 1e-5
-                and ft.verdict == "rejected"
-            )
+        certs = sg.cmc_fold_obstruction(S, recs[:5], offset=1e-4, flank=0.45 * S.u_range[1])
+        fam_ok = all(
+            cert["sides"]["plus"]["abs_g_minus_1"] < 1e-6
+            and cert["sides"]["minus"]["abs_g_minus_1"] < 1e-6
+            and cert["sheet_flip"]
+            and cert["laplacian_residual_max"] is not None
+            and cert["laplacian_residual_max"] < 1e-5
+            and ft.verdict == "rejected"
+            for cert, ft in zip(certs, sg.fold_symmetry_test(S, recs[:5]))
+        )
         details.append(f"{S.family}: {'ok' if fam_ok else 'FAIL'} ({len(recs)} samples)")
         ok &= fam_ok
     _report(5, "no folds on CMC surfaces (certificates)", ok, "; ".join(details))
@@ -209,7 +207,7 @@ def test_criterion_6_invariance_suite(cusp25_model, conj_k2, conj_k2_records):
     for name, verdict in models:
         S = sf.standard_model(name)
         recs = sg.trace_singular_curve(S, box=(-0.4, 0.4, -0.4, 0.4), n_grid=5)
-        ft = sg.fold_symmetry_test(S, recs[len(recs) // 2])
+        ft = sg.fold_symmetry_test(S, [recs[len(recs) // 2]])[0]
         baselines[name] = (S, verdict, ft.verdict)
     diffeo_ok = 0
     n_diffeos = 50
@@ -224,7 +222,7 @@ def test_criterion_6_invariance_suite(cusp25_model, conj_k2, conj_k2_records):
         P = sg.diffeo_push(S, A, Q, Cc)
         recs = sg.trace_singular_curve(P, box=(-0.4, 0.4, -0.4, 0.4), n_grid=5)
         found = sg.criterion_25(P, recs)
-        ft = sg.fold_symmetry_test(P, recs[len(recs) // 2])
+        ft = sg.fold_symmetry_test(P, [recs[len(recs) // 2]])[0]
         diffeo_ok += found.verdict == verdict and ft.verdict == foldv
 
     ok = field_ok == 2 * trials_per and diffeo_ok == n_diffeos

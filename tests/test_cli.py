@@ -462,6 +462,14 @@ def test_rep_export_and_reconstruct(tmp_path):
     assert (tmp_path / "rec.obj").exists()
 
 
+@pytest.mark.parametrize("k", ["2", "-0.01", "0.01"])
+def test_rep_reconstructs_delaunay_s_exports(tmp_path, k):
+    """Exports from the spacelike axis (orientation -1) close their loops:
+    the chart's sign follows the surface's orientation."""
+    assert run(tmp_path, "rep", "--export-from", "delaunay-s", "--k", k, "-o", "g.json") == 0
+    assert run(tmp_path, "rep", "--gauss-data", "g.json", "-o", "rec.obj") == 0
+
+
 def test_rep_constant_g_exit1(tmp_path):
     from cmc_lab.jets import Jet2
 

@@ -9,7 +9,7 @@ from cmc_lab import jets as jt
 from cmc_lab import quadrature
 from cmc_lab import representation as rp
 from cmc_lab import surfaces as sf
-from cmc_lab.jets import MAX_DEGREE, Jet1, Jet2
+from cmc_lab.jets import MAX_DEGREE, Jet1, Jet2, partial_values
 from cmc_lab.lorentz import lorentz_inner
 from cmc_lab.quadrature import PRIMITIVE_TOL, Integrand, Primitive, TabulatedPrimitive, integrate
 from cmc_lab.representation import (
@@ -286,7 +286,7 @@ def test_gauss_data_nodes_match_per_node_evaluation(family, t, H, ns, nt):
         rj = prof.r_jet_of_s(s, 5)
         for j in range(nt):
             t_ = 0.0 + j * gd.dv
-            gj = rp._gauss_jet_in_chart(S, rj, s, t_, 4)
+            gj = rp._gauss_jet_in_chart(prof, rj, s, t_, 4)
             node = gd.g_jet.element(i * nt + j)
             assert node.base == gj.base and node.degree == gj.degree == 4
             assert _close(node.c, gj.c)
@@ -401,7 +401,7 @@ def test_eq_barz_limit_toward_curve(delaunay_t_k2, profile_t_k2):
     vals = []
     for r in (2e-2, 1e-2, 5e-3):
         s = prof.s_of_r(r) if r >= prof.r_range[0] else None
-        gj = rp._gauss_jet_in_chart(delaunay_t_k2, prof.s_jet(r, 3).compose_inverse(), 0.0, 0.3, 2)
+        gj = rp._gauss_jet_in_chart(prof, prof.s_jet(r, 3).compose_inverse(), 0.0, 0.3, 2)
         vals.append(abs(complex(rp._zbar_derivative(gj).value)))
     limit = vals[2] * 8 / 3 - 2 * vals[1] + vals[0] / 3
     assert abs(limit) < 1e-5
@@ -492,6 +492,30 @@ def test_integrate_representation_bit_identical_on_random_grids(nu, nv, degree, 
 def test_roundtrip_reconstruction(profile_t_k2, gauss_data_t_k2):
     rt = representation_roundtrip(profile_t_k2, gauss_data_t_k2)
     assert rt["discrepancy"] < 1e-5
+
+
+# the round trip's gate grid: every export family, each k where the family takes one, three H
+ROUNDTRIP_CASES = [(family, k, H) for H in (0.3, 0.5, 1.2) for family in sorted(EXPORT_FAMILIES)
+                   for k in ((-2.0, -1.0, -0.01, 0.01, 2.0) if EXPORT_FAMILIES[family][1] else (None,))]
+
+
+@pytest.mark.parametrize("family,k,H", ROUNDTRIP_CASES)
+def test_roundtrip_holds_on_every_export_family(family, k, H):
+    """On the chart and 25 x 13 grid of `rep --export-from`, the chart's sign
+    follows the surface's orientation: the reconstruction matches the surface
+    and X_z = c V holds at every third node."""
+    S = EXPORT_FAMILIES[family][0](k, H)
+    r0, r1 = 0.15 * S.u_range[1], 0.65 * S.u_range[1]
+    prof = conformal_profile_chart(S, r0, r1)
+    s0, s1 = prof.s_of_r(r0 * 1.02), prof.s_of_r(r1 * 0.98)
+    gd = rp.gauss_data_from_surface(prof, s0, s1, 0.0, 1.0, 25, 13)
+    rec = integrate_representation(gd, z0=(12, 6))
+    assert representation_roundtrip(prof, gd, rec)["discrepancy"] <= 1e-7
+    i, j = np.divmod(np.arange(0, gd.nu * gd.nv, 3), gd.nv)
+    X = prof.surface_jets(gd.u0 + i * gd.du, gd.v0 + j * gd.dv, 1)
+    Xu, Xv = partial_values(X, 1, 0), partial_values(X, 0, 1)
+    worst = max(derivative_identity_residual(gd, a, b, Xu[n], Xv[n]) for n, (a, b) in enumerate(zip(i, j)))
+    assert worst <= 1e-10
 
 
 def test_derivative_identity(profile_t_k2, gauss_data_t_k2):

@@ -12,6 +12,7 @@ from cmc_lab import representation as rp
 from cmc_lab import singularities as sg
 from cmc_lab import surfaces as sf
 from cmc_lab.jets import Jet2, VectorFieldJet
+from cmc_lab.lorentz import NotSpacelikeError
 from cmc_lab.singularities import (
     HypothesisViolationError,
     NormalUndefinedError,
@@ -526,10 +527,11 @@ def test_criterion_samples_match_the_formulas_bit_for_bit(conjugate, H, n_grid):
     recs = trace_singular_curve(S, box=(-hw, hw, 0.1, 1.2), n_grid=n_grid)
     rep = criterion_25(S, recs)
     assert rep.samples and len(rep.samples) == len(recs)
-    for sample, rec in zip(rep.samples, recs):
+    assert "jets" not in rep.as_dict()
+    for i, (sample, rec) in enumerate(zip(rep.samples, recs)):
         Y, expect = _reference_sample(S, rec)
         assert bits(sample.as_dict()) == bits(expect)
-        assert all(np.array_equal(y.c, z.c) for y, z in zip(sample.jets, Y))
+        assert all(np.array_equal(y.element(i).c, z.c) for y, z in zip(rep.jets, Y))
 
 
 class _ScalarChart:
@@ -768,30 +770,206 @@ def test_criterion_on_every_conjugate_branch(family, k, variant):
 
 def test_fold_symmetry_fold_model(fold_model):
     recs = trace_singular_curve(fold_model, box=(-0.5, 0.5, -0.5, 0.5), n_grid=5)
-    ft = fold_symmetry_test(fold_model, recs[0])
+    ft = fold_symmetry_test(fold_model, recs[:1])[0]
     assert ft.verdict == "fold_candidate" and ft.residual < 1e-14
 
 
 def test_fold_symmetry_rejects_cusp25(cusp25_model):
     recs = trace_singular_curve(cusp25_model, box=(-0.5, 0.5, -0.5, 0.5), n_grid=5)
-    ft = fold_symmetry_test(cusp25_model, recs[0])
+    ft = fold_symmetry_test(cusp25_model, recs[:1])[0]
     assert ft.verdict == "rejected"
     assert ft.residual > 0.1  # the v^5 coefficient leaves the image plane
 
 
 def test_fold_symmetry_rejects_conjugate(conj_k2, conj_k2_records):
-    ft = fold_symmetry_test(conj_k2, conj_k2_records[0])
+    ft = fold_symmetry_test(conj_k2, conj_k2_records[:1])[0]
     assert ft.verdict == "rejected"
 
 
+def _reference_fold_symmetry_of(Y):
+    """_fold_symmetry_of of one record's scalar chart jets Y, as it was run one
+    record at a time: the reference of the batched fold test."""
+    xiX = sg.partial_values(Y, 0, 1)
+    e2 = sg.partial_values(Y, 2, 0)
+    if np.linalg.norm(e2) <= 1e-12 * max(1.0, np.linalg.norm(xiX)):
+        return sg.FoldReport("rejected", math.inf, "eta^2 X vanishes (image-plane test failed)")
+    Q, _ = np.linalg.qr(np.array([xiX, e2]).T)
+    scale = max(np.max(np.abs([c.c for c in Y])), 1e-300)
+    residual = 0.0
+    D = Y[0].degree
+    for a in range(1, D + 1, 2):  # odd in u, the fold chart's v
+        for b in range(D + 1 - a):
+            vec = np.array([c.c[a, b] for c in Y])
+            residual = max(residual, float(np.linalg.norm(vec - Q @ (Q.T @ vec))))
+    residual /= scale
+    if residual < 1e-8:
+        return sg.FoldReport("fold_candidate", residual)
+    return sg.FoldReport("rejected", residual, "odd-in-v jet leaves the image plane")
+
+
+def _assert_fold_tests_match_the_reference(got, S, recs):
+    """Verdicts and reasons equal, residuals within 1e-14."""
+    assert len(got) == len(recs)
+    for ft, rec in zip(got, recs):
+        if rec.kind == "first_kind":
+            ref = _reference_fold_symmetry_of(StraightChart(S, rec).jets())
+        else:
+            ref = sg.FoldReport("rejected", math.inf, f"kind is {rec.kind}, not first_kind")
+        assert (ft.verdict, ft.reason) == (ref.verdict, ref.reason)
+        assert ft.residual == ref.residual or abs(ft.residual - ref.residual) <= 1e-14
+
+
+@pytest.mark.parametrize("conjugate", CONJUGATES)
+@pytest.mark.parametrize("H", [0.3, 1.2])
+def test_batched_fold_tests_match_the_per_record_reference(conjugate, H):
+    family, k, variant = conjugate
+    S = sf.conjugate_of(family, k=k, H=H, variant=variant)
+    hw = min(0.35, 0.8 * S.u_range[1])
+    recs = trace_singular_curve(S, box=(-hw, hw, 0.1, 1.2), n_grid=9)
+    assert recs and all(rec.kind == "first_kind" for rec in recs)
+    _assert_fold_tests_match_the_reference(fold_symmetry_test(S, recs), S, recs)
+    # the criterion's batched chart serves the same tests
+    _assert_fold_tests_match_the_reference(sg._fold_symmetry_of(criterion_25(S, recs).jets), S, recs)
+    # records of another kind are rejected in place, the others keep their chart
+    mixed = [dataclasses.replace(rec, kind="other") if n % 3 == 1 else rec for n, rec in enumerate(recs)]
+    _assert_fold_tests_match_the_reference(fold_symmetry_test(S, mixed), S, mixed)
+
+
+@pytest.mark.parametrize("model", ["cusp25", "fold", "cuspidal_edge"])
+def test_batched_fold_tests_match_the_reference_on_models(model):
+    S = sf.standard_model(model)
+    rng = np.random.default_rng(3)
+    P = diffeo_push(S, np.eye(3) + rng.uniform(-0.3, 0.3, (3, 3)), rng.uniform(-0.1, 0.1, (3, 3, 3)))
+    for surface in (S, P):
+        recs = trace_singular_curve(surface, box=(-0.4, 0.4, -0.4, 0.4), n_grid=7)
+        _assert_fold_tests_match_the_reference(fold_symmetry_test(surface, recs), surface, recs)
+
+
 def test_fold_obstruction_certificate(delaunay_t_k2, delaunay_t_records):
-    cert = cmc_fold_obstruction(delaunay_t_k2, delaunay_t_records[0])
+    cert = cmc_fold_obstruction(delaunay_t_k2, delaunay_t_records[:1])[0]
     assert cert["sheet_flip"] is True
     assert cert["conclusion"] == "fold impossible"
     assert cert["sides"]["plus"]["abs_g_minus_1"] < 1e-8
     assert cert["sides"]["minus"]["abs_g_minus_1"] < 1e-8
     assert cert["dg_estimate"] > 0.1
     assert cert["laplacian_residual_max"] < 1e-5
+
+
+def _reference_certificate(S, record, offset=1e-4, flank=0.5):
+    """cmc_fold_obstruction of one record as it was run one record at a time
+    (scalar Gauss-map calls, a flank point off the spacelike set skipped):
+    the reference of the batched certificates."""
+    if record.rank == 0:
+        return {"conclusion": "rank-0 regime (omega = 0): no certificate",
+                "regime": "omega_zero_rank0"}
+    p = np.asarray(record.location, float)
+    dlam = np.asarray(record.dlam, float)
+    T = dlam / np.linalg.norm(dlam)
+
+    def g_at(q):
+        return complex(rp.gauss_map_of(S, tuple(q)))
+
+    sides = {}
+    for name, sgn in (("plus", 1.0), ("minus", -1.0)):
+        ys = [abs(g_at(p + x * (sgn * T))) for x in (offset, offset / 2, offset / 4)]
+        limit = (8 * ys[2] - 6 * ys[1] + ys[0]) / 3.0
+        sides[name] = {"samples": ys, "limit_abs_g": limit, "abs_g_minus_1": abs(limit - 1.0),
+                       "sign_abs_g_minus_1": float(np.sign(ys[0] - 1.0))}
+    flip = sides["plus"]["sign_abs_g_minus_1"] * sides["minus"]["sign_abs_g_minus_1"] < 0
+    h = offset
+    tang = sg._curve_direction(dlam)
+    dg = math.hypot(abs(g_at(p + h * T) - g_at(p - h * T)) / (2 * h),
+                    abs(g_at(p + h * T + h * tang) - g_at(p + h * T - h * tang)) / (2 * h))
+    lap = []
+    for sgn in (1.0, -1.0):
+        q = p + sgn * flank * T
+        if S.u_range[0] < q[0] < S.u_range[1]:
+            try:
+                lap.append(rp.laplacian_identity_residual(S, tuple(q)))
+            except NotSpacelikeError:
+                pass
+    return {"location": list(map(float, record.location)), "offset": offset, "sides": sides,
+            "sheet_flip": bool(flip), "dg_estimate": dg,
+            "laplacian_residual_max": max(lap) if lap else None,
+            "conclusion": "fold impossible" if flip else "no flip detected"}
+
+
+def _assert_certificates_match_the_reference(got, S, recs, **kw):
+    """Non-float fields and laplacian_residual_max equal; |g| samples, limits
+    and dg_estimate within 1e-14."""
+
+    def close(a, b, path):
+        if isinstance(a, dict):
+            assert a.keys() == b.keys(), path
+            for key in a:
+                close(a[key], b[key], path + "/" + key)
+        elif isinstance(a, list):
+            assert len(a) == len(b), path
+            for n, (x, y) in enumerate(zip(a, b)):
+                close(x, y, f"{path}[{n}]")
+        elif isinstance(a, float) and not path.endswith(("laplacian_residual_max", "offset")):
+            assert abs(a - b) <= 1e-14, (path, a, b)
+        else:
+            assert type(a) is type(b) and a == b, (path, a, b)
+
+    assert len(got) == len(recs)
+    for cert, rec in zip(got, recs):
+        close(cert, _reference_certificate(S, rec, **kw), "")
+
+
+# the gauss-limit suite's surfaces, box and grid (verify --trials 40)
+GAUSS_LIMIT_SURFACES = [lambda: sf.delaunay_timelike(2.0, 0.5), lambda: sf.delaunay_spacelike(-1.0, 0.5),
+                        lambda: sf.delaunay_lightlike("i", 0.5), lambda: sf.delaunay_lightlike("ii", 0.5)]
+
+
+@pytest.mark.parametrize("build", GAUSS_LIMIT_SURFACES)
+def test_batched_certificates_match_the_reference_on_the_gauss_limit_surfaces(build):
+    S = build()
+    box = (-0.5 * S.u_range[1], 0.5 * S.u_range[1], *S.v_range)
+    recs = [r for r in trace_singular_curve(S, box=box, n_grid=10) if r.rank == 1]
+    assert recs
+    flank = 0.45 * S.u_range[1]
+    _assert_certificates_match_the_reference(cmc_fold_obstruction(S, recs, flank=flank), S, recs,
+                                             flank=flank)
+
+
+CERTIFIED_SURFACES = {
+    "delaunay-t k=2": lambda: sf.delaunay_timelike(2.0, 0.5),
+    "delaunay-t k=-0.5": lambda: sf.delaunay_timelike(-0.5, 0.5),
+    "delaunay-s k=-1": lambda: sf.delaunay_spacelike(-1.0, 0.5),
+    "delaunay-s k=-2": lambda: sf.delaunay_spacelike(-2.0, 0.5),
+    "delaunay-s k=0.3": lambda: sf.delaunay_spacelike(0.3, 0.5),
+    "delaunay-l-i": lambda: sf.delaunay_lightlike("i", 0.5),
+    "delaunay-l-ii": lambda: sf.delaunay_lightlike("ii", 0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFIED_SURFACES))
+@pytest.mark.parametrize("grid", [5, 9])
+def test_batched_certificates_match_the_reference_on_classify_scans(name, grid):
+    """Every rank-1 record of classify's scan at --grid 5 and 9, with a
+    rank-0 record in the batch."""
+    S = CERTIFIED_SURFACES[name]()
+    recs = [r for r in trace_singular_curve(S, n_grid=grid) if r.rank == 1]
+    assert recs
+    rank0 = sg.SingularPointRecord((0.0, 0.0), 0.0, (0.0, 0.0), None, "degenerate_rank0", 0)
+    recs.insert(len(recs) // 2, rank0)
+    _assert_certificates_match_the_reference(cmc_fold_obstruction(S, recs), S, recs)
+
+
+def test_certificate_skips_flank_points_off_the_spacelike_set(delaunay_t_k2, delaunay_t_records):
+    # a zero flank puts the flank points on the singular curve, inside u_range
+    recs = [r for r in delaunay_t_records if r.rank == 1]
+    certs = cmc_fold_obstruction(delaunay_t_k2, recs, flank=0.0)
+    assert [c["laplacian_residual_max"] for c in certs] == [None] * len(recs)
+    _assert_certificates_match_the_reference(certs, delaunay_t_k2, recs, flank=0.0)
+    # one such point raises; in a batch it reads NaN beside the spacelike points
+    p = recs[0].location
+    with pytest.raises(NotSpacelikeError):
+        rp.laplacian_identity_residual(delaunay_t_k2, tuple(p))
+    u, v = np.array([p[0], 0.5]), np.array([p[1], p[1]])
+    lap = rp.laplacian_identity_residual(delaunay_t_k2, (u, v))
+    assert math.isnan(lap[0]) and lap[1] == rp.laplacian_identity_residual(delaunay_t_k2, (0.5, p[1]))
 
 
 CERTIFIED_FAMILIES = {"delaunay-t k=2": lambda: sf.delaunay_timelike(2.0, 0.5),
@@ -812,9 +990,8 @@ def test_fold_certificates_integrate_no_profile_value(monkeypatch, name):
     calls = []  # the intervals entering the quadrature kernel
     kernel = quadrature._adaptive
     monkeypatch.setattr(quadrature, "_adaptive", lambda f, ends, *a: calls.extend(ends) or kernel(f, ends, *a))
-    for rec in recs:
-        cmc_fold_obstruction(S, rec)
-        assert calls == []
+    cmc_fold_obstruction(S, recs)
+    assert calls == []
     # a full surface jet at a radius not read before integrates its profile value
     S.jet(0.3 * S.u_range[1], 0.0, 2)
     assert calls
@@ -824,17 +1001,18 @@ def test_fold_certificates_integrate_no_profile_value(monkeypatch, name):
 def test_fold_certificates_equal_those_from_full_surface_jets(monkeypatch, name):
     S, S_full = CERTIFIED_FAMILIES[name](), CERTIFIED_FAMILIES[name]()
     recs = _certified_records(S)
-    certificates = [cmc_fold_obstruction(S, rec) for rec in recs]
+    certificates = cmc_fold_obstruction(S, recs)
     # the tangents of full surface jets, every profile value integrated
     monkeypatch.setattr(rp, "_tangents", lambda S, r, t, degree: rp._frame(S.jet(r, t, degree)))
-    assert certificates == [cmc_fold_obstruction(S_full, rec) for rec in recs]
+    assert certificates == cmc_fold_obstruction(S_full, recs)
 
 
 def test_fold_obstruction_rank0_regime():
     S = _rank0_model()
     rec = sg.SingularPointRecord((0.0, 0.0), 0.0, (0.0, 0.0), None, "degenerate_rank0", 0)
-    cert = cmc_fold_obstruction(S, rec)
+    cert, = cmc_fold_obstruction(S, [rec])
     assert cert["regime"] == "omega_zero_rank0"
+    assert cmc_fold_obstruction(S, []) == []
 
 
 # -- invariance machinery --------------------------------------------------------------
@@ -935,7 +1113,7 @@ def test_diffeo_push_preserves_verdicts(cusp25_model, fold_model):
         recs = trace_singular_curve(P, box=(-0.4, 0.4, -0.4, 0.4), n_grid=5)
         rep = criterion_25(P, recs)
         assert rep.verdict == verdict
-        assert fold_symmetry_test(P, recs[len(recs) // 2]).verdict == foldv
+        assert fold_symmetry_test(P, [recs[len(recs) // 2]])[0].verdict == foldv
 
 
 def test_diffeo_push_requires_invertible_linear_part(cusp25_model):
