@@ -5,11 +5,17 @@ representation formula.  All output goes to files (OBJ / JSON / CSV).
 Exit codes: 0 ok, 1 property/verdict failure or computational failure,
 2 bad input, 3 I/O failure.  Identical config + seed produce byte-identical
 payloads; wall-clock timing lives in a separate envelope field.
+
+In-process callers share one parser: `main` builds it on its first call and
+keeps it for the life of the process.  The subcommand (`cmd_<name>`) and the
+flag converters are looked up by name at each call, so a later rebinding of
+them (a profiler's wrapper, a test's monkeypatch) still takes effect.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -100,6 +106,18 @@ def _nonnegative_float(text: str) -> float:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must not be negative, got {text!r}")
     return value
+
+
+def _by_name(name: str):
+    """An argparse type that calls this module's binding of `name` at parse time,
+    not the function bound when the shared parser was built; argparse's error
+    messages name it `name` as before."""
+
+    def convert(text):
+        return globals()[name](text)
+
+    convert.__name__ = name
+    return convert
 
 
 def _float_list(text: str, flag: str) -> list:
@@ -513,11 +531,14 @@ def cmd_rep(args) -> int:
 
 
 def _config_dict(args) -> dict:
-    skip = {"func"}
-    return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
+    return dict(sorted(vars(args).items()))
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The parser of `main`, built on the first call and shared from then on."""
+    finite, positive, nonnegative = map(_by_name, ("finite_float", "positive_float",
+                                                   "_nonnegative_float"))
     ap = argparse.ArgumentParser(prog="cmc-lab", description=__doc__)
     ap.add_argument("--version", action="version", version=f"cmc-lab {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -527,9 +548,9 @@ def make_parser() -> argparse.ArgumentParser:
                        help="delaunay-t | delaunay-s | delaunay-l-i | delaunay-l-ii | "
                             "conjugate (--of base) | model-fold | model-cuspidal-edge | model-25 | model-cone")
         p.add_argument("--of", help="base family for --family conjugate")
-        p.add_argument("--k", type=finite_float)
-        p.add_argument("--H", type=finite_float, default=0.5)
-        p.add_argument("--r-cap", type=positive_float, default=None)
+        p.add_argument("--k", type=finite)
+        p.add_argument("--H", type=finite, default=0.5)
+        p.add_argument("--r-cap", type=positive, default=None)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("-o", "--out", default=out_default)
 
@@ -537,59 +558,53 @@ def make_parser() -> argparse.ArgumentParser:
     common(g, "surface.obj")
     g.add_argument("--nr", type=int, default=101)
     g.add_argument("--nt", type=int, default=101)
-    g.add_argument("--r-range", type=finite_float, nargs=2)
-    g.add_argument("--t-range", type=finite_float, nargs=2)
+    g.add_argument("--r-range", type=finite, nargs=2)
+    g.add_argument("--t-range", type=finite, nargs=2)
     g.add_argument("--singular-curve", action="store_true")
-    g.set_defaults(func=cmd_generate)
 
     c = sub.add_parser("classify", help="trace singular curves and classify them")
     common(c, "classify.json")
     c.add_argument("--grid", type=int, default=21)
     c.add_argument("--samples", type=int, default=8)
-    c.add_argument("--tol3", type=_nonnegative_float, default=sg.DET_TOL)
-    c.add_argument("--tol4", type=_nonnegative_float, default=sg.DET_TOL)
-    c.add_argument("--tol-C", dest="tol_C", type=_nonnegative_float, default=sg.DET_TOL)
-    c.set_defaults(func=cmd_classify)
+    c.add_argument("--tol3", type=nonnegative, default=sg.DET_TOL)
+    c.add_argument("--tol4", type=nonnegative, default=sg.DET_TOL)
+    c.add_argument("--tol-C", dest="tol_C", type=nonnegative, default=sg.DET_TOL)
 
     s = sub.add_parser("sweep", help="criterion sweep over k (and H) lists; CSV out")
     s.add_argument("--k", required=True, help="comma-separated k list")
     s.add_argument("--H", default="0.5", help="comma-separated H list")
     s.add_argument("--grid", type=int, default=9)
-    s.add_argument("--tol3", type=_nonnegative_float, default=sg.DET_TOL)
-    s.add_argument("--tol4", type=_nonnegative_float, default=sg.DET_TOL)
-    s.add_argument("--tol-C", dest="tol_C", type=_nonnegative_float, default=sg.DET_TOL)
+    s.add_argument("--tol3", type=nonnegative, default=sg.DET_TOL)
+    s.add_argument("--tol4", type=nonnegative, default=sg.DET_TOL)
+    s.add_argument("--tol-C", dest="tol_C", type=nonnegative, default=sg.DET_TOL)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("-o", "--out", default="sweep.csv")
-    s.set_defaults(func=cmd_sweep)
 
     v = sub.add_parser("verify", help="run the invariance/residual property suites")
     v.add_argument("--suite", default="all", help=f"all | {' | '.join(sorted(SUITES))}")
     v.add_argument("--trials", type=int, default=40)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("-o", "--out", default=None)
-    v.set_defaults(func=cmd_verify)
 
     r = sub.add_parser("rep", help="representation-formula tools (export / reconstruct)")
     r.add_argument("--gauss-data", help="GaussData JSON to reconstruct from")
     r.add_argument("--export-from", help="family to export Gauss data from")
-    r.add_argument("--k", type=finite_float)
-    r.add_argument("--H", type=finite_float, default=0.5)
-    r.add_argument("--r-cap", type=positive_float, default=None)
+    r.add_argument("--k", type=finite)
+    r.add_argument("--H", type=finite, default=0.5)
+    r.add_argument("--r-cap", type=positive, default=None)
     r.add_argument("--ns", type=int, default=25)
     r.add_argument("--nt", type=int, default=13)
-    r.add_argument("--loop-tol", type=_nonnegative_float, default=1e-8)
+    r.add_argument("--loop-tol", type=nonnegative, default=1e-8)
     r.add_argument("--report", default=None)
     r.add_argument("--seed", type=int, default=0)
     r.add_argument("-o", "--out", default="reconstruction.obj")
-    r.set_defaults(func=cmd_rep)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = make_parser()
-    args = ap.parse_args(argv)
+    args = make_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command](args)
     except (InputError, sf.SurfaceParameterError) as e:
         flag = getattr(e, "param", None)  # a surface parameter is set by the flag of its name
         print(f"error: {'--' + flag + ': ' if flag else ''}{e}", file=sys.stderr)

@@ -57,7 +57,11 @@ batch are bit-identical to the scalar kernel applied element by element: the
 batched bincount adds each element's terms in table order starting from 0.0,
 and the reciprocal and square-root series are built from 1/g0 and sqrt(g0) by
 multiplication only.  So are `compose2` (and with it the Lorentz normal, which
-takes products, a square root and a quotient) and `compose_inverse`.  The
+takes products, a square root and a quotient) and `compose_inverse`.
+`compose2` of a sequence of jets gives each component bit for bit as its own
+composition: the monomials in U and V are the same products for every
+component, and each component sums them times its own coefficients in the
+same row-major order from 0.0.  The
 other elementary functions agree with the scalar ones to 1e-13 relative: NumPy
 may evaluate a transcendental function or a non-integer power of an array with
 another kernel than of a single value, so their series may differ in the last
@@ -503,7 +507,7 @@ def _compose(jet, series, base=None):
     return out
 
 
-def compose2(F: Jet2, U, V):
+def compose2(F, U, V):
     """F(U, V) for jets U, V based at the new point, with values at F.base.
 
     U and V are both bivariate (a change of chart) or both univariate (the
@@ -511,21 +515,35 @@ def compose2(F: Jet2, U, V):
     alike: then a term is skipped only where it vanishes in every element,
     and each element is the same sequence of roundings as its scalar
     composition.
+
+    F may also be a sequence of Jet2 of one base and degree (the components
+    of a map), composed into the tuple of their compositions: the powers of U
+    and V and their products are built once for all components, and each
+    term is added to every component whose coefficient does not vanish in
+    every element, in row-major order from 0.0, so each component is the
+    same sequence of roundings as its own composition.
     """
-    du = U - F.base[0]
-    dv = V - F.base[1]
+    Fs = (F,) if isinstance(F, Jet2) else tuple(F)
+    d = Fs[0].degree
+    du = U - Fs[0].base[0]
+    dv = V - Fs[0].base[1]
     D = min(U.degree, V.degree)
-    jet = type(U)
-    one = jet.constant(1.0, U.base, D)
+    one = type(U).constant(1.0, U.base, D)
     pu, pv = [one], [one]
-    for _ in range(F.degree):
+    for _ in range(d):
         pu.append(pu[-1] * du)
         pv.append(pv[-1] * dv)
-    nonzero = F.c.reshape(-1, F.degree + 1, F.degree + 1).any(axis=0)  # in any element
-    out = jet.constant(0.0, U.base, D)
-    for a, b in np.argwhere(nonzero & _TRIANGLE[F.degree]).tolist():  # row-major order
-        out = out + (pu[a] * pv[b]) * F.c[..., a, b]
-    return out
+    W = np.stack([f.c for f in Fs])  # (components,) + batch + (d + 1, d + 1)
+    # the terms of each component that do not vanish in every element
+    nonzero = W.reshape(len(Fs), -1, d + 1, d + 1).any(axis=1) & _TRIANGLE[d]
+    out = np.zeros((len(Fs),) + one.c.shape, np.result_type(W, one.c))
+    lift = (1,) * U._NVARS  # a weight per component and element, over all coefficients
+    for a, b in np.argwhere(nonzero.any(axis=0)).tolist():  # row-major order
+        w = W[..., a, b]
+        np.add(out, (pu[a] * pv[b]).c * w.reshape(w.shape + lift), out=out,
+               where=nonzero[:, a, b].reshape((-1,) + (1,) * (out.ndim - 1)))
+    comps = tuple(one._like(D, c) for c in out)
+    return comps[0] if isinstance(F, Jet2) else comps
 
 
 # -- elementary functions ----------------------------------------------------

@@ -239,7 +239,7 @@ def _chart_jets(profile: ConformalProfile, rj: Jet1, s, t, degree: int):
     X = profile.surface.jet(rj.value, profile.t_sign * t, degree)
     R = _promote_r(rj, (s, t), degree)
     T = profile.t_sign * Jet2.coordinate((s, t), degree, 1)
-    return tuple(jt.compose2(c, R, T) for c in X)
+    return jt.compose2(X, R, T)
 
 
 def conformal_profile_chart(
@@ -696,7 +696,8 @@ def laplacian_identity_residual(S: Surface, p):
 def singular_locus_characterization(S: Surface, box=None, n_grid: int = 41) -> dict:
     """Classify the singular loci in a region by the Gauss-map alternative:
     |g| = 1 (rank-1 loci), omega = 0, or |g| = infinity, with dX ranks sampled
-    alongside."""
+    alongside.  A rank-0 record (dX = 0) is filed under omega = 0 unprobed; a
+    rank-1 record is probed for |g| from both sides along dlam."""
     from .singularities import trace_singular_curve
 
     records = trace_singular_curve(S, box=box, n_grid=n_grid)  # box None: the scan's default
@@ -704,10 +705,14 @@ def singular_locus_characterization(S: Surface, box=None, n_grid: int = 41) -> d
     g_inf = []
     omega_zero = []
     for rec in records:
+        entry = {"location": list(map(float, rec.location)), "rank": rec.rank}
+        if rec.rank == 0:  # dX = 0; dlam = (0, 0) gives no direction to probe along
+            entry["type"] = "omega_zero"
+            omega_zero.append(entry)
+            continue
         p = np.asarray(rec.location)
         dlam = np.asarray(rec.dlam)
         T = dlam / max(np.linalg.norm(dlam), 1e-300)
-        entry = {"location": list(map(float, rec.location)), "rank": rec.rank}
         try:
             vals = _abs_g_limit(S, np.array([p, p]), np.array([T, -T]), 1e-3)[1].tolist()
             entry["abs_g_limits"] = vals
@@ -716,9 +721,6 @@ def singular_locus_characterization(S: Surface, box=None, n_grid: int = 41) -> d
                 entry["type"] = "g_infinity"
                 entry["note"] = "untested against reference examples"
                 g_inf.append(entry)
-            elif rec.rank == 0:
-                entry["type"] = "omega_zero"
-                omega_zero.append(entry)
             else:
                 locus.append(entry)
         except NotSpacelikeError:

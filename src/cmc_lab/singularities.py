@@ -540,8 +540,8 @@ class StraightChart:
         if np.any(ne <= 1e-12):
             raise SingularTangentError("singular tangent degenerate")
         e = (e / ne[..., None]).T
-        Xu_c = [_compose2(c.du(), self.curve_u, self.curve_v) for c in X]
-        Xv_c = [_compose2(c.dv(), self.curve_u, self.curve_v) for c in X]
+        X_uv = _compose2([c.du() for c in X] + [c.dv() for c in X], self.curve_u, self.curve_v)
+        Xu_c, Xv_c = X_uv[:3], X_uv[3:]
         eta_u, eta_v = -_density(Xv_c, e), _density(Xu_c, e)
         e0 = np.stack([eta_u.value, eta_v.value], axis=-1)
         n0 = _norm(e0)
@@ -555,7 +555,7 @@ class StraightChart:
         """Degree-5 jets of X o Psi at the chart origins (scalar for one record)."""
         psi_u = _lift_chart(self.curve_u, self.eta_u)
         psi_v = _lift_chart(self.curve_v, self.eta_v)
-        return tuple(_compose2(c, psi_u, psi_v) for c in self.X)
+        return _compose2(self.X, psi_u, psi_v)
 
 
 def _lift_chart(curve: Jet1, eta: Jet1) -> Jet2:

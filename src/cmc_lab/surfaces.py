@@ -621,10 +621,12 @@ class Mesh:
     sidecar: dict
 
     def write_obj(self, path, sidecar_path=None):
+        # one %-format call per block; %r writes a float's repr, the shortest exact digits
+        verts = np.asarray(self.vertices, float)[:, [1, 2, 0]]
         text = "".join([
             "# cmc-lab surface mesh; vertex order (x1, x2, x0)\n",
-            *(f"v {x1!r} {x2!r} {x0!r}\n" for x0, x1, x2 in np.asarray(self.vertices, float).tolist()),
-            *(f"f {a + 1} {b + 1} {c + 1}\n" for a, b, c in self.faces.tolist()),
+            ("v %r %r %r\n" * len(verts)) % tuple(verts.ravel().tolist()),
+            ("f %d %d %d\n" * len(self.faces)) % tuple((self.faces + 1).ravel().tolist()),
         ])
         with open(path, "w") as fh:
             fh.write(text)

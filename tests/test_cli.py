@@ -222,6 +222,43 @@ def test_cli_runs_leave_scipy_out(tmp_path):
     assert out.strip().splitlines()[-1] == "[0, 0, 0, 0] False"
 
 
+GENERATE = ("generate", "--family", "delaunay-t", "--k", "2", "--nr", "9", "--nt", "8", "-o", "g.obj")
+
+
+def test_shared_parser_serves_a_sequence_of_calls_as_fresh_processes_do(tmp_path, capsys):
+    """A rejected argv, a run, --version and the same run again in one process
+    give the exit codes, output and files of one fresh process per call."""
+    here, fresh = tmp_path / "here", tmp_path / "fresh"
+    here.mkdir(), fresh.mkdir()
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    bad = ("generate", "--family", "delaunay-t", "--k", "abc", "-o", "g.obj")
+    for argv, code in ((bad, 2), (GENERATE, 0), (("--version",), 0), (GENERATE, 0)):
+        assert exit_code(here, *argv) == code
+        got = capsys.readouterr()
+        want = subprocess.run([sys.executable, "-m", "cmc_lab.cli", *argv], env=env, cwd=fresh,
+                              capture_output=True, text=True, timeout=120)
+        assert (code, got.out, got.err) == (want.returncode, want.stdout, want.stderr), argv
+        if argv is bad:  # argparse names the converter as before
+            assert "argument --k: invalid finite_float value: 'abc'" in got.err
+        for name in ("g.obj", "g.obj.json"):  # the sidecar carries no timing
+            assert (here / name).exists() == (fresh / name).exists()
+            if (here / name).exists():
+                assert (here / name).read_bytes() == (fresh / name).read_bytes()
+
+
+def test_shared_parser_calls_the_current_command_and_converters(tmp_path, monkeypatch):
+    """Rebinding cli.cmd_verify or cli.finite_float after the parser is built
+    takes effect at the next call (a profiler wraps them the same way)."""
+    assert run(tmp_path, *GENERATE) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_verify", lambda args: seen.append(args.trials) or 7)
+    finite = cli.finite_float
+    monkeypatch.setattr(cli, "finite_float", lambda text: seen.append(text) or finite(text))
+    assert run(tmp_path, "verify", "--trials", "3") == 7
+    assert run(tmp_path, *GENERATE, "--H", "0.25") == 0
+    assert seen == [3, "2", "0.25"]
+
+
 @pytest.mark.parametrize("k", ["0", "0.005", "0.01", "0.02"])
 def test_delaunay_s_near_k0_clips_the_domain(tmp_path, k):
     # delta < 0 on (1 - sqrt(k), 1 + sqrt(k)): the domain must end below it

@@ -586,6 +586,54 @@ def test_batched_compose2_bit_identical_to_scalar(size, f_degree, degree, data):
         assert got[i].tobytes() == want.c.tobytes(), i
 
 
+def _compose2_per_term(F, U, V):
+    """F(U, V) term by term in the jet algebra, one component at a time: the
+    reference composition, skipping a term that vanishes in every element."""
+    du, dv = U - F.base[0], V - F.base[1]
+    D = min(U.degree, V.degree)
+    one = type(U).constant(1.0, U.base, D)
+    pu, pv = [one], [one]
+    for _ in range(F.degree):
+        pu.append(pu[-1] * du)
+        pv.append(pv[-1] * dv)
+    out = type(U).constant(0.0, U.base, D)
+    for a in range(F.degree + 1):
+        for b in range(F.degree + 1 - a):
+            if np.any(F.c[..., a, b]):
+                out = out + (pu[a] * pv[b]) * F.c[..., a, b]
+    return out
+
+
+@given(st.integers(0, 3), st.integers(1, 6), st.integers(0, 5), st.integers(0, 5),
+       st.sampled_from([Jet1, Jet2]), st.data())
+@settings(max_examples=100, deadline=None)
+def test_compose2_of_a_tuple_bit_identical_to_each_component(size, n, f_degree, degree, curve,
+                                                            data):
+    """n jets composed as one tuple, and one at a time, against the per-term
+    reference: a scalar jet (size 0) or a batch, along a curve (Jet1) or through
+    a change of chart (Jet2); a term often vanishes in some components only."""
+    batch = (size,) if size else ()
+    F_shape = (n,) + batch + (f_degree + 1, f_degree + 1)
+    F_c = np.array(data.draw(st.lists(_real_coefficient(), min_size=int(np.prod(F_shape)),
+                                      max_size=int(np.prod(F_shape))))).reshape(F_shape)
+    F_base = (np.linspace(-1.0, 2.0, size), np.linspace(0.5, -0.5, size)) if size else (0.25, -0.5)
+    Fs = tuple(Jet2(F_base, f_degree, c) for c in F_c)
+    uv_shape = batch + (degree + 1,) * curve._NVARS
+    U_c, V_c = (np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=int(np.prod(uv_shape)),
+                                            max_size=int(np.prod(uv_shape))))).reshape(uv_shape)
+                for _ in range(2))
+    U_c[curve._VALUE_AT], V_c[curve._VALUE_AT] = F_base  # U, V take the values of F's base
+    new_base = (np.linspace(0.3, -0.7, size), np.linspace(1.0, 2.0, size)) if size else (0.3, 1.0)
+    U, V = (curve(new_base if curve is Jet2 else new_base[0], degree, c) for c in (U_c, V_c))
+    got = jt.compose2(Fs, U, V)
+    assert type(got) is tuple and len(got) == n
+    for F, G in zip(Fs, got):
+        want = _compose2_per_term(F, U, V)
+        for jet in (G, jt.compose2(F, U, V)):
+            assert type(jet) is curve and jet.degree == want.degree
+            assert jet.c.tobytes() == want.c.tobytes()
+
+
 @given(st.integers(1, 4), st.integers(1, 5), st.data())
 @settings(max_examples=100, deadline=None)
 def test_batched_compose_inverse_bit_identical_to_scalar(size, degree, data):

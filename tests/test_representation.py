@@ -609,3 +609,19 @@ def test_singular_locus_plane_empty():
     doc = singular_locus_characterization(_tilted_plane(), box=(-1, 1, -1, 1), n_grid=7)
     assert doc["unit_circle_locus"] == []
     assert doc["omega_zero_locus"] == [] and doc["g_infinity_locus"] == []
+
+
+def test_singular_locus_files_rank_0_records_under_omega_zero():
+    """The (u^2, uv, v^2) cone has dX = 0 at the origin: the record is filed as
+    omega = 0, not probed along its vanishing dlam into `undetermined`."""
+
+    def builder(u0, v0, degree):
+        uj, vj = Jet2.variables((u0, v0), degree)
+        return uj * uj, uj * vj, vj * vj
+
+    doc = singular_locus_characterization(sf.custom_surface(builder, (-0.5, 0.5), (-0.5, 0.5)),
+                                          n_grid=5)
+    assert doc["omega_zero_locus"] and all(e["rank"] == 0 for e in doc["omega_zero_locus"])
+    assert all(e["type"] == "omega_zero" for e in doc["omega_zero_locus"])
+    assert all(e["rank"] != 0 for e in doc["unit_circle_locus"] + doc["g_infinity_locus"])
+    assert all(e["type"] != "undetermined" for e in doc["unit_circle_locus"])

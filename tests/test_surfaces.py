@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cmc_lab import jets as jt
 from cmc_lab import surfaces as sf
@@ -307,12 +307,35 @@ def _write_obj_per_line(mesh, path):
             fh.write(f"f {a + 1} {b + 1} {c + 1}\n")
 
 
+def _assert_obj_matches_per_line_writer(mesh, directory):
+    mesh.write_obj(directory / "a.obj")
+    _write_obj_per_line(mesh, directory / "b.obj")
+    assert (directory / "a.obj").read_bytes() == (directory / "b.obj").read_bytes()
+
+
 def test_obj_writer_matches_per_line_writer(tmp_path, conj_k2):
-    for S, nu, nv in ((conj_k2, 13, 11), (standard_model("fold"), 2, 3)):
-        mesh = mesh_export(S, nu, nv)
-        mesh.write_obj(tmp_path / "a.obj")
-        _write_obj_per_line(mesh, tmp_path / "b.obj")
-        assert (tmp_path / "a.obj").read_bytes() == (tmp_path / "b.obj").read_bytes()
+    for S, nu, nv in ((conj_k2, 13, 11), (standard_model("fold"), 2, 3),
+                      (standard_model("fold"), 2, 2)):
+        _assert_obj_matches_per_line_writer(mesh_export(S, nu, nv), tmp_path)
+
+
+# -0.0, the smallest and largest subnormals, and +-1e300 besides any float
+_EDGE_FLOATS = (-0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e300, -1e300)
+
+
+@st.composite
+def _grid_meshes(draw):
+    nu, nv = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+    floats = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats())
+    xs = draw(st.lists(floats, min_size=3 * nu * nv, max_size=3 * nu * nv))
+    return sf.Mesh(np.array(xs).reshape(-1, 3), sf.grid_faces(nu, nv), {})
+
+
+@given(_grid_meshes())
+@example(sf.Mesh(np.array(_EDGE_FLOATS * 2).reshape(4, 3), sf.grid_faces(2, 2), {}))
+@settings(max_examples=60, deadline=None)
+def test_obj_writer_matches_per_line_writer_on_drawn_vertices(tmp_path_factory, mesh):
+    _assert_obj_matches_per_line_writer(mesh, tmp_path_factory.mktemp("obj"))
 
 
 def test_obj_writer_format(tmp_path, fold_model):
