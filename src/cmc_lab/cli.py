@@ -277,44 +277,49 @@ def cmd_sweep(args) -> int:
 
 
 def _suite_fields(trials, rng, failures):
+    """All trials as one batch: element t * per + i is trial i at the middle
+    record of target t, and the draws are made in that order."""
     from .jets import Jet2, VectorFieldJet, field_chain, partial_values
 
-    ok = 0
     M = sf.standard_model("cusp25")
     C = sf.conjugate_of("delaunay_timelike", k=2.0, H=0.5)
     targets = [
         (M, sg.trace_singular_curve(M, box=(-0.5, 0.5, -0.5, 0.5), n_grid=5)),
         (C, sg.trace_singular_curve(C, box=(-0.3, 0.3, 0.2, 1.0), n_grid=5)),
     ]
-    base = (0.0, 0.0)
-    xi0 = VectorFieldJet.constant(0.0, 1.0, base)
-    eta_g = VectorFieldJet.constant(1.0, 0.0, base)
-    u, v = Jet2.variables(base, 5)
     per = max(1, trials // len(targets))
-    for S, recs in targets:
-        Y = sg.StraightChart(S, recs[len(recs) // 2]).jets()
-        _, eta0, _, e = sg._special_null_field_of(Y, 5)
-        C0, _ = sg._constant_C(e)
-        d4_0, _ = sg._condition4(partial_values(Y, 0, 1), e, C0)
-        for _ in range(per):
-            c = rng.uniform(-0.8, 0.8, size=11)
-            a1 = Jet2.constant(rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0]), base) + c[0] * u + c[1] * v
-            b2 = Jet2.constant(rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0]), base) + c[2] * u + c[3] * v
-            a2 = u * (c[4] + c[5] * u + c[6] * v)
-            b1g = u * (c[7] + c[8] * v)
-            b1s = u * u * u * (c[9] + c[10] * v)
-            xi_b, eta_b, _ = sg.perturb_fields(xi0, eta_g, a1, a2, b1g, b2)
-            _, r3 = sg.condition3_det(Y, xi=xi_b, eta=eta_b)
-            xi_s, eta_s, pred = sg.perturb_fields(xi0, eta0, a1, a2, b1s, b2, special=True)
-            e = field_chain(Y, eta_s, 5)  # C and condition 4 read one chain
-            Cb, _ = sg._constant_C(e)
-            d4_b, _ = sg._condition4(sg._xi_X(Y, xi_s), e, Cb)
-            good = r3 < 1e-7 and abs(d4_b / d4_0 - pred) / abs(pred) < 1e-6
-            ok += good
-            if not good:
-                failures.append({"suite": "fields", "surface": S.family,
-                                 "cond3_rel": r3, "ratio": d4_b / d4_0, "predicted": pred})
-    return ok, per * len(targets)
+    charts = [sg.StraightChart(S, recs[len(recs) // 2]).jets() for S, recs in targets]
+    c = np.array([[*rng.uniform(-0.8, 0.8, size=11),
+                   rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0]),
+                   rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])]
+                  for _ in range(per * len(targets))]).T  # row n: coefficient n of every trial
+    base = (np.zeros(c.shape[1]),) * 2
+    Y = tuple(Jet2(base, 5, np.repeat(np.stack([Yt[i].c for Yt in charts]), per, axis=0))
+              for i in range(3))
+    _, eta0, _, e = sg._special_null_field_of(Y, 5)
+    C0, _ = sg._constant_C(e)
+    d4_0, _ = sg._condition4(partial_values(Y, 0, 1), e, C0)
+
+    # jets first: a (B,) array on the left of a jet would make an object array
+    u, v = Jet2.variables(base, 5)
+    a1 = Jet2.constant(c[11], base) + u * c[0] + v * c[1]
+    b2 = Jet2.constant(c[12], base) + u * c[2] + v * c[3]
+    a2 = u * (u * c[5] + c[4] + v * c[6])
+    b1g = u * (v * c[8] + c[7])
+    b1s = u * u * u * (v * c[10] + c[9])
+    xi0 = VectorFieldJet.constant(0.0, 1.0, base)
+    xi_b, eta_b, _ = sg.perturb_fields(xi0, VectorFieldJet.constant(1.0, 0.0, base), a1, a2, b1g, b2)
+    _, r3 = sg.condition3_det(Y, xi=xi_b, eta=eta_b)
+    xi_s, eta_s, pred = sg.perturb_fields(xi0, eta0, a1, a2, b1s, b2, special=True)
+    e = field_chain(Y, eta_s, 5)  # C and condition 4 read one chain
+    Cb, _ = sg._constant_C(e)
+    d4_b, _ = sg._condition4(sg._xi_X(Y, xi_s), e, Cb)
+    ratio = d4_b / d4_0
+    good = (r3 < 1e-7) & (np.abs(ratio - pred) / np.abs(pred) < 1e-6)
+    for i in np.flatnonzero(~good).tolist():
+        failures.append({"suite": "fields", "surface": targets[i // per][0].family,
+                         "cond3_rel": r3[i].item(), "ratio": ratio[i].item(), "predicted": pred[i].item()})
+    return int(good.sum()), c.shape[1]
 
 
 def _suite_diffeo(trials, rng, failures):
@@ -354,6 +359,7 @@ def _verdicts(S, box):
 
 
 def _suite_laplacian(trials, rng, failures):
+    """One residual call per surface, at its (per,) drawn points."""
     surfaces = [
         sf.delaunay_timelike(2.0, 0.5),
         sf.delaunay_spacelike(-1.0, 0.5),
@@ -361,21 +367,17 @@ def _suite_laplacian(trials, rng, failures):
         sf.conjugate_of("delaunay_timelike", k=2.0, H=0.5),
     ]
     per = max(1, trials // len(surfaces))
-    jobs = [
-        (S, rng.uniform(0.3, 0.9 * S.u_range[1]), rng.uniform(*S.v_range))
-        for S in surfaces
-        for _ in range(per)
-    ]
-
     ok = 0
-    for S, r, t in jobs:
+    for S in surfaces:
+        r, t = np.array([(rng.uniform(0.3, 0.9 * S.u_range[1]), rng.uniform(*S.v_range))
+                         for _ in range(per)]).T
         res = rp.laplacian_identity_residual(S, (r, t))
         good = res < 1e-5
-        ok += good
-        if not good:
-            failures.append({"suite": "laplacian", "surface": S.family, "point": [r, t],
-                             "residual": res})
-    return ok, len(jobs)
+        ok += int(good.sum())
+        for i in np.flatnonzero(~good).tolist():
+            failures.append({"suite": "laplacian", "surface": S.family, "point": [r[i].item(), t[i].item()],
+                             "residual": res[i].item()})
+    return ok, per * len(surfaces)
 
 
 def _suite_gauss_limit(trials, rng, failures):
@@ -408,6 +410,7 @@ def _suite_gauss_limit(trials, rng, failures):
 
 
 def _suite_lambda_rank(trials, rng, failures):
+    """One degree-1 jet call and one stacked SVD per surface, at its kept records."""
     ok = total = 0
     surfaces = [
         sf.standard_model("cusp25"),
@@ -416,16 +419,15 @@ def _suite_lambda_rank(trials, rng, failures):
         sf.conjugate_of("delaunay_timelike", k=2.0, H=0.5),
     ]
     for S in surfaces:
-        recs = sg.trace_singular_curve(S, n_grid=9)
-        for rec in recs[: max(1, trials // len(surfaces))]:
-            M = sg._dX(S, rec.location)
-            sv = np.linalg.svd(M, compute_uv=False)
-            good = sv[1] < 1e-7 * sv[0]
-            ok += good
-            total += 1
-            if not good:
-                failures.append({"suite": "lambda-rank", "surface": S.family,
-                                 "location": list(rec.location), "sv": sv.tolist()})
+        recs = sg.trace_singular_curve(S, n_grid=9)[: max(1, trials // len(surfaces))]
+        p = np.array([rec.location for rec in recs], float)
+        sv = np.linalg.svd(sg._dX_of(S.jet(p[:, 0], p[:, 1], 1)), compute_uv=False)
+        good = sv[:, 1] < 1e-7 * sv[:, 0]
+        ok += int(good.sum())
+        total += len(recs)
+        for i in np.flatnonzero(~good).tolist():
+            failures.append({"suite": "lambda-rank", "surface": S.family,
+                             "location": list(recs[i].location), "sv": sv[i].tolist()})
     return ok, total
 
 

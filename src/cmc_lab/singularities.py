@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -945,20 +946,29 @@ def perturb_fields(
     vanish there, a1 and b2 must not vanish at the origin.  With special=True
     the additional constraints eta b1 = eta eta b1 = 0 at the origin are
     enforced (needed for the order-4/5 covariance).  Returns the transformed
-    fields and the predicted condition-4 scale a1(p) * b2(p)^7.
+    fields and the predicted condition-4 scale a1(p) * b2(p)^7: a (B,) array
+    for batched jets, which are checked element by element.
     """
     for name, cjet in (("a2", a2), ("b1", b1)):
-        col = np.abs(cjet.c[0, :])
-        if col.max() > 1e-10 * max(1.0, np.abs(cjet.c).max()):
+        c = np.abs(cjet.c)
+        if np.any(c[..., 0, :].max(axis=-1) > 1e-10 * np.maximum(1.0, c.max(axis=(-2, -1)))):
             raise ValueError(f"{name} must vanish on the singular set {{u = 0}}")
-    if abs(a1.value) < 1e-12 or abs(b2.value) < 1e-12:
+    if np.any(np.abs(a1.value) < 1e-12) or np.any(np.abs(b2.value) < 1e-12):
         raise ValueError("a1 and b2 must be nonvanishing on the singular set")
     if special and np.any(np.abs(field_chain((b1,), eta, 2)[1:]) > 1e-10):
         raise ValueError("special variant needs eta b1 = eta eta b1 = 0 at p")
     xi_bar = VectorFieldJet(a1 * xi.e1 + a2 * eta.e1, a1 * xi.e2 + a2 * eta.e2)
     eta_bar = VectorFieldJet(b1 * xi.e1 + b2 * eta.e1, b1 * xi.e2 + b2 * eta.e2)
-    predicted_scale = float(a1.value) * float(b2.value) ** 7
-    return xi_bar, eta_bar, predicted_scale
+    # Python's float power: NumPy's vectorized power differs from it in the last bit
+    scale = [x * y ** 7 for x, y in zip(np.ravel(a1.value).tolist(), np.ravel(b2.value).tolist())]
+    return xi_bar, eta_bar, np.array(scale) if np.ndim(a1.value) else scale[0]
+
+
+# the distinct monomials of order n in X_0, X_1, X_2 (sorted index tuples), and the 0/1 matrix
+# that adds each entry of an n-form to the column of its sorted index tuple, for n = 1, 2, 3
+_MONOMIALS = [list(itertools.combinations_with_replacement(range(3), n)) for n in (1, 2, 3)]
+_GATHER = [np.eye(len(ms))[[ms.index(tuple(sorted(p))) for p in itertools.product(range(3), repeat=n)]]
+           for n, ms in enumerate(_MONOMIALS, 1)]
 
 
 def diffeo_push(S: Surface, linear, quadratic=None, cubic=None) -> Surface:
@@ -966,37 +976,25 @@ def diffeo_push(S: Surface, linear, quadratic=None, cubic=None) -> Surface:
 
     Phi(x) = A x + Q(x, x) + C(x, x, x): `linear` is the invertible 3x3 matrix,
     `quadratic[i]` an optional 3x3 symmetric form per component, `cubic[i]` an
-    optional 3x3x3 form per component.
+    optional 3x3x3 form per component.  Phi is applied as one contraction of
+    the distinct monomials of X with a matrix of A and the symmetrized forms.
     """
     A = np.asarray(linear, float)
     if abs(np.linalg.det(A)) < 1e-12:
         raise ValueError("diffeomorphism germ needs an invertible linear part")
-    Q = None if quadratic is None else np.asarray(quadratic, float)
-    Cc = None if cubic is None else np.asarray(cubic, float)
+    forms = [A, quadratic, cubic]
+    order = max(n for n, f in enumerate(forms, 1) if f is not None)
+    monomials = sum(_MONOMIALS[:order], [])
+    M = np.hstack([np.zeros((3, g.shape[1])) if f is None else np.asarray(f, float).reshape(3, -1) @ g
+                   for f, g in zip(forms, _GATHER[:order])])  # a missing form counts as zero
 
     def builder(u, v, degree):
         X = S.jet(u, v, degree)
-        # each monomial once per call: XX[j][k] = X_j X_k, XXX[j][k][l] = X_j (X_k X_l)
-        if Q is not None or Cc is not None:
-            XX = [[X[j] * X[k] for k in range(3)] for j in range(3)]
-        if Cc is not None:
-            XXX = [[[X[j] * XX[k][l] for l in range(3)] for k in range(3)] for j in range(3)]
-        out = []
-        for i in range(3):
-            acc = A[i, 0] * X[0] + A[i, 1] * X[1] + A[i, 2] * X[2]
-            if Q is not None:
-                for j in range(3):
-                    for k in range(3):
-                        if Q[i, j, k] != 0:
-                            acc = acc + Q[i, j, k] * XX[j][k]
-            if Cc is not None:
-                for j in range(3):
-                    for k in range(3):
-                        for l in range(3):
-                            if Cc[i, j, k, l] != 0:
-                                acc = acc + Cc[i, j, k, l] * XXX[j][k][l]
-            out.append(acc)
-        return tuple(out)
+        jets = {(j,): X[j] for j in range(3)}
+        for m in monomials[3:]:  # each a factor times a monomial one order lower
+            jets[m] = X[m[0]] * jets[m[1:]]
+        W = np.tensordot(M, np.stack([jets[m].c for m in monomials]), axes=1)
+        return tuple(Jet2(X[0].base, X[0].degree, w) for w in W)
 
     return custom_surface(
         builder, u_range=S.u_range, v_range=S.v_range,

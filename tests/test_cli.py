@@ -422,19 +422,118 @@ def test_classify_reports_unconfirmed_roots(tmp_path):
     assert strict_json(tmp_path / "c.json")["results"]["unconfirmed_roots"] == 0
 
 
-def test_fields_suite_builds_one_special_chain_per_trial(monkeypatch):
-    """Per trial: condition 3 (12 field applications), the special change's
-    check (2), the special field's chain to order 5 (15) and xi X (3)."""
+def _reference_suite_fields(trials, rng, failures):
+    """The per-trial loop the batched fields suite replaced: scalar jets, one
+    perturbation, chain and condition-4 determinant per trial."""
+    from cmc_lab import surfaces as sf
+    from cmc_lab.jets import Jet2, VectorFieldJet, field_chain, partial_values
+
+    ok = 0
+    M = sf.standard_model("cusp25")
+    C = sf.conjugate_of("delaunay_timelike", k=2.0, H=0.5)
+    targets = [
+        (M, sg.trace_singular_curve(M, box=(-0.5, 0.5, -0.5, 0.5), n_grid=5)),
+        (C, sg.trace_singular_curve(C, box=(-0.3, 0.3, 0.2, 1.0), n_grid=5)),
+    ]
+    base = (0.0, 0.0)
+    xi0 = VectorFieldJet.constant(0.0, 1.0, base)
+    eta_g = VectorFieldJet.constant(1.0, 0.0, base)
+    u, v = Jet2.variables(base, 5)
+    per = max(1, trials // len(targets))
+    for S, recs in targets:
+        Y = sg.StraightChart(S, recs[len(recs) // 2]).jets()
+        _, eta0, _, e = sg._special_null_field_of(Y, 5)
+        C0, _ = sg._constant_C(e)
+        d4_0, _ = sg._condition4(partial_values(Y, 0, 1), e, C0)
+        for _ in range(per):
+            c = rng.uniform(-0.8, 0.8, size=11)
+            a1 = Jet2.constant(rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0]), base) + c[0] * u + c[1] * v
+            b2 = Jet2.constant(rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0]), base) + c[2] * u + c[3] * v
+            a2 = u * (c[4] + c[5] * u + c[6] * v)
+            b1g = u * (c[7] + c[8] * v)
+            b1s = u * u * u * (c[9] + c[10] * v)
+            xi_b, eta_b, _ = sg.perturb_fields(xi0, eta_g, a1, a2, b1g, b2)
+            _, r3 = sg.condition3_det(Y, xi=xi_b, eta=eta_b)
+            xi_s, eta_s, pred = sg.perturb_fields(xi0, eta0, a1, a2, b1s, b2, special=True)
+            e = field_chain(Y, eta_s, 5)
+            Cb, _ = sg._constant_C(e)
+            d4_b, _ = sg._condition4(sg._xi_X(Y, xi_s), e, Cb)
+            good = r3 < 1e-7 and abs(d4_b / d4_0 - pred) / abs(pred) < 1e-6
+            ok += good
+            if not good:
+                failures.append({"suite": "fields", "surface": S.family,
+                                 "cond3_rel": r3, "ratio": d4_b / d4_0, "predicted": pred})
+    return ok, per * len(targets)
+
+
+@pytest.mark.parametrize("trials", [1, 2, 3, 5, 40])
+def test_batched_fields_suite_records_the_per_trial_numbers_to_the_bit(monkeypatch, trials):
+    """Every trial fails (the prediction is negated, exactly), so each trial's
+    cond3_rel, ratio and predicted are recorded: in trial order, as Python
+    floats, with the same bits as the per-trial loop's."""
+    perturb = sg.perturb_fields
+
+    def negated(*args, **kw):
+        xi, eta, pred = perturb(*args, **kw)
+        return xi, eta, -pred
+
+    monkeypatch.setattr(sg, "perturb_fields", negated)
+    for seed in range(10):
+        want, got = [], []
+        per = max(1, trials // 2)
+        assert _reference_suite_fields(trials, np.random.default_rng(seed), want) == (0, 2 * per)
+        assert cli._suite_fields(trials, np.random.default_rng(seed), got) == (0, 2 * per)
+        assert len(got) == 2 * per
+        assert all(type(f[k]) is float for f in got for k in ("cond3_rel", "ratio", "predicted"))
+        assert repr(got) == repr(want)
+
+
+def test_fields_suite_makes_the_same_field_applications_at_any_trial_count(monkeypatch):
+    """The trials are one batch: 4 and 40 trials apply the fields equally often."""
     calls = []
     apply = jt.apply_vector_field
     monkeypatch.setattr(jt, "apply_vector_field", lambda f, j: calls.append(1) or apply(f, j))
 
     def count(trials):
         calls.clear()
-        assert cli._suite_fields(trials, np.random.default_rng(0), []) == (trials, trials)
+        ok, total = cli._suite_fields(trials, np.random.default_rng(0), [])
+        assert (type(ok), ok, total) == (int, trials, trials)
         return len(calls)
 
-    assert (count(4) - count(2)) / 2 <= 32  # two more trials, one per target
+    assert count(4) == count(40)
+
+
+def test_batched_laplacian_suite_lists_the_per_point_residuals_in_trial_order(monkeypatch):
+    """The residual of each surface's batch equals the per-point one to the bit,
+    and failures (forced by an offset) come in the order the points were drawn."""
+    from cmc_lab import representation as rp
+
+    residual = rp.laplacian_identity_residual
+    seen = []
+
+    def offset(S, p):
+        res = residual(S, p)
+        seen.append((S, p, res))
+        return res + 1.0
+
+    monkeypatch.setattr(rp, "laplacian_identity_residual", offset)
+    failures = []
+    assert cli._suite_laplacian(12, np.random.default_rng(3), failures) == (0, 12)
+    want = []
+    for S, (r, t), res in seen:
+        assert r.shape == (3,)
+        for i in range(3):
+            one = residual(S, (float(r[i]), float(t[i])))
+            assert one == res[i]
+            want.append({"suite": "laplacian", "surface": S.family,
+                         "point": [float(r[i]), float(t[i])], "residual": one + 1.0})
+    assert repr(failures) == repr(want)
+
+
+def test_lambda_rank_suite_counts_python_ints():
+    ok, total = cli._suite_lambda_rank(40, np.random.default_rng(0), [])
+    assert (type(ok), type(total)) == (int, int)
+    assert ok == total == 36
 
 
 def test_classify_straightens_each_record_once(tmp_path, monkeypatch):

@@ -1034,6 +1034,29 @@ def test_perturb_validation():
         perturb_fields(xi, eta, one, zero, u, one, special=True)
 
 
+def test_perturb_validation_checks_each_element_of_a_batch():
+    z = np.zeros(3)
+    base = (z, z)
+    u, v = Jet2.variables(base, 5)
+    one = Jet2.constant(1.0, base)
+    zero = Jet2.constant(0.0, base)
+    xi = VectorFieldJet.constant(0.0, 1.0, base)
+    eta = VectorFieldJet.constant(1.0, 0.0, base)
+    a1 = one + u * np.array([0.3, -0.2, 0.5])
+    b2 = Jet2.constant(np.array([2.0, -0.5, 1.5]), base) + v * np.array([0.1, 0.2, 0.3])
+    a2 = u * (v * np.array([0.4, 0.1, -0.3]))
+    _, _, pred = perturb_fields(xi, eta, a1, a2, zero, b2)
+    assert pred.tolist() == [1.0 * 2.0 ** 7, 1.0 * (-0.5) ** 7, 1.0 * 1.5 ** 7]
+    bad = a2 + 0.0
+    bad.c[1, 0, 2] = 0.1  # element 1 only: a2 = 0.1 v^2 + ... on {u = 0}
+    with pytest.raises(ValueError, match="vanish on the singular set"):
+        perturb_fields(xi, eta, a1, bad, zero, b2)
+    with pytest.raises(ValueError, match="nonvanishing"):
+        perturb_fields(xi, eta, a1, a2, zero, Jet2.constant(np.array([1.0, 0.0, 1.0]), base))
+    with pytest.raises(ValueError, match="special variant"):
+        perturb_fields(xi, eta, a1, a2, u * np.array([0.0, 0.0, 0.2]), b2, special=True)
+
+
 def test_identity_perturbation_changes_nothing(cusp25_model):
     recs = trace_singular_curve(cusp25_model, box=(-0.5, 0.5, -0.5, 0.5), n_grid=5)
     chart = StraightChart(cusp25_model, recs[0])
@@ -1114,6 +1137,98 @@ def test_diffeo_push_preserves_verdicts(cusp25_model, fold_model):
         rep = criterion_25(P, recs)
         assert rep.verdict == verdict
         assert fold_symmetry_test(P, [recs[len(recs) // 2]])[0].verdict == foldv
+
+
+def _reference_push(S, A, Q=None, Cc=None):
+    """diffeo_push as it was written before the contraction: 36 products, then
+    one scalar times jet product and one sum per nonzero form entry."""
+    A = np.asarray(A, float)
+
+    def builder(u, v, degree):
+        X = S.jet(u, v, degree)
+        if Q is not None or Cc is not None:
+            XX = [[X[j] * X[k] for k in range(3)] for j in range(3)]
+        if Cc is not None:
+            XXX = [[[X[j] * XX[k][l] for l in range(3)] for k in range(3)] for j in range(3)]
+        out = []
+        for i in range(3):
+            acc = A[i, 0] * X[0] + A[i, 1] * X[1] + A[i, 2] * X[2]
+            if Q is not None:
+                for j in range(3):
+                    for k in range(3):
+                        if Q[i, j, k] != 0:
+                            acc = acc + Q[i, j, k] * XX[j][k]
+            if Cc is not None:
+                for j in range(3):
+                    for k in range(3):
+                        for l in range(3):
+                            if Cc[i, j, k, l] != 0:
+                                acc = acc + Cc[i, j, k, l] * XXX[j][k][l]
+            out.append(acc)
+        return tuple(out)
+
+    return sf.custom_surface(builder, u_range=S.u_range, v_range=S.v_range)
+
+
+_PUSH_BASES = {name: sf.standard_model(name) for name in ("cusp25", "cuspidal_edge", "cone")}
+
+
+@given(name=st.sampled_from(sorted(_PUSH_BASES)), degree=st.integers(0, 5),
+       batch=st.sampled_from([None, 1, 5]), quadratic=st.sampled_from(["none", "dense", "zeros"]),
+       cubic=st.sampled_from(["none", "dense", "zeros"]), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=120, deadline=None)
+@example(name="cone", degree=0, batch=5, quadratic="zeros", cubic="zeros", seed=2659)  # terms cancel to 1.5e-4
+def test_push_contraction_matches_the_per_term_builder(name, degree, batch, quadratic, cubic, seed):
+    """At one point or a batch, every degree, with either form missing, dense or
+    with zero entries: each coefficient is within 1e-13 of the magnitude of the
+    terms summed into its component's element.  The two builders add the same
+    terms in different orders, so where the terms cancel to a small value the
+    difference is bounded by the terms' size, not by the value's."""
+    rng = np.random.default_rng(seed)
+
+    def form(kind, size, ndim):
+        if kind == "none":
+            return None
+        F = rng.uniform(-size, size, (3,) * ndim)
+        if kind == "zeros":
+            F[rng.random(F.shape) < 0.5] = 0.0
+        return F
+
+    A = np.eye(3) + rng.uniform(-0.4, 0.4, (3, 3))
+    Q, Cc = form(quadratic, 0.1, 3), form(cubic, 0.05, 4)
+    S = _PUSH_BASES[name]
+    u, v = rng.uniform(-0.6, 0.6, (2, batch or 1))
+    if batch is None:
+        u, v = float(u[0]), float(v[0])
+    got = diffeo_push(S, A, Q, Cc).jet(u, v, degree)
+    want = _reference_push(S, A, Q, Cc).jet(u, v, degree)
+    # the same sum of terms with every factor's coefficients made nonnegative: an
+    # upper bound on the sum of the terms' magnitudes, coefficient by coefficient
+    S_abs = sf.custom_surface(lambda u, v, d: tuple(Jet2(x.base, x.degree, np.abs(x.c)) for x in S.jet(u, v, d)),
+                              u_range=S.u_range, v_range=S.v_range)
+    terms = _reference_push(S_abs, np.abs(A), *(None if F is None else np.abs(F) for F in (Q, Cc))).jet(u, v, degree)
+    for g, w, t in zip(got, want, terms):
+        assert g.degree == w.degree == degree and g.c.shape == w.c.shape
+        assert type(g.base[0]) is type(w.base[0])
+        scale = t.c.max(axis=(-2, -1), keepdims=True)
+        assert np.all(np.abs(g.c - w.c) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("model", ["cusp25", "fold", "cuspidal_edge"])
+def test_push_contraction_gives_the_per_term_builders_verdicts(model):
+    """20 pushes drawn as the diffeo suite draws them: the same criterion and
+    fold verdicts as the per-term builder's surface."""
+    from cmc_lab import cli
+
+    rng = np.random.default_rng(18)
+    S = sf.standard_model(model)
+    for _ in range(20):
+        A = rng.uniform(-0.4, 0.4, (3, 3)) + np.eye(3)
+        A *= (rng.uniform(0.5, 2.0) / abs(np.linalg.det(A))) ** (1 / 3)
+        Q = rng.uniform(-0.1, 0.1, (3, 3, 3))
+        Cc = rng.uniform(-0.05, 0.05, (3, 3, 3, 3))
+        box = (-0.4, 0.4, -0.4, 0.4)
+        assert cli._verdicts(diffeo_push(S, A, Q, Cc), box) == cli._verdicts(_reference_push(S, A, Q, Cc), box)
 
 
 def test_diffeo_push_requires_invertible_linear_part(cusp25_model):
