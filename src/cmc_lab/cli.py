@@ -322,12 +322,14 @@ def _suite_fields(trials, rng, failures):
     return int(good.sum()), c.shape[1]
 
 
+# _verdicts of each unpushed model over (-0.5, 0.5)^2: a diffeomorphism must keep them
+MODEL_VERDICTS = {"cusp25": ("cusp25", "rejected"), "fold": ("rejected_cond4", "fold_candidate"),
+                  "cuspidal_edge": ("rejected_cond3", "rejected")}
+
+
 def _suite_diffeo(trials, rng, failures):
     """Random parameters are drawn up front (one deterministic stream)."""
-    cases = []
-    for name in ("cusp25", "fold", "cuspidal_edge"):
-        S = sf.standard_model(name)
-        cases.append((name, S, *_verdicts(S, (-0.5, 0.5, -0.5, 0.5))))
+    cases = [(name, sf.standard_model(name), *v) for name, v in MODEL_VERDICTS.items()]
     per = max(1, trials // len(cases))
     jobs = []
     for name, S, verdict0, fold0 in cases:

@@ -389,6 +389,14 @@ class Jet2(_Jet):
     def variables(cls, base, degree=MAX_DEGREE):
         return (cls.coordinate(base, degree, 0), cls.coordinate(base, degree, 1))
 
+    @classmethod
+    def lift(cls, j1: "Jet1", base, degree=MAX_DEGREE) -> "Jet2":
+        """The jet at `base` of (u, v) -> f(u), from the jet j1 of f (batched if j1 is)."""
+        c = np.zeros(j1.c.shape[:-1] + (degree + 1, degree + 1), dtype=j1.c.dtype)
+        n = min(degree, j1.degree) + 1
+        c[..., :n, 0] = j1.c[..., :n]
+        return cls(base, degree, c)
+
     def partial(self, a: int, b: int):
         """The mixed partial derivative d^{a+b} f / du^a dv^b at the base point."""
         if a + b > self.degree:

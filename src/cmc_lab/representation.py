@@ -42,7 +42,7 @@ from .lorentz import (
     lorentz_normal,
 )
 from .quadrature import TabulatedPrimitive, _without_values, primitive_jet
-from .surfaces import Surface, _promote_r
+from .surfaces import Surface
 
 UNIT_CIRCLE_TOL = 1e-8
 
@@ -146,20 +146,19 @@ def omega_hat_jet(g: Jet2) -> Jet2:
 
 
 class _ProfileIntegrand:
-    """sqrt(E(r)/G(r)) along t = t0, evaluable as value or univariate jet.
+    """sqrt(E(r)/G(r)) along t = 0 (E and G do not depend on t), as value or univariate jet.
 
     An array function (see cmc_lab.quadrature): the values at a (B,) array of
     radii come from one batched surface jet."""
 
-    def __init__(self, S: Surface, t0: float):
+    def __init__(self, S: Surface):
         self.S = S
-        self.t0 = t0
 
     def metric(self, r, degree):
-        """(E, G) along t = t0 as univariate jets in r (the integrand needs no F),
-        batched for a (B,) array r."""
+        """(E, G) as univariate jets in r (the integrand needs no F), batched
+        for a (B,) array r."""
         degree = min(degree, MAX_DEGREE - 1)  # metric jets sit one below X jets
-        Xu, Xv = _tangents(self.S, r, np.full(np.shape(r), self.t0), degree + 1)
+        Xu, Xv = _tangents(self.S, r, np.zeros(np.shape(r)), degree + 1)
         return tuple(Jet1(r, degree, m.c[..., : degree + 1, 0].copy())
                      for m in (lorentz_inner(Xu, Xu), lorentz_inner(Xv, Xv)))
 
@@ -186,7 +185,6 @@ class ConformalProfile:
     r_anchor: float
     r_range: tuple
     s_table: TabulatedPrimitive
-    t0: float = 0.0
     notes: list = field(default_factory=list)
 
     @property
@@ -237,13 +235,13 @@ def _chart_jets(profile: ConformalProfile, rj: Jet1, s, t, degree: int):
     """Jets of X in the oriented chart (s, t) of `profile`, given the jet of
     r(s) at s (batched for (B,) arrays s and t)."""
     X = profile.surface.jet(rj.value, profile.t_sign * t, degree)
-    R = _promote_r(rj, (s, t), degree)
+    R = Jet2.lift(rj, (s, t), degree)
     T = profile.t_sign * Jet2.coordinate((s, t), degree, 1)
     return jt.compose2(X, R, T)
 
 
 def conformal_profile_chart(
-    S: Surface, r_min: float, r_max: float, r_anchor: Optional[float] = None, t0: float = 0.0
+    S: Surface, r_min: float, r_max: float, r_anchor: Optional[float] = None
 ) -> ConformalProfile:
     """s(r) = int_anchor^r sqrt(E/G), from a regular anchor radius.
 
@@ -256,15 +254,15 @@ def conformal_profile_chart(
         r_min = 1e-3
     if r_anchor is None:
         r_anchor = 0.5 * (r_min + r_max)
-    Xu, Xv = _tangents(S, r_anchor, t0, 1)
+    Xu, Xv = _tangents(S, r_anchor, 0.0, 1)
     E, F, G = first_fundamental_form(partial_values(Xu, 0, 0), partial_values(Xv, 0, 0))
     if abs(F) > 1e-9:
         raise ValueError(f"chart requires F = 0 in (r, t); got F = {F}")
     if not (E > 0 and G > 0):
         raise NotSpacelikeError("chart requires a spacelike rotational surface")
     r_min, r_anchor, r_max = float(r_min), float(r_anchor), float(r_max)
-    table = TabulatedPrimitive(_ProfileIntegrand(S, t0), r_min, r_anchor, r_max)
-    return ConformalProfile(S, r_anchor, (r_min, r_max), table, t0, notes)
+    table = TabulatedPrimitive(_ProfileIntegrand(S), r_min, r_anchor, r_max)
+    return ConformalProfile(S, r_anchor, (r_min, r_max), table, notes)
 
 
 # -- Gauss data on a grid --------------------------------------------------------
@@ -299,11 +297,11 @@ class GaussData:
         return tuple(np.reshape(d, (self.nu, self.nv)) for d in (
             _z_derivative(gj).value, _zbar_derivative(gj).value, g_zzbar))
 
-    def validate(self, circle_tol=UNIT_CIRCLE_TOL, gzbar_tol=1e-6):
-        """Unit-circle nodes must have g_zbar ~ 0; omega_hat must be finite."""
+    def validate(self):
+        """Unit-circle nodes must have |g_zbar| < 1e-6; omega_hat must be finite."""
         bad_omega = ~np.isfinite(self.omega_hat)
         g_zbar = abs(self.derivatives()[1])
-        bad_zbar = self.on_unit_circle(circle_tol) & (g_zbar >= gzbar_tol)
+        bad_zbar = self.on_unit_circle() & (g_zbar >= 1e-6)
         problems = []
         for i, j in np.argwhere(bad_omega | bad_zbar).tolist():
             if bad_omega[i, j]:
@@ -457,7 +455,7 @@ def _walk(start, steps, k0: int, axis: int):
     return np.moveaxis(np.concatenate([down[:-1], up]), 0, axis)
 
 
-def integrate_representation(gd: GaussData, H: Optional[float] = None, z0=(0, 0)):
+def integrate_representation(gd: GaussData, z0=(0, 0)):
     """Rebuild X on the grid by edgewise corrected-trapezoid path integration.
 
     Returns a dict with the (nu, nv, 3) vertex array, the worst oriented loop
@@ -465,8 +463,7 @@ def integrate_representation(gd: GaussData, H: Optional[float] = None, z0=(0, 0)
     magnitude.  Holomorphic data (omega_hat = 0) is rejected: the
     representation needs a non-holomorphic harmonic map.
     """
-    H = gd.H if H is None else H
-    nu, nv = gd.nu, gd.nv
+    H, nu, nv = gd.H, gd.nu, gd.nv
     jets = _integrand_jets(gd.g_jet)
 
     def grid(f):  # a value per component of the integrand jets, as (nu, nv, 3)
@@ -524,7 +521,7 @@ def integrate_representation(gd: GaussData, H: Optional[float] = None, z0=(0, 0)
     }
 
 
-def reconstruction_surface(gd: GaussData, rec=None):
+def reconstruction_surface(gd: GaussData):
     """The reconstruction as a Surface with exact jets at the grid nodes.
 
     Positions come from the path integral; all derivatives come from the
@@ -536,9 +533,7 @@ def reconstruction_surface(gd: GaussData, rec=None):
     """
     from .surfaces import custom_surface, _probe_orientation
 
-    if rec is None:
-        rec = integrate_representation(gd)
-    X = rec["X"]
+    X = integrate_representation(gd)["X"]
     c = representation_constant(gd.H)
     cV = [c * comp.c for comp in _integrand_jets(gd.g_jet)]  # element i * nv + j: node (i, j)
     d = cV[0].shape[-1] - 1
@@ -638,14 +633,13 @@ def compatibility_residuals(sigma_zzbar4, sigma_val, q_val, q_zbar, H):
     return gauss, codazzi
 
 
-def gauss_codazzi_residual(profile: ConformalProfile, s: float, t: float, H=None):
+def gauss_codazzi_residual(profile: ConformalProfile, s: float, t: float):
     """Both compatibility residuals at a chart node, from jets.
 
     The Hopf coefficient is q = <X_zz, nu> = -2 c omega_hat g_z with c the
     derivative-identity constant (differentiate X_z = c V omega_hat once and
     pair with nu; <dV/dg, nu> = -2)."""
-    S = profile.surface
-    H = S.H if H is None else H
+    H = profile.surface.H
     sig = profile.sigma_jet(s, 3)
     sigma_zzbar4 = sig.derivative_value(2)  # sigma is t-independent: 4 s_zzbar = s_ss
     gj = _gauss_jet_in_chart(profile, profile.r_jet_of_s(s, 4), s, t, 3)

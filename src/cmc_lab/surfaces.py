@@ -61,22 +61,6 @@ class MeshEvaluationError(RuntimeError):
     """Surface evaluation failed while building a mesh; carries the grid index."""
 
 
-def _promote_r(j1: Jet1, base, degree: int) -> Jet2:
-    """Lift a univariate jet in the first variable to a bivariate jet at `base`,
-    constant in the second variable (batched if j1 is)."""
-    c = np.zeros(j1.c.shape[:-1] + (degree + 1, degree + 1), dtype=j1.c.dtype)
-    n = min(degree, j1.degree) + 1
-    c[..., :n, 0] = j1.c[..., :n]
-    return Jet2(base, degree, c)
-
-
-def _coordinates(u, v):
-    """A parameter point as floats, or a batch of points as two float arrays."""
-    if isinstance(u, np.ndarray) and u.ndim:
-        return np.asarray(u, float), np.asarray(v, float)
-    return float(u), float(v)
-
-
 def _positive_root(a, b, c):
     """Smallest positive x at which a x^4 + b x^2 + c falls to DOMAIN_TOL, or None.
 
@@ -123,26 +107,27 @@ class Surface:
     orientation: int = 1
     meta: dict = field(default_factory=dict)
 
-    def _check_domain(self, u, v):
-        """Raise on the first u (of a batch, in order) outside u_range."""
+    def _checked(self, u, v):
+        """The point as floats, or a batch of points as two float arrays; raises
+        on the first u (of a batch, in order) outside u_range."""
         lo, hi = self.u_range
-        if isinstance(u, np.ndarray):
+        if isinstance(u, np.ndarray) and u.ndim:
+            u, v = np.asarray(u, float), np.asarray(v, float)
             outside = np.flatnonzero(~((lo <= u) & (u <= hi)))  # NaN is outside too
             if not outside.size:
-                return
-            u = float(u[outside[0]])
-        elif lo <= u <= hi:
-            return
-        raise SurfaceDomainError(
-            f"u = {u} outside admissible interval {self.u_range} for {self.family}"
-        )
+                return u, v
+            bad = float(u[outside[0]])
+        else:
+            u, v = float(u), float(v)
+            if lo <= u <= hi:
+                return u, v
+            bad = u
+        raise SurfaceDomainError(f"u = {bad} outside admissible interval {self.u_range} for {self.family}")
 
     def jet(self, u, v, degree: int = MAX_DEGREE):
         """Jets of the three components of X at (u, v); for (B,) arrays u, v
         one batched jet per component."""
-        u, v = _coordinates(u, v)
-        self._check_domain(u, v)
-        return self.builder(u, v, degree)
+        return self.builder(*self._checked(u, v), degree)
 
     def point(self, u: float, v: float) -> np.ndarray:
         X = self.jet(u, v, degree=0)
@@ -155,9 +140,7 @@ class Surface:
     def analytic_normal_jet(self, u: float, v: float, degree: int = MAX_DEGREE):
         if self.normal_builder is None:
             raise ValueError(f"surface {self.family} has no analytic normal")
-        u, v = _coordinates(u, v)
-        self._check_domain(u, v)
-        return self.normal_builder(u, v, degree)
+        return self.normal_builder(*self._checked(u, v), degree)
 
     def __repr__(self):
         ps = ", ".join(
@@ -226,6 +209,30 @@ def _probe_orientation(S: Surface, H: float) -> int:
     raise SurfaceParameterError("could not orient surface: no usable probe point")
 
 
+def _profile_builder(profiles, assemble):
+    """The builder of X = assemble(*profiles, r, t) for `profiles` of r, each a
+    Primitive, a pair (sign, Primitive) or a closed form of the coordinate jet
+    in r: each call reads every profile once at r0 (all closed forms on one
+    coordinate jet) and lifts it to a jet in (r, t)."""
+
+    def builder(r0, t0, degree):
+        base = (r0, t0)
+        x = None  # the coordinate jet in r, made for the first closed form
+        lifted = []
+        for p in profiles:
+            if isinstance(p, Primitive):
+                j = p.jet(r0, degree)
+            elif isinstance(p, tuple):
+                j = p[1].jet(r0, degree) * p[0]
+            else:
+                x = Jet1.coordinate(r0, degree) if x is None else x
+                j = p(x)
+            lifted.append(Jet2.lift(j, base, degree))
+        return assemble(*lifted, *Jet2.variables(base, degree))
+
+    return builder
+
+
 # -- Delaunay families --------------------------------------------------------
 
 
@@ -243,9 +250,7 @@ def delaunay_timelike(k: float, H: float, r_cap: float = R_CAP) -> Surface:
     X(r,t) = (1/2H) (int_0^r (tau^2+k-1)/sqrt(delta), r cos 2Ht, r sin 2Ht),
     delta(r) = (r^2+k+1)^2 - 4k.
     """
-    _check_kH(k, H)
-    return _delaunay_axis(1.0, k, H, r_cap, _about_timelike_axis,
-                          family="delaunay_timelike", v_range=(0.0, math.pi / abs(float(H))))
+    return _delaunay_axis(1.0, k, H, r_cap)
 
 
 def delaunay_spacelike(k: float, H: float, r_cap: float = R_CAP) -> Surface:
@@ -254,52 +259,47 @@ def delaunay_spacelike(k: float, H: float, r_cap: float = R_CAP) -> Surface:
     X(r,t) = (1/2H) (r cosh 2Ht, r sinh 2Ht, int_0^r (tau^2-k+1)/sqrt(delta)),
     delta(r) = (r^2-k-1)^2 - 4k; admissible |r| below the first zero of delta.
     """
-    _check_kH(k, H)
-    return _delaunay_axis(-1.0, k, H, r_cap, _about_spacelike_axis,
-                          family="delaunay_spacelike", v_range=(-1.5, 1.5))
-
-
-def _about_timelike_axis(F, r, phase):
-    return (F, r * jt.cos(phase), r * jt.sin(phase))
-
-
-def _about_spacelike_axis(F, r, phase):
-    return (r * jt.cosh(phase), r * jt.sinh(phase), F)
+    return _delaunay_axis(-1.0, k, H, r_cap)
 
 
 def _axis_delta(sigma: float, k: float):
     """delta(x) = (x^2 + sigma k + sigma)^2 - 4k of the Delaunay surface about
     the timelike (sigma = 1) or the spacelike (sigma = -1) axis, and its
     coefficients in powers of x^2."""
+    try:
+        c = (k - 1) ** 2
+    except OverflowError:  # |k| from about 1.34e154 on
+        raise SurfaceParameterError(f"k = {k!r} is too large: (k - 1)^2 overflows", param="k") from None
 
     def delta(x):
         return (x * x + sigma * k + sigma) ** 2 - 4 * k
 
-    return delta, (1.0, 2 * sigma * (k + 1), (k - 1) ** 2)
+    return delta, (1.0, 2 * sigma * (k + 1), c)
 
 
-def _delaunay_axis(sigma: float, k: float, H: float, r_cap: float, coordinates, family: str,
-                   v_range: tuple) -> Surface:
-    """The Delaunay surface about the axis of sign sigma (checked k and H):
-    X = coordinates(profile, r, 2Ht) / 2H."""
+def _delaunay_axis(sigma: float, k: float, H: float, r_cap: float) -> Surface:
+    """The Delaunay surface about the timelike (sigma = 1) or the spacelike
+    (sigma = -1) axis, from its profile F: X = (F, r cos 2Ht, r sin 2Ht) / 2H
+    about the timelike axis, (r cosh 2Ht, r sinh 2Ht, F) / 2H about the other."""
+    _check_kH(k, H)
     k, H = float(k), float(H)
     delta, radicand = _axis_delta(sigma, k)
     prof = Primitive(Integrand(lambda x: (x * x + sigma * k - sigma) / jt.sqrt(delta(x))))
     root = _positive_root(*radicand)
     r_hi = min(r_cap, root * (1 - 1e-9)) if root else r_cap
+    inv2H = 1.0 / (2 * H)
 
-    def builder(r0, t0, degree):
-        Fj = _promote_r(prof.jet(r0, degree), (r0, t0), degree)
-        rj = Jet2.coordinate((r0, t0), degree, 0)
-        tj = Jet2.coordinate((r0, t0), degree, 1)
-        inv2H = 1.0 / (2 * H)
-        return tuple(x * inv2H for x in coordinates(Fj, rj, 2 * H * tj))
+    def axis_map(F, r, t):
+        phase = 2 * H * t
+        X = ((F, r * jt.cos(phase), r * jt.sin(phase)) if sigma > 0
+             else (r * jt.cosh(phase), r * jt.sinh(phase), F))
+        return tuple(x * inv2H for x in X)
 
     S = Surface(
-        family=family,
-        builder=builder,
+        family="delaunay_timelike" if sigma > 0 else "delaunay_spacelike",
+        builder=_profile_builder((prof,), axis_map),
         u_range=(-r_hi, r_hi),
-        v_range=v_range,
+        v_range=(0.0, math.pi / abs(H)) if sigma > 0 else (-1.5, 1.5),
         H=H,
         k=k,
         meta={"delta": delta, "profile": prof},
@@ -327,16 +327,9 @@ def delaunay_lightlike(variant: str, H: float, r_cap: float = R_CAP) -> Surface:
         zeta = lambda x: c8 * (x / (1 - x * x) - jt.artanh(x))
         r_hi = min(r_cap, 1.0 - 1e-6)
 
-    def builder(r0, t0, degree):
-        rj = Jet2.coordinate((r0, t0), degree, 0)
-        tj = Jet2.coordinate((r0, t0), degree, 1)
-        zj = zeta(rj)
-        quart = tj * tj * 0.25
-        return (zj - rj * (1 + quart), -rj * tj, zj + rj * (1 - quart))
-
     S = Surface(
         family=f"delaunay_lightlike_{variant}",
-        builder=builder,
+        builder=_profile_builder((zeta,), _lightlike_map),
         u_range=(-r_hi, r_hi),
         v_range=(-2.0, 2.0),
         H=H,
@@ -347,21 +340,12 @@ def delaunay_lightlike(variant: str, H: float, r_cap: float = R_CAP) -> Surface:
     return S
 
 
+def _lightlike_map(zeta, r, t):
+    quart = t * t * 0.25
+    return (zeta - r * (1 + quart), -r * t, zeta + r * (1 - quart))
+
+
 # -- conjugates ----------------------------------------------------------------
-
-
-def _conjugate_builder(template, lam_jet, rho_jet, Phi_jet, phi_t, h):
-    """Jets of X from the profile jets lambda(r), rho(r) and phi = Phi(r) + phi_t t."""
-
-    def builder(r0, t0, degree):
-        base = (r0, t0)
-        lam = _promote_r(lam_jet(r0, degree), base, degree)
-        rho = _promote_r(rho_jet(r0, degree), base, degree)
-        tj = Jet2.coordinate(base, degree, 1)
-        phi = _promote_r(Phi_jet(r0, degree), base, degree) + phi_t * tj
-        return template(lam, rho, phi, h)
-
-    return builder
 
 
 def _template_T(lam, rho, phi, h):
@@ -419,37 +403,33 @@ def conjugate_of(
         absK = abs(k + 1)
         # delta and Delta, and their coefficients in powers of x^2
         delta, delta_coeffs = _axis_delta(sigma, k)
-        Delta = lambda x: 2 * sigma * (k + 1) * x * x + (1 - k) ** 2
-        radicands = (delta_coeffs, (0.0, 2 * sigma * (k + 1), (1 - k) ** 2))
+        c0 = delta_coeffs[2]  # (1 - k)^2
+        Delta = lambda x: 2 * sigma * (k + 1) * x * x + c0
+        radicands = (delta_coeffs, (0.0, 2 * sigma * (k + 1), c0))
 
         if k == -1.0:
             # lightlike template with the quartic profile integrals
-            h = H
-            rho_jet = lambda r0, d: Jet1.coordinate(r0, d) * 0.5
-            lam_p = Primitive(Integrand(
+            h, phi_t = H, 1.0
+            rho = lambda x: x * 0.5
+            lam = lam_p = Primitive(Integrand(
                 lambda x: x * x * (jt.sqrt(x**4 + 4) + x * x) / (4 * H * H * jt.sqrt(x**4 + 4))
             ))
-            Phi_p = Primitive(Integrand(
+            Phi = Phi_p = Primitive(Integrand(
                 lambda x: (jt.sqrt(x**4 + 4) + x * x) / (2 * H * jt.sqrt(x**4 + 4))
             ))
-            lam_jet, Phi_jet, phi_t = lam_p.jet, Phi_p.jet, 1.0
             template, branch = "L", ("I-ii" if timelike else "II-ii")
             r_hi = r_cap
         else:
             h = (1 - k) / (2 * H * absK)
-            rho_jet = lambda r0, d: jt.sqrt(
-                Jet1.constant(0.0, r0, d) + Delta(Jet1.coordinate(r0, d))
-            ) / (2 * H * absK)
-            lam_sign = 1.0 if timelike else -sgn
-            phi_sign = sgn if timelike else 1.0
+            rho = lambda x: jt.sqrt(Delta(x)) / (2 * H * absK)
             lam_p = Primitive(Integrand(
                 lambda x: math.sqrt(2 * absK) * x**4 / (H * jt.sqrt(delta(x)) * Delta(x))
             ))
             Phi_p = Primitive(Integrand(
                 lambda x: math.sqrt(2 * absK) * (1 - k) * x * x / (jt.sqrt(delta(x)) * Delta(x))
             ))
-            lam_jet = lambda r0, d: lam_p.jet(r0, d) * lam_sign
-            Phi_jet = lambda r0, d: Phi_p.jet(r0, d) * phi_sign
+            lam = (1.0 if timelike else -sgn, lam_p)
+            Phi = (sgn if timelike else 1.0, Phi_p)
             phi_t = -math.sqrt(absK / 2) * (1.0 if timelike else sgn)
             template = ("T" if k > -1 else "S") if timelike else ("S" if k > -1 else "T")
             branch = "I-i" if timelike else "II-i"
@@ -457,49 +437,35 @@ def conjugate_of(
             r_hi = min([r_cap] + [r * (1 - 1e-9) for r in roots])
 
             if timelike and k > -1:
-                normal_builder = _conj_Ii_normal(k, H, delta, Delta, Phi_jet, phi_t)
+                normal_builder = _conj_Ii_normal(k, delta, Delta, Phi, phi_t)
         profiles = (lam_p, Phi_p)
 
     elif family.startswith("delaunay_lightlike"):
         variant = variant or (family.rsplit("_", 1)[-1] if family[-1] in "i" else None)
         if variant not in ("i", "ii"):
             raise SurfaceParameterError("lightlike conjugate needs variant 'i' or 'ii'")
-        s2 = math.sqrt(2.0)
-        if variant == "i":
-            h = -1.0 / (2 * H)
-            rho_jet = lambda r0, d: jt.sqrt(2 * Jet1.coordinate(r0, d) ** 2 + 1) / (2 * H)
-            lam_jet = lambda r0, d: (
-                -s2 * Jet1.coordinate(r0, d)
-                + 2 * s2 * jt.arctan(Jet1.coordinate(r0, d))
-                - jt.arctan(s2 * Jet1.coordinate(r0, d))
-            ) / (2 * H)
-            Phi_jet = lambda r0, d: s2 * jt.arctan(Jet1.coordinate(r0, d)) - jt.arctan(
-                s2 * Jet1.coordinate(r0, d)
-            )
-            template, branch, r_hi = "T", "III-i", r_cap
-        else:
-            h = 1.0 / (2 * H)
-            rho_jet = lambda r0, d: jt.sqrt(1 - 2 * Jet1.coordinate(r0, d) ** 2) / (2 * H)
-            lam_jet = lambda r0, d: (
-                s2 * Jet1.coordinate(r0, d)
-                - 2 * s2 * jt.artanh(Jet1.coordinate(r0, d))
-                + jt.artanh(s2 * Jet1.coordinate(r0, d))
-            ) / (2 * H)
-            Phi_jet = lambda r0, d: s2 * jt.artanh(Jet1.coordinate(r0, d)) - jt.artanh(
-                s2 * Jet1.coordinate(r0, d)
-            )
-            template, branch, r_hi = "S", "III-ii", min(r_cap, 1 / s2 - 1e-6)
+        # variant ii is variant i with arctan -> artanh and e = 1 -> -1
+        s2, e = math.sqrt(2.0), (1.0 if variant == "i" else -1.0)
+        at = jt.arctan if variant == "i" else jt.artanh
+        h = -e / (2 * H)
+        rho = lambda x: jt.sqrt(e * 2 * x**2 + 1) / (2 * H)
+        lam = lambda x: (-e * s2 * x + 2 * e * s2 * at(x) - e * at(s2 * x)) / (2 * H)
+        Phi = lambda x: s2 * at(x) - at(s2 * x)
+        template, branch = ("T", "III-i") if variant == "i" else ("S", "III-ii")
+        r_hi = r_cap if variant == "i" else min(r_cap, 1 / s2 - 1e-6)
         phi_t = 2 * H / s2
         k = None
         profiles = ()
     else:
         raise SurfaceParameterError(f"no conjugate template for family {family!r}")
 
-    builder = _conjugate_builder(_TEMPLATES[template], lam_jet, rho_jet, Phi_jet, phi_t, h)
+    def template_map(lam, rho, Phi, r, t):
+        return _TEMPLATES[template](lam, rho, Phi + phi_t * t, h)
+
     period = 2 * math.pi / abs(phi_t) if template == "T" else 3.0
     S = Surface(
         family=f"conjugate_of_{family}",
-        builder=builder,
+        builder=_profile_builder((lam, rho, Phi), template_map),
         u_range=(-r_hi, r_hi),
         v_range=(0.0, period) if template == "T" else (-period / 2, period / 2),
         H=H,
@@ -507,14 +473,14 @@ def conjugate_of(
         variant=variant,
         normal_builder=normal_builder,
         meta={"template": template, "branch": branch, "h": h,
-              "rho0": float(rho_jet(0.0, 0).value), "phi_t": phi_t,
+              "rho0": float(rho(Jet1.coordinate(0.0, 0)).value), "phi_t": phi_t,
               "profiles": profiles},  # the Primitives of lambda and Phi, if integrated
     )
     S.orientation = _probe_orientation(S, H)
     return S
 
 
-def _conj_Ii_normal(k, H, delta, Delta, Phi_jet, phi_t):
+def _conj_Ii_normal(k, delta, Delta, Phi_profile, phi_t):
     """Analytic frontal unit normal of the timelike-axis conjugate, k > -1.
 
     Co-oriented with X_r x X_t on r > 0 (the closed form whose signed area
@@ -522,26 +488,17 @@ def _conj_Ii_normal(k, H, delta, Delta, Phi_jet, phi_t):
     """
     sK = math.sqrt(k + 1)
 
-    def builder(r0, t0, degree):
-        rj1 = Jet1.coordinate(r0, degree)
-        d = delta(rj1) + Jet1.constant(0.0, r0, degree)
-        D = Delta(rj1) + Jet1.constant(0.0, r0, degree)
-        base = (r0, t0)
-        sd = _promote_r(jt.sqrt(d), base, degree)
-        sD = _promote_r(jt.sqrt(D), base, degree)
-        core = _promote_r(jt.sqrt(d - (k + 1) * rj1 * rj1), base, degree)
-        rj = Jet2.coordinate(base, degree, 0)
-        tj = Jet2.coordinate(base, degree, 1)
-        phi = _promote_r(Phi_jet(r0, degree), base, degree) + phi_t * tj
+    def normal(sd, sD, core, Phi, r, t):
+        phi = Phi + phi_t * t
         cphi, sphi = jt.cos(phi), jt.sin(phi)
         pref = -1.0 / (math.sqrt(2) * sD * core)
-        r3 = rj * rj * rj
-        n0 = pref * (sd * sD)
-        n1 = pref * (-math.sqrt(2) * sK * r3 * cphi - (k - 1) * sd * sphi)
-        n2 = pref * (-math.sqrt(2) * sK * r3 * sphi + (k - 1) * sd * cphi)
-        return (n0, n1, n2)
+        r3 = r * r * r
+        return (pref * (sd * sD),
+                pref * (-math.sqrt(2) * sK * r3 * cphi - (k - 1) * sd * sphi),
+                pref * (-math.sqrt(2) * sK * r3 * sphi + (k - 1) * sd * cphi))
 
-    return builder
+    return _profile_builder((lambda x: jt.sqrt(delta(x)), lambda x: jt.sqrt(Delta(x)),
+                             lambda x: jt.sqrt(delta(x) - (k + 1) * x * x), Phi_profile), normal)
 
 
 # -- standard local models -----------------------------------------------------
@@ -556,8 +513,7 @@ def standard_model(name: str) -> Surface:
     """
     if name == "fold":
         def builder(u0, v0, degree):
-            uj = Jet2.coordinate((u0, v0), degree, 0)
-            vj = Jet2.coordinate((u0, v0), degree, 1)
+            uj, vj = Jet2.variables((u0, v0), degree)
             return (uj, vj * vj, Jet2.constant(0.0, (u0, v0), degree))
 
         def nb(u0, v0, degree):
@@ -568,16 +524,14 @@ def standard_model(name: str) -> Surface:
 
     if name == "cuspidal_edge":
         def builder(u0, v0, degree):
-            uj = Jet2.coordinate((u0, v0), degree, 0)
-            vj = Jet2.coordinate((u0, v0), degree, 1)
+            uj, vj = Jet2.variables((u0, v0), degree)
             return (uj, vj * vj, vj * vj * vj)
 
         return Surface("model_cuspidal_edge", builder, (-4.0, 4.0), (-4.0, 4.0))
 
     if name == "cusp25":
         def builder(u0, v0, degree):
-            uj = Jet2.coordinate((u0, v0), degree, 0)
-            vj = Jet2.coordinate((u0, v0), degree, 1)
+            uj, vj = Jet2.variables((u0, v0), degree)
             return (uj, vj * vj, vj**5)
 
         def nb(u0, v0, degree):
@@ -591,8 +545,7 @@ def standard_model(name: str) -> Surface:
 
     if name == "cone":
         def builder(u0, v0, degree):
-            uj = Jet2.coordinate((u0, v0), degree, 0)
-            vj = Jet2.coordinate((u0, v0), degree, 1)
+            uj, vj = Jet2.variables((u0, v0), degree)
             return (vj * jt.cos(uj), vj * jt.sin(uj), vj)
 
         return Surface("model_cone", builder, (-4.0, 4.0), (-4.0, 4.0))
@@ -620,7 +573,7 @@ class Mesh:
     faces: np.ndarray  # (m, 3), 0-based vertex indices
     sidecar: dict
 
-    def write_obj(self, path, sidecar_path=None):
+    def write_obj(self, path):
         # one %-format call per block; %r writes a float's repr, the shortest exact digits
         verts = np.asarray(self.vertices, float)[:, [1, 2, 0]]
         text = "".join([
@@ -630,8 +583,7 @@ class Mesh:
         ])
         with open(path, "w") as fh:
             fh.write(text)
-        if sidecar_path is None:
-            sidecar_path = str(path) + ".json"
+        sidecar_path = str(path) + ".json"
         with open(sidecar_path, "w") as fh:
             json.dump(self.sidecar, fh, indent=2, sort_keys=True, allow_nan=False)
         return sidecar_path

@@ -10,6 +10,7 @@ import pytest
 from cmc_lab import cli
 from cmc_lab import jets as jt
 from cmc_lab import singularities as sg
+from cmc_lab import surfaces as sf
 from cmc_lab.cli import main
 
 
@@ -180,6 +181,11 @@ DT = ("--family", "delaunay-t", "--k", "2", "--nr", "5", "--nt", "5")
     (("rep", "--export-from", "delaunay-t", "--k", "2", "--r-cap", "-1"), "--r-cap"),
     (("rep", "--export-from", "model-fold"), "--export-from"),
     (("rep", "--export-from", "conjugate", "--k", "2"), "--export-from"),
+    # |k| from about 1.34e154 on, (k - 1)^2 overflows a float
+    (("generate", "--family", "delaunay-t", "--k", "1.4e154"), "--k"),
+    (("generate", "--family", "conjugate", "--of", "delaunay-t", "--k", "1e200"), "--k"),
+    (("rep", "--export-from", "delaunay-s", "--k=-1e300"), "--k"),
+    (("classify", "--family", "conjugate", "--of", "delaunay-s", "--k=-1e160"), "--k"),
 ])
 def test_bad_numbers_exit2_naming_the_flag(tmp_path, capsys, argv, flag):
     assert exit_code(tmp_path, *argv, "-o", "out") == 2
@@ -425,7 +431,6 @@ def test_classify_reports_unconfirmed_roots(tmp_path):
 def _reference_suite_fields(trials, rng, failures):
     """The per-trial loop the batched fields suite replaced: scalar jets, one
     perturbation, chain and condition-4 determinant per trial."""
-    from cmc_lab import surfaces as sf
     from cmc_lab.jets import Jet2, VectorFieldJet, field_chain, partial_values
 
     ok = 0
@@ -528,6 +533,12 @@ def test_batched_laplacian_suite_lists_the_per_point_residuals_in_trial_order(mo
             want.append({"suite": "laplacian", "surface": S.family,
                          "point": [float(r[i]), float(t[i])], "residual": one + 1.0})
     assert repr(failures) == repr(want)
+
+
+@pytest.mark.parametrize("name", cli.MODEL_VERDICTS)
+def test_diffeo_suite_model_verdicts_are_the_computed_ones(name):
+    S = sf.standard_model(name)
+    assert cli._verdicts(S, (-0.5, 0.5, -0.5, 0.5)) == cli.MODEL_VERDICTS[name]
 
 
 def test_lambda_rank_suite_counts_python_ints():

@@ -267,7 +267,7 @@ def _profile_integrands(family, k, H):
          "chart-delaunay-s": lambda: sf.delaunay_spacelike(k, H),
          "chart-delaunay-l-i": lambda: sf.delaunay_lightlike("i", H),
          "chart-delaunay-l-ii": lambda: sf.delaunay_lightlike("ii", H)}[family]()
-    return S, [rp._ProfileIntegrand(S, 0.0)]
+    return S, [rp._ProfileIntegrand(S)]
 
 
 PROFILE_FAMILIES = {

@@ -114,7 +114,7 @@ def test_chart_values_and_inverse(name):
     S, prof = _export_chart(name)
     r0, r1 = prof.r_range
     for r in np.linspace(r0, r1, 41):
-        ref, _ = integrate(rp._ProfileIntegrand(S, 0.0), prof.r_anchor, r, PRIMITIVE_TOL)
+        ref, _ = integrate(rp._ProfileIntegrand(S), prof.r_anchor, r, PRIMITIVE_TOL)
         s = prof.s_of_r(r)
         assert abs(s - ref) <= 2e-11
         assert abs(prof.r_of_s(s) - r) <= 1e-13
@@ -131,7 +131,7 @@ class _ValueReadingIntegrand(rp._ProfileIntegrand):
 
     def metric(self, r, degree):
         degree = min(degree, MAX_DEGREE - 1)
-        X = self.S.jet(r, np.full(np.shape(r), self.t0), degree + 1)
+        X = self.S.jet(r, np.zeros(np.shape(r)), degree + 1)
         Xu, Xv = [c.du() for c in X], [c.dv() for c in X]
         return tuple(Jet1(r, degree, m.c[..., : degree + 1, 0].copy())
                      for m in (lorentz_inner(Xu, Xu), lorentz_inner(Xv, Xv)))
@@ -140,7 +140,7 @@ class _ValueReadingIntegrand(rp._ProfileIntegrand):
 def _reference_chart(S, r_min, r_max):
     """conformal_profile_chart(S, r_min, r_max) (r_min > 0) on the reference integrand."""
     r_anchor = 0.5 * (r_min + r_max)
-    table = TabulatedPrimitive(_ValueReadingIntegrand(S, 0.0), r_min, r_anchor, r_max)
+    table = TabulatedPrimitive(_ValueReadingIntegrand(S), r_min, r_anchor, r_max)
     return rp.ConformalProfile(S, r_anchor, (r_min, r_max), table)
 
 
@@ -201,7 +201,7 @@ def _rotational_surface_reading_its_profile(radius):
     prof = Primitive(Integrand(lambda x: 0.5 / jt.sqrt(1.0 + x * x)))
 
     def builder(r0, t0, degree):
-        F = sf._promote_r(prof.jet(r0, degree), (r0, t0), degree)
+        F = Jet2.lift(prof.jet(r0, degree), (r0, t0), degree)
         b = Jet2.coordinate((r0, t0), degree, 0) * radius(F)
         t = Jet2.coordinate((r0, t0), degree, 1)
         return (F, b * jt.cos(t), b * jt.sin(t))

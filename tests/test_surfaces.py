@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from cmc_lab import jets as jt
 from cmc_lab import surfaces as sf
-from cmc_lab.jets import Jet2, JetDomainError
+from cmc_lab.jets import Jet1, Jet2, JetDomainError
 from cmc_lab.lorentz import lorentz_inner
 from cmc_lab.surfaces import (
     MeshEvaluationError,
@@ -377,3 +377,212 @@ def test_domain_ends_at_the_first_root_of_the_radicand(build, radicand, k):
         assert abs(radicand(k, root) - sf.DOMAIN_TOL) < 1e-12 * max(1.0, root**4)
         xs = np.linspace(0.0, r_hi, 20001)
     assert min(radicand(k, x) for x in xs) > sf.DOMAIN_TOL
+
+
+# -- the per-family builders that the one profile builder replaced ----------------
+# Kept as references: every surface jet and analytic-normal jet of the profile
+# builder must equal theirs byte for byte.  They read the surface's own
+# Primitives (so both sides read one cache) and compute all else afresh.
+
+
+def _reference_promote_r(j1, base, degree):
+    c = np.zeros(j1.c.shape[:-1] + (degree + 1, degree + 1), dtype=j1.c.dtype)
+    n = min(degree, j1.degree) + 1
+    c[..., :n, 0] = j1.c[..., :n]
+    return Jet2(base, degree, c)
+
+
+def _reference_axis_builder(S):
+    prof, H = S.meta["profile"], S.H
+    if S.family == "delaunay_timelike":
+        coordinates = lambda F, r, phase: (F, r * jt.cos(phase), r * jt.sin(phase))
+    else:
+        coordinates = lambda F, r, phase: (r * jt.cosh(phase), r * jt.sinh(phase), F)
+
+    def builder(r0, t0, degree):
+        Fj = _reference_promote_r(prof.jet(r0, degree), (r0, t0), degree)
+        rj = Jet2.coordinate((r0, t0), degree, 0)
+        tj = Jet2.coordinate((r0, t0), degree, 1)
+        inv2H = 1.0 / (2 * H)
+        return tuple(x * inv2H for x in coordinates(Fj, rj, 2 * H * tj))
+
+    return builder
+
+
+def _reference_lightlike_builder(S):
+    c8 = 1.0 / (8 * S.H * S.H)
+    if S.variant == "i":
+        zeta = lambda x: c8 * (-x / (1 + x * x) + jt.arctan(x))
+    else:
+        zeta = lambda x: c8 * (x / (1 - x * x) - jt.artanh(x))
+
+    def builder(r0, t0, degree):
+        rj = Jet2.coordinate((r0, t0), degree, 0)
+        tj = Jet2.coordinate((r0, t0), degree, 1)
+        zj = zeta(rj)
+        quart = tj * tj * 0.25
+        return (zj - rj * (1 + quart), -rj * tj, zj + rj * (1 - quart))
+
+    return builder
+
+
+def _reference_conjugate(S):
+    """(builder, normal builder or None, rho jet, h, phi_t) of the conjugate S."""
+    H, k, of = S.H, S.k, S.family.removeprefix("conjugate_of_")
+    normal = None
+    if of.startswith("delaunay_lightlike"):
+        s2 = math.sqrt(2.0)
+        x = Jet1.coordinate
+        if S.variant == "i":
+            h = -1.0 / (2 * H)
+            rho_jet = lambda r0, d: jt.sqrt(2 * x(r0, d) ** 2 + 1) / (2 * H)
+            lam_jet = lambda r0, d: (-s2 * x(r0, d) + 2 * s2 * jt.arctan(x(r0, d))
+                                     - jt.arctan(s2 * x(r0, d))) / (2 * H)
+            Phi_jet = lambda r0, d: s2 * jt.arctan(x(r0, d)) - jt.arctan(s2 * x(r0, d))
+        else:
+            h = 1.0 / (2 * H)
+            rho_jet = lambda r0, d: jt.sqrt(1 - 2 * x(r0, d) ** 2) / (2 * H)
+            lam_jet = lambda r0, d: (s2 * x(r0, d) - 2 * s2 * jt.artanh(x(r0, d))
+                                     + jt.artanh(s2 * x(r0, d))) / (2 * H)
+            Phi_jet = lambda r0, d: s2 * jt.artanh(x(r0, d)) - jt.artanh(s2 * x(r0, d))
+        phi_t = 2 * H / s2
+    else:
+        timelike = of == "delaunay_timelike"
+        sigma = 1.0 if timelike else -1.0
+        sgn = 1.0 if k + 1 > 0 else -1.0
+        absK = abs(k + 1)
+        delta = lambda x: (x * x + sigma * k + sigma) ** 2 - 4 * k
+        Delta = lambda x: 2 * sigma * (k + 1) * x * x + (1 - k) ** 2
+        lam_p, Phi_p = S.meta["profiles"]
+        if k == -1.0:
+            h, phi_t = H, 1.0
+            rho_jet = lambda r0, d: Jet1.coordinate(r0, d) * 0.5
+            lam_jet, Phi_jet = lam_p.jet, Phi_p.jet
+        else:
+            h = (1 - k) / (2 * H * absK)
+            rho_jet = lambda r0, d: jt.sqrt(
+                Jet1.constant(0.0, r0, d) + Delta(Jet1.coordinate(r0, d))) / (2 * H * absK)
+            lam_sign = 1.0 if timelike else -sgn
+            phi_sign = sgn if timelike else 1.0
+            lam_jet = lambda r0, d: lam_p.jet(r0, d) * lam_sign
+            Phi_jet = lambda r0, d: Phi_p.jet(r0, d) * phi_sign
+            phi_t = -math.sqrt(absK / 2) * (1.0 if timelike else sgn)
+            if timelike and k > -1:
+                sK = math.sqrt(k + 1)
+
+                def normal(r0, t0, degree):
+                    rj1 = Jet1.coordinate(r0, degree)
+                    d = delta(rj1) + Jet1.constant(0.0, r0, degree)
+                    D = Delta(rj1) + Jet1.constant(0.0, r0, degree)
+                    base = (r0, t0)
+                    sd = _reference_promote_r(jt.sqrt(d), base, degree)
+                    sD = _reference_promote_r(jt.sqrt(D), base, degree)
+                    core = _reference_promote_r(jt.sqrt(d - (k + 1) * rj1 * rj1), base, degree)
+                    rj = Jet2.coordinate(base, degree, 0)
+                    tj = Jet2.coordinate(base, degree, 1)
+                    phi = _reference_promote_r(Phi_jet(r0, degree), base, degree) + phi_t * tj
+                    cphi, sphi = jt.cos(phi), jt.sin(phi)
+                    pref = -1.0 / (math.sqrt(2) * sD * core)
+                    r3 = rj * rj * rj
+                    n0 = pref * (sd * sD)
+                    n1 = pref * (-math.sqrt(2) * sK * r3 * cphi - (k - 1) * sd * sphi)
+                    n2 = pref * (-math.sqrt(2) * sK * r3 * sphi + (k - 1) * sd * cphi)
+                    return (n0, n1, n2)
+
+    template = sf._TEMPLATES[S.meta["template"]]
+
+    def builder(r0, t0, degree):
+        base = (r0, t0)
+        lam = _reference_promote_r(lam_jet(r0, degree), base, degree)
+        rho = _reference_promote_r(rho_jet(r0, degree), base, degree)
+        tj = Jet2.coordinate(base, degree, 1)
+        phi = _reference_promote_r(Phi_jet(r0, degree), base, degree) + phi_t * tj
+        return template(lam, rho, phi, h)
+
+    return builder, normal, rho_jet, h, phi_t
+
+
+def _reference_r_hi(family, k, H, variant):
+    """The half-width of u_range as the per-family constructors computed it."""
+    r_cap = sf.R_CAP
+    if family.startswith("delaunay_lightlike"):
+        return r_cap if variant == "i" else min(r_cap, 1.0 - 1e-6)
+    if family.startswith("conjugate_of_delaunay_lightlike"):
+        return r_cap if variant == "i" else min(r_cap, 1 / math.sqrt(2.0) - 1e-6)
+    sigma = 1.0 if family.endswith("timelike") else -1.0
+    delta_coeffs = (1.0, 2 * sigma * (k + 1), (k - 1) ** 2)
+    if not family.startswith("conjugate"):
+        root = sf._positive_root(*delta_coeffs)
+        return min(r_cap, root * (1 - 1e-9)) if root else r_cap
+    if k == -1.0:
+        return r_cap
+    radicands = (delta_coeffs, (0.0, 2 * sigma * (k + 1), (1 - k) ** 2))
+    roots = [r for r in (sf._positive_root(*q) for q in radicands) if r is not None]
+    return min([r_cap] + [r * (1 - 1e-9) for r in roots])
+
+
+# (constructor, k range or None) per Delaunay family and conjugate branch
+PROFILE_SURFACES = {
+    "delaunay-t": (lambda k, H: delaunay_timelike(k, H), (-3.0, 4.0)),
+    "delaunay-s": (lambda k, H: delaunay_spacelike(k, H), (-3.0, 4.0)),
+    "delaunay-l-i": (lambda k, H: delaunay_lightlike("i", H), None),
+    "delaunay-l-ii": (lambda k, H: delaunay_lightlike("ii", H), None),
+    "I-i k>-1": (lambda k, H: conjugate_of("delaunay_timelike", k, H), (-0.99, 4.0)),
+    "I-i k<-1": (lambda k, H: conjugate_of("delaunay_timelike", k, H), (-4.0, -1.01)),
+    "I-ii": (lambda k, H: conjugate_of("delaunay_timelike", -1.0, H), None),
+    "II-i k>-1": (lambda k, H: conjugate_of("delaunay_spacelike", k, H), (-0.99, 4.0)),
+    "II-i k<-1": (lambda k, H: conjugate_of("delaunay_spacelike", k, H), (-4.0, -1.01)),
+    "II-ii": (lambda k, H: conjugate_of("delaunay_spacelike", -1.0, H), None),
+    "III-i": (lambda k, H: conjugate_of("delaunay_lightlike_i", H=H), None),
+    "III-ii": (lambda k, H: conjugate_of("delaunay_lightlike_ii", H=H), None),
+}
+
+
+def _outcome(fn, *args):
+    """The coefficient bytes of each jet fn returns, or the error it raises."""
+    try:
+        return [(c.c.dtype, c.c.shape, c.c.tobytes()) for c in fn(*args)]
+    except Exception as e:
+        return (type(e), str(e))
+
+
+@given(st.sampled_from(sorted(PROFILE_SURFACES)), st.floats(0.0, 1.0), st.floats(0.3, 1.5),
+       st.integers(0, 5), st.lists(st.tuples(st.floats(-0.95, 0.95), st.floats(0.0, 1.0)),
+                                   min_size=1, max_size=4))
+@settings(max_examples=200, deadline=None)
+@example("II-i k>-1", 0.75, 0.5, 5, [(0.0, 0.5), (1.0, 0.0)])
+@example("delaunay-l-ii", 0.0, 1.5, 0, [(0.0, 0.5), (-1.0, 1.0)])
+def test_profile_builder_is_the_per_family_builders_byte_for_byte(name, s, H, degree, points):
+    build, ks = PROFILE_SURFACES[name]
+    k = None
+    if ks:
+        k = ks[0] + s * (ks[1] - ks[0])
+        assume(abs(k - 1) >= 0.05)
+    try:
+        S = build(k, H)
+    except SurfaceParameterError:  # no admissible radius (k near 1) or no orientation
+        assume(False)
+    if S.family.startswith("conjugate"):
+        builder, normal, rho_jet, h, phi_t = _reference_conjugate(S)
+        assert (S.meta["h"], S.meta["phi_t"]) == (h, phi_t)
+        assert S.meta["rho0"] == float(rho_jet(0.0, 0).value)
+    elif S.family.startswith("delaunay_lightlike"):
+        builder, normal = _reference_lightlike_builder(S), None
+    else:
+        builder, normal = _reference_axis_builder(S), None
+    assert S.has_analytic_normal == (normal is not None) == (name == "I-i k>-1")
+    r_hi = _reference_r_hi(S.family, S.k, S.H, S.variant)
+    assert S.u_range == (-r_hi, r_hi)
+    reference = sf.Surface(S.family, builder, S.u_range, S.v_range, H=S.H, k=S.k,
+                           variant=S.variant, normal_builder=normal)
+    assert S.orientation == sf._probe_orientation(reference, S.H)
+    v0, v1 = S.v_range
+    us = [a * r_hi for a, _ in points]
+    vs = [v0 + b * (v1 - v0) for _, b in points]
+    calls = [(S.jet, reference.jet)]
+    if normal is not None:
+        calls.append((S.analytic_normal_jet, reference.analytic_normal_jet))
+    for got, want in calls:
+        assert _outcome(got, us[0], vs[0], degree) == _outcome(want, us[0], vs[0], degree)
+        batch = (np.array(us), np.array(vs), degree)
+        assert _outcome(got, *batch) == _outcome(want, *batch)
