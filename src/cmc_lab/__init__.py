@@ -30,7 +30,6 @@ from .surfaces import (  # noqa: F401
 from .singularities import (  # noqa: F401
     CriterionReport,
     SingularPointRecord,
-    classify_kind,
     cmc_fold_obstruction,
     criterion_25,
     euclidean_normal,

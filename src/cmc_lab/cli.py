@@ -27,6 +27,7 @@ from . import __version__
 from . import representation as rp
 from . import singularities as sg
 from . import surfaces as sf
+from .jets import Jet2, VectorFieldJet, field_chain, partial_values
 
 FAMILIES = {
     "delaunay-t": "delaunay_timelike",
@@ -197,7 +198,7 @@ def _scan(S, args):
 def _fold_tests(S, recs, criterion, rows: slice):
     """The fold tests of recs[rows], on the criterion's chart of recs where there is one."""
     if criterion is not None and criterion.jets is not None:
-        return sg._fold_symmetry_of(criterion.jets)[rows]
+        return sg.fold_symmetry_of_chart(criterion.jets)[rows]
     return sg.fold_symmetry_test(S, recs[rows])
 
 
@@ -279,8 +280,6 @@ def cmd_sweep(args) -> int:
 def _suite_fields(trials, rng, failures):
     """All trials as one batch: element t * per + i is trial i at the middle
     record of target t, and the draws are made in that order."""
-    from .jets import Jet2, VectorFieldJet, field_chain, partial_values
-
     M = sf.standard_model("cusp25")
     C = sf.conjugate_of("delaunay_timelike", k=2.0, H=0.5)
     targets = [
@@ -296,9 +295,9 @@ def _suite_fields(trials, rng, failures):
     base = (np.zeros(c.shape[1]),) * 2
     Y = tuple(Jet2(base, 5, np.repeat(np.stack([Yt[i].c for Yt in charts]), per, axis=0))
               for i in range(3))
-    _, eta0, _, e = sg._special_null_field_of(Y, 5)
-    C0, _ = sg._constant_C(e)
-    d4_0, _ = sg._condition4(partial_values(Y, 0, 1), e, C0)
+    _, eta0, _, e = sg.special_null_field(Y)
+    C0, _ = sg.constant_C(e)
+    d4_0, _ = sg.condition4_det(partial_values(Y, 0, 1), e, C0)
 
     # jets first: a (B,) array on the left of a jet would make an object array
     u, v = Jet2.variables(base, 5)
@@ -312,8 +311,8 @@ def _suite_fields(trials, rng, failures):
     _, r3 = sg.condition3_det(Y, xi=xi_b, eta=eta_b)
     xi_s, eta_s, pred = sg.perturb_fields(xi0, eta0, a1, a2, b1s, b2, special=True)
     e = field_chain(Y, eta_s, 5)  # C and condition 4 read one chain
-    Cb, _ = sg._constant_C(e)
-    d4_b, _ = sg._condition4(sg._xi_X(Y, xi_s), e, Cb)
+    Cb, _ = sg.constant_C(e)
+    d4_b, _ = sg.condition4_det(sg.xi_X(Y, xi_s), e, Cb)
     ratio = d4_b / d4_0
     good = (r3 < 1e-7) & (np.abs(ratio - pred) / np.abs(pred) < 1e-6)
     for i in np.flatnonzero(~good).tolist():
@@ -400,7 +399,7 @@ def _suite_gauss_limit(trials, rng, failures):
         recs = [r for r in recs if r.rank == 1][:per]
         for cert in sg.cmc_fold_obstruction(S, recs, flank=0.45 * S.u_range[1]):
             good = (
-                cert["sheet_flip"]
+                cert["conclusion"] == "fold impossible"  # sheet flip; undetermined has no sides
                 and cert["sides"]["plus"]["abs_g_minus_1"] < 1e-6
                 and cert["sides"]["minus"]["abs_g_minus_1"] < 1e-6
             )
@@ -423,7 +422,9 @@ def _suite_lambda_rank(trials, rng, failures):
     for S in surfaces:
         recs = sg.trace_singular_curve(S, n_grid=9)[: max(1, trials // len(surfaces))]
         p = np.array([rec.location for rec in recs], float)
-        sv = np.linalg.svd(sg._dX_of(S.jet(p[:, 0], p[:, 1], 1)), compute_uv=False)
+        X = S.jet(p[:, 0], p[:, 1], 1)
+        sv = np.linalg.svd(np.stack([partial_values(X, 1, 0), partial_values(X, 0, 1)], axis=-1),
+                           compute_uv=False)
         good = sv[:, 1] < 1e-7 * sv[:, 0]
         ok += int(good.sum())
         total += len(recs)
@@ -610,8 +611,9 @@ def main(argv=None) -> int:
     try:
         return globals()["cmd_" + args.command](args)
     except (InputError, sf.SurfaceParameterError) as e:
-        flag = getattr(e, "param", None)  # a surface parameter is set by the flag of its name
-        print(f"error: {'--' + flag + ': ' if flag else ''}{e}", file=sys.stderr)
+        param = getattr(e, "param", None) or ()  # a surface parameter is set by the flag of its name
+        flags = ", ".join("--" + p for p in ((param,) if isinstance(param, str) else param))
+        print(f"error: {flags + ': ' if flags else ''}{e}", file=sys.stderr)
         return 2
     except OSError as e:
         print(f"I/O error: {e}", file=sys.stderr)

@@ -38,6 +38,7 @@ from .lorentz import (
     ExtComplex,
     NotSpacelikeError,
     first_fundamental_form,
+    lorentz_cross,
     lorentz_inner,
     lorentz_normal,
 )
@@ -101,8 +102,21 @@ def _gauss_of_frame(Xu, Xv, sign) -> Jet2:
 
 def _gauss_values(S: Surface, u, v):
     """g = (nu1 + i nu2)/(1 - nu0) at the points (u, v), numbers or (B,) arrays,
-    from the tangents alone: no profile value is integrated."""
-    return _gauss_of_frame(*_tangents(S, u, v, 1), S.orientation).value
+    from the tangents alone: no profile value is integrated.
+
+    A point off the spacelike regular set raises NotSpacelikeError; in a
+    batch it reads NaN.
+    """
+    Xu, Xv = _tangents(S, u, v, 1)
+    if np.ndim(u):
+        w = lorentz_cross([c.value for c in Xu], [c.value for c in Xv])
+        spacelike = lorentz_inner(w, w) < 0  # the test of lorentz_normal
+        if not spacelike.all():  # evaluate the spacelike points only
+            g = np.full(spacelike.shape, complex(np.nan, np.nan))
+            if spacelike.any():
+                g[spacelike] = _gauss_values(S, u[spacelike], v[spacelike])
+            return g
+    return _gauss_of_frame(Xu, Xv, S.orientation).value
 
 
 def gauss_map_of(S: Surface, p) -> ExtComplex:
@@ -111,14 +125,6 @@ def gauss_map_of(S: Surface, p) -> ExtComplex:
         return ExtComplex.of(complex(_gauss_values(S, p[0], p[1])))
     except ZeroDivisionError:
         return ExtComplex.infinity()
-
-
-def _abs_g_limit(S: Surface, p, direction, h: float):
-    """|g| at p + x direction for x = h, h/2, h/4, (R, 3) for the rows of the
-    (R, 2) arrays p and direction, and its (R,) limits as x -> 0."""
-    q = p[:, None] + np.array([h, h / 2, h / 4])[:, None] * direction[:, None]
-    ys = abs(_gauss_values(S, q[..., 0].ravel(), q[..., 1].ravel())).reshape(-1, 3)
-    return ys, _richardson(ys)
 
 
 def _richardson(ys):
@@ -663,7 +669,8 @@ def laplacian_identity_residual(S: Surface, p):
     Xu, Xv = _tangents(S, p[0], p[1], 3)
     E, F, G = first_fundamental_form(Xu, Xv)
     disc = E * G - F * F
-    spacelike = (disc.value > 0) & (E.value > 0)
+    w = lorentz_cross([c.value for c in Xu], [c.value for c in Xv])
+    spacelike = (disc.value > 0) & (E.value > 0) & (lorentz_inner(w, w) < 0)  # lorentz_normal's test
     if np.ndim(spacelike) == 0 and not spacelike:
         raise NotSpacelikeError("not a spacelike regular point")
     if not np.all(spacelike):  # a batch: evaluate the spacelike points only
@@ -695,31 +702,27 @@ def singular_locus_characterization(S: Surface, box=None, n_grid: int = 41) -> d
     from .singularities import trace_singular_curve
 
     records = trace_singular_curve(S, box=box, n_grid=n_grid)  # box None: the scan's default
-    locus = []
-    g_inf = []
-    omega_zero = []
-    for rec in records:
+    omega_zero = [{"location": list(map(float, rec.location)), "rank": 0, "type": "omega_zero"}
+                  for rec in records if rec.rank == 0]
+    # every other record probed at p +- x T, x = h, h/2, h/4, in one call
+    probed = [rec for rec in records if rec.rank != 0]
+    p = np.array([rec.location for rec in probed], float).reshape(-1, 1, 1, 2)
+    dlam = np.array([rec.dlam for rec in probed], float).reshape(-1, 2)
+    T = dlam / np.maximum(np.sqrt(np.vecdot(dlam, dlam)), 1e-300)[:, None]
+    h = 1e-3
+    q = p + np.array([h, h / 2, h / 4])[:, None] * np.stack([T, -T], axis=1)[:, :, None]
+    ys = abs(_gauss_values(S, q[..., 0].ravel(), q[..., 1].ravel())).reshape(-1, 2, 3)
+    locus, g_inf = [], []
+    for rec, vals in zip(probed, _richardson(ys).tolist()):  # (record, side, step) -> limits
         entry = {"location": list(map(float, rec.location)), "rank": rec.rank}
-        if rec.rank == 0:  # dX = 0; dlam = (0, 0) gives no direction to probe along
-            entry["type"] = "omega_zero"
-            omega_zero.append(entry)
-            continue
-        p = np.asarray(rec.location)
-        dlam = np.asarray(rec.dlam)
-        T = dlam / max(np.linalg.norm(dlam), 1e-300)
-        try:
-            vals = _abs_g_limit(S, np.array([p, p]), np.array([T, -T]), 1e-3)[1].tolist()
-            entry["abs_g_limits"] = vals
-            entry["type"] = "unit_circle" if max(abs(v - 1) for v in vals) < 1e-4 else "other"
-            if any(not np.isfinite(v) or v > 1e6 for v in vals):
-                entry["type"] = "g_infinity"
-                entry["note"] = "untested against reference examples"
-                g_inf.append(entry)
-            else:
-                locus.append(entry)
-        except NotSpacelikeError:
+        if any(map(math.isnan, vals)):  # a probe point off the spacelike set
             entry["type"] = "undetermined"
-            locus.append(entry)
+        elif any(math.isinf(v) or v > 1e6 for v in vals):
+            entry.update(abs_g_limits=vals, type="g_infinity", note="untested against reference examples")
+        else:
+            entry.update(abs_g_limits=vals,
+                         type="unit_circle" if max(abs(v - 1) for v in vals) < 1e-4 else "other")
+        (g_inf if entry["type"] == "g_infinity" else locus).append(entry)
     return {
         "surface": S.family,
         "unit_circle_locus": locus,

@@ -30,7 +30,7 @@ from .jets import (
     field_chain,
     partial_values,
 )
-from .lorentz import euclid_cross
+from .lorentz import euclid_cross, euclid_inner
 from .surfaces import Surface, custom_surface
 
 DET_TOL = 1e-8        # relative determinant zero threshold
@@ -91,12 +91,6 @@ def _cross_jets(X):
     return euclid_cross([c.du() for c in X], [c.dv() for c in X])
 
 
-def _density(W, N):
-    """W . N for the jets W and a normal N: three jets, or three numbers (or
-    (B,) arrays, one number per batch element)."""
-    return W[0] * N[0] + W[1] * N[1] + W[2] * N[2]
-
-
 def _lambda_jet(S: Surface, p, degree=MAX_DEGREE, normal=None, W=None):
     """Jet of lambda = (X_u x X_v) . N at p, one degree below the jets of X.
 
@@ -112,7 +106,7 @@ def _lambda_jet(S: Surface, p, degree=MAX_DEGREE, normal=None, W=None):
         N = S.analytic_normal_jet(p[0], p[1], degree - 1)
     else:
         N = np.asarray(normal, float).T
-    return _density(W, N)
+    return euclid_inner(W, N)
 
 
 def _frontal_normal(W):
@@ -154,7 +148,7 @@ def _frontal_at(S: Surface, u, v):
     else:
         n, defined = _frontal_normal(W)
         N = n.T
-    lam = _density(W, N)
+    lam = euclid_inner(W, N)
     return X, n, defined, lam.value, lam.gradient()
 
 
@@ -188,17 +182,12 @@ def signed_area_density(S: Surface, p) -> float:
     pointwise normal makes it |X_u x X_v| at regular points (positive, the
     orientation sign), and the curve tracer anchors the sign locally instead.
     """
-    Xu, Xv = _dX(S, p).T
+    Xu, Xv = _dX_of(S.jet(p[0], p[1], 1)).T
     n = euclidean_normal(S, p)
     return float(np.linalg.det(np.array([Xu, Xv, n])))
 
 
 # -- singular curve tracing ----------------------------------------------------
-
-
-def _dX(S: Surface, p):
-    """[X_u X_v] at p (3x2), from degree-1 jets."""
-    return _dX_of(S.jet(p[0], p[1], 1))
 
 
 def _dX_of(X):
@@ -367,23 +356,13 @@ def _assemble_records(S: Surface, q) -> list:
     return records
 
 
-def classify_kind(S: Surface, record: SingularPointRecord) -> str:
-    """first_kind / conelike / degenerate_rank0 / other.
-
-    Conelike is operational: the singular direction is null along the curve
-    and the curve's image has diameter below IMG_TOL (the term is used in the
-    sources without a displayed definition).  A rank-2 record (dX regular
-    there) is other.
-    """
-    if record.rank != 1 or record.null_vector is None:
-        return "other" if record.rank == 2 else "degenerate_rank0"
-    return _kinds(S, [record])[0]
-
-
 def _kinds(S: Surface, records) -> list:
-    """classify_kind of rank-1 records with a null vector: first_kind where
-    the null direction is transverse to the curve; where it is tangent,
-    conelike or other by walks along the curve, run in lockstep."""
+    """The kinds of the scan's rank-1 records: first_kind where the null
+    direction is transverse to the curve; where it is tangent, conelike or
+    other by walks along the curve, run in lockstep.  Conelike is operational
+    (the term is used in the sources without a displayed definition): the
+    singular direction is null along the curve and its image has diameter
+    below IMG_TOL."""
     kinds = []
     for rec in records:
         dlam = np.asarray(rec.dlam, float)
@@ -409,9 +388,9 @@ def _curve_direction(dlam):
     return np.stack([T[..., 1], -T[..., 0]], axis=-1)
 
 
-def _conelike(S: Surface, records, n_side=3) -> np.ndarray:
-    """Whether each record's curve is conelike near it: the images of a few
-    curve points on both sides lie within IMG_TOL of the record's image, and
+def _conelike(S: Surface, records) -> np.ndarray:
+    """Whether each record's curve is conelike near it: the images of three
+    curve points on each side lie within IMG_TOL of the record's image, and
     dX kills the curve tangent at each of them.
 
     The curve points come from tangent steps with a transverse Newton
@@ -434,7 +413,7 @@ def _conelike(S: Surface, records, n_side=3) -> np.ndarray:
     q = np.tile(p, (2, 1))
     inside = np.ones(2 * R, bool)
     points, owner = [p], [np.arange(R)]  # the records come first
-    for _ in range(n_side):
+    for _ in range(3):
         q = q + move
         inside &= (lo <= q[:, 0]) & (q[:, 0] <= hi)  # the curve leaves the domain on this side
         newton = inside.copy()
@@ -543,7 +522,7 @@ class StraightChart:
         e = (e / ne[..., None]).T
         X_uv = _compose2([c.du() for c in X] + [c.dv() for c in X], self.curve_u, self.curve_v)
         Xu_c, Xv_c = X_uv[:3], X_uv[3:]
-        eta_u, eta_v = -_density(Xv_c, e), _density(Xu_c, e)
+        eta_u, eta_v = -euclid_inner(Xv_c, e), euclid_inner(Xu_c, e)
         e0 = np.stack([eta_u.value, eta_v.value], axis=-1)
         n0 = _norm(e0)
         if np.any(n0 <= 1e-12):
@@ -586,8 +565,8 @@ def _rel_det(c1, c2, c3):
     return _per_sample(d, rel)
 
 
-def _xi_X(Y, xi):
-    """xi X at the chart origin; the partial X_v for the default xi = d_v."""
+def xi_X(Y, xi):
+    """xi X at the chart origin; the partial X_v for xi = None (d_v)."""
     return partial_values(Y, 0, 1) if xi is None else field_chain(Y, xi, 1)[1]
 
 
@@ -595,25 +574,7 @@ def condition3_det(Y, xi: VectorFieldJet = None, eta: VectorFieldJet = None):
     """det(xi X, eta eta X, eta eta eta X) at the chart origin (raw, relative);
     xi defaults to d_v and eta to d_u."""
     e = field_chain(Y, VectorFieldJet.constant(1.0, 0.0, Y[0].base) if eta is None else eta, 3)
-    return _rel_det(_xi_X(Y, xi), e[2], e[3])
-
-
-def lemma_special_coefficients(Y):
-    """(a, b) of the special null field d_u + (a u + b u^2) d_v in the chart.
-
-    a = -(X_v . X_uu)/(X_v . X_v), b = -(X_v . (X_uuu + 3a X_uv))/(2 X_v . X_v),
-    evaluated at the origin of the straightened chart.
-    """
-    Xv = partial_values(Y, 0, 1)
-    Xuu = partial_values(Y, 2, 0)
-    Xuuu = partial_values(Y, 3, 0)
-    Xuv = partial_values(Y, 1, 1)
-    vv = np.vecdot(Xv, Xv)
-    if np.any(vv <= 1e-300):
-        raise SingularTangentError("singular tangent degenerate")
-    a = -np.vecdot(Xv, Xuu) / vv
-    b = -np.vecdot(Xv, Xuuu + 3 * a[..., None] * Xuv) / (2 * vv)
-    return _per_sample(a, b)
+    return _rel_det(xi_X(Y, xi), e[2], e[3])
 
 
 def special_field(a, b, base=(0.0, 0.0), degree=MAX_DEGREE) -> VectorFieldJet:
@@ -621,37 +582,33 @@ def special_field(a, b, base=(0.0, 0.0), degree=MAX_DEGREE) -> VectorFieldJet:
     return VectorFieldJet(Jet2.constant(1.0, base, degree), u * a + u * b * u)  # jet first: a, b may be arrays
 
 
-def special_null_field(S: Surface, record: SingularPointRecord):
-    """The lemma's special null field at a first-kind record.
+def special_null_field(Y):
+    """The lemma's special null field eta~ = d_u + (a u + b u^2) d_v at the
+    origins of the straightened charts with the jets Y of X (StraightChart.jets):
+    a = -(X_v . X_uu)/(X_v . X_v), b = -(X_v . (X_uuu + 3a X_uv))/(2 X_v . X_v).
 
-    Returns ((a, b), eta~ as a VectorFieldJet in the straightened chart, and
-    the residuals of the defining orthogonality conditions).
+    Returns ((a, b), eta~ as a VectorFieldJet, the residuals of the defining
+    orthogonality conditions, and eta~'s chain on Y to order 5).
     """
-    return _special_null_field_of(StraightChart(S, record).jets())[:3]
-
-
-def _special_null_field_of(Y, order=3):
-    """special_null_field from the jets Y of X in the straightened chart, and
-    the special field's chain on Y to `order`."""
-    a, b = lemma_special_coefficients(Y)
+    xiX, Xuu, Xuuu, Xuv = (partial_values(Y, i, j) for i, j in ((0, 1), (2, 0), (3, 0), (1, 1)))
+    vv = np.vecdot(xiX, xiX)
+    if np.any(vv <= 1e-300):
+        raise SingularTangentError("singular tangent degenerate")
+    a = -np.vecdot(xiX, Xuu) / vv
+    a, b = _per_sample(a, -np.vecdot(xiX, Xuuu + 3 * a[..., None] * Xuv) / (2 * vv))
     eta = special_field(a, b, Y[0].base)
-    e = field_chain(Y, eta, order)
-    xiX = partial_values(Y, 0, 1)
+    e = field_chain(Y, eta, 5)
     scale = _norm(xiX) * np.maximum(np.maximum(_norm(e[2]), _norm(e[3])), 1e-300)
     return (a, b), eta, (np.abs(np.vecdot(xiX, e[2])) / scale, np.abs(np.vecdot(xiX, e[3])) / scale), e
 
 
-def constant_C(Y, eta: VectorFieldJet):
-    """C with eta~^3 X = C eta~^2 X, by least squares, plus the collinearity residual.
+def constant_C(e):
+    """C with eta~^3 X = C eta~^2 X, by least squares, plus the collinearity
+    residual, from the chain e of the field (rows 2 and 3 are read).
 
     The sources presuppose exact collinearity; the residual makes the
     presupposition checkable.
     """
-    return _constant_C(field_chain(Y, eta, 3))
-
-
-def _constant_C(e):
-    """constant_C from the chain e of the field."""
     n2 = np.vecdot(e[2], e[2])
     if np.any(n2 <= 1e-300):
         raise HypothesisViolationError("hypothesis violated: eta~^2 X vanishes")
@@ -660,14 +617,9 @@ def _constant_C(e):
     return _per_sample(C, residual)
 
 
-def condition4_det(Y, eta: VectorFieldJet, C: float, xi: VectorFieldJet = None):
-    """det(xi X, eta~^2 X, 3 eta~^5 X - 10 C eta~^4 X) at the origin (raw, relative);
-    xi defaults to d_v."""
-    return _condition4(_xi_X(Y, xi), field_chain(Y, eta, 5), C)
-
-
-def _condition4(xiX, e, C):
-    """condition4_det from xi X and the chain e of eta~ to order 5."""
+def condition4_det(xiX, e, C):
+    """det(xi X, eta~^2 X, 3 eta~^5 X - 10 C eta~^4 X) at the origin (raw, relative),
+    from xi X (xi_X) and the chain e of eta~ to order 5."""
     return _rel_det(xiX, e[2], 3 * e[5] - 10 * np.asarray(C)[..., None] * e[4])
 
 
@@ -743,9 +695,9 @@ def _samples(S: Surface, records):
     batched chart of them they are read from."""
     Y = StraightChart(S, records).jets()
     d3, r3 = condition3_det(Y)
-    (a, b), _, sres, e = _special_null_field_of(Y, 5)
-    C, collin = _constant_C(e)
-    d4, r4 = _condition4(partial_values(Y, 0, 1), e, C)
+    (a, b), _, sres, e = special_null_field(Y)
+    C, collin = constant_C(e)
+    d4, r4 = condition4_det(partial_values(Y, 0, 1), e, C)
     columns = zip(d3.tolist(), r3.tolist(), a.tolist(), b.tolist(), C.tolist(), collin.tolist(),
                   zip(*(r.tolist() for r in sres)), d4.tolist(), r4.tolist())
     return [SampleCriterion(rec.location, *values) for rec, values in zip(records, columns)], Y
@@ -831,19 +783,19 @@ def fold_symmetry_test(S: Surface, records: Sequence[SingularPointRecord]) -> li
     eta^2 X) (the image plane); the residual is the largest orthogonal
     component over odd monomials.  A refutation battery, not an A-equivalence
     decision.  The first-kind records share one batched chart;
-    `_fold_symmetry_of` runs the battery on it, or on the criterion's chart.
+    `fold_symmetry_of_chart` runs the battery on it, or on the criterion's chart.
     """
     reports = [FoldReport("rejected", math.inf, f"kind is {rec.kind}, not first_kind")
                for rec in records]
     first = [i for i, rec in enumerate(records) if rec.kind == "first_kind"]
     if first:
         Y = StraightChart(S, [records[i] for i in first]).jets()
-        for i, report in zip(first, _fold_symmetry_of(Y)):
+        for i, report in zip(first, fold_symmetry_of_chart(Y)):
             reports[i] = report
     return reports
 
 
-def _fold_symmetry_of(Y) -> list:
+def fold_symmetry_of_chart(Y) -> list:
     """fold_symmetry_test from the batched jets Y of X in the straightened
     charts, one FoldReport per batch element."""
     xiX = partial_values(Y, 0, 1)
@@ -882,8 +834,9 @@ def cmc_fold_obstruction(
     |g| - 1 must differ on the two sides), a nondegeneracy estimate |dg|, and
     the Laplace identity residual Delta X + 2 H nu at flanking regular points.
     The records share one Gauss-map call and one Laplace call: a probe point
-    at infinity or off the spacelike set fails the whole batch, and a flank
-    point off that set is left out of the residual.
+    at infinity fails the whole batch, a record with a probe point off the
+    spacelike set gets the conclusion "undetermined" and the reason, and a
+    flank point off that set is left out of the residual.
     """
     from .representation import _gauss_values, _richardson, laplacian_identity_residual
 
@@ -897,6 +850,7 @@ def cmc_fold_obstruction(
     probes = np.concatenate([p[:, None] + x * T[:, None],
                              (p + h * T)[:, None] + np.array([[h], [-h]]) * tang[:, None]], axis=1)
     g = _gauss_values(S, probes[..., 0].ravel(), probes[..., 1].ravel()).reshape(-1, 8)
+    probed = ~np.isnan(g).any(axis=1)  # nan: a probe point off the spacelike set
     ys = np.abs(g[:, :6]).reshape(-1, 2, 3)  # (record, side, step)
     limit = _richardson(ys)
     sign = np.sign(ys[..., 0] - 1.0)
@@ -912,9 +866,12 @@ def cmc_fold_obstruction(
     certs = [{"conclusion": "rank-0 regime (omega = 0): no certificate", "regime": "omega_zero_rank0"}
              for _ in records]
     for i, n in enumerate(live):
-        certs[n] = {
-            "location": list(map(float, records[n].location)),
-            "offset": offset,
+        certs[n] = {"location": list(map(float, records[n].location)), "offset": offset}
+        if not probed[i]:
+            certs[n].update(conclusion="undetermined",
+                            reason="a probe point is off the spacelike regular set")
+            continue
+        certs[n].update({
             "sides": {name: {"samples": ys[i, side].tolist(),
                              "limit_abs_g": float(limit[i, side]),
                              "abs_g_minus_1": abs(float(limit[i, side]) - 1.0),
@@ -924,7 +881,7 @@ def cmc_fold_obstruction(
             "dg_estimate": float(dg[i]),
             "laplacian_residual_max": None if math.isnan(lap_max[i]) else float(lap_max[i]),
             "conclusion": "fold impossible" if flip[i] else "no flip detected",
-        }
+        })
     return certs
 
 

@@ -46,7 +46,8 @@ K_BRANCH_TOL = 1e-9
 
 class SurfaceParameterError(ValueError):
     """A surface parameter outside its admissible set; `param` names the
-    parameter at fault ("k", "H"), when it is one."""
+    parameter at fault ("k", "H"), or a tuple of the parameters when no one of
+    them is."""
 
     def __init__(self, message, param=None):
         super().__init__(message)
@@ -206,7 +207,10 @@ def _probe_orientation(S: Surface, H: float) -> int:
             continue
         if abs(ff.H_mean) > 1e-12:
             return 1 if ff.H_mean * H > 0 else -1
-    raise SurfaceParameterError("could not orient surface: no usable probe point")
+    params = tuple(name for name in ("k", "H") if getattr(S, name) is not None)
+    raise SurfaceParameterError("could not orient surface: no usable probe point at "
+                                + ", ".join(f"{name} = {getattr(S, name)!r}" for name in params),
+                                param=params)
 
 
 def _profile_builder(profiles, assemble):
@@ -239,6 +243,10 @@ def _profile_builder(profiles, assemble):
 def _check_kH(k, H, need_k=True):
     if H == 0:
         raise SurfaceParameterError("H = 0 is excluded (maximal case out of scope)", param="H")
+    c8 = 8.0 * float(H) * float(H)
+    if not (c8 > 0 and 0 < 1.0 / c8 < math.inf):
+        raise SurfaceParameterError(f"H = {H!r} is out of range: 1/(8 H^2) is not a finite "
+                                    "positive float", param="H")
     if need_k and k == 1:
         raise SurfaceParameterError("k=1 degenerate (delta has a double root at r=0 scale)",
                                     param="k")

@@ -85,10 +85,8 @@ def test_criterion_3_special_null_field(conj_k2, conj_k2_records):
     ok = True
     worst = {"a": 0.0, "b": 0.0, "res": 0.0, "C": 0.0, "col": 0.0}
     for rec in conj_k2_records[:8]:
-        (a, b), eta, res = sg.special_null_field(conj_k2, rec)
-        chart = sg.StraightChart(conj_k2, rec)
-        Y = chart.jets()
-        C, col = sg.constant_C(Y, eta)
+        (a, b), _, res, e = sg.special_null_field(sg.StraightChart(conj_k2, rec).jets())
+        C, col = sg.constant_C(e)
         worst["a"] = max(worst["a"], abs(a))
         worst["b"] = max(worst["b"], abs(b - 2.0))
         worst["res"] = max(worst["res"], max(res))
@@ -179,9 +177,9 @@ def test_criterion_6_invariance_suite(cusp25_model, conj_k2, conj_k2_records):
         chart = sg.StraightChart(S, rec)
         Y = chart.jets()
         curve_jets = [sg.StraightChart(S, r).jets() for r in curve_samples]
-        (_, _), eta0, _ = sg.special_null_field(S, rec)
-        C0, _ = sg.constant_C(Y, eta0)
-        d4_0, _ = sg.condition4_det(Y, eta0, C0)
+        (_, _), eta0, _, e0 = sg.special_null_field(Y)
+        C0, _ = sg.constant_C(e0)
+        d4_0, _ = sg.condition4_det(sg.xi_X(Y, None), e0, C0)
         for _ in range(trials_per):
             c = rng.uniform(-0.8, 0.8, size=11)
             a1 = Jet2.constant(rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0]), base) + c[0] * u + c[1] * v
@@ -194,8 +192,9 @@ def test_criterion_6_invariance_suite(cusp25_model, conj_k2, conj_k2_records):
             # the vanishing condition must survive the change along the curve
             r3 = max(sg.condition3_det(Yc, xi=xib, eta=etab)[1] for Yc in curve_jets)
             xis, etas, pred = sg.perturb_fields(xi0, eta0, a1, a2, b1s, b2, special=True)
-            Cb, _ = sg.constant_C(Y, etas)
-            d4b, _ = sg.condition4_det(Y, etas, Cb, xi=xis)
+            es = jt.field_chain(Y, etas, 5)
+            Cb, _ = sg.constant_C(es)
+            d4b, _ = sg.condition4_det(sg.xi_X(Y, xis), es, Cb)
             field_ok += r3 < 1e-7 and abs(d4b / d4_0 - pred) / abs(pred) < 1e-6
 
     models = [

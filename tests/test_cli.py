@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -186,10 +187,33 @@ DT = ("--family", "delaunay-t", "--k", "2", "--nr", "5", "--nt", "5")
     (("generate", "--family", "conjugate", "--of", "delaunay-t", "--k", "1e200"), "--k"),
     (("rep", "--export-from", "delaunay-s", "--k=-1e300"), "--k"),
     (("classify", "--family", "conjugate", "--of", "delaunay-s", "--k=-1e160"), "--k"),
+    # 1/(8 H^2) is not a finite positive float
+    (("generate", "--family", "delaunay-l-i", "--H=1e-200", "--nr", "5", "--nt", "5"), "--H"),
+    (("generate", *DT, "--H=1e-300"), "--H"),
+    (("generate", *DT, "--H=1e300"), "--H"),
+    # no orientation probe point is spacelike: the message names every parameter
+    (("generate", "--family", "conjugate", "--of", "delaunay-t", "--k=1e18", "--nr", "5", "--nt", "5"),
+     "--k"),
+    (("classify", "--family", "delaunay-s", "--k", "2", "--H", "250"), "--H"),
 ])
 def test_bad_numbers_exit2_naming_the_flag(tmp_path, capsys, argv, flag):
-    assert exit_code(tmp_path, *argv, "-o", "out") == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert exit_code(tmp_path, *argv, "-o", "out") == 2
     assert flag in capsys.readouterr().err
+    assert not caught, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("--family", "conjugate", "--of", "delaunay-t", "--k=1e18"), ("--k", "--H", "k = 1e+18", "H = 0.5")),
+    (("--family", "delaunay-s", "--k", "2", "--H", "250"), ("--k", "--H", "k = 2.0", "H = 250.0")),
+    (("--family", "conjugate", "--of", "delaunay-l-i", "--H", "1e-154"), ("--H", "H = 1e-154")),
+])
+def test_orientation_failure_names_every_parameter(tmp_path, capsys, argv, named):
+    assert exit_code(tmp_path, "generate", *argv, "--nr", "5", "--nt", "5", "-o", "out") == 2
+    err = capsys.readouterr().err
+    assert "could not orient surface" in err and all(text in err for text in named), err
+    assert ("--k" in err) == ("--k" in named)  # a lightlike surface has no k
 
 
 @pytest.mark.parametrize("argv", [
@@ -365,6 +389,37 @@ def test_sweep_rows_and_predictions(tmp_path):
     assert all(float(r["rel_diff"]) < 1e-6 for r in rows if r["rel_diff"])
 
 
+@pytest.mark.parametrize("family", ["delaunay-t", "delaunay-s"])
+@pytest.mark.parametrize("k", ["3000", "-5000", "1e16"])
+def test_classify_at_large_k_certifies_what_it_can_probe(tmp_path, family, k):
+    """Some fold-obstruction probes leave the spacelike set at large |k|: their
+    records' certificates are undetermined with the reason, and classify
+    exits 0."""
+    assert run(tmp_path, "classify", "--family", family, f"--k={k}", "-o", "c.json") == 0
+    certs = json.loads((tmp_path / "c.json").read_text())["results"]["certificates"]
+    assert any(c["conclusion"] == "undetermined" for c in certs)
+    for cert in certs:
+        if cert["conclusion"] == "undetermined":
+            assert cert["reason"] == "a probe point is off the spacelike regular set"
+            assert sorted(cert) == ["conclusion", "location", "offset", "reason"]
+        else:
+            assert cert["conclusion"] == "fold impossible" and cert["sheet_flip"] is True
+
+
+def test_gauss_limit_suite_counts_an_undetermined_certificate_as_failed(monkeypatch):
+    certify = sg.cmc_fold_obstruction
+
+    def undetermined(S, recs, **kw):
+        return [{"location": c["location"], "offset": c["offset"], "conclusion": "undetermined",
+                 "reason": "a probe point is off the spacelike regular set"} for c in certify(S, recs, **kw)]
+
+    monkeypatch.setattr(sg, "cmc_fold_obstruction", undetermined)
+    failures = []
+    ok, total = cli._suite_gauss_limit(8, np.random.default_rng(0), failures)
+    assert ok == 0 and total == len(failures) > 0
+    assert all(f["cert"]["conclusion"] == "undetermined" for f in failures)
+
+
 def test_uncomputed_condition4_det_is_null(tmp_path):
     # samples not of the first kind: the determinant is never computed
     assert run(tmp_path, "classify", "--family", "delaunay-t", "--k", "2", "-o", "c.json") == 0
@@ -447,9 +502,9 @@ def _reference_suite_fields(trials, rng, failures):
     per = max(1, trials // len(targets))
     for S, recs in targets:
         Y = sg.StraightChart(S, recs[len(recs) // 2]).jets()
-        _, eta0, _, e = sg._special_null_field_of(Y, 5)
-        C0, _ = sg._constant_C(e)
-        d4_0, _ = sg._condition4(partial_values(Y, 0, 1), e, C0)
+        _, eta0, _, e = sg.special_null_field(Y)
+        C0, _ = sg.constant_C(e)
+        d4_0, _ = sg.condition4_det(partial_values(Y, 0, 1), e, C0)
         for _ in range(per):
             c = rng.uniform(-0.8, 0.8, size=11)
             a1 = Jet2.constant(rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0]), base) + c[0] * u + c[1] * v
@@ -461,8 +516,8 @@ def _reference_suite_fields(trials, rng, failures):
             _, r3 = sg.condition3_det(Y, xi=xi_b, eta=eta_b)
             xi_s, eta_s, pred = sg.perturb_fields(xi0, eta0, a1, a2, b1s, b2, special=True)
             e = field_chain(Y, eta_s, 5)
-            Cb, _ = sg._constant_C(e)
-            d4_b, _ = sg._condition4(sg._xi_X(Y, xi_s), e, Cb)
+            Cb, _ = sg.constant_C(e)
+            d4_b, _ = sg.condition4_det(sg.xi_X(Y, xi_s), e, Cb)
             good = r3 < 1e-7 and abs(d4_b / d4_0 - pred) / abs(pred) < 1e-6
             ok += good
             if not good:

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from cmc_lab import jets as jt
 from cmc_lab import quadrature
 from cmc_lab import representation as rp
+from cmc_lab import singularities as sg
 from cmc_lab import surfaces as sf
 from cmc_lab.jets import MAX_DEGREE, Jet1, Jet2, partial_values
 from cmc_lab.lorentz import lorentz_inner
@@ -603,6 +604,29 @@ def test_singular_locus_characterization_delaunay(delaunay_t_k2):
     assert all(e["rank"] == 1 for e in doc["unit_circle_locus"])
     assert doc["omega_zero_locus"] == [] and doc["g_infinity_locus"] == []
     json.dumps(doc)
+
+
+@pytest.mark.parametrize("k", [2.0, 1e16])
+def test_singular_locus_probes_every_record_as_alone(k):
+    """One probe call for all records gives each the limits of probing it
+    alone; at k = 1e16 every record has a probe point off the spacelike set
+    and is undetermined, without limits."""
+    S = sf.delaunay_timelike(k, 0.5)
+    doc = singular_locus_characterization(S, box=(-0.6, 0.6, 0.1, 1.2), n_grid=9)
+    recs = sg.trace_singular_curve(S, box=(-0.6, 0.6, 0.1, 1.2), n_grid=9)
+    assert doc["omega_zero_locus"] == doc["g_infinity_locus"] == []
+    assert len(doc["unit_circle_locus"]) == len(recs)
+    for entry, rec in zip(doc["unit_circle_locus"], recs):
+        p, dlam = np.asarray(rec.location), np.asarray(rec.dlam)
+        T = dlam / np.linalg.norm(dlam)
+        q = p + np.array([1e-3, 5e-4, 2.5e-4])[:, None] * np.array([T, -T])[:, None]  # (side, step)
+        ys = abs(rp._gauss_values(S, q[..., 0].ravel(), q[..., 1].ravel())).reshape(2, 3)
+        vals = ((8 * ys[:, 2] - 6 * ys[:, 1] + ys[:, 0]) / 3.0).tolist()
+        if k == 2.0:
+            assert entry["type"] == "unit_circle" and entry["abs_g_limits"] == vals
+        else:
+            assert entry["type"] == "undetermined" and "abs_g_limits" not in entry
+            assert any(map(math.isnan, vals))
 
 
 def test_singular_locus_plane_empty():
