@@ -9,10 +9,8 @@ from .lorentz import (  # noqa: F401
     ExtComplex,
     H2Point,
     LVec3,
-    inverse_stereographic,
     lorentz_cross,
     lorentz_inner,
-    stereographic,
 )
 from .jets import Jet1, Jet2, VectorFieldJet, apply_vector_field, iterated_field_derivative  # noqa: F401
 from .quadrature import Integrand, Primitive, integrate  # noqa: F401
@@ -32,9 +30,7 @@ from .singularities import (  # noqa: F401
     SingularPointRecord,
     cmc_fold_obstruction,
     criterion_25,
-    euclidean_normal,
     fold_symmetry_test,
-    signed_area_density,
     special_null_field,
     trace_singular_curve,
 )

@@ -45,8 +45,8 @@ multiplies as one constant per element, and `element(i)` is the scalar jet
 of element i.  Jets combine only at the same base, batch shape included: a
 scalar jet never meets a batch of one.
 
-Array contract.  The elementary functions (sqrt, exp, log, sin, cos, sinh,
-cosh, arctan, artanh, power) take a jet, a float or an array of floats: a
+Array contract.  The elementary functions (sqrt, log, sin, cos, sinh, cosh,
+arctan, artanh) take a jet, a float or an array of floats: a
 non-jet argument goes to the NumPy ufunc, so one expression written with them
 serves a jet, a single point and an array of points alike (the quadrature
 integrands are such expressions).  Outside its domain a ufunc returns NaN
@@ -63,9 +63,8 @@ composition: the monomials in U and V are the same products for every
 component, and each component sums them times its own coefficients in the
 same row-major order from 0.0.  The
 other elementary functions agree with the scalar ones to 1e-13 relative: NumPy
-may evaluate a transcendental function or a non-integer power of an array with
-another kernel than of a single value, so their series may differ in the last
-bits.
+may evaluate a transcendental function of an array with another kernel than of
+a single value, so their series may differ in the last bits.
 """
 
 from __future__ import annotations
@@ -340,28 +339,24 @@ class _Jet:
         return _compose(self, series)
 
     def __pow__(self, p):
-        if isinstance(p, int):
-            if p < 0:
-                return self._reciprocal() ** (-p)
-            out = type(self).constant(1.0, self.base, self.degree)
-            b, n = self, p
-            while n:
-                if n & 1:
-                    out = out * b
+        if not isinstance(p, int):
+            return NotImplemented
+        if p < 0:
+            return self._reciprocal() ** (-p)
+        out = type(self).constant(1.0, self.base, self.degree)
+        b, n = self, p
+        while n:
+            if n & 1:
+                out = out * b
+            n >>= 1
+            if n:  # the last bit needs no square of b
                 b = b * b
-                n >>= 1
-            return out
-        return power(self, p)
+        return out
 
     def _nilpotent(self):
         c = self.c.copy()
         c[self._VALUE_AT] = 0
         return self._like(self.degree, c)
-
-    def allclose(self, other, atol=1e-12, rtol=1e-12):
-        return np.array_equal(self.base, other.base) and np.allclose(
-            self.c, other._coeffs(self.degree), atol=atol, rtol=rtol
-        )
 
     def __repr__(self):
         return f"{type(self).__name__}(base={self.base}, degree={self.degree}, value={self.value})"
@@ -594,14 +589,6 @@ def sqrt(x):
     return _compose(x, series)
 
 
-def exp(x):
-    if not _is_jet(x):
-        return np.exp(x)
-    e = np.exp(x.value)
-    series = [e / math.factorial(n) for n in range(x.degree + 1)]
-    return _compose(x, series)
-
-
 def log(x):
     if not _is_jet(x):
         return np.log(x)
@@ -661,22 +648,6 @@ def artanh(x):
     if not _all(abs(x.value) < 1):
         raise JetDomainError("jet domain error: artanh requires |value| < 1")
     series = _series_from_derivative(x, lambda t: 1.0 / (1.0 - t * t), np.arctanh)
-    return _compose(x, series)
-
-
-def power(x, p):
-    if not _is_jet(x):
-        return np.power(x, p)
-    if isinstance(p, int):
-        return x**p
-    v0 = x.value
-    if not _all(v0 > 0):
-        raise JetDomainError("jet domain error: non-integer power requires positive value")
-    series = [v0**p]
-    b = 1.0
-    for n in range(1, x.degree + 1):
-        b *= (p - (n - 1)) / n
-        series.append(b * v0 ** (p - n))
     return _compose(x, series)
 
 

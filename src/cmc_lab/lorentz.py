@@ -1,12 +1,11 @@
-"""Lorentz-Minkowski linear algebra, the two-sheeted hyperboloid, and
-stereographic projection, and the frame of a surface: its first fundamental
-form and its oriented Lorentz unit normal.
+"""Lorentz-Minkowski linear algebra, the two-sheeted hyperboloid, the
+extended complex plane of Gauss-map values, and the frame of a surface: its
+first fundamental form and its oriented Lorentz unit normal.
 
 The ambient space is R^3 = {(x0, x1, x2)} with the indefinite pairing
 <x, y> = -x0*y0 + x1*y1 + x2*y2; x0 is the timelike coordinate.  The unit
-timelike vectors form the two-sheeted hyperboloid, which stereographic
-projection identifies with the Riemann sphere minus the unit circle: the lower
-sheet maps into the open unit disk, the upper sheet outside the closed disk.
+timelike vectors form the two-sheeted hyperboloid (the values of a spacelike
+surface's unit normal).
 """
 
 from __future__ import annotations
@@ -19,10 +18,6 @@ import numpy as np
 from . import jets as jt
 
 H2_TOL = 1e-12
-
-
-class IdealBoundaryError(ValueError):
-    """Raised for inverse projection of a unit-circle point ("ideal boundary point")."""
 
 
 class NotSpacelikeError(ValueError):
@@ -41,9 +36,6 @@ class LVec3:
     def of(cls, arr) -> "LVec3":
         a = np.asarray(arr, dtype=float)
         return cls(float(a[0]), float(a[1]), float(a[2]))
-
-    def array(self) -> np.ndarray:
-        return np.array([self.x0, self.x1, self.x2])
 
 
 def _components(x):
@@ -111,10 +103,6 @@ def lorentz_normal(Xu, Xv, sign=1) -> tuple:
     return tuple((sign * wi) / norm for wi in w)
 
 
-def det3(x, y, z) -> float:
-    return float(np.linalg.det(np.array([_components(x), _components(y), _components(z)])))
-
-
 @dataclass(frozen=True)
 class H2Point:
     """A point of the unit two-sheeted hyperboloid, tagged with its sheet."""
@@ -138,9 +126,6 @@ class H2Point:
         return cls(p, "upper" if p.x0 > 0 else "lower")
 
 
-_INF = object()
-
-
 @dataclass(frozen=True)
 class ExtComplex:
     """A point of the Riemann sphere: a finite complex value or the tagged infinity."""
@@ -160,42 +145,3 @@ class ExtComplex:
 
     def abs(self) -> float:
         return math.inf if self.infinite else abs(self.value)
-
-    def in_unit_disk(self) -> bool:
-        return not self.infinite and abs(self.value) < 1.0
-
-    def on_unit_circle(self, tol: float = 0.0) -> bool:
-        return not self.infinite and abs(abs(self.value) - 1.0) <= tol
-
-    def __complex__(self) -> complex:
-        if self.infinite:
-            raise ValueError("cannot convert the point at infinity to complex")
-        return self.value
-
-
-def stereographic(p: H2Point) -> ExtComplex:
-    """(x1 + i*x2)/(1 - x0); x0 = 1 cannot occur on the hyperboloid."""
-    v = p.point
-    denom = 1.0 - v.x0
-    if denom == 0.0:
-        # unreachable on the hyperboloid; guard kept for raw-vector misuse
-        return ExtComplex.infinity()
-    return ExtComplex(complex(v.x1, v.x2) / denom)
-
-
-def inverse_stereographic(w) -> H2Point:
-    """The hyperboloid point (|w|^2 + 1, -2 Re w, -2 Im w)/(|w|^2 - 1).
-
-    Unit-circle points are the ideal boundary (they signal singular points of a
-    surface, not normal directions) and are rejected.  w = infinity maps to the
-    upper-sheet vertex (1, 0, 0).
-    """
-    w = ExtComplex.of(w)
-    if w.infinite:
-        return H2Point(LVec3(1.0, 0.0, 0.0), "upper")
-    a = abs(w.value)
-    if a == 1.0:
-        raise IdealBoundaryError("ideal boundary point: |w| = 1")
-    d = a * a - 1.0
-    p = LVec3((a * a + 1.0) / d, -2.0 * w.value.real / d, -2.0 * w.value.imag / d)
-    return H2Point(p, "upper" if p.x0 > 0 else "lower")

@@ -120,16 +120,12 @@ def _gauss_values(S: Surface, u, v):
 
 
 def gauss_map_of(S: Surface, p) -> ExtComplex:
-    """g = stereographic(nu) at a spacelike regular point."""
+    """g = (nu1 + i nu2)/(1 - nu0), the stereographic image of nu, at a spacelike
+    regular point; the tagged infinity where nu0 = 1."""
     try:
         return ExtComplex.of(complex(_gauss_values(S, p[0], p[1])))
     except ZeroDivisionError:
         return ExtComplex.infinity()
-
-
-def _richardson(ys):
-    """The limit as x -> 0 of values at x = h, h/2, h/4 (the last axis): (8 y2 - 6 y1 + y0)/3."""
-    return (8 * ys[..., 2] - 6 * ys[..., 1] + ys[..., 0]) / 3.0
 
 
 def _z_derivative(g: Jet2) -> Jet2:
@@ -291,7 +287,6 @@ class GaussData:
     g_jet: Jet2
     g: np.ndarray
     omega_hat: np.ndarray
-    extension_notes: dict = field(default_factory=dict)
 
     def on_unit_circle(self, tol=UNIT_CIRCLE_TOL) -> np.ndarray:
         return abs(np.hypot(self.g.real, self.g.imag) - 1.0) < tol
@@ -427,22 +422,6 @@ def extended_harmonic_residual(gd: GaussData) -> np.ndarray:
     return np.where(np.isfinite(gd.omega_hat), res, np.nan)
 
 
-def omega_hat(gd: GaussData, i: int, j: int) -> complex:
-    """The representation 1-form coefficient at a node; unit-circle nodes are
-    extended by a one-sided limit along the grid."""
-    if not gd.on_unit_circle()[i, j]:
-        return complex(gd.omega_hat[i, j])
-    for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-        ii, jj = i + 3 * di, j + 3 * dj
-        if 0 <= ii < gd.nu and 0 <= jj < gd.nv:
-            w1, w2, w3 = (gd.omega_hat[i + n * di, j + n * dj] for n in (1, 2, 3))
-            if np.isfinite([w1.real, w2.real, w3.real]).all():
-                limit = 3 * w1 - 3 * w2 + w3  # quadratic one-sided extrapolation
-                gd.extension_notes[(i, j)] = "limit-extrapolated"
-                return complex(limit)
-    raise ValueError("not regular extended harmonic: no usable neighbors for the limit")
-
-
 def _integrand_jets(g: Jet2) -> tuple:
     """V = (-2g, 1+g^2, i(1-g^2)) * omega_hat as complex jets, from the jet of
     g (batched if g is)."""
@@ -525,52 +504,6 @@ def integrate_representation(gd: GaussData, z0=(0, 0)):
         "z0": (i0, j0),
         "H": H,
     }
-
-
-def reconstruction_surface(gd: GaussData):
-    """The reconstruction as a Surface with exact jets at the grid nodes.
-
-    Positions come from the path integral; all derivatives come from the
-    integrand jets through X_u = 2 Re(c V), X_v = -2 Im(c V).  Off-node
-    requests snap to the nearest node (the data is a grid, not a germ), which
-    is enough for fundamental_forms on the reconstruction.  A batch of points
-    (from mesh_export) indexes the batch of integrand jets, each point based
-    at its own node.
-    """
-    from .surfaces import custom_surface, _probe_orientation
-
-    X = integrate_representation(gd)["X"]
-    c = representation_constant(gd.H)
-    cV = [c * comp.c for comp in _integrand_jets(gd.g_jet)]  # element i * nv + j: node (i, j)
-    d = cV[0].shape[-1] - 1
-
-    def builder(u, v, degree):
-        i = np.clip(np.rint((np.asarray(u) - gd.u0) / gd.du).astype(int), 0, gd.nu - 1)
-        j = np.clip(np.rint((np.asarray(v) - gd.v0) / gd.dv).astype(int), 0, gd.nv - 1)
-        D = min(degree, d + 1)
-        n = np.arange(1, D + 1)
-        # d/du X = 2 Re(cV): row a of cV integrates in u to row a + 1; and
-        # d/dv X = -2 Im(cV): on u = u0 row 0 integrates in v
-        inside = np.add.outer(np.arange(D), np.arange(D)) < D  # a + 1 + b <= D
-        out = []
-        for comp in range(3):
-            cv = cV[comp][i * gd.nv + j]
-            arr = np.zeros(cv.shape[:-2] + (D + 1, D + 1))
-            arr[..., 0, 0] = X[i, j, comp]
-            arr[..., 1:, :D] = np.where(inside, 2.0 * cv[..., :D, :D].real / n[:, None], 0.0)
-            arr[..., 0, 1:] = -2.0 * cv[..., 0, :D].imag / n
-            out.append(Jet2((gd.u0 + i * gd.du, gd.v0 + j * gd.dv), D, arr))
-        return tuple(out)
-
-    S = custom_surface(
-        builder,
-        u_range=(gd.u0, gd.u0 + (gd.nu - 1) * gd.du),
-        v_range=(gd.v0, gd.v0 + (gd.nv - 1) * gd.dv),
-        H=gd.H,
-        meta={"source": "representation"},
-    )
-    S.orientation = _probe_orientation(S, gd.H)
-    return S
 
 
 def derivative_identity_residual(gd: GaussData, i: int, j: int, X_u: np.ndarray, X_v: np.ndarray) -> float:
@@ -689,44 +622,3 @@ def laplacian_identity_residual(S: Surface, p):
     res = np.stack(lap, -1) + 2.0 * S.H * np.stack(nu, -1)
     norm = np.sqrt(np.vecdot(res, res))  # np.linalg.norm of each row, to the bit
     return float(norm) if np.ndim(norm) == 0 else norm
-
-
-# -- locus characterization ----------------------------------------------------------
-
-
-def singular_locus_characterization(S: Surface, box=None, n_grid: int = 41) -> dict:
-    """Classify the singular loci in a region by the Gauss-map alternative:
-    |g| = 1 (rank-1 loci), omega = 0, or |g| = infinity, with dX ranks sampled
-    alongside.  A rank-0 record (dX = 0) is filed under omega = 0 unprobed; a
-    rank-1 record is probed for |g| from both sides along dlam."""
-    from .singularities import trace_singular_curve
-
-    records = trace_singular_curve(S, box=box, n_grid=n_grid)  # box None: the scan's default
-    omega_zero = [{"location": list(map(float, rec.location)), "rank": 0, "type": "omega_zero"}
-                  for rec in records if rec.rank == 0]
-    # every other record probed at p +- x T, x = h, h/2, h/4, in one call
-    probed = [rec for rec in records if rec.rank != 0]
-    p = np.array([rec.location for rec in probed], float).reshape(-1, 1, 1, 2)
-    dlam = np.array([rec.dlam for rec in probed], float).reshape(-1, 2)
-    T = dlam / np.maximum(np.sqrt(np.vecdot(dlam, dlam)), 1e-300)[:, None]
-    h = 1e-3
-    q = p + np.array([h, h / 2, h / 4])[:, None] * np.stack([T, -T], axis=1)[:, :, None]
-    ys = abs(_gauss_values(S, q[..., 0].ravel(), q[..., 1].ravel())).reshape(-1, 2, 3)
-    locus, g_inf = [], []
-    for rec, vals in zip(probed, _richardson(ys).tolist()):  # (record, side, step) -> limits
-        entry = {"location": list(map(float, rec.location)), "rank": rec.rank}
-        if any(map(math.isnan, vals)):  # a probe point off the spacelike set
-            entry["type"] = "undetermined"
-        elif any(math.isinf(v) or v > 1e6 for v in vals):
-            entry.update(abs_g_limits=vals, type="g_infinity", note="untested against reference examples")
-        else:
-            entry.update(abs_g_limits=vals,
-                         type="unit_circle" if max(abs(v - 1) for v in vals) < 1e-4 else "other")
-        (g_inf if entry["type"] == "g_infinity" else locus).append(entry)
-    return {
-        "surface": S.family,
-        "unit_circle_locus": locus,
-        "omega_zero_locus": omega_zero,
-        "g_infinity_locus": g_inf,
-        "grid": n_grid,
-    }

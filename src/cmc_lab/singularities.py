@@ -152,41 +152,6 @@ def _frontal_at(S: Surface, u, v):
     return X, n, defined, lam.value, lam.gradient()
 
 
-def euclidean_normal(S: Surface, p) -> np.ndarray:
-    """A Euclidean unit normal at p, smooth across rank-1 singular points.
-
-    Analytic normals are served when the surface carries one; otherwise the
-    normalized cross product at regular points, and at singular points the
-    direction left in the cross product's jet after its vanishing factor
-    (read off as the column space of its Jacobian).
-    """
-    if S.has_analytic_normal:
-        n = np.array([c.value for c in S.analytic_normal_jet(p[0], p[1], 0)])
-        return n / np.linalg.norm(n)
-    X = S.jet(p[0], p[1], 2)
-    Xu, Xv = _dX_of(X).T
-    w = np.array(euclid_cross(Xu, Xv))
-    scale = max(np.linalg.norm(Xu) * np.linalg.norm(Xv), 1e-300)
-    if np.linalg.norm(w) > 1e-9 * scale:
-        return w / np.linalg.norm(w)
-    n, defined = _frontal_normal(_cross_jets(X))
-    if not defined:
-        raise NormalUndefinedError("normal undefined (rank 0 or non-frontal)")
-    return n
-
-
-def signed_area_density(S: Surface, p) -> float:
-    """det(X_u, X_v, n).
-
-    With an analytic normal this is the smooth signed density; without one the
-    pointwise normal makes it |X_u x X_v| at regular points (positive, the
-    orientation sign), and the curve tracer anchors the sign locally instead.
-    """
-    Xu, Xv = _dX_of(S.jet(p[0], p[1], 1)).T
-    n = euclidean_normal(S, p)
-    return float(np.linalg.det(np.array([Xu, Xv, n])))
-
-
 # -- singular curve tracing ----------------------------------------------------
 
 
@@ -820,6 +785,11 @@ def fold_symmetry_of_chart(Y) -> list:
     return reports
 
 
+def _richardson(ys):
+    """The limit as x -> 0 of values at x = h, h/2, h/4 (the last axis): (8 y2 - 6 y1 + y0)/3."""
+    return (8 * ys[..., 2] - 6 * ys[..., 1] + ys[..., 0]) / 3.0
+
+
 def cmc_fold_obstruction(
     S: Surface,
     records: Sequence[SingularPointRecord],
@@ -838,7 +808,7 @@ def cmc_fold_obstruction(
     spacelike set gets the conclusion "undetermined" and the reason, and a
     flank point off that set is left out of the residual.
     """
-    from .representation import _gauss_values, _richardson, laplacian_identity_residual
+    from .representation import _gauss_values, laplacian_identity_residual
 
     live = [n for n, rec in enumerate(records) if rec.rank != 0]
     p = np.array([records[n].location for n in live], float).reshape(-1, 2)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -42,6 +43,8 @@ R_CAP = 2.0  # default half-width of the r-interval served to grids/meshes
 # error of the mean curvature is about 1e-14/|k + 1| (1e-5 at |k + 1| = 1e-9, 1e-2
 # at 1e-12; one ulp from -1 the surface cannot be oriented at all)
 K_BRANCH_TOL = 1e-9
+# cosh(x) and sinh(x) overflow past |x| = log(2 * max float)
+COSH_MAX_ARG = math.log(2.0) + math.log(sys.float_info.max)
 
 
 class SurfaceParameterError(ValueError):
@@ -428,6 +431,14 @@ def conjugate_of(
             template, branch = "L", ("I-ii" if timelike else "II-ii")
             r_hi = r_cap
         else:
+            # the profile integrands divide by sqrt(delta) Delta and by H sqrt(delta) Delta,
+            # which are |k - 1|^3 and H |k - 1|^3 at r = 0 (delta(0) = Delta(0) = (k - 1)^2),
+            # grow by a factor 1 + O(1/|k|) over the chart, and exceed their jets' other
+            # coefficients: refuse where twice the larger overflows (|k| >= 4.5e102, H <= 1)
+            if not math.isfinite(2.0 * max(H, 1.0) * abs(1 - k) * c0):
+                raise SurfaceParameterError(f"k = {k!r} is too large at H = {H!r}: max(H, 1) |k - 1|^3, "
+                                            "a factor of the profile integrands, overflows",
+                                            param=("k", "H"))
             h = (1 - k) / (2 * H * absK)
             rho = lambda x: jt.sqrt(Delta(x)) / (2 * H * absK)
             lam_p = Primitive(Integrand(
@@ -440,6 +451,12 @@ def conjugate_of(
             Phi = (sgn if timelike else 1.0, Phi_p)
             phi_t = -math.sqrt(absK / 2) * (1.0 if timelike else sgn)
             template = ("T" if k > -1 else "S") if timelike else ("S" if k > -1 else "T")
+            if template == "S" and abs(phi_t) * 1.5 > COSH_MAX_ARG:
+                # the S chart reaches phi = Phi + phi_t t at t = +-1.5, where the jets of
+                # sinh(phi) and cosh(phi) overflow: |k + 1| above 2 (COSH_MAX_ARG / 1.5)^2,
+                # about 4.49e5 (|Phi| is at most 1.3e-8 there)
+                raise SurfaceParameterError(f"k = {k!r} is too large: the conjugate's sinh and cosh "
+                                            "of phi overflow on its chart", param="k")
             branch = "I-i" if timelike else "II-i"
             roots = [r for r in (_positive_root(*q) for q in radicands) if r is not None]
             r_hi = min([r_cap] + [r * (1 - 1e-9) for r in roots])

@@ -63,12 +63,17 @@ def test_criterion_2_signed_area_density(conj_k2):
         H * math.sqrt(k + 1) * math.sqrt(delta(r))
     )
     rng = np.random.default_rng(2024)
-    worst = 0.0
+    points = []
     for _ in range(50):
         r = rng.uniform(0.05, 1.9) * rng.choice([-1.0, 1.0])
-        t = rng.uniform(0.0, 2.0)
-        lam = sg.signed_area_density(conj_k2, (r, t))
-        worst = max(worst, abs(lam - formula(r)) / abs(formula(r)))
+        points.append((r, rng.uniform(0.0, 2.0)))
+    # det(X_u, X_v, n/|n|) at every point from one batched frontal evaluation
+    r, t = np.array(points).T
+    X, n, _, _, _ = sg._frontal_at(conj_k2, r, t)
+    n = n / np.linalg.norm(n, axis=-1, keepdims=True)
+    lam = np.linalg.det(np.concatenate([sg._dX_of(X), n[..., None]], axis=-1))
+    want = np.array([formula(x) for x in r])
+    worst = float(np.max(np.abs(lam - want) / np.abs(want)))
     grad_ok = True
     for t in np.linspace(0.1, 2.0, 7):
         lj = sg._lambda_jet(conj_k2, (0.0, float(t)), 2)

@@ -195,12 +195,34 @@ DT = ("--family", "delaunay-t", "--k", "2", "--nr", "5", "--nt", "5")
     (("generate", "--family", "conjugate", "--of", "delaunay-t", "--k=1e18", "--nr", "5", "--nt", "5"),
      "--k"),
     (("classify", "--family", "delaunay-s", "--k", "2", "--H", "250"), "--H"),
+    # a conjugate on the S template evaluates sinh and cosh of phi_t t at t = +-1.5,
+    # which overflow from |k + 1| of about 4.49e5 on
+    (("classify", "--family", "conjugate", "--of", "delaunay-t", "--k=-1e100"), "--k"),
+    (("generate", "--family", "conjugate", "--of", "delaunay-t", "--k=-1e100", "--nr", "5", "--nt", "5"),
+     "--k"),
+    (("classify", "--family", "conjugate", "--of", "delaunay-s", "--k=1e100"), "--k"),
+    (("classify", "--family", "conjugate", "--of", "delaunay-s", "--k=1e6"), "--k"),
+    # the T template at huge |k|: no spacelike orientation probe, or |k - 1|^3 overflows
+    (("classify", "--family", "conjugate", "--of", "delaunay-t", "--k=1e100"), "--k"),
+    (("classify", "--family", "conjugate", "--of", "delaunay-s", "--k=-1e100"), "--k"),
+    (("classify", "--family", "conjugate", "--of", "delaunay-t", "--k=1e120"), "--k"),
 ])
 def test_bad_numbers_exit2_naming_the_flag(tmp_path, capsys, argv, flag):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert exit_code(tmp_path, *argv, "-o", "out") == 2
     assert flag in capsys.readouterr().err
+    assert not caught, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("family, k", [("delaunay-t", "1e100"), ("delaunay-s", "-1e100")])
+def test_generate_at_huge_k_runs_without_overflow(tmp_path, family, k):
+    """Below the (k - 1)^2 refusal the axis profiles' jets stay finite: their
+    largest coefficient is delta's, about k^2."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert exit_code(tmp_path, "generate", "--family", family, f"--k={k}", "--nr", "5", "--nt", "5",
+                         "-o", "out") == 0
     assert not caught, [str(w.message) for w in caught]
 
 
@@ -390,11 +412,11 @@ def test_sweep_rows_and_predictions(tmp_path):
 
 
 @pytest.mark.parametrize("family", ["delaunay-t", "delaunay-s"])
-@pytest.mark.parametrize("k", ["3000", "-5000", "1e16"])
+@pytest.mark.parametrize("k", ["3000", "-5000", "1e16", "1e100", "-1e100"])
 def test_classify_at_large_k_certifies_what_it_can_probe(tmp_path, family, k):
     """Some fold-obstruction probes leave the spacelike set at large |k|: their
     records' certificates are undetermined with the reason, and classify
-    exits 0."""
+    exits 0 (at |k| = 1e100 too: the profile's jets stay finite)."""
     assert run(tmp_path, "classify", "--family", family, f"--k={k}", "-o", "c.json") == 0
     certs = json.loads((tmp_path / "c.json").read_text())["results"]["certificates"]
     assert any(c["conclusion"] == "undetermined" for c in certs)

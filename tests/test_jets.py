@@ -183,7 +183,8 @@ def test_compose2_against_direct():
     comp = jt.compose2(F, U, V)
     # direct construction of sin(u') v' with u' = 0.3 + 2u, v' = 0.1 + v^2 - u
     direct = jt.sin(U) * V
-    assert comp.allclose(direct, atol=1e-13)
+    assert comp.base == direct.base and comp.degree == direct.degree
+    assert np.allclose(comp.c, direct.c, atol=1e-13, rtol=1e-12)
 
 
 def test_partial_extraction_and_orders():
@@ -195,11 +196,21 @@ def test_partial_extraction_and_orders():
         f.partial(5, 1)
 
 
-def test_power_integer_vs_generic():
+def test_power_takes_integer_exponents_only():
     x = 2.0 + Jet2.coordinate(BASE, 4, 0)
-    assert np.allclose((x**3).c, jt.power(x, 3).c)
-    y = jt.power(x, 0.5)
-    assert np.allclose(y.c, jt.sqrt(x).c)
+    assert np.allclose((x**3).c, (x * x * x).c, atol=0, rtol=1e-15)
+    assert np.allclose((x**-2).c, (1.0 / (x * x)).c, atol=0, rtol=1e-15)
+    with pytest.raises(TypeError):
+        x**0.5
+
+
+def test_power_forms_no_power_beyond_its_exponent():
+    """x ** 2 of a jet whose value is 1e100 is finite: the square-and-multiply
+    loop does not square its base past the exponent's last bit (x^4 overflows)."""
+    x = 1e100 + Jet1.coordinate(0.0, 5)
+    with np.errstate(over="raise"):
+        y = x**2
+    assert y.value == 1e200 and y.c[1] == 2e100 and y.c[2] == 1.0
 
 
 def test_base_point_mismatch_rejected():
@@ -341,7 +352,7 @@ def test_batched_products_bit_identical_to_schoolbook_and_reference(jet, da, db,
 def test_an_empty_batch_gives_empty_batches(jet):
     x = jet.coordinate(np.array([]) if jet is Jet1 else (np.array([]), np.array([])), 3)
     results = (x * x, x * 2.0, 1.0 / (x + 1.0), x / (x + 2.0), jt.sqrt(x + 1.0), (x + 1.0) ** 3,
-               jt.exp(x))
+               jt.sin(x))
     for y in results:
         assert y.c.shape == (0,) + (4,) * jet._NVARS and y.value.shape == (0,)
 
@@ -477,7 +488,6 @@ def test_batched_arithmetic_bit_identical_to_scalar(pairs2, pairs1):
 
 ELEMENTARY = {
     "sqrt": (jt.sqrt, (0.1, 10.0)),
-    "exp": (jt.exp, (-3.0, 3.0)),
     "log": (jt.log, (0.1, 10.0)),
     "sin": (jt.sin, (-3.0, 3.0)),
     "cos": (jt.cos, (-3.0, 3.0)),
@@ -485,7 +495,6 @@ ELEMENTARY = {
     "cosh": (jt.cosh, (-3.0, 3.0)),
     "arctan": (jt.arctan, (-3.0, 3.0)),
     "artanh": (jt.artanh, (-0.9, 0.9)),
-    "power": (lambda x: jt.power(x, 1.7), (0.1, 10.0)),
 }
 
 
@@ -556,7 +565,7 @@ def test_scalar_jets_give_numbers_not_0d_arrays():
     u = Jet2.coordinate((0.5, 1.0), 3, 0) * 2.0
     x = Jet1.coordinate(0.5, 3) * 2.0
     for got in (u.value, u.partial(1, 0), u.partial(0, 0), x.value, x.derivative_value(0),
-                x.derivative_value(2), jt.exp(u).value):
+                x.derivative_value(2), jt.sin(u).value):
         assert isinstance(got, float) and not isinstance(got, np.ndarray)
     assert u.value == 1.0 and u.partial(1, 0) == 2.0 and x.derivative_value(1) == 2.0
     batch = Jet2.coordinate((np.array([0.5, 1.5]), np.zeros(2)), 3, 0)

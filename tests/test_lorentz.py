@@ -7,21 +7,21 @@ from hypothesis import given, settings, strategies as st
 from cmc_lab.lorentz import (
     ExtComplex,
     H2Point,
-    IdealBoundaryError,
     LVec3,
     NotSpacelikeError,
-    det3,
     euclid_inner,
-    inverse_stereographic,
     lorentz_cross,
     lorentz_inner,
     lorentz_normal,
-    stereographic,
 )
 from cmc_lab.jets import Jet2
 from cmc_lab.surfaces import fundamental_forms
 
 COORD = st.floats(min_value=-10, max_value=10, allow_nan=False)
+
+
+def _xyz(v: LVec3) -> list:
+    return [v.x0, v.x1, v.x2]
 
 
 def test_lorentz_inner_signature_examples():
@@ -36,16 +36,16 @@ def test_euclid_inner_positive():
 
 
 def test_lorentz_cross_examples():
-    assert lorentz_cross((0, 1, 0), (0, 0, 1)).array().tolist() == [-1, 0, 0]
-    assert lorentz_cross((1, 0, 0), (1, 0, 0)).array().tolist() == [0, 0, 0]
-    assert lorentz_cross((1, 0, 0), (0, 1, 0)).array().tolist() == [0, 0, 1]
+    assert _xyz(lorentz_cross((0, 1, 0), (0, 0, 1))) == [-1, 0, 0]
+    assert _xyz(lorentz_cross((1, 0, 0), (1, 0, 0))) == [0, 0, 0]
+    assert _xyz(lorentz_cross((1, 0, 0), (0, 1, 0))) == [0, 0, 1]
 
 
 @given(st.tuples(*[COORD] * 9))
 def test_lorentz_cross_defining_identity(vals):
     x, y, z = np.array(vals).reshape(3, 3)
     w = lorentz_cross(x, y)
-    d = det3(x, y, z)
+    d = np.linalg.det(np.array([x, y, z]))
     scale = max(1.0, np.abs(vals).max() ** 3)
     assert abs(lorentz_inner(w, z) - d) <= 1e-12 * scale
 
@@ -57,51 +57,6 @@ def test_lorentz_cross_orthogonality(vals):
     scale = max(1.0, np.abs(vals).max() ** 2) * max(1.0, np.abs(vals).max())
     assert abs(lorentz_inner(w, x)) <= 1e-12 * scale
     assert abs(lorentz_inner(w, y)) <= 1e-12 * scale
-
-
-def test_stereographic_examples():
-    assert complex(stereographic(H2Point.of((-1, 0, 0)))) == 0
-    w = stereographic(H2Point.of((5 / 4, 3 / 4, 0)))
-    assert abs(complex(w) - (-3)) < 1e-14
-    assert w.abs() > 1  # upper sheet lands outside the closed disk
-    w2 = stereographic(H2Point.of((-5 / 4, 3 / 4, 0)))
-    assert abs(complex(w2) - (1 / 3)) < 1e-15
-    assert w2.in_unit_disk()
-
-
-def test_inverse_stereographic_examples():
-    p = inverse_stereographic(0)
-    assert p.point.array().tolist() == [-1, 0, 0]
-    assert p.sheet == "lower"
-    p2 = inverse_stereographic(-3)
-    assert np.allclose(p2.point.array(), [5 / 4, 3 / 4, 0])
-    assert p2.sheet == "upper"
-    with pytest.raises(IdealBoundaryError, match="ideal boundary"):
-        inverse_stereographic(1.0)
-    with pytest.raises(IdealBoundaryError):
-        inverse_stereographic(complex(0, 1))
-    inf = inverse_stereographic(ExtComplex.infinity())
-    assert inf.point.array().tolist() == [1, 0, 0]
-    assert inf.sheet == "upper"
-
-
-def test_round_trip_ten_thousand_points():
-    rng = np.random.default_rng(0)
-    n = 10_000
-    rho = rng.uniform(0, 3, n)
-    theta = rng.uniform(0, 2 * math.pi, n)
-    sheet = rng.choice([-1.0, 1.0], n)
-    pts = np.column_stack(
-        [sheet * np.cosh(rho), np.sinh(rho) * np.cos(theta), np.sinh(rho) * np.sin(theta)]
-    )
-    for row, rh in zip(pts, rho):
-        p = H2Point.of(row)
-        q = inverse_stereographic(stereographic(p))
-        assert np.allclose(q.point.array(), row, atol=1e-10, rtol=0)
-        # away from the extreme rim the round trip is tight
-        if rh < 1.5:
-            assert np.allclose(q.point.array(), row, atol=1e-12, rtol=0)
-        assert q.sheet == p.sheet
 
 
 def test_h2point_invariant_enforced():
@@ -122,12 +77,9 @@ def test_sheet_classification_no_tolerance():
 def test_ext_complex_tags():
     inf = ExtComplex.infinity()
     assert inf.infinite and inf.abs() == math.inf
-    assert not inf.in_unit_disk()
     z = ExtComplex.of(0.5 + 0.1j)
-    assert z.in_unit_disk() and not z.on_unit_circle()
-    assert ExtComplex.of(complex(1, 0)).on_unit_circle()
-    with pytest.raises(ValueError):
-        complex(inf)
+    assert not z.infinite and z.abs() == abs(0.5 + 0.1j)
+    assert ExtComplex.of(z) is z
 
 
 @pytest.mark.parametrize("surface", ["delaunay_t_k2", "delaunay_s_km1", "lightlike_i", "conj_k2"])
@@ -142,7 +94,7 @@ def test_lorentz_normal_jets_are_unit_and_normal(surface, request):
         assert nu[0].degree == 4
         for residual in (lorentz_inner(nu, nu) + 1.0, lorentz_inner(nu, Xu), lorentz_inner(nu, Xv)):
             assert np.abs(residual.c).max() <= 1e-12
-        assert np.allclose([c.value for c in nu], fundamental_forms(S, p).nu.point.array(),
+        assert np.allclose([c.value for c in nu], _xyz(fundamental_forms(S, p).nu.point),
                            rtol=0, atol=1e-13)
 
 

@@ -8,7 +8,6 @@ from hypothesis import assume, given, settings, strategies as st
 from cmc_lab import jets as jt
 from cmc_lab import quadrature
 from cmc_lab import representation as rp
-from cmc_lab import singularities as sg
 from cmc_lab import surfaces as sf
 from cmc_lab.jets import MAX_DEGREE, Jet1, Jet2, partial_values
 from cmc_lab.lorentz import lorentz_inner
@@ -24,10 +23,8 @@ from cmc_lab.representation import (
     harmonic_residual,
     integrate_representation,
     laplacian_identity_residual,
-    omega_hat,
     representation_constant,
     representation_roundtrip,
-    singular_locus_characterization,
 )
 from cmc_lab.surfaces import NotSpacelikeError
 
@@ -312,7 +309,7 @@ def test_gauss_map_values(delaunay_t_k2):
 
 
 def test_gauss_map_abs_straddles_unity(delaunay_t_k2):
-    vals = [abs(complex(gauss_map_of(delaunay_t_k2, (r, 0.2)))) for r in (1e-3, -1e-3)]
+    vals = [gauss_map_of(delaunay_t_k2, (r, 0.2)).abs() for r in (1e-3, -1e-3)]
     assert (vals[0] - 1) * (vals[1] - 1) < 0
 
 
@@ -360,19 +357,6 @@ def test_antiholomorphic_example_residual_and_omega():
     assert abs(complex(om.value) - 0.5) < 1e-15
     gd = _grid_of(gj, gj.value, om.value)
     assert harmonic_residual(gd)[0, 0] == 0.0
-
-
-def test_omega_hat_direct_and_limit(gauss_data_t_k2):
-    gd = gauss_data_t_k2
-    assert omega_hat(gd, 3, 3) == gd.omega_hat[3, 3]
-    # synthetic unit-circle node: extension by one-sided limit along the grid
-    import copy
-
-    gd2 = copy.deepcopy(gd)
-    gd2.g[0, 0] = 1.0
-    w = omega_hat(gd2, 0, 0)
-    assert np.isfinite([w.real, w.imag]).all()
-    assert gd2.extension_notes[(0, 0)] == "limit-extrapolated"
 
 
 def test_gauss_data_json_roundtrip(gauss_data_t_k2):
@@ -541,28 +525,6 @@ def test_constant_gauss_map_rejected():
         integrate_representation(gd)
 
 
-def test_reconstructed_mean_curvature(gauss_data_t_k2):
-    gd = gauss_data_t_k2
-    S = rp.reconstruction_surface(gd)
-    worst = 0.0
-    for i in range(2, gd.nu - 2, 4):
-        for j in range(1, gd.nv - 1, 3):
-            ff = sf.fundamental_forms(S, (gd.u0 + i * gd.du, gd.v0 + j * gd.dv))
-            worst = max(worst, abs(ff.H_mean - 0.5))
-    assert worst < 1e-4
-
-
-def test_reconstruction_meshes_at_its_nodes(gauss_data_t_k2):
-    gd = gauss_data_t_k2
-    S = rp.reconstruction_surface(gd)
-    mesh = sf.mesh_export(S, gd.nu, gd.nv)
-    X = rp.integrate_representation(gd)["X"]
-    assert np.array_equal(mesh.vertices, X.reshape(-1, 3))
-    us = np.linspace(*S.u_range, gd.nu)
-    vs = np.linspace(*S.v_range, gd.nv)
-    assert np.array_equal(mesh.vertices, [S.point(u, v) for u in us for v in vs])
-
-
 # -- compatibility equations and the Laplace identity --------------------------------
 
 
@@ -592,60 +554,3 @@ def test_laplacian_plane_exact():
 def test_laplacian_rejects_singular_point(delaunay_t_k2):
     with pytest.raises(NotSpacelikeError):
         laplacian_identity_residual(delaunay_t_k2, (0.0, 0.3))
-
-
-# -- locus characterization -----------------------------------------------------------
-
-
-def test_singular_locus_characterization_delaunay(delaunay_t_k2):
-    doc = singular_locus_characterization(delaunay_t_k2, box=(-0.6, 0.6, 0.1, 1.2), n_grid=9)
-    assert doc["unit_circle_locus"]
-    assert all(e["type"] == "unit_circle" for e in doc["unit_circle_locus"])
-    assert all(e["rank"] == 1 for e in doc["unit_circle_locus"])
-    assert doc["omega_zero_locus"] == [] and doc["g_infinity_locus"] == []
-    json.dumps(doc)
-
-
-@pytest.mark.parametrize("k", [2.0, 1e16])
-def test_singular_locus_probes_every_record_as_alone(k):
-    """One probe call for all records gives each the limits of probing it
-    alone; at k = 1e16 every record has a probe point off the spacelike set
-    and is undetermined, without limits."""
-    S = sf.delaunay_timelike(k, 0.5)
-    doc = singular_locus_characterization(S, box=(-0.6, 0.6, 0.1, 1.2), n_grid=9)
-    recs = sg.trace_singular_curve(S, box=(-0.6, 0.6, 0.1, 1.2), n_grid=9)
-    assert doc["omega_zero_locus"] == doc["g_infinity_locus"] == []
-    assert len(doc["unit_circle_locus"]) == len(recs)
-    for entry, rec in zip(doc["unit_circle_locus"], recs):
-        p, dlam = np.asarray(rec.location), np.asarray(rec.dlam)
-        T = dlam / np.linalg.norm(dlam)
-        q = p + np.array([1e-3, 5e-4, 2.5e-4])[:, None] * np.array([T, -T])[:, None]  # (side, step)
-        ys = abs(rp._gauss_values(S, q[..., 0].ravel(), q[..., 1].ravel())).reshape(2, 3)
-        vals = ((8 * ys[:, 2] - 6 * ys[:, 1] + ys[:, 0]) / 3.0).tolist()
-        if k == 2.0:
-            assert entry["type"] == "unit_circle" and entry["abs_g_limits"] == vals
-        else:
-            assert entry["type"] == "undetermined" and "abs_g_limits" not in entry
-            assert any(map(math.isnan, vals))
-
-
-def test_singular_locus_plane_empty():
-    doc = singular_locus_characterization(_tilted_plane(), box=(-1, 1, -1, 1), n_grid=7)
-    assert doc["unit_circle_locus"] == []
-    assert doc["omega_zero_locus"] == [] and doc["g_infinity_locus"] == []
-
-
-def test_singular_locus_files_rank_0_records_under_omega_zero():
-    """The (u^2, uv, v^2) cone has dX = 0 at the origin: the record is filed as
-    omega = 0, not probed along its vanishing dlam into `undetermined`."""
-
-    def builder(u0, v0, degree):
-        uj, vj = Jet2.variables((u0, v0), degree)
-        return uj * uj, uj * vj, vj * vj
-
-    doc = singular_locus_characterization(sf.custom_surface(builder, (-0.5, 0.5), (-0.5, 0.5)),
-                                          n_grid=5)
-    assert doc["omega_zero_locus"] and all(e["rank"] == 0 for e in doc["omega_zero_locus"])
-    assert all(e["type"] == "omega_zero" for e in doc["omega_zero_locus"])
-    assert all(e["rank"] != 0 for e in doc["unit_circle_locus"] + doc["g_infinity_locus"])
-    assert all(e["type"] != "undetermined" for e in doc["unit_circle_locus"])

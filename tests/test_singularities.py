@@ -24,10 +24,8 @@ from cmc_lab.singularities import (
     constant_C,
     criterion_25,
     diffeo_push,
-    euclidean_normal,
     fold_symmetry_test,
     perturb_fields,
-    signed_area_density,
     special_null_field,
     sweep_rows_to_csv,
     trace_singular_curve,
@@ -60,43 +58,61 @@ def _rank0_model():
 # -- normals -------------------------------------------------------------------
 
 
+def _frontal(S, *points):
+    """_frontal_at at the points (u, v): the normals (B, 3), the mask of
+    points where they are defined, lambda and dlambda."""
+    u, v = np.array(points, float).T
+    _, n, defined, lam, dlam = sg._frontal_at(S, u, v)
+    return n, defined, lam, dlam
+
+
+def _unit_density(S, *points):
+    """det(X_u, X_v, n / |n|) at the points, from one _frontal_at call."""
+    u, v = np.array(points, float).T
+    X, n, _, _, _ = sg._frontal_at(S, u, v)
+    n = n / np.linalg.norm(n, axis=-1, keepdims=True)
+    return np.linalg.det(np.concatenate([sg._dX_of(X), n[..., None]], axis=-1))
+
+
 def test_normal_on_fold_from_cross_product_jet():
-    S = _custom_fold()
-    n = euclidean_normal(S, (0.4, 0.0))
-    assert np.allclose(np.abs(n), [0, 0, 1], atol=1e-12)
+    """The frontal normal of the fold without its analytic normal is (0, 0, 1)
+    on both sides of the singular curve v = 0 and on it, while lambda = 2v
+    changes sign."""
+    n, defined, lam, dlam = _frontal(_custom_fold(), (0.4, -0.1), (0.4, 0.0), (0.4, 0.1))
+    assert defined.all()
+    assert np.allclose(n, [0, 0, 1], atol=1e-12)
+    assert np.allclose(lam, [-0.2, 0.0, 0.2], atol=1e-12)
+    assert np.allclose(dlam, [0, 2], atol=1e-12)
 
 
 def test_normal_on_cusp25_at_singular_point(cusp25_model):
-    n = euclidean_normal(cusp25_model, (0.3, 0.0))
-    assert np.allclose(n, [0, 0, 1], atol=1e-12)
+    n, defined, _, _ = _frontal(cusp25_model, (0.3, 0.0))
+    assert defined.all() and np.allclose(n, [[0, 0, 1]], atol=1e-12)
 
 
 def test_normal_at_cone_vertex_defined(cone_model):
-    n = euclidean_normal(cone_model, (0.5, 0.0))
+    n, defined, _, _ = _frontal(cone_model, (0.5, 0.0))
     expect = np.array([math.cos(0.5), math.sin(0.5), -1.0]) / math.sqrt(2)
-    assert np.allclose(np.abs(n), np.abs(expect), atol=1e-10)
+    assert defined.all() and np.allclose(np.abs(n[0]), np.abs(expect), atol=1e-10)
 
 
-def test_normal_rank0_error():
-    with pytest.raises(NormalUndefinedError, match="rank 0"):
-        euclidean_normal(_rank0_model(), (0.0, 0.0))
+def test_normal_undefined_at_rank0():
+    _, defined, _, _ = _frontal(_rank0_model(), (0.0, 0.0), (0.3, 0.2))
+    assert defined.tolist() == [False, True]
 
 
 def test_signed_area_density_fold(fold_model):
-    assert abs(signed_area_density(fold_model, (0.3, 0.25)) - 0.5) < 1e-14
-    assert abs(signed_area_density(fold_model, (0.0, -0.1)) + 0.2) < 1e-14
+    lam = _unit_density(fold_model, (0.3, 0.25), (0.0, -0.1))
+    assert abs(lam[0] - 0.5) < 1e-14
+    assert abs(lam[1] + 0.2) < 1e-14
 
 
 def test_signed_area_density_conjugate_closed_form(conj_k2):
-    lam = signed_area_density(conj_k2, (1.0, 0.3))
+    lam = _unit_density(conj_k2, (1.0, 0.3))[0]
     delta1 = (1 + 3) ** 2 - 8
     expect = 1.0 * math.sqrt(delta1 - 3) / (0.5 * math.sqrt(3) * math.sqrt(delta1))
     assert abs(lam - expect) < 1e-9
     assert abs(expect - math.sqrt(5 / 6)) < 1e-15
-
-
-def test_signed_area_density_positive_at_regular_immersion(delaunay_t_k2):
-    assert signed_area_density(delaunay_t_k2, (0.8, 0.5)) > 0
 
 
 # -- tracing and kinds ------------------------------------------------------------
@@ -346,7 +362,7 @@ def test_root_gate_drops_sign_changes_off_the_curve():
 
     def builder(u0, v0, degree):
         uj, vj = Jet2.variables((u0, v0), degree)
-        r = jt.exp(uj)
+        r = jt.cosh(uj) + jt.sinh(uj)  # e^u
         return (r * jt.cos(2.0 * uj), r * jt.sin(2.0 * uj), vj)
 
     recs = trace_singular_curve(sf.custom_surface(builder), box=(-1, 1, -1, 1), n_grid=3)
@@ -973,7 +989,7 @@ def _reference_certificate(S, record, offset=1e-4, flank=0.5):
     T = dlam / np.linalg.norm(dlam)
 
     def g_at(q):
-        return complex(rp.gauss_map_of(S, tuple(q)))
+        return complex(rp._gauss_values(S, q[0], q[1]))  # raises at infinity, as a batch does
 
     sides = {}
     h = offset

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -144,6 +145,27 @@ def test_conjugate_branch_dispatch():
     c3ii = conjugate_of("delaunay_lightlike_ii", H=0.5)
     assert c3ii.meta["template"] == "S" and c3ii.meta["h"] == 1.0
     assert c3ii.u_range[1] < 1 / math.sqrt(2)
+
+
+def test_conjugate_refuses_k_whose_profile_jets_overflow():
+    """The S template's sinh and cosh of phi_t t leave the float range at t = +-1.5
+    from |k + 1| = 2 (COSH_MAX_ARG / 1.5)^2 on; the profile integrands' factor
+    max(H, 1) |k - 1|^3 is refused with a factor 2 of headroom."""
+    kb = 2.0 * (sf.COSH_MAX_ARG / 1.5) ** 2
+    for family, k in (("delaunay_spacelike", kb * (1 + 1e-12) - 1.0),
+                      ("delaunay_timelike", -kb * (1 + 1e-12) - 1.0)):
+        with pytest.raises(sf.SurfaceParameterError, match="sinh and cosh") as e:
+            conjugate_of(family, k=k, H=0.5)
+        assert e.value.param == "k"
+    with pytest.raises(sf.SurfaceParameterError, match="could not orient"):  # just below: no overflow
+        conjugate_of("delaunay_spacelike", k=kb * (1 - 1e-9) - 1.0, H=0.5)
+    kc = (sys.float_info.max / 2.0) ** (1 / 3)
+    for k, H in ((1.01 * kc, 0.5), (-1.01 * kc, 0.5), (0.99 * kc, 2.0)):
+        with pytest.raises(sf.SurfaceParameterError, match=r"\|k - 1\|\^3") as e:
+            conjugate_of("delaunay_timelike", k=k, H=H)
+        assert e.value.param == ("k", "H")
+    # the T template just below the bound builds (an overflow would raise here)
+    assert conjugate_of("delaunay_spacelike", k=-0.99 * kc, H=0.5).meta["template"] == "T"
 
 
 def test_conjugate_isometry_at_half(delaunay_t_k2, conj_k2):
