@@ -41,6 +41,12 @@ FAMILIES = {
 }
 
 
+# rep --export-from on delaunay-t and delaunay-s: the conformal chart's quadrature meets
+# its tolerance up to |k| of about 1.3e5 |H| to 2.5e5 |H|, and not above about 2e7 (exit 1
+# beyond, measured for H from 1e-4 to 1e4); the bound keeps a margin below both
+EXPORT_K_PER_H, EXPORT_K_MAX = 5e4, 1e7
+
+
 class InputError(ValueError):
     pass
 
@@ -483,6 +489,10 @@ def cmd_rep(args) -> int:
                              f"delaunay-l-i or delaunay-l-ii), got {args.export_from!r}")
         _at_least(2, ns=args.ns, nt=args.nt)
         S = build_surface(args.export_from, args.k, args.H, r_cap=args.r_cap)
+        if S.k is not None and abs(S.k) > min(EXPORT_K_PER_H * abs(S.H), EXPORT_K_MAX):
+            raise sf.SurfaceParameterError(
+                f"k = {args.k!r} is too large for the conformal chart at H = {args.H!r}: rep "
+                f"--export-from takes |k| <= min({EXPORT_K_PER_H:g} |H|, {EXPORT_K_MAX:g})", param="k")
         r0, r1 = 0.15 * S.u_range[1], 0.65 * S.u_range[1]
         prof = rp.conformal_profile_chart(S, r0, r1)
         s0, s1 = prof.s_of_r(r0 * 1.02), prof.s_of_r(r1 * 0.98)

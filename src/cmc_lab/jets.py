@@ -26,8 +26,17 @@ A batch of B elements gathers through flat maps: the table offset by the start
 of each element's coefficients, so that element e's terms fill the bins of
 element e in table order.  The maps of a (variables, degree, B) are built by
 its first product and kept while all kept maps fit in _MAPS_BYTES (least
-recently used out first); a larger batch is multiplied in chunks whose maps
-take at most a quarter of that.  An empty batch gives an empty batch.
+recently used out first).  The capacity of a product pass is the number of
+elements whose maps take at most a quarter of that (86 at degree 5 in two
+variables); a larger batch is multiplied in chunks of the capacity.  An empty
+batch gives an empty batch.
+
+Composite operations are array kernels over coefficient arrays, not chains of
+jets: independent products are stacked on a leading axis and made by one
+pass of the product kernel, as many items per pass as fit in the capacity
+(one item alone when it does not fit: a pass never takes the chunk path for
+items that fit one by one).  Since each element is binned in table order on
+its own, a product in a stack is bit for bit the product made alone.
 
 Degree is capped at 5: the fifth-order directional derivatives consumed by the
 cuspidal-edge criterion are the deepest anything here needs, and a fixed cap
@@ -58,13 +67,27 @@ batched bincount adds each element's terms in table order starting from 0.0,
 and the reciprocal and square-root series are built from 1/g0 and sqrt(g0) by
 multiplication only.  So are `compose2` (and with it the Lorentz normal, which
 takes products, a square root and a quotient) and `compose_inverse`.
-`compose2` of a sequence of jets gives each component bit for bit as its own
-composition: the monomials in U and V are the same products for every
-component, and each component sums them times its own coefficients in the
-same row-major order from 0.0.  The
-other elementary functions agree with the scalar ones to 1e-13 relative: NumPy
-may evaluate a transcendental function of an array with another kernel than of
-a single value, so their series may differ in the last bits.
+
+Each composite kernel makes the products and sums that the same operation
+written jet by jet makes, with the same factors in the same order, so for
+finite coefficients it is bit-identical to that (the test suite keeps the
+jet-by-jet versions as references):
+  - Horner evaluation of a series (every elementary function, the reciprocal
+    and so division) makes per order one product with the nilpotent part and
+    one sum at the value slot; an integer power makes the products of binary
+    powering in their order.
+  - `compose2` makes per degree one pass for the next powers of U - u0 and
+    V - v0, then passes for the products pu[a] * pv[b] of every term.  Each
+    component sums those times its own coefficients in row-major order from
+    0.0, skipping a term whose coefficient vanishes in every element, so a
+    sequence of jets gives each component as its own composition.
+  - A field chain stacks all jets of X; per order one pass makes e1 * df/du
+    and e2 * df/dv of every jet, and the two are summed as jets are summed.
+Stacking a real with a complex factor computes the real one in complex
+arithmetic with zero imaginary parts, which gives the real products' bits.
+The other elementary functions agree with the scalar ones to 1e-13 relative:
+NumPy may evaluate a transcendental function of an array with another kernel
+than of a single value, so their series may differ in the last bits.
 """
 
 from __future__ import annotations
@@ -141,13 +164,19 @@ _MAPS = {}
 _MAPS_BYTES = 1 << 20
 
 
+def _capacity(nvars, degree):
+    """The most elements one product pass takes: those whose flat maps fit in
+    a quarter of _MAPS_BYTES (86 at degree 5 in two variables)."""
+    return max(1, _MAPS_BYTES // (12 * _PAIRS[nvars][degree][0].nbytes))
+
+
 def _flat_maps(nvars, degree, size):
     """The pair table of (nvars, degree) offset for each element of a batch of `size`
-    coefficients, as read-only flat gather and bin indices; None over _MAPS_BYTES / 4."""
+    coefficients, as read-only flat gather and bin indices; None over the capacity."""
     maps = _MAPS.pop((nvars, degree, size), None)
     if maps is None:
         ia, ib, io, m = _PAIRS[nvars][degree]
-        if 12 * ia.nbytes * (size // m) > _MAPS_BYTES:
+        if size // m > _capacity(nvars, degree):
             return None
         off = np.arange(0, size, m)[:, None]
         maps = tuple((off + idx).ravel() for idx in (ia, ib, io))
@@ -169,7 +198,7 @@ def _convolve(A, B, nvars, degree):
             return np.empty(A.shape, np.result_type(A, B))
         maps = _flat_maps(nvars, degree, A.size)
         if maps is None:  # in chunks of elements whose maps are kept, the last flush with the end
-            step = max(1, _MAPS_BYTES // (12 * ia.nbytes))
+            step = _capacity(nvars, degree)
             out = np.empty(A.shape, np.result_type(A, B))
             a, b, o = A.reshape(-1, m), B.reshape(-1, m), out.reshape(-1, m)
             for i in range(0, len(a), step):
@@ -186,6 +215,39 @@ def _convolve(A, B, nvars, degree):
         out = np.bincount(io, w, A.size)
     out.shape = A.shape
     return out
+
+
+def _passes(n, size, nvars, degree):
+    """Slices of n stacked items of `size` coefficients each, one slice per
+    product pass: as many items as fit in the capacity in elements, at least one."""
+    per = max(1, _capacity(nvars, degree) * _PAIRS[nvars][degree][3] // max(1, size))
+    return [slice(i, i + per) for i in range(0, n, per)] or [slice(0, 0)]
+
+
+def _products(A, B, nvars, degree):
+    """The truncated products of the items A[i] and B[i] (coefficient arrays of
+    one shape, stacked on a first axis), in passes of _convolve: bit for bit
+    each item's own product."""
+    passes = _passes(len(A), A[:1].size, nvars, degree)
+    if len(passes) == 1:
+        return _convolve(A, B, nvars, degree)
+    out = np.empty(A.shape, np.result_type(A, B))
+    for s in passes:
+        out[s] = _convolve(A[s], B[s], nvars, degree)
+    return out
+
+
+def _plus(c, x, at):
+    """The coefficients `c` (an array of one's own, changed in place when no type
+    promotes) plus x, a number or a (B,) array of one per element, at the value
+    index `at`."""
+    if not (isinstance(x, float) and c.dtype.kind in "fc"):  # np.result_type costs more than the sum
+        c = c.astype(np.result_type(c, x), copy=False)
+    if c.ndim < len(at) and not isinstance(x, np.ndarray):
+        c.flat[0] += x  # one element: a fifth of the time of the indexed sum
+    else:
+        c[at] += x
+    return c
 
 
 class _Jet:
@@ -298,15 +360,7 @@ class _Jet:
         if o is not None:
             D = min(self.degree, o.degree)
             return self._like(D, self._coeffs(D) + o._coeffs(D))
-        if isinstance(other, float) and self.c.dtype.kind in "fc":
-            c = self.c.copy()  # no type promotion (np.result_type costs more than the sum)
-        else:
-            c = self.c.astype(np.result_type(self.c, other))
-        if c.size == _PAIRS[self._NVARS][self.degree][3] and not isinstance(other, np.ndarray):
-            c.flat[0] += other  # one element, by size: a fifth of the time of the indexed sum
-        else:
-            c[self._VALUE_AT] += other
-        return self._like(self.degree, c)
+        return self._like(self.degree, _plus(self.c.copy(), other, self._VALUE_AT))
 
     __radd__ = __add__
 
@@ -343,20 +397,17 @@ class _Jet:
             return NotImplemented
         if p < 0:
             return self._reciprocal() ** (-p)
-        out = type(self).constant(1.0, self.base, self.degree)
-        b, n = self, p
+        nvars, D = self._NVARS, self.degree
+        out = np.zeros(self.c.shape)  # the constant 1.0
+        out[self._VALUE_AT] = 1.0
+        b, n = self.c, p
         while n:
             if n & 1:
-                out = out * b
+                out = _convolve(out, b, nvars, D)
             n >>= 1
             if n:  # the last bit needs no square of b
-                b = b * b
-        return out
-
-    def _nilpotent(self):
-        c = self.c.copy()
-        c[self._VALUE_AT] = 0
-        return self._like(self.degree, c)
+                b = _convolve(b, b, nvars, D)
+        return self._like(D, out)
 
     def __repr__(self):
         return f"{type(self).__name__}(base={self.base}, degree={self.degree}, value={self.value})"
@@ -480,22 +531,22 @@ class Jet1(_Jet):
         if self.degree < 1 or not _all(self.c[..., 1] != 0):
             raise JetDomainError("jet not invertible: vanishing first derivative")
         D = self.degree
-        y0 = self.value
         series = [self.c[..., n] for n in range(D + 1)]
         inv = np.zeros(self.c.shape)
         inv[..., 0] = self.base
         inv[..., 1] = 1.0 / series[1]
         for n in range(2, D + 1):
             # coefficient of (y - y0)^n in self(inv(y)); must equal 0
-            partial = inv.copy()
-            partial[..., n:] = 0.0
-            comp = _compose(Jet1(y0, D, partial), series, self.base)
-            inv[..., n] = -comp.c[..., n] / series[1]
-        return Jet1(y0, D, inv)
+            hat = inv.copy()
+            hat[..., n:] = 0.0
+            hat[..., 0] = 0.0
+            inv[..., n] = -_horner(hat, series, 1, D)[..., n] / series[1]
+        return Jet1(self.value, D, inv)
 
 
 def _compose(jet, series, base=None):
-    """Horner evaluation of sum_n series[n] * (jet - value)^n in the jet algebra.
+    """Horner evaluation of sum_n series[n] * (jet - value)^n in the jet algebra:
+    per order one product with the nilpotent part and one sum at the value slot.
 
     With `base`, series holds the Taylor coefficients of an outer function at
     `base` (a univariate jet's c), and the result is outer(jet); jet.value
@@ -503,10 +554,18 @@ def _compose(jet, series, base=None):
     """
     if base is not None and not _all(np.isclose(jet.value, base, rtol=0, atol=1e-12)):
         raise JetError("composition base mismatch")
-    hat = jet._nilpotent()
-    out = hat * 0 + series[-1]
-    for n in range(len(series) - 2, -1, -1):
-        out = out * hat + series[n]
+    hat = jet.c.copy()
+    hat[jet._VALUE_AT] = 0
+    return jet._like(jet.degree, _horner(hat, series, jet._NVARS, jet.degree))
+
+
+def _horner(hat, series, nvars, degree):
+    """The coefficients of sum_n series[n] * hat^n for the coefficients `hat` of
+    a jet whose value is 0."""
+    at = (...,) + (0,) * nvars
+    out = _plus(hat * 0, series[-1], at)
+    for s in reversed(series[:-1]):
+        out = _plus(_convolve(out, hat, nvars, degree), s, at)
     return out
 
 
@@ -525,27 +584,42 @@ def compose2(F, U, V):
     term is added to every component whose coefficient does not vanish in
     every element, in row-major order from 0.0, so each component is the
     same sequence of roundings as its own composition.
+
+    The products are stacked passes: per degree one pass makes the next power
+    of U - u0 and of V - v0, and one more makes pu[a] * pv[b] for every term.
     """
     Fs = (F,) if isinstance(F, Jet2) else tuple(F)
     d = Fs[0].degree
-    du = U - Fs[0].base[0]
-    dv = V - Fs[0].base[1]
     D = min(U.degree, V.degree)
-    one = type(U).constant(1.0, U.base, D)
-    pu, pv = [one], [one]
-    for _ in range(d):
-        pu.append(pu[-1] * du)
-        pv.append(pv[-1] * dv)
+    nvars, at = U._NVARS, U._VALUE_AT
+    step = np.stack([U._coeffs(D), V._coeffs(D)])  # (U - u0, V - v0)
+    step[0][at] += -Fs[0].base[0]
+    step[1][at] += -Fs[0].base[1]
+    powers = np.zeros((d + 1,) + step.shape, np.result_type(step, np.float64))
+    powers[0][at] = 1.0  # row i: (pu[i], pv[i])
+    for i in range(d):
+        powers[i + 1] = _products(powers[i], step, nvars, D)
     W = np.stack([f.c for f in Fs])  # (components,) + batch + (d + 1, d + 1)
     # the terms of each component that do not vanish in every element
     nonzero = W.reshape(len(Fs), -1, d + 1, d + 1).any(axis=1) & _TRIANGLE[d]
-    out = np.zeros((len(Fs),) + one.c.shape, np.result_type(W, one.c))
-    lift = (1,) * U._NVARS  # a weight per component and element, over all coefficients
-    for a, b in np.argwhere(nonzero.any(axis=0)).tolist():  # row-major order
-        w = W[..., a, b]
-        np.add(out, (pu[a] * pv[b]).c * w.reshape(w.shape + lift), out=out,
-               where=nonzero[:, a, b].reshape((-1,) + (1,) * (out.ndim - 1)))
-    comps = tuple(one._like(D, c) for c in out)
+    ia, ib = np.nonzero(nonzero.any(axis=0))  # row-major order
+    # per term: the weight of each component and element, over all its coefficients,
+    # and whether the component takes the term (every one does, or some)
+    w = np.moveaxis(W[..., ia, ib], -1, 0)
+    w = w.reshape(w.shape + (1,) * nvars)
+    takes = nonzero[:, ia, ib].T
+    every = takes.all(axis=1).tolist()
+    takes = takes.reshape(takes.shape + (1,) * (w.ndim - 2))
+    out = np.zeros((len(Fs),) + step.shape[1:], np.result_type(W, np.float64))
+    pu, pv = powers[:, 0], powers[:, 1]
+    for s in _passes(len(ia), step[0].size, nvars, D):
+        P = _convolve(pu[ia[s]], pv[ib[s]], nvars, D)  # pu[a] * pv[b] per term of the pass
+        for t, p in enumerate(P, s.start):
+            if every[t]:
+                out += p * w[t]
+            else:
+                np.add(out, p * w[t], out=out, where=takes[t])
+    comps = tuple(U._like(D, c) for c in out)
     return comps[0] if isinstance(F, Jet2) else comps
 
 
@@ -674,14 +748,37 @@ class VectorFieldJet:
         return self.e1.base
 
 
+def _field_pass(e, F):
+    """e1 * dF/du + e2 * dF/dv for the stack F of bivariate coefficient arrays
+    (items on the first axis) and the stack e of the field's (e1, e2): one
+    product pass over every item's two products, summed as jets are summed.
+    The degree drops by one (a product takes the lower degree of its factors)."""
+    D = min(e.shape[-1], F.shape[-1] - 1) - 1
+    k = np.arange(1, D + 2)
+    Fu = F[..., 1:D + 2, :D + 1] * k[:, None]
+    Fv = F[..., :D + 1, 1:D + 2] * k
+    e = e[..., :D + 1, :D + 1]
+    n = len(F)
+    P = _products(np.repeat(e, n, axis=0), np.concatenate([Fu, Fv]), 2, D)
+    return P[:n] + P[n:]
+
+
+def _field_stack(field: VectorFieldJet, X):
+    """The field's (e1, e2) and the jets X as coefficient stacks for _field_pass (X
+    truncated to its lowest degree), after checking that X can take one pass."""
+    d = min(j.degree for j in X)
+    if d < 1:
+        raise JetOrderError("jet order exhausted")
+    if not all(_same_base(field.base, j.base) for j in X):
+        raise JetError("field and jet have different base points")
+    return np.stack([field.e1.c, field.e2.c]), np.stack([j._coeffs(d) for j in X])
+
+
 def apply_vector_field(field: VectorFieldJet, f: Jet2) -> Jet2:
     """Jet of e1 * df/du + e2 * df/dv; degree drops by one (a product takes the
     lower degree of its factors, so the field needs no truncation)."""
-    if f.degree < 1:
-        raise JetOrderError("jet order exhausted")
-    if not _same_base(field.base, f.base):
-        raise JetError("field and jet have different base points")
-    return field.e1 * f.du() + field.e2 * f.dv()
+    c = _field_pass(*_field_stack(field, (f,)))[0]
+    return field.e1._like(c.shape[-1] - 1, c)
 
 
 def partial_values(X, a: int, b: int) -> np.ndarray:
@@ -692,13 +789,20 @@ def partial_values(X, a: int, b: int) -> np.ndarray:
 
 def field_chain(X, field: VectorFieldJet, k: int) -> np.ndarray:
     """Values at the base point of field^n X, n = 0..k (row n: (3,), or (B, 3) for
-    batched jets), from k field applications per jet of X; exact, no finite differencing."""
+    batched jets), from k field passes over all jets of X at once; exact, no
+    finite differencing."""
     if k > min(j.degree for j in X):
         raise JetOrderError("jet order exhausted")
-    chain = [X]
+    F = np.stack([j.c[..., 0, 0] for j in X])
+    rows = [F]
+    if k:
+        e, F = _field_stack(field, X)
     for _ in range(k):
-        chain.append([apply_vector_field(field, j) for j in chain[-1]])
-    return np.array([np.stack([j.value for j in row], axis=-1) for row in chain])
+        if F.shape[-1] < 2:
+            raise JetOrderError("jet order exhausted")
+        F = _field_pass(e, F)
+        rows.append(F[..., 0, 0])
+    return np.ascontiguousarray(np.moveaxis(np.array(rows), 1, -1))
 
 
 def iterated_field_derivative(X, field: VectorFieldJet, k: int) -> np.ndarray:

@@ -250,6 +250,12 @@ def _check_kH(k, H, need_k=True):
     if not (c8 > 0 and 0 < 1.0 / c8 < math.inf):
         raise SurfaceParameterError(f"H = {H!r} is out of range: 1/(8 H^2) is not a finite "
                                     "positive float", param="H")
+    # E and G at the orientation probe grow like 1/H^2, and E G reaches about 0.6/H^4
+    # (a conjugate's): refuse where 4/H^4 = 256 (1/(8 H^2))^2 overflows, |H| below
+    # about 1.2e-77, so that the probe never computes on overflowed numbers
+    if not 256.0 / c8 / c8 < math.inf:
+        raise SurfaceParameterError(f"H = {H!r} is out of range: E G of the first fundamental "
+                                    "form, about 1/H^4, overflows", param="H")
     if need_k and k == 1:
         raise SurfaceParameterError("k=1 degenerate (delta has a double root at r=0 scale)",
                                     param="k")

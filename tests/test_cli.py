@@ -206,12 +206,32 @@ DT = ("--family", "delaunay-t", "--k", "2", "--nr", "5", "--nt", "5")
     (("classify", "--family", "conjugate", "--of", "delaunay-t", "--k=1e100"), "--k"),
     (("classify", "--family", "conjugate", "--of", "delaunay-s", "--k=-1e100"), "--k"),
     (("classify", "--family", "conjugate", "--of", "delaunay-t", "--k=1e120"), "--k"),
+    # rep --export-from past the conformal chart's bound, |k| <= min(5e4 |H|, 1e7)
+    (("rep", "--export-from", "delaunay-t", "--k", "1e6"), "--k"),
+    (("rep", "--export-from", "delaunay-t", "--k", "1e12"), "--k"),
+    (("rep", "--export-from", "delaunay-s", "--k=-1e8"), "--k"),
+    (("rep", "--export-from", "delaunay-t", "--k=2e7", "--H", "1000"), "--k"),
+    # an H at which E G at the orientation probe, about 1/H^4, would overflow; just
+    # above that bound no probe point orients the surface
+    (("classify", "--family", "conjugate", "--of", "delaunay-t", "--k", "2", "--H=1e-100"), "--H"),
+    (("classify", "--family", "conjugate", "--of", "delaunay-t", "--k", "2", "--H=1.2e-77"), "--H"),
+    (("classify", "--family", "conjugate", "--of", "delaunay-t", "--k", "2", "--H=1.3e-77"), "--H"),
 ])
 def test_bad_numbers_exit2_naming_the_flag(tmp_path, capsys, argv, flag):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert exit_code(tmp_path, *argv, "-o", "out") == 2
     assert flag in capsys.readouterr().err
+    assert not caught, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("family, k, H", [("delaunay-t", "2.5e4", "0.5"), ("delaunay-s", "-2.5e4", "0.5"),
+                                        ("delaunay-t", "-1e7", "500")])
+def test_export_runs_up_to_its_k_bound(tmp_path, family, k, H):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert exit_code(tmp_path, "rep", "--export-from", family, f"--k={k}", "--H", H,
+                         "--ns", "5", "--nt", "3", "-o", "out") == 0
     assert not caught, [str(w.message) for w in caught]
 
 
@@ -229,7 +249,7 @@ def test_generate_at_huge_k_runs_without_overflow(tmp_path, family, k):
 @pytest.mark.parametrize("argv, named", [
     (("--family", "conjugate", "--of", "delaunay-t", "--k=1e18"), ("--k", "--H", "k = 1e+18", "H = 0.5")),
     (("--family", "delaunay-s", "--k", "2", "--H", "250"), ("--k", "--H", "k = 2.0", "H = 250.0")),
-    (("--family", "conjugate", "--of", "delaunay-l-i", "--H", "1e-154"), ("--H", "H = 1e-154")),
+    (("--family", "conjugate", "--of", "delaunay-l-i", "--H", "1e-60"), ("--H", "H = 1e-60")),
 ])
 def test_orientation_failure_names_every_parameter(tmp_path, capsys, argv, named):
     assert exit_code(tmp_path, "generate", *argv, "--nr", "5", "--nt", "5", "-o", "out") == 2
@@ -571,18 +591,21 @@ def test_batched_fields_suite_records_the_per_trial_numbers_to_the_bit(monkeypat
 
 
 def test_fields_suite_makes_the_same_field_applications_at_any_trial_count(monkeypatch):
-    """The trials are one batch: 4 and 40 trials apply the fields equally often."""
-    calls = []
-    apply = jt.apply_vector_field
-    monkeypatch.setattr(jt, "apply_vector_field", lambda f, j: calls.append(1) or apply(f, j))
+    """The trials are one batch: 4 and 40 trials make equally many field passes,
+    each over the jets of every trial."""
+    passes = []
+    field_pass = jt._field_pass
+    monkeypatch.setattr(jt, "_field_pass", lambda e, F: passes.append(F.shape[1]) or field_pass(e, F))
 
     def count(trials):
-        calls.clear()
+        passes.clear()
         ok, total = cli._suite_fields(trials, np.random.default_rng(0), [])
         assert (type(ok), ok, total) == (int, trials, trials)
-        return len(calls)
+        return len(passes)
 
-    assert count(4) == count(40)
+    n = count(4)
+    assert n > 0 and set(passes) == {4}
+    assert count(40) == n and set(passes) == {40}
 
 
 def test_batched_laplacian_suite_lists_the_per_point_residuals_in_trial_order(monkeypatch):

@@ -674,3 +674,190 @@ def test_element_is_the_scalar_jet():
     assert e.c.tobytes() == Jet2.coordinate((1.5, 2.0), 3, 0).c.tobytes()
     x = Jet1.coordinate(np.array([0.5, 1.5]), 2)
     assert x.element(0).base == 0.5 and x.element(0).c.tolist() == [0.5, 1.0, 0.0]
+
+
+# -- the stacked kernels against the jet-by-jet kernels they replaced ---------
+# Each reference below is the operation as it was written in the jet algebra,
+# one Jet product or sum at a time; the array kernels must agree to the bit.
+
+
+def reference_compose(jet, series):
+    """Horner evaluation of sum_n series[n] * (jet - value)^n, jet by jet."""
+    c = jet.c.copy()
+    c[jet._VALUE_AT] = 0
+    hat = jet._like(jet.degree, c)
+    out = hat * 0 + series[-1]
+    for n in range(len(series) - 2, -1, -1):
+        out = out * hat + series[n]
+    return out
+
+
+def reference_power(jet, p):
+    """jet ** p (p >= 0) by binary powering, jet by jet."""
+    out = type(jet).constant(1.0, jet.base, jet.degree)
+    b, n = jet, p
+    while n:
+        if n & 1:
+            out = out * b
+        n >>= 1
+        if n:
+            b = b * b
+    return out
+
+
+def reference_compose2(F, U, V):
+    """compose2 with one Jet product per power and per term."""
+    Fs = (F,) if isinstance(F, Jet2) else tuple(F)
+    d = Fs[0].degree
+    du = U - Fs[0].base[0]
+    dv = V - Fs[0].base[1]
+    D = min(U.degree, V.degree)
+    one = type(U).constant(1.0, U.base, D)
+    pu, pv = [one], [one]
+    for _ in range(d):
+        pu.append(pu[-1] * du)
+        pv.append(pv[-1] * dv)
+    W = np.stack([f.c for f in Fs])
+    nonzero = W.reshape(len(Fs), -1, d + 1, d + 1).any(axis=1) & jt._TRIANGLE[d]
+    out = np.zeros((len(Fs),) + one.c.shape, np.result_type(W, one.c))
+    lift = (1,) * U._NVARS
+    for a, b in np.argwhere(nonzero.any(axis=0)).tolist():
+        w = W[..., a, b]
+        np.add(out, (pu[a] * pv[b]).c * w.reshape(w.shape + lift), out=out,
+               where=nonzero[:, a, b].reshape((-1,) + (1,) * (out.ndim - 1)))
+    comps = tuple(one._like(D, c) for c in out)
+    return comps[0] if isinstance(F, Jet2) else comps
+
+
+def reference_apply(field, f):
+    return field.e1 * f.du() + field.e2 * f.dv()
+
+
+def reference_field_chain(X, field, k):
+    """field_chain with one apply per jet of X and order."""
+    if k > min(j.degree for j in X):
+        raise JetOrderError("jet order exhausted")
+    chain = [X]
+    for _ in range(k):
+        for j in chain[-1]:
+            if j.degree < 1:
+                raise JetOrderError("jet order exhausted")
+        chain.append([reference_apply(field, j) for j in chain[-1]])
+    return np.array([np.stack([j.value for j in row], axis=-1) for row in chain])
+
+
+def _same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _jet_of(jet, base, degree, c):
+    return jet(base if jet is Jet2 else base[0], degree, c)
+
+
+# size None: a scalar jet; a size over the capacity (86 elements at degree 5 in two
+# variables) or a small map budget splits the stacked passes and chunks a product
+SIZES = st.one_of(st.none(), st.integers(1, 4), st.integers(87, 120))
+BUDGETS = st.one_of(st.none(), st.integers(0, 1 << 14))
+
+
+def _bases(size, shift=0.0):
+    if size is None:
+        return (0.25 + shift, -0.5)
+    return (np.linspace(-1.0, 2.0, size) + shift, np.linspace(0.5, -0.5, size))
+
+
+def _maps_budget(budget):
+    return (mock.patch.object(jt, "_MAPS", jt._MAPS if budget is None else {}),
+            mock.patch.object(jt, "_MAPS_BYTES", jt._MAPS_BYTES if budget is None else budget))
+
+
+@given(st.sampled_from([Jet1, Jet2]), SIZES, st.integers(0, 5), st.integers(1, 6),
+       st.sampled_from(["real", "complex", "complex series"]), BUDGETS, st.integers(0, 2**32 - 1))
+@settings(max_examples=120, deadline=None)
+def test_horner_and_powers_bit_identical_to_the_jet_kernels(jet, size, degree, n, kind, budget,
+                                                            seed):
+    rng = np.random.default_rng(seed)
+    batch = () if size is None else (size,)
+    c = _random_coefficients(rng, batch + (degree + 1,) * jet._NVARS, kind == "complex")
+    x = _jet_of(jet, _bases(size), degree, c)
+    series = [_random_coefficients(rng, (size or 1,), kind != "real") for _ in range(n)]
+    if size is None:
+        series = [s.item() for s in series]  # numbers, as the scalar elementary functions give
+    m, b = _maps_budget(budget)
+    with m, b:
+        got = jt._compose(x, series)
+        powers = [x**p for p in range(6)]
+    want = reference_compose(x, series)
+    assert type(got) is jet and got.degree == degree and _same_bits(got.c, want.c)
+    for p, got in enumerate(powers):
+        assert _same_bits(got.c, reference_power(x, p).c), p
+
+
+@given(SIZES, st.integers(1, 3), st.integers(0, 5), st.integers(0, 5), st.sampled_from([Jet1, Jet2]),
+       st.sampled_from(["real", "complex", "complex V"]), BUDGETS, st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_compose2_bit_identical_to_the_jet_kernel(size, n, f_degree, degree, curve, kind, budget,
+                                                 seed):
+    """Several components or one, through a change of chart or along a curve;
+    complex F with complex U and V, or with V alone complex."""
+    rng = np.random.default_rng(seed)
+    batch = () if size is None else (size,)
+    F_base = _bases(size)
+    Fs = [Jet2(F_base, f_degree,
+               _random_coefficients(rng, batch + (f_degree + 1,) * 2, kind != "real"))
+          for _ in range(n)]
+    U_c, V_c = (_random_coefficients(rng, batch + (degree + 1,) * curve._NVARS, cplx)
+                for cplx in (kind == "complex", kind != "real"))
+    U_c[curve._VALUE_AT], V_c[curve._VALUE_AT] = F_base  # U, V take the values of F's base
+    U, V = (_jet_of(curve, _bases(size, 0.5), degree, c) for c in (U_c, V_c))
+    for F in (Fs[0], Fs):
+        m, b = _maps_budget(budget)
+        with m, b:
+            got = jt.compose2(F, U, V)
+        want = reference_compose2(F, U, V)
+        for g, w in zip(*((x,) if isinstance(F, Jet2) else x for x in (got, want))):
+            assert type(g) is curve and g.degree == w.degree and _same_bits(g.c, w.c)
+
+
+@given(SIZES, st.lists(st.integers(1, 5), min_size=1, max_size=3), st.integers(0, 5),
+       st.integers(1, 5), st.booleans(), BUDGETS, st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_field_chains_bit_identical_to_the_jet_kernels(size, degrees, e_degree, k, is_complex,
+                                                       budget, seed):
+    """Field chains of orders 1 to 5 over jets of one degree or several, and one
+    field application per jet; a chain the degrees cannot carry raises in both."""
+    rng = np.random.default_rng(seed)
+    batch = () if size is None else (size,)
+    base = _bases(size)
+    X = [Jet2(base, d, _random_coefficients(rng, batch + (d + 1,) * 2, is_complex)) for d in degrees]
+    field = VectorFieldJet(*(Jet2(base, e_degree, _random_coefficients(rng, batch + (e_degree + 1,) * 2,
+                                                                       is_complex and i))
+                             for i in range(2)))
+    m, b = _maps_budget(budget)
+    with m, b:
+        try:
+            got = jt.field_chain(X, field, k)
+        except JetOrderError:
+            got = None
+        applied = [apply_vector_field(field, j) for j in X]
+    try:
+        want = reference_field_chain(X, field, k)
+    except JetOrderError:
+        assert got is None
+    else:
+        assert _same_bits(got, want) and got.flags.c_contiguous
+    for j, g in zip(X, applied):
+        w = reference_apply(field, j)
+        assert g.degree == w.degree and g.base == w.base and _same_bits(g.c, w.c)
+
+
+def test_field_passes_check_order_and_base():
+    X = (Jet2.coordinate(BASE, 2, 0), Jet2.coordinate(BASE, 5, 1))
+    du = VectorFieldJet.constant(1.0, 0.0, BASE)
+    with pytest.raises(JetOrderError, match="jet order exhausted"):
+        jt.field_chain(X, du, 3)
+    assert jt.field_chain(X, du, 2).tolist() == [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]
+    elsewhere = VectorFieldJet.constant(1.0, 0.0, (1.0, 0.0))
+    with pytest.raises(jt.JetError, match="different base points"):
+        jt.field_chain(X, elsewhere, 1)
+    assert jt.field_chain(X, elsewhere, 0).tolist() == [[0.0, 0.0]]  # no pass, no check

@@ -811,14 +811,15 @@ def test_criterion_makes_one_degree5_jet_call(conj_k2, n_grid, monkeypatch):
 
 def test_criterion_builds_one_chain_per_field(conj_k2, conj_k2_records, monkeypatch):
     """On the batch of all samples: the plain field's chain to order 3 and the
-    special field's to order 5, three jets each (24 field applications however
-    many samples; 84 per sample with one iterated_field_derivative call per
-    order)."""
-    calls = []
-    apply = jt.apply_vector_field
-    monkeypatch.setattr(jt, "apply_vector_field", lambda f, j: calls.append(1) or apply(f, j))
+    special field's to order 5, one field pass per order over all three jets
+    of every sample (8 passes however many samples)."""
+    passes = []
+    field_pass = jt._field_pass
+    monkeypatch.setattr(jt, "_field_pass", lambda e, F: passes.append(F.shape) or field_pass(e, F))
     rep = criterion_25(conj_k2, conj_k2_records)
-    assert len(rep.samples) > 1 and len(calls) == 24
+    n = len(rep.samples)
+    assert n > 1 and len(passes) == 8
+    assert all(shape[:2] == (3, n) for shape in passes)
 
 
 def test_criterion_cusp25_exact(cusp25_model):
