@@ -41,9 +41,9 @@ FAMILIES = {
 }
 
 
-# rep --export-from on delaunay-t and delaunay-s: the conformal chart's quadrature meets
-# its tolerance up to |k| of about 1.3e5 |H| to 2.5e5 |H|, and not above about 2e7 (exit 1
-# beyond, measured for H from 1e-4 to 1e4); the bound keeps a margin below both
+# rep --export-from on delaunay-t and delaunay-s: the exported Gauss data's harmonic residual
+# grows like k^2 (3e-6 at |k| = 1e3, 5e-2 at 2.5e4, the bound at H = 1/2, 4 at 1e5, 9e4 at 3e6)
+# while the chart meets its tolerance up to |k| = 1e7 at least; the bound keeps g harmonic
 EXPORT_K_PER_H, EXPORT_K_MAX = 5e4, 1e7
 
 
@@ -491,7 +491,7 @@ def cmd_rep(args) -> int:
         S = build_surface(args.export_from, args.k, args.H, r_cap=args.r_cap)
         if S.k is not None and abs(S.k) > min(EXPORT_K_PER_H * abs(S.H), EXPORT_K_MAX):
             raise sf.SurfaceParameterError(
-                f"k = {args.k!r} is too large for the conformal chart at H = {args.H!r}: rep "
+                f"k = {args.k!r} is too large to export at H = {args.H!r}: rep "
                 f"--export-from takes |k| <= min({EXPORT_K_PER_H:g} |H|, {EXPORT_K_MAX:g})", param="k")
         r0, r1 = 0.15 * S.u_range[1], 0.65 * S.u_range[1]
         prof = rp.conformal_profile_chart(S, r0, r1)

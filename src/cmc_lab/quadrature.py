@@ -249,8 +249,8 @@ _NO_VALUES = ContextVar("_NO_VALUES", default=False)
 def _without_values():
     """A scope in which Primitive.jet neither integrates nor touches its cache
     and leaves the value coefficient NaN, for callers that read only
-    derivatives (the conformal chart's metric): a value read after all shows
-    as NaN.  Primitive.value called directly is unchanged."""
+    derivatives (the tangents of representation._tangents): a value read
+    after all shows as NaN.  Primitive.value called directly is unchanged."""
     token = _NO_VALUES.set(True)
     try:
         yield
@@ -272,8 +272,8 @@ class Primitive:
     above -0.6), while the interior values that classification reads converge.
     A failed integral is cached as well: the same r raises the same error
     again without integrating.  Inside `_without_values` a jet's value
-    coefficient is NaN and nothing is integrated: the conformal chart's
-    metric reads only derivatives.
+    coefficient is NaN and nothing is integrated: the tangents of a Gauss
+    map read only derivatives.
     """
 
     integrand: Integrand

@@ -10,12 +10,13 @@ Everything here is residual-checked: harmonicity, closedness of the integrand,
 the compatibility (curvature) equations, and the Laplace identity
 Delta X = -2 H nu.
 
-Array contract.  The chart integrand sqrt(E/G) is an array function (see
-cmc_lab.quadrature): a quadrature sweep is one batched surface jet at the 15
-radii of each new panel.  `gauss_data_from_surface` solves r(s) once per grid
-row, inverts the rows' jets of s(r) in one batched call, and evaluates the
-whole grid in one batched chart call (within 1e-13 of a node-by-node
-evaluation, where NumPy's elementary functions on arrays differ in the last bits).
+Array contract.  The chart integrand sqrt(E/G) is a closed form of r on each
+Delaunay family (see `_chart_speed`), an array function (see
+cmc_lab.quadrature) that reads no surface jet.  `gauss_data_from_surface`
+solves r(s) once per grid row, inverts the rows' jets of s(r) in one batched
+call, and evaluates the whole grid in one batched chart call (within 1e-13 of
+a node-by-node evaluation, where NumPy's elementary functions on arrays differ
+in the last bits).
 GaussData keeps that batch: g_jet is one batched jet whose element i * nv + j
 is node (i, j), and g and omega_hat are (nu, nv) arrays.  The residuals
 return (nu, nv) arrays, and `integrate_representation` takes the integrand
@@ -42,7 +43,7 @@ from .lorentz import (
     lorentz_inner,
     lorentz_normal,
 )
-from .quadrature import TabulatedPrimitive, _without_values, primitive_jet
+from .quadrature import Integrand, TabulatedPrimitive, _without_values, primitive_jet
 from .surfaces import Surface
 
 UNIT_CIRCLE_TOL = 1e-8
@@ -147,30 +148,22 @@ def omega_hat_jet(g: Jet2) -> Jet2:
 # -- conformal profile chart ---------------------------------------------------
 
 
-class _ProfileIntegrand:
-    """sqrt(E(r)/G(r)) along t = 0 (E and G do not depend on t), as value or univariate jet.
+def _chart_speed(S: Surface) -> Integrand:
+    """s'(r) = sqrt(E/G) of the conformal chart of a Delaunay surface, in
+    closed form; ValueError for any other surface.
 
-    An array function (see cmc_lab.quadrature): the values at a (B,) array of
-    radii come from one batched surface jet."""
-
-    def __init__(self, S: Surface):
-        self.S = S
-
-    def metric(self, r, degree):
-        """(E, G) as univariate jets in r (the integrand needs no F), batched
-        for a (B,) array r."""
-        degree = min(degree, MAX_DEGREE - 1)  # metric jets sit one below X jets
-        Xu, Xv = _tangents(self.S, r, np.zeros(np.shape(r)), degree + 1)
-        return tuple(Jet1(r, degree, m.c[..., : degree + 1, 0].copy())
-                     for m in (lorentz_inner(Xu, Xu), lorentz_inner(Xv, Xv)))
-
-    def __call__(self, r):
-        E, G = self.metric(r, 0)
-        return np.sqrt(E.value / G.value)
-
-    def jet(self, r0, degree: int = MAX_DEGREE) -> Jet1:
-        E, G = self.metric(r0, degree)
-        return jt.sqrt(E / G)
+    G = r^2 on all four families.  About an axis E = |1 - F'^2|/(4 H^2) and
+    |1 - F'^2| = 4 r^2/delta, so s' = 1/(|H| sqrt(delta)); about the lightlike axis
+    E = 4 zeta' = r^2/(H^2 (1 +- r^2)^2), so s' = 1/(|H| (1 +- r^2)), + on
+    variant i and - on variant ii."""
+    if S.family in ("delaunay_timelike", "delaunay_spacelike"):
+        delta, H = S.meta["delta"], abs(S.H)
+        return Integrand(lambda x: 1.0 / (H * jt.sqrt(delta(x))))
+    if S.family in ("delaunay_lightlike_i", "delaunay_lightlike_ii"):
+        e, H = (1.0 if S.variant == "i" else -1.0), abs(S.H)
+        return Integrand(lambda x: 1.0 / (H * (1.0 + e * x * x)))
+    raise ValueError(f"no conformal profile chart for {S.family}: the chart takes a "
+                     "rotational Delaunay surface")
 
 
 @dataclass
@@ -220,12 +213,9 @@ class ConformalProfile:
         return _chart_jets(self, self.r_jet_of_s(s, degree), s, t, degree)
 
     def sigma_jet(self, s, degree=3) -> Jet1:
-        """sigma(s) = 0.5 log G(r(s)) (the conformal factor exponent); one
-        batched jet for a (B,) array s."""
-        rj = self.r_jet_of_s(s, degree)
-        _, G = self.s_table.integrand.metric(rj.value, degree)
-        series = [G.c[..., n] for n in range(G.degree + 1)]  # (B,) arrays for a batch
-        return jt.log(jt._compose(rj, series, G.base)) * 0.5
+        """sigma(s) = 0.5 log G(r(s)) = log r(s) (the conformal factor
+        exponent; G = r^2, see _chart_speed); one batched jet for a (B,) array s."""
+        return jt.log(self.r_jet_of_s(s, degree))
 
     def conformality_residual(self, s: float, t: float) -> float:
         X = self.surface_jets(s, t, 2)
@@ -245,11 +235,13 @@ def _chart_jets(profile: ConformalProfile, rj: Jet1, s, t, degree: int):
 def conformal_profile_chart(
     S: Surface, r_min: float, r_max: float, r_anchor: Optional[float] = None
 ) -> ConformalProfile:
-    """s(r) = int_anchor^r sqrt(E/G), from a regular anchor radius.
+    """s(r) = int_anchor^r sqrt(E/G), from a regular anchor radius, for a
+    Delaunay surface (ValueError for any other; see _chart_speed).
 
     The chart needs G > 0; a range reaching the rotation axis is clipped with
     a notice rather than rejected.
     """
+    speed = _chart_speed(S)
     notes = []
     if r_min <= 0:
         notes.append(f"r_min {r_min} clipped to 1e-3 (G vanishes on the axis)")
@@ -263,7 +255,7 @@ def conformal_profile_chart(
     if not (E > 0 and G > 0):
         raise NotSpacelikeError("chart requires a spacelike rotational surface")
     r_min, r_anchor, r_max = float(r_min), float(r_anchor), float(r_max)
-    table = TabulatedPrimitive(_ProfileIntegrand(S), r_min, r_anchor, r_max)
+    table = TabulatedPrimitive(speed, r_min, r_anchor, r_max)
     return ConformalProfile(S, r_anchor, (r_min, r_max), table, notes)
 
 

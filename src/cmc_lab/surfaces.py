@@ -208,7 +208,7 @@ def _probe_orientation(S: Surface, H: float) -> int:
             ff = fundamental_forms(S, (S.u_range[1] * frac, 0.1), conformal_q=False)
         except (NotSpacelikeError, SurfaceDomainError):
             continue
-        if abs(ff.H_mean) > 1e-12:
+        if abs(ff.H_mean) > 1e-12 * abs(H):
             return 1 if ff.H_mean * H > 0 else -1
     params = tuple(name for name in ("k", "H") if getattr(S, name) is not None)
     raise SurfaceParameterError("could not orient surface: no usable probe point at "
@@ -445,6 +445,13 @@ def conjugate_of(
                 raise SurfaceParameterError(f"k = {k!r} is too large at H = {H!r}: max(H, 1) |k - 1|^3, "
                                             "a factor of the profile integrands, overflows",
                                             param=("k", "H"))
+            # a degree-5 surface jet takes the reciprocal of lambda's H sqrt(delta) Delta to
+            # degree 4, whose top coefficient is (H |k - 1|^3)^-5 at r = 0: refuse where that
+            # overflows at half the factor (|H| below about 4.5e-62 at k = 2; classify overflows
+            # at (H |k - 1|^3)^-5 itself, measured on both axes for k from -10 to 100)
+            if MAX_DEGREE * -math.log(0.5 * abs(H) * abs(1 - k) * c0) > math.log(sys.float_info.max):
+                raise SurfaceParameterError(f"H = {H!r} is too small at k = {k!r}: (H |k - 1|^3)^-5, a "
+                                            "coefficient of the profile integrands' jets, overflows", param=("k", "H"))
             h = (1 - k) / (2 * H * absK)
             rho = lambda x: jt.sqrt(Delta(x)) / (2 * H * absK)
             lam_p = Primitive(Integrand(

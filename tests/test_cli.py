@@ -216,6 +216,9 @@ DT = ("--family", "delaunay-t", "--k", "2", "--nr", "5", "--nt", "5")
     (("classify", "--family", "conjugate", "--of", "delaunay-t", "--k", "2", "--H=1e-100"), "--H"),
     (("classify", "--family", "conjugate", "--of", "delaunay-t", "--k", "2", "--H=1.2e-77"), "--H"),
     (("classify", "--family", "conjugate", "--of", "delaunay-t", "--k", "2", "--H=1.3e-77"), "--H"),
+    # a conjugate's degree-5 jets take (H |k - 1|^3)^-5, refused from |H| of about
+    # 4.5e-62 down at k = 2
+    (("classify", "--family", "conjugate", "--of", "delaunay-t", "--k", "2", "--H=1e-70"), "--H"),
 ])
 def test_bad_numbers_exit2_naming_the_flag(tmp_path, capsys, argv, flag):
     with warnings.catch_warnings(record=True) as caught:
@@ -235,6 +238,24 @@ def test_export_runs_up_to_its_k_bound(tmp_path, family, k, H):
     assert not caught, [str(w.message) for w in caught]
 
 
+@pytest.mark.parametrize("H", ["1e-13", "1e-30"])
+@pytest.mark.parametrize("spec", [("conjugate", "--of", "delaunay-t", "--k", "2"),
+                                  ("conjugate", "--of", "delaunay-l-ii"),
+                                  ("delaunay-t", "--k", "2"), ("delaunay-s", "--k", "2")])
+def test_classify_orients_surfaces_at_tiny_H(tmp_path, spec, H):
+    """The orientation probe compares H_mean with H, relative to |H|."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert exit_code(tmp_path, "classify", "--family", *spec, f"--H={H}", "-o", "out") == 0
+    assert not caught, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("H", ["1e-13", "1e-30"])
+def test_lightlike_i_at_tiny_H_stays_unoriented(tmp_path, capsys, H):
+    assert exit_code(tmp_path, "classify", "--family", "delaunay-l-i", f"--H={H}", "-o", "out") == 2
+    assert "--H: could not orient surface" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("family, k", [("delaunay-t", "1e100"), ("delaunay-s", "-1e100")])
 def test_generate_at_huge_k_runs_without_overflow(tmp_path, family, k):
     """Below the (k - 1)^2 refusal the axis profiles' jets stay finite: their
@@ -249,7 +270,7 @@ def test_generate_at_huge_k_runs_without_overflow(tmp_path, family, k):
 @pytest.mark.parametrize("argv, named", [
     (("--family", "conjugate", "--of", "delaunay-t", "--k=1e18"), ("--k", "--H", "k = 1e+18", "H = 0.5")),
     (("--family", "delaunay-s", "--k", "2", "--H", "250"), ("--k", "--H", "k = 2.0", "H = 250.0")),
-    (("--family", "conjugate", "--of", "delaunay-l-i", "--H", "1e-60"), ("--H", "H = 1e-60")),
+    (("--family", "delaunay-l-i", "--H", "1e-60"), ("--H", "H = 1e-60")),
 ])
 def test_orientation_failure_names_every_parameter(tmp_path, capsys, argv, named):
     assert exit_code(tmp_path, "generate", *argv, "--nr", "5", "--nt", "5", "-o", "out") == 2
@@ -715,6 +736,18 @@ def test_rep_reconstructs_delaunay_s_exports(tmp_path, k):
     the chart's sign follows the surface's orientation."""
     assert run(tmp_path, "rep", "--export-from", "delaunay-s", "--k", k, "-o", "g.json") == 0
     assert run(tmp_path, "rep", "--gauss-data", "g.json", "-o", "rec.obj") == 0
+
+
+@pytest.mark.parametrize("k, H", [("2", "1e-4"), ("0.5", "1e-4"), ("0.5", "1e-5")])
+def test_rep_round_trip_of_delaunay_s_at_small_H(tmp_path, k, H):
+    """The chart's closed-form speed meets its table's tolerance where the
+    surface route, which cancels in 1 - F'^2, did not."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(tmp_path, "rep", "--export-from", "delaunay-s", "--k", k, "--H", H, "-o", "g.json") == 0
+        assert run(tmp_path, "rep", "--gauss-data", "g.json", "-o", "rec.obj", "--report", "r.json") == 0
+    assert not caught, [str(w.message) for w in caught]
+    assert json.loads((tmp_path / "r.json").read_text())["results"]["loop_max_rel"] < 1e-10
 
 
 def test_rep_constant_g_exit1(tmp_path):

@@ -262,12 +262,12 @@ def _profile_integrands(family, k, H):
                 "conjugate-of-delaunay-s": "delaunay_spacelike"}[family]
         S = sf.conjugate_of(base, k, H)
         return S, [p.integrand for p in S.meta["profiles"]]
-    # the conformal-chart integrand sqrt(E/G) of a rotational surface
+    # the conformal-chart integrand sqrt(E/G) of a Delaunay surface, in closed form
     S = {"chart-delaunay-t": lambda: sf.delaunay_timelike(k, H),
          "chart-delaunay-s": lambda: sf.delaunay_spacelike(k, H),
          "chart-delaunay-l-i": lambda: sf.delaunay_lightlike("i", H),
          "chart-delaunay-l-ii": lambda: sf.delaunay_lightlike("ii", H)}[family]()
-    return S, [rp._ProfileIntegrand(S)]
+    return S, [rp._chart_speed(S)]
 
 
 PROFILE_FAMILIES = {
