@@ -495,7 +495,7 @@ def cmd_rep(args) -> int:
                 f"--export-from takes |k| <= min({EXPORT_K_PER_H:g} |H|, {EXPORT_K_MAX:g})", param="k")
         r0, r1 = 0.15 * S.u_range[1], 0.65 * S.u_range[1]
         prof = rp.conformal_profile_chart(S, r0, r1)
-        s0, s1 = prof.s_of_r(r0 * 1.02), prof.s_of_r(r1 * 0.98)
+        s0, s1 = prof.s_of_r(np.array([r0 * 1.02, r1 * 0.98]))
         gd = rp.gauss_data_from_surface(prof, s0, s1, 0.0, 1.0, args.ns, args.nt)
         with open(args.out, "w") as fh:
             fh.write(gd.to_json())

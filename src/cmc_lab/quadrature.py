@@ -1,10 +1,13 @@
-"""Adaptive Gauss-Kronrod quadrature and jet-aware primitives F(r) = int_0^r f.
+"""Adaptive Gauss-Kronrod quadrature, jet-aware primitives F(r) = int_0^r f,
+and Carlson's symmetric elliptic integral R_F.
 
 The profile coordinates of every rotational surface here are antiderivatives
 of closed-form integrands.  A Primitive pairs adaptive integration (for the
 value) with the integrand's jet (for all higher Taylor coefficients, via
 F' = f), so surfaces can serve exact degree-5 jets whose only inexactness is
-the quadrature tolerance in the value coefficient.
+the quadrature tolerance in the value coefficient.  `carlson_rf` evaluates
+the primitives that reduce to R_F (the conformal chart's, see
+cmc_lab.representation) in closed form.
 
 Array contract.  An integrand is an array function: `_gk15` samples the 15
 Kronrod nodes of the P panels of a refinement sweep with one call f(xs) on a
@@ -16,7 +19,6 @@ function of one float only (math.cos) is not an integrand.
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import math
 from contextlib import contextmanager
@@ -25,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial import legendre
 
 from .jets import Jet1, MAX_DEGREE
 
@@ -78,34 +79,15 @@ _G_WEIGHTS = np.array([
     0.417959183673469387755102040816327,
 ])
 
-# the abscissae of _gk15 in its sampling order, and the 7 Gauss nodes among them
+# the abscissae of _gk15 in its sampling order
 _GK_T = np.concatenate([-_GK_NODES, _GK_NODES[:7]])
-_GAUSS = [1, 3, 5, 7, 9, 11, 13]
-
-
-def _interpolant_maps():
-    """Matrices from the 15 node values to Legendre coefficients in t on [-1, 1]:
-    of p15, the interpolant through all nodes, and, for each anchor t0 = -1, +1,
-    of the antiderivatives of p15 and of p15 - p7 (p7 through the Gauss nodes)
-    that vanish at t0.  Both rules are interpolatory: from t = -1 to t = 1 the
-    two antiderivatives grow by K15 and by K15 - G7."""
-    to_p15 = np.linalg.inv(legendre.legvander(_GK_T, 14))
-    to_p7 = np.zeros((15, 15))
-    to_p7[:7, _GAUSS] = np.linalg.inv(legendre.legvander(_GK_T[_GAUSS], 6))
-    def antiderivatives(m):
-        return {t0: legendre.legint(m, lbnd=t0, axis=0) for t0 in (-1, 1)}
-
-    return to_p15, antiderivatives(to_p15), antiderivatives(to_p15 - to_p7)
-
-
-_TO_P15, _TO_INTEGRAL, _TO_INTEGRAL_DIFF = _interpolant_maps()
 
 
 def _gk15(f, lo, hi):
-    """K15 values, |K15 - G7| estimates ((P,) arrays) and node values (P, 15)
-    of the panels [lo[p], hi[p]], and per panel None or the message naming its
-    first node (in the order of `_GK_T`) where a value is not finite.  `f` is
-    called once, on the (P*15,) array of all nodes, with NumPy's floating-point
+    """K15 values and |K15 - G7| estimates ((P,) arrays) of the panels
+    [lo[p], hi[p]], and per panel None or the message naming its first node
+    (in the order of `_GK_T`) where a value is not finite.  `f` is called
+    once, on the (P*15,) array of all nodes, with NumPy's floating-point
     warnings silenced."""
     half = 0.5 * (hi - lo)
     mid = 0.5 * (lo + hi)
@@ -123,52 +105,48 @@ def _gk15(f, lo, hi):
     bad = ~np.isfinite(vals)
     singular = [f"integrand singular on interval: f({xs[p, i]}) = {vals[p, i]}"
                 if bad[p, i] else None for p, i in enumerate(bad.argmax(axis=1).tolist())]
-    return k, g, vals, singular
+    return k, g, singular
 
 
-def _adaptive(f, ends, tol, limit, bounds=None):
-    """Per interval (a, b) of `ends` (a < b): its accepted panels (lo, hi,
-    value, error, node values) in interval order, summed value and summed
+def _adaptive(f, ends, tol, limit):
+    """Per interval (a, b) of `ends` (a < b): its summed value and summed
     error, or the QuadratureError it raised.  Each interval, on its own,
-    bisects its panel with the worst error (leftmost on ties) until its summed
-    error meets tol; they run in lockstep: a sweep bisects a panel of every
-    unfinished interval, and one `_gk15` call (one call of f) samples all the
-    new panels.  A panel's error is its |K15 - G7| estimate, or bounds[i](half
-    width, node values) on interval i."""
+    bisects its panel with the worst |K15 - G7| estimate (leftmost on ties)
+    until its summed error meets tol; they run in lockstep: a sweep bisects a
+    panel of every unfinished interval, and one `_gk15` call (one call of f)
+    samples all the new panels."""
     out = [None] * len(ends)
-    # per interval: panels, their values and errors by slot, a heap of (-error, lo, slot)
-    state = [([None], [0.0], [0.0], []) for _ in ends]
+    # per interval: values and errors by slot, a heap of (-error, lo, slot, hi)
+    state = [([0.0], [0.0], []) for _ in ends]
     todo = [(i, 0, a, b) for i, (a, b) in enumerate(ends)]  # (interval, slot, lo, hi)
     while todo:
         who, slots, los, his = zip(*todo)
-        values, ests, vals, singular = _gk15(f, np.array(los, float), np.array(his, float))
-        for p, (i, slot, lo, hi, value, est) in enumerate(zip(who, slots, los, his, values.tolist(),
+        values, ests, singular = _gk15(f, np.array(los, float), np.array(his, float))
+        for p, (i, slot, lo, hi, value, err) in enumerate(zip(who, slots, los, his, values.tolist(),
                                                              ests.tolist())):
             if out[i] is not None:
                 continue
             if singular[p]:
                 out[i] = IntegrandSingularError(singular[p])
                 continue
-            err = est if bounds is None else bounds[i](0.5 * (hi - lo), vals[p])
-            panels, vs, es, heap = state[i]
-            panels[slot], vs[slot], es[slot] = (lo, hi, value, err, vals[p]), value, err
-            heapq.heappush(heap, (-err, lo, slot))
+            vs, es, heap = state[i]
+            vs[slot], es[slot] = value, err
+            heapq.heappush(heap, (-err, lo, slot, hi))
         todo = []
         for i in [i for i in dict.fromkeys(who) if out[i] is None]:
-            panels, vs, es, heap = state[i]
+            vs, es, heap = state[i]
             total, err = math.fsum(vs), math.fsum(es)
             if err <= max(tol, 1e-15 * abs(total)):
-                out[i] = sorted(panels, key=lambda p: p[0]), total, err
-            elif len(panels) >= limit:
+                out[i] = total, err
+            elif len(vs) >= limit:
                 out[i] = ToleranceNotMetError(f"tolerance not met: estimate {err:.3e} > {tol:.3e} "
-                                              f"after {len(panels)} panels", total, err)
+                                              f"after {len(vs)} panels", total, err)
             else:
-                slot = heapq.heappop(heap)[2]
-                lo, hi = panels[slot][:2]
+                _, lo, slot, hi = heapq.heappop(heap)
                 mid = 0.5 * (lo + hi)
-                todo += [(i, slot, lo, mid), (i, len(panels), mid, hi)]
-                for column in (panels, vs, es):
-                    column.append(None)
+                todo += [(i, slot, lo, mid), (i, len(vs), mid, hi)]
+                vs.append(None)
+                es.append(None)
     return out
 
 
@@ -181,7 +159,7 @@ def _integrals(f, ends, tol, limit=2048):
     run = [i for i, (a, b) in enumerate(ends) if a != b]
     for i, res in zip(run, _adaptive(f, [sorted(ends[i]) for i in run], tol, limit)):
         flip = ends[i][1] < ends[i][0]
-        out[i] = res if isinstance(res, QuadratureError) else (-res[1] if flip else res[1], res[2])
+        out[i] = res if isinstance(res, QuadratureError) else (-res[0] if flip else res[0], res[1])
     return out
 
 
@@ -198,6 +176,41 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, tol: fl
     if isinstance(result, QuadratureError):
         raise result
     return result
+
+
+_RF_Q = (3.0 * 1e-16) ** (-1.0 / 6.0)  # (3r)^(-1/6): R_F's truncation error stays below about r
+
+
+def carlson_rf(x, y, z):
+    """R_F(x, y, z) = 1/2 int_0^inf dt / (sqrt(t + x) sqrt(t + y) sqrt(t + z)),
+    elementwise on broadcast real or complex arrays (or numbers) off the cut
+    (-inf, 0], at most one of x, y, z zero.
+
+    Duplication (DLMF 19.36.1; B. C. Carlson, Numer. Algorithms 10 (1995)
+    13-26): each element takes x <- (x + lam)/4, and y, z and A likewise,
+    lam = sqrt(x) sqrt(y) + sqrt(y) sqrt(z) + sqrt(z) sqrt(x), until
+    4^-m Q <= |A_m|, Q = (3r)^(-1/6) max |A_0 - x_0| (and y, z), then sums the
+    fifth-order series in E2 and E3.  An element's steps depend on its own
+    arguments alone, so a batch gives every element the bits it gets alone."""
+    v = np.array(np.broadcast_arrays(x, y, z))
+    shape, v = v.shape[1:], v.reshape(3, -1)
+    a0 = (v[0] + v[1] + v[2]) / 3
+    q = _RF_Q * abs(a0 - v).max(axis=0)
+    a, four_m, live = a0.copy(), np.ones(q.shape), np.flatnonzero(q > abs(a0))
+    w, al, ql, f = v[:, live], a0[live], q[live], 1.0  # the elements still duplicating, packed
+    while live.size:
+        root = np.sqrt(w)
+        lam = root[0] * (root[1] + root[2]) + root[1] * root[2]
+        w, al, f = 0.25 * (w + lam), 0.25 * (al + lam), 4.0 * f
+        done = ql <= f * abs(al)
+        if done.any():
+            a[live[done]], four_m[live[done]] = al[done], f
+            live, w, al, ql = live[~done], w[:, ~done], al[~done], ql[~done]
+    X, Y = (a0 - v[:2]) / (four_m * a)
+    Z = -X - Y
+    e2, e3 = X * Y - Z * Z, X * Y * Z
+    rf = (1 - e2 / 10 + e3 / 14 + e2 * e2 / 24 - 3 * e2 * e3 / 44) / np.sqrt(a)
+    return rf.reshape(shape)[()]  # a NumPy scalar for scalar arguments
 
 
 def simpson_oracle(f, a, b, panels=1_000_000):
@@ -265,8 +278,7 @@ class Primitive:
     Values are integrated per radius (a batch's new radii in lockstep) and
     cached: rotational surfaces re-evaluate the same profile radius for every
     grid row.  A surface profile is not integrated once over its whole domain
-    (as TabulatedPrimitive is): its domain ends where a radicand of the
-    integrand vanishes, and there the integrand can blow up too fast for the
+    and stored: its domain ends where a radicand of the integrand vanishes, and there the integrand can blow up too fast for the
     adaptive loop (for the conjugate of the spacelike-axis Delaunay surface
     the whole-domain integral fails at 39 of 62 sampled k in [-3, 4], all
     above -0.6), while the interior values that classification reads converge.
@@ -317,102 +329,3 @@ class Primitive:
         else:
             value = self.value(r0)
         return primitive_jet(self.integrand, r0, value, degree)
-
-
-def _partial_bound(t0):
-    """Panel error for TabulatedPrimitive: half width times sum |c_k|, c_k the
-    Legendre coefficients of int_t0^t (p15 - p7), a bound on it over the panel."""
-    to_diff = _TO_INTEGRAL_DIFF[t0]
-    return lambda half, vals: half * float(np.abs(to_diff @ vals).sum())
-
-
-class TabulatedPrimitive:
-    """F(x) = int_base^x f on [a, b] for a positive integrand f, integrated once.
-
-    [a, base] and [base, b] run in one lockstep `_adaptive` run, each with
-    half of PRIMITIVE_TOL.  Every accepted panel keeps its 15 node values, as
-    the Legendre coefficients of p15 (the interpolant through them) and of
-    p15's antiderivative from the panel edge nearer base.  Inside [a, b], F(x)
-    is F at that edge (a sum of panel values) plus that antiderivative at x,
-    F' is p15, and neither calls f again.  A panel is accepted on the uniform
-    bound sum |c_k| >= max |int (p15 - p7)| over the panel, from the same
-    edge (c_k the Legendre coefficients, p7 the interpolant through the Gauss
-    nodes; over the whole panel the integral is K15 - G7), so every value
-    read inside [a, b] carries an error estimate within PRIMITIVE_TOL; `error`
-    is the summed estimate.  Outside [a, b] a value is the edge value plus
-    `integrate` from that edge.
-    """
-
-    def __init__(self, integrand, a: float, base: float, b: float):
-        if not a < base < b:
-            raise ValueError(f"need a < base < b, got {a}, {base}, {b}")
-        self.integrand = integrand
-        halves = _adaptive(integrand, [(a, base), (base, b)], 0.5 * PRIMITIVE_TOL, 2048,
-                           [_partial_bound(1), _partial_bound(-1)])
-        failed = [half for half in halves if isinstance(half, QuadratureError)]
-        if failed:
-            raise failed[0]
-        (left, _, err_left), (right, _, err_right) = halves
-        self.error = err_left + err_right
-        n = len(left)
-        panels = left + right
-        values = [p[2] for p in panels]
-        self.edges = [p[0] for p in panels] + [b]
-        # F at each edge: minus the panels up to base, or plus those from base
-        self.knots = [-math.fsum(values[j:n]) if j < n else math.fsum(values[n:j])
-                      for j in range(len(panels) + 1)]
-        # per panel: the index of its edge nearer base, and in t the Legendre
-        # coefficients of the antiderivative from that edge and of p15
-        self._polys = [
-            (i + 1 if i < n else i,
-             0.5 * (hi - lo) * (_TO_INTEGRAL[1 if i < n else -1] @ vals),
-             _TO_P15 @ vals)
-            for i, (lo, hi, _, _, vals) in enumerate(panels)
-        ]
-
-    def value(self, x: float) -> float:
-        x = float(x)
-        a, b = self.edges[0], self.edges[-1]
-        if not a <= x <= b:
-            edge = a if x < a else b
-            return self.value(edge) + integrate(self.integrand, edge, x, PRIMITIVE_TOL)[0]
-        i = bisect.bisect_right(self.edges, x) - 1
-        if self.edges[i] == x:
-            return self.knots[i]
-        anchor, antiderivative, _ = self._polys[i]
-        lo, hi = self.edges[i], self.edges[i + 1]
-        t = (2.0 * x - lo - hi) / (hi - lo)
-        return self.knots[anchor] + float(legendre.legval(t, antiderivative))
-
-    def solve(self, y: float) -> float:
-        """The x in [a, b] with F(x) = y, by Newton on one panel's interpolant
-        (whose derivative is p15) safeguarded by bisection; ValueError when y
-        is outside [F(a), F(b)]."""
-        y = float(y)
-        if not self.knots[0] <= y <= self.knots[-1]:
-            raise ValueError(f"{y} outside the range [{self.knots[0]}, {self.knots[-1]}]")
-        i = bisect.bisect_right(self.knots, y) - 1
-        if self.knots[i] == y:
-            return self.edges[i]
-        anchor, antiderivative, p15 = self._polys[i]
-        target = y - self.knots[anchor]
-        lo, hi = self.edges[i], self.edges[i + 1]
-        half = 0.5 * (hi - lo)
-        tl, th = -1.0, 1.0
-        t = -1.0 + 2.0 * (y - self.knots[i]) / (self.knots[i + 1] - self.knots[i])  # secant start
-        for _ in range(100):
-            g = float(legendre.legval(t, antiderivative)) - target
-            if g == 0.0:
-                break
-            if g < 0.0:
-                tl = t
-            else:
-                th = t
-            slope = half * float(legendre.legval(t, p15))
-            t_new = t - g / slope if slope > 0.0 else th
-            if not tl < t_new < th:
-                t_new = 0.5 * (tl + th)
-            t, step = t_new, t_new - t
-            if abs(step) <= 4e-16:
-                break
-        return lo + half * (t + 1.0)

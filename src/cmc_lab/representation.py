@@ -10,13 +10,13 @@ Everything here is residual-checked: harmonicity, closedness of the integrand,
 the compatibility (curvature) equations, and the Laplace identity
 Delta X = -2 H nu.
 
-Array contract.  The chart integrand sqrt(E/G) is a closed form of r on each
-Delaunay family (see `_chart_speed`), an array function (see
-cmc_lab.quadrature) that reads no surface jet.  `gauss_data_from_surface`
-solves r(s) once per grid row, inverts the rows' jets of s(r) in one batched
-call, and evaluates the whole grid in one batched chart call (within 1e-13 of
-a node-by-node evaluation, where NumPy's elementary functions on arrays differ
-in the last bits).
+Array contract.  The chart's speed sqrt(E/G) and s(r) itself are closed forms
+of r on each Delaunay family (see `_chart_speed` and ConformalProfile), array
+functions that read no surface jet.  `gauss_data_from_surface` solves r(s)
+for all grid rows in one Newton solve, inverts the rows' jets of s(r) in one
+batched call, and evaluates the whole grid in one batched chart call (within
+1e-13 of a node-by-node evaluation, where NumPy's elementary functions on
+arrays differ in the last bits).
 GaussData keeps that batch: g_jet is one batched jet whose element i * nv + j
 is node (i, j), and g and omega_hat are (nu, nv) arrays.  The residuals
 return (nu, nv) arrays, and `integrate_representation` takes the integrand
@@ -29,8 +29,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional
-
 import numpy as np
 
 from . import jets as jt
@@ -43,10 +41,11 @@ from .lorentz import (
     lorentz_inner,
     lorentz_normal,
 )
-from .quadrature import Integrand, TabulatedPrimitive, _without_values, primitive_jet
+from .quadrature import Integrand, _without_values, carlson_rf, primitive_jet
 from .surfaces import Surface
 
 UNIT_CIRCLE_TOL = 1e-8
+R_OF_S_STEP = 1e-14  # above the rounding noise of s(r) in r: up to about 1e-15 r next to k = 1
 
 # chart orientation: the rotation parameter of a surface of orientation +1
 # enters the conformal chart as t = CHART_T_SIGN * v, which orients z = u + iv so
@@ -148,6 +147,23 @@ def omega_hat_jet(g: Jet2) -> Jet2:
 # -- conformal profile chart ---------------------------------------------------
 
 
+def _chart_radicand(S: Surface) -> tuple:
+    """(p, q) with (r^2 + p)(r^2 + q) the radicand of the chart's speed (see
+    _chart_speed) on a Delaunay surface; ValueError for any other surface.
+
+    About the lightlike axis p = q = +-1; about the others p + q =
+    2 sigma (k + 1) and p q = (k - 1)^2, so q = sigma (k + 1 + 2 sqrt k),
+    complex for k < 0, and p = (k - 1)^2 / q: no cancellation next to k = 1,
+    and the conjugate of q for k < 0."""
+    if S.family in ("delaunay_lightlike_i", "delaunay_lightlike_ii"):
+        return (1.0, 1.0) if S.variant == "i" else (-1.0, -1.0)
+    if S.family not in ("delaunay_timelike", "delaunay_spacelike"):
+        raise ValueError(f"no conformal profile chart for {S.family}: the chart takes a "
+                         "rotational Delaunay surface")
+    q = (1.0 if S.family == "delaunay_timelike" else -1.0) * (S.k + 1.0 + 2.0 * np.emath.sqrt(S.k))
+    return (S.k - 1.0) ** 2 / q, q
+
+
 def _chart_speed(S: Surface) -> Integrand:
     """s'(r) = sqrt(E/G) of the conformal chart of a Delaunay surface, in
     closed form; ValueError for any other surface.
@@ -156,14 +172,11 @@ def _chart_speed(S: Surface) -> Integrand:
     |1 - F'^2| = 4 r^2/delta, so s' = 1/(|H| sqrt(delta)); about the lightlike axis
     E = 4 zeta' = r^2/(H^2 (1 +- r^2)^2), so s' = 1/(|H| (1 +- r^2)), + on
     variant i and - on variant ii."""
-    if S.family in ("delaunay_timelike", "delaunay_spacelike"):
-        delta, H = S.meta["delta"], abs(S.H)
-        return Integrand(lambda x: 1.0 / (H * jt.sqrt(delta(x))))
-    if S.family in ("delaunay_lightlike_i", "delaunay_lightlike_ii"):
-        e, H = (1.0 if S.variant == "i" else -1.0), abs(S.H)
+    (e, _), H = _chart_radicand(S), abs(S.H)
+    if S.family.startswith("delaunay_lightlike"):  # e = p = q = +-1
         return Integrand(lambda x: 1.0 / (H * (1.0 + e * x * x)))
-    raise ValueError(f"no conformal profile chart for {S.family}: the chart takes a "
-                     "rotational Delaunay surface")
+    delta = S.meta["delta"]
+    return Integrand(lambda x: 1.0 / (H * jt.sqrt(delta(x))))
 
 
 @dataclass
@@ -171,42 +184,68 @@ class ConformalProfile:
     """Reparametrization s(r) making (s, t) a conformal chart of a rotational
     surface; carries sigma with e^(2 sigma) = G(r(s)).
 
-    s(r) is integrated once over the chart's r-range and read from the stored
-    panels (see TabulatedPrimitive); r(s) inverts it there by safeguarded
-    Newton on one panel's interpolant.  The surface sees the chart's t as
-    t_sign * t, t_sign = CHART_T_SIGN * orientation: a reversed normal conjugates z."""
+    s(r) = (J(r) - J(r_anchor))/|H| in closed form, J(r) = int_0^r dx /
+    sqrt((x^2 + p)(x^2 + q)) = r R_F(p q, q (p + r^2), p (q + r^2)) (x =
+    (t + 1/r^2)^(-1/2) in R_F's integral; DLMF 19.29), with (p, q) from
+    `_chart_radicand`; r(s) solves it by Newton, safeguarded by bisection, on
+    all rows at once.  The surface sees the chart's t as t_sign * t,
+    t_sign = CHART_T_SIGN * orientation: a reversed normal conjugates z."""
 
     surface: Surface
     r_anchor: float
     r_range: tuple
-    s_table: TabulatedPrimitive
+    speed: Integrand
+    radicand: tuple
     notes: list = field(default_factory=list)
+
+    def __post_init__(self):
+        self._s_anchor, r = 0.0, np.linspace(*self.r_range, 9)  # where r(s) starts from
+        s = self.s_of_r(np.append(self.r_anchor, r))
+        self._s_anchor, self._nodes = s[0], (s[1:] - s[0], r)
+        self.s_range = (float(self._nodes[0][0]), float(self._nodes[0][-1]))
 
     @property
     def t_sign(self) -> float:
         return CHART_T_SIGN * self.surface.orientation
 
-    def s_of_r(self, r: float) -> float:
-        return self.s_table.value(r)
+    def s_of_r(self, r):
+        """s(r) for a number or an array r."""
+        # pq + q r^2, not q (p + r^2): NumPy's array kernels may fuse a complex
+        # product, and one that depends on r would round apart in an array and alone
+        p, q = self.radicand
+        pq, r2 = (p * q).real, r * r
+        J = r * carlson_rf(pq, pq + q * r2, pq + p * r2).real
+        return J / abs(self.surface.H) - self._s_anchor
 
     def s_jet(self, r: float, degree=MAX_DEGREE) -> Jet1:
-        return primitive_jet(self.s_table.integrand, r, self.s_of_r(r), degree)
+        return primitive_jet(self.speed, r, self.s_of_r(r), degree)
 
-    def r_of_s(self, s: float) -> float:
-        """ValueError when s is outside s_range."""
-        return self.s_table.solve(s)
+    def r_of_s(self, s):
+        """r(s) for a number or an array s; ValueError when s is outside
+        s_range.  Newton from the broken line through s(r) at 9 radii of the
+        chart, kept in the bracket of the radii tried so far, each element until
+        its step is at most R_OF_S_STEP r."""
+        (s_lo, s_hi), (r_lo, r_hi) = self.s_range, self.r_range
+        s = np.asarray(s, float)
+        if not np.all((s_lo <= s) & (s <= s_hi)):
+            raise ValueError(f"{s} outside the range [{s_lo}, {s_hi}]")
+        r = np.array(np.interp(s, *self._nodes))
+        live = np.arange(s.size)  # the elements still stepping, and their x, target, bracket
+        x, target, lo, hi = r.ravel(), s.ravel(), np.full(s.size, r_lo), np.full(s.size, r_hi)
+        while live.size:
+            g = self.s_of_r(x) - target
+            lo, hi = np.where(g < 0, x, lo), np.where(g > 0, x, hi)
+            new = x - g / self.speed(x)
+            new = np.where((lo <= new) & (new <= hi), new, 0.5 * (lo + hi))
+            on = np.abs(new - x) > R_OF_S_STEP * x
+            r.flat[live] = new
+            live, x, target, lo, hi = live[on], new[on], target[on], lo[on], hi[on]
+        return r[()]
 
     def r_jet_of_s(self, s, degree=MAX_DEGREE) -> Jet1:
-        """The jet of r(s) at s, the inverse of the jet of s(r) at r = r(s).
-
-        For a (B,) array s one batched jet: r(s) is solved per element, and
-        the jets of s(r) and their inversion are batched."""
-        r = np.array([self.r_of_s(x) for x in s]) if isinstance(s, np.ndarray) else self.r_of_s(s)
-        return primitive_jet(self.s_table.integrand, r, s, degree).compose_inverse()
-
-    @property
-    def s_range(self):
-        return (self.s_of_r(self.r_range[0]), self.s_of_r(self.r_range[1]))
+        """The jet of r(s) at s, the inverse of the jet of s(r) at r = r(s);
+        for a (B,) array s one batched jet from one solve."""
+        return primitive_jet(self.speed, self.r_of_s(s), s, degree).compose_inverse()
 
     def surface_jets(self, s: float, t: float, degree=MAX_DEGREE):
         """Jets of X in the oriented chart (s, t)."""
@@ -232,11 +271,9 @@ def _chart_jets(profile: ConformalProfile, rj: Jet1, s, t, degree: int):
     return jt.compose2(X, R, T)
 
 
-def conformal_profile_chart(
-    S: Surface, r_min: float, r_max: float, r_anchor: Optional[float] = None
-) -> ConformalProfile:
-    """s(r) = int_anchor^r sqrt(E/G), from a regular anchor radius, for a
-    Delaunay surface (ValueError for any other; see _chart_speed).
+def conformal_profile_chart(S: Surface, r_min: float, r_max: float) -> ConformalProfile:
+    """s(r) = int_anchor^r sqrt(E/G), from the anchor radius (r_min + r_max)/2,
+    for a Delaunay surface (ValueError for any other; see _chart_speed).
 
     The chart needs G > 0; a range reaching the rotation axis is clipped with
     a notice rather than rejected.
@@ -246,17 +283,16 @@ def conformal_profile_chart(
     if r_min <= 0:
         notes.append(f"r_min {r_min} clipped to 1e-3 (G vanishes on the axis)")
         r_min = 1e-3
-    if r_anchor is None:
-        r_anchor = 0.5 * (r_min + r_max)
+    if not r_min < r_max:
+        raise ValueError(f"need r_min < r_max, got {r_min}, {r_max}")
+    r_anchor = 0.5 * (r_min + r_max)
     Xu, Xv = _tangents(S, r_anchor, 0.0, 1)
     E, F, G = first_fundamental_form(partial_values(Xu, 0, 0), partial_values(Xv, 0, 0))
     if abs(F) > 1e-9:
         raise ValueError(f"chart requires F = 0 in (r, t); got F = {F}")
     if not (E > 0 and G > 0):
         raise NotSpacelikeError("chart requires a spacelike rotational surface")
-    r_min, r_anchor, r_max = float(r_min), float(r_anchor), float(r_max)
-    table = TabulatedPrimitive(speed, r_min, r_anchor, r_max)
-    return ConformalProfile(S, r_anchor, (r_min, r_max), table, notes)
+    return ConformalProfile(S, r_anchor, (r_min, r_max), speed, _chart_radicand(S), notes)
 
 
 # -- Gauss data on a grid --------------------------------------------------------
@@ -349,7 +385,7 @@ def gauss_data_from_surface(
 ) -> GaussData:
     """Sample g and omega_hat (with jets) on a conformal-chart grid.
 
-    r(s) is solved once per row and its jets come from one batched inversion;
+    r(s) is solved for all rows at once and its jets come from one batched inversion;
     the jets of all ns * nt nodes then come from one batched chart evaluation
     (node (i, j) is batch element i * nt + j)."""
     du = (s1 - s0) / (ns - 1)
@@ -530,8 +566,8 @@ def representation_roundtrip(profile: ConformalProfile, gd: GaussData, rec=None)
     i0, j0 = rec["z0"]
     nu_, nv_ = gd.nu, gd.nv
 
-    # original vertices (r(s) solved per row) and base frame in the chart
-    r = [profile.r_of_s(s) for s in gd.u0 + np.arange(nu_) * gd.du]
+    # original vertices (r(s) solved for all rows at once) and base frame in the chart
+    r = profile.r_of_s(gd.u0 + np.arange(nu_) * gd.du)
     t = gd.v0 + np.arange(nv_) * gd.dv
     Y = np.stack([c.value for c in S.jet(np.repeat(r, nv_), profile.t_sign * np.tile(t, nu_), 0)],
                  -1).reshape(nu_, nv_, 3)

@@ -36,7 +36,6 @@ from .surfaces import Surface, custom_surface
 DET_TOL = 1e-8        # relative determinant zero threshold
 ANGLE_TOL = 1e-6      # first-kind transversality threshold
 IMG_TOL = 1e-9        # conelike image-diameter threshold
-RANK_TOL = 1e-7       # rank-1 vs rank-0 of dX
 ROOT_TOL = 1e-12      # bracket width for curve roots
 ROOT_GATE = 1e3       # a scan root needs |lambda| <= ROOT_GATE * ROOT_TOL * max(|dlambda|, 1)
 
@@ -298,15 +297,17 @@ def _assemble_records(S: Surface, q) -> list:
     degree-2 evaluation; None where the root gate drops the root.
 
     The rank and null vector come from the singular values of dX, the normal
-    and lambda, dlambda from `_frontal_at`.  Rank 0, or an undefined frontal
-    normal, gives a degenerate_rank0 record; rank 2 a record of kind other
-    with no null vector.
+    and lambda, dlambda from `_frontal_at`: rank 0 where the larger is at most
+    1e-13, rank 2 where their product |X_u x X_v| exceeds the root gate's
+    bound on |lambda|.  Rank 0, or an undefined frontal normal, gives a
+    degenerate_rank0 record; rank 2 a record of kind other with no null vector.
     """
     X, n, defined, lam, dlam = _frontal_at(S, q[:, 0], q[:, 1])
     _, sv, Vt = np.linalg.svd(_dX_of(X))
-    rank = np.where(sv[:, 0] <= 1e-13, 0, np.where(sv[:, 1] > RANK_TOL * sv[:, 0], 2, 1))
+    gate = ROOT_GATE * ROOT_TOL * np.maximum(_norm(dlam), 1.0)
+    rank = np.where(sv[:, 0] <= 1e-13, 0, np.where(sv[:, 0] * sv[:, 1] > gate, 2, 1))
     degenerate = (rank == 0) | ~defined
-    confirmed = np.abs(lam) <= ROOT_GATE * ROOT_TOL * np.maximum(_norm(dlam), 1.0)
+    confirmed = np.abs(lam) <= gate
     records = []
     for b, loc in enumerate(map(tuple, q.tolist())):
         if degenerate[b]:

@@ -12,8 +12,8 @@ from cmc_lab.quadrature import (
     PRIMITIVE_TOL,
     Primitive,
     QuadratureError,
-    TabulatedPrimitive,
     ToleranceNotMetError,
+    carlson_rf,
     integrate,
     simpson_oracle,
 )
@@ -126,32 +126,46 @@ def test_integrand_jet_value_agrees_with_point():
         assert abs(f.jet(r, 3).value - f(r)) < 1e-14
 
 
-def test_tabulated_primitive_values_inverse_and_edges():
-    calls = []
+# -- Carlson's R_F against exact identities ------------------------------------
 
-    def f(t):
-        calls.append(t)
-        return 1.0 / (1.0 + t * t)
+_POSITIVE = st.floats(1e-30, 1e30)
+_OFF_THE_CUT = st.tuples(_POSITIVE, st.floats(-3.1, 3.1)).map(lambda m: m[0] * np.exp(1j * m[1]))
 
-    T = TabulatedPrimitive(f, 0.1, 0.5, 1.7)
-    assert T.error <= PRIMITIVE_TOL
-    built = len(calls)
-    xs = np.linspace(0.1, 1.7, 33)
-    for x in xs:
-        y = T.value(x)
-        assert abs(y - (math.atan(x) - math.atan(0.5))) < PRIMITIVE_TOL
-        assert abs(T.solve(y) - x) <= 1e-15
-    assert len(calls) == built  # read from the stored panels only
-    assert T.value(0.5) == 0.0
-    assert T.solve(T.value(0.1)) == 0.1 and T.solve(T.value(1.7)) == 1.7
-    # outside [a, b]: the edge value plus a fresh integral from that edge
-    for x in (0.02, 2.5):
-        assert abs(T.value(x) - (math.atan(x) - math.atan(0.5))) < 2 * PRIMITIVE_TOL
-    for y in (math.nextafter(T.value(0.1), -1), math.nextafter(T.value(1.7), 2)):
-        with pytest.raises(ValueError):
-            T.solve(y)
-    with pytest.raises(ValueError):
-        TabulatedPrimitive(f, 0.5, 0.5, 1.7)
+
+@given(st.one_of(_POSITIVE, _OFF_THE_CUT))
+@settings(max_examples=60, deadline=None)
+def test_carlson_rf_of_equal_arguments_is_the_inverse_root(x):
+    # R_F(x, x, x) = x^(-1/2), the principal root off the cut
+    assert abs(carlson_rf(x, x, x) * np.sqrt(x) - 1) <= 1e-15
+
+
+def test_carlson_rf_lemniscate_constant():
+    # R_F(0, 1, 2) = Gamma(1/4)^2 / (4 sqrt(2 pi)) (DLMF 19.20.2)
+    want = math.gamma(0.25) ** 2 / (4 * math.sqrt(2 * math.pi))
+    assert abs(carlson_rf(0.0, 1.0, 2.0) / want - 1) <= 4e-16
+    assert abs(carlson_rf(2.0, 0.0, 1.0) / want - 1) <= 4e-16  # symmetric
+
+
+@given(st.floats(1e-8, 1e8), st.floats(1.0, 1e8, exclude_min=True))
+@settings(max_examples=60, deadline=None)
+def test_carlson_rf_degenerate_case_is_the_arccosine(x, ratio):
+    # R_F(x, y, y) = arccos sqrt(x/y) / sqrt(y - x), 0 < x < y; written as
+    # arctan sqrt((y - x)/x), which keeps its accuracy where y/x is near 1
+    y = x * ratio
+    want = math.atan(math.sqrt((y - x) / x)) / math.sqrt(y - x)
+    assert abs(carlson_rf(x, y, y) / want - 1) <= 2e-15
+
+
+@given(st.lists(st.tuples(st.floats(1e-8, 1e8), _OFF_THE_CUT), min_size=1, max_size=9))
+@settings(max_examples=40, deadline=None)
+def test_carlson_rf_of_conjugate_arguments_is_real_and_elementwise(args):
+    # R_F(x, z, conj z), x > 0, is real: the chart's J on a complex-conjugate
+    # radicand pair; a batch gives each element the bits it gets alone
+    x = np.array([a for a, _ in args])
+    z = np.array([b for _, b in args])
+    got = carlson_rf(x, z, np.conj(z))
+    assert np.all(np.abs(got.imag) <= 1e-16 * np.abs(got))
+    assert [carlson_rf(a, b, np.conj(b)) for a, b in args] == got.tolist()
 
 
 # -- the array contract: one integrand call per sweep ---------------------------
@@ -317,7 +331,7 @@ def test_surface_profile_integrals_bit_identical_to_a_per_node_loop(family, t, a
 
 def reference_gk15(f, a, b):
     """The one-panel rule the lockstep kernel replaced: (K15 value, |K15 - G7|
-    estimate, node values) on [a, b], with f called on that panel's 15 nodes."""
+    estimate) on [a, b], with f called on that panel's 15 nodes."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     xs = mid + half * quadrature._GK_T
@@ -335,15 +349,14 @@ def reference_gk15(f, a, b):
         k += K[i] * pair
         if i % 2 == 1:
             g += G[i // 2] * pair
-    return half * k, half * abs(k - g), vals
+    return half * k, half * abs(k - g)
 
 
-def reference_adaptive(f, a, b, tol, limit, bound=None):
+def reference_adaptive(f, a, b, tol, limit):
     """The per-interval loop the lockstep kernel replaced: the panels of [a, b]
     in interval order, their summed value and summed error."""
     def panel(lo, hi):
-        value, est, vals = reference_gk15(f, lo, hi)
-        return lo, hi, value, est if bound is None else bound(0.5 * (hi - lo), vals), vals
+        return lo, hi, *reference_gk15(f, lo, hi)
 
     panels = [panel(a, b)]
     while True:
@@ -416,24 +429,49 @@ _OFFSETS = st.one_of(
 )
 
 
+def _accepted_panels(f, a, b, tol, limit):
+    """The outcome of _adaptive on [a, b] alone, and the panels it accepts,
+    sorted: those it samples less those it splits.  After the first sweep
+    each sweep samples the two halves of the panel it splits."""
+    from unittest import mock
+
+    calls = []
+    gk15 = quadrature._gk15
+
+    def logged(g, lo, hi):
+        calls.append(list(zip(lo.tolist(), hi.tolist())))
+        return gk15(g, lo, hi)
+
+    with mock.patch.object(quadrature, "_gk15", logged):
+        (result,) = quadrature._adaptive(f, [(a, b)], tol, limit)
+    panels = [p for call in calls for p in call]
+    for (lo, _), (_, hi) in calls[1:]:
+        panels.remove((lo, hi))
+    return result, sorted(panels)
+
+
 @given(st.sampled_from(sorted(LOCKSTEP_INTEGRANDS)), st.sampled_from([0.0, -0.5, 1.0]),
        st.integers(0, 40).flatmap(lambda n: st.lists(_OFFSETS, min_size=n, max_size=n)),
-       st.floats(1e-13, 1e-8), st.integers(1, 40), st.booleans())
+       st.floats(1e-13, 1e-8), st.integers(1, 40))
 @settings(max_examples=60, deadline=None)
-def test_lockstep_kernel_bit_identical_to_the_per_interval_loop(name, base, offsets, tol, limit,
-                                                                bounded):
+def test_lockstep_kernel_bit_identical_to_the_per_interval_loop(name, base, offsets, tol, limit):
     f = LOCKSTEP_INTEGRANDS[name]
     ends = [(base + x, base + y) for x, y in offsets]
     # integrate's batch: ends on either side, reversed and empty intervals
     for got, (a, b) in zip(quadrature._integrals(f, ends, tol, limit), ends):
         _assert_same(got, _outcome(lambda: reference_integrate(f, a, b, tol, limit)))
-    # the kernel itself, with and without a panel bound (TabulatedPrimitive's)
+    # the kernel itself, in lockstep and on one interval: the loop's sums, and
+    # on one interval the panels the loop accepts
     turned = [(min(a, b), max(a, b)) for a, b in ends if a != b]
-    bounds = [quadrature._partial_bound(t0) for t0, _ in zip([1, -1] * len(turned), turned)]
-    bounds = bounds if bounded else None
-    for i, ((a, b), got) in enumerate(zip(turned, quadrature._adaptive(f, turned, tol, limit, bounds))):
-        _assert_same(got, _outcome(lambda: reference_adaptive(f, a, b, tol, limit,
-                                                              bounds and bounds[i])))
+    for (a, b), got in zip(turned, quadrature._adaptive(f, turned, tol, limit)):
+        want = _outcome(lambda: reference_adaptive(f, a, b, tol, limit))
+        _assert_same(got, want if isinstance(want, QuadratureError) else want[1:])
+    for a, b in turned[:3]:
+        want = _outcome(lambda: reference_adaptive(f, a, b, tol, limit))
+        got, panels = _accepted_panels(f, a, b, tol, limit)
+        _assert_same(got, want if isinstance(want, QuadratureError) else want[1:])
+        if not isinstance(want, QuadratureError):
+            assert panels == sorted(p[:2] for p in want[0])
 
 
 @pytest.mark.parametrize("family,k", [("delaunay-t", 2.0), ("conjugate-of-delaunay-t", 3.0),
@@ -464,10 +502,13 @@ def test_lockstep_kernel_splits_the_leftmost_of_tied_panels():
     f, lopsided = LOCKSTEP_INTEGRANDS["vee"], 0
     for tol in np.geomspace(1e-3, 1e-12, 60):
         for limit in (3, 5, 2048):
-            (got,) = quadrature._adaptive(f, [(-1.0, 1.0)], tol, limit)
+            got, accepted = _accepted_panels(f, -1.0, 1.0, tol, limit)
             want = _outcome(lambda: reference_adaptive(f, -1.0, 1.0, tol, limit))
-            _assert_same(got, want)
-            if not isinstance(want, QuadratureError):
+            if isinstance(want, QuadratureError):
+                _assert_same(got, want)
+            else:
+                _assert_same(got, want[1:])
                 panels = [p[:2] for p in want[0]]
+                assert accepted == sorted(panels)
                 lopsided += panels != [(-hi, -lo) for lo, hi in reversed(panels)]
     assert lopsided

@@ -115,8 +115,9 @@ def _surface_speed(S, conditioning=False):
 
 @pytest.mark.parametrize("name", EXPORT_CHARTS)
 def test_export_path_integrand_evaluations(monkeypatch, name):
-    # s(r) is integrated once: re-integrating it per root-finder step made 834-984
-    # calls of the chart's integrand, and an export now makes 5-7 (159-249 radii)
+    # s(r) is a closed form: an export evaluates the speed only in the Newton steps
+    # of r(s), over the rows still open, and in the rows' jets (5-6 calls, 44-52
+    # radii; integrating s(r) per root-finder step made 834-984 calls)
     samples = []
     speed = rp._chart_speed
 
@@ -130,7 +131,7 @@ def test_export_path_integrand_evaluations(monkeypatch, name):
     r0, r1 = prof.r_range
     s0, s1 = prof.s_of_r(r0 * 1.02), prof.s_of_r(r1 * 0.98)
     rp.gauss_data_from_surface(prof, s0, s1, 0.0, 1.0, 9, 5)
-    assert 0 < sum(samples) <= 400
+    assert 0 < sum(samples) <= 100
 
 
 @pytest.mark.parametrize("name", EXPORT_CHARTS)
@@ -247,19 +248,55 @@ def test_chart_speed_is_the_surface_metric(family, stratum, t, H, negative):
     assert np.all(np.abs(got - want) <= 1e-13 * cancel * want)
 
 
-@pytest.mark.parametrize("variant, H", [("i", 0.5), ("i", -1.1), ("ii", 0.5), ("ii", -0.3)])
-def test_lightlike_chart_is_the_exact_primitive(variant, H):
-    # s(r) = (arctan r - arctan r_a)/|H| on variant i, (artanh r - artanh r_a)/|H| on ii
-    S = sf.delaunay_lightlike(variant, H)
+# charts whose s(r) is elementary: (surface, the primitive of 1/sqrt(radicand))
+EXACT_CHARTS = {
+    # s' = 1/(|H| (1 + r^2)) and 1/(|H| (1 - r^2)) about the lightlike axis
+    "delaunay-l-i": (lambda H: sf.delaunay_lightlike("i", H), math.atan),
+    "delaunay-l-ii": (lambda H: sf.delaunay_lightlike("ii", H), math.atanh),
+    # at k = 0 delta = (r^2 + 1)^2 about the timelike axis, (r^2 - 1)^2 about the spacelike one
+    "delaunay-t k=0": (lambda H: sf.delaunay_timelike(0.0, H), math.atan),
+    "delaunay-s k=0": (lambda H: sf.delaunay_spacelike(0.0, H), math.atanh),
+}
+
+
+@pytest.mark.parametrize("H", [0.5, -1.1, -0.3, 1e-5])
+@pytest.mark.parametrize("name", EXACT_CHARTS)
+def test_chart_is_the_exact_primitive(name, H):
+    # s(r) = (arctan r - arctan r_a)/|H| or (artanh r - artanh r_a)/|H|, within
+    # 1e-14 of the chart's largest |s| (at least 1)
+    build, exact = EXACT_CHARTS[name]
+    S = build(H)
     r_hi = S.u_range[1]
     prof = conformal_profile_chart(S, 0.15 * r_hi, 0.65 * r_hi)
-    exact = math.atan if variant == "i" else math.atanh
     rs = np.linspace(*prof.r_range, 33)
+    scale = max(1.0, *(abs(exact(r) - exact(prof.r_anchor)) / abs(H) for r in prof.r_range))
     for i, r in enumerate(rs):
         want = (exact(r) - exact(prof.r_anchor)) / abs(H)
-        assert abs(prof.s_of_r(r) - want) <= PRIMITIVE_TOL
+        assert abs(prof.s_of_r(r) - want) <= 1e-14 * scale
         if 0 < i < len(rs) - 1:  # at the ends the exact s may lie an ulp outside s_range
-            assert abs(prof.r_of_s(want) - r) <= 1e-12
+            assert abs(prof.r_of_s(want) - r) <= 1e-13
+
+
+@given(st.sampled_from(["delaunay-t", "delaunay-s"]), st.sampled_from(K_STRATA), st.floats(0.0, 1.0),
+       st.floats(0.3, 1.2), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_chart_is_the_integral_of_its_speed(family, stratum, t, H, negative):
+    """s(r) in closed form against `integrate` of the closed-form speed at
+    tol 1e-13, over the radii `rep --export-from` charts; r(s) of all of them
+    in one solve is, row for row, r(s) of each alone."""
+    build, _ = EXPORT_FAMILIES[family]
+    S = build(stratum[0] + t * (stratum[1] - stratum[0]), -H if negative else H)
+    r_hi = S.u_range[1]
+    prof = conformal_profile_chart(S, 0.15 * r_hi, 0.65 * r_hi)
+    rs = np.linspace(*prof.r_range, 9)
+    speed = rp._chart_speed(S)
+    for r in rs:
+        want, _ = integrate(speed, prof.r_anchor, r, 1e-13)
+        assert abs(prof.s_of_r(r) - want) <= 1e-13 * max(1.0, abs(want))
+    ss = prof.s_of_r(rs)
+    got = prof.r_of_s(ss)
+    assert np.all(np.abs(got - rs) <= 1e-13)
+    assert got.tolist() == [prof.r_of_s(s) for s in ss.tolist()]
 
 
 def _close(got, want):

@@ -205,13 +205,14 @@ SCAN_CASES = {
 def _point_by_point(S, q):
     """rank, null vector, normal, lambda and dlambda at q from scalar jets."""
     _, sv, Vt = np.linalg.svd(sg._dX_of(S.jet(q[0], q[1], 1)))
-    rank = 0 if sv[0] <= 1e-13 else 2 if sv[1] > sg.RANK_TOL * sv[0] else 1
     if S.has_analytic_normal:
         n = np.array([c.value for c in S.analytic_normal_jet(q[0], q[1], 0)])
     else:  # the frontal normal of the cross product's scalar jet
         n, defined = sg._frontal_normal(sg._cross_jets(S.jet(q[0], q[1], 2)))
         assert defined
     lj = sg._lambda_jet(S, q, 2, normal=n)
+    gate = sg.ROOT_GATE * sg.ROOT_TOL * max(np.linalg.norm(lj.gradient()), 1.0)
+    rank = 0 if sv[0] <= 1e-13 else 2 if sv[0] * sv[1] > gate else 1
     return rank, (Vt[1] if rank == 1 else None), n, lj.value, lj.gradient()
 
 
