@@ -307,8 +307,6 @@ class Primitive:
             raise hit.with_traceback(None)
         return hit
 
-    __call__ = value
-
     def jet(self, r0, degree: int = MAX_DEGREE) -> Jet1:
         """Value coefficient from quadrature, the others from the integrand's jet.
 

@@ -604,6 +604,31 @@ def custom_surface(builder, u_range=(-2.0, 2.0), v_range=(-2.0, 2.0), **kw) -> S
 
 # -- mesh export ---------------------------------------------------------------
 
+_MAGNITUDE_BITS = np.int64(2**63 - 1)  # every bit of a float64 but its sign
+
+
+def _vertex_lines(vertices) -> str:
+    """The OBJ vertex block, "v x1 x2 x0" per vertex, each coordinate its repr.
+
+    repr, the shortest exact digits, runs once per distinct magnitude |x|: a
+    grid's coordinates repeat (x0 along a row, values of both signs), and
+    repr(x) == "-" + repr(-x) for every x with its sign bit set that is not a
+    NaN (-0.0 and -inf too); a NaN keeps its bits as its key and prints "nan".
+    The bytes are those of one "%r" per coordinate."""
+    verts = np.asarray(vertices, float)[:, [1, 2, 0]]
+    xs = verts.ravel()
+    bits = xs.view(np.int64)
+    neg = (bits < 0) & ~np.isnan(xs)
+    keys, index = np.unique(np.where(neg, bits & _MAGNITUDE_BITS, bits), return_inverse=True)
+    words = list(map(repr, keys.view(float).tolist()))
+    # "-" words only for the magnitudes that occur negated, after the others
+    at = index[neg]
+    negated = np.zeros(len(keys), bool)
+    negated[at] = True
+    words += ["-" + words[i] for i in np.flatnonzero(negated).tolist()]
+    index[neg] = len(keys) - 1 + np.cumsum(negated)[at]
+    return ("v %s %s %s\n" * len(verts)) % tuple(np.array(words, dtype=object)[index].tolist())
+
 
 @dataclass
 class Mesh:
@@ -612,11 +637,11 @@ class Mesh:
     sidecar: dict
 
     def write_obj(self, path):
-        # one %-format call per block; %r writes a float's repr, the shortest exact digits
-        verts = np.asarray(self.vertices, float)[:, [1, 2, 0]]
+        # one %-format call per block; the vertex block's temporaries are freed
+        # before the face block is formatted
         text = "".join([
             "# cmc-lab surface mesh; vertex order (x1, x2, x0)\n",
-            ("v %r %r %r\n" * len(verts)) % tuple(verts.ravel().tolist()),
+            _vertex_lines(self.vertices),
             ("f %d %d %d\n" * len(self.faces)) % tuple((self.faces + 1).ravel().tolist()),
         ])
         with open(path, "w") as fh:

@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from cmc_lab import jets as jt
 from cmc_lab import surfaces as sf
+from cmc_lab.cli import main
 from cmc_lab.jets import Jet1, Jet2, JetDomainError
 from cmc_lab.lorentz import lorentz_inner
 from cmc_lab.surfaces import (
@@ -335,27 +336,59 @@ def _assert_obj_matches_per_line_writer(mesh, directory):
     assert (directory / "a.obj").read_bytes() == (directory / "b.obj").read_bytes()
 
 
-def test_obj_writer_matches_per_line_writer(tmp_path, conj_k2):
+# the six CLI mesh families, spelled as `generate` takes them
+_CLI_FAMILIES = ("delaunay-t --k 2", "delaunay-s --k -2", "delaunay-l-i", "delaunay-l-ii",
+                 "conjugate --of delaunay-t --k 2", "conjugate --of delaunay-s --k -2")
+
+
+def test_obj_writer_matches_per_line_writer(tmp_path, conj_k2, monkeypatch):
     for S, nu, nv in ((conj_k2, 13, 11), (standard_model("fold"), 2, 3),
                       (standard_model("fold"), 2, 2)):
         _assert_obj_matches_per_line_writer(mesh_export(S, nu, nv), tmp_path)
+    # the meshes the CLI writes: generate on every family at 21 x 21, and a
+    # rep --gauss-data reconstruction
+    meshes, write_obj = [], sf.Mesh.write_obj
+    monkeypatch.setattr(sf.Mesh, "write_obj",
+                        lambda self, path: (meshes.append(self), write_obj(self, path))[1])
+    for spec in _CLI_FAMILIES:
+        argv = ["generate", "--family", *spec.split(), "--nr", "21", "--nt", "21"]
+        assert main(argv + ["-o", str(tmp_path / "g.obj")]) == 0
+    gauss = str(tmp_path / "g.json")
+    assert main(["rep", "--export-from", "delaunay-t", "--k", "2", "-o", gauss]) == 0
+    assert main(["rep", "--gauss-data", gauss, "-o", str(tmp_path / "r.obj")]) == 0
+    assert [m.sidecar.get("family", m.sidecar.get("source")) for m in meshes] == [
+        "delaunay_timelike", "delaunay_spacelike", "delaunay_lightlike_i", "delaunay_lightlike_ii",
+        "conjugate_of_delaunay_timelike", "conjugate_of_delaunay_spacelike", "representation"]
+    assert [len(m.vertices) for m in meshes[:6]] == [21 * 21] * 6
+    monkeypatch.undo()
+    for mesh in meshes:
+        _assert_obj_matches_per_line_writer(mesh, tmp_path)
 
 
-# -0.0, the smallest and largest subnormals, and +-1e300 besides any float
-_EDGE_FLOATS = (-0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e300, -1e300)
+# -+0.0, NaN with its sign bit clear and set, -+inf, the smallest and largest
+# subnormals and -+1e300 besides any float
+_EDGE_FLOATS = (0.0, -0.0, math.nan, float(np.copysign(math.nan, -1)), math.inf, -math.inf,
+                5e-324, -5e-324, 2.225073858507201e-308, 1e300, -1e300, 0.5)
 
 
 @st.composite
-def _grid_meshes(draw):
-    nu, nv = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+def _meshes(draw):
+    """A mesh of n = 0, 1 or more vertices whose coordinates repeat with either
+    sign: each is drawn from a small pool and negated or not, or drawn afresh."""
+    n = draw(st.one_of(st.sampled_from((0, 1)), st.integers(2, 30)))
     floats = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats())
-    xs = draw(st.lists(floats, min_size=3 * nu * nv, max_size=3 * nu * nv))
-    return sf.Mesh(np.array(xs).reshape(-1, 3), sf.grid_faces(nu, nv), {})
+    pool = draw(st.lists(floats, min_size=1, max_size=6))
+    repeated = st.tuples(st.sampled_from(pool), st.booleans()).map(lambda p: -p[0] if p[1] else p[0])
+    xs = draw(st.lists(st.one_of(repeated, floats), min_size=3 * n, max_size=3 * n))
+    faces = draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * 3), max_size=2 * n)) if n else []
+    return sf.Mesh(np.array(xs, float).reshape(n, 3), np.array(faces, int).reshape(-1, 3), {})
 
 
-@given(_grid_meshes())
-@example(sf.Mesh(np.array(_EDGE_FLOATS * 2).reshape(4, 3), sf.grid_faces(2, 2), {}))
-@settings(max_examples=60, deadline=None)
+@given(_meshes())
+@example(sf.Mesh(np.array(_EDGE_FLOATS * 2).reshape(8, 3), sf.grid_faces(2, 4), {}))
+@example(sf.Mesh(np.array(_EDGE_FLOATS[:3]).reshape(1, 3), np.zeros((0, 3), int), {}))
+@example(sf.Mesh(np.zeros((0, 3)), np.zeros((0, 3), int), {}))  # the header line alone
+@settings(max_examples=80, deadline=None)
 def test_obj_writer_matches_per_line_writer_on_drawn_vertices(tmp_path_factory, mesh):
     _assert_obj_matches_per_line_writer(mesh, tmp_path_factory.mktemp("obj"))
 
