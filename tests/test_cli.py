@@ -137,6 +137,7 @@ def test_classify_model_cone_stays_in_the_domain(tmp_path):
     (("rep", "--export-from", "delaunay-t", "--k", "2", "--ns", "1"), "--ns"),
     (("rep", "--export-from", "delaunay-t", "--k", "2", "--nt", "1"), "--nt"),
     (("verify", "--suite", "fields", "--trials", "-3"), "--trials"),
+    (("verify", "--suite", "fields", "--seed", "-1"), "--seed"),
 ])
 def test_bad_counts_exit2_naming_the_flag(tmp_path, capsys, argv, flag):
     assert run(tmp_path, *argv, "-o", "out") == 2
@@ -651,6 +652,71 @@ def test_fields_suite_makes_the_same_field_applications_at_any_trial_count(monke
     assert count(40) == n and set(passes) == {40}
 
 
+@pytest.fixture
+def cold_field_targets():
+    """The fields suite's target cache, empty before the test and after it."""
+    cli._field_targets.cache_clear()
+    yield
+    cli._field_targets.cache_clear()
+
+
+def test_field_targets_are_the_uncached_charts_read_only(cold_field_targets):
+    families, coeffs = cli._field_targets()
+    fresh_families, fresh = cli._field_targets.__wrapped__()
+    assert families == fresh_families == ("model_25", "conjugate_of_delaunay_timelike")
+    assert (coeffs.dtype, coeffs.shape) == (np.float64, (3, 2, 6, 6))
+    assert coeffs.tobytes() == fresh.tobytes()
+    assert cli._field_targets()[1] is coeffs and cli._field_targets.cache_info().currsize == 1
+    with pytest.raises(ValueError):
+        coeffs[0, 0, 0, 0] = 1.0
+
+
+def test_a_second_fields_suite_call_neither_scans_nor_charts(monkeypatch, cold_field_targets):
+    calls = []
+    scan, chart = sg.trace_singular_curve, sg.StraightChart
+    monkeypatch.setattr(sg, "trace_singular_curve", lambda *a, **kw: calls.append("scan") or scan(*a, **kw))
+    monkeypatch.setattr(sg, "StraightChart", lambda *a, **kw: calls.append("chart") or chart(*a, **kw))
+    first = []
+    assert cli._suite_fields(4, np.random.default_rng(5), first) == (4, 4)
+    assert calls == ["scan", "chart"] * 2
+    calls.clear()
+    again = []
+    assert cli._suite_fields(4, np.random.default_rng(5), again) == (4, 4)
+    assert calls == [] and again == first == []
+
+
+def test_importing_the_cli_computes_no_field_targets():
+    code = "import cmc_lab.cli as cli; print(cli._field_targets.cache_info().currsize)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "0"
+
+
+def test_cold_and_warm_verify_give_the_fresh_process_payload(tmp_path, capsys, cold_field_targets):
+    """verify --suite all --trials 8 with the target cache empty, then filled,
+    gives a fresh process's stdout and payload apart from timing."""
+    argv = ("verify", "--suite", "all", "--trials", "8", "--seed", "3", "-o", "v.json")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    want = subprocess.run([sys.executable, "-m", "cmc_lab.cli", *argv], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert want.returncode == 0, want.stderr
+
+    def payload(path):
+        p = strict_json(path)
+        p.pop("timing")
+        return p
+
+    expected = payload(tmp_path / "v.json")
+    for state in ("cold", "warm"):
+        here = tmp_path / state
+        here.mkdir()
+        assert cli._field_targets.cache_info().currsize == (state == "warm")
+        assert run(here, *argv) == 0
+        assert capsys.readouterr().out == want.stdout
+        assert payload(here / "v.json") == expected, state
+
+
 def test_batched_laplacian_suite_lists_the_per_point_residuals_in_trial_order(monkeypatch):
     """The residual of each surface's batch equals the per-point one to the bit,
     and failures (forced by an offset) come in the order the points were drawn."""
@@ -690,7 +756,7 @@ def test_lambda_rank_suite_counts_python_ints():
     assert ok == total == 36
 
 
-def test_classify_straightens_each_record_once(tmp_path, monkeypatch):
+def test_classify_straightens_each_record_once(tmp_path, monkeypatch, cold_field_targets):
     """One batched chart covers exactly the first-kind records, and its jets
     serve the fold test too."""
     built = []
