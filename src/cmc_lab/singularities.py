@@ -13,6 +13,7 @@ zero tests are relative: det(c1,c2,c3) counts as zero iff
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import math
@@ -65,6 +66,7 @@ class SingularPointRecord:
     kind: str  # first_kind | conelike | degenerate_rank0 | other
     rank: int
     normal: Optional[tuple] = None
+    owner: int = field(default=0, repr=False, compare=False)  # its member of a scanned stack
 
     def as_dict(self):
         return {
@@ -151,6 +153,44 @@ def _frontal_at(S: Surface, u, v):
     return X, n, defined, lam.value, lam.gradient()
 
 
+# -- stacks of surfaces ----------------------------------------------------------
+
+
+def _members(S) -> tuple:
+    """The surfaces of S: (S,) for one surface, the members of a stack."""
+    if isinstance(S, Surface):
+        return (S,)
+    if len({(tuple(T.u_range), tuple(T.v_range), T.has_analytic_normal) for T in S}) != 1:
+        raise ValueError("a stack needs surfaces of one domain, all with an analytic normal or all without")
+    return tuple(S)
+
+
+class _Stack:
+    """The members' Surface methods that the scan reads, at points of which
+    point i lies on member owner[i].  One member, or one point, is read
+    directly; else each member at its own points, the coefficients put back in
+    point order (the member's own bits: jets are alike at any batch size)."""
+
+    def __init__(self, members, owner):
+        self.members, self.owner = members, owner
+        self.has_analytic_normal = members[0].has_analytic_normal
+        for name in ("jet", "analytic_normal_jet"):  # a stack of one lends its surface's own
+            one = len(members) == 1
+            setattr(self, name, getattr(members[0], name) if one else functools.partial(self._gather, name))
+
+    def at(self, rows):
+        return self if len(self.members) == 1 else _Stack(self.members, self.owner[rows])
+
+    def _gather(self, name, u, v, degree):
+        if np.ndim(u) == 0:
+            return getattr(self.members[int(self.owner)], name)(u, v, degree)
+        at = [np.flatnonzero(self.owner == m) for m in range(len(self.members))]
+        parts = [getattr(T, name)(u[i], v[i], degree) for T, i in zip(self.members, at) if i.size]
+        back = np.argsort(np.concatenate(at))
+        base = (np.asarray(u, float), np.asarray(v, float))
+        return tuple(Jet2(base, degree, np.concatenate([p[k].c for p in parts])[back]) for k in range(3))
+
+
 # -- singular curve tracing ----------------------------------------------------
 
 
@@ -173,8 +213,13 @@ def trace_singular_curve(
     box=None,
     n_grid: int = 33,
     max_records: int = 2000,
-) -> ScanRecords:
+):
     """Sign-change scan on a grid, then root bracketing along the edges.
+
+    S is a surface or a stack: surfaces of one domain, all with an analytic
+    normal or all without.  A stack gives a ScanRecords per member, bit for bit
+    its own, with the member's index as each record's `owner`; each step below
+    is one pass over all members, raising the first error met in it.
 
     The grid nodes are evaluated in one batched degree-1 call.  Surfaces
     without an analytic normal store W = X_u x X_v there and are scanned
@@ -195,63 +240,73 @@ def trace_singular_curve(
     (lambda on the frontal normal): a sign change of the anchored density
     that is not a zero of lambda.  The first `max_records` roots that pass
     the gate become records; the dropped ones are counted in
-    `unconfirmed_roots`.
+    `unconfirmed_roots`.  Deduplication, the gate and `max_records`
+    are per member.
     """
+    members = _members(S)
     if box is None:
-        (ulo, uhi), (vlo, vhi) = S.u_range, S.v_range
+        (ulo, uhi), (vlo, vhi) = members[0].u_range, members[0].v_range
         s = 1e-6 * (uhi - ulo)
         box = (ulo + s, uhi - s, vlo, vhi)
     ulo, uhi, vlo, vhi = box
     us, vs = np.linspace(ulo, uhi, n_grid), np.linspace(vlo, vhi, n_grid)
-    u, v = (a.ravel() for a in np.meshgrid(us, vs, indexing="ij"))  # node (i, j) at (us[i], vs[j])
-    # the edges in scan order: from node (i, j) to (i + 1, j), then to (i, j + 1)
+    M, N = len(members), n_grid * n_grid  # node (i, j) of member m: index m N + i n_grid + j
+    u, v = (np.tile(a.ravel(), M) for a in np.meshgrid(us, vs, indexing="ij"))
+    # each member's edges in scan order: from node (i, j) to (i + 1, j), then to (i, j + 1)
     i, j, down = (a.ravel() for a in np.meshgrid(
         np.arange(n_grid), np.arange(n_grid), [True, False], indexing="ij"))
     i2, j2 = i + down, j + ~down
     inside = (i2 < n_grid) & (j2 < n_grid)
-    i, j, i2, j2 = i[inside], j[inside], i2[inside], j2[inside]
+    e1, e2 = ((N * np.arange(M)[:, None] + (a * n_grid + b)[inside]).ravel() for a, b in ((i, j), (i2, j2)))
+    owner = e1 // N
 
     anchor = None
-    X = S.jet(u, v, 1)
+    nodes = _Stack(members, np.arange(M * N) // N)
+    X = nodes.jet(u, v, 1)
     dX = _dX_of(X)
-    dx2 = np.sum(dX * dX, axis=(-2, -1)).reshape(n_grid, n_grid)[i, j]  # |dX|^2 at the edge start
-    if S.has_analytic_normal:
-        lam = _lambda_jet(S, (u, v), 1, W=_cross_jets(X)).value.reshape(n_grid, n_grid)
-        f1, f2 = lam[i, j], lam[i2, j2]
+    dx2 = np.sum(dX * dX, axis=(-2, -1))[e1]  # |dX|^2 at the edge start
+    if nodes.has_analytic_normal:
+        lam = _lambda_jet(nodes, (u, v), 1, W=_cross_jets(X)).value
+        f1, f2 = lam[e1], lam[e2]
     else:
         W = np.stack([w.value for w in _cross_jets(X)], axis=-1)
-        W = W.reshape(n_grid, n_grid, 3)
-        nw = _norm(W[i, j])
-        anchor = W[i, j] / np.where(nw == 0.0, 1.0, nw)[:, None]  # W = 0: f1 = 0, a root
-        f1, f2 = np.vecdot(W[i, j], anchor), np.vecdot(W[i2, j2], anchor)
+        nw = _norm(W[e1])
+        anchor = W[e1] / np.where(nw == 0.0, 1.0, nw)[:, None]  # W = 0: f1 = 0, a root
+        f1, f2 = np.vecdot(W[e1], anchor), np.vecdot(W[e2], anchor)
     scale = np.maximum(np.maximum(np.abs(f1), np.abs(f2)), np.maximum(dx2, 1e-300))
     at_node = (np.abs(f1) <= 1e-14 * scale) & (np.abs(f1) < 1e-13)
     crossing = ~at_node & (f1 * f2 < 0)
 
-    roots = np.stack([us[i], vs[j]], axis=-1)
+    roots = np.stack([u[e1], v[e1]], axis=-1)
     roots[crossing] = _bracketed_roots(
-        S, roots[crossing], np.stack([us[i2], vs[j2]], axis=-1)[crossing], f1[crossing],
-        f2[crossing], None if anchor is None else anchor[crossing])
-    roots = roots[at_node | crossing]
+        nodes.at(e1[crossing]), roots[crossing], np.stack([u[e2], v[e2]], axis=-1)[crossing],
+        f1[crossing], f2[crossing], None if anchor is None else anchor[crossing])
+    keep = at_node | crossing
+    roots, owner = roots[keep], owner[keep]
     first = {}
-    for n, key in enumerate(map(tuple, np.round(roots, 9).tolist())):
-        first.setdefault(key, n)
-    if not first or max_records <= 0:
-        return ScanRecords()
-    records = _assemble_records(S, roots[list(first.values())])
-    kept = [(key, rec) for key, rec in zip(first, records) if rec is not None][:max_records]
-    rank1 = [rec for _, rec in kept if rec.rank == 1]
-    for rec, kind in zip(rank1, _kinds(S, rank1)):
-        rec.kind = kind
-    return ScanRecords((rec for _, rec in sorted(kept, key=lambda kr: kr[0])),
-                       unconfirmed_roots=records.count(None))
+    for k, key in enumerate(zip(owner.tolist(), *np.round(roots, 9).T.tolist())):
+        first.setdefault(key, k)
+    scans, dropped = [[] for _ in members], [0] * len(members)
+    if first and max_records > 0:
+        at = list(first.values())
+        for key, rec in zip(first, _assemble_records(members, roots[at], owner[at])):
+            if rec is None:
+                dropped[key[0]] += 1
+            elif len(scans[key[0]]) < max_records:
+                scans[key[0]].append((key, rec))
+        rank1 = [rec for kept in scans for _, rec in kept if rec.rank == 1]
+        for rec, kind in zip(rank1, _kinds(members, rank1)):
+            rec.kind = kind
+    out = [ScanRecords((rec for _, rec in sorted(kept, key=lambda kr: kr[0])), unconfirmed_roots=d)
+           for kept, d in zip(scans, dropped)]
+    return out[0] if isinstance(S, Surface) else out
 
 
 def _bracketed_roots(S: Surface, a, b, fa, fb, anchor):
     """Shrink the sign-change edges [a, b] (rows of (E, 2) arrays) in
     lockstep until each is at most ROOT_TOL long; fa and fb hold the density
     at the ends, `anchor` the (E, 3) anchored normals (None with an analytic
-    normal).  Returns the final midpoints.
+    normal), S the `_Stack` at the edges.  Returns the midpoints.
 
     Each step is one batched evaluation at one point per open edge: the
     Illinois false-position point (the secant point, with the density at an
@@ -278,7 +333,7 @@ def _bracketed_roots(S: Surface, a, b, fa, fb, anchor):
         h = 0.5 * ROOT_TOL / w
         t = np.clip(t, h, 1.0 - h)
         m = a[live] + t[:, None] * (b[live] - a[live])
-        fm = _lambda_jet(S, (m[:, 0], m[:, 1]), 1,
+        fm = _lambda_jet(S.at(live), (m[:, 0], m[:, 1]), 1,
                          normal=None if anchor is None else anchor[live]).value
         width2[live], width1[live] = width1[live], w
         hit = fm == 0
@@ -292,9 +347,9 @@ def _bracketed_roots(S: Surface, a, b, fa, fb, anchor):
         kept[live] = np.where(left, 1, np.where(right, -1, 0))
 
 
-def _assemble_records(S: Surface, q) -> list:
-    """Records at the (R, 2) roots q, kinds not yet set, from one batched
-    degree-2 evaluation; None where the root gate drops the root.
+def _assemble_records(members, q, owner) -> list:
+    """Records at the (R, 2) roots q, root i on member owner[i], kinds not yet
+    set, from one batched degree-2 evaluation; None where the gate drops it.
 
     The rank and null vector come from the singular values of dX, the normal
     and lambda, dlambda from `_frontal_at`: rank 0 where the larger is at most
@@ -302,23 +357,23 @@ def _assemble_records(S: Surface, q) -> list:
     bound on |lambda|.  Rank 0, or an undefined frontal normal, gives a
     degenerate_rank0 record; rank 2 a record of kind other with no null vector.
     """
-    X, n, defined, lam, dlam = _frontal_at(S, q[:, 0], q[:, 1])
+    X, n, defined, lam, dlam = _frontal_at(_Stack(members, owner), q[:, 0], q[:, 1])
     _, sv, Vt = np.linalg.svd(_dX_of(X))
     gate = ROOT_GATE * ROOT_TOL * np.maximum(_norm(dlam), 1.0)
     rank = np.where(sv[:, 0] <= 1e-13, 0, np.where(sv[:, 0] * sv[:, 1] > gate, 2, 1))
     degenerate = (rank == 0) | ~defined
     confirmed = np.abs(lam) <= gate
     records = []
-    for b, loc in enumerate(map(tuple, q.tolist())):
+    for b, (loc, m) in enumerate(zip(map(tuple, q.tolist()), owner.tolist())):
         if degenerate[b]:
-            records.append(SingularPointRecord(loc, 0.0, (0.0, 0.0), None, "degenerate_rank0", 0))
+            records.append(SingularPointRecord(loc, 0.0, (0.0, 0.0), None, "degenerate_rank0", 0, owner=m))
         elif not confirmed[b]:
             records.append(None)
         else:
             records.append(SingularPointRecord(
                 loc, float(lam[b]), tuple(dlam[b].tolist()),
                 tuple(Vt[b, 1].tolist()) if rank[b] == 1 else None, "other", int(rank[b]),
-                normal=tuple(n[b].tolist())))
+                normal=tuple(n[b].tolist()), owner=m))
     return records
 
 
@@ -366,19 +421,21 @@ def _conelike(S: Surface, records) -> np.ndarray:
     batched call at every walk point then gives the images and the tangents.
     A point where the frontal normal is undefined takes the record's tangent.
     """
-    R = len(records)
+    members, R = _members(S), len(records)
     p = np.array([r.location for r in records], float)
     dlam = np.array([r.dlam for r in records], float)
     T = dlam / _norm(dlam)[:, None]
+    S = members[0]  # the stack's domain and normal
     step = 0.02 * min(S.u_range[1] - S.u_range[0], S.v_range[1] - S.v_range[0])
     normal = None if S.has_analytic_normal else np.tile([r.normal for r in records], (2, 1))
     # both sides at once: rows 0..R-1 walk along +tangent, rows R..2R-1 along -tangent
     T2 = np.tile(T, (2, 1))
     move = np.repeat([step, -step], R)[:, None] * np.tile(_curve_direction(dlam), (2, 1))
     lo, hi = S.u_range
+    walk = _Stack(members, np.array([r.owner for r in records] * 2))
     q = np.tile(p, (2, 1))
     inside = np.ones(2 * R, bool)
-    points, owner = [p], [np.arange(R)]  # the records come first
+    points, of = [p], [np.arange(R)]  # the records come first; of: each point's record
     for _ in range(3):
         q = q + move
         inside &= (lo <= q[:, 0]) & (q[:, 0] <= hi)  # the curve leaves the domain on this side
@@ -387,7 +444,7 @@ def _conelike(S: Surface, records) -> np.ndarray:
             at = np.flatnonzero(newton)
             if not at.size:
                 break
-            lj = _lambda_jet(S, (q[at, 0], q[at, 1]), 2,
+            lj = _lambda_jet(walk.at(at), (q[at, 0], q[at, 1]), 2,
                              normal=None if normal is None else normal[at])
             d = np.vecdot(lj.gradient(), T2[at])
             flat = np.abs(d) < 1e-300
@@ -395,20 +452,20 @@ def _conelike(S: Surface, records) -> np.ndarray:
             at, d = at[~flat], d[~flat]
             q[at] = q[at] - (lj.value[~flat] / d)[:, None] * T2[at]
         points.append(q[inside])
-        owner.append(np.flatnonzero(inside) % R)
-    points, owner = np.concatenate(points), np.concatenate(owner)
-    X, _, defined, _, dl = _frontal_at(S, points[:, 0], points[:, 1])
-    tangent = _curve_direction(np.where(defined[:, None], dl, dlam[owner]))
+        of.append(np.flatnonzero(inside) % R)
+    points, of = np.concatenate(points), np.concatenate(of)
+    X, _, defined, _, dl = _frontal_at(walk.at(of), points[:, 0], points[:, 1])
+    tangent = _curve_direction(np.where(defined[:, None], dl, dlam[of]))
     M = _dX_of(X)
     img = np.stack([c.value for c in X], axis=-1)
 
     def largest(values):
         """The largest of `values` over each record's points."""
         out = np.zeros(R)
-        np.maximum.at(out, owner, values)
+        np.maximum.at(out, of, values)
         return out
 
-    spread = largest(_norm(img - img[owner]))
+    spread = largest(_norm(img - img[of]))
     dtang = largest(_norm(np.vecdot(M, tangent[:, None, :])))
     scale = np.maximum(_norm(M[:R].reshape(R, 6)), 1e-300)
     return ((spread < IMG_TOL * np.maximum(1.0, largest(_norm(img))) + IMG_TOL)
@@ -428,7 +485,7 @@ class StraightChart:
     X o Psi is served as degree-5 jets at the origin.  A sequence of records
     is one batch, each step one array operation over it, with batched jets
     (element i for records[i]); one record runs the same steps on scalar jets.
-    A check that fails on any record raises.
+    A check that fails on any record raises.  On a stack, each record is read on its `owner`.
     """
 
     surface: Surface
@@ -440,11 +497,12 @@ class StraightChart:
     X: tuple = field(init=False, repr=False)  # the degree-5 jets of X at the records
 
     def __post_init__(self):
-        S = self.surface
         rows = [self.records] if isinstance(self.records, SingularPointRecord) else self.records
         p, dlam = (np.array([getattr(r, k) for r in rows], float) for k in ("location", "dlam"))
+        owner = np.array([r.owner for r in rows])
         if rows is not self.records:  # one record: (2,) vectors, and scalar jets from them
-            p, dlam = p[0], dlam[0]
+            p, dlam, owner = p[0], dlam[0], owner[0]
+        S = _Stack(_members(self.surface), owner)
         u, v = p.T
         nd = _norm(dlam)
         if np.any(nd <= 1e-12):
@@ -621,7 +679,7 @@ class CriterionReport:
     tolerances: dict
     tested_interval: tuple
     reason: str = ""
-    jets: tuple = field(default=None, repr=False)  # the samples' batched chart jets; not reported
+    jets: tuple = field(default=None, repr=False)  # the batched chart jets (criterion_25); not reported
 
     def as_dict(self):
         return {
@@ -675,7 +733,7 @@ def criterion_25(
     tol3: float = DET_TOL,
     tol4: float = DET_TOL,
     tol_C: float = DET_TOL,
-) -> CriterionReport:
+):
     """The (2,5)-cuspidal-edge test on sampled points of a singular curve.
 
     The samples are straightened in one batched chart, and all is read from
@@ -685,46 +743,58 @@ def criterion_25(
     residuals, C by least squares, condition 4).  No finite differencing.  The
     chart jets stay in `CriterionReport.jets` for the fold tests.  A failure
     raises the first failing check of the first failing record.
-    """
-    records = list(records)
-    if not records:
-        raise ValueError("criterion_25 needs at least one singular sample")
-    bad = [r for r in records if r.kind != "first_kind"]
-    p0 = np.asarray(records[0].location, float)
-    d0 = np.asarray(records[0].dlam, float)
-    tang = _curve_direction(d0) if np.linalg.norm(d0) > 0 else np.array([1.0, 0.0])
-    ss = [float((np.asarray(r.location) - p0) @ tang) for r in records]
-    interval = (min(ss), max(ss))
-    tolerances = {"tol3": tol3, "tol4": tol4, "tol_C": tol_C}
-    if bad:
-        return CriterionReport(
-            math.inf, (math.nan, math.nan), math.nan, math.inf, None,
-            "not_applicable", [], tolerances, interval,
-            reason=f"{len(bad)} sample(s) not of the first kind (e.g. {bad[0].kind})",
-        )
 
-    try:
-        samples, Y = _samples(S, records)
-    except Exception:
-        for rec in records:  # raise what a loop over the records meets first
-            _samples(S, [rec])
-        raise
-    mid = len(samples) // 2
-    rep = samples[mid]
-    max3 = max(s.cond3_rel for s in samples)
-    maxcol = max(s.collinearity_residual for s in samples)
-    if max3 > tol3:
-        verdict, reason = "rejected_cond3", f"condition-3 determinant {max3:.3e} above tolerance"
-    elif maxcol > tol_C:
-        verdict, reason = "not_applicable", f"collinearity residual {maxcol:.3e} above tolerance"
-    elif min(s.cond4_rel for s in samples) <= tol4:
-        verdict, reason = "rejected_cond4", "condition-4 determinant vanishes"
-    else:
-        verdict, reason = "cusp25", ""
-    return CriterionReport(
-        max3, (rep.a, rep.b), rep.C, maxcol, rep.cond4_det, verdict,
-        samples, tolerances, interval, reason, Y,
-    )
+    A stack (see `trace_singular_curve`) takes a record sequence per member and
+    gives a report per member, from one chart of the members all of the first
+    kind (in member order: their reports' `jets`); it raises what a loop would.
+    """
+    tolerances = {"tol3": tol3, "tol4": tol4, "tol_C": tol_C}
+    groups = [records] if isinstance(S, Surface) else list(records)
+    staged, charted = [], []
+    for recs in map(list, groups):
+        if not recs:
+            break  # raised after the chart of the members before it
+        bad = [r for r in recs if r.kind != "first_kind"]
+        p0, d0 = (np.asarray(getattr(recs[0], k), float) for k in ("location", "dlam"))
+        tang = _curve_direction(d0) if np.linalg.norm(d0) > 0 else np.array([1.0, 0.0])
+        ss = [float((np.asarray(r.location) - p0) @ tang) for r in recs]
+        staged.append((recs, bad, (min(ss), max(ss))))
+        charted += [] if bad else recs
+    if charted:
+        try:
+            samples, Y = _samples(S, charted)
+        except Exception:
+            for rec in charted:  # raise what a loop over the records meets first
+                _samples(S, [rec])
+            raise
+    if len(staged) < len(groups):
+        raise ValueError("criterion_25 needs at least one singular sample")
+    reports, rows = [], iter(samples if charted else ())
+    for recs, bad, interval in staged:
+        if bad:
+            reports.append(CriterionReport(
+                math.inf, (math.nan, math.nan), math.nan, math.inf, None,
+                "not_applicable", [], tolerances, interval,
+                reason=f"{len(bad)} sample(s) not of the first kind (e.g. {bad[0].kind})",
+            ))
+            continue
+        mine = [next(rows) for _ in recs]
+        rep = mine[len(mine) // 2]
+        max3 = max(s.cond3_rel for s in mine)
+        maxcol = max(s.collinearity_residual for s in mine)
+        if max3 > tol3:
+            verdict, reason = "rejected_cond3", f"condition-3 determinant {max3:.3e} above tolerance"
+        elif maxcol > tol_C:
+            verdict, reason = "not_applicable", f"collinearity residual {maxcol:.3e} above tolerance"
+        elif min(s.cond4_rel for s in mine) <= tol4:
+            verdict, reason = "rejected_cond4", "condition-4 determinant vanishes"
+        else:
+            verdict, reason = "cusp25", ""
+        reports.append(CriterionReport(
+            max3, (rep.a, rep.b), rep.C, maxcol, rep.cond4_det, verdict,
+            mine, tolerances, interval, reason, Y,
+        ))
+    return reports[0] if isinstance(S, Surface) else reports
 
 
 # -- fold tests -------------------------------------------------------------------

@@ -750,6 +750,55 @@ def test_diffeo_suite_model_verdicts_are_the_computed_ones(name):
     assert cli._verdicts(S, (-0.5, 0.5, -0.5, 0.5)) == cli.MODEL_VERDICTS[name]
 
 
+def _diffeo_suite_per_trial(trials, rng, failures):
+    """The diffeo suite as a loop over its trials, each pushed surface scanned,
+    tested and folded alone (a stack of one)."""
+    box, draws = (-0.4, 0.4, -0.4, 0.4), []
+    for name, (verdict0, fold0) in cli.MODEL_VERDICTS.items():
+        for _ in range(max(1, trials // len(cli.MODEL_VERDICTS))):
+            det_target = rng.uniform(0.5, 2.0)
+            A = rng.uniform(-0.4, 0.4, (3, 3)) + np.eye(3)
+            A *= (det_target / abs(np.linalg.det(A))) ** (1 / 3)
+            Q, Cc = rng.uniform(-0.1, 0.1, (3, 3, 3)), rng.uniform(-0.05, 0.05, (3, 3, 3, 3))
+            draws.append((name, verdict0, fold0, A, Q, Cc))
+    ok = 0
+    for trial, (name, verdict0, fold0, A, Q, Cc) in enumerate(draws):
+        verdict, fold = cli._verdicts(sg.diffeo_push(sf.standard_model(name), A, Q, Cc), box)
+        ok += verdict == verdict0 and fold == fold0
+        if (verdict, fold) != (verdict0, fold0):
+            failures.append({"suite": "diffeo", "trial": trial, "model": name, "verdict": verdict,
+                             "expected": verdict0, "fold": fold, "expected_fold": fold0, "A": A.tolist()})
+    return ok, len(draws)
+
+
+@pytest.mark.parametrize("trials", [3, 40])
+def test_stacked_diffeo_failures_are_the_per_trial_loops(monkeypatch, trials):
+    """With expected verdicts that the cusp25 trials miss on the criterion and
+    the fold trials miss on the fold test only, the stacked suite fails the
+    same trials as the per-trial loop, entry for entry, each with its index in
+    the draw."""
+    monkeypatch.setitem(cli.MODEL_VERDICTS, "cusp25", ("rejected_cond3", "rejected"))
+    monkeypatch.setitem(cli.MODEL_VERDICTS, "fold", ("rejected_cond4", "rejected"))
+    got, want = [], []
+    assert cli._suite_diffeo(trials, np.random.default_rng(9), got) \
+        == _diffeo_suite_per_trial(trials, np.random.default_rng(9), want)
+    per = max(1, trials // 3)
+    assert json.dumps(got) == json.dumps(want) and len(got) == 2 * per
+    assert [f["trial"] for f in got] == list(range(2 * per))
+    assert {(f["fold"], f["expected_fold"]) for f in got if f["model"] == "fold"} == {("fold_candidate", "rejected")}
+
+
+def test_diffeo_suite_makes_one_scan_and_one_chart(monkeypatch):
+    """verify --suite diffeo --trials 40: its 39 pushes are one stack, scanned
+    once and straightened in one chart."""
+    calls = []
+    scan, chart = sg.trace_singular_curve, sg.StraightChart
+    monkeypatch.setattr(sg, "trace_singular_curve", lambda *a, **kw: calls.append("scan") or scan(*a, **kw))
+    monkeypatch.setattr(sg, "StraightChart", lambda *a, **kw: calls.append("chart") or chart(*a, **kw))
+    assert main(["verify", "--suite", "diffeo", "--trials", "40"]) == 0
+    assert calls == ["scan", "chart"]
+
+
 def test_lambda_rank_suite_counts_python_ints():
     ok, total = cli._suite_lambda_rank(40, np.random.default_rng(0), [])
     assert (type(ok), type(total)) == (int, int)

@@ -291,7 +291,8 @@ def test_bracketed_roots_match_bisection(name, edges):
     a, b = np.stack([ends[:, 0], k], axis=-1), np.stack([ends[:, 1], k], axis=-1)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sg, "_lambda_jet", fake_lambda_jet)
-        roots = sg._bracketed_roots(None, a, b, g(a[:, 0] - r), g(b[:, 0] - r), None)
+        at_edges = sg._Stack((_custom_fold(),), np.zeros(len(edges), int))  # the fake density reads no surface
+        roots = sg._bracketed_roots(at_edges, a, b, g(a[:, 0] - r), g(b[:, 0] - r), None)
     assert np.array_equal(roots[:, 1], k)
     for n, (lo, hi) in enumerate(ends):
         ref = _bisect_reference(lambda x: g(x - r[n]), lo, hi)
@@ -1376,6 +1377,155 @@ def test_push_contraction_gives_the_per_term_builders_verdicts(model):
         Cc = rng.uniform(-0.05, 0.05, (3, 3, 3, 3))
         box = (-0.4, 0.4, -0.4, 0.4)
         assert cli._verdicts(diffeo_push(S, A, Q, Cc), box) == cli._verdicts(_reference_push(S, A, Q, Cc), box)
+
+
+# -- stacks -------------------------------------------------------------------------
+
+_MODELS = {name: sf.standard_model(name) for name in ("cusp25", "cuspidal_edge", "fold")}
+_DIFFEO_BOX = (-0.4, 0.4, -0.4, 0.4)
+_OFF_NODES = (-0.37, 0.41, -0.33, 0.45)  # no node line on v = 0: every root is bracketed
+
+
+def _drawn_pushes(seed, trials):
+    """`trials` pushes drawn as the diffeo suite draws them, each of a model drawn from the three."""
+    rng = np.random.default_rng(seed)
+    pushes = []
+    for _ in range(trials):
+        S = _MODELS[sorted(_MODELS)[rng.integers(3)]]
+        A = rng.uniform(-0.4, 0.4, (3, 3)) + np.eye(3)
+        A *= (rng.uniform(0.5, 2.0) / abs(np.linalg.det(A))) ** (1 / 3)
+        pushes.append(diffeo_push(S, A, rng.uniform(-0.1, 0.1, (3, 3, 3)), rng.uniform(-0.05, 0.05, (3, 3, 3, 3))))
+    return pushes
+
+
+@given(seed=st.integers(0, 2**32 - 1), trials=st.integers(1, 40), box=st.sampled_from([_DIFFEO_BOX, _OFF_NODES]))
+@settings(max_examples=10, deadline=None)
+@example(seed=0, trials=40, box=_DIFFEO_BOX)
+@example(seed=1, trials=9, box=_OFF_NODES)
+def test_a_stack_gives_each_member_what_it_gives_alone(seed, trials, box):
+    """One scan, one criterion pass and one fold pass over a stack of pushes:
+    each member's records, unconfirmed roots, samples, verdict, chart and fold
+    reports are bit for bit those of the member as a stack of one."""
+    from cmc_lab import cli
+
+    pushes = _drawn_pushes(seed, trials)
+    scans = trace_singular_curve(pushes, box=box, n_grid=5)
+    reports = criterion_25(pushes, scans)
+    chart = next((rep.jets for rep in reports if rep.jets), None)
+    folds = sg.fold_symmetry_of_chart(chart) if chart else []
+    row = 0
+    for m, (P, recs, rep) in enumerate(zip(pushes, scans, reports)):
+        alone = trace_singular_curve(P, box=box, n_grid=5)
+        assert repr(recs) == repr(alone) and recs.unconfirmed_roots == alone.unconfirmed_roots
+        assert [r.owner for r in recs] == [m] * len(recs)
+        solo = criterion_25(P, alone)
+        assert repr(rep) == repr(solo)  # every SampleCriterion, the verdict, the interval
+        if solo.jets is None:
+            assert rep.jets is None
+            continue
+        rows = slice(row, row + len(recs))
+        assert all(y.c[rows].tobytes() == y1.c.tobytes() for y, y1 in zip(chart, solo.jets))
+        assert repr(folds[rows]) == repr(sg.fold_symmetry_of_chart(solo.jets))
+        row += len(recs)
+    assert row == len(folds)
+    assert cli._verdicts(pushes, box) == [cli._verdicts(P, box) for P in pushes]
+    if box == _OFF_NODES:  # the roots came from the lockstep bracketing, not from nodes
+        assert all(abs(r.location[1]) < 1e-9 for recs in scans for r in recs)
+        assert all(r.location[1] not in np.linspace(box[2], box[3], 5) for recs in scans for r in recs)
+
+
+def test_a_stack_of_one_reads_its_surface_directly(cusp25_model):
+    """A stack of one hands its surface the very arrays it is given (no gather,
+    no copy), and so does a stack read at one point."""
+    seen = []
+
+    def builder(u, v, degree):
+        seen.append(u)
+        return cusp25_model.jet(u, v, degree)
+
+    S = sf.custom_surface(builder, u_range=cusp25_model.u_range, v_range=cusp25_model.v_range)
+    u = np.array([0.1, 0.2])
+    got = sg._Stack((S,), np.array([3, 3])).jet(u, u, 2)  # one member: the owner is not read
+    assert seen[-1] is u
+    assert all(g.c.tobytes() == w.c.tobytes() for g, w in zip(got, cusp25_model.jet(u, u, 2)))
+    sg._Stack((cusp25_model, S), 1).jet(0.3, 0.1, 2)
+    assert seen[-1] == 0.3
+
+
+def test_a_stack_reads_each_point_on_its_member(cusp25_model, fold_model):
+    """Points in any member order: each gets its member's jets (and analytic
+    normal jets) at its own points, bit for bit."""
+    rng = np.random.default_rng(4)
+    u, v = rng.uniform(-0.5, 0.5, (2, 7))
+    owner = np.array([1, 0, 2, 1, 2, 0, 1])
+    for members, normal in ((tuple(_drawn_pushes(5, 3)), False), ((cusp25_model, fold_model, cusp25_model), True)):
+        stack = sg._Stack(members, owner)
+        got = (stack.analytic_normal_jet if normal else stack.jet)(u, v, 3)
+        for m, T in enumerate(members):
+            at = owner == m
+            want = (T.analytic_normal_jet if normal else T.jet)(u[at], v[at], 3)
+            assert all(g.c[at].tobytes() == w.c.tobytes() for g, w in zip(got, want))
+
+
+def test_a_stack_of_models_with_and_without_analytic_normals_is_refused(
+        cusp25_model, fold_model, cuspidal_edge_model):
+    """The unpushed models mix analytic normals (cusp25, fold) and a frontal one
+    (cuspidal_edge): the scan reads lambda differently on the two, so such a
+    stack, like one of two domains, is refused with a ValueError that says why.
+    The two models with analytic normals stack, and keep their verdicts."""
+    from cmc_lab import cli
+
+    mixed = [cusp25_model, fold_model, cuspidal_edge_model]
+    recs = [trace_singular_curve(S, box=_DIFFEO_BOX, n_grid=5) for S in mixed]
+    two_domains = [_MODELS["cuspidal_edge"], sf.custom_surface(_MODELS["cuspidal_edge"].builder)]
+    for run in (lambda: trace_singular_curve(mixed, box=_DIFFEO_BOX, n_grid=5),
+                lambda: criterion_25(mixed, recs),
+                lambda: StraightChart(mixed, recs[0]),
+                lambda: cli._verdicts(mixed, _DIFFEO_BOX),
+                lambda: trace_singular_curve(two_domains, n_grid=5),
+                lambda: trace_singular_curve([], n_grid=5)):
+        with pytest.raises(ValueError, match="surfaces of one domain, all with an analytic normal or all without"):
+            run()
+    box = (-0.5, 0.5, -0.5, 0.5)
+    assert cli._verdicts([cusp25_model, fold_model], box) == [cli.MODEL_VERDICTS[n] for n in ("cusp25", "fold")]
+
+
+def _raising(S, degrees, error):
+    """S whose builder raises `error` at the listed jet degrees."""
+
+    def builder(u, v, degree):
+        if degree in degrees:
+            raise error
+        return S.jet(u, v, degree)
+
+    return sf.custom_surface(builder, u_range=S.u_range, v_range=S.v_range)
+
+
+def test_a_failing_stack_raises_what_the_per_member_loop_meets_first():
+    """Member 1 raises in the chart (degree 5), member 2 already in the scan
+    (degree 1): the stack raises member 1's error, as the per-trial loop does;
+    criterion_25 on a stack raises its first failing member's error too."""
+    from cmc_lab import cli
+
+    good = _drawn_pushes(3, 1)[0]
+    chart_fails = _raising(good, {5}, ArithmeticError("member 1: no degree-5 jet"))
+    scan_fails = _raising(good, {1}, LookupError("member 2: no degree-1 jet"))
+    stack = [good, chart_fails, scan_fails]
+    with pytest.raises(ArithmeticError) as loop:
+        for P in stack:
+            cli._verdicts(P, _DIFFEO_BOX)
+    with pytest.raises(ArithmeticError) as stacked:
+        cli._verdicts(stack, _DIFFEO_BOX)
+    assert str(stacked.value) == str(loop.value) == "member 1: no degree-5 jet"
+    with pytest.raises(LookupError, match="member 2"):  # the scan alone meets member 2 first
+        trace_singular_curve(stack, box=_DIFFEO_BOX, n_grid=5)
+    scans = trace_singular_curve(stack[:2], box=_DIFFEO_BOX, n_grid=5)
+    with pytest.raises(ArithmeticError, match="member 1"):
+        criterion_25(stack[:2], scans)
+    with pytest.raises(ValueError, match="at least one singular sample"):  # after member 0's chart
+        criterion_25(stack[:2], [scans[0], []])
+    with pytest.raises(ArithmeticError, match="member 1"):  # met before member 2 has no records
+        criterion_25(stack[:2] + [good], [*scans, []])
 
 
 def test_diffeo_push_requires_invertible_linear_part(cusp25_model):
