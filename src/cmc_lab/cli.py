@@ -147,23 +147,11 @@ def envelope(config: dict, results, t_start: float) -> dict:
     }
 
 
-def _finite_or_null(obj):
-    """The payload with every non-finite float replaced by None (JSON null);
-    the reports carry a reason next to each such value."""
-    if isinstance(obj, float):
-        return obj if math.isfinite(obj) else None
-    if isinstance(obj, dict):
-        return {k: _finite_or_null(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_finite_or_null(v) for v in obj]
-    return obj
-
-
 def write_json(path, payload):
-    """Strict JSON (RFC 8259): undefined numbers are written as null."""
+    """Strict JSON (RFC 8259), indented by 2 with sorted keys: undefined
+    numbers are written as null.  The text goes out in one write."""
     with open(path, "w") as fh:
-        json.dump(_finite_or_null(payload), fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(sf._json_text(payload) + "\n")
 
 
 # -- generate -----------------------------------------------------------------

@@ -36,7 +36,7 @@ from .surfaces import Surface, custom_surface
 
 DET_TOL = 1e-8        # relative determinant zero threshold
 ANGLE_TOL = 1e-6      # first-kind transversality threshold
-IMG_TOL = 1e-9        # conelike image-diameter threshold
+CONE_TOL = 1e-8       # conelike: X along the curve moves at most CONE_TOL * |dX| per order
 ROOT_TOL = 1e-12      # bracket width for curve roots
 ROOT_GATE = 1e3       # a scan root needs |lambda| <= ROOT_GATE * ROOT_TOL * max(|dlambda|, 1)
 
@@ -66,7 +66,8 @@ class SingularPointRecord:
     kind: str  # first_kind | conelike | degenerate_rank0 | other
     rank: int
     normal: Optional[tuple] = None
-    owner: int = field(default=0, repr=False, compare=False)  # its member of a scanned stack
+    owner: int = field(default=0, repr=False, compare=False)  # its member's index in the scanned stack
+    surface: Optional[Surface] = field(default=None, repr=False, compare=False)  # the member itself
 
     def as_dict(self):
         return {
@@ -99,7 +100,7 @@ def _lambda_jet(S: Surface, p, degree=MAX_DEGREE, normal=None, W=None):
     vector `normal` (the anchored or frontal normal at a nearby point).  `W`
     passes the jets of X_u x X_v when already at hand.  p may be a pair of
     (B,) arrays, with one normal per point in a (B, 3) `normal`.  The curve
-    scan, the curve walk and the straightened chart read lambda from here.
+    scan and the curve jets read lambda from here.
     """
     if W is None:
         W = _cross_jets(S.jet(p[0], p[1], degree))
@@ -366,24 +367,24 @@ def _assemble_records(members, q, owner) -> list:
     records = []
     for b, (loc, m) in enumerate(zip(map(tuple, q.tolist()), owner.tolist())):
         if degenerate[b]:
-            records.append(SingularPointRecord(loc, 0.0, (0.0, 0.0), None, "degenerate_rank0", 0, owner=m))
+            records.append(SingularPointRecord(loc, 0.0, (0.0, 0.0), None, "degenerate_rank0", 0,
+                                               owner=m, surface=members[m]))
         elif not confirmed[b]:
             records.append(None)
         else:
             records.append(SingularPointRecord(
                 loc, float(lam[b]), tuple(dlam[b].tolist()),
                 tuple(Vt[b, 1].tolist()) if rank[b] == 1 else None, "other", int(rank[b]),
-                normal=tuple(n[b].tolist()), owner=m))
+                normal=tuple(n[b].tolist()), owner=m, surface=members[m]))
     return records
 
 
 def _kinds(S: Surface, records) -> list:
     """The kinds of the scan's rank-1 records: first_kind where the null
-    direction is transverse to the curve; where it is tangent, conelike or
-    other by walks along the curve, run in lockstep.  Conelike is operational
-    (the term is used in the sources without a displayed definition): the
-    singular direction is null along the curve and its image has diameter
-    below IMG_TOL."""
+    direction is transverse to the curve; where it is tangent, conelike where
+    X is constant along the curve to the records' jets (the v-coefficients 1-4
+    of X o gamma, gamma from `_curve_jets`, are at most CONE_TOL |dX|), else
+    other.  The tangent records are read in one batch."""
     kinds = []
     for rec in records:
         dlam = np.asarray(rec.dlam, float)
@@ -396,8 +397,12 @@ def _kinds(S: Surface, records) -> list:
         kinds.append("first_kind" if abs(t[0] * eta[1] - t[1] * eta[0]) > ANGLE_TOL else None)
     tangent = [n for n, kind in enumerate(kinds) if kind is None]
     if tangent:
-        for n, cone in zip(tangent, _conelike(S, [records[n] for n in tangent])):
-            kinds[n] = "conelike" if cone else "other"
+        X, _, curve, _ = _curve_jets(S, [records[n] for n in tangent])
+        moves = np.stack([c.c[:, 1:] for c in _compose2(X, *curve)], axis=-1)  # (B, 4, 3)
+        scale = _norm(_dX_of(X).reshape(len(tangent), 6))
+        cone = (_norm(moves) <= CONE_TOL * scale[:, None]).all(axis=-1)
+        for n, c in zip(tangent, cone.tolist()):
+            kinds[n] = "conelike" if c else "other"
     return kinds
 
 
@@ -409,67 +414,61 @@ def _curve_direction(dlam):
     return np.stack([T[..., 1], -T[..., 0]], axis=-1)
 
 
-def _conelike(S: Surface, records) -> np.ndarray:
-    """Whether each record's curve is conelike near it: the images of three
-    curve points on each side lie within IMG_TOL of the record's image, and
-    dX kills the curve tangent at each of them.
+def _curve_jets(S: Surface, records):
+    """The jets at singular records that a chart or a kind is read from: the
+    degree-5 jets X, the density's jet g (degree 4), the curves through the
+    records as (u, v) Jet1s of degree 4, and the records' dlambda.
 
-    The curve points come from tangent steps with a transverse Newton
-    correction on the density (the record's normal, or the analytic one).
-    All records walk both sides in lockstep: each Newton iteration is one
-    batched degree-2 call over the points still inside u_range, and one
-    batched call at every walk point then gives the images and the tangents.
-    A point where the frontal normal is undefined takes the record's tangent.
+    The curve through p is gamma(v) = p + v*tang + phi(v)*T, with T the unit
+    +dlambda, tang the curve direction and phi = O(v^2) solved order by order
+    so that g o gamma is constant: the level curve of lambda through p.  A
+    sequence of records is one batch (element i for records[i]); one record
+    gives scalar jets.  A check that fails on any record raises.  On a stack of
+    two or more members each record is read on its `owner`, which must be the
+    member it was scanned on.
     """
-    members, R = _members(S), len(records)
-    p = np.array([r.location for r in records], float)
-    dlam = np.array([r.dlam for r in records], float)
-    T = dlam / _norm(dlam)[:, None]
-    S = members[0]  # the stack's domain and normal
-    step = 0.02 * min(S.u_range[1] - S.u_range[0], S.v_range[1] - S.v_range[0])
-    normal = None if S.has_analytic_normal else np.tile([r.normal for r in records], (2, 1))
-    # both sides at once: rows 0..R-1 walk along +tangent, rows R..2R-1 along -tangent
-    T2 = np.tile(T, (2, 1))
-    move = np.repeat([step, -step], R)[:, None] * np.tile(_curve_direction(dlam), (2, 1))
-    lo, hi = S.u_range
-    walk = _Stack(members, np.array([r.owner for r in records] * 2))
-    q = np.tile(p, (2, 1))
-    inside = np.ones(2 * R, bool)
-    points, of = [p], [np.arange(R)]  # the records come first; of: each point's record
-    for _ in range(3):
-        q = q + move
-        inside &= (lo <= q[:, 0]) & (q[:, 0] <= hi)  # the curve leaves the domain on this side
-        newton = inside.copy()
-        for _ in range(3):  # transverse Newton on lambda, slope from its jet
-            at = np.flatnonzero(newton)
-            if not at.size:
-                break
-            lj = _lambda_jet(walk.at(at), (q[at, 0], q[at, 1]), 2,
-                             normal=None if normal is None else normal[at])
-            d = np.vecdot(lj.gradient(), T2[at])
-            flat = np.abs(d) < 1e-300
-            newton[at[flat]] = False
-            at, d = at[~flat], d[~flat]
-            q[at] = q[at] - (lj.value[~flat] / d)[:, None] * T2[at]
-        points.append(q[inside])
-        of.append(np.flatnonzero(inside) % R)
-    points, of = np.concatenate(points), np.concatenate(of)
-    X, _, defined, _, dl = _frontal_at(walk.at(of), points[:, 0], points[:, 1])
-    tangent = _curve_direction(np.where(defined[:, None], dl, dlam[of]))
-    M = _dX_of(X)
-    img = np.stack([c.value for c in X], axis=-1)
+    rows = [records] if isinstance(records, SingularPointRecord) else records
+    members = _members(S)
+    if len(members) > 1 and any(r.owner >= len(members) or members[r.owner] is not r.surface for r in rows):
+        raise ValueError("a record is read on a stack member it was not scanned on")
+    p, dlam = (np.array([getattr(r, k) for r in rows], float) for k in ("location", "dlam"))
+    owner = np.array([r.owner for r in rows])
+    if rows is not records:  # one record: (2,) vectors, and scalar jets from them
+        p, dlam, owner = p[0], dlam[0], owner[0]
+    S = _Stack(members, owner)
+    u, v = p.T
+    nd = _norm(dlam)
+    if np.any(nd <= 1e-12):
+        raise DegenerateZeroSetError("degenerate zero set: dlambda vanishes")
+    T = dlam / nd[..., None]
+    tang = _curve_direction(dlam)
 
-    def largest(values):
-        """The largest of `values` over each record's points."""
-        out = np.zeros(R)
-        np.maximum.at(out, of, values)
-        return out
+    deg = MAX_DEGREE - 1  # the scalar density jet has one degree less than X
+    X = S.jet(u, v, MAX_DEGREE)
+    W = _cross_jets(X)
+    n = None
+    if not S.has_analytic_normal:
+        n, defined = _frontal_normal(W)
+        if not defined.all():
+            raise NormalUndefinedError("normal undefined (rank 0 or non-frontal)")
+    g = _lambda_jet(S, (u, v), MAX_DEGREE, normal=n, W=W)
+    gT = np.vecdot(g.gradient(), T)
+    if np.any(np.abs(gT) <= 1e-12):
+        raise DegenerateZeroSetError("degenerate zero set: no transverse slope")
 
-    spread = largest(_norm(img - img[of]))
-    dtang = largest(_norm(np.vecdot(M, tangent[:, None, :])))
-    scale = np.maximum(_norm(M[:R].reshape(R, 6)), 1e-300)
-    return ((spread < IMG_TOL * np.maximum(1.0, largest(_norm(img))) + IMG_TOL)
-            & (dtang < 1e-7 * scale))
+    origin = np.zeros(np.shape(u))
+    lin = np.eye(deg + 1)[1]
+
+    def curve_coeffs(phi):  # the (u, v) components of gamma, coefficient rows
+        c = tang[..., None] * lin + T[..., None] * phi[..., None, :]
+        c[..., 0] += p
+        return Jet1(origin, deg, c[..., 0, :]), Jet1(origin, deg, c[..., 1, :])
+
+    phi = np.zeros(np.shape(u) + (deg + 1,))
+    for m in range(2, deg + 1):
+        G = _compose2(g, *curve_coeffs(phi))
+        phi[..., m] -= G.c[..., m] / gT
+    return X, g, curve_coeffs(phi), dlam
 
 
 # -- straightened charts --------------------------------------------------------
@@ -482,10 +481,12 @@ class StraightChart:
     Psi(u, v) = gamma(v) + u * eta(v): {u = 0} is the singular curve, d_u is
     null along it (signed along +dlambda, unit at p), and v runs along the
     curve in the +dlambda-rotated-(-90deg) direction at unit parameter speed.
-    X o Psi is served as degree-5 jets at the origin.  A sequence of records
-    is one batch, each step one array operation over it, with batched jets
-    (element i for records[i]); one record runs the same steps on scalar jets.
-    A check that fails on any record raises.  On a stack, each record is read on its `owner`.
+    X o Psi is served as degree-5 jets at the origin.  The curves and X come
+    from `_curve_jets`: a sequence of records is one batch, each step one array
+    operation over it, with batched jets (element i for records[i]); one
+    record runs the same steps on scalar jets.  A check that fails on any
+    record raises.  On a stack, each record is read on its `owner`, the member
+    it was scanned on.
     """
 
     surface: Surface
@@ -497,46 +498,8 @@ class StraightChart:
     X: tuple = field(init=False, repr=False)  # the degree-5 jets of X at the records
 
     def __post_init__(self):
-        rows = [self.records] if isinstance(self.records, SingularPointRecord) else self.records
-        p, dlam = (np.array([getattr(r, k) for r in rows], float) for k in ("location", "dlam"))
-        owner = np.array([r.owner for r in rows])
-        if rows is not self.records:  # one record: (2,) vectors, and scalar jets from them
-            p, dlam, owner = p[0], dlam[0], owner[0]
-        S = _Stack(_members(self.surface), owner)
-        u, v = p.T
-        nd = _norm(dlam)
-        if np.any(nd <= 1e-12):
-            raise DegenerateZeroSetError("degenerate zero set: dlambda vanishes")
-        T = dlam / nd[..., None]
-        tang = _curve_direction(dlam)
-
-        deg = MAX_DEGREE - 1  # the scalar density jet has one degree less than X
-        X = self.X = S.jet(u, v, MAX_DEGREE)
-        W = _cross_jets(X)
-        n = None
-        if not S.has_analytic_normal:
-            n, defined = _frontal_normal(W)
-            if not defined.all():
-                raise NormalUndefinedError("normal undefined (rank 0 or non-frontal)")
-        g = _lambda_jet(S, (u, v), MAX_DEGREE, normal=n, W=W)
-        gT = np.vecdot(g.gradient(), T)
-        if np.any(np.abs(gT) <= 1e-12):
-            raise DegenerateZeroSetError("degenerate zero set: no transverse slope")
-
-        # solve the curves as gamma(v) = p + v*tang + phi(v)*T with phi = O(v^2)
-        origin = np.zeros(np.shape(u))
-        lin = np.eye(deg + 1)[1]
-
-        def curve_coeffs(phi):  # the (u, v) components of gamma, coefficient rows
-            c = tang[..., None] * lin + T[..., None] * phi[..., None, :]
-            c[..., 0] += p
-            return Jet1(origin, deg, c[..., 0, :]), Jet1(origin, deg, c[..., 1, :])
-
-        phi = np.zeros(np.shape(u) + (deg + 1,))
-        for m in range(2, deg + 1):
-            G = _compose2(g, *curve_coeffs(phi))
-            phi[..., m] -= G.c[..., m] / gT
-        self.curve_u, self.curve_v = curve_coeffs(phi)
+        self.X, _, (self.curve_u, self.curve_v), dlam = _curve_jets(self.surface, self.records)
+        X, tang = self.X, _curve_direction(dlam)
 
         # null direction along the curve: kernel of dX via the image tangent
         e = (_dX_of(X) @ tang[..., None])[..., 0]
@@ -1008,7 +971,7 @@ def classification_report(S: Surface, records, criterion: CriterionReport, certi
     return {
         "surface": S.family,
         "parameters": {"H": S.H, "k": S.k, "variant": S.variant},
-        "conelike_definition": "operational",
+        "conelike_definition": f"jet: X o gamma has v-coefficients 1-4 at most {CONE_TOL:g} |dX|",
         "samples": [r.as_dict() for r in records],
         "criterion": criterion.as_dict() if criterion is not None else None,
         "certificates": certificates or [],

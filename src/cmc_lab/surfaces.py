@@ -630,6 +630,54 @@ def _vertex_lines(vertices) -> str:
     return ("v %s %s %s\n" * len(verts)) % tuple(np.array(words, dtype=object)[index].tolist())
 
 
+def _json_text(payload) -> str:
+    """Strict JSON text (RFC 8259) of payload, with null for each non-finite
+    float: otherwise the text of json.dumps(payload, indent=2, sort_keys=True),
+    built in one walk of the payload."""
+    parts = []
+    put = parts.append
+    quote = json.encoder.encode_basestring_ascii
+
+    def encode(x, newline):
+        if isinstance(x, float):  # the most common value first; np.float64 too
+            put(float.__repr__(x) if math.isfinite(x) else "null")
+        elif isinstance(x, str):
+            put(quote(x))
+        elif x is None:
+            put("null")
+        elif x is True:
+            put("true")
+        elif x is False:
+            put("false")
+        elif isinstance(x, int):
+            put(int.__repr__(x))
+        elif isinstance(x, (list, tuple)):
+            inner = newline + "  "
+            sep = "[" + inner
+            for item in x:
+                put(sep)
+                sep = "," + inner
+                encode(item, inner)
+            put(newline + "]" if x else "[]")
+        elif isinstance(x, dict):
+            inner = newline + "  "
+            sep = "{" + inner
+            for key, item in sorted(x.items()):
+                if not isinstance(key, str):  # json's other keys: int, float, bool and None, as JSON text
+                    if not (key is None or isinstance(key, (int, float))):
+                        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+                    key = json.dumps(key, allow_nan=False)
+                put(sep + quote(key) + ": ")
+                sep = "," + inner
+                encode(item, inner)
+            put(newline + "}" if x else "{}")
+        else:
+            raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+    encode(payload, "\n")
+    return "".join(parts)
+
+
 @dataclass
 class Mesh:
     vertices: np.ndarray  # (n, 3), (x0, x1, x2) coordinates
@@ -648,7 +696,7 @@ class Mesh:
             fh.write(text)
         sidecar_path = str(path) + ".json"
         with open(sidecar_path, "w") as fh:
-            json.dump(self.sidecar, fh, indent=2, sort_keys=True, allow_nan=False)
+            fh.write(_json_text(self.sidecar))
         return sidecar_path
 
 

@@ -1,5 +1,7 @@
 import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,6 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cmc_lab import cli
 from cmc_lab import jets as jt
@@ -464,9 +467,12 @@ def test_sweep_rows_and_predictions(tmp_path):
 def test_classify_at_large_k_certifies_what_it_can_probe(tmp_path, family, k):
     """Some fold-obstruction probes leave the spacelike set at large |k|: their
     records' certificates are undetermined with the reason, and classify
-    exits 0 (at |k| = 1e100 too: the profile's jets stay finite)."""
+    exits 0 (at |k| = 1e100 too: the profile's jets stay finite).  Every
+    sample is a cone point."""
     assert run(tmp_path, "classify", "--family", family, f"--k={k}", "-o", "c.json") == 0
-    certs = json.loads((tmp_path / "c.json").read_text())["results"]["certificates"]
+    results = json.loads((tmp_path / "c.json").read_text())["results"]
+    assert results["samples"] and {s["kind"] for s in results["samples"]} == {"conelike"}
+    certs = results["certificates"]
     assert any(c["conclusion"] == "undetermined" for c in certs)
     for cert in certs:
         if cert["conclusion"] == "undetermined":
@@ -818,6 +824,90 @@ def test_classify_straightens_each_record_once(tmp_path, monkeypatch, cold_field
     first = [tuple(r["location"]) for r in samples if r["kind"] == "first_kind"]
     assert len(built) == 1
     assert first and [tuple(map(float, r.location)) for r in built[0]] == first
+
+
+def _finite_or_null(obj):
+    """The payload with every non-finite float replaced by None: the former
+    writer's first pass."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
+
+
+def _reference_write_json(fh, payload):
+    """The former write_json, on an open text file: json.dump with indent 2,
+    sorted keys and allow_nan=False, chunk by chunk, then a newline."""
+    json.dump(_finite_or_null(payload), fh, indent=2, sort_keys=True, allow_nan=False)
+    fh.write("\n")
+
+
+_JSON_FLOATS = st.one_of(
+    st.floats(), st.floats().map(np.float64),
+    st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -1.5e-310, 2.2250738585072014e-308,
+                     np.float64(math.nan), np.float64(-math.inf), np.float64(-0.0)]))
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(2**63, 10**400).flatmap(lambda n: st.sampled_from([n, -n])),
+    st.text(st.characters(exclude_categories=())), _JSON_FLOATS)
+_JSON_PAYLOADS = st.recursive(_JSON_SCALARS, lambda kids: st.one_of(
+    st.lists(kids, max_size=5), st.lists(kids, max_size=5).map(tuple),
+    st.dictionaries(st.text(st.characters(exclude_categories=()), max_size=6), kids, max_size=5),
+    st.dictionaries(st.integers(), kids, max_size=3)), max_leaves=30)
+
+
+@given(_JSON_PAYLOADS)
+@settings(max_examples=300, deadline=None)
+@example({"a": [], "b": {}, "c": (), "d": [[], [{}], ((),)], "\x00\u00e9\ud800\n\"": "\x1f\u2028\U0001f600"})
+@example([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, np.float64(0.1), 10**400, True, False, None])
+@example({1: "int", 2: [1.5]})
+@example({True: 1, 0: 2})
+@example({None: 1})
+@example({2.5: 1})
+@example({math.nan: 1})
+@example({"a": 1, 2: 3})
+@example({(1, 2): 3})
+@example(object())
+def test_write_json_is_the_former_writer_byte_for_byte(payload):
+    """The one-pass writer gives the former writer's text, or raises its
+    exception type where it raised."""
+    ref = io.StringIO()
+    try:
+        _reference_write_json(ref, payload)
+    except (TypeError, ValueError) as e:
+        with pytest.raises(type(e)):
+            cli.write_json(os.devnull, payload)
+        return
+    assert sf._json_text(payload) + "\n" == ref.getvalue()
+
+
+def test_write_json_writes_the_former_bytes_in_one_write(tmp_path, monkeypatch):
+    """A classify report's file holds the former writer's bytes, written by one call."""
+    assert run(tmp_path, "classify", "--family", "conjugate", "--of", "delaunay-t", "--k", "2", "-o", "c.json") == 0
+    payload = json.loads((tmp_path / "c.json").read_text())
+    payload["results"]["criterion"]["C"] = math.nan  # one non-finite float
+    writes = []
+
+    class Counting(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            return super().write(text)
+
+    monkeypatch.setattr("builtins.open", lambda path, mode: Counting())
+    cli.write_json("c.json", payload)
+    monkeypatch.undo()
+    ref = io.StringIO()
+    _reference_write_json(ref, payload)
+    assert len(writes) == 1 and writes[0] == ref.getvalue() and '"C": null' in writes[0]
+
+
+def test_mesh_sidecar_is_the_former_json_dump(tmp_path):
+    mesh = sf.mesh_export(sf.delaunay_timelike(2.0, 0.5), 5, 4)
+    mesh.sidecar["config"] = {"family": "delaunay-t", "k": 2.0, "out": "m.obj", "seed": None}
+    path = mesh.write_obj(tmp_path / "m.obj")
+    assert open(path).read() == json.dumps(mesh.sidecar, indent=2, sort_keys=True, allow_nan=False)
 
 
 def test_conjugate_condition4_closed_form():

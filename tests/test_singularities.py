@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cmc_lab import jets as jt
 from cmc_lab import quadrature
@@ -428,6 +428,173 @@ def test_classify_first_kind_on_fold(fold_model):
 def test_classify_cone_model(cone_model):
     recs = trace_singular_curve(cone_model, box=(-1, 1, -1, 1), n_grid=7)
     assert recs and all(r.kind == "conelike" for r in recs)
+
+
+IMG_TOL = 1e-9  # the walk's image-diameter threshold
+
+
+def _reference_conelike(S, records) -> np.ndarray:
+    """The former operational conelike test, kept as the reference of the jet
+    test: three tangent steps of 0.02 of the smaller range on each side of
+    each record, each with a transverse Newton correction on the density, and
+    the record is conelike when the images of the walk points lie within
+    IMG_TOL of the record's image and dX kills the curve tangent at each of
+    them (to 1e-7 |dX|).  A point where the frontal normal is undefined takes
+    the record's tangent."""
+    members, R = sg._members(S), len(records)
+    p = np.array([r.location for r in records], float)
+    dlam = np.array([r.dlam for r in records], float)
+    T = dlam / sg._norm(dlam)[:, None]
+    S = members[0]  # the stack's domain and normal
+    step = 0.02 * min(S.u_range[1] - S.u_range[0], S.v_range[1] - S.v_range[0])
+    normal = None if S.has_analytic_normal else np.tile([r.normal for r in records], (2, 1))
+    # both sides at once: rows 0..R-1 walk along +tangent, rows R..2R-1 along -tangent
+    T2 = np.tile(T, (2, 1))
+    move = np.repeat([step, -step], R)[:, None] * np.tile(sg._curve_direction(dlam), (2, 1))
+    lo, hi = S.u_range
+    walk = sg._Stack(members, np.array([r.owner for r in records] * 2))
+    q = np.tile(p, (2, 1))
+    inside = np.ones(2 * R, bool)
+    points, of = [p], [np.arange(R)]  # the records come first; of: each point's record
+    for _ in range(3):
+        q = q + move
+        inside &= (lo <= q[:, 0]) & (q[:, 0] <= hi)  # the curve leaves the domain on this side
+        newton = inside.copy()
+        for _ in range(3):  # transverse Newton on lambda, slope from its jet
+            at = np.flatnonzero(newton)
+            if not at.size:
+                break
+            lj = sg._lambda_jet(walk.at(at), (q[at, 0], q[at, 1]), 2,
+                                normal=None if normal is None else normal[at])
+            d = np.vecdot(lj.gradient(), T2[at])
+            flat = np.abs(d) < 1e-300
+            newton[at[flat]] = False
+            at, d = at[~flat], d[~flat]
+            q[at] = q[at] - (lj.value[~flat] / d)[:, None] * T2[at]
+        points.append(q[inside])
+        of.append(np.flatnonzero(inside) % R)
+    points, of = np.concatenate(points), np.concatenate(of)
+    X, _, defined, _, dl = sg._frontal_at(walk.at(of), points[:, 0], points[:, 1])
+    tangent = sg._curve_direction(np.where(defined[:, None], dl, dlam[of]))
+    M = sg._dX_of(X)
+    img = np.stack([c.value for c in X], axis=-1)
+
+    def largest(values):
+        out = np.zeros(R)
+        np.maximum.at(out, of, values)
+        return out
+
+    spread = largest(sg._norm(img - img[of]))
+    dtang = largest(sg._norm(np.vecdot(M, tangent[:, None, :])))
+    scale = np.maximum(sg._norm(M[:R].reshape(R, 6)), 1e-300)
+    return ((spread < IMG_TOL * np.maximum(1.0, largest(sg._norm(img))) + IMG_TOL)
+            & (dtang < 1e-7 * scale))
+
+
+def _reference_kinds(S, records) -> list:
+    """The kinds of rank-1 records with the walk deciding conelike."""
+    kinds = []
+    for rec in records:
+        t = sg._curve_direction(np.asarray(rec.dlam, float))
+        eta = np.asarray(rec.null_vector, float) / np.linalg.norm(rec.null_vector)
+        kinds.append("first_kind" if abs(t[0] * eta[1] - t[1] * eta[0]) > sg.ANGLE_TOL else None)
+    tangent = [n for n, kind in enumerate(kinds) if kind is None]
+    if tangent:
+        for n, cone in zip(tangent, _reference_conelike(S, [records[n] for n in tangent])):
+            kinds[n] = "conelike" if cone else "other"
+    return kinds
+
+
+_LARGE_K = [3000.0, -5000.0, 1e16, 1e100, -1e100]
+_K_STRATA = st.one_of(st.sampled_from(_LARGE_K), st.floats(-10.0, 10.0).filter(lambda k: k != 1.0),
+                      st.floats(10.0, 1e8), st.floats(-1e8, -10.0))
+
+
+@st.composite
+def _kinds_cases(draw):
+    """(surface or stack, box, n_grid) over the conelike families: the four
+    Delaunay families, model-cone, the two-cone surface, and a stack of
+    delaunay-t surfaces of one H (they share the domain (-r_cap, r_cap) x
+    (0, pi/H))."""
+    family = draw(st.sampled_from(["delaunay_timelike", "delaunay_spacelike", "lightlike_i",
+                                   "lightlike_ii", "cone", "two_cones", "stack"]))
+    H, n_grid = draw(st.floats(0.3, 1.5)), draw(st.integers(5, 33))
+    try:
+        if family in ("delaunay_timelike", "delaunay_spacelike"):
+            return getattr(sf, family)(draw(_K_STRATA), H), None, n_grid
+        if family.startswith("lightlike"):
+            return sf.delaunay_lightlike(family.split("_")[1], H), None, n_grid
+        if family == "stack":
+            ks = draw(st.lists(_K_STRATA, min_size=2, max_size=4))
+            return [sf.delaunay_timelike(k, H) for k in ks], None, n_grid
+    except sf.SurfaceParameterError:  # no orientation probe point at some (k, H) of |k| >= 1e16
+        assume(False)
+    if family == "cone":
+        return sf.standard_model("cone"), (-1.0, 1.0, -1.0, 1.0), n_grid
+    return _two_cones(), (-1.0, 0.9, -0.45, 1.4), n_grid
+
+
+@given(_kinds_cases())
+@settings(max_examples=100, deadline=None)
+@example((sf.delaunay_timelike(3000.0, 0.5), None, 33))
+@example((sf.delaunay_spacelike(-5000.0, 0.5), None, 33))
+@example((sf.delaunay_timelike(1e16, 0.5), None, 9))
+@example((sf.delaunay_spacelike(1e100, 0.5), None, 9))
+@example((sf.delaunay_spacelike(-1e100, 0.5), None, 8))
+@example(([sf.delaunay_timelike(k, 0.7) for k in _LARGE_K], None, 12))
+def test_jet_kinds_are_the_walks_kinds(case):
+    """The kinds the scan reads off the records' jets are those the walk
+    along the curve gives, on every rank-1 record: a stack's members too."""
+    S, box, n_grid = case
+    scans = trace_singular_curve(S, box=box, n_grid=n_grid)
+    for recs in [scans] if isinstance(S, sf.Surface) else scans:
+        rank1 = [r for r in recs if r.rank == 1]
+        assert [r.kind for r in rank1] == _reference_kinds(S, rank1)
+    assert any(r.kind == "conelike" for recs in ([scans] if isinstance(S, sf.Surface) else scans) for r in recs)
+
+
+@pytest.mark.parametrize("H", [1e-6, 1e-13, 1e-30])
+def test_cone_points_stay_conelike_at_tiny_H(H):
+    """The jet test is relative to |dX|, so a homothety keeps its kinds: the
+    axis records of delaunay-t stay conelike at tiny H, where the surface
+    grows like 1/H.  The walk's image tolerance is absolute, and the records
+    2.5e-13 off the axis (grid 21) move their images by about 2.5e-13/H:
+    the walk calls them other."""
+    S = sf.delaunay_timelike(2.0, H)
+    recs = trace_singular_curve(S, n_grid=21)
+    assert len(recs) == 21 and {r.kind for r in recs} == {"conelike"}
+    assert set(_reference_kinds(S, recs)) == {"other"}
+
+
+def _curve_of_order(n):
+    """(v u^2/2 - u^(n+2)/(n+2), v u - u^(n+1)/(n+1), v): X_u = (v - u^n)(u, 1, 0),
+    so the singular curve is v = u^n with the null direction d_u, tangent to
+    it at the origin only.  Along the curve X moves at order n at the origin:
+    the swallowtail for n = 2, and for n = 4 only the last coefficient the
+    jets read moves."""
+
+    def builder(u0, v0, degree):
+        u, v = Jet2.variables((u0, v0), degree)
+        return (v * u * u * 0.5 - u ** (n + 2) / (n + 2.0), v * u - u ** (n + 1) / (n + 1.0), v)
+
+    return sf.custom_surface(builder)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_a_tangent_record_whose_image_moves_is_not_conelike(n):
+    """The origin is a rank-1 record with the null direction along the curve,
+    not conelike: X o gamma's coefficient n is 1 relative to |dX| and the
+    lower ones vanish.  The walk agrees, and the records elsewhere on the
+    curve are of the first kind."""
+    S = _curve_of_order(n)
+    recs = trace_singular_curve(S, box=(-1.0, 1.0, -1.0, 1.0), n_grid=9)
+    origin = [r for r in recs if r.location == (0.0, 0.0)]
+    assert len(origin) == 1 and origin[0].rank == 1 and origin[0].kind == "other"
+    assert [r.kind for r in recs] == _reference_kinds(S, recs)
+    assert {r.kind for r in recs if r is not origin[0]} == {"first_kind"}
+    X, _, curve, _ = sg._curve_jets(S, origin)
+    moves = sg._norm(np.stack([c.c[0, 1:] for c in jt.compose2(X, *curve)], axis=-1))
+    assert moves.tolist() == [0.0] * (n - 1) + [1.0] + moves.tolist()[n:]
 
 
 def test_rank_deficiency_at_traced_roots(conj_k2_records, conj_k2):
@@ -1490,6 +1657,28 @@ def test_a_stack_of_models_with_and_without_analytic_normals_is_refused(
     assert cli._verdicts([cusp25_model, fold_model], box) == [cli.MODEL_VERDICTS[n] for n in ("cusp25", "fold")]
 
 
+def test_records_read_on_another_member_of_a_stack_are_refused():
+    """A record is read on its `owner` in a stack, which must be the member it
+    was scanned on: a reordered stack and a subset of the stack raise a
+    ValueError in the chart, the criterion and the fold test, before any jet
+    is read.  A stack of one reads any record, and the scanning stack's own
+    members, in a new list, read theirs."""
+    pushes = _drawn_pushes(3, 3)
+    scans = trace_singular_curve(pushes, box=_DIFFEO_BOX, n_grid=5)
+    assert all(scans) and all(r.surface is P for P, recs in zip(pushes, scans) for r in recs)
+    for stack, groups in ((pushes[::-1], scans), (pushes[1:], scans[1:])):
+        for run in (lambda: StraightChart(stack, groups[0]),
+                    lambda: StraightChart(stack, [r for recs in groups for r in recs]),
+                    lambda: criterion_25(stack, groups),
+                    lambda: fold_symmetry_test(stack, groups[0])):
+            with pytest.raises(ValueError, match="a record is read on a stack member it was not scanned on"):
+                run()
+    alone = StraightChart(pushes[2], scans[0]).jets()  # a stack of one reads scans[0] on pushes[2]
+    assert all(np.isfinite(y.c).all() for y in alone)
+    again = criterion_25(list(pushes), scans)
+    assert [rep.verdict for rep in again] == [rep.verdict for rep in criterion_25(pushes, scans)]
+
+
 def _raising(S, degrees, error):
     """S whose builder raises `error` at the listed jet degrees."""
 
@@ -1540,7 +1729,7 @@ def test_classification_report_shape(conj_k2, conj_k2_records):
     rep = criterion_25(conj_k2, conj_k2_records[:3])
     doc = classification_report(conj_k2, conj_k2_records[:3], rep, certificates=[{"x": 1}])
     assert doc["surface"] == conj_k2.family
-    assert doc["conelike_definition"] == "operational"
+    assert doc["conelike_definition"] == "jet: X o gamma has v-coefficients 1-4 at most 1e-08 |dX|"
     assert len(doc["samples"]) == 3
     assert doc["criterion"]["verdict"] == "cusp25"
     import json
