@@ -349,11 +349,15 @@ class _Jet:
         return type(self)(base, self.degree, self.c[i].copy())
 
     def truncated(self, degree: int):
+        """The coefficients of total degree <= `degree` (the jet of that degree)."""
         if degree > self.degree:
             raise JetError("cannot raise jet degree")
         if degree == self.degree:
             return self
-        return self._like(degree, self._coeffs(degree).copy())
+        c = self._coeffs(degree).copy()
+        if self._NVARS == 2:  # the square's slots above the triangle
+            c[..., ~_TRIANGLE[degree]] = 0.0
+        return self._like(degree, c)
 
     def __add__(self, other):
         o = self._coerce(other)

@@ -68,6 +68,9 @@ class SingularPointRecord:
     normal: Optional[tuple] = None
     owner: int = field(default=0, repr=False, compare=False)  # its member's index in the scanned stack
     surface: Optional[Surface] = field(default=None, repr=False, compare=False)  # the member itself
+    # the scan's coefficients of X (3, 6, 6) and of the analytic normal (3, 5, 5) or None;
+    # not copied by dataclasses.replace, so a moved record is evaluated afresh
+    jets: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def as_dict(self):
         return {
@@ -100,7 +103,7 @@ def _lambda_jet(S: Surface, p, degree=MAX_DEGREE, normal=None, W=None):
     vector `normal` (the anchored or frontal normal at a nearby point).  `W`
     passes the jets of X_u x X_v when already at hand.  p may be a pair of
     (B,) arrays, with one normal per point in a (B, 3) `normal`.  The curve
-    scan and the curve jets read lambda from here.
+    scan reads lambda from here.
     """
     if W is None:
         W = _cross_jets(S.jet(p[0], p[1], degree))
@@ -134,24 +137,25 @@ def _frontal_normal(W):
 
 
 def _frontal_at(S: Surface, u, v):
-    """One batched degree-2 evaluation at the (B,) points (u, v).
+    """One batched evaluation at the (B,) points (u, v): X at degree 5 and,
+    when S carries one, the analytic normal N at degree 4 (else None).
 
-    Returns the jets X, the normal n (B, 3), a (B,) mask of the points where n
-    is defined, and lambda (B,) and dlambda (B, 2) of the density on n.  The
-    normal is the analytic one when S carries one, otherwise the frontal
-    normal of the cross product's jet.
+    Returns X, N, the normal n (B, 3), a (B,) mask of the points where n is
+    defined, and lambda (B,) and dlambda (B, 2) of the density on n, read off
+    the jets truncated to degree 2 (N to 1): the jets that evaluations at
+    those degrees give.  The normal is the analytic one when S carries one,
+    otherwise the frontal normal of the cross product's jet.
     """
-    X = S.jet(u, v, 2)
-    W = _cross_jets(X)
-    if S.has_analytic_normal:
-        N = S.analytic_normal_jet(u, v, 1)
+    X = S.jet(u, v, MAX_DEGREE)
+    W = _cross_jets([c.truncated(2) for c in X])
+    N = S.analytic_normal_jet(u, v, MAX_DEGREE - 1) if S.has_analytic_normal else None
+    if N is not None:
         n = np.stack([c.value for c in N], axis=-1)
         defined = np.ones(np.shape(u), bool)
     else:
         n, defined = _frontal_normal(W)
-        N = n.T
-    lam = euclid_inner(W, N)
-    return X, n, defined, lam.value, lam.gradient()
+    lam = euclid_inner(W, n.T if N is None else [c.truncated(1) for c in N])
+    return X, N, n, defined, lam.value, lam.gradient()
 
 
 # -- stacks of surfaces ----------------------------------------------------------
@@ -350,7 +354,9 @@ def _bracketed_roots(S: Surface, a, b, fa, fb, anchor):
 
 def _assemble_records(members, q, owner) -> list:
     """Records at the (R, 2) roots q, root i on member owner[i], kinds not yet
-    set, from one batched degree-2 evaluation; None where the gate drops it.
+    set, from one batched evaluation (`_frontal_at`); None where the gate
+    drops it.  Each record keeps its rows of the degree-5 jets of X and of
+    the analytic normal (degree 4), which its chart and kind are read from.
 
     The rank and null vector come from the singular values of dX, the normal
     and lambda, dlambda from `_frontal_at`: rank 0 where the larger is at most
@@ -358,7 +364,9 @@ def _assemble_records(members, q, owner) -> list:
     bound on |lambda|.  Rank 0, or an undefined frontal normal, gives a
     degenerate_rank0 record; rank 2 a record of kind other with no null vector.
     """
-    X, n, defined, lam, dlam = _frontal_at(_Stack(members, owner), q[:, 0], q[:, 1])
+    X, N, n, defined, lam, dlam = _frontal_at(_Stack(members, owner), q[:, 0], q[:, 1])
+    cx = np.stack([c.c for c in X], axis=1)  # (R, 3, 6, 6): row b is record b's
+    cn = [None] * len(q) if N is None else np.stack([c.c for c in N], axis=1)
     _, sv, Vt = np.linalg.svd(_dX_of(X))
     gate = ROOT_GATE * ROOT_TOL * np.maximum(_norm(dlam), 1.0)
     rank = np.where(sv[:, 0] <= 1e-13, 0, np.where(sv[:, 0] * sv[:, 1] > gate, 2, 1))
@@ -367,15 +375,18 @@ def _assemble_records(members, q, owner) -> list:
     records = []
     for b, (loc, m) in enumerate(zip(map(tuple, q.tolist()), owner.tolist())):
         if degenerate[b]:
-            records.append(SingularPointRecord(loc, 0.0, (0.0, 0.0), None, "degenerate_rank0", 0,
-                                               owner=m, surface=members[m]))
+            rec = SingularPointRecord(loc, 0.0, (0.0, 0.0), None, "degenerate_rank0", 0,
+                                      owner=m, surface=members[m])
         elif not confirmed[b]:
-            records.append(None)
+            rec = None
         else:
-            records.append(SingularPointRecord(
+            rec = SingularPointRecord(
                 loc, float(lam[b]), tuple(dlam[b].tolist()),
                 tuple(Vt[b, 1].tolist()) if rank[b] == 1 else None, "other", int(rank[b]),
-                normal=tuple(n[b].tolist()), owner=m, surface=members[m]))
+                normal=tuple(n[b].tolist()), owner=m, surface=members[m])
+        if rec is not None:
+            rec.jets = (cx[b], cn[b])
+        records.append(rec)
     return records
 
 
@@ -416,8 +427,9 @@ def _curve_direction(dlam):
 
 def _curve_jets(S: Surface, records):
     """The jets at singular records that a chart or a kind is read from: the
-    degree-5 jets X, the density's jet g (degree 4), the curves through the
-    records as (u, v) Jet1s of degree 4, and the records' dlambda.
+    degree-5 jets X (the records' kept rows, `_record_jets`), the density's
+    jet g (degree 4), the curves through the records as (u, v) Jet1s of
+    degree 4, and the records' dlambda.
 
     The curve through p is gamma(v) = p + v*tang + phi(v)*T, with T the unit
     +dlambda, tang the curve direction and phi = O(v^2) solved order by order
@@ -444,14 +456,14 @@ def _curve_jets(S: Surface, records):
     tang = _curve_direction(dlam)
 
     deg = MAX_DEGREE - 1  # the scalar density jet has one degree less than X
-    X = S.jet(u, v, MAX_DEGREE)
+    X, N = _record_jets(S, rows, u, v)
     W = _cross_jets(X)
-    n = None
-    if not S.has_analytic_normal:
+    if N is None:
         n, defined = _frontal_normal(W)
         if not defined.all():
             raise NormalUndefinedError("normal undefined (rank 0 or non-frontal)")
-    g = _lambda_jet(S, (u, v), MAX_DEGREE, normal=n, W=W)
+        N = n.T
+    g = euclid_inner(W, N)
     gT = np.vecdot(g.gradient(), T)
     if np.any(np.abs(gT) <= 1e-12):
         raise DegenerateZeroSetError("degenerate zero set: no transverse slope")
@@ -465,10 +477,31 @@ def _curve_jets(S: Surface, records):
         return Jet1(origin, deg, c[..., 0, :]), Jet1(origin, deg, c[..., 1, :])
 
     phi = np.zeros(np.shape(u) + (deg + 1,))
-    for m in range(2, deg + 1):
-        G = _compose2(g, *curve_coeffs(phi))
+    for m in range(2, deg + 1):  # order m of g o gamma reads the jets to degree m
+        G = _compose2(g.truncated(m), *(c.truncated(m) for c in curve_coeffs(phi)))
         phi[..., m] -= G.c[..., m] / gT
     return X, g, curve_coeffs(phi), dlam
+
+
+def _record_jets(S, rows, u, v):
+    """The degree-5 jets of X and the degree-4 jets of the analytic normal
+    (None without one) at the records, batched as u and v are: the rows the
+    scan kept, the surface evaluated only at the records that carry none or
+    were scanned on another surface."""
+    fresh = [i for i, r in enumerate(rows) if r.jets is None or all(r.surface is not T for T in S.members)]
+    if len(fresh) == len(rows):
+        X = S.jet(u, v, MAX_DEGREE)
+        return X, S.analytic_normal_jet(u, v, MAX_DEGREE - 1) if S.has_analytic_normal else None
+    kept = [r.jets for r in rows]
+    if fresh:
+        X, N = _record_jets(S.at(fresh), [rows[i] for i in fresh], u[fresh], v[fresh])
+        for j, i in enumerate(fresh):
+            kept[i] = tuple(None if J is None else np.stack([c.c[j] for c in J]) for J in (X, N))
+    X, N = (None if k[0] is None else np.stack(k, axis=1) for k in zip(*kept))  # (3, R, ...)
+    if np.ndim(u) == 0:  # one record: scalar jets of its rows
+        X, N = (None if c is None else c[:, 0] for c in (X, N))
+    return (tuple(Jet2((u, v), MAX_DEGREE, c) for c in X),
+            None if N is None else tuple(Jet2((u, v), MAX_DEGREE - 1, c) for c in N))
 
 
 # -- straightened charts --------------------------------------------------------

@@ -69,7 +69,7 @@ def test_criterion_2_signed_area_density(conj_k2):
         points.append((r, rng.uniform(0.0, 2.0)))
     # det(X_u, X_v, n/|n|) at every point from one batched frontal evaluation
     r, t = np.array(points).T
-    X, n, _, _, _ = sg._frontal_at(conj_k2, r, t)
+    X, _, n, _, _, _ = sg._frontal_at(conj_k2, r, t)
     n = n / np.linalg.norm(n, axis=-1, keepdims=True)
     lam = np.linalg.det(np.concatenate([sg._dX_of(X), n[..., None]], axis=-1))
     want = np.array([formula(x) for x in r])

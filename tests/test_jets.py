@@ -196,6 +196,27 @@ def test_partial_extraction_and_orders():
         f.partial(5, 1)
 
 
+def test_truncated_is_the_jet_of_the_lower_degree():
+    """A truncated Jet2 keeps the coefficients of total degree <= d and zeroes
+    the square's slots above them: its .c is the degree-d evaluation's.  The
+    degree-5 jets of delaunay-t at k = 2.3 have nonzero (1, 2), (2, 1) and
+    (2, 2) slots, which a degree-2 evaluation does not."""
+    from cmc_lab import surfaces as sf
+
+    S = sf.delaunay_timelike(2.3, 0.5)
+    for p in ((0.7, 1.1), (np.array([0.7, -0.3, 1.2]), np.array([1.1, 0.2, 2.5]))):
+        high, low = S.jet(*p, 5), S.jet(*p, 2)
+        assert any(np.any(x.c[..., 1:3, 1:3][..., [0, 1, 1], [1, 0, 1]]) for x in high)
+        for x, y in zip(high, low):
+            t = x.truncated(2)
+            assert t.degree == 2 and t.base == x.base and t.c.tobytes() == y.c.tobytes()
+            assert np.array_equal(t.c, y.c) and np.allclose(t.c, y.c)
+    z = Jet2(BASE, 3, np.arange(16.0).reshape(4, 4) * (1 + 1j))
+    assert np.array_equal(z.truncated(1).c, [[0, 1 + 1j], [4 + 4j, 0]])
+    assert z.truncated(3) is z
+    assert np.array_equal(Jet1(0.0, 3, np.arange(4.0)).truncated(2).c, [0.0, 1.0, 2.0])
+
+
 def test_power_takes_integer_exponents_only():
     x = 2.0 + Jet2.coordinate(BASE, 4, 0)
     assert np.allclose((x**3).c, (x * x * x).c, atol=0, rtol=1e-15)

@@ -62,16 +62,33 @@ def _frontal(S, *points):
     """_frontal_at at the points (u, v): the normals (B, 3), the mask of
     points where they are defined, lambda and dlambda."""
     u, v = np.array(points, float).T
-    _, n, defined, lam, dlam = sg._frontal_at(S, u, v)
+    _, _, n, defined, lam, dlam = sg._frontal_at(S, u, v)
     return n, defined, lam, dlam
 
 
 def _unit_density(S, *points):
     """det(X_u, X_v, n / |n|) at the points, from one _frontal_at call."""
     u, v = np.array(points, float).T
-    X, n, _, _, _ = sg._frontal_at(S, u, v)
+    X, _, n, _, _, _ = sg._frontal_at(S, u, v)
     n = n / np.linalg.norm(n, axis=-1, keepdims=True)
     return np.linalg.det(np.concatenate([sg._dX_of(X), n[..., None]], axis=-1))
+
+
+def _reference_frontal_at(S, u, v):
+    """The former _frontal_at, one batched degree-2 evaluation (the analytic
+    normal at degree 1): the jets X, the normals, their mask, lambda and
+    dlambda.  The scan's degree-5 evaluation must read the same off its jets."""
+    X = S.jet(u, v, 2)
+    W = sg._cross_jets(X)
+    if S.has_analytic_normal:
+        N = S.analytic_normal_jet(u, v, 1)
+        n = np.stack([c.value for c in N], axis=-1)
+        defined = np.ones(np.shape(u), bool)
+    else:
+        n, defined = sg._frontal_normal(W)
+        N = n.T
+    lam = euclid_inner(W, N)
+    return X, n, defined, lam.value, lam.gradient()
 
 
 def test_normal_on_fold_from_cross_product_jet():
@@ -474,7 +491,7 @@ def _reference_conelike(S, records) -> np.ndarray:
         points.append(q[inside])
         of.append(np.flatnonzero(inside) % R)
     points, of = np.concatenate(points), np.concatenate(of)
-    X, _, defined, _, dl = sg._frontal_at(walk.at(of), points[:, 0], points[:, 1])
+    X, _, defined, _, dl = _reference_frontal_at(walk.at(of), points[:, 0], points[:, 1])
     tangent = sg._curve_direction(np.where(defined[:, None], dl, dlam[of]))
     M = sg._dX_of(X)
     img = np.stack([c.value for c in X], axis=-1)
@@ -967,15 +984,26 @@ def test_one_cross_product_per_chart(monkeypatch):
 
 
 @pytest.mark.parametrize("n_grid", [5, 21])
-def test_criterion_makes_one_degree5_jet_call(conj_k2, n_grid, monkeypatch):
+def test_criterion_evaluates_the_surface_only_at_records_without_jets(conj_k2, n_grid, monkeypatch):
+    """The scan's records carry their jets: the criterion on them evaluates
+    nothing.  Copies made with dataclasses.replace carry none and are
+    evaluated in one degree-5 call (the normal in one degree-4 call), with
+    the scan's records among them read as kept."""
     recs = trace_singular_curve(conj_k2, n_grid=n_grid)
-    assert len(recs) > 1
-    degrees = []
-    jet = sf.Surface.jet
-    monkeypatch.setattr(sf.Surface, "jet",
-                        lambda S, u, v, degree=jt.MAX_DEGREE: degrees.append(degree) or jet(S, u, v, degree))
+    assert len(recs) > 1 and all(r.jets is not None for r in recs)
+    calls = []
+    for name in ("jet", "analytic_normal_jet"):
+        method = getattr(sf.Surface, name)
+        monkeypatch.setattr(sf.Surface, name, lambda S, u, v, degree, m=method, n=name:
+                            calls.append((n, degree, np.size(u))) or m(S, u, v, degree))
     assert criterion_25(conj_k2, recs).verdict == "cusp25"
-    assert degrees.count(jt.MAX_DEGREE) == 1
+    assert calls == []
+    stripped = [dataclasses.replace(r) if i % 2 else r for i, r in enumerate(recs)]
+    rep, again = criterion_25(conj_k2, recs), criterion_25(conj_k2, stripped)
+    assert repr(again.as_dict()) == repr(rep.as_dict())
+    assert [y.c.tobytes() for y in again.jets] == [y.c.tobytes() for y in rep.jets]
+    fresh = len(recs) // 2
+    assert calls == [("jet", jt.MAX_DEGREE, fresh), ("analytic_normal_jet", jt.MAX_DEGREE - 1, fresh)]
 
 
 def test_criterion_builds_one_chain_per_field(conj_k2, conj_k2_records, monkeypatch):
@@ -1675,6 +1703,9 @@ def test_records_read_on_another_member_of_a_stack_are_refused():
                 run()
     alone = StraightChart(pushes[2], scans[0]).jets()  # a stack of one reads scans[0] on pushes[2]
     assert all(np.isfinite(y.c).all() for y in alone)
+    # evaluated there, not read off the jets the records kept from pushes[0]
+    bare = StraightChart(pushes[2], [dataclasses.replace(r) for r in scans[0]]).jets()
+    assert [y.c.tobytes() for y in alone] == [y.c.tobytes() for y in bare]
     again = criterion_25(list(pushes), scans)
     assert [rep.verdict for rep in again] == [rep.verdict for rep in criterion_25(pushes, scans)]
 
@@ -1691,13 +1722,15 @@ def _raising(S, degrees, error):
 
 
 def test_a_failing_stack_raises_what_the_per_member_loop_meets_first():
-    """Member 1 raises in the chart (degree 5), member 2 already in the scan
+    """Member 1 raises at degree 5 (the scan's assembly, or the chart of
+    records that carry no jets), member 2 already in the scan's first step
     (degree 1): the stack raises member 1's error, as the per-trial loop does;
     criterion_25 on a stack raises its first failing member's error too."""
     from cmc_lab import cli
 
     good = _drawn_pushes(3, 1)[0]
-    chart_fails = _raising(good, {5}, ArithmeticError("member 1: no degree-5 jet"))
+    fail_at = {5}
+    chart_fails = _raising(good, fail_at, ArithmeticError("member 1: no degree-5 jet"))
     scan_fails = _raising(good, {1}, LookupError("member 2: no degree-1 jet"))
     stack = [good, chart_fails, scan_fails]
     with pytest.raises(ArithmeticError) as loop:
@@ -1708,7 +1741,12 @@ def test_a_failing_stack_raises_what_the_per_member_loop_meets_first():
     assert str(stacked.value) == str(loop.value) == "member 1: no degree-5 jet"
     with pytest.raises(LookupError, match="member 2"):  # the scan alone meets member 2 first
         trace_singular_curve(stack, box=_DIFFEO_BOX, n_grid=5)
-    scans = trace_singular_curve(stack[:2], box=_DIFFEO_BOX, n_grid=5)
+    with pytest.raises(ArithmeticError, match="member 1"):
+        trace_singular_curve(stack[:2], box=_DIFFEO_BOX, n_grid=5)
+    fail_at.clear()  # scanned whole, then charted from copies without jets
+    scans = [[dataclasses.replace(r) for r in recs]
+             for recs in trace_singular_curve(stack[:2], box=_DIFFEO_BOX, n_grid=5)]
+    fail_at.add(5)
     with pytest.raises(ArithmeticError, match="member 1"):
         criterion_25(stack[:2], scans)
     with pytest.raises(ValueError, match="at least one singular sample"):  # after member 0's chart
@@ -1720,6 +1758,202 @@ def test_a_failing_stack_raises_what_the_per_member_loop_meets_first():
 def test_diffeo_push_requires_invertible_linear_part(cusp25_model):
     with pytest.raises(ValueError, match="invertible"):
         diffeo_push(cusp25_model, np.zeros((3, 3)))
+
+
+# -- the scan's kept jets -------------------------------------------------------
+
+
+def _reference_assembly(members, q, owner) -> list:
+    """The former `_assemble_records`: one batched degree-2 evaluation
+    (`_reference_frontal_at`), records that keep no jets."""
+    X, n, defined, lam, dlam = _reference_frontal_at(sg._Stack(members, owner), q[:, 0], q[:, 1])
+    _, sv, Vt = np.linalg.svd(sg._dX_of(X))
+    gate = sg.ROOT_GATE * sg.ROOT_TOL * np.maximum(sg._norm(dlam), 1.0)
+    rank = np.where(sv[:, 0] <= 1e-13, 0, np.where(sv[:, 0] * sv[:, 1] > gate, 2, 1))
+    degenerate = (rank == 0) | ~defined
+    confirmed = np.abs(lam) <= gate
+    records = []
+    for b, (loc, m) in enumerate(zip(map(tuple, q.tolist()), owner.tolist())):
+        if degenerate[b]:
+            records.append(sg.SingularPointRecord(loc, 0.0, (0.0, 0.0), None, "degenerate_rank0", 0,
+                                                  owner=m, surface=members[m]))
+        elif not confirmed[b]:
+            records.append(None)
+        else:
+            records.append(sg.SingularPointRecord(
+                loc, float(lam[b]), tuple(dlam[b].tolist()),
+                tuple(Vt[b, 1].tolist()) if rank[b] == 1 else None, "other", int(rank[b]),
+                normal=tuple(n[b].tolist()), owner=m, surface=members[m]))
+    return records
+
+
+_K_ABOVE = st.floats(-0.9, 6.0).filter(lambda k: abs(k - 1.0) > 0.05)  # k > -1
+_K_BELOW = st.floats(-8.0, -1.1)  # k < -1
+
+
+@st.composite
+def _kept_jet_surfaces(draw, pushes=True):
+    """(surface or list of stack members, box) with k and H drawn per branch:
+    the four Delaunay families, the conjugates on every template and branch
+    (T, S and L of either axis, III-i, III-ii; the timelike axis at k > -1
+    with its analytic normal), the standard models (fold and cusp25 with
+    theirs), and stacks of delaunay-t of one H and of cusp25 with fold; with
+    `pushes`, a pushed model and a stack of them too."""
+    H = draw(st.floats(0.3, 1.5))
+    kind = draw(st.sampled_from(["delaunay_timelike", "delaunay_spacelike", "lightlike", "conjugate",
+                                 "conjugate_lightlike", "model", "stack_t", "stack_models"]
+                                + ["push", "stack_push"] * pushes))
+    if kind in ("delaunay_timelike", "delaunay_spacelike"):
+        return getattr(sf, kind)(draw(st.one_of(_K_ABOVE, _K_BELOW, st.just(-1.0))), H), None
+    if kind == "lightlike":
+        return sf.delaunay_lightlike(draw(st.sampled_from(["i", "ii"])), H), None
+    if kind == "conjugate":
+        family = draw(st.sampled_from(["delaunay_timelike", "delaunay_spacelike"]))
+        return sf.conjugate_of(family, k=draw(st.one_of(_K_ABOVE, _K_BELOW, st.just(-1.0))), H=H), None
+    if kind == "conjugate_lightlike":
+        variant = draw(st.sampled_from(["i", "ii"]))
+        return sf.conjugate_of(f"delaunay_lightlike_{variant}", H=H, variant=variant), None
+    if kind == "model":
+        return sf.standard_model(draw(st.sampled_from(["fold", "cuspidal_edge", "cusp25", "cone"]))), \
+            (-1.0, 1.0, -1.0, 1.0)
+    if kind == "push":
+        return _drawn_pushes(draw(st.integers(0, 2**32 - 1)), 1)[0], _DIFFEO_BOX
+    if kind == "stack_t":
+        return [sf.delaunay_timelike(k, H) for k in draw(st.lists(_K_ABOVE, min_size=2, max_size=3))], None
+    if kind == "stack_push":
+        return _drawn_pushes(draw(st.integers(0, 2**32 - 1)), draw(st.integers(2, 3))), _DIFFEO_BOX
+    return [sf.standard_model("cusp25"), sf.standard_model("fold")], (-1.0, 1.0, -1.0, 1.0)
+
+
+@given(_kept_jet_surfaces(pushes=False), st.data())
+@settings(max_examples=150, deadline=None)
+@example((sf.delaunay_timelike(2.3, 0.5), None), None)
+@example(([sf.standard_model("cusp25"), sf.standard_model("fold")], None), None)
+def test_degree5_jets_truncated_are_the_lower_degree_jets(case, data):
+    """The coefficients of total degree <= d of a degree-5 evaluation are the
+    degree-d evaluation to the bit, for d = 0-4 (the analytic normal: its
+    degree-4 jets to d = 0-3), at a batch of points and at one point; the
+    assembly reads rank, normal, lambda and dlambda off them.  Pushed
+    surfaces are left out: diffeo_push contracts its monomials in one BLAS
+    product, whose roundings depend on the degree."""
+    S, _ = case
+    members = sg._members(S)
+    (ulo, uhi), (vlo, vhi) = members[0].u_range, members[0].v_range
+    if data is None:
+        fractions = [(0.2, 0.3), (0.6, 0.9), (0.85, 0.1), (0.5, 0.5)]
+    else:
+        fractions = data.draw(st.lists(st.tuples(st.floats(0.02, 0.98), st.floats(0.0, 1.0)),
+                                       min_size=1, max_size=5))
+    u, v = np.array([(ulo + a * (uhi - ulo), vlo + b * (vhi - vlo)) for a, b in fractions]).T
+    stack = sg._Stack(members, np.arange(len(u)) % len(members))
+    at_one = stack.at(0) if len(members) > 1 else stack
+    for name, top in (("jet", jt.MAX_DEGREE), ("analytic_normal_jet", jt.MAX_DEGREE - 1)):
+        if name == "analytic_normal_jet" and not stack.has_analytic_normal:
+            continue
+        for T, p, q in ((stack, u, v), (at_one, float(u[0]), float(v[0]))):
+            high = getattr(T, name)(p, q, top)
+            for d in range(top):
+                for x, y in zip(high, getattr(T, name)(p, q, d)):
+                    assert x.truncated(d).c.tobytes() == y.c.tobytes(), (name, d)
+
+
+def _outcome(run):
+    """repr of what run() returns, or the type and message of what it raises."""
+    try:
+        return repr(run())
+    except Exception as exc:
+        return f"raised {type(exc).__name__}: {exc}"
+
+
+def _chart_bytes(S, recs):
+    return [y.c.tobytes() for y in StraightChart(S, recs).jets()]
+
+
+@given(_kept_jet_surfaces(), st.integers(5, 21))
+@settings(max_examples=100, deadline=None)
+@example((sf.conjugate_of("delaunay_timelike", k=2.0, H=0.5), None), 21)
+@example((sf.delaunay_timelike(2.0, 0.5), None), 9)
+@example(([sf.delaunay_timelike(k, 0.7) for k in (2.0, -0.5, 4.0)], None), 12)
+def test_the_scan_assembles_the_reference_records_and_reads_their_jets(case, n_grid):
+    """The scan's records are those of the former degree-2 assembly (whose
+    records carry no jets, so their kinds come from an evaluation): in
+    location, lambda, dlambda, null vector, normal, rank, kind and
+    unconfirmed_roots.  The chart, criterion, kinds and fold reports read off
+    the kept jets are those of copies stripped of them, to the bit.  Pushed
+    surfaces take the second part only: their degree-2 jets are the degree-5
+    jets' to roundoff, not to the bit (see the truncation property)."""
+    S, box = case
+    scans = trace_singular_curve(S, box=box, n_grid=n_grid)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sg, "_assemble_records", _reference_assembly)
+        refs = trace_singular_curve(S, box=box, n_grid=n_grid)
+    groups, ref_groups = ([scans], [refs]) if isinstance(S, sf.Surface) else (scans, refs)
+    pushed = "pushed_from" in sg._members(S)[0].meta
+    stripped = [[dataclasses.replace(r) for r in recs] for recs in groups]
+    for recs, ref, bare in zip(groups, ref_groups, stripped):
+        if not pushed:
+            assert list(recs) == list(ref) and recs.unconfirmed_roots == ref.unconfirmed_roots
+        assert all(r.jets is not None for r in recs) and all(r.jets is None for r in ref + bare)
+        rank1 = [n for n, r in enumerate(recs) if r.rank == 1]
+        assert sg._kinds(S, [recs[n] for n in rank1]) == sg._kinds(S, [bare[n] for n in rank1])
+        first = [n for n, r in enumerate(recs) if r.kind == "first_kind"]
+        if first:  # the scan's records, the copies, and the two alternating
+            mixed = [(bare if n % 2 else recs)[n] for n in first]
+            charts = {_outcome(lambda: _chart_bytes(S, rows)) for rows in
+                      ([recs[n] for n in first], [bare[n] for n in first], mixed)}
+            assert len(charts) == 1
+        assert _outcome(lambda: [f.as_dict() for f in fold_symmetry_test(S, recs)]) == \
+            _outcome(lambda: [f.as_dict() for f in fold_symmetry_test(S, bare)])
+    if all(groups):
+        def criterion(gs):
+            reports = criterion_25(S, gs[0] if isinstance(S, sf.Surface) else gs)
+            reports = [reports] if isinstance(S, sf.Surface) else reports
+            return [(rep.as_dict(), None if rep.jets is None else [y.c.tobytes() for y in rep.jets])
+                    for rep in reports]
+
+        assert _outcome(lambda: criterion(groups)) == _outcome(lambda: criterion(stripped))
+
+
+def _former_curves(g, records):
+    """The curves of `_curve_jets` as the former loop solved them: each step
+    composes g and gamma at the full degree 4."""
+    p, dlam = (np.array([getattr(r, k) for r in records], float) for k in ("location", "dlam"))
+    T, tang = dlam / sg._norm(dlam)[:, None], sg._curve_direction(dlam)
+    gT = np.vecdot(g.gradient(), T)
+    deg = jt.MAX_DEGREE - 1
+    lin = np.eye(deg + 1)[1]
+
+    def curve_coeffs(phi):
+        c = tang[..., None] * lin + T[..., None] * phi[..., None, :]
+        c[..., 0] += p
+        return jt.Jet1(np.zeros(len(p)), deg, c[..., 0, :]), jt.Jet1(np.zeros(len(p)), deg, c[..., 1, :])
+
+    phi = np.zeros((len(p), deg + 1))
+    for m in range(2, deg + 1):
+        G = jt.compose2(g, *curve_coeffs(phi))
+        phi[..., m] -= G.c[..., m] / gT
+    return curve_coeffs(phi)
+
+
+@given(_kept_jet_surfaces(), st.integers(5, 21))
+@settings(max_examples=60, deadline=None)
+@example((sf.conjugate_of("delaunay_timelike", k=2.0, H=0.5), None), 21)
+@example((sf.delaunay_lightlike("ii", 0.5), None), 13)
+def test_the_curve_solve_at_rising_degree_is_the_former_loop(case, n_grid):
+    """_curve_jets composes g and gamma to degree m for order m of phi: the
+    curves are the former full-degree loop's to the bit, on the scan's rank-1
+    records and on copies without jets."""
+    S, box = case
+    scans = trace_singular_curve(S, box=box, n_grid=n_grid)
+    recs = [r for recs in ([scans] if isinstance(S, sf.Surface) else scans) for r in recs if r.rank == 1]
+    assume(recs)
+    for rows in (recs, [dataclasses.replace(r) for r in recs]):
+        try:
+            _, g, curve, _ = sg._curve_jets(S, rows)
+        except (sg.DegenerateZeroSetError, NormalUndefinedError):
+            continue
+        for c, ref in zip(curve, _former_curves(g, rows)):
+            assert c.c.tobytes() == ref.c.tobytes()
 
 
 # -- reports -----------------------------------------------------------------------
