@@ -24,19 +24,18 @@ the exact zero terms changes no bit of a sum that starts from +0.0.)
 One element (a scalar jet or a batch of one) gathers through the table itself.
 A batch of B elements gathers through flat maps: the table offset by the start
 of each element's coefficients, so that element e's terms fill the bins of
-element e in table order.  The maps of a (variables, degree, B) are built by
-its first product and kept while all kept maps fit in _MAPS_BYTES (least
-recently used out first).  The capacity of a product pass is the number of
-elements whose maps take at most a quarter of that (86 at degree 5 in two
-variables); a larger batch is multiplied in chunks of the capacity.  An empty
-batch gives an empty batch.
+element e in table order.  The capacity of a product pass is the number of
+elements whose maps take at most _PASS_BYTES (86 at degree 5 in two
+variables); the maps of the capacity are built once per table, and a batch of
+B elements reads views of their first B elements.  A larger batch is
+multiplied in chunks of the capacity.  An empty batch gives an empty batch.
 
 Composite operations are array kernels over coefficient arrays, not chains of
-jets: independent products are stacked on a leading axis and made by one
-pass of the product kernel, as many items per pass as fit in the capacity
-(one item alone when it does not fit: a pass never takes the chunk path for
-items that fit one by one).  Since each element is binned in table order on
-its own, a product in a stack is bit for bit the product made alone.
+jets: independent products are stacked on a leading axis and made by one call
+of the product kernel, which takes a stack over the capacity in chunks of
+elements (compose2's term products go in passes of as many items as fit in
+the capacity).  Since each element is binned in table order on its own, a
+product in a stack is bit for bit the product made alone.
 
 Degree is capped at 5: the fifth-order directional derivatives consumed by the
 cuspidal-edge criterion are the deepest anything here needs, and a fixed cap
@@ -158,33 +157,37 @@ def _pair_table(degree: int, nvars: int):
 # pair tables by number of variables and degree
 _PAIRS = {nvars: [_pair_table(d, nvars) for d in range(MAX_DEGREE + 1)] for nvars in (1, 2)}
 
-# flat maps kept by (nvars, degree, size), least recently used first, within
-# _MAPS_BYTES in all (3 kB per element at degree 5 in two variables)
+# flat maps by (nvars, degree, size): per pair table the maps of `_capacity`
+# elements, built on first use, and per smaller size views of their first entries
 _MAPS = {}
-_MAPS_BYTES = 1 << 20
+_PASS_BYTES = 1 << 18  # the flat maps of one product pass take at most this
 
 
 def _capacity(nvars, degree):
     """The most elements one product pass takes: those whose flat maps fit in
-    a quarter of _MAPS_BYTES (86 at degree 5 in two variables)."""
-    return max(1, _MAPS_BYTES // (12 * _PAIRS[nvars][degree][0].nbytes))
+    _PASS_BYTES (86 at degree 5 in two variables)."""
+    return max(1, _PASS_BYTES // (3 * _PAIRS[nvars][degree][0].nbytes))
 
 
 def _flat_maps(nvars, degree, size):
     """The pair table of (nvars, degree) offset for each element of a batch of `size`
-    coefficients, as read-only flat gather and bin indices; None over the capacity."""
-    maps = _MAPS.pop((nvars, degree, size), None)
+    coefficients, as read-only flat gather and bin indices; None over the capacity.
+    Elements come in order, so a batch of B elements reads the first B entries
+    per term of the capacity's maps: views, which take no memory of their own."""
+    maps = _MAPS.get((nvars, degree, size))
     if maps is None:
         ia, ib, io, m = _PAIRS[nvars][degree]
-        if size // m > _capacity(nvars, degree):
+        cap = _capacity(nvars, degree)
+        if size // m > cap:
             return None
-        off = np.arange(0, size, m)[:, None]
-        maps = tuple((off + idx).ravel() for idx in (ia, ib, io))
-        for idx in maps:
-            idx.flags.writeable = False
-        while 3 * sum(kept[0].nbytes for kept in (maps, *_MAPS.values())) > _MAPS_BYTES:
-            del _MAPS[next(iter(_MAPS))]
-    _MAPS[nvars, degree, size] = maps  # (re)inserted last: the most recently used
+        full = _MAPS.get((nvars, degree, cap * m))
+        if full is None:
+            off = np.arange(0, cap * m, m)[:, None]
+            full = tuple((off + idx).ravel() for idx in (ia, ib, io))
+            for idx in full:
+                idx.flags.writeable = False
+            _MAPS[nvars, degree, cap * m] = full
+        maps = _MAPS[nvars, degree, size] = tuple(idx[:size // m * len(ia)] for idx in full)
     return maps
 
 
@@ -197,12 +200,11 @@ def _convolve(A, B, nvars, degree):
         if not A.size:  # B = 0 (bincount would count nothing in int64)
             return np.empty(A.shape, np.result_type(A, B))
         maps = _flat_maps(nvars, degree, A.size)
-        if maps is None:  # in chunks of elements whose maps are kept, the last flush with the end
+        if maps is None:  # in chunks of the capacity, the last one shorter
             step = _capacity(nvars, degree)
             out = np.empty(A.shape, np.result_type(A, B))
             a, b, o = A.reshape(-1, m), B.reshape(-1, m), out.reshape(-1, m)
             for i in range(0, len(a), step):
-                i = min(i, len(a) - step)
                 o[i:i + step] = _convolve(a[i:i + step], b[i:i + step], nvars, degree)
             return out
         ia, ib, io = maps
@@ -222,19 +224,6 @@ def _passes(n, size, nvars, degree):
     product pass: as many items as fit in the capacity in elements, at least one."""
     per = max(1, _capacity(nvars, degree) * _PAIRS[nvars][degree][3] // max(1, size))
     return [slice(i, i + per) for i in range(0, n, per)] or [slice(0, 0)]
-
-
-def _products(A, B, nvars, degree):
-    """The truncated products of the items A[i] and B[i] (coefficient arrays of
-    one shape, stacked on a first axis), in passes of _convolve: bit for bit
-    each item's own product."""
-    passes = _passes(len(A), A[:1].size, nvars, degree)
-    if len(passes) == 1:
-        return _convolve(A, B, nvars, degree)
-    out = np.empty(A.shape, np.result_type(A, B))
-    for s in passes:
-        out[s] = _convolve(A[s], B[s], nvars, degree)
-    return out
 
 
 def _plus(c, x, at):
@@ -602,7 +591,7 @@ def compose2(F, U, V):
     powers = np.zeros((d + 1,) + step.shape, np.result_type(step, np.float64))
     powers[0][at] = 1.0  # row i: (pu[i], pv[i])
     for i in range(d):
-        powers[i + 1] = _products(powers[i], step, nvars, D)
+        powers[i + 1] = _convolve(powers[i], step, nvars, D)
     W = np.stack([f.c for f in Fs])  # (components,) + batch + (d + 1, d + 1)
     # the terms of each component that do not vanish in every element
     nonzero = W.reshape(len(Fs), -1, d + 1, d + 1).any(axis=1) & _TRIANGLE[d]
@@ -763,7 +752,7 @@ def _field_pass(e, F):
     Fv = F[..., :D + 1, 1:D + 2] * k
     e = e[..., :D + 1, :D + 1]
     n = len(F)
-    P = _products(np.repeat(e, n, axis=0), np.concatenate([Fu, Fv]), 2, D)
+    P = _convolve(np.repeat(e, n, axis=0), np.concatenate([Fu, Fv]), 2, D)
     return P[:n] + P[n:]
 
 

@@ -1,29 +1,23 @@
-"""Adaptive Gauss-Kronrod quadrature, jet-aware primitives F(r) = int_0^r f,
-and Carlson's symmetric elliptic integral R_F.
+"""Carlson's symmetric elliptic integrals R_F, R_D and R_J, jet-aware
+primitives F(r) = int_0^r f, and adaptive Gauss-Kronrod quadrature.
 
-The profile coordinates of every rotational surface here are antiderivatives
-of closed-form integrands.  A Primitive pairs adaptive integration (for the
-value) with the integrand's jet (for all higher Taylor coefficients, via
-F' = f), so surfaces can serve exact degree-5 jets whose only inexactness is
-the quadrature tolerance in the value coefficient.  `carlson_rf` evaluates
-the primitives that reduce to R_F (the conformal chart's, see
-cmc_lab.representation) in closed form.
-
-Array contract.  An integrand is an array function: `_gk15` samples the 15
-Kronrod nodes of the P panels of a refinement sweep with one call f(xs) on a
-(P*15,) array and reads a (P*15,) array of values back, and `simpson_oracle`
-calls f once on all its nodes.  Written with the generic operations of
-cmc_lab.jets (or NumPy ufuncs), an integrand serves arrays and jets alike; a
-function of one float only (math.cos) is not an integrand.
+Every profile of the rotational surfaces reduces to R_F, R_D and R_J, which
+`carlson` evaluates in one duplication loop (see cmc_lab.surfaces); a
+Primitive pairs that closed form (the value) with the integrand's jet (every
+higher Taylor coefficient, via F' = f).  `integrate` and `simpson_oracle`
+are the references the tests hold the closed forms to.  An integrand is an
+array function: `_gk15` samples the 15 Kronrod nodes of the panels of a
+refinement sweep with one call f(xs) on a (P*15,) array, and
+`simpson_oracle` calls f once on all its nodes.  Written with the generic
+operations of cmc_lab.jets (or NumPy ufuncs), an integrand serves arrays and
+jets alike; a function of one float only (math.cos) is not an integrand.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from contextlib import contextmanager
-from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -31,7 +25,6 @@ import numpy as np
 from .jets import Jet1, MAX_DEGREE
 
 DEFAULT_TOL = 1e-10
-PRIMITIVE_TOL = 1e-11
 
 
 class QuadratureError(Exception):
@@ -108,59 +101,31 @@ def _gk15(f, lo, hi):
     return k, g, singular
 
 
-def _adaptive(f, ends, tol, limit):
-    """Per interval (a, b) of `ends` (a < b): its summed value and summed
-    error, or the QuadratureError it raised.  Each interval, on its own,
-    bisects its panel with the worst |K15 - G7| estimate (leftmost on ties)
-    until its summed error meets tol; they run in lockstep: a sweep bisects a
-    panel of every unfinished interval, and one `_gk15` call (one call of f)
-    samples all the new panels."""
-    out = [None] * len(ends)
-    # per interval: values and errors by slot, a heap of (-error, lo, slot, hi)
-    state = [([0.0], [0.0], []) for _ in ends]
-    todo = [(i, 0, a, b) for i, (a, b) in enumerate(ends)]  # (interval, slot, lo, hi)
-    while todo:
-        who, slots, los, his = zip(*todo)
+def _adaptive(f, a, b, tol, limit):
+    """(value, error) of the integral of f over [a, b], a < b: bisects the panel
+    with the worst |K15 - G7| estimate (leftmost on ties) until the summed error
+    meets tol; one `_gk15` call (one call of f) samples both new panels."""
+    vs, es, heap = [0.0], [0.0], []  # values and errors by slot, a heap of (-error, lo, slot, hi)
+    todo = [(0, a, b)]  # (slot, lo, hi)
+    while True:
+        slots, los, his = zip(*todo)
         values, ests, singular = _gk15(f, np.array(los, float), np.array(his, float))
-        for p, (i, slot, lo, hi, value, err) in enumerate(zip(who, slots, los, his, values.tolist(),
-                                                             ests.tolist())):
-            if out[i] is not None:
-                continue
-            if singular[p]:
-                out[i] = IntegrandSingularError(singular[p])
-                continue
-            vs, es, heap = state[i]
+        for slot, lo, hi, value, err, bad in zip(slots, los, his, values.tolist(), ests.tolist(), singular):
+            if bad:
+                raise IntegrandSingularError(bad)
             vs[slot], es[slot] = value, err
             heapq.heappush(heap, (-err, lo, slot, hi))
-        todo = []
-        for i in [i for i in dict.fromkeys(who) if out[i] is None]:
-            vs, es, heap = state[i]
-            total, err = math.fsum(vs), math.fsum(es)
-            if err <= max(tol, 1e-15 * abs(total)):
-                out[i] = total, err
-            elif len(vs) >= limit:
-                out[i] = ToleranceNotMetError(f"tolerance not met: estimate {err:.3e} > {tol:.3e} "
-                                              f"after {len(vs)} panels", total, err)
-            else:
-                _, lo, slot, hi = heapq.heappop(heap)
-                mid = 0.5 * (lo + hi)
-                todo += [(i, slot, lo, mid), (i, len(vs), mid, hi)]
-                vs.append(None)
-                es.append(None)
-    return out
-
-
-def _integrals(f, ends, tol, limit=2048):
-    """`integrate` over each (a, b) of `ends`, in one lockstep `_adaptive` run:
-    per interval (value, error estimate), or the QuadratureError it raised."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    out = [(0.0, 0.0)] * len(ends)
-    run = [i for i, (a, b) in enumerate(ends) if a != b]
-    for i, res in zip(run, _adaptive(f, [sorted(ends[i]) for i in run], tol, limit)):
-        flip = ends[i][1] < ends[i][0]
-        out[i] = res if isinstance(res, QuadratureError) else (-res[0] if flip else res[0], res[1])
-    return out
+        total, err = math.fsum(vs), math.fsum(es)
+        if err <= max(tol, 1e-15 * abs(total)):
+            return total, err
+        if len(vs) >= limit:
+            raise ToleranceNotMetError(f"tolerance not met: estimate {err:.3e} > {tol:.3e} "
+                                       f"after {len(vs)} panels", total, err)
+        _, lo, slot, hi = heapq.heappop(heap)
+        mid = 0.5 * (lo + hi)
+        todo = [(slot, lo, mid), (len(vs), mid, hi)]
+        vs.append(None)
+        es.append(None)
 
 
 def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, tol: float = DEFAULT_TOL,
@@ -172,53 +137,109 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, tol: fl
     split until the summed estimate meets tol, and the sums are exactly
     rounded (math.fsum), so no order of the panels changes a bit.
     """
-    (result,) = _integrals(f, [(a, b)], tol, limit)
-    if isinstance(result, QuadratureError):
-        raise result
-    return result
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if a == b:
+        return 0.0, 0.0
+    value, err = _adaptive(f, min(a, b), max(a, b), tol, limit)
+    return (-value if b < a else value), err
 
 
 _RF_Q = (3.0 * 1e-16) ** (-1.0 / 6.0)  # (3r)^(-1/6): R_F's truncation error stays below about r
+_RJ_Q = (0.25 * 1e-16) ** (-1.0 / 6.0)  # (r/4)^(-1/6), R_J's
+
+
+def _rc1(e):
+    """R_C(1, 1 + e) = arctan(sqrt e)/sqrt e (artanh(sqrt -e)/sqrt -e for real
+    e < 0, 1 at e = 0), elementwise."""
+    if e.dtype.kind == "c":
+        s = np.sqrt(e)
+        t = np.arctan(s)
+    else:
+        s = np.sqrt(abs(e))
+        t = np.where(e > 0, np.arctan(s), np.arctanh(s))
+    zero = s == 0
+    return np.where(zero, 1.0, t / np.where(zero, 1.0, s))
+
+
+def carlson(x, y, z, *rhos):
+    """R_F(x, y, z) = 1/2 int_0^inf dt / (sqrt(t + x) sqrt(t + y) sqrt(t + z)) and,
+    for each rho, R_J(x, y, z, rho) = 3/2 int_0^inf dt / ((t + rho) sqrt(t + x)
+    sqrt(t + y) sqrt(t + z)), elementwise on broadcast real or complex arrays (or
+    numbers) off the cut (-inf, 0], at most one of x, y, z zero; R_J(x, y, z, x)
+    is R_D(y, z, x).
+
+    One duplication loop (DLMF 19.36.1 and 19.36.2; B. C. Carlson, Numer.
+    Algorithms 10 (1995) 13-26): each element takes x <- (x + lam)/4, and y, z,
+    every rho and every A likewise, lam = sqrt(x) sqrt(y) + sqrt(y) sqrt(z) +
+    sqrt(z) sqrt(x), and adds 4^-m R_C(1, 1 + e_m)/d_m to each R_J's sum,
+    d_m = (sqrt rho + sqrt x)(sqrt rho + sqrt y)(sqrt rho + sqrt z), e_m =
+    4^-3m (rho - x)(rho - y)(rho - z)/d_m^2, until 4^-m Q <= |A_m| for R_F's
+    A_0 = (x + y + z)/3 and Q = (3r)^(-1/6) max |A_0 - x| (and y, z), and for
+    each R_J's A_0 = (x + y + z + 2 rho)/5 and Q = (r/4)^(-1/6) max |A_0 - x|
+    (and y, z, rho); then it sums the fifth-order series of each.  An element's
+    steps depend on its own arguments alone, so a batch gives every element the
+    bits it gets alone; without rho they are the steps of R_F alone."""
+    v = np.array(np.broadcast_arrays(x, y, z, *rhos))
+    shape, v = v.shape[1:], v.reshape(len(v), -1)
+    n, sum3 = len(rhos), v[0] + v[1] + v[2]
+    a0 = np.concatenate([[sum3 / 3], (sum3 + 2 * v[3:]) / 5])
+    q = np.array([_RF_Q * abs(a0[0] - v[:3]).max(axis=0)]
+                 + [_RJ_Q * abs(a0[j] - v[[0, 1, 2, j + 2]]).max(axis=0) for j in range(1, n + 1)])
+    delta = (v[3:] - v[0]) * (v[3:] - v[1]) * (v[3:] - v[2])
+    # per element x, y, z, the rhos and the A's, duplicated alike; they end as the state
+    # in which the element met its stopping rule, and four_m with them
+    state = np.concatenate([v, a0])
+    ends, four_m = state.copy(), np.ones(v.shape[1])
+    live = np.flatnonzero((q > abs(a0)).any(axis=0))
+    w, ql, f = state[:, live], q[:, live], 1.0  # the live elements, packed
+    terms = []  # per step: the live elements, 4^m d_m of each R_J and 4^m
+    while live.size:
+        root = np.sqrt(w[:3 + n])
+        lam = root[0] * (root[1] + root[2]) + root[1] * root[2]
+        if n:
+            terms.append((live, f * (root[3:, None] + root[:3]).prod(axis=1), np.full(live.size, f)))
+        w, f = 0.25 * (w + lam), 4.0 * f
+        done = ql <= f * abs(w[3 + n:])
+        done = done.all(axis=0) if n else done[0]
+        if done.any():
+            at, on = live[done], ~done
+            ends[:, at], four_m[at] = w[:, done], f
+            live, w, ql = live[on], w[:, on], ql[:, on]
+    sums = np.zeros(delta.shape, np.result_type(v, 1.0))
+    if terms:  # the sums of the R_J, each element's terms added in step order from 0.0
+        at, fd, four = (np.concatenate(x, axis=-1) for x in zip(*terms))
+        term = (_rc1(delta[:, at] / (fd * fd * four)) if delta.any() else 1.0) / fd
+        bins, size = (np.arange(n)[:, None] * v.shape[1] + at).ravel(), n * v.shape[1]
+        sums = np.bincount(bins, term.real.ravel(), size).reshape(n, -1)
+        if term.dtype.kind == "c":
+            sums = sums + 1j * np.bincount(bins, term.imag.ravel(), size).reshape(n, -1)
+    a = ends[3 + n:]
+    X, Y = (a0[0] - v[:2]) / (four_m * a[0])
+    Z = -X - Y
+    e2, e3 = X * Y - Z * Z, X * Y * Z
+    out = [(1 - e2 / 10 + e3 / 14 + e2 * e2 / 24 - 3 * e2 * e3 / 44) / np.sqrt(a[0])]
+    if n:  # every R_J at once: (n, N) arrays
+        X, Y, Z = (a0[1:] - v[:3, None]) / (four_m * a[1:])
+        P = -(X + Y + Z) / 2
+        xy, p2 = X * Y, P * P
+        xyz, e2 = xy * Z, xy + (X + Y) * Z - 3 * p2
+        e2p, p3 = e2 * P, p2 * P
+        e3, e4, e5 = xyz + 2 * e2p + 4 * p3, (2 * xyz + e2p + 3 * p3) * P, xyz * p2
+        series = 1 - 3 * e2 / 14 + e3 / 6 + 9 * e2 * e2 / 88 - 3 * e4 / 22 - 9 * e2 * e3 / 52 + 3 * e5 / 26
+        out += list(series / (four_m * a[1:] * np.sqrt(a[1:])) + 6 * sums)
+    return tuple(o.reshape(shape)[()] for o in out)  # NumPy scalars for scalar arguments
 
 
 def carlson_rf(x, y, z):
-    """R_F(x, y, z) = 1/2 int_0^inf dt / (sqrt(t + x) sqrt(t + y) sqrt(t + z)),
-    elementwise on broadcast real or complex arrays (or numbers) off the cut
-    (-inf, 0], at most one of x, y, z zero.
-
-    Duplication (DLMF 19.36.1; B. C. Carlson, Numer. Algorithms 10 (1995)
-    13-26): each element takes x <- (x + lam)/4, and y, z and A likewise,
-    lam = sqrt(x) sqrt(y) + sqrt(y) sqrt(z) + sqrt(z) sqrt(x), until
-    4^-m Q <= |A_m|, Q = (3r)^(-1/6) max |A_0 - x_0| (and y, z), then sums the
-    fifth-order series in E2 and E3.  An element's steps depend on its own
-    arguments alone, so a batch gives every element the bits it gets alone."""
-    v = np.array(np.broadcast_arrays(x, y, z))
-    shape, v = v.shape[1:], v.reshape(3, -1)
-    a0 = (v[0] + v[1] + v[2]) / 3
-    q = _RF_Q * abs(a0 - v).max(axis=0)
-    a, four_m, live = a0.copy(), np.ones(q.shape), np.flatnonzero(q > abs(a0))
-    w, al, ql, f = v[:, live], a0[live], q[live], 1.0  # the elements still duplicating, packed
-    while live.size:
-        root = np.sqrt(w)
-        lam = root[0] * (root[1] + root[2]) + root[1] * root[2]
-        w, al, f = 0.25 * (w + lam), 0.25 * (al + lam), 4.0 * f
-        done = ql <= f * abs(al)
-        if done.any():
-            a[live[done]], four_m[live[done]] = al[done], f
-            live, w, al, ql = live[~done], w[:, ~done], al[~done], ql[~done]
-    X, Y = (a0 - v[:2]) / (four_m * a)
-    Z = -X - Y
-    e2, e3 = X * Y - Z * Z, X * Y * Z
-    rf = (1 - e2 / 10 + e3 / 14 + e2 * e2 / 24 - 3 * e2 * e3 / 44) / np.sqrt(a)
-    return rf.reshape(shape)[()]  # a NumPy scalar for scalar arguments
+    """R_F(x, y, z) by `carlson`, with the steps of R_F alone."""
+    return carlson(x, y, z)[0]
 
 
 def simpson_oracle(f, a, b, panels=1_000_000):
-    """Composite Simpson with a fixed (large) panel count.
-
-    Brute-force reference kept independent of the adaptive path; tests compare
-    the two routes.  `f` is called once, on the array of all nodes.
-    """
+    """Composite Simpson with a fixed (large) panel count: a brute-force
+    reference independent of the adaptive path.  `f` is called once, on the
+    array of all nodes."""
     xs = np.linspace(a, b, 2 * panels + 1)
     ys = f(xs)
     h = (b - a) / (2 * panels)
@@ -227,12 +248,9 @@ def simpson_oracle(f, a, b, panels=1_000_000):
 
 @dataclass
 class Integrand:
-    """A function of one variable that can also be evaluated as a jet.
-
-    `expr` must be written in terms of the generic operations of cmc_lab.jets
-    (which dispatch on jets, floats and arrays alike), so the two evaluation
-    modes cannot drift apart.
-    """
+    """A function of one variable that can also be evaluated as a jet: `expr` is
+    written with the generic operations of cmc_lab.jets (which dispatch on jets,
+    floats and arrays alike), so the two evaluation modes cannot drift apart."""
 
     expr: Callable
 
@@ -248,82 +266,46 @@ class Integrand:
 def primitive_jet(integrand, r0, value, degree: int = MAX_DEGREE) -> Jet1:
     """The jet at r0 of a primitive F of `integrand` with F(r0) = value: the
     coefficient of x^j (j >= 1) is f^(j-1)(r0)/j!, from F' = f.  With a (B,)
-    array r0 (and value) the jet is batched."""
-    F = Jet1.constant(value, r0, degree)
-    if degree >= 1:
-        F.c[..., 1:] = integrand.jet(r0, degree - 1).c[..., :degree] / np.arange(1, degree + 1)
+    array r0 (and value) the jet is batched; it is complex where the value or
+    the integrand is."""
+    F = Jet1.constant(0.0, r0, degree)
+    f, j = integrand.jet(r0, max(degree - 1, 0)).c[..., :degree], np.arange(1, degree + 1)
+    higher = np.empty(f.shape, f.dtype)  # a complex f part by part: NumPy's complex division
+    higher.real = f.real / j  # multiplies by 1/j, which rounds apart
+    if f.dtype.kind == "c":
+        higher.imag = f.imag / j
+    F.c = np.concatenate([np.reshape(value, F.c.shape[:-1] + (1,)), higher], axis=-1)
     return F
-
-
-_NO_VALUES = ContextVar("_NO_VALUES", default=False)
-
-
-@contextmanager
-def _without_values():
-    """A scope in which Primitive.jet neither integrates nor touches its cache
-    and leaves the value coefficient NaN, for callers that read only
-    derivatives (the tangents of representation._tangents): a value read
-    after all shows as NaN.  Primitive.value called directly is unchanged."""
-    token = _NO_VALUES.set(True)
-    try:
-        yield
-    finally:
-        _NO_VALUES.reset(token)
 
 
 @dataclass
 class Primitive:
-    """F(r) = int_base^r f(tau) dtau with jets supplied through F' = f.
-
-    Values are integrated per radius (a batch's new radii in lockstep) and
-    cached: rotational surfaces re-evaluate the same profile radius for every
-    grid row.  A surface profile is not integrated once over its whole domain
-    and stored: its domain ends where a radicand of the integrand vanishes, and there the integrand can blow up too fast for the
-    adaptive loop (for the conjugate of the spacelike-axis Delaunay surface
-    the whole-domain integral fails at 39 of 62 sampled k in [-3, 4], all
-    above -0.6), while the interior values that classification reads converge.
-    A failed integral is cached as well: the same r raises the same error
-    again without integrating.  Inside `_without_values` a jet's value
-    coefficient is NaN and nothing is integrated: the tangents of a Gauss
-    map read only derivatives.
-    """
+    """F(r) = int_0^r f(tau) dtau, F' = f: `closed_form` gives the values of F
+    (elementwise on an array of radii), the integrand's jet the higher
+    coefficients (`primitive_jet`).  F(0) is +0.0, the integral over no
+    interval (a closed form with a negative factor gives -0.0 there).  A
+    complex F is two primitives, its real and its imaginary part, that share
+    one closed form."""
 
     integrand: Integrand
-    base: float = 0.0
-    tol: float = PRIMITIVE_TOL
-    _cache: dict = field(default_factory=dict, repr=False)
+    closed_form: Callable[[np.ndarray], np.ndarray]
 
-    def value(self, r: float) -> float:
-        """F(r); a failed integral is cached too, and raises again for that r."""
-        r = float(r)
-        hit = self._cache.get(r)
-        if hit is None:
-            try:
-                hit, _ = integrate(self.integrand, self.base, r, self.tol)
-            except QuadratureError as e:
-                hit = e
-            self._cache[r] = hit
-        if isinstance(hit, QuadratureError):
-            raise hit.with_traceback(None)
-        return hit
+    def _values(self, rs):
+        """F at the radii rs (an array); a batch of zeros runs no closed form."""
+        on = rs != 0
+        return np.where(on, self.closed_form(rs), 0.0) if on.any() else np.zeros(rs.shape)
+
+    def value(self, r: float):
+        """F(r), a float or a complex, as a batch of one gives it."""
+        return self._values(np.array([float(r)]))[0].item()
 
     def jet(self, r0, degree: int = MAX_DEGREE) -> Jet1:
-        """Value coefficient from quadrature, the others from the integrand's jet.
-
-        r0 may be a (B,) array: its distinct r not cached are integrated in one
-        lockstep run and cached, values or failures (the smallest failing r
-        raises), and coefficients 1..degree come from one batched integrand
-        jet.  Inside `_without_values` the value coefficient is NaN."""
-        batch = isinstance(r0, np.ndarray) and r0.ndim
-        if _NO_VALUES.get():
-            value = np.full(r0.shape, math.nan) if batch else math.nan
-        elif batch:
+        """Value coefficient from the closed form, the others from the integrand's
+        jet.  For a (B,) array r0 the closed form runs once per distinct r (a mesh
+        repeats r along every row), the integrand once on the batch."""
+        if isinstance(r0, np.ndarray) and r0.ndim:
             rs, at = np.unique(r0, return_inverse=True)
-            new = [r for r in rs.tolist() if r not in self._cache]
-            ends = [(self.base, r) for r in new]
-            for r, hit in zip(new, _integrals(self.integrand, ends, self.tol)):
-                self._cache[r] = hit if isinstance(hit, QuadratureError) else hit[0]
-            value = np.array([self.value(r) for r in rs])[at]
+            value = self._values(rs)[at]
         else:
             value = self.value(r0)
         return primitive_jet(self.integrand, r0, value, degree)

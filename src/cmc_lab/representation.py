@@ -41,7 +41,7 @@ from .lorentz import (
     lorentz_inner,
     lorentz_normal,
 )
-from .quadrature import Integrand, _without_values, carlson_rf, primitive_jet
+from .quadrature import Integrand, carlson_rf, primitive_jet
 from .surfaces import Surface
 
 UNIT_CIRCLE_TOL = 1e-8
@@ -73,22 +73,6 @@ def _frame(X):
     return [c.du() for c in X], [c.dv() for c in X]
 
 
-def _tangents(S: Surface, r, t, degree: int):
-    """(X_u, X_v) at (r, t) as jets of degree - 1, from S.jet(r, t, degree).
-
-    The tangents need no profile value, so S.jet runs in `_without_values`
-    first and integrates none.  A surface whose tangents read a profile value
-    gets NaN there (or an error from it); then S.jet runs again as usual."""
-    try:
-        with _without_values():
-            Xu, Xv = _frame(S.jet(r, t, degree))
-        if np.isfinite([c.c for c in Xu + Xv]).all():
-            return Xu, Xv
-    except (jt.JetError, ArithmeticError, ValueError):  # what a NaN value can break
-        pass
-    return _frame(S.jet(r, t, degree))
-
-
 def _gauss_of_frame(Xu, Xv, sign) -> Jet2:
     """Complex jet of g = (nu1 + i nu2)/(1 - nu0), nu the normal of the frame
     (Xu, Xv) oriented by `sign`; batched if the frame is."""
@@ -102,12 +86,12 @@ def _gauss_of_frame(Xu, Xv, sign) -> Jet2:
 
 def _gauss_values(S: Surface, u, v):
     """g = (nu1 + i nu2)/(1 - nu0) at the points (u, v), numbers or (B,) arrays,
-    from the tangents alone: no profile value is integrated.
+    from the tangents.
 
     A point off the spacelike regular set raises NotSpacelikeError; in a
     batch it reads NaN.
     """
-    Xu, Xv = _tangents(S, u, v, 1)
+    Xu, Xv = _frame(S.jet(u, v, 1))
     if np.ndim(u):
         w = lorentz_cross([c.value for c in Xu], [c.value for c in Xv])
         spacelike = lorentz_inner(w, w) < 0  # the test of lorentz_normal
@@ -147,23 +131,6 @@ def omega_hat_jet(g: Jet2) -> Jet2:
 # -- conformal profile chart ---------------------------------------------------
 
 
-def _chart_radicand(S: Surface) -> tuple:
-    """(p, q) with (r^2 + p)(r^2 + q) the radicand of the chart's speed (see
-    _chart_speed) on a Delaunay surface; ValueError for any other surface.
-
-    About the lightlike axis p = q = +-1; about the others p + q =
-    2 sigma (k + 1) and p q = (k - 1)^2, so q = sigma (k + 1 + 2 sqrt k),
-    complex for k < 0, and p = (k - 1)^2 / q: no cancellation next to k = 1,
-    and the conjugate of q for k < 0."""
-    if S.family in ("delaunay_lightlike_i", "delaunay_lightlike_ii"):
-        return (1.0, 1.0) if S.variant == "i" else (-1.0, -1.0)
-    if S.family not in ("delaunay_timelike", "delaunay_spacelike"):
-        raise ValueError(f"no conformal profile chart for {S.family}: the chart takes a "
-                         "rotational Delaunay surface")
-    q = (1.0 if S.family == "delaunay_timelike" else -1.0) * (S.k + 1.0 + 2.0 * np.emath.sqrt(S.k))
-    return (S.k - 1.0) ** 2 / q, q
-
-
 def _chart_speed(S: Surface) -> Integrand:
     """s'(r) = sqrt(E/G) of the conformal chart of a Delaunay surface, in
     closed form; ValueError for any other surface.
@@ -172,7 +139,10 @@ def _chart_speed(S: Surface) -> Integrand:
     |1 - F'^2| = 4 r^2/delta, so s' = 1/(|H| sqrt(delta)); about the lightlike axis
     E = 4 zeta' = r^2/(H^2 (1 +- r^2)^2), so s' = 1/(|H| (1 +- r^2)), + on
     variant i and - on variant ii."""
-    (e, _), H = _chart_radicand(S), abs(S.H)
+    if "radicand" not in S.meta:  # the factors (p, q) of a Delaunay surface's radicand
+        raise ValueError(f"no conformal profile chart for {S.family}: the chart takes a "
+                         "rotational Delaunay surface")
+    H, (e, _) = abs(S.H), S.meta["radicand"]
     if S.family.startswith("delaunay_lightlike"):  # e = p = q = +-1
         return Integrand(lambda x: 1.0 / (H * (1.0 + e * x * x)))
     delta = S.meta["delta"]
@@ -186,10 +156,11 @@ class ConformalProfile:
 
     s(r) = (J(r) - J(r_anchor))/|H| in closed form, J(r) = int_0^r dx /
     sqrt((x^2 + p)(x^2 + q)) = r R_F(p q, q (p + r^2), p (q + r^2)) (x =
-    (t + 1/r^2)^(-1/2) in R_F's integral; DLMF 19.29), with (p, q) from
-    `_chart_radicand`; r(s) solves it by Newton, safeguarded by bisection, on
-    all rows at once.  The surface sees the chart's t as t_sign * t,
-    t_sign = CHART_T_SIGN * orientation: a reversed normal conjugates z."""
+    (t + 1/r^2)^(-1/2) in R_F's integral; DLMF 19.29), with (p, q) the
+    surface's radicand factors (S.meta["radicand"], see surfaces._axis_delta);
+    r(s) solves it by Newton, safeguarded by bisection, on all rows at once.
+    The surface sees the chart's t as t_sign * t, t_sign = CHART_T_SIGN *
+    orientation: a reversed normal conjugates z."""
 
     surface: Surface
     r_anchor: float
@@ -286,13 +257,13 @@ def conformal_profile_chart(S: Surface, r_min: float, r_max: float) -> Conformal
     if not r_min < r_max:
         raise ValueError(f"need r_min < r_max, got {r_min}, {r_max}")
     r_anchor = 0.5 * (r_min + r_max)
-    Xu, Xv = _tangents(S, r_anchor, 0.0, 1)
+    Xu, Xv = _frame(S.jet(r_anchor, 0.0, 1))
     E, F, G = first_fundamental_form(partial_values(Xu, 0, 0), partial_values(Xv, 0, 0))
     if abs(F) > 1e-9:
         raise ValueError(f"chart requires F = 0 in (r, t); got F = {F}")
     if not (E > 0 and G > 0):
         raise NotSpacelikeError("chart requires a spacelike rotational surface")
-    return ConformalProfile(S, r_anchor, (r_min, r_max), speed, _chart_radicand(S), notes)
+    return ConformalProfile(S, r_anchor, (r_min, r_max), speed, S.meta["radicand"], notes)
 
 
 # -- Gauss data on a grid --------------------------------------------------------
@@ -627,7 +598,7 @@ def laplacian_identity_residual(S: Surface, p):
     """
     if S.H is None:
         raise ValueError("surface has no assigned mean curvature H")
-    Xu, Xv = _tangents(S, p[0], p[1], 3)
+    Xu, Xv = _frame(S.jet(p[0], p[1], 3))
     E, F, G = first_fundamental_form(Xu, Xv)
     disc = E * G - F * F
     w = lorentz_cross([c.value for c in Xu], [c.value for c in Xv])

@@ -39,6 +39,7 @@ ANGLE_TOL = 1e-6      # first-kind transversality threshold
 CONE_TOL = 1e-8       # conelike: X along the curve moves at most CONE_TOL * |dX| per order
 ROOT_TOL = 1e-12      # bracket width for curve roots
 ROOT_GATE = 1e3       # a scan root needs |lambda| <= ROOT_GATE * ROOT_TOL * max(|dlambda|, 1)
+FOLD_OFFSET = 1e-4    # the fold certificates probe |g| at FOLD_OFFSET, 1/2 and 1/4 of it off the curve
 
 
 class NormalUndefinedError(ValueError):
@@ -860,16 +861,15 @@ def _richardson(ys):
 def cmc_fold_obstruction(
     S: Surface,
     records: Sequence[SingularPointRecord],
-    offset: float = 1e-4,
     flank: float = 0.5,
 ) -> list:
     """Certificates that a fold is impossible at non-degenerate CMC singular
     points, one dict per record.
 
-    Extracts the one-sided limits of |g| toward the curve (Richardson in the
-    offset), the sheet flip of the unit normal across the curve (the sign of
-    |g| - 1 must differ on the two sides), a nondegeneracy estimate |dg|, and
-    the Laplace identity residual Delta X + 2 H nu at flanking regular points.
+    Extracts the one-sided limits of |g| toward the curve (Richardson in
+    FOLD_OFFSET), the sheet flip of the unit normal across the curve (the sign
+    of |g| - 1 must differ on the two sides), a nondegeneracy estimate |dg|,
+    and the Laplace identity residual Delta X + 2 H nu at flanking regular points.
     The records share one Gauss-map call and one Laplace call: a probe point
     at infinity fails the whole batch, a record with a probe point off the
     spacelike set gets the conclusion "undetermined" and the reason, and a
@@ -882,7 +882,7 @@ def cmc_fold_obstruction(
     dlam = np.array([records[n].dlam for n in live], float).reshape(-1, 2)
     T = dlam / _norm(dlam)[:, None]
     tang = _curve_direction(dlam)
-    h = offset
+    h = FOLD_OFFSET
     x = np.array([h, h / 2, h / 4, -h, -h / 2, -h / 4])[:, None]  # probes p + x T, p + h T +- h tang
     probes = np.concatenate([p[:, None] + x * T[:, None],
                              (p + h * T)[:, None] + np.array([[h], [-h]]) * tang[:, None]], axis=1)
@@ -903,7 +903,7 @@ def cmc_fold_obstruction(
     certs = [{"conclusion": "rank-0 regime (omega = 0): no certificate", "regime": "omega_zero_rank0"}
              for _ in records]
     for i, n in enumerate(live):
-        certs[n] = {"location": list(map(float, records[n].location)), "offset": offset}
+        certs[n] = {"location": list(map(float, records[n].location)), "offset": FOLD_OFFSET}
         if not probed[i]:
             certs[n].update(conclusion="undetermined",
                             reason="a probe point is off the spacelike regular set")

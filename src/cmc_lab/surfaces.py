@@ -4,21 +4,20 @@ the standard local singularity models.
 
 Every surface exposes the same contract: degree-5 bivariate jets of the three
 components at any admissible parameter point, plus Lorentzian fundamental
-forms at spacelike regular points.  The profile integrals are Primitives
-(adaptive quadrature for values, integrand jets for derivatives), so jet
-coefficients are exact up to the quadrature tolerance in the value slot.
+forms at spacelike regular points.  The profile integrals are Primitives:
+closed forms in Carlson's R_F, R_D and R_J for the values, integrand jets for
+the derivatives.
 
 Batches.  `Surface.jet` (and `analytic_normal_jet`) also take (B,) arrays u
 and v: every builder then returns three jets with a batch axis (see
 cmc_lab.jets): `mesh_export` evaluates its whole grid in one such call, and the
-singular-curve scan its grid, its root-bracketing steps and its records.
-Profile values are read per distinct r from the Primitive cache, so they are
-the very numbers a point-by-point evaluation reads.  The batched coefficients
-agree with point-by-point ones to 1e-13 relative; they are bit-identical
-wherever the elementary functions involved give NumPy's array and scalar
-kernels the same result (sums, products and quotients always are).  A domain
-error at any point of the batch fails the whole call, naming the first u
-outside u_range when the domain check fails.
+singular-curve scan its grid, its root-bracketing steps and its records.  A
+profile value of a batch is the value of that radius alone, to the bit.  The
+batched coefficients agree with point-by-point ones to 1e-13 relative; they
+are bit-identical wherever the elementary functions involved give NumPy's
+array and scalar kernels the same result (sums, products and quotients always
+are).  A domain error at any point of the batch fails the whole call, naming
+the first u outside u_range when the domain check fails.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ import numpy as np
 from . import jets as jt
 from .jets import Jet1, Jet2, MAX_DEGREE, partial_values
 from .lorentz import H2Point, NotSpacelikeError, first_fundamental_form, lorentz_inner, lorentz_normal
-from .quadrature import Integrand, Primitive
+from .quadrature import Integrand, Primitive, carlson
 
 DOMAIN_TOL = 1e-8  # admissible interval: where the guarded quantities exceed this
 R_CAP = 2.0  # default half-width of the r-interval served to grids/meshes
@@ -218,24 +217,24 @@ def _probe_orientation(S: Surface, H: float) -> int:
 
 def _profile_builder(profiles, assemble):
     """The builder of X = assemble(*profiles, r, t) for `profiles` of r, each a
-    Primitive, a pair (sign, Primitive) or a closed form of the coordinate jet
-    in r: each call reads every profile once at r0 (all closed forms on one
-    coordinate jet) and lifts it to a jet in (r, t)."""
+    Primitive (a complex one is two profiles, its real and its imaginary part)
+    or a closed form of the coordinate jet in r: each call reads every profile
+    once at r0 (all closed forms on one coordinate jet) and lifts it to a jet
+    in (r, t)."""
 
     def builder(r0, t0, degree):
         base = (r0, t0)
         x = None  # the coordinate jet in r, made for the first closed form
-        lifted = []
+        jets = []
         for p in profiles:
             if isinstance(p, Primitive):
                 j = p.jet(r0, degree)
-            elif isinstance(p, tuple):
-                j = p[1].jet(r0, degree) * p[0]
+                jets += [j] if j.c.dtype.kind != "c" else [Jet1(j.base, degree, part.copy())
+                                                           for part in (j.c.real, j.c.imag)]
             else:
                 x = Jet1.coordinate(r0, degree) if x is None else x
-                j = p(x)
-            lifted.append(Jet2.lift(j, base, degree))
-        return assemble(*lifted, *Jet2.variables(base, degree))
+                jets.append(p(x))
+        return assemble(*(Jet2.lift(j, base, degree) for j in jets), *Jet2.variables(base, degree))
 
     return builder
 
@@ -281,8 +280,11 @@ def delaunay_spacelike(k: float, H: float, r_cap: float = R_CAP) -> Surface:
 
 def _axis_delta(sigma: float, k: float):
     """delta(x) = (x^2 + sigma k + sigma)^2 - 4k of the Delaunay surface about
-    the timelike (sigma = 1) or the spacelike (sigma = -1) axis, and its
-    coefficients in powers of x^2."""
+    the timelike (sigma = 1) or the spacelike (sigma = -1) axis, its
+    coefficients in powers of x^2, and its factors (p, q): delta = (x^2 + p)
+    (x^2 + q) with p + q = 2 sigma (k + 1) and p q = (k - 1)^2, so q = sigma
+    (k + 1 + 2 sqrt k), complex for k < 0, and p = (k - 1)^2 / q: no
+    cancellation next to k = 1, and the conjugate of q for k < 0."""
     try:
         c = (k - 1) ** 2
     except OverflowError:  # |k| from about 1.34e154 on
@@ -291,18 +293,54 @@ def _axis_delta(sigma: float, k: float):
     def delta(x):
         return (x * x + sigma * k + sigma) ** 2 - 4 * k
 
-    return delta, (1.0, 2 * sigma * (k + 1), c)
+    q = sigma * (k + 1.0 + 2.0 * np.emath.sqrt(k))
+    return delta, (1.0, 2 * sigma * (k + 1), c), (c / q, q)
+
+
+def _basis(radicand, r, c=None):
+    """I0 = int_0^r dx/sqrt(delta), I2 = int_0^r x^2 dx/sqrt(delta) and, given c,
+    K = int_0^r x^2 dx/((1 + c x^2) sqrt(delta)) at the radii r (an array),
+    delta = (x^2 + p)(x^2 + q), p q > 0: x = (t + 1/r^2)^(-1/2) (DLMF 19.29) gives
+    r R_F(1, Y, Z), r^3 R_D(Y, Z, 1)/3 and r^3 R_J(1, Y, Z, 1 + c r^2)/3, over
+    sqrt(pq), Y = 1 + r^2/p and Z = 1 + r^2/q, from one `carlson` loop."""
+    p, q = radicand
+    r2 = r * r
+    root = math.sqrt((p * q).real)
+    rhos = (1.0,) if c is None else (1.0, 1.0 + c * r2)
+    rf, *rj = (x.real for x in carlson(1.0, 1.0 + r2 * (1 / p), 1.0 + r2 * (1 / q), *rhos))
+    r3 = r2 * r / (3 * root)
+    return (r * rf / root, *(r3 * x for x in rj))
+
+
+def _moments(radicand, r, I0, I2, count):
+    """[I0, I2, ..., I_2(count-1)], I_2m = int_0^r x^2m dx/sqrt(delta), by the
+    derivative of x^(2m-3) sqrt(delta), delta = x^4 + a x^2 + p q: (2m - 1) I_2m =
+    r^(2m-3) sqrt(delta(r)) - (2m - 2) a I_2m-2 - (2m - 3) p q I_2m-4.  Its terms
+    are O(r), so it keeps absolute digits, and it grows errors by sqrt(pq) a step."""
+    p, q = radicand
+    a, pq, r2 = (p + q).real, (p * q).real, r * r
+    term, moments = r * np.sqrt(r2 * r2 + a * r2 + pq), [I0, I2]
+    for m in range(2, count):
+        moments.append((term - (2 * m - 2) * a * moments[-1] - (2 * m - 3) * pq * moments[-2]) / (2 * m - 1))
+        term = term * r2
+    return moments
 
 
 def _delaunay_axis(sigma: float, k: float, H: float, r_cap: float) -> Surface:
     """The Delaunay surface about the timelike (sigma = 1) or the spacelike
     (sigma = -1) axis, from its profile F: X = (F, r cos 2Ht, r sin 2Ht) / 2H
-    about the timelike axis, (r cosh 2Ht, r sinh 2Ht, F) / 2H about the other."""
+    about the timelike axis, (r cosh 2Ht, r sinh 2Ht, F) / 2H about the other.
+    F' = (x^2 + sigma (k - 1))/sqrt(delta), so F = I2 + sigma (k - 1) I0."""
     _check_kH(k, H)
     k, H = float(k), float(H)
-    delta, radicand = _axis_delta(sigma, k)
-    prof = Primitive(Integrand(lambda x: (x * x + sigma * k - sigma) / jt.sqrt(delta(x))))
-    root = _positive_root(*radicand)
+    delta, coeffs, radicand = _axis_delta(sigma, k)
+
+    def F(r):
+        I0, I2 = _basis(radicand, r)
+        return I2 + sigma * (k - 1) * I0
+
+    prof = Primitive(Integrand(lambda x: (x * x + sigma * k - sigma) / jt.sqrt(delta(x))), F)
+    root = _positive_root(*coeffs)
     r_hi = min(r_cap, root * (1 - 1e-9)) if root else r_cap
     inv2H = 1.0 / (2 * H)
 
@@ -319,7 +357,7 @@ def _delaunay_axis(sigma: float, k: float, H: float, r_cap: float) -> Surface:
         v_range=(0.0, math.pi / abs(H)) if sigma > 0 else (-1.5, 1.5),
         H=H,
         k=k,
-        meta={"delta": delta, "profile": prof},
+        meta={"delta": delta, "radicand": radicand, "profile": prof},
     )
     S.orientation = _probe_orientation(S, H)
     return S
@@ -351,7 +389,7 @@ def delaunay_lightlike(variant: str, H: float, r_cap: float = R_CAP) -> Surface:
         v_range=(-2.0, 2.0),
         H=H,
         variant=variant,
-        meta={"zeta": zeta},
+        meta={"zeta": zeta, "radicand": (1.0, 1.0) if variant == "i" else (-1.0, -1.0)},
     )
     S.orientation = _probe_orientation(S, H)
     return S
@@ -418,22 +456,26 @@ def conjugate_of(
         sigma = 1.0 if timelike else -1.0
         sgn = 1.0 if k + 1 > 0 else -1.0
         absK = abs(k + 1)
-        # delta and Delta, and their coefficients in powers of x^2
-        delta, delta_coeffs = _axis_delta(sigma, k)
+        # delta and Delta, their coefficients in powers of x^2, and delta's factors
+        delta, delta_coeffs, radicand = _axis_delta(sigma, k)
         c0 = delta_coeffs[2]  # (1 - k)^2
         Delta = lambda x: 2 * sigma * (k + 1) * x * x + c0
         radicands = (delta_coeffs, (0.0, 2 * sigma * (k + 1), c0))
 
         if k == -1.0:
-            # lightlike template with the quartic profile integrals
+            # lightlike template with the quartic profile integrals: delta = x^4 + 4,
+            # lambda' = (x^2 + x^4/sqrt(delta))/(4 H^2) and Phi' = (1 + x^2/sqrt(delta))/(2H)
             h, phi_t = H, 1.0
             rho = lambda x: x * 0.5
-            lam = lam_p = Primitive(Integrand(
+
+            def values(r):  # lambda + i Phi
+                I = _moments(radicand, r, *_basis(radicand, r), 3)
+                return (r * r * r / 3 + I[2]) / (4 * H * H) + 1j * ((r + I[1]) / (2 * H))
+
+            profile = Primitive(Integrand(
                 lambda x: x * x * (jt.sqrt(x**4 + 4) + x * x) / (4 * H * H * jt.sqrt(x**4 + 4))
-            ))
-            Phi = Phi_p = Primitive(Integrand(
-                lambda x: (jt.sqrt(x**4 + 4) + x * x) / (2 * H * jt.sqrt(x**4 + 4))
-            ))
+                + 1j * ((jt.sqrt(x**4 + 4) + x * x) / (2 * H * jt.sqrt(x**4 + 4)))
+            ), values)
             template, branch = "L", ("I-ii" if timelike else "II-ii")
             r_hi = r_cap
         else:
@@ -454,14 +496,26 @@ def conjugate_of(
                                             "coefficient of the profile integrands' jets, overflows", param=("k", "H"))
             h = (1 - k) / (2 * H * absK)
             rho = lambda x: jt.sqrt(Delta(x)) / (2 * H * absK)
-            lam_p = Primitive(Integrand(
-                lambda x: math.sqrt(2 * absK) * x**4 / (H * jt.sqrt(delta(x)) * Delta(x))
-            ))
-            Phi_p = Primitive(Integrand(
-                lambda x: math.sqrt(2 * absK) * (1 - k) * x * x / (jt.sqrt(delta(x)) * Delta(x))
-            ))
-            lam = (1.0 if timelike else -sgn, lam_p)
-            Phi = (sgn if timelike else 1.0, Phi_p)
+            # the profile sign_lam lambda + i sign_Phi Phi.  Delta = c0 (1 + c x^2) gives
+            # Phi = s K/(1 - k), and x^4/(1 + c x^2) = (x^2 - x^2/(1 + c x^2))/c gives
+            # lambda = s (I2 - K)/(c H c0), which loses about 1e-16/|k + 1|: for |k + 1| <=
+            # 1/32 and |c| r^2 <= 1/16 it is the series s sum_n (-c)^n I_2n+4/(H c0), 16 terms
+            s, c = math.sqrt(2 * absK), 2 * sigma * (k + 1) / c0
+            sign_lam, sign_Phi = (1.0, sgn) if timelike else (-sgn, 1.0)
+
+            def values(r):
+                I0, I2, K = _basis(radicand, r, c)
+                L = (I2 - K) / c
+                if absK <= 1 / 32:
+                    I = _moments(radicand, r, I0, I2, 18)
+                    series = sum((-c) ** n * I[n + 2] for n in range(16))
+                    L = np.where(abs(c) * r * r <= 1 / 16, series, L)
+                return sign_lam * (s / (H * c0) * L) + 1j * (sign_Phi * (s / (1 - k) * K))
+
+            profile = Primitive(Integrand(
+                lambda x: sign_lam * (s * x**4 / (H * jt.sqrt(delta(x)) * Delta(x)))
+                + 1j * (sign_Phi * (s * (1 - k) * x * x / (jt.sqrt(delta(x)) * Delta(x))))
+            ), values)
             phi_t = -math.sqrt(absK / 2) * (1.0 if timelike else sgn)
             template = ("T" if k > -1 else "S") if timelike else ("S" if k > -1 else "T")
             if template == "S" and abs(phi_t) * 1.5 > COSH_MAX_ARG:
@@ -475,8 +529,8 @@ def conjugate_of(
             r_hi = min([r_cap] + [r * (1 - 1e-9) for r in roots])
 
             if timelike and k > -1:
-                normal_builder = _conj_Ii_normal(k, delta, Delta, Phi, phi_t)
-        profiles = (lam_p, Phi_p)
+                normal_builder = _conj_Ii_normal(k, delta, Delta, profile, phi_t)
+        profiles = (profile,)
 
     elif family.startswith("delaunay_lightlike"):
         variant = variant or (family.rsplit("_", 1)[-1] if family[-1] in "i" else None)
@@ -489,21 +543,21 @@ def conjugate_of(
         rho = lambda x: jt.sqrt(e * 2 * x**2 + 1) / (2 * H)
         lam = lambda x: (-e * s2 * x + 2 * e * s2 * at(x) - e * at(s2 * x)) / (2 * H)
         Phi = lambda x: s2 * at(x) - at(s2 * x)
+        profiles, profile = (lam, Phi), None
         template, branch = ("T", "III-i") if variant == "i" else ("S", "III-ii")
         r_hi = r_cap if variant == "i" else min(r_cap, 1 / s2 - 1e-6)
         phi_t = 2 * H / s2
         k = None
-        profiles = ()
     else:
         raise SurfaceParameterError(f"no conjugate template for family {family!r}")
 
-    def template_map(lam, rho, Phi, r, t):
+    def template_map(lam, Phi, rho, r, t):
         return _TEMPLATES[template](lam, rho, Phi + phi_t * t, h)
 
     period = 2 * math.pi / abs(phi_t) if template == "T" else 3.0
     S = Surface(
         family=f"conjugate_of_{family}",
-        builder=_profile_builder((lam, rho, Phi), template_map),
+        builder=_profile_builder((*profiles, rho), template_map),
         u_range=(-r_hi, r_hi),
         v_range=(0.0, period) if template == "T" else (-period / 2, period / 2),
         H=H,
@@ -512,13 +566,13 @@ def conjugate_of(
         normal_builder=normal_builder,
         meta={"template": template, "branch": branch, "h": h,
               "rho0": float(rho(Jet1.coordinate(0.0, 0)).value), "phi_t": phi_t,
-              "profiles": profiles},  # the Primitives of lambda and Phi, if integrated
+              "profile": profile},  # the Primitive of lambda + i Phi, if integrated
     )
     S.orientation = _probe_orientation(S, H)
     return S
 
 
-def _conj_Ii_normal(k, delta, Delta, Phi_profile, phi_t):
+def _conj_Ii_normal(k, delta, Delta, profile, phi_t):
     """Analytic frontal unit normal of the timelike-axis conjugate, k > -1.
 
     Co-oriented with X_r x X_t on r > 0 (the closed form whose signed area
@@ -526,7 +580,7 @@ def _conj_Ii_normal(k, delta, Delta, Phi_profile, phi_t):
     """
     sK = math.sqrt(k + 1)
 
-    def normal(sd, sD, core, Phi, r, t):
+    def normal(sd, sD, core, lam, Phi, r, t):  # lam and Phi: the parts of `profile`
         phi = Phi + phi_t * t
         cphi, sphi = jt.cos(phi), jt.sin(phi)
         pref = -1.0 / (math.sqrt(2) * sD * core)
@@ -536,7 +590,7 @@ def _conj_Ii_normal(k, delta, Delta, Phi_profile, phi_t):
                 pref * (-math.sqrt(2) * sK * r3 * sphi + (k - 1) * sd * cphi))
 
     return _profile_builder((lambda x: jt.sqrt(delta(x)), lambda x: jt.sqrt(Delta(x)),
-                             lambda x: jt.sqrt(delta(x) - (k + 1) * x * x), Phi_profile), normal)
+                             lambda x: jt.sqrt(delta(x) - (k + 1) * x * x), profile), normal)
 
 
 # -- standard local models -----------------------------------------------------

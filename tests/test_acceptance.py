@@ -146,7 +146,7 @@ def test_criterion_5_fold_obstruction_certificates():
         recs = sg.trace_singular_curve(S, box=(-hw, hw, *S.v_range), n_grid=9)
         recs = [r for r in recs if r.rank == 1]
         assert recs, S.family
-        certs = sg.cmc_fold_obstruction(S, recs[:5], offset=1e-4, flank=0.45 * S.u_range[1])
+        certs = sg.cmc_fold_obstruction(S, recs[:5], flank=0.45 * S.u_range[1])
         fam_ok = all(
             cert["sides"]["plus"]["abs_g_minus_1"] < 1e-6
             and cert["sides"]["minus"]["abs_g_minus_1"] < 1e-6

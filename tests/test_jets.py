@@ -355,7 +355,7 @@ def test_batched_products_bit_identical_to_schoolbook_and_reference(jet, da, db,
         np.zeros(size) if jet is Jet1 else (np.zeros(size), np.zeros(size)))
     a, b = jet(base, da, A), jet(base, db, B)
     with mock.patch.object(jt, "_MAPS", jt._MAPS if budget is None else {}), \
-            mock.patch.object(jt, "_MAPS_BYTES", jt._MAPS_BYTES if budget is None else budget):
+            mock.patch.object(jt, "_PASS_BYTES", jt._PASS_BYTES if budget is None else budget):
         got = (a * b).c
         assert (a * b).c.tobytes() == got.tobytes()  # the second product reuses the maps
     D = min(da, db)
@@ -378,32 +378,29 @@ def test_an_empty_batch_gives_empty_batches(jet):
         assert y.c.shape == (0,) + (4,) * jet._NVARS and y.value.shape == (0,)
 
 
-def test_flat_maps_are_reused_and_bounded():
-    jt._MAPS.clear()
-    u = Jet2.coordinate((np.zeros(3), np.ones(3)), 5, 0)
-    u * u
-    maps = jt._MAPS[2, 5, 3 * 36]
-    u * u
-    assert list(jt._MAPS) == [(2, 5, 3 * 36)] and jt._flat_maps(2, 5, 3 * 36) is maps
-    assert not any(idx.flags.writeable for idx in maps)
-    # the kept maps never take more than _MAPS_BYTES in all; the least recently
-    # used go first, and a product that reuses maps makes them the most recent
-    for size in range(2, 400):
-        x = Jet1.coordinate(np.zeros(size), 5)
-        x * x
+def test_flat_maps_are_views_of_the_capacity_maps():
+    with mock.patch.object(jt, "_MAPS", {}):
+        u = Jet2.coordinate((np.zeros(3), np.ones(3)), 5, 0)
         u * u
-        assert sum(idx.nbytes for kept in jt._MAPS.values() for idx in kept) <= jt._MAPS_BYTES
-    assert list(jt._MAPS)[-2:] == [(1, 5, 399 * 6), (2, 5, 3 * 36)]
-    assert (1, 5, 2 * 6) not in jt._MAPS
-    # a batch whose maps would take more than a quarter of the bound is
-    # multiplied in chunks, and only the chunks' maps are kept
-    n = jt._MAPS_BYTES // (12 * jt._PAIRS[2][5][0].nbytes)
-    v = Jet2.coordinate((np.zeros(3 * n + 2), np.ones(3 * n + 2)), 5, 0)
-    jt._MAPS.clear()
-    got = (v * v).c
-    assert all(got[i].tobytes() == schoolbook_product2(v.c[i], v.c[i]).tobytes()
-               for i in range(3 * n + 2))
-    assert list(jt._MAPS) == [(2, 5, n * 36)]
+        maps = jt._MAPS[2, 5, 3 * 36]
+        u * u
+        assert jt._flat_maps(2, 5, 3 * 36) is maps
+        assert not any(idx.flags.writeable for idx in maps)
+        # every size reads views of the capacity's maps, built once per pair table
+        n = jt._capacity(2, 5)
+        full = jt._MAPS[2, 5, n * 36]
+        assert all(np.shares_memory(idx, whole) for idx, whole in zip(maps, full))
+        for size in range(2, 400):
+            x = Jet1.coordinate(np.zeros(size), 5)
+            x * x
+        owners = {id(idx.base) for kept in jt._MAPS.values() for idx in kept}
+        assert len(owners) == 6  # the memory of (ia, ib, io) of the two pair tables
+        # a batch over the capacity is multiplied in chunks of the capacity
+        v = Jet2.coordinate((np.zeros(3 * n + 2), np.ones(3 * n + 2)), 5, 0)
+        got = (v * v).c
+        assert all(got[i].tobytes() == schoolbook_product2(v.c[i], v.c[i]).tobytes()
+                   for i in range(3 * n + 2))
+        assert (2, 5, (3 * n + 2) * 36) not in jt._MAPS
 
 
 @pytest.mark.parametrize("jet", [Jet1, Jet2])
@@ -789,7 +786,7 @@ def _bases(size, shift=0.0):
 
 def _maps_budget(budget):
     return (mock.patch.object(jt, "_MAPS", jt._MAPS if budget is None else {}),
-            mock.patch.object(jt, "_MAPS_BYTES", jt._MAPS_BYTES if budget is None else budget))
+            mock.patch.object(jt, "_PASS_BYTES", jt._PASS_BYTES if budget is None else budget))
 
 
 @given(st.sampled_from([Jet1, Jet2]), SIZES, st.integers(0, 5), st.integers(1, 6),

@@ -9,10 +9,10 @@ from cmc_lab import quadrature
 from cmc_lab.quadrature import (
     Integrand,
     IntegrandSingularError,
-    PRIMITIVE_TOL,
     Primitive,
     QuadratureError,
     ToleranceNotMetError,
+    carlson,
     carlson_rf,
     integrate,
     simpson_oracle,
@@ -84,40 +84,57 @@ def test_determinism():
     assert integrate(f, 0, 2, 1e-11) == integrate(f, 0, 2, 1e-11)
 
 
-def _cos_integrand():
-    return Integrand(jt.cos)
+def _cos_primitive():
+    return Primitive(Integrand(jt.cos), np.sin)
 
 
 def test_primitive_jet_of_cosine():
-    P = Primitive(_cos_integrand())
-    j = P.jet(0.0, 3)
+    j = _cos_primitive().jet(0.0, 3)
     assert np.allclose(j.c, [0, 1, 0, -1 / 6])  # sin r
 
 
 def test_primitive_jet_of_square():
-    P = Primitive(Integrand(lambda t: t * t))
+    P = Primitive(Integrand(lambda t: t * t), lambda r: r**3 / 3)
     j = P.jet(1.0, 2)
-    assert abs(j.c[0] - 1 / 3) < 1e-11
+    assert abs(j.c[0] - 1 / 3) < 1e-15
     assert j.c[1] == 1.0 and j.c[2] == 1.0  # F'' = 2r -> coefficient 2/2!
 
 
-def test_primitive_vanishes_at_base():
-    P = Primitive(_cos_integrand())
-    assert P.jet(0.0, 4).value == 0.0
+def test_primitive_vanishes_at_zero_with_a_positive_zero():
+    assert _cos_primitive().jet(0.0, 4).value == 0.0
+    P = Primitive(Integrand(jt.cos), lambda r: -np.sin(r))  # -0.0 at r = 0
+    assert math.copysign(1.0, P.value(0.0)) == 1.0
+    assert math.copysign(1.0, P.jet(np.array([0.0, 0.5]), 1).value[0]) == 1.0
 
 
-def test_primitive_value_matches_integrate():
-    P = Primitive(_cos_integrand())
+def test_complex_primitive_is_its_two_parts_bit_for_bit():
+    # the real and the imaginary part of a complex primitive's jet are the jets of
+    # the two real primitives (NumPy's complex division would round apart)
+    re = Primitive(Integrand(lambda t: 1 / (1 + t * t)), np.arctan)
+    im = Primitive(Integrand(lambda t: jt.cos(t) / 3), lambda r: np.sin(r) / 3)
+    both = Primitive(Integrand(lambda t: 1 / (1 + t * t) + 1j * (jt.cos(t) / 3)),
+                     lambda r: np.arctan(r) + 1j * (np.sin(r) / 3))
+    r = np.array([0.0, 0.3, 1.7, 0.3])
+    for degree in (0, 3, 5):
+        j = both.jet(r, degree)
+        assert j.c.real.tobytes() == re.jet(r, degree).c.tobytes()
+        assert j.c.imag.tobytes() == im.jet(r, degree).c.tobytes()
+
+
+def test_primitive_value_is_its_closed_form():
+    P = _cos_primitive()
+    assert P.value(0.8) == np.sin(np.array([0.8]))[0]
     v, _ = integrate(np.cos, 0, 0.8, 1e-11)
     assert abs(P.value(0.8) - v) < 1e-11
 
 
 def test_primitive_derivative_consistency():
-    f = lambda t: (t * t + 1) / jt.sqrt((t * t + 3) ** 2 - 8)
-    P = Primitive(Integrand(f))
+    from cmc_lab.surfaces import delaunay_timelike
+
+    P = delaunay_timelike(2.0, 0.5).meta["profile"]  # F' = (t^2 + 1)/sqrt((t^2 + 3)^2 - 8)
     for r0 in (0.2, 0.7, 1.1):
         j = P.jet(r0, 3)
-        assert abs(j.c[1] - float(f(r0))) < 1e-12
+        assert abs(j.c[1] - float((r0 * r0 + 1) / math.sqrt((r0 * r0 + 3) ** 2 - 8))) < 1e-12
 
 
 def test_integrand_jet_value_agrees_with_point():
@@ -168,6 +185,45 @@ def test_carlson_rf_of_conjugate_arguments_is_real_and_elementwise(args):
     assert [carlson_rf(a, b, np.conj(b)) for a, b in args] == got.tolist()
 
 
+# -- R_D and R_J: Carlson's published values, and one loop for all three ------------
+
+
+@pytest.mark.parametrize("args, want", [
+    # B. C. Carlson, Numer. Algorithms 10 (1995) 13-26 (arXiv:math/9409227), the tables
+    # of R_D and R_J; R_D(x, y, z) is R_J(z, x, y, z), `carlson`'s second value
+    ((1.0, 0.0, 2.0, 1.0), 1.7972103521034),  # R_D(0, 2, 1)
+    ((4.0, 2.0, 3.0, 4.0), 0.16510527294261),  # R_D(2, 3, 4)
+    ((2.0, 1j, -1j, 2.0), 0.65933854154220),  # R_D(i, -i, 2)
+    ((0.0, 1.0, 2.0, 3.0), 0.77688623778582),  # R_J(0, 1, 2, 3)
+    ((2.0, 3.0, 4.0, 5.0), 0.14297579667157),  # R_J(2, 3, 4, 5)
+    ((1j, -1j, 0.0, 2.0), 1.6490011662711),  # R_J(i, -i, 0, 2)
+])
+def test_carlson_rd_rj_at_published_values(args, want):
+    _, got = carlson(*args)
+    assert abs(got.imag) <= 1e-16 and abs(got.real / want - 1) <= 1e-13
+
+
+def test_carlson_rf_with_rho_is_rf_alone_to_roundoff():
+    # R_J's stopping rule runs the loop on: R_F gets more steps, not other digits
+    want = math.gamma(0.25) ** 2 / (4 * math.sqrt(2 * math.pi))  # R_F(0, 1, 2)
+    assert abs(carlson(2.0, 0.0, 1.0, 2.0, 3.0)[0] / want - 1) <= 4e-16
+
+
+@given(st.booleans(), st.lists(st.tuples(st.floats(1e-8, 1e8), _OFF_THE_CUT, st.floats(1e-8, 1e8)),
+                                min_size=1, max_size=9))
+@settings(max_examples=40, deadline=None)
+def test_carlson_batch_is_the_elements_bit_for_bit(real, args):
+    # R_F(x, z, conj z), R_D(z, conj z, x) and R_J(x, z, conj z, rho) of a batch, real
+    # (z = |z|) or complex: each element leaves the loop on its own stopping rule, so
+    # it gets the bits it gets alone
+    args = [(a, abs(b) if real else b, p) for a, b, p in args]
+    x, z, rho = (np.array([a[i] for a in args]) for i in range(3))
+    got = carlson(x, z, np.conj(z), x, rho)
+    for i, (a, b, p) in enumerate(args):
+        one = carlson(a, b, np.conj(b), a, p)
+        assert [np.asarray(v).tobytes() for v in one] == [v[i].tobytes() for v in got]
+
+
 # -- the array contract: one integrand call per sweep ---------------------------
 
 
@@ -193,10 +249,10 @@ def _counting_gk15():
     return log, counted
 
 
-@given(st.sampled_from(["cos", "runge", "kink", "profile"]), st.floats(-2, 2),
-       st.lists(st.floats(0.05, 2), min_size=1, max_size=4), st.floats(1e-13, 1e-8))
+@given(st.sampled_from(["cos", "runge", "kink", "profile"]), st.floats(-2, 2), st.floats(0.05, 2),
+       st.floats(1e-13, 1e-8))
 @settings(max_examples=40, deadline=None)
-def test_gk15_calls_f_once_per_sweep(name, a, widths, tol):
+def test_gk15_calls_f_once_per_sweep(name, a, width, tol):
     from unittest import mock
 
     from cmc_lab import quadrature
@@ -209,11 +265,10 @@ def test_gk15_calls_f_once_per_sweep(name, a, widths, tol):
     }[name]
     log, counted = _counting_gk15()
     with mock.patch.object(quadrature, "_gk15", counted):
-        quadrature._integrals(f, [(a, a + w) for w in widths], tol, limit=64)
-    # the first sweep samples each interval whole, later ones two halves of
-    # each unfinished interval, all in one call of f on (P*15,) nodes
-    assert log["sizes"][0] == len(widths)
-    assert all(0 < P <= 2 * len(widths) and P % 2 == 0 for P in log["sizes"][1:])
+        _outcome(lambda: integrate(f, a, a + width, tol, limit=64))
+    # the first sweep samples the interval whole, later ones the two halves of
+    # the panel split, in one call of f on (P*15,) nodes
+    assert log["sizes"][0] == 1 and all(P == 2 for P in log["sizes"][1:])
     assert log["f_calls"] == len(log["sizes"])
     assert log["shapes"] == [(15 * P,) for P in log["sizes"]]
 
@@ -227,29 +282,6 @@ def test_gk15_names_the_first_singular_node_in_sampling_order():
     half, mid = 0.5, 0.5
     x0 = mid - half * 0.991455371120812639206854697526329
     assert str(err.value) == f"integrand singular on interval: f({np.float64(x0)}) = inf"
-
-
-def test_primitive_caches_a_failed_integral():
-    from unittest import mock
-
-    from cmc_lab import quadrature
-
-    for integrand, r, error in (
-        (Integrand(lambda t: jt.sqrt(t - 0.5)), 1.0, IntegrandSingularError),
-        # a pole just past the end, as at the domain end of a conjugate profile
-        (Integrand(lambda t: 1.0 / (1.0 - t)), 1.0 - 1e-12, ToleranceNotMetError),
-    ):
-        P = Primitive(integrand)
-        with pytest.raises(error) as first:
-            P.value(r)
-        log, counted = _counting_gk15()
-        with mock.patch.object(quadrature, "_gk15", counted):
-            with pytest.raises(error) as again:
-                P.value(r)
-            with pytest.raises(error):
-                P.jet(np.array([r, r]), 2)
-        assert log["panels"] == 0
-        assert type(again.value) is type(first.value) and str(again.value) == str(first.value)
 
 
 # -- every surface profile integrand against a per-node loop ------------------------
@@ -275,7 +307,8 @@ def _profile_integrands(family, k, H):
         base = {"conjugate-of-delaunay-t": "delaunay_timelike",
                 "conjugate-of-delaunay-s": "delaunay_spacelike"}[family]
         S = sf.conjugate_of(base, k, H)
-        return S, [p.integrand for p in S.meta["profiles"]]
+        f = S.meta["profile"].integrand  # lambda + i Phi: its two parts
+        return S, [lambda x: np.real(f(x)), lambda x: np.imag(f(x))]
     # the conformal-chart integrand sqrt(E/G) of a Delaunay surface, in closed form
     S = {"chart-delaunay-t": lambda: sf.delaunay_timelike(k, H),
          "chart-delaunay-s": lambda: sf.delaunay_spacelike(k, H),
@@ -319,19 +352,19 @@ def test_surface_profile_integrals_bit_identical_to_a_per_node_loop(family, t, a
         outcomes = []
         for g in (f, _per_node(f)):
             try:
-                outcomes.append(integrate(g, a, b, PRIMITIVE_TOL))
+                outcomes.append(integrate(g, a, b, 1e-11))
             except ToleranceNotMetError as e:
                 outcomes.append((type(e), str(e), e.value, e.error_estimate))
         got, want = outcomes
         assert repr(got) == repr(want)
 
 
-# -- the lockstep kernel against the per-interval loop it replaced -----------------
+# -- the adaptive kernel against a per-panel reference loop ------------------------
 
 
 def reference_gk15(f, a, b):
-    """The one-panel rule the lockstep kernel replaced: (K15 value, |K15 - G7|
-    estimate) on [a, b], with f called on that panel's 15 nodes."""
+    """The one-panel rule: (K15 value, |K15 - G7| estimate) on [a, b], with f
+    called on that panel's 15 nodes."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     xs = mid + half * quadrature._GK_T
@@ -353,8 +386,8 @@ def reference_gk15(f, a, b):
 
 
 def reference_adaptive(f, a, b, tol, limit):
-    """The per-interval loop the lockstep kernel replaced: the panels of [a, b]
-    in interval order, their summed value and summed error."""
+    """The adaptive loop panel by panel: the panels of [a, b] in interval
+    order, their summed value and summed error."""
     def panel(lo, hi):
         return lo, hi, *reference_gk15(f, lo, hi)
 
@@ -377,7 +410,7 @@ def reference_adaptive(f, a, b, tol, limit):
 
 
 def reference_integrate(f, a, b, tol, limit):
-    """integrate as it was: one interval, reversed by recursion."""
+    """integrate by the reference loop, reversed by recursion."""
     if a == b:
         return 0.0, 0.0
     if b < a:
@@ -411,7 +444,7 @@ def _assert_same(got, want):
         assert _bits(got) == _bits(want)
 
 
-LOCKSTEP_INTEGRANDS = {
+ADAPTIVE_INTEGRANDS = {
     "cos": np.cos,
     "runge": lambda t: 1.0 / (1 + 25 * t * t),
     "kink": lambda t: abs(t - math.pi / 10) ** 0.5,  # reaches the limit at small tol
@@ -443,30 +476,26 @@ def _accepted_panels(f, a, b, tol, limit):
         return gk15(g, lo, hi)
 
     with mock.patch.object(quadrature, "_gk15", logged):
-        (result,) = quadrature._adaptive(f, [(a, b)], tol, limit)
+        result = _outcome(lambda: quadrature._adaptive(f, a, b, tol, limit))
     panels = [p for call in calls for p in call]
     for (lo, _), (_, hi) in calls[1:]:
         panels.remove((lo, hi))
     return result, sorted(panels)
 
 
-@given(st.sampled_from(sorted(LOCKSTEP_INTEGRANDS)), st.sampled_from([0.0, -0.5, 1.0]),
+@given(st.sampled_from(sorted(ADAPTIVE_INTEGRANDS)), st.sampled_from([0.0, -0.5, 1.0]),
        st.integers(0, 40).flatmap(lambda n: st.lists(_OFFSETS, min_size=n, max_size=n)),
        st.floats(1e-13, 1e-8), st.integers(1, 40))
 @settings(max_examples=60, deadline=None)
-def test_lockstep_kernel_bit_identical_to_the_per_interval_loop(name, base, offsets, tol, limit):
-    f = LOCKSTEP_INTEGRANDS[name]
+def test_adaptive_kernel_bit_identical_to_the_reference_loop(name, base, offsets, tol, limit):
+    f = ADAPTIVE_INTEGRANDS[name]
     ends = [(base + x, base + y) for x, y in offsets]
-    # integrate's batch: ends on either side, reversed and empty intervals
-    for got, (a, b) in zip(quadrature._integrals(f, ends, tol, limit), ends):
-        _assert_same(got, _outcome(lambda: reference_integrate(f, a, b, tol, limit)))
-    # the kernel itself, in lockstep and on one interval: the loop's sums, and
-    # on one interval the panels the loop accepts
-    turned = [(min(a, b), max(a, b)) for a, b in ends if a != b]
-    for (a, b), got in zip(turned, quadrature._adaptive(f, turned, tol, limit)):
-        want = _outcome(lambda: reference_adaptive(f, a, b, tol, limit))
-        _assert_same(got, want if isinstance(want, QuadratureError) else want[1:])
-    for a, b in turned[:3]:
+    # integrate: ends on either side, reversed and empty intervals
+    for a, b in ends:
+        _assert_same(_outcome(lambda: integrate(f, a, b, tol, limit)),
+                     _outcome(lambda: reference_integrate(f, a, b, tol, limit)))
+    # the kernel on one interval: the loop's sums and the panels the loop accepts
+    for a, b in [(min(a, b), max(a, b)) for a, b in ends if a != b][:3]:
         want = _outcome(lambda: reference_adaptive(f, a, b, tol, limit))
         got, panels = _accepted_panels(f, a, b, tol, limit)
         _assert_same(got, want if isinstance(want, QuadratureError) else want[1:])
@@ -475,31 +504,25 @@ def test_lockstep_kernel_bit_identical_to_the_per_interval_loop(name, base, offs
 
 
 @pytest.mark.parametrize("family,k", [("delaunay-t", 2.0), ("conjugate-of-delaunay-t", 3.0),
-                                      ("conjugate-of-delaunay-s", 2.0)])
+                                      ("conjugate-of-delaunay-s", 2.0),
+                                      ("conjugate-of-delaunay-s", -1.0)])
 def test_primitive_jet_of_a_batch_is_the_per_radius_values(family, k):
-    # conjugate-of-delaunay-s at k = 2 fails at both domain ends
-    S, integrands = _profile_integrands(family, k, 0.5)
+    # conjugate-of-delaunay-s at k = 2 reaches a pole of its integrands at both
+    # domain ends, where adaptive quadrature fails; the closed forms do not
+    S, _ = _profile_integrands(family, k, 0.5)
     rs = np.linspace(-S.u_range[1], S.u_range[1], 9)
-    for f in integrands:
-        want = [_outcome(lambda: Primitive(f).value(r)) for r in rs]
-        P = Primitive(f)
-        got = _outcome(lambda: P.jet(np.concatenate([rs[::-1], rs]), 2))
-        failed = [w for w in want if isinstance(w, QuadratureError)]
-        if failed:  # the failure of the smallest failing radius
-            _assert_same(got, failed[0])
-        else:
-            _assert_same(got.c[:, 0].tolist(), want[::-1] + want)
-        # every radius of the batch is cached, its value or its failure
-        assert len(P._cache) == len(rs)
-        for r, w in zip(rs, want):
-            _assert_same(_outcome(lambda: P.value(r)), w)
+    P = S.meta["profile"]
+    want = np.array([P.value(r) for r in rs])
+    assert np.isfinite(want).all()
+    got = P.jet(np.concatenate([rs[::-1], rs]), 2)
+    assert got.c[:, 0].tobytes() == np.concatenate([want[::-1], want]).tobytes()
 
 
-def test_lockstep_kernel_splits_the_leftmost_of_tied_panels():
+def test_adaptive_kernel_splits_the_leftmost_of_tied_panels():
     # on [-1, 1] the panels next to the kink at 0 tie in pairs; where the
     # summed estimate meets tol between two tied splits, the accepted panels
     # are not mirror images, and which one was split shows
-    f, lopsided = LOCKSTEP_INTEGRANDS["vee"], 0
+    f, lopsided = ADAPTIVE_INTEGRANDS["vee"], 0
     for tol in np.geomspace(1e-3, 1e-12, 60):
         for limit in (3, 5, 2048):
             got, accepted = _accepted_panels(f, -1.0, 1.0, tol, limit)

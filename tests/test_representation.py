@@ -6,12 +6,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cmc_lab import jets as jt
-from cmc_lab import quadrature
 from cmc_lab import representation as rp
 from cmc_lab import surfaces as sf
 from cmc_lab.jets import Jet1, Jet2, partial_values
 from cmc_lab.lorentz import euclid_inner, lorentz_inner
-from cmc_lab.quadrature import PRIMITIVE_TOL, Integrand, Primitive, integrate
+from cmc_lab.quadrature import Integrand, integrate
 from cmc_lab.representation import (
     GaussData,
     compatibility_residuals,
@@ -139,7 +138,7 @@ def test_chart_values_and_inverse(name):
     S, prof = _export_chart(name)
     r0, r1 = prof.r_range
     for r in np.linspace(r0, r1, 41):
-        ref, _ = integrate(_surface_speed(S), prof.r_anchor, r, PRIMITIVE_TOL)
+        ref, _ = integrate(_surface_speed(S), prof.r_anchor, r, 1e-11)
         s = prof.s_of_r(r)
         assert abs(s - ref) <= 2e-11
         assert abs(prof.r_of_s(s) - r) <= 1e-13
@@ -161,58 +160,6 @@ def test_batched_sigma_jet_is_the_per_s_jets(profile_t_k2, size):
         assert got.base[i] == want.base
         # log of an array may round its last bits apart from log of one value
         assert np.all(np.abs(got.c[i] - want.c) <= 1e-13 * np.abs(want.c).max())
-
-
-@pytest.mark.parametrize("build", [lambda: sf.delaunay_timelike(2.0, 0.5),
-                                   lambda: sf.delaunay_spacelike(-2.0, 0.5)],
-                         ids=["delaunay-t k=2", "delaunay-s k=-2"])
-def test_export_chart_integrates_no_profile_value(monkeypatch, build):
-    # the chart's speed is a closed form and its anchor check reads only X_u and
-    # X_v, so the chart runs no profile integral; the grid reads one profile value per row
-    S = build()
-    calls = []  # the profile intervals entering the quadrature kernel
-    kernel = quadrature._adaptive
-    monkeypatch.setattr(quadrature, "_adaptive", lambda f, ends, *a: calls.extend(
-        ends if f is S.meta["profile"].integrand else []) or kernel(f, ends, *a))
-    r0, r1 = 0.15 * S.u_range[1], 0.65 * S.u_range[1]
-    prof = conformal_profile_chart(S, r0, r1)
-    assert calls == []
-    s0, s1 = prof.s_of_r(r0 * 1.02), prof.s_of_r(r1 * 0.98)
-    ns = 9
-    rp.gauss_data_from_surface(prof, s0, s1, 0.0, 1.0, ns, 5)
-    assert 0 < len(calls) <= ns + 1
-
-
-def _rotational_surface_reading_its_profile(radius):
-    """X = (F, b cos t, b sin t) with b = r radius(F(r)), F' = 1/(2 sqrt(1 + r^2))
-    and radius(F) >= 1 growing with F: spacelike (b' >= 1 > F'), F = 0 in
-    (r, t), and X_r reads the value of F."""
-    prof = Primitive(Integrand(lambda x: 0.5 / jt.sqrt(1.0 + x * x)))
-
-    def builder(r0, t0, degree):
-        F = Jet2.lift(prof.jet(r0, degree), (r0, t0), degree)
-        b = Jet2.coordinate((r0, t0), degree, 0) * radius(F)
-        t = Jet2.coordinate((r0, t0), degree, 1)
-        return (F, b * jt.cos(t), b * jt.sin(t))
-
-    return sf.custom_surface(builder, u_range=(-1.5, 1.5)), prof
-
-
-# cosh of a NaN value gives NaN coefficients; sqrt refuses it (JetDomainError)
-@pytest.mark.parametrize("radius", [jt.cosh, lambda F: jt.sqrt(1.0 + F * F)],
-                         ids=["cosh F", "sqrt(1 + F^2)"])
-def test_gauss_map_reads_profile_values_where_the_tangents_need_them(radius):
-    # the tangents are taken without profile values first (see _tangents); a
-    # surface whose X_r reads F(r) gets its jets again with the values
-    (S, prof), (S_ref, _) = (_rotational_surface_reading_its_profile(radius) for _ in range(2))
-    u, v = np.array([0.2, 0.5, 0.9, 1.3]), np.array([0.0, 0.4, -0.7, 2.0])
-    got = rp._gauss_values(S, u, v)
-    assert prof._cache  # the tangents read integrated values
-    want = rp._gauss_of_frame(*rp._frame(S_ref.jet(u, v, 1)), S_ref.orientation).value
-    assert np.array_equal(got, want)
-    assert [gauss_map_of(S, (a, b)).value for a, b in zip(u, v)] == got.tolist()
-    with pytest.raises(ValueError, match="no conformal profile chart"):
-        conformal_profile_chart(S, 0.2, 1.0)  # a rotational surface, but no Delaunay one
 
 
 # -- Gauss data and residuals ------------------------------------------------------

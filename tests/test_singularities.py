@@ -7,7 +7,6 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from cmc_lab import jets as jt
-from cmc_lab import quadrature
 from cmc_lab import representation as rp
 from cmc_lab import singularities as sg
 from cmc_lab import surfaces as sf
@@ -1174,7 +1173,7 @@ def test_fold_obstruction_certificate(delaunay_t_k2, delaunay_t_records):
     assert cert["laplacian_residual_max"] < 1e-5
 
 
-def _reference_certificate(S, record, offset=1e-4, flank=0.5):
+def _reference_certificate(S, record, offset=sg.FOLD_OFFSET, flank=0.5):
     """cmc_fold_obstruction of one record as it was run one record at a time
     (scalar Gauss-map calls, a flank point off the spacelike set skipped, a
     probe point off that set making the record undetermined): the reference
@@ -1310,41 +1309,6 @@ def test_certificates_of_records_probed_off_the_spacelike_set_are_undetermined(b
     _assert_certificates_match_the_reference(certs, S, recs)
     probed = [rec for rec, c in zip(recs, certs) if c["conclusion"] != "undetermined"]
     assert [c for c in certs if c["conclusion"] != "undetermined"] == cmc_fold_obstruction(S, probed)
-
-
-CERTIFIED_FAMILIES = {"delaunay-t k=2": lambda: sf.delaunay_timelike(2.0, 0.5),
-                      "delaunay-s k=-2": lambda: sf.delaunay_spacelike(-2.0, 0.5)}
-
-
-def _certified_records(S):
-    recs = [r for r in trace_singular_curve(S, n_grid=5) if r.rank == 1]
-    assert recs
-    return recs
-
-
-@pytest.mark.parametrize("name", sorted(CERTIFIED_FAMILIES))
-def test_fold_certificates_integrate_no_profile_value(monkeypatch, name):
-    # |g| and the Laplace identity read only X_u and X_v
-    S = CERTIFIED_FAMILIES[name]()
-    recs = _certified_records(S)
-    calls = []  # the intervals entering the quadrature kernel
-    kernel = quadrature._adaptive
-    monkeypatch.setattr(quadrature, "_adaptive", lambda f, ends, *a: calls.extend(ends) or kernel(f, ends, *a))
-    cmc_fold_obstruction(S, recs)
-    assert calls == []
-    # a full surface jet at a radius not read before integrates its profile value
-    S.jet(0.3 * S.u_range[1], 0.0, 2)
-    assert calls
-
-
-@pytest.mark.parametrize("name", sorted(CERTIFIED_FAMILIES))
-def test_fold_certificates_equal_those_from_full_surface_jets(monkeypatch, name):
-    S, S_full = CERTIFIED_FAMILIES[name](), CERTIFIED_FAMILIES[name]()
-    recs = _certified_records(S)
-    certificates = cmc_fold_obstruction(S, recs)
-    # the tangents of full surface jets, every profile value integrated
-    monkeypatch.setattr(rp, "_tangents", lambda S, r, t, degree: rp._frame(S.jet(r, t, degree)))
-    assert certificates == cmc_fold_obstruction(S_full, recs)
 
 
 def test_fold_obstruction_rank0_regime():

@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from cmc_lab import surfaces as sf
 from cmc_lab.cli import main
 from cmc_lab.jets import Jet1, Jet2, JetDomainError
 from cmc_lab.lorentz import lorentz_inner
+from cmc_lab.quadrature import integrate
 from cmc_lab.surfaces import (
     MeshEvaluationError,
     NotSpacelikeError,
@@ -276,6 +278,23 @@ def test_mesh_error_carries_grid_index(lightlike_ii):
     assert isinstance(err.value.__cause__, JetDomainError)
 
 
+def test_mesh_error_names_the_one_failing_grid_node():
+    # the builder fails only at (u, v) = (1, 0), where sqrt's value coefficient is 0:
+    # the batched grid call fails, and the point-by-point retry names that node
+    def builder(u0, v0, degree):
+        uj, vj = Jet2.variables((u0, v0), degree)
+        return (uj, vj, jt.sqrt((uj - 1) * (uj - 1) + vj * vj))
+
+    S = sf.custom_surface(builder, u_range=(-1.0, 2.0), v_range=(-1.0, 1.0))
+    with pytest.raises(MeshEvaluationError) as err:
+        mesh_export(S, 4, 3)
+    assert str(err.value) == (
+        "evaluation failed at grid index (2,1), (u,v)=(1.0,0.0): "
+        "jet domain error: sqrt requires positive value coefficient")
+    assert isinstance(err.value.__cause__, JetDomainError)
+    mesh_export(S, 4, 4)  # no grid node at (1, 0)
+
+
 def test_conjugate_refuses_k_within_roundoff_of_minus_1():
     for family in ("delaunay_timelike", "delaunay_spacelike"):
         for dk in (2.0**-53, -(2.0**-52), 1e-12, -9.9e-10):  # one ulp either side, and more
@@ -437,7 +456,7 @@ def test_domain_ends_at_the_first_root_of_the_radicand(build, radicand, k):
 # -- the per-family builders that the one profile builder replaced ----------------
 # Kept as references: every surface jet and analytic-normal jet of the profile
 # builder must equal theirs byte for byte.  They read the surface's own
-# Primitives (so both sides read one cache) and compute all else afresh.
+# Primitives and compute all else afresh.
 
 
 def _reference_promote_r(j1, base, degree):
@@ -481,6 +500,11 @@ def _reference_lightlike_builder(S):
     return builder
 
 
+def _part(j, i):
+    """The real (i = 0) or the imaginary (i = 1) part of the complex jet j."""
+    return Jet1(j.base, j.degree, (j.c.real, j.c.imag)[i].copy())
+
+
 def _reference_conjugate(S):
     """(builder, normal builder or None, rho jet, h, phi_t) of the conjugate S."""
     H, k, of = S.H, S.k, S.family.removeprefix("conjugate_of_")
@@ -508,19 +532,15 @@ def _reference_conjugate(S):
         absK = abs(k + 1)
         delta = lambda x: (x * x + sigma * k + sigma) ** 2 - 4 * k
         Delta = lambda x: 2 * sigma * (k + 1) * x * x + (1 - k) ** 2
-        lam_p, Phi_p = S.meta["profiles"]
+        # the parts of the profile lambda + i Phi, each with its sign
+        lam_jet, Phi_jet = (lambda r0, d, i=i: _part(S.meta["profile"].jet(r0, d), i) for i in (0, 1))
         if k == -1.0:
             h, phi_t = H, 1.0
             rho_jet = lambda r0, d: Jet1.coordinate(r0, d) * 0.5
-            lam_jet, Phi_jet = lam_p.jet, Phi_p.jet
         else:
             h = (1 - k) / (2 * H * absK)
             rho_jet = lambda r0, d: jt.sqrt(
                 Jet1.constant(0.0, r0, d) + Delta(Jet1.coordinate(r0, d))) / (2 * H * absK)
-            lam_sign = 1.0 if timelike else -sgn
-            phi_sign = sgn if timelike else 1.0
-            lam_jet = lambda r0, d: lam_p.jet(r0, d) * lam_sign
-            Phi_jet = lambda r0, d: Phi_p.jet(r0, d) * phi_sign
             phi_t = -math.sqrt(absK / 2) * (1.0 if timelike else sgn)
             if timelike and k > -1:
                 sK = math.sqrt(k + 1)
@@ -641,3 +661,173 @@ def test_profile_builder_is_the_per_family_builders_byte_for_byte(name, s, H, de
         assert _outcome(got, us[0], vs[0], degree) == _outcome(want, us[0], vs[0], degree)
         batch = (np.array(us), np.array(vs), degree)
         assert _outcome(got, *batch) == _outcome(want, *batch)
+
+
+# -- profile closed forms against adaptive quadrature -------------------------------
+
+# the profiles of each kind: F about either axis, lambda and Phi of the conjugates on
+# the T, S and L templates
+PROFILE_KINDS = ("F-t", "F-s", "T", "S", "L")
+
+
+def _profile_k(stratum, x):
+    """k in `stratum` at x in [0, 1], and x's side: k < 0 (a complex pair p, q), 0,
+    1 +- [1e-3, 0.25], -1 +- [1e-6, 0.5] and +-[1, 1e16]."""
+    side = 1.0 if x >= 0.5 else -1.0
+    y = abs(2 * x - 1)
+    return {"negative": -3.0 * max(y, 1e-3), "zero": 0.0, "one": 1.0 + side * (1e-3 + 0.249 * y),
+            "minus-one": -1.0 + side * 1e-6 * (5e5 ** y), "large": side * 10.0 ** (16 * y)}[stratum]
+
+
+def _factor(c, b, at):
+    """c + b x^2 as a function of x, or for a number `at` as a function of
+    w = at - x, for w < at/2 from c + b at^2 rounded once: next to a real root
+    at x = at, where the terms of the factor cancel, it then keeps its digits."""
+    if at is None:
+        return lambda x: c + b * (x * x)
+    v0 = c + b * at * at if np.iscomplexobj(c) else float(Fraction(float(c)) + Fraction(b) * Fraction(at) ** 2)
+    return lambda w: np.where(w < 0.5 * at, v0 - b * w * (2 * at - w), c + b * ((at - w) * (at - w)))
+
+
+class _Part:
+    """The real (i = 0) or the imaginary (i = 1) part of a complex Primitive."""
+
+    def __init__(self, P, i):
+        self.value = lambda r: (P.value(r).real, P.value(r).imag)[i]
+        self.integrand = lambda x: (np.real, np.imag)[i](P.integrand(x))
+
+
+def _profiles(kind, sigma, k, H, at=None):
+    """The surface of profile `kind` about the axis sigma at (k, H) and, per
+    profile, (Primitive, its integrand with the radicands factored, the terms of
+    its reduction at r: a function of an array r), and the radicand factors.
+    The integrands are functions of x, or for a number `at` of w = at - x,
+    with each factor of the radicands next to x = at rounded once."""
+    family = "delaunay_timelike" if sigma > 0 else "delaunay_spacelike"
+    p, q = sf._axis_delta(sigma, k)[2]
+    X = (lambda x: x) if at is None else (lambda w: at - w)
+    fp, fq = _factor(p, 1.0, at), _factor(q, 1.0, at)
+    delta = lambda t: np.real(fp(t) * fq(t))
+    if kind.startswith("F"):
+        S = (delaunay_timelike if sigma > 0 else delaunay_spacelike)(k, H)
+        f = lambda t: (X(t) ** 2 + sigma * (k - 1)) / np.sqrt(delta(t))
+
+        def terms(r):
+            I0, I2 = sf._basis((p, q), r)
+            return abs(I2) + abs((k - 1) * I0)
+
+        return S, [(S.meta["profile"], f, terms)], (p, q)
+    S = conjugate_of(family, k=k, H=H)
+    # lambda and Phi, the parts of the profile, as Primitive-like pairs (value, integrand)
+    P = S.meta["profile"]
+    lam, Phi = (_Part(P, i) for i in (0, 1))
+    if kind == "L":
+        def lam_terms(r):
+            I0, I2 = sf._basis((p, q), r)
+            return (r**3 / 3 + (r * np.sqrt(r**4 + 4) + 4 * abs(I0)) / 3) / (4 * H * H)
+
+        return S, [(lam, lambda t: lam.integrand(X(t)), lam_terms),
+                   (Phi, lambda t: Phi.integrand(X(t)),
+                    lambda r: (r + abs(sf._basis((p, q), r)[1])) / (2 * abs(H)))], (p, q)
+    c0, a, s = (k - 1) ** 2, 2 * sigma * (k + 1), math.sqrt(2 * abs(k + 1))
+    Delta = _factor(c0, a, at)
+    sgn = 1.0 if k > -1 else -1.0
+    sign_lam, sign_Phi = (1.0, sgn) if sigma > 0 else (-sgn, 1.0)  # as the templates take them
+
+    def lam_terms(r):
+        c = a / c0
+        I0, I2, K = sf._basis((p, q), r, c)
+        if abs(k + 1) <= 1 / 32:
+            I = sf._moments((p, q), r, I0, I2, 18)
+            series = sum(abs(c ** n * I[n + 2]) for n in range(16))
+            return s / (abs(H) * c0) * np.where(abs(c) * r * r <= 1 / 16, series, (abs(I2) + abs(K)) / abs(c))
+        return s / (abs(H) * c0) * (abs(I2) + abs(K)) / abs(c)
+
+    return S, [(lam, lambda t: sign_lam * s * X(t) ** 4 / (H * np.sqrt(delta(t)) * Delta(t)), lam_terms),
+               (Phi, lambda t: sign_Phi * s * (1 - k) * X(t) ** 2 / (np.sqrt(delta(t)) * Delta(t)),
+                lambda r: s / abs(1 - k) * abs(sf._basis((p, q), r, a / c0)[2]))], (p, q)
+
+
+def _profile_surface(kind, stratum, x, h, sign, at_end=False):
+    """The case drawn, or None where the stratum does not apply to the kind or
+    the surface is refused."""
+    k = -1.0 if kind == "L" else _profile_k(stratum, x)
+    fits = {"F-t": stratum != "zero", "F-s": True, "L": stratum == "negative",
+            "T": stratum not in ("large", "zero"), "S": stratum != "large"}[kind]
+    if not fits or 0 < abs(k + 1) < sf.K_BRANCH_TOL:
+        return None
+    sigma = {"F-t": 1.0, "F-s": -1.0, "T": 1.0 if k > -1 else -1.0, "S": 1.0 if k < -1 else -1.0,
+             "L": 1.0 if x >= 0.5 else -1.0}[kind]
+    try:
+        S = _profiles(kind, sigma, k, sign * h)[0]
+        return k, *(_profiles(kind, sigma, k, sign * h, S.u_range[1]) if at_end else _profiles(kind, sigma, k, sign * h))
+    except SurfaceParameterError:
+        return None
+
+
+@given(st.sampled_from(PROFILE_KINDS), st.sampled_from(["negative", "zero", "one", "minus-one", "large"]),
+       st.floats(0.0, 1.0), st.floats(0.3, 1.5), st.sampled_from([1.0, -1.0]), st.floats(0.0, 1.0,
+                                                                                           exclude_min=True))
+@settings(max_examples=150, deadline=None)
+def test_profile_closed_forms_against_quadrature(kind, stratum, x, h, sign, frac):
+    """Inside the domain, r in (0, 0.9 r_hi], each closed form is within
+    1e-13 max(1, int_0^r |f|) of adaptive quadrature at tol 1e-14 (of the
+    integrand written with delta = (x^2 + p)(x^2 + q), whose terms do not cancel
+    next to k = 1)."""
+    case = _profile_surface(kind, stratum, x, h, sign)
+    assume(case is not None)
+    _, S, profiles, _ = case
+    r = frac * 0.9 * S.u_range[1]
+    for P, f, _ in profiles:
+        want, _ = integrate(f, 0.0, r, 1e-14)
+        scale, _ = integrate(lambda x: abs(f(x)), 0.0, r, 1e-6)
+        assert abs(P.value(r) - want) <= 1e-13 * max(1.0, scale)
+
+
+def _singular_points(kind, k, radicand):
+    """The real x > 0 where delta or Delta vanishes."""
+    p, q = radicand
+    points = [math.sqrt(-z) for z in (p, q) if not np.iscomplexobj(z) and z < 0]
+    if kind in ("T", "S") and (p + q).real < 0:  # Delta = (k - 1)^2 + (p + q) x^2
+        points.append(math.sqrt((k - 1) ** 2 / -(p + q).real))
+    return points
+
+
+def _value_at_domain_end(f, r_hi, points):
+    """int_0^r_hi f for f a function of w = r_hi - x, and the sum of the error
+    estimates of its pieces: up to x = 0.9 r_hi by adaptive quadrature, and on
+    from there, if a zero x0 of a radicand lies past r_hi within 0.5 r_hi, in
+    w = d expm1(tau), d = x0 - r_hi, which makes f dw smooth in tau where f has
+    a pole or an inverse square root at x0 (f dw = f d e^tau dtau)."""
+    head = integrate(f, 0.1 * r_hi, r_hi, 1e-14)
+    x0 = min([x for x in points if r_hi < x < 1.5 * r_hi], default=None)
+    if x0 is None:
+        tail = integrate(f, 0.0, 0.1 * r_hi, 1e-14)
+    else:
+        d = x0 - r_hi
+        tail = integrate(lambda tau: f(d * np.expm1(tau)) * d * np.exp(tau), 0.0,
+                         math.log1p(0.1 * r_hi / d), 1e-14)
+    return head[0] + tail[0], head[1] + tail[1]
+
+
+@given(st.sampled_from(PROFILE_KINDS), st.sampled_from(["negative", "zero", "one", "minus-one", "large"]),
+       st.floats(0.0, 1.0), st.floats(0.3, 1.5), st.sampled_from([1.0, -1.0]))
+@settings(max_examples=100, deadline=None)
+def test_profile_closed_forms_at_the_domain_end(kind, stratum, x, h, sign):
+    """At r_hi the closed forms meet the bound of their conditioning: F's change
+    under one ulp of r, |f(r_hi)| ulp(r_hi), plus 4 eps times the sum of the
+    absolute terms of the reduction (a pole or an inverse square root of f lies
+    a relative 1e-9 past r_hi where a radicand ends the domain).  The reference
+    takes each factor of the radicands next to r_hi from its value at r_hi
+    rounded once, and the last tenth of the domain in a variable in which the
+    integrand is smooth (`_value_at_domain_end`); the comparison allows its
+    error estimate besides."""
+    case = _profile_surface(kind, stratum, x, h, sign, at_end=True)
+    assume(case is not None)
+    k, S, profiles, radicand = case
+    r_hi = S.u_range[1]
+    points = _singular_points(kind, k, radicand)
+    for P, f, terms in profiles:
+        want, estimate = _value_at_domain_end(f, r_hi, points)
+        bound = abs(f(np.array([0.0]))[0]) * np.spacing(r_hi) + 4 * 2.0**-52 * terms(np.array([r_hi]))[0]
+        assert abs(P.value(r_hi) - want) <= bound + estimate
