@@ -566,7 +566,7 @@ def conjugate_of(
         normal_builder=normal_builder,
         meta={"template": template, "branch": branch, "h": h,
               "rho0": float(rho(Jet1.coordinate(0.0, 0)).value), "phi_t": phi_t,
-              "profile": profile},  # the Primitive of lambda + i Phi, if integrated
+              "profile": profile},  # the Primitive of lambda + i Phi (None: closed forms of r)
     )
     S.orientation = _probe_orientation(S, H)
     return S

@@ -754,7 +754,8 @@ def _profile_surface(kind, stratum, x, h, sign, at_end=False):
     k = -1.0 if kind == "L" else _profile_k(stratum, x)
     fits = {"F-t": stratum != "zero", "F-s": True, "L": stratum == "negative",
             "T": stratum not in ("large", "zero"), "S": stratum != "large"}[kind]
-    if not fits or 0 < abs(k + 1) < sf.K_BRANCH_TOL:
+    # k = -1 itself (drawn in the negative stratum) is the L template's, not T's or S's
+    if not fits or 0 < abs(k + 1) < sf.K_BRANCH_TOL or (k == -1.0 and kind in ("T", "S")):
         return None
     sigma = {"F-t": 1.0, "F-s": -1.0, "T": 1.0 if k > -1 else -1.0, "S": 1.0 if k < -1 else -1.0,
              "L": 1.0 if x >= 0.5 else -1.0}[kind]
