@@ -157,8 +157,8 @@ def _pair_table(degree: int, nvars: int):
 # pair tables by number of variables and degree
 _PAIRS = {nvars: [_pair_table(d, nvars) for d in range(MAX_DEGREE + 1)] for nvars in (1, 2)}
 
-# flat maps by (nvars, degree, size): per pair table the maps of `_capacity`
-# elements, built on first use, and per smaller size views of their first entries
+# the flat maps of each pair table by (nvars, degree): those of `_capacity`
+# elements, built on first use
 _MAPS = {}
 _PASS_BYTES = 1 << 18  # the flat maps of one product pass take at most this
 
@@ -173,22 +173,16 @@ def _flat_maps(nvars, degree, size):
     """The pair table of (nvars, degree) offset for each element of a batch of `size`
     coefficients, as read-only flat gather and bin indices; None over the capacity.
     Elements come in order, so a batch of B elements reads the first B entries
-    per term of the capacity's maps: views, which take no memory of their own."""
-    maps = _MAPS.get((nvars, degree, size))
-    if maps is None:
-        ia, ib, io, m = _PAIRS[nvars][degree]
-        cap = _capacity(nvars, degree)
-        if size // m > cap:
-            return None
-        full = _MAPS.get((nvars, degree, cap * m))
-        if full is None:
-            off = np.arange(0, cap * m, m)[:, None]
-            full = tuple((off + idx).ravel() for idx in (ia, ib, io))
-            for idx in full:
-                idx.flags.writeable = False
-            _MAPS[nvars, degree, cap * m] = full
-        maps = _MAPS[nvars, degree, size] = tuple(idx[:size // m * len(ia)] for idx in full)
-    return maps
+    per term of the capacity's maps, sliced on each call."""
+    ia, ib, io, m = _PAIRS[nvars][degree]
+    full = _MAPS.get((nvars, degree))
+    if full is None:
+        off = np.arange(0, _capacity(nvars, degree) * m, m)[:, None]
+        full = _MAPS[nvars, degree] = tuple((off + idx).ravel() for idx in (ia, ib, io))
+        for idx in full:
+            idx.flags.writeable = False
+    n = size // m * len(ia)
+    return tuple(idx[:n] for idx in full) if n <= len(full[0]) else None
 
 
 def _convolve(A, B, nvars, degree):

@@ -231,11 +231,6 @@ def carlson(x, y, z, *rhos):
     return tuple(o.reshape(shape)[()] for o in out)  # NumPy scalars for scalar arguments
 
 
-def carlson_rf(x, y, z):
-    """R_F(x, y, z) by `carlson`, with the steps of R_F alone."""
-    return carlson(x, y, z)[0]
-
-
 def simpson_oracle(f, a, b, panels=1_000_000):
     """Composite Simpson with a fixed (large) panel count: a brute-force
     reference independent of the adaptive path.  `f` is called once, on the

@@ -41,8 +41,8 @@ from .lorentz import (
     lorentz_inner,
     lorentz_normal,
 )
-from .quadrature import Integrand, carlson_rf, primitive_jet
-from .surfaces import Surface
+from .quadrature import Integrand, primitive_jet
+from .surfaces import Surface, _basis
 
 UNIT_CIRCLE_TOL = 1e-8
 R_OF_S_STEP = 1e-14  # above the rounding noise of s(r) in r: up to about 1e-15 r next to k = 1
@@ -155,9 +155,9 @@ class ConformalProfile:
     surface; carries sigma with e^(2 sigma) = G(r(s)).
 
     s(r) = (J(r) - J(r_anchor))/|H| in closed form, J(r) = int_0^r dx /
-    sqrt((x^2 + p)(x^2 + q)) = r R_F(p q, q (p + r^2), p (q + r^2)) (x =
-    (t + 1/r^2)^(-1/2) in R_F's integral; DLMF 19.29), with (p, q) the
-    surface's radicand factors (S.meta["radicand"], see surfaces._axis_delta);
+    sqrt((x^2 + p)(x^2 + q)), the basis integral I0 of the surface's profiles
+    (surfaces._basis, Carlson's R_F) over its radicand factors (p, q)
+    (S.meta["radicand"], see surfaces._axis_delta);
     r(s) solves it by Newton, safeguarded by bisection, on all rows at once.
     The surface sees the chart's t as t_sign * t, t_sign = CHART_T_SIGN *
     orientation: a reversed normal conjugates z."""
@@ -181,12 +181,7 @@ class ConformalProfile:
 
     def s_of_r(self, r):
         """s(r) for a number or an array r."""
-        # pq + q r^2, not q (p + r^2): NumPy's array kernels may fuse a complex
-        # product, and one that depends on r would round apart in an array and alone
-        p, q = self.radicand
-        pq, r2 = (p * q).real, r * r
-        J = r * carlson_rf(pq, pq + q * r2, pq + p * r2).real
-        return J / abs(self.surface.H) - self._s_anchor
+        return _basis(self.radicand, r)[0] / abs(self.surface.H) - self._s_anchor
 
     def s_jet(self, r: float, degree=MAX_DEGREE) -> Jet1:
         return primitive_jet(self.speed, r, self.s_of_r(r), degree)

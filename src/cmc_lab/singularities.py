@@ -312,7 +312,10 @@ def _bracketed_roots(S: Surface, a, b, fa, fb, anchor):
     """Shrink the sign-change edges [a, b] (rows of (E, 2) arrays) in
     lockstep until each is at most ROOT_TOL long; fa and fb hold the density
     at the ends, `anchor` the (E, 3) anchored normals (None with an analytic
-    normal), S the `_Stack` at the edges.  Returns the midpoints.
+    normal), S the `_Stack` at the edges.  Returns the midpoints, with 0 in a
+    coordinate the last bracket straddles: any point of it is a root to
+    ROOT_TOL, and a root on a coordinate axis (a conjugate's axis r = 0, where
+    its odd profiles vanish) then lands on the axis whichever edge held it.
 
     Each step is one batched evaluation at one point per open edge: the
     Illinois false-position point (the secant point, with the density at an
@@ -331,7 +334,7 @@ def _bracketed_roots(S: Surface, a, b, fa, fb, anchor):
         width = _norm(b - a)
         live = np.flatnonzero(width > ROOT_TOL)
         if not live.size:
-            return 0.5 * (a + b)
+            return np.where((np.minimum(a, b) <= 0.0) & (np.maximum(a, b) >= 0.0), 0.0, 0.5 * (a + b))
         w, fl_a, fl_b = width[live], fa[live], fb[live]
         with np.errstate(divide="ignore", invalid="ignore"):
             t = fl_a / (fl_a - fl_b)

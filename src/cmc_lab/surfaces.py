@@ -297,16 +297,17 @@ def _axis_delta(sigma: float, k: float):
     return delta, (1.0, 2 * sigma * (k + 1), c), (c / q, q)
 
 
-def _basis(radicand, r, c=None):
-    """I0 = int_0^r dx/sqrt(delta), I2 = int_0^r x^2 dx/sqrt(delta) and, given c,
-    K = int_0^r x^2 dx/((1 + c x^2) sqrt(delta)) at the radii r (an array),
-    delta = (x^2 + p)(x^2 + q), p q > 0: x = (t + 1/r^2)^(-1/2) (DLMF 19.29) gives
-    r R_F(1, Y, Z), r^3 R_D(Y, Z, 1)/3 and r^3 R_J(1, Y, Z, 1 + c r^2)/3, over
-    sqrt(pq), Y = 1 + r^2/p and Z = 1 + r^2/q, from one `carlson` loop."""
+def _basis(radicand, r, *cs):
+    """I0 = int_0^r dx/sqrt(delta) and, for each c in cs, K_c = int_0^r x^2 dx/((1 +
+    c x^2) sqrt(delta)) (K_0 = I2 = int_0^r x^2 dx/sqrt(delta)) at the radii r (a
+    number or an array), delta = (x^2 + p)(x^2 + q), p q > 0: x = (t + 1/r^2)^(-1/2)
+    (DLMF 19.29) gives r R_F(1, Y, Z) and r^3 R_J(1, Y, Z, 1 + c r^2)/3 (R_D(Y, Z,
+    1) at c = 0), over sqrt(pq), Y = 1 + r^2/p and Z = 1 + r^2/q, from one
+    `carlson` loop.  I0 alone is the conformal chart's J."""
     p, q = radicand
     r2 = r * r
     root = math.sqrt((p * q).real)
-    rhos = (1.0,) if c is None else (1.0, 1.0 + c * r2)
+    rhos = (1.0 + c * r2 for c in cs)
     rf, *rj = (x.real for x in carlson(1.0, 1.0 + r2 * (1 / p), 1.0 + r2 * (1 / q), *rhos))
     r3 = r2 * r / (3 * root)
     return (r * rf / root, *(r3 * x for x in rj))
@@ -336,7 +337,7 @@ def _delaunay_axis(sigma: float, k: float, H: float, r_cap: float) -> Surface:
     delta, coeffs, radicand = _axis_delta(sigma, k)
 
     def F(r):
-        I0, I2 = _basis(radicand, r)
+        I0, I2 = _basis(radicand, r, 0.0)
         return I2 + sigma * (k - 1) * I0
 
     prof = Primitive(Integrand(lambda x: (x * x + sigma * k - sigma) / jt.sqrt(delta(x))), F)
@@ -469,7 +470,7 @@ def conjugate_of(
             rho = lambda x: x * 0.5
 
             def values(r):  # lambda + i Phi
-                I = _moments(radicand, r, *_basis(radicand, r), 3)
+                I = _moments(radicand, r, *_basis(radicand, r, 0.0), 3)
                 return (r * r * r / 3 + I[2]) / (4 * H * H) + 1j * ((r + I[1]) / (2 * H))
 
             profile = Primitive(Integrand(
@@ -504,7 +505,7 @@ def conjugate_of(
             sign_lam, sign_Phi = (1.0, sgn) if timelike else (-sgn, 1.0)
 
             def values(r):
-                I0, I2, K = _basis(radicand, r, c)
+                I0, I2, K = _basis(radicand, r, 0.0, c)
                 L = (I2 - K) / c
                 if absK <= 1 / 32:
                     I = _moments(radicand, r, I0, I2, 18)

@@ -382,25 +382,25 @@ def test_flat_maps_are_views_of_the_capacity_maps():
     with mock.patch.object(jt, "_MAPS", {}):
         u = Jet2.coordinate((np.zeros(3), np.ones(3)), 5, 0)
         u * u
-        maps = jt._MAPS[2, 5, 3 * 36]
-        u * u
-        assert jt._flat_maps(2, 5, 3 * 36) is maps
-        assert not any(idx.flags.writeable for idx in maps)
-        # every size reads views of the capacity's maps, built once per pair table
         n = jt._capacity(2, 5)
-        full = jt._MAPS[2, 5, n * 36]
-        assert all(np.shares_memory(idx, whole) for idx, whole in zip(maps, full))
+        full = jt._MAPS[2, 5]  # the capacity's maps, built by the first product
+        assert [len(idx) for idx in full] == [n * len(jt._PAIRS[2][5][0])] * 3
+        assert not any(idx.flags.writeable for idx in full)
+        maps = jt._flat_maps(2, 5, 3 * 36)
+        assert all(np.shares_memory(idx, whole) and len(idx) == 3 * len(jt._PAIRS[2][5][0])
+                   for idx, whole in zip(maps, full))
+        # every size reads views of the capacity's maps, built once per pair table
         for size in range(2, 400):
             x = Jet1.coordinate(np.zeros(size), 5)
             x * x
-        owners = {id(idx.base) for kept in jt._MAPS.values() for idx in kept}
-        assert len(owners) == 6  # the memory of (ia, ib, io) of the two pair tables
+        assert set(jt._MAPS) == {(2, 5), (1, 5)}
+        assert jt._MAPS[2, 5] is full
         # a batch over the capacity is multiplied in chunks of the capacity
         v = Jet2.coordinate((np.zeros(3 * n + 2), np.ones(3 * n + 2)), 5, 0)
+        assert jt._flat_maps(2, 5, v.c.size) is None
         got = (v * v).c
         assert all(got[i].tobytes() == schoolbook_product2(v.c[i], v.c[i]).tobytes()
                    for i in range(3 * n + 2))
-        assert (2, 5, (3 * n + 2) * 36) not in jt._MAPS
 
 
 @pytest.mark.parametrize("jet", [Jet1, Jet2])

@@ -573,13 +573,15 @@ def test_jet_kinds_are_the_walks_kinds(case):
 def test_cone_points_stay_conelike_at_tiny_H(H):
     """The jet test is relative to |dX|, so a homothety keeps its kinds: the
     axis records of delaunay-t stay conelike at tiny H, where the surface
-    grows like 1/H.  The walk's image tolerance is absolute, and the records
-    2.5e-13 off the axis (grid 21) move their images by about 2.5e-13/H:
-    the walk calls them other."""
+    grows like 1/H.  The scan lands them on the axis r = 0, which their root
+    brackets straddle, so the walk agrees although its image tolerance is
+    absolute (a record 2.5e-13 off the axis would move its image by about
+    2.5e-13/H)."""
     S = sf.delaunay_timelike(2.0, H)
     recs = trace_singular_curve(S, n_grid=21)
     assert len(recs) == 21 and {r.kind for r in recs} == {"conelike"}
-    assert set(_reference_kinds(S, recs)) == {"other"}
+    assert {r.location[0] for r in recs} == {0.0}
+    assert set(_reference_kinds(S, recs)) == {"conelike"}
 
 
 def _curve_of_order(n):

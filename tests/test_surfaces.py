@@ -713,7 +713,7 @@ def _profiles(kind, sigma, k, H, at=None):
         f = lambda t: (X(t) ** 2 + sigma * (k - 1)) / np.sqrt(delta(t))
 
         def terms(r):
-            I0, I2 = sf._basis((p, q), r)
+            I0, I2 = sf._basis((p, q), r, 0.0)
             return abs(I2) + abs((k - 1) * I0)
 
         return S, [(S.meta["profile"], f, terms)], (p, q)
@@ -723,12 +723,12 @@ def _profiles(kind, sigma, k, H, at=None):
     lam, Phi = (_Part(P, i) for i in (0, 1))
     if kind == "L":
         def lam_terms(r):
-            I0, I2 = sf._basis((p, q), r)
+            I0, I2 = sf._basis((p, q), r, 0.0)
             return (r**3 / 3 + (r * np.sqrt(r**4 + 4) + 4 * abs(I0)) / 3) / (4 * H * H)
 
         return S, [(lam, lambda t: lam.integrand(X(t)), lam_terms),
                    (Phi, lambda t: Phi.integrand(X(t)),
-                    lambda r: (r + abs(sf._basis((p, q), r)[1])) / (2 * abs(H)))], (p, q)
+                    lambda r: (r + abs(sf._basis((p, q), r, 0.0)[1])) / (2 * abs(H)))], (p, q)
     c0, a, s = (k - 1) ** 2, 2 * sigma * (k + 1), math.sqrt(2 * abs(k + 1))
     Delta = _factor(c0, a, at)
     sgn = 1.0 if k > -1 else -1.0
@@ -736,7 +736,7 @@ def _profiles(kind, sigma, k, H, at=None):
 
     def lam_terms(r):
         c = a / c0
-        I0, I2, K = sf._basis((p, q), r, c)
+        I0, I2, K = sf._basis((p, q), r, 0.0, c)
         if abs(k + 1) <= 1 / 32:
             I = sf._moments((p, q), r, I0, I2, 18)
             series = sum(abs(c ** n * I[n + 2]) for n in range(16))
@@ -745,7 +745,7 @@ def _profiles(kind, sigma, k, H, at=None):
 
     return S, [(lam, lambda t: sign_lam * s * X(t) ** 4 / (H * np.sqrt(delta(t)) * Delta(t)), lam_terms),
                (Phi, lambda t: sign_Phi * s * (1 - k) * X(t) ** 2 / (np.sqrt(delta(t)) * Delta(t)),
-                lambda r: s / abs(1 - k) * abs(sf._basis((p, q), r, a / c0)[2]))], (p, q)
+                lambda r: s / abs(1 - k) * abs(sf._basis((p, q), r, 0.0, a / c0)[2]))], (p, q)
 
 
 def _profile_surface(kind, stratum, x, h, sign, at_end=False):
