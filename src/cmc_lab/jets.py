@@ -181,8 +181,8 @@ def _flat_maps(nvars, degree, size):
         full = _MAPS[nvars, degree] = tuple((off + idx).ravel() for idx in (ia, ib, io))
         for idx in full:
             idx.flags.writeable = False
-    n = size // m * len(ia)
-    return tuple(idx[:n] for idx in full) if n <= len(full[0]) else None
+    n, (ga, gb, bins) = size // m * len(ia), full
+    return (ga[:n], gb[:n], bins[:n]) if n <= len(ga) else None
 
 
 def _convolve(A, B, nvars, degree):
