@@ -1,18 +1,16 @@
-"""The numerical kernels: truncated-jet arithmetic and adaptive quadrature.
+"""The numerical kernels: truncated-jet arithmetic and Carlson's elliptic integrals.
 
 Everything derivative-shaped in this library flows through degree-5 truncated
-Taylor jets (exact to roundoff), and every profile integral flows through an
-adaptive Gauss-Kronrod integrator whose values a brute-force composite
-Simpson rule can audit.
+Taylor jets (exact to roundoff), and every profile integral is a closed form in
+Carlson's symmetric elliptic integrals R_F, R_D and R_J, which one duplication
+loop (`cmc_lab.quadrature.carlson`) evaluates to roundoff.
 """
 
 import math
 
-import numpy as np
-
-from cmc_lab import Jet2, VectorFieldJet, integrate, iterated_field_derivative
+from cmc_lab import Jet2, VectorFieldJet, iterated_field_derivative
 from cmc_lab import jets as jt
-from cmc_lab.quadrature import simpson_oracle
+from cmc_lab.quadrature import carlson
 
 # jets: Maclaurin coefficients of sin fall out of composition
 u, v = Jet2.variables((0.0, 0.0))
@@ -36,10 +34,10 @@ h = 1e-3
 fd = (4 * (sample(h / 2, 0) - sample(-h / 2, 0)) / h - (sample(h, 0) - sample(-h, 0)) / (2 * h)) / 3
 print(f"\nd/du of a sin/sqrt composite: jet {f.c[1, 0]:.12f}, finite differences {fd:.12f}")
 
-# quadrature: the k = 2 profile integrand, adaptive GK vs composite Simpson
-g = lambda x: (x * x + 1) / np.sqrt((x * x + 3) ** 2 - 8)
-val, err = integrate(g, 0.0, 1.0, 1e-12)
-oracle = simpson_oracle(g, 0.0, 1.0, panels=1_000_000)
-print(f"\nprofile integral on [0,1]: adaptive {val:.15f} (est err {err:.1e})")
-print(f"                           Simpson  {oracle:.15f} (1e6 panels)")
-print(f"                           |diff| = {abs(val - oracle):.2e}")
+# Carlson's R_F against the lemniscate constant: R_F(0, 1, 2) = Gamma(1/4)^2 / (4 sqrt(2 pi))
+# (DLMF 19.20.2)
+rf = carlson(0.0, 1.0, 2.0)[0]
+want = math.gamma(0.25) ** 2 / (4 * math.sqrt(2 * math.pi))
+print(f"\nR_F(0, 1, 2): duplication loop {rf:.16f}")
+print(f"              Gamma(1/4)^2 / (4 sqrt(2 pi)) {want:.16f}")
+print(f"              relative |diff| = {abs(rf / want - 1):.2e}")

@@ -639,7 +639,7 @@ def main(argv=None) -> int:
         return globals()["cmd_" + args.command](args)
     except (InputError, sf.SurfaceParameterError) as e:
         param = getattr(e, "param", None) or ()  # a surface parameter is set by the flag of its name
-        flags = ", ".join("--" + p for p in ((param,) if isinstance(param, str) else param))
+        flags = ", ".join("--" + p.replace("_", "-") for p in ((param,) if isinstance(param, str) else param))
         print(f"error: {flags + ': ' if flags else ''}{e}", file=sys.stderr)
         return 2
     except OSError as e:

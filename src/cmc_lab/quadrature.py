@@ -1,149 +1,23 @@
-"""Carlson's symmetric elliptic integrals R_F, R_D and R_J, jet-aware
-primitives F(r) = int_0^r f, and adaptive Gauss-Kronrod quadrature.
+"""Carlson's symmetric elliptic integrals R_F, R_D and R_J, and jet-aware
+primitives F(r) = int_0^r f.
 
 Every profile of the rotational surfaces reduces to R_F, R_D and R_J, which
 `carlson` evaluates in one duplication loop (see cmc_lab.surfaces); a
 Primitive pairs that closed form (the value) with the integrand's jet (every
-higher Taylor coefficient, via F' = f).  `integrate` and `simpson_oracle`
-are the references the tests hold the closed forms to.  An integrand is an
-array function: `_gk15` samples the 15 Kronrod nodes of the panels of a
-refinement sweep with one call f(xs) on a (P*15,) array, and
-`simpson_oracle` calls f once on all its nodes.  Written with the generic
-operations of cmc_lab.jets (or NumPy ufuncs), an integrand serves arrays and
-jets alike; a function of one float only (math.cos) is not an integrand.
+higher Taylor coefficient, via F' = f).  An integrand is a function written
+with the generic operations of cmc_lab.jets (or NumPy ufuncs), so it serves
+jets and arrays alike; a function of one float only (math.cos) is not an
+integrand.
 """
 
 from __future__ import annotations
 
-import heapq
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .jets import Jet1, MAX_DEGREE
-
-DEFAULT_TOL = 1e-10
-
-
-class QuadratureError(Exception):
-    pass
-
-
-class IntegrandSingularError(QuadratureError):
-    """A sample of the integrand was not finite ("integrand singular on interval")."""
-
-
-class ToleranceNotMetError(QuadratureError):
-    """Subdivision limit reached; carries the best estimate."""
-
-    def __init__(self, message, value, error_estimate):
-        super().__init__(message)
-        self.value = value
-        self.error_estimate = error_estimate
-
-
-# 15-point Kronrod extension of 7-point Gauss-Legendre on [-1, 1].
-_GK_NODES = np.array([
-    0.991455371120812639206854697526329,
-    0.949107912342758524526189684047851,
-    0.864864423359769072789712788640926,
-    0.741531185599394439863864773280788,
-    0.586087235467691130294144838258730,
-    0.405845151377397166906606412076961,
-    0.207784955007898467600689403773245,
-    0.000000000000000000000000000000000,
-])
-_K_WEIGHTS = np.array([
-    0.022935322010529224963732008058970,
-    0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518,
-    0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550,
-    0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649,
-    0.209482141084727828012999174891714,
-])
-_G_WEIGHTS = np.array([
-    0.129484966168869693270611432679082,
-    0.279705391489276667901467771423780,
-    0.381830050505118944950369775488975,
-    0.417959183673469387755102040816327,
-])
-
-# the abscissae of _gk15 in its sampling order
-_GK_T = np.concatenate([-_GK_NODES, _GK_NODES[:7]])
-
-
-def _gk15(f, lo, hi):
-    """K15 values and |K15 - G7| estimates ((P,) arrays) of the panels
-    [lo[p], hi[p]], and per panel None or the message naming its first node
-    (in the order of `_GK_T`) where a value is not finite.  `f` is called
-    once, on the (P*15,) array of all nodes, with NumPy's floating-point
-    warnings silenced."""
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (lo + hi)
-    xs = mid[:, None] + half[:, None] * _GK_T
-    with np.errstate(all="ignore"):
-        vals = np.asarray(f(xs.ravel()), dtype=float).reshape(xs.shape)
-        k = _K_WEIGHTS[7] * vals[:, 7]
-        g = _G_WEIGHTS[3] * vals[:, 7]
-        for i in range(7):
-            pair = vals[:, i] + vals[:, 8 + i]
-            k = k + _K_WEIGHTS[i] * pair
-            if i % 2 == 1:  # Gauss nodes are the odd-indexed Kronrod abscissae
-                g = g + _G_WEIGHTS[i // 2] * pair
-        k, g = half * k, half * np.abs(k - g)
-    bad = ~np.isfinite(vals)
-    singular = [f"integrand singular on interval: f({xs[p, i]}) = {vals[p, i]}"
-                if bad[p, i] else None for p, i in enumerate(bad.argmax(axis=1).tolist())]
-    return k, g, singular
-
-
-def _adaptive(f, a, b, tol, limit):
-    """(value, error) of the integral of f over [a, b], a < b: bisects the panel
-    with the worst |K15 - G7| estimate (leftmost on ties) until the summed error
-    meets tol; one `_gk15` call (one call of f) samples both new panels."""
-    vs, es, heap = [0.0], [0.0], []  # values and errors by slot, a heap of (-error, lo, slot, hi)
-    todo = [(0, a, b)]  # (slot, lo, hi)
-    while True:
-        slots, los, his = zip(*todo)
-        values, ests, singular = _gk15(f, np.array(los, float), np.array(his, float))
-        for slot, lo, hi, value, err, bad in zip(slots, los, his, values.tolist(), ests.tolist(), singular):
-            if bad:
-                raise IntegrandSingularError(bad)
-            vs[slot], es[slot] = value, err
-            heapq.heappush(heap, (-err, lo, slot, hi))
-        total, err = math.fsum(vs), math.fsum(es)
-        if err <= max(tol, 1e-15 * abs(total)):
-            return total, err
-        if len(vs) >= limit:
-            raise ToleranceNotMetError(f"tolerance not met: estimate {err:.3e} > {tol:.3e} "
-                                       f"after {len(vs)} panels", total, err)
-        _, lo, slot, hi = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        todo = [(slot, lo, mid), (len(vs), mid, hi)]
-        vs.append(None)
-        es.append(None)
-
-
-def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, tol: float = DEFAULT_TOL,
-              limit: int = 2048):
-    """Adaptive bisection with a Gauss-Kronrod rule per panel.
-
-    Returns (value, error_estimate) with |value - true| <= max(tol, estimate).
-    Deterministic: the panel with the worst estimate (leftmost on ties) is
-    split until the summed estimate meets tol, and the sums are exactly
-    rounded (math.fsum), so no order of the panels changes a bit.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if a == b:
-        return 0.0, 0.0
-    value, err = _adaptive(f, min(a, b), max(a, b), tol, limit)
-    return (-value if b < a else value), err
-
 
 _RF_Q = (3.0 * 1e-16) ** (-1.0 / 6.0)  # (3r)^(-1/6): R_F's truncation error stays below about r
 _RJ_Q = (0.25 * 1e-16) ** (-1.0 / 6.0)  # (r/4)^(-1/6), R_J's
@@ -231,40 +105,14 @@ def carlson(x, y, z, *rhos):
     return tuple(o.reshape(shape)[()] for o in out)  # NumPy scalars for scalar arguments
 
 
-def simpson_oracle(f, a, b, panels=1_000_000):
-    """Composite Simpson with a fixed (large) panel count: a brute-force
-    reference independent of the adaptive path.  `f` is called once, on the
-    array of all nodes."""
-    xs = np.linspace(a, b, 2 * panels + 1)
-    ys = f(xs)
-    h = (b - a) / (2 * panels)
-    return h / 3 * (ys[0] + ys[-1] + 4 * ys[1:-1:2].sum() + 2 * ys[2:-2:2].sum())
-
-
-@dataclass
-class Integrand:
-    """A function of one variable that can also be evaluated as a jet: `expr` is
-    written with the generic operations of cmc_lab.jets (which dispatch on jets,
-    floats and arrays alike), so the two evaluation modes cannot drift apart."""
-
-    expr: Callable
-
-    def __call__(self, x):
-        """The values at x, a number or an array of points (as _gk15 passes)."""
-        return self.expr(x)
-
-    def jet(self, x0, degree: int = MAX_DEGREE) -> Jet1:
-        """The jet at x0, a number or a (B,) array (a batched jet)."""
-        return self.expr(Jet1.coordinate(x0, degree))
-
-
 def primitive_jet(integrand, r0, value, degree: int = MAX_DEGREE) -> Jet1:
     """The jet at r0 of a primitive F of `integrand` with F(r0) = value: the
-    coefficient of x^j (j >= 1) is f^(j-1)(r0)/j!, from F' = f.  With a (B,)
-    array r0 (and value) the jet is batched; it is complex where the value or
-    the integrand is."""
+    coefficient of x^j (j >= 1) is f^(j-1)(r0)/j!, from F' = f, with f's jet
+    the integrand of the coordinate jet.  With a (B,) array r0 (and value) the
+    jet is batched; it is complex where the value or the integrand is."""
     F = Jet1.constant(0.0, r0, degree)
-    f, j = integrand.jet(r0, max(degree - 1, 0)).c[..., :degree], np.arange(1, degree + 1)
+    f = integrand(Jet1.coordinate(r0, max(degree - 1, 0))).c[..., :degree]
+    j = np.arange(1, degree + 1)
     higher = np.empty(f.shape, f.dtype)  # a complex f part by part: NumPy's complex division
     higher.real = f.real / j  # multiplies by 1/j, which rounds apart
     if f.dtype.kind == "c":
@@ -282,7 +130,7 @@ class Primitive:
     complex F is two primitives, its real and its imaginary part, that share
     one closed form."""
 
-    integrand: Integrand
+    integrand: Callable
     closed_form: Callable[[np.ndarray], np.ndarray]
 
     def _values(self, rs):

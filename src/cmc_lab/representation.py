@@ -29,6 +29,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import Callable
+
 import numpy as np
 
 from . import jets as jt
@@ -41,7 +43,7 @@ from .lorentz import (
     lorentz_inner,
     lorentz_normal,
 )
-from .quadrature import Integrand, primitive_jet
+from .quadrature import primitive_jet
 from .surfaces import Surface, _basis
 
 UNIT_CIRCLE_TOL = 1e-8
@@ -88,19 +90,24 @@ def _gauss_values(S: Surface, u, v):
     """g = (nu1 + i nu2)/(1 - nu0) at the points (u, v), numbers or (B,) arrays,
     from the tangents.
 
-    A point off the spacelike regular set raises NotSpacelikeError; in a
-    batch it reads NaN.
+    A point off the spacelike regular set raises NotSpacelikeError, and one
+    where nu0 = 1 (g at infinity) ZeroDivisionError; in a batch the first
+    reads NaN and the second inf.
     """
     Xu, Xv = _frame(S.jet(u, v, 1))
-    if np.ndim(u):
-        w = lorentz_cross([c.value for c in Xu], [c.value for c in Xv])
-        spacelike = lorentz_inner(w, w) < 0  # the test of lorentz_normal
-        if not spacelike.all():  # evaluate the spacelike points only
-            g = np.full(spacelike.shape, complex(np.nan, np.nan))
-            if spacelike.any():
-                g[spacelike] = _gauss_values(S, u[spacelike], v[spacelike])
-            return g
-    return _gauss_of_frame(Xu, Xv, S.orientation).value
+    if not np.ndim(u):
+        return _gauss_of_frame(Xu, Xv, S.orientation).value
+    w = lorentz_cross([c.value for c in Xu], [c.value for c in Xv])
+    ok = spacelike = lorentz_inner(w, w) < 0  # the test of lorentz_normal
+    if spacelike.all():
+        try:
+            return _gauss_of_frame(Xu, Xv, S.orientation).value
+        except ZeroDivisionError:  # the test of _gauss_of_frame
+            ok = abs(1.0 - lorentz_normal(Xu, Xv, S.orientation)[0].value) >= 1e-14
+    g = np.where(spacelike, complex(np.inf, 0.0), complex(np.nan, np.nan))
+    if ok.any():  # evaluate the other points only
+        g[ok] = _gauss_values(S, u[ok], v[ok])
+    return g
 
 
 def gauss_map_of(S: Surface, p) -> ExtComplex:
@@ -131,9 +138,10 @@ def omega_hat_jet(g: Jet2) -> Jet2:
 # -- conformal profile chart ---------------------------------------------------
 
 
-def _chart_speed(S: Surface) -> Integrand:
+def _chart_speed(S: Surface):
     """s'(r) = sqrt(E/G) of the conformal chart of a Delaunay surface, in
-    closed form; ValueError for any other surface.
+    closed form (a function of a jet or an array); ValueError for any other
+    surface.
 
     G = r^2 on all four families.  About an axis E = |1 - F'^2|/(4 H^2) and
     |1 - F'^2| = 4 r^2/delta, so s' = 1/(|H| sqrt(delta)); about the lightlike axis
@@ -144,9 +152,9 @@ def _chart_speed(S: Surface) -> Integrand:
                          "rotational Delaunay surface")
     H, (e, _) = abs(S.H), S.meta["radicand"]
     if S.family.startswith("delaunay_lightlike"):  # e = p = q = +-1
-        return Integrand(lambda x: 1.0 / (H * (1.0 + e * x * x)))
+        return lambda x: 1.0 / (H * (1.0 + e * x * x))
     delta = S.meta["delta"]
-    return Integrand(lambda x: 1.0 / (H * jt.sqrt(delta(x))))
+    return lambda x: 1.0 / (H * jt.sqrt(delta(x)))
 
 
 @dataclass
@@ -165,7 +173,7 @@ class ConformalProfile:
     surface: Surface
     r_anchor: float
     r_range: tuple
-    speed: Integrand
+    speed: Callable
     radicand: tuple
     notes: list = field(default_factory=list)
 
@@ -190,7 +198,10 @@ class ConformalProfile:
         """r(s) for a number or an array s; ValueError when s is outside
         s_range.  Newton from the broken line through s(r) at 9 radii of the
         chart, kept in the bracket of the radii tried so far, each element until
-        its step is at most R_OF_S_STEP r."""
+        its step is at most R_OF_S_STEP r or lands on an end of its bracket (a
+        radius tried already, where s(r) is noisier than the step).  Every other
+        step lands strictly inside the bracket, which then shrinks, so each
+        element stops."""
         (s_lo, s_hi), (r_lo, r_hi) = self.s_range, self.r_range
         s = np.asarray(s, float)
         if not np.all((s_lo <= s) & (s <= s_hi)):
@@ -203,7 +214,7 @@ class ConformalProfile:
             lo, hi = np.where(g < 0, x, lo), np.where(g > 0, x, hi)
             new = x - g / self.speed(x)
             new = np.where((lo <= new) & (new <= hi), new, 0.5 * (lo + hi))
-            on = np.abs(new - x) > R_OF_S_STEP * x
+            on = (np.abs(new - x) > R_OF_S_STEP * x) & (lo < new) & (new < hi)
             r.flat[live] = new
             live, x, target, lo, hi = live[on], new[on], target[on], lo[on], hi[on]
         return r[()]

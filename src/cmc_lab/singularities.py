@@ -873,10 +873,10 @@ def cmc_fold_obstruction(
     FOLD_OFFSET), the sheet flip of the unit normal across the curve (the sign
     of |g| - 1 must differ on the two sides), a nondegeneracy estimate |dg|,
     and the Laplace identity residual Delta X + 2 H nu at flanking regular points.
-    The records share one Gauss-map call and one Laplace call: a probe point
-    at infinity fails the whole batch, a record with a probe point off the
-    spacelike set gets the conclusion "undetermined" and the reason, and a
-    flank point off that set is left out of the residual.
+    The records share one Gauss-map call and one Laplace call: a record with
+    a probe point off the spacelike set, or at the pole of the Gauss map (nu0
+    = 1), gets the conclusion "undetermined" and the reason, and a flank
+    point off that set is left out of the residual.
     """
     from .representation import _gauss_values, laplacian_identity_residual
 
@@ -890,7 +890,9 @@ def cmc_fold_obstruction(
     probes = np.concatenate([p[:, None] + x * T[:, None],
                              (p + h * T)[:, None] + np.array([[h], [-h]]) * tang[:, None]], axis=1)
     g = _gauss_values(S, probes[..., 0].ravel(), probes[..., 1].ravel()).reshape(-1, 8)
-    probed = ~np.isnan(g).any(axis=1)  # nan: a probe point off the spacelike set
+    off, pole = np.isnan(g).any(axis=1), np.isinf(g).any(axis=1)  # nan off the spacelike set, inf at g's pole
+    probed = ~(off | pole)
+    g[pole] = np.nan  # its record is undetermined; nan keeps the arithmetic below free of inf - inf
     ys = np.abs(g[:, :6]).reshape(-1, 2, 3)  # (record, side, step)
     limit = _richardson(ys)
     sign = np.sign(ys[..., 0] - 1.0)
@@ -909,7 +911,8 @@ def cmc_fold_obstruction(
         certs[n] = {"location": list(map(float, records[n].location)), "offset": FOLD_OFFSET}
         if not probed[i]:
             certs[n].update(conclusion="undetermined",
-                            reason="a probe point is off the spacelike regular set")
+                            reason="a probe point is off the spacelike regular set" if off[i]
+                            else "the Gauss map is at infinity (nu0 = 1) at a probe point")
             continue
         certs[n].update({
             "sides": {name: {"samples": ys[i, side].tolist(),

@@ -33,7 +33,7 @@ import numpy as np
 from . import jets as jt
 from .jets import Jet1, Jet2, MAX_DEGREE, partial_values
 from .lorentz import H2Point, NotSpacelikeError, first_fundamental_form, lorentz_inner, lorentz_normal
-from .quadrature import Integrand, Primitive, carlson
+from .quadrature import Primitive, carlson
 
 DOMAIN_TOL = 1e-8  # admissible interval: where the guarded quantities exceed this
 R_CAP = 2.0  # default half-width of the r-interval served to grids/meshes
@@ -48,8 +48,8 @@ COSH_MAX_ARG = math.log(2.0) + math.log(sys.float_info.max)
 
 class SurfaceParameterError(ValueError):
     """A surface parameter outside its admissible set; `param` names the
-    parameter at fault ("k", "H"), or a tuple of the parameters when no one of
-    them is."""
+    parameter at fault ("k", "H", "r_cap"), or a tuple of the parameters when
+    no one of them is."""
 
     def __init__(self, message, param=None):
         super().__init__(message)
@@ -196,23 +196,28 @@ def fundamental_forms(S: Surface, p, conformal_q: bool = True) -> FundamentalFor
     return FundamentalForms(E, F, G, L, M, N, H_mean, H2Point.of(nu), q)
 
 
-def _probe_orientation(S: Surface, H: float) -> int:
+def _probe_orientation(S: Surface, H: float, r_cap: Optional[float] = None) -> int:
     """Sign making H_mean = +H, fixed once per surface at construction.
 
     Mean curvature is smooth and nonvanishing off the singular set, so one
-    regular probe orients the whole (connected) chart.
+    regular probe orients the whole (connected) chart.  The probes sit at
+    fractions of the domain end: where a cap `r_cap` other than the default
+    R_CAP is that end, a failure names it with the surface's parameters.
     """
     for frac in (0.5, 0.3, 0.8, 0.65):
         try:
-            ff = fundamental_forms(S, (S.u_range[1] * frac, 0.1), conformal_q=False)
+            with np.errstate(all="ignore"):  # a probe whose numbers overflow is not usable
+                ff = fundamental_forms(S, (S.u_range[1] * frac, 0.1), conformal_q=False)
         except (NotSpacelikeError, SurfaceDomainError):
             continue
-        if abs(ff.H_mean) > 1e-12 * abs(H):
+        if math.isfinite(ff.H_mean) and abs(ff.H_mean) > 1e-12 * abs(H):
             return 1 if ff.H_mean * H > 0 else -1
-    params = tuple(name for name in ("k", "H") if getattr(S, name) is not None)
+    values = {name: getattr(S, name) for name in ("k", "H") if getattr(S, name) is not None}
+    if r_cap not in (None, R_CAP) and S.u_range[1] == r_cap:
+        values["r_cap"] = r_cap
     raise SurfaceParameterError("could not orient surface: no usable probe point at "
-                                + ", ".join(f"{name} = {getattr(S, name)!r}" for name in params),
-                                param=params)
+                                + ", ".join(f"{name} = {value!r}" for name, value in values.items()),
+                                param=tuple(values))
 
 
 def _profile_builder(profiles, assemble):
@@ -284,17 +289,22 @@ def _axis_delta(sigma: float, k: float):
     coefficients in powers of x^2, and its factors (p, q): delta = (x^2 + p)
     (x^2 + q) with p + q = 2 sigma (k + 1) and p q = (k - 1)^2, so q = sigma
     (k + 1 + 2 sqrt k), complex for k < 0, and p = (k - 1)^2 / q: no
-    cancellation next to k = 1, and the conjugate of q for k < 0."""
+    cancellation next to k = 1, and the conjugate of q for k < 0.  Expanded,
+    delta(0) = (k - 1)^2 is off by about eps (k + 1)^2 (zero or negative one
+    ulp from k = 1): where that is over 1/16 of it (|k - 1| below about
+    1.2e-7), delta is the product of its real factors, which does not cancel."""
     try:
         c = (k - 1) ** 2
     except OverflowError:  # |k| from about 1.34e154 on
         raise SurfaceParameterError(f"k = {k!r} is too large: (k - 1)^2 overflows", param="k") from None
-
-    def delta(x):
-        return (x * x + sigma * k + sigma) ** 2 - 4 * k
-
     q = sigma * (k + 1.0 + 2.0 * np.emath.sqrt(k))
-    return delta, (1.0, 2 * sigma * (k + 1), c), (c / q, q)
+    p = c / q
+    if c < 16 * sys.float_info.epsilon * (k + 1) ** 2:
+        fp, fq = float(p), float(q)
+        delta = lambda x: (x * x + fp) * (x * x + fq)
+    else:
+        delta = lambda x: (x * x + sigma * k + sigma) ** 2 - 4 * k
+    return delta, (1.0, 2 * sigma * (k + 1), c), (p, q)
 
 
 def _basis(radicand, r, *cs):
@@ -340,7 +350,7 @@ def _delaunay_axis(sigma: float, k: float, H: float, r_cap: float) -> Surface:
         I0, I2 = _basis(radicand, r, 0.0)
         return I2 + sigma * (k - 1) * I0
 
-    prof = Primitive(Integrand(lambda x: (x * x + sigma * k - sigma) / jt.sqrt(delta(x))), F)
+    prof = Primitive(lambda x: (x * x + sigma * k - sigma) / jt.sqrt(delta(x)), F)
     root = _positive_root(*coeffs)
     r_hi = min(r_cap, root * (1 - 1e-9)) if root else r_cap
     inv2H = 1.0 / (2 * H)
@@ -360,7 +370,7 @@ def _delaunay_axis(sigma: float, k: float, H: float, r_cap: float) -> Surface:
         k=k,
         meta={"delta": delta, "radicand": radicand, "profile": prof},
     )
-    S.orientation = _probe_orientation(S, H)
+    S.orientation = _probe_orientation(S, H, r_cap)
     return S
 
 
@@ -392,7 +402,7 @@ def delaunay_lightlike(variant: str, H: float, r_cap: float = R_CAP) -> Surface:
         variant=variant,
         meta={"zeta": zeta, "radicand": (1.0, 1.0) if variant == "i" else (-1.0, -1.0)},
     )
-    S.orientation = _probe_orientation(S, H)
+    S.orientation = _probe_orientation(S, H, r_cap)
     return S
 
 
@@ -473,10 +483,9 @@ def conjugate_of(
                 I = _moments(radicand, r, *_basis(radicand, r, 0.0), 3)
                 return (r * r * r / 3 + I[2]) / (4 * H * H) + 1j * ((r + I[1]) / (2 * H))
 
-            profile = Primitive(Integrand(
+            profile = Primitive(
                 lambda x: x * x * (jt.sqrt(x**4 + 4) + x * x) / (4 * H * H * jt.sqrt(x**4 + 4))
-                + 1j * ((jt.sqrt(x**4 + 4) + x * x) / (2 * H * jt.sqrt(x**4 + 4)))
-            ), values)
+                + 1j * ((jt.sqrt(x**4 + 4) + x * x) / (2 * H * jt.sqrt(x**4 + 4))), values)
             template, branch = "L", ("I-ii" if timelike else "II-ii")
             r_hi = r_cap
         else:
@@ -513,10 +522,9 @@ def conjugate_of(
                     L = np.where(abs(c) * r * r <= 1 / 16, series, L)
                 return sign_lam * (s / (H * c0) * L) + 1j * (sign_Phi * (s / (1 - k) * K))
 
-            profile = Primitive(Integrand(
+            profile = Primitive(
                 lambda x: sign_lam * (s * x**4 / (H * jt.sqrt(delta(x)) * Delta(x)))
-                + 1j * (sign_Phi * (s * (1 - k) * x * x / (jt.sqrt(delta(x)) * Delta(x))))
-            ), values)
+                + 1j * (sign_Phi * (s * (1 - k) * x * x / (jt.sqrt(delta(x)) * Delta(x)))), values)
             phi_t = -math.sqrt(absK / 2) * (1.0 if timelike else sgn)
             template = ("T" if k > -1 else "S") if timelike else ("S" if k > -1 else "T")
             if template == "S" and abs(phi_t) * 1.5 > COSH_MAX_ARG:
@@ -569,7 +577,7 @@ def conjugate_of(
               "rho0": float(rho(Jet1.coordinate(0.0, 0)).value), "phi_t": phi_t,
               "profile": profile},  # the Primitive of lambda + i Phi (None: closed forms of r)
     )
-    S.orientation = _probe_orientation(S, H)
+    S.orientation = _probe_orientation(S, H, r_cap)
     return S
 
 

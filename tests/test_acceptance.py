@@ -9,12 +9,12 @@ import math
 import numpy as np
 
 import conftest
+from reference_quadrature import simpson_oracle
 from cmc_lab import jets as jt
 from cmc_lab import representation as rp
 from cmc_lab import singularities as sg
 from cmc_lab import surfaces as sf
 from cmc_lab.jets import Jet2, VectorFieldJet
-from cmc_lab.quadrature import integrate, simpson_oracle
 
 
 def _report(num, name, ok, detail=""):
@@ -311,7 +311,8 @@ def test_criterion_9_numerical_kernel_oracles():
         fd_ok &= abs(f.c[1, 0] - fu) < 1e-7 * max(1, abs(fu))
         fd_ok &= abs(f.c[0, 1] - fv) < 1e-7 * max(1, abs(fv))
 
-    # adaptive quadrature vs 1e6-panel composite Simpson on the profile integrands
+    # the shipped closed-form profiles F(1.5) (Carlson's R_F, R_D and R_J) vs
+    # 1e6-panel composite Simpson on their integrands
     def timelike(k):
         return lambda x: (x * x + k - 1) / np.sqrt((x * x + k + 1) ** 2 - 4 * k)
 
@@ -332,13 +333,16 @@ def test_criterion_9_numerical_kernel_oracles():
             / (np.sqrt((x * x + k + 1) ** 2 - 4 * k) * (2 * (k + 1) * x * x + (1 - k) ** 2))
         )
 
-    integrands = [timelike(2.0), timelike(0.5), timelike(3.0), spacelike(-1.0)]
+    # (closed-form value at 1.5, integrand)
+    cases = [(sf.delaunay_timelike(k, 0.5).meta["profile"].value(1.5), timelike(k))
+             for k in (2.0, 0.5, 3.0)]
+    cases.append((sf.delaunay_spacelike(-1.0, 0.5).meta["profile"].value(1.5), spacelike(-1.0)))
     for k in (2.0, 0.5, 3.0):
-        integrands += [conj_lambda(k, 0.5), conj_phi(k, 0.5)]
+        value = sf.conjugate_of("delaunay_timelike", k, 0.5).meta["profile"].value(1.5)
+        cases += [(value.real, conj_lambda(k, 0.5)), (value.imag, conj_phi(k, 0.5))]
     quad_ok = True
     worst = 0.0
-    for f in integrands:
-        val, _ = integrate(f, 0.0, 1.5, 1e-12)
+    for val, f in cases:
         oracle = simpson_oracle(f, 0.0, 1.5, panels=1_000_000)
         worst = max(worst, abs(val - oracle))
         quad_ok &= abs(val - oracle) < 1e-9
@@ -346,4 +350,4 @@ def test_criterion_9_numerical_kernel_oracles():
     ok = exact and fd_ok and quad_ok
     _report(9, "numerical-kernel oracles", ok,
             f"polynomial exact: {exact}, FD oracle: {fd_ok}, "
-            f"quadrature vs Simpson worst |diff| = {worst:.2e} over {len(integrands)} integrands")
+            f"closed-form profiles F(1.5) vs Simpson worst |diff| = {worst:.2e} over {len(cases)} profiles")

@@ -10,7 +10,6 @@ from cmc_lab import representation as rp
 from cmc_lab import surfaces as sf
 from cmc_lab.jets import Jet1, Jet2, partial_values
 from cmc_lab.lorentz import euclid_inner, lorentz_inner
-from cmc_lab.quadrature import Integrand, integrate
 from cmc_lab.representation import (
     GaussData,
     compatibility_residuals,
@@ -26,6 +25,7 @@ from cmc_lab.representation import (
     representation_roundtrip,
 )
 from cmc_lab.surfaces import NotSpacelikeError
+from reference_quadrature import reference_integrate
 
 
 def _tilted_plane():
@@ -122,8 +122,7 @@ def test_export_path_integrand_evaluations(monkeypatch, name):
 
     def counted(S):
         f = speed(S)
-        return Integrand(lambda x: samples.append(np.size(x.value if isinstance(x, Jet1) else x))
-                         or f.expr(x))
+        return lambda x: samples.append(np.size(x.value if isinstance(x, Jet1) else x)) or f(x)
 
     monkeypatch.setattr(rp, "_chart_speed", counted)
     S, prof = _export_chart(name)
@@ -133,12 +132,37 @@ def test_export_path_integrand_evaluations(monkeypatch, name):
     assert 0 < sum(samples) <= 100
 
 
+@pytest.mark.parametrize("k", [1.0000000000000002, 1.000000000000001, 0.9999999999999998])
+def test_r_of_s_stops_where_s_is_noisier_than_its_step(k):
+    # one ulp or a few from k = 1, p is about 1e-32 and s(r) at some rows of the
+    # export grid is noisier than R_OF_S_STEP r: Newton steps from one end of the
+    # bracket to the other, and stops there
+    S = sf.delaunay_timelike(k, 0.5)
+    r0, r1 = 0.15 * S.u_range[1], 0.65 * S.u_range[1]
+    prof = conformal_profile_chart(S, r0, r1)
+    s0, s1 = prof.s_of_r(np.array([r0 * 1.02, r1 * 0.98]))
+    ss = s0 + np.arange(25) * ((s1 - s0) / 24)  # the rows of rep --export-from's grid
+    calls, s_of_r = [], prof.s_of_r
+
+    def counted(r):
+        calls.append(np.size(r))
+        if len(calls) > 50:
+            raise RuntimeError("r_of_s does not stop")
+        return s_of_r(r)
+
+    prof.s_of_r = counted
+    r = prof.r_of_s(ss)
+    assert len(calls) <= 8 and sum(calls) <= 25 * 8
+    assert np.all((r0 <= r) & (r <= r1))
+    assert np.all(np.abs(s_of_r(r) - ss) <= 1e-13 * max(1.0, np.abs(ss).max()))
+
+
 @pytest.mark.parametrize("name", EXPORT_CHARTS)
 def test_chart_values_and_inverse(name):
     S, prof = _export_chart(name)
     r0, r1 = prof.r_range
     for r in np.linspace(r0, r1, 41):
-        ref, _ = integrate(_surface_speed(S), prof.r_anchor, r, 1e-11)
+        ref, _ = reference_integrate(_surface_speed(S), prof.r_anchor, r, 1e-11)
         s = prof.s_of_r(r)
         assert abs(s - ref) <= 2e-11
         assert abs(prof.r_of_s(s) - r) <= 1e-13
@@ -238,7 +262,7 @@ def test_chart_is_the_integral_of_its_speed(family, stratum, t, H, negative):
     rs = np.linspace(*prof.r_range, 9)
     speed = rp._chart_speed(S)
     for r in rs:
-        want, _ = integrate(speed, prof.r_anchor, r, 1e-13)
+        want, _ = reference_integrate(speed, prof.r_anchor, r, 1e-13)
         assert abs(prof.s_of_r(r) - want) <= 1e-13 * max(1.0, abs(want))
     ss = prof.s_of_r(rs)
     got = prof.r_of_s(ss)

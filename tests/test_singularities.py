@@ -1178,8 +1178,8 @@ def test_fold_obstruction_certificate(delaunay_t_k2, delaunay_t_records):
 def _reference_certificate(S, record, offset=sg.FOLD_OFFSET, flank=0.5):
     """cmc_fold_obstruction of one record as it was run one record at a time
     (scalar Gauss-map calls, a flank point off the spacelike set skipped, a
-    probe point off that set making the record undetermined): the reference
-    of the batched certificates."""
+    probe point off that set or at the Gauss map's pole making the record
+    undetermined): the reference of the batched certificates."""
     if record.rank == 0:
         return {"conclusion": "rank-0 regime (omega = 0): no certificate",
                 "regime": "omega_zero_rank0"}
@@ -1188,7 +1188,7 @@ def _reference_certificate(S, record, offset=sg.FOLD_OFFSET, flank=0.5):
     T = dlam / np.linalg.norm(dlam)
 
     def g_at(q):
-        return complex(rp._gauss_values(S, q[0], q[1]))  # raises at infinity, as a batch does
+        return complex(rp._gauss_values(S, q[0], q[1]))
 
     sides = {}
     h = offset
@@ -1201,9 +1201,11 @@ def _reference_certificate(S, record, offset=sg.FOLD_OFFSET, flank=0.5):
                            "sign_abs_g_minus_1": float(np.sign(ys[0] - 1.0))}
         dg = math.hypot(abs(g_at(p + h * T) - g_at(p - h * T)) / (2 * h),
                         abs(g_at(p + h * T + h * tang) - g_at(p + h * T - h * tang)) / (2 * h))
-    except NotSpacelikeError:
+    except (NotSpacelikeError, ZeroDivisionError) as e:
         return {"location": list(map(float, record.location)), "offset": offset,
-                "conclusion": "undetermined", "reason": "a probe point is off the spacelike regular set"}
+                "conclusion": "undetermined",
+                "reason": "a probe point is off the spacelike regular set" if isinstance(e, NotSpacelikeError)
+                else "the Gauss map is at infinity (nu0 = 1) at a probe point"}
     flip = sides["plus"]["sign_abs_g_minus_1"] * sides["minus"]["sign_abs_g_minus_1"] < 0
     lap = []
     for sgn in (1.0, -1.0):
@@ -1256,6 +1258,17 @@ def test_batched_certificates_match_the_reference_on_the_gauss_limit_surfaces(bu
     flank = 0.45 * S.u_range[1]
     _assert_certificates_match_the_reference(cmc_fold_obstruction(S, recs, flank=flank), S, recs,
                                              flank=flank)
+
+
+def test_certificates_with_a_probe_at_the_gauss_maps_pole_are_undetermined():
+    # next to k = 1 the cone points of delaunay-t close up: the normal at the fold
+    # probes is the axis, nu0 = 1, and g is at infinity there
+    S = sf.delaunay_timelike(0.99999999, 0.5)
+    recs = [r for r in trace_singular_curve(S, n_grid=9) if r.rank == 1]
+    assert recs
+    certs = cmc_fold_obstruction(S, recs)
+    assert {c["reason"] for c in certs} == {"the Gauss map is at infinity (nu0 = 1) at a probe point"}
+    _assert_certificates_match_the_reference(certs, S, recs)
 
 
 CERTIFIED_SURFACES = {

@@ -12,7 +12,6 @@ from cmc_lab import surfaces as sf
 from cmc_lab.cli import main
 from cmc_lab.jets import Jet1, Jet2, JetDomainError
 from cmc_lab.lorentz import lorentz_inner
-from cmc_lab.quadrature import integrate
 from cmc_lab.surfaces import (
     MeshEvaluationError,
     NotSpacelikeError,
@@ -26,6 +25,7 @@ from cmc_lab.surfaces import (
     mesh_export,
     standard_model,
 )
+from reference_quadrature import reference_integrate
 
 
 def test_timelike_axis_passes_through_origin(delaunay_t_k2):
@@ -780,8 +780,8 @@ def test_profile_closed_forms_against_quadrature(kind, stratum, x, h, sign, frac
     _, S, profiles, _ = case
     r = frac * 0.9 * S.u_range[1]
     for P, f, _ in profiles:
-        want, _ = integrate(f, 0.0, r, 1e-14)
-        scale, _ = integrate(lambda x: abs(f(x)), 0.0, r, 1e-6)
+        want, _ = reference_integrate(f, 0.0, r, 1e-14)
+        scale, _ = reference_integrate(lambda x: abs(f(x)), 0.0, r, 1e-6)
         assert abs(P.value(r) - want) <= 1e-13 * max(1.0, scale)
 
 
@@ -800,13 +800,13 @@ def _value_at_domain_end(f, r_hi, points):
     from there, if a zero x0 of a radicand lies past r_hi within 0.5 r_hi, in
     w = d expm1(tau), d = x0 - r_hi, which makes f dw smooth in tau where f has
     a pole or an inverse square root at x0 (f dw = f d e^tau dtau)."""
-    head = integrate(f, 0.1 * r_hi, r_hi, 1e-14)
+    head = reference_integrate(f, 0.1 * r_hi, r_hi, 1e-14)
     x0 = min([x for x in points if r_hi < x < 1.5 * r_hi], default=None)
     if x0 is None:
-        tail = integrate(f, 0.0, 0.1 * r_hi, 1e-14)
+        tail = reference_integrate(f, 0.0, 0.1 * r_hi, 1e-14)
     else:
         d = x0 - r_hi
-        tail = integrate(lambda tau: f(d * np.expm1(tau)) * d * np.exp(tau), 0.0,
+        tail = reference_integrate(lambda tau: f(d * np.expm1(tau)) * d * np.exp(tau), 0.0,
                          math.log1p(0.1 * r_hi / d), 1e-14)
     return head[0] + tail[0], head[1] + tail[1]
 
